@@ -27,6 +27,7 @@ from .errors import (
     NotAPermutation,
     SideInconsistency,
     TooFewVertices,
+    VertexOutOfRange,
 )
 
 
@@ -149,7 +150,7 @@ class Drawing:
         f = canon_edge(*f)
         for u in (*e, *f):
             if not 1 <= u <= self.n:
-                raise ValueError(f"vertex {u} out of range 1..{self.n}")
+                raise VertexOutOfRange(f"vertex {u} out of range 1..{self.n}")
         if adjacent(e, f):
             return False
         return self._oracle.cross(e[0], e[1], f[0], f[1])
@@ -235,7 +236,7 @@ def new_drawing(n, rotations, crossings):
         f = canon_edge(*f)
         for u in (*e, *f):
             if not 1 <= u <= n:
-                raise ValueError(f"vertex {u} out of range 1..{n} in crossing pair")
+                raise VertexOutOfRange(f"vertex {u} out of range 1..{n} in crossing pair")
         if adjacent(e, f):
             raise AdjacentCrossing(f"adjacent edges {e} and {f} listed as crossing")
         pairs.add((e, f) if e <= f else (f, e))
@@ -293,7 +294,7 @@ def induced_subdrawing(d, vertices):
     if len(vs) < 3:
         raise TooFewVertices(f"induced subdrawing needs >= 3 vertices, got {len(vs)}")
     if vs[0] < 1 or vs[-1] > d.n:
-        raise ValueError(f"vertices out of range 1..{d.n}")
+        raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
     to_sub = {v: i + 1 for i, v in enumerate(vs)}
     to_host = {i + 1: v for i, v in enumerate(vs)}
     if d.points is not None:
@@ -406,7 +407,7 @@ def triangle_sides(d, a, b, c):
     if len(set(tri)) != 3:
         raise ValueError(f"triangle needs three distinct vertices, got {(a, b, c)}")
     if tri[0] < 1 or tri[2] > d.n:
-        raise ValueError(f"vertices out of range 1..{d.n}")
+        raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
     among = [v for v in range(1, d.n + 1) if v not in tri]
     same, other = split_by_triangle(d, tri, among)
     _verify_sides(d, tri, same, other)

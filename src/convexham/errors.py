@@ -49,6 +49,10 @@ class SameVertex(DrawingError):
     pass
 
 
+class VertexOutOfRange(DrawingError, ValueError):
+    """A vertex label outside 1..n (also a ValueError, as before)."""
+
+
 class KOutOfRange(DrawingError):
     pass
 

@@ -4,7 +4,9 @@ All decisions reduce to signs of integer determinants, computed with
 Python's arbitrary-precision integers.  Vectorised code paths evaluate the
 same determinants in float64 behind a forward-error filter and fall back to
 exact integer arithmetic for entries too close to zero, so batched queries
-are bit-for-bit equivalent to the scalar ones.
+are bit-for-bit equivalent to the scalar ones.  The general-position check
+and the angular sort compare correctly rounded float64 slopes and settle
+only equal slopes with integers (see _line_keys).
 """
 
 from __future__ import annotations
@@ -56,11 +58,32 @@ def _direction_key(dx, dy):
     return dx, dy
 
 
+# Entries per block of the general-position pass; bounds its scratch memory
+# independently of n.
+_GP_BLOCK_ENTRIES = 1 << 16
+
+
+def _line_keys(dx, dy):
+    """Float key -dx/dy (-inf for dy == 0) of float64 direction vectors.
+
+    The key of (dx, dy) equals that of (-dx, -dy), so it names the line
+    through the origin.  With dx, dy exact in float64 the key is the
+    correctly rounded value of the rational -dx/dy, and rounding is
+    monotone: equal rationals give equal keys, and within one half plane
+    (dy > 0, or dy < 0) the key ascends with the counterclockwise angle.
+    Distinct keys therefore prove distinct lines and strict angular order;
+    only equal keys need an exact look.
+    """
+    return np.divide(-dx, dy, out=np.full(dx.shape, -np.inf), where=dy != 0)
+
+
 def assert_general_position(points):
     """Raise DegeneratePointSet unless no two points coincide and no three are collinear.
 
-    `points` is a sequence of (x, y) integer pairs.  Runs in O(n^2 log n) by
-    hashing reduced direction vectors around each anchor point.
+    `points` is a sequence of (x, y) integer pairs.  Runs in O(n^2 log n):
+    around each anchor the lines to the later points are sorted by a float
+    key, and only anchors with two equal adjacent keys are re-checked by
+    hashing exact reduced directions.
     """
     n = len(points)
     seen = {}
@@ -70,56 +93,52 @@ def assert_general_position(points):
         seen[p] = i
     if n < 3:
         return
-    max_abs = max(max(abs(x), abs(y)) for x, y in points)
-    if max_abs <= 2**60:
-        _assert_gp_numpy(points)
-    else:
-        _assert_gp_python(points)
+    if max(max(abs(x), abs(y)) for x, y in points) > _FLOAT_SAFE:
+        for i in range(n - 2):
+            _assert_gp_row(points, i)
+        return
+    xy = np.array(points, dtype=np.float64)
+    rows = max(1, _GP_BLOCK_ENTRIES // n)
+    for i0 in range(0, n - 2, rows):
+        i1 = min(i0 + rows, n - 2)
+        # Anchors i0..i1-1 against the points after i0; a collinear triple
+        # i < j < k is caught at anchor i, so entries j <= i are masked
+        # with NaN, which equals nothing.
+        dx = xy[i0 + 1:, 0] - xy[i0:i1, 0, None]
+        dy = xy[i0 + 1:, 1] - xy[i0:i1, 1, None]
+        keys = _line_keys(dx, dy)
+        keys[np.arange(keys.shape[1]) < np.arange(i1 - i0)[:, None]] = np.nan
+        keys.sort(axis=1)
+        flagged = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        for i in np.nonzero(flagged)[0]:
+            _assert_gp_row(points, i0 + int(i))
 
 
-def _assert_gp_numpy(points):
-    xs = np.array([p[0] for p in points], dtype=np.int64)
-    ys = np.array([p[1] for p in points], dtype=np.int64)
-    n = len(points)
-    idx = np.arange(n)
-    for i in range(n - 2):
-        # Only anchors against later points: a collinear triple i<j<k is
-        # caught at its smallest index.
-        dx = xs[i + 1:] - xs[i]
-        dy = ys[i + 1:] - ys[i]
-        g = np.gcd(np.abs(dx), np.abs(dy))
-        dx = dx // g
-        dy = dy // g
-        flip = (dy < 0) | ((dy == 0) & (dx < 0))
-        dx = np.where(flip, -dx, dx)
-        dy = np.where(flip, -dy, dy)
-        dirs = np.stack([dx, dy], axis=1)
-        uniq, counts = np.unique(dirs, axis=0, return_counts=True)
-        if len(uniq) != len(dirs):
-            dup = uniq[counts > 1][0]
-            js = idx[i + 1:][(dx == dup[0]) & (dy == dup[1])][:2]
+def _assert_gp_row(points, i):
+    # Exact check of anchor i against the later points.
+    xi, yi = points[i]
+    dirs = {}
+    for j in range(i + 1, len(points)):
+        key = _direction_key(points[j][0] - xi, points[j][1] - yi)
+        if key in dirs:
             raise DegeneratePointSet(
-                f"points {i}, {int(js[0])}, {int(js[1])} are collinear"
+                f"points {i}, {dirs[key]}, {j} are collinear"
             )
-
-
-def _assert_gp_python(points):
-    n = len(points)
-    for i in range(n - 2):
-        xi, yi = points[i]
-        dirs = {}
-        for j in range(i + 1, n):
-            key = _direction_key(points[j][0] - xi, points[j][1] - yi)
-            if key in dirs:
-                raise DegeneratePointSet(
-                    f"points {i}, {dirs[key]}, {j} are collinear"
-                )
-            dirs[key] = j
+        dirs[key] = j
 
 
 def _half(dx, dy):
     # 0 for the open upper half plane plus the positive x-axis, 1 otherwise.
     return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+
+def _ccw_cmp(s, t):
+    # Exact angular comparator on (half, dx, dy) triples; strict for
+    # directions in general position.
+    if s[0] != t[0]:
+        return -1 if s[0] < t[0] else 1
+    c = s[1] * t[2] - s[2] * t[1]
+    return -1 if c > 0 else 1
 
 
 def ccw_order(points, anchor, candidates):
@@ -131,34 +150,22 @@ def ccw_order(points, anchor, candidates):
     """
     ax, ay = points[anchor]
     cand = list(candidates)
-    if len(cand) <= 2 and len(cand) > 0:
-        # Any listing of <= 2 points is a valid cyclic order, but keep the
-        # same deterministic rule as the general case.
-        pass
-    keyed = []
-    for v in cand:
-        dx = points[v][0] - ax
-        dy = points[v][1] - ay
-        keyed.append((_half(dx, dy), math.atan2(dy, dx), v, dx, dy))
-    keyed.sort(key=lambda t: (t[0], t[1]))
-    # Exact verification of the float presort: within a half plane the cross
-    # product comparator is a strict total order.
-    ok = True
-    for (h1, _, _, dx1, dy1), (h2, _, _, dx2, dy2) in zip(keyed, keyed[1:]):
-        if h1 > h2 or (h1 == h2 and dx1 * dy2 - dy1 * dx2 <= 0):
-            ok = False
-            break
-    if ok:
-        return [t[2] for t in keyed]
-
-    def cmp(s, t):
-        if s[0] != t[0]:
-            return -1 if s[0] < t[0] else 1
-        c = s[3] * t[4] - s[4] * t[3]
-        return -1 if c > 0 else 1
-
-    keyed.sort(key=cmp_to_key(cmp))
-    return [t[2] for t in keyed]
+    dxs = [points[v][0] - ax for v in cand]
+    dys = [points[v][1] - ay for v in cand]
+    if max(map(abs, dxs + dys), default=0) <= 2 * _FLOAT_SAFE:
+        # Differences up to 2^53 convert to float64 exactly.
+        fx = np.array(dxs, dtype=np.float64)
+        fy = np.array(dys, dtype=np.float64)
+        half = (fy < 0) | ((fy == 0) & (fx < 0))
+        key = _line_keys(fx, fy)
+        order = np.lexsort((key, half))
+        h = half[order]
+        k = key[order]
+        if not ((h[1:] == h[:-1]) & (k[1:] == k[:-1])).any():
+            return [cand[i] for i in order.tolist()]
+    keyed = [(_half(dx, dy), dx, dy, v) for dx, dy, v in zip(dxs, dys, cand)]
+    keyed.sort(key=cmp_to_key(_ccw_cmp))
+    return [t[3] for t in keyed]
 
 
 def strictly_convex_ccw(points_in_order):

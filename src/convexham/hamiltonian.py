@@ -20,6 +20,7 @@ from .errors import (
     KOutOfRange,
     NotConvexEvidence,
     SameVertex,
+    VertexOutOfRange,
 )
 from .oracle import verify_certificate
 from .starframe import build_star_frame
@@ -154,7 +155,7 @@ def st_hamiltonian_path(d, s, t, verify=True):
     if s == t:
         raise SameVertex(f"need distinct endpoints, got s=t={s}")
     if not (1 <= s <= d.n and 1 <= t <= d.n):
-        raise ValueError(f"endpoints out of range 1..{d.n}")
+        raise VertexOutOfRange(f"endpoints out of range 1..{d.n}")
     seq = _solve_path(d, range(1, d.n + 1), s, t)
     cert = path_certificate(
         seq, {"plane": True, "hamiltonian": True, "endpoints": (s, t)}
@@ -323,8 +324,8 @@ def path_containing_edge(d, e, verify=True):
     through the edge.
     """
     u, v = canon_edge(*e)
-    if not 1 <= v <= d.n:
-        raise ValueError(f"edge {e} out of range 1..{d.n}")
+    if not (1 <= u and v <= d.n):
+        raise VertexOutOfRange(f"edge {e} out of range 1..{d.n}")
     cycle = star_avoiding_hamiltonian_cycle(d, u, verify=False).vertices
     xs = cycle[1:]
     i = xs.index(v)
@@ -368,8 +369,8 @@ def geometric_path_with_two_edges(points, e, e2, verify=True):
     d = geometric(points)
     u, v = canon_edge(*e)
     u2, v2 = canon_edge(*e2)
-    if not (1 <= v <= d.n and 1 <= v2 <= d.n):
-        raise ValueError(f"edges {e}, {e2} out of range 1..{d.n}")
+    if not (1 <= u and v <= d.n and 1 <= u2 and v2 <= d.n):
+        raise VertexOutOfRange(f"edges {e}, {e2} out of range 1..{d.n}")
     if {u, v} & {u2, v2}:
         raise EdgesCrossOrAdjacent(f"edges {e} and {e2} share a vertex")
     pts = d.points

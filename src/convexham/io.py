@@ -3,18 +3,23 @@
 The drawing format is a bit-exact contract:
 
     {"n": int,
-     "rotations": [[int, ...], ...],        # rotations[i] = ccw order around vertex i+1
-     "crossings": [[[u, v], [x, y]], ...],  # omitted when "points" is present
-     "points": [[x, y], ...]}               # optional, integers
+     "points": [[x, y], ...],               # integers; present for geometric drawings
+     "rotations": [[int, ...], ...],        # rotations[i] = ccw order around vertex i+1;
+                                            # omitted when "points" is present
+     "crossings": [[[u, v], [x, y]], ...]}  # omitted when "points" is present and n > 12
 
 Writers emit canonical form: each rotation starts at its smallest label,
 edges are (min, max), crossing pairs are sorted lexicographically, keys are
 sorted and the encoding is compact.  Identical drawings therefore serialise
-to identical bytes.
+to identical bytes.  A geometric drawing is written as its points (plus the
+crossing list while n <= 12); its rotations follow from the points and are
+not written.
 
-Readers treat "points" as authoritative.  Redundant fields are checked
-against the coordinates where that is affordable: rotations up to n = 64,
-stored crossings exhaustively up to n = 12 and pair-by-pair beyond.
+Readers treat "points" as authoritative and accept the derivable fields as
+redundant input, checked against the coordinates where that is affordable:
+rotations up to n = 64, stored crossings exhaustively up to n = 12 and
+pair-by-pair beyond.  Abstract drawings (no "points") need both
+"rotations" and "crossings".
 """
 
 from __future__ import annotations
@@ -37,17 +42,17 @@ _CROSSING_CHECK_MAX_N = 12
 def drawing_to_json(d):
     """Canonical JSON-ready dict for a drawing.
 
-    Geometric drawings carry their points; the crossing list is redundant
-    then and only written while small enough to double as a cross-check.
+    Geometric drawings carry their points and no rotations; the crossing
+    list is redundant then and only written while small enough to double as
+    a cross-check.
     """
-    obj = {
-        "n": d.n,
-        "rotations": [list(d.rotation_of(v)) for v in range(1, d.n + 1)],
-    }
+    obj = {"n": d.n}
     if d.points is not None:
         obj["points"] = [list(d.points[v]) for v in range(1, d.n + 1)]
         if d.n > _CROSSING_CHECK_MAX_N:
             return obj
+    else:
+        obj["rotations"] = [list(d.rotation_of(v)) for v in range(1, d.n + 1)]
     obj["crossings"] = [[list(e), list(f)] for e, f in sorted(d.crossing_set())]
     return obj
 
@@ -78,30 +83,32 @@ def drawing_from_json(obj):
     n = obj.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool), "field 'n' must be an integer")
     rotations = obj.get("rotations")
-    _require(isinstance(rotations, list), "field 'rotations' must be a list")
-    _require(
-        all(isinstance(r, list) and all(isinstance(u, int) for u in r) for r in rotations),
-        "each rotation must be a list of integers",
-    )
+    if rotations is not None:
+        _require(isinstance(rotations, list), "field 'rotations' must be a list")
+        _require(
+            all(isinstance(r, list) and all(isinstance(u, int) for u in r) for r in rotations),
+            "each rotation must be a list of integers",
+        )
 
     points = obj.get("points")
     if points is not None:
         _require(isinstance(points, list), "field 'points' must be a list")
         _require(len(points) == n, f"expected {n} points, got {len(points)}")
         d = geometric([_int_pair(p, "point") for p in points])
-        _require(len(rotations) == n, f"expected {n} rotations, got {len(rotations)}")
-        if n <= _ROTATION_CHECK_MAX_N:
-            for v in range(1, n + 1):
-                stored = tuple(rotations[v - 1])
-                derived = d.rotation_of(v)
-                if stored != derived:
-                    raise FormatError(
-                        f"stored rotation of vertex {v} disagrees with the points: "
-                        f"{stored} vs {derived}"
-                    )
+        if rotations is not None:
+            _require(len(rotations) == n, f"expected {n} rotations, got {len(rotations)}")
+            if n <= _ROTATION_CHECK_MAX_N:
+                for v in range(1, n + 1):
+                    stored = tuple(rotations[v - 1])
+                    derived = d.rotation_of(v)
+                    if stored != derived:
+                        raise FormatError(
+                            f"stored rotation of vertex {v} disagrees with the points: "
+                            f"{stored} vs {derived}"
+                        )
         crossings = obj.get("crossings")
         if crossings is not None:
-            stored = _crossing_pairs(crossings, n)
+            stored = _crossing_pairs(crossings)
             if n <= _CROSSING_CHECK_MAX_N:
                 derived = d.crossing_set()
                 if stored != derived:
@@ -117,12 +124,13 @@ def drawing_from_json(obj):
                         )
         return d
 
+    _require(rotations is not None, "abstract drawings need a 'rotations' field")
     crossings = obj.get("crossings")
     _require(crossings is not None, "abstract drawings need a 'crossings' field")
-    return new_drawing(n, [tuple(r) for r in rotations], _crossing_pairs(crossings, n))
+    return new_drawing(n, [tuple(r) for r in rotations], _crossing_pairs(crossings))
 
 
-def _crossing_pairs(crossings, n):
+def _crossing_pairs(crossings):
     _require(isinstance(crossings, list), "field 'crossings' must be a list")
     pairs = set()
     for item in crossings:
@@ -130,10 +138,17 @@ def _crossing_pairs(crossings, n):
             isinstance(item, list) and len(item) == 2,
             f"each crossing must be a pair of edges, got {item!r}",
         )
-        e = canon_edge(*_int_pair(item[0], "edge"))
-        f = canon_edge(*_int_pair(item[1], "edge"))
+        e = _edge(item[0])
+        f = _edge(item[1])
         pairs.add((e, f) if e <= f else (f, e))
     return frozenset(pairs)
+
+
+def _edge(x):
+    u, v = _int_pair(x, "edge")
+    if u == v:
+        raise FormatError(f"edge {x!r} joins a vertex to itself")
+    return canon_edge(u, v)
 
 
 def loads_drawing(text):
@@ -186,9 +201,11 @@ def certificate_from_json(obj):
     )
     edges = obj.get("edges")
     _require(isinstance(edges, list), "field 'edges' must be a list")
-    edges = tuple(canon_edge(*_int_pair(e, "edge")) for e in edges)
+    edges = tuple(_edge(e) for e in edges)
     claims = obj.get("claims", {})
     _require(isinstance(claims, dict), "field 'claims' must be an object")
+    for name, value in claims.items():
+        _check_claim_shape(name, value)
     verified = obj.get("oracle_verified", False)
     _require(isinstance(verified, bool), "field 'oracle_verified' must be a boolean")
 
@@ -212,6 +229,26 @@ def certificate_from_json(obj):
     elif set(edges) != set(cert.edges):
         raise FormatError("stored edges disagree with the vertex sequence")
     return cert
+
+
+_BOOL_CLAIMS = {"plane", "hamiltonian", "empty_side", "maximal_plane"}
+
+
+def _check_claim_shape(name, value):
+    # Shapes verify_certificate relies on; unknown names are left to it.
+    if name in _BOOL_CLAIMS:
+        _require(isinstance(value, bool), f"claim {name!r} must be a boolean, got {value!r}")
+    elif name == "star_avoiding":
+        _require(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"claim 'star_avoiding' must be a vertex, got {value!r}",
+        )
+    elif name == "endpoints":
+        _int_pair(value, "claim 'endpoints'")
+    elif name == "contains":
+        _require(isinstance(value, list), f"claim 'contains' must be a list of edges, got {value!r}")
+        for e in value:
+            _edge(e)
 
 
 def loads_certificate(text):

@@ -20,6 +20,7 @@ from .errors import (
     NoCoordinates,
     SideInconsistency,
     TooLarge,
+    VertexOutOfRange,
 )
 from . import geometry
 
@@ -96,7 +97,7 @@ def cycle_sides(d, cycle):
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise ValueError(f"not a cycle: {cyc}")
     if any(v < 1 or v > d.n for v in cyc):
-        raise ValueError(f"vertices out of range 1..{d.n}: {cyc}")
+        raise VertexOutOfRange(f"vertices out of range 1..{d.n}: {cyc}")
     cycle_edges = [canon_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
     bad = first_crossing(d, cycle_edges)
     if bad is not None:
@@ -230,7 +231,7 @@ def brute_hamiltonian(d, mode="cycle", s=None, t=None, v_star=None, edge=None, c
         if s is None or t is None or s == t:
             raise ValueError("mode='path' needs distinct s and t")
         if not (1 <= s <= n and 1 <= t <= n):
-            raise ValueError(f"endpoints out of range 1..{n}")
+            raise VertexOutOfRange(f"endpoints out of range 1..{n}")
         seq = [s]
         edges_acc = []
         seen = {s}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .errors import NotConvexEvidence, TooFewVertices
+from .errors import NotConvexEvidence, TooFewVertices, VertexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def build_star_frame(d, v_star):
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
     if not 1 <= v_star <= n:
-        raise ValueError(f"v_star out of range 1..{n}")
+        raise VertexOutOfRange(f"v_star out of range 1..{n}")
     k = n - 1
     order = d.rotation_of(v_star)
     to_host = [0] + list(order) + [v_star]

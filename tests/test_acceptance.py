@@ -7,6 +7,8 @@ them is a behaviour change, not a refactor.  Expect the module to take a
 few minutes: the brute-force cross-checks are run at full fidelity.
 """
 
+import hashlib
+import json
 import time
 from itertools import combinations
 from math import comb, log2
@@ -50,6 +52,16 @@ def pool():
     ]
     drawings += [generators.convex_position(n) for n in range(3, 13)]
     return drawings
+
+
+# sha256 of [[points, rotations], ...] over the pool as computed by the
+# atan2-presort ccw_order this pool was first pinned with.
+POOL_ROTATIONS_SHA256 = "3a325d1581ca8969c69117751de8fc357246bfe7dbe0cea00c4d95cfd91d4e7a"
+
+
+def test_pool_rotations_unchanged(pool):
+    blob = json.dumps([[d.points[1:], d.rotations] for d in pool])
+    assert hashlib.sha256(blob.encode()).hexdigest() == POOL_ROTATIONS_SHA256
 
 
 def _verdict(ok):

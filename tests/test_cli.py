@@ -210,3 +210,39 @@ def test_highlight_certificate_from_stdin(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "render", "--in", str(dfile), "--highlight", "-")
     assert code == 0
     assert out.count('class="edge hl"') == 7
+
+
+def _assert_domain_error(code, out, err, name):
+    assert code == 1
+    assert json.loads(out)["error"] == name
+    assert manifest_of(err)["command"]
+
+
+def test_self_loop_crossing_is_format_error(capsys, tmp_path):
+    _, drawing, _ = run(capsys, "gen", "twisted", "--n", "5")
+    obj = json.loads(drawing)
+    obj["crossings"][0] = [[1, 1], [2, 3]]
+    dfile = tmp_path / "d.json"
+    dfile.write_text(json.dumps(obj))
+    _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
+
+
+def test_star_out_of_range_is_domain_error(capsys, tmp_path):
+    _, drawing, _ = run(capsys, "gen", "random", "--n", "8", "--seed", "1")
+    dfile = tmp_path / "d.json"
+    dfile.write_text(drawing)
+    code, out, err = run(capsys, "find", "star-hc", "--in", str(dfile), "--star", "99")
+    _assert_domain_error(code, out, err, "VertexOutOfRange")
+
+
+def test_malformed_claim_is_format_error(capsys, tmp_path):
+    _, drawing, _ = run(capsys, "gen", "convex-position", "--n", "6")
+    dfile = tmp_path / "d.json"
+    dfile.write_text(drawing)
+    _, cert, _ = run(capsys, "find", "st-path", "--in", str(dfile), "--s", "1", "--t", "4")
+    obj = json.loads(cert)
+    obj["claims"]["endpoints"] = 5
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--in", str(dfile), "--cert", str(cfile))
+    _assert_domain_error(code, out, err, "FormatError")

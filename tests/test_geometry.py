@@ -1,9 +1,14 @@
+import math
+from functools import cmp_to_key
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from convexham import generators
+from convexham import generators, geometry
 from convexham.errors import DegeneratePointSet
 from convexham.geometry import (
     PointBack,
@@ -17,6 +22,67 @@ from convexham.geometry import (
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)
+
+# Coordinate magnitudes: small; 2^40..2^52, where the float64 keys of
+# distinct lines can tie; beyond 2^52, where only the exact paths run.
+SCALES = [2**10, 2**40, 2**46, 2**52, 2**60]
+
+
+def ref_ccw_order(points, anchor, candidates):
+    """Exact reference: half plane first, then the cross-product comparator."""
+    ax, ay = points[anchor]
+
+    def key(v):
+        dx, dy = points[v][0] - ax, points[v][1] - ay
+        return (0 if dy > 0 or (dy == 0 and dx > 0) else 1), dx, dy
+
+    def cmp(u, v):
+        (hu, ux, uy), (hv, vx, vy) = key(u), key(v)
+        if hu != hv:
+            return hu - hv
+        c = ux * vy - uy * vx
+        return -1 if c > 0 else 1
+
+    return sorted(candidates, key=cmp_to_key(cmp))
+
+
+def brute_general_position(points):
+    """O(n^3) reference: distinct points and no zero orientation."""
+    return len(set(points)) == len(points) and all(
+        orientation(a, b, c) != 0 for a, b, c in combinations(points, 3)
+    )
+
+
+def assert_verdict_matches_brute_force(pts):
+    if brute_general_position(pts):
+        assert_general_position(pts)
+    else:
+        with pytest.raises(DegeneratePointSet):
+            assert_general_position(pts)
+
+
+@st.composite
+def scaled_points(draw, min_size, max_size):
+    scale = draw(st.sampled_from(SCALES))
+    c = st.integers(-scale, scale)
+    return draw(st.lists(st.tuples(c, c), min_size=min_size, max_size=max_size, unique=True))
+
+
+@st.composite
+def near_parallel_pair(draw):
+    """Two directions whose float keys -dx/dy collide though the rays differ.
+
+    (m, m - 1) and (m + 1, m) have cross product 1; for m near 2^40..2^52
+    their keys agree to within an ulp.  A random quarter turn and sign
+    moves the pair into every half plane.
+    """
+    m = draw(st.integers(2**40, 2**51))
+    pair = [(m, m - 1), (m + 1, m)]
+    if draw(st.booleans()):
+        pair = [(-y, x) for x, y in pair]
+    if draw(st.booleans()):
+        pair = [(-x, -y) for x, y in pair]
+    return pair
 
 
 def test_orientation_signs():
@@ -58,6 +124,66 @@ def test_general_position_duplicate():
 def test_general_position_collinear():
     with pytest.raises(DegeneratePointSet):
         assert_general_position([(0, 0), (1, 1), (3, 3), (5, 2)])
+
+
+@given(scaled_points(3, 14), st.data())
+def test_general_position_matches_brute_force(pts, data):
+    if data.draw(st.booleans()):
+        # Plant a collinear triple p, q, p + t (q - p).
+        i, j = data.draw(st.tuples(st.integers(0, len(pts) - 1), st.integers(0, len(pts) - 1)))
+        assume(i != j)
+        t = data.draw(st.sampled_from([-2, -1, 2, 3]))
+        (px, py), (qx, qy) = pts[i], pts[j]
+        pts = pts + [(px + t * (qx - px), py + t * (qy - py))]
+        pts = data.draw(st.permutations(pts))
+    assert_verdict_matches_brute_force(pts)
+    # Blocks of a few rows must give the verdict of one block.
+    with mock.patch.object(geometry, "_GP_BLOCK_ENTRIES", 20):
+        assert_verdict_matches_brute_force(pts)
+
+
+@given(scaled_points(2, 8), near_parallel_pair(), st.integers(-2**40, 2**40), st.integers(0, 8))
+def test_general_position_near_parallel_keys(pts, pair, shift, at):
+    # An anchor whose float keys tie must be settled by the exact row.
+    anchor = (shift, -shift)
+    planted = [anchor] + [(anchor[0] + dx, anchor[1] + dy) for dx, dy in pair]
+    pts = pts[:at] + planted + pts[at:]
+    assert_verdict_matches_brute_force(pts)
+
+
+def test_general_position_collinear_in_late_block():
+    d = generators.random_geometric(400, 5)
+    pts = list(d.points[1:])
+    (px, py), (qx, qy) = pts[350], pts[390]
+    assert_general_position(pts)
+    with pytest.raises(DegeneratePointSet, match="points 350, "):
+        assert_general_position(pts + [(2 * qx - px, 2 * qy - py)])
+
+
+@given(scaled_points(2, 14), st.lists(near_parallel_pair(), max_size=3), st.data())
+def test_ccw_order_matches_reference(pts, pairs, data):
+    anchor = data.draw(st.sampled_from(pts))
+    cands = [p for p in pts if p != anchor]
+    for pair in pairs:
+        cands += [(anchor[0] + dx, anchor[1] + dy) for dx, dy in pair]
+    # Strict angular order needs distinct rays from the anchor.
+    rays = set()
+    for x, y in cands:
+        dx, dy = x - anchor[0], y - anchor[1]
+        g = math.gcd(dx, dy)
+        rays.add((dx // g, dy // g))
+    assume(len(rays) == len(cands))
+    table = (None, anchor, *cands)
+    labels = data.draw(st.permutations(range(2, len(table))))
+    assert ccw_order(table, 1, labels) == ref_ccw_order(table, 1, labels)
+
+
+def test_ccw_order_float_key_tie():
+    m = 2**51
+    pts = (None, (0, 0), (m + 1, m), (-5, 3), (m, m - 1), (1, -7))
+    keys = geometry._line_keys(np.array([float(m), m + 1.0]), np.array([m - 1.0, float(m)]))
+    assert keys[0] == keys[1]
+    assert ccw_order(pts, 1, [2, 3, 4, 5]) == [4, 2, 3, 5]
 
 
 def test_ccw_order_compass():

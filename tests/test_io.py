@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from convexham.certificates import (
     subdrawing_certificate,
 )
 from convexham.drawing import same_drawing
-from convexham.errors import FormatError
+from convexham.errors import FormatError, VertexOutOfRange
 from convexham.hamiltonian import hamiltonian_cycle, st_hamiltonian_path
 from convexham.oracle import verify_certificate
 from convexham.subdrawings import greedy_maximal_plane
@@ -67,10 +68,35 @@ def test_writer_redundant_crossings_small_only():
     assert "crossings" not in big
 
 
+def test_point_drawings_written_without_rotations():
+    for d in (generators.random_geometric(8, 0), generators.random_geometric(13, 0)):
+        assert "rotations" not in io.drawing_to_json(d)
+    assert "rotations" in io.drawing_to_json(generators.twisted(5))
+
+
 def test_reader_rejects_rotation_tamper(rand8):
+    # Rotations are optional next to points but still checked when present.
     obj = io.drawing_to_json(rand8)
+    obj["rotations"] = [list(r) for r in rand8.rotations]
+    assert same_drawing(io.drawing_from_json(obj), rand8)
     obj["rotations"][2] = obj["rotations"][2][::-1]
     with pytest.raises(FormatError):
+        io.drawing_from_json(obj)
+
+
+# Written by the earlier format, which stored every rotation next to the points.
+OLD_FORMAT = Path(__file__).parent / "data" / "rand8_with_rotations.json"
+
+
+def test_reader_accepts_stored_rotations(rand8):
+    text = OLD_FORMAT.read_text()
+    d = io.loads_drawing(text)
+    assert same_drawing(d, rand8)
+    obj = json.loads(text)
+    assert obj["rotations"] == [list(r) for r in rand8.rotations]
+    assert io.dumps_drawing(d) == io.dumps_drawing(rand8)
+    obj["rotations"][4] = obj["rotations"][4][:1] + obj["rotations"][4][1:][::-1]
+    with pytest.raises(FormatError, match="rotation of vertex 5"):
         io.drawing_from_json(obj)
 
 
@@ -88,6 +114,17 @@ def test_reader_rejects_malformed():
         io.loads_drawing(json.dumps({"n": 4, "rotations": []}))
     with pytest.raises(FormatError):
         io.loads_drawing(json.dumps({"n": 4, "rotations": [], "bogus": 1}))
+    with pytest.raises(FormatError):
+        io.loads_drawing(json.dumps({"n": 4, "crossings": []}))
+    with pytest.raises(FormatError):
+        io.loads_drawing(json.dumps({"n": 3, "points": [[0, 0], [1, 0], [0, 1]],
+                                     "rotations": [[2, 3]]}))
+    rot4 = [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]]
+    for crossing in ([[1, 1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(FormatError):
+            io.loads_drawing(json.dumps({"n": 4, "rotations": rot4, "crossings": [crossing]}))
+    with pytest.raises(VertexOutOfRange):
+        io.loads_drawing(json.dumps({"n": 4, "rotations": rot4, "crossings": [[[1, 2], [3, 9]]]}))
     with pytest.raises(FormatError):
         io.loads_drawing(
             json.dumps({"n": 3, "rotations": [[2, 3], [1, 3], [1, 2]],
@@ -125,6 +162,28 @@ def test_certificate_reader_rejects_inconsistency():
         io.certificate_from_json(obj)
     obj = io.certificate_to_json(greedy_maximal_plane(generators.convex_position(6)).certificate())
     obj["vertices"] = obj["vertices"][:-1]
+    with pytest.raises(FormatError):
+        io.certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("claims", [
+    {"endpoints": 5},
+    {"endpoints": [1, "x"]},
+    {"plane": "yes"},
+    {"star_avoiding": [3]},
+    {"contains": 5},
+    {"contains": [[2, 2]]},
+])
+def test_certificate_reader_rejects_claim_shapes(rand8, claims):
+    obj = io.certificate_to_json(st_hamiltonian_path(rand8, 2, 7))
+    obj["claims"].update(claims)
+    with pytest.raises(FormatError):
+        io.certificate_from_json(obj)
+
+
+def test_certificate_reader_rejects_self_loop_edge():
+    obj = io.certificate_to_json(greedy_maximal_plane(generators.convex_position(6)).certificate())
+    obj["edges"][0] = [3, 3]
     with pytest.raises(FormatError):
         io.certificate_from_json(obj)
 
