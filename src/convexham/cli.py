@@ -6,7 +6,6 @@ a manifest (command, input hash, seeds, versions, timing, oracle query
 count) to stderr, keeping stdout byte-reproducible for equal inputs.
 
 Exit codes: 0 ok, 1 domain error (structured JSON on stdout), 2 usage error.
-The oracle enumeration cap honours the CONVEXHAM_MAX_BRUTE_N env var.
 """
 
 from __future__ import annotations

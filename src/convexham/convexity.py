@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
 
-from .drawing import Drawing, canon_edge, induced_subdrawing, triangle_sides
+from .drawing import induced_subdrawing, side_convex, triangle_sides
 from .errors import NotK5
 
 
@@ -99,8 +99,6 @@ def find_nonconvex_triangle(d):
 
     The witness records one crossing per side proving neither is convex.
     """
-    from .drawing import side_convex
-
     for tri in combinations(range(1, d.n + 1), 3):
         part = triangle_sides(d, *tri)
         if not (part.convex_a or part.convex_b):
@@ -112,11 +110,7 @@ def find_nonconvex_triangle(d):
 
 def is_convex_by_triangles(d):
     """True iff every triangle has a convex side."""
-    for tri in combinations(range(1, d.n + 1), 3):
-        part = triangle_sides(d, *tri)
-        if not (part.convex_a or part.convex_b):
-            return False
-    return True
+    return find_nonconvex_triangle(d) is None
 
 
 def is_convex_by_k5(d):
@@ -125,13 +119,7 @@ def is_convex_by_k5(d):
     Agrees with is_convex_by_triangles on every simple drawing; for n < 5
     there is nothing to check and every drawing is convex.
     """
-    if d.n < 5:
-        return True
-    for sub in combinations(range(1, d.n + 1), 5):
-        d5 = induced_subdrawing(d, sub).drawing
-        if not classify_k5(d5).convex:
-            return False
-    return True
+    return find_nonconvex_k5(d) is None
 
 
 def find_nonconvex_k5(d):

@@ -7,7 +7,13 @@ exist: an explicit set of crossing pairs, and a lazy geometric predicate
 over integer coordinates that answers each query in O(1) without ever
 materialising the O(n^4) crossing set.
 
-Drawings are value objects: nothing mutates them after construction.
+A Drawing asks its oracle in exactly two ways: the checked scalar
+`crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
+query they pass on into the drawing's own QueryCounter; `instrumented(d)`
+returns a view of d with a fresh counter.
+
+Drawings are value objects: after construction only their query counter
+changes.
 Vertices are labelled 1..n and edges are unordered pairs (u, v) with u < v.
 """
 
@@ -95,31 +101,16 @@ class GeometricCrossings:
         return self.back.cross_pairs(a, b, cs, ds)
 
 
-class CountingCrossings:
-    """Wrapper oracle that counts every query passed to the inner oracle."""
-
-    def __init__(self, inner, counter):
-        self.inner = inner
-        self.counter = counter
-
-    def cross(self, a, b, c, d):
-        self.counter.count += 1
-        return self.inner.cross(a, b, c, d)
-
-    def cross_pairs(self, a, b, cs, ds):
-        self.counter.count += len(cs)
-        return self.inner.cross_pairs(a, b, cs, ds)
-
-
 class Drawing:
     """A simple drawing of K_n; construct via new_drawing() or the generators."""
 
-    __slots__ = ("n", "points", "_oracle", "_rot", "_rot_cache")
+    __slots__ = ("n", "points", "counter", "_oracle", "_rot", "_rot_cache")
 
     def __init__(self, n, oracle, rotations=None, points=None):
         self.n = n
         self._oracle = oracle
         self.points = points
+        self.counter = QueryCounter()
         self._rot = rotations  # 0-dummy list of canonical tuples, or None
         self._rot_cache = {}
 
@@ -145,35 +136,32 @@ class Drawing:
         return tuple(self.rotation_of(v) for v in range(1, self.n + 1))
 
     def crosses(self, e, f):
-        """Do edges e and f cross?  Adjacent edges never cross."""
-        e = canon_edge(*e)
-        f = canon_edge(*f)
-        for u in (*e, *f):
-            if not 1 <= u <= self.n:
-                raise VertexOutOfRange(f"vertex {u} out of range 1..{self.n}")
-        if adjacent(e, f):
+        """Do edges e and f cross?  Adjacent edges never cross and cost no query."""
+        a, b = e
+        c, d = f
+        if a == b or c == d:
+            canon_edge(a, b), canon_edge(c, d)  # raises ValueError
+        n = self.n
+        if not (0 < a <= n and 0 < b <= n and 0 < c <= n and 0 < d <= n):
+            u = next(u for u in (*sorted(e), *sorted(f)) if not 0 < u <= n)
+            raise VertexOutOfRange(f"vertex {u} out of range 1..{n}")
+        if a == c or a == d or b == c or b == d:
             return False
-        return self._oracle.cross(e[0], e[1], f[0], f[1])
-
-    def cross4(self, a, b, c, d):
-        # Hot path: assumes {a,b} and {c,d} are independent, in-range edges.
+        self.counter.count += 1
         return self._oracle.cross(a, b, c, d)
 
     def cross_pairs(self, a, b, cs, ds):
         """Vectorised: does {a, b} cross {cs[i], ds[i]}?  ds may be a scalar."""
         if isinstance(ds, int):
             ds = np.full(len(cs), ds, dtype=np.int64)
+        self.counter.count += len(cs)
         return self._oracle.cross_pairs(a, b, cs, ds)
 
     def crossing_set(self):
-        """Materialise all crossing pairs.  Quadratic in the edge count; small n only."""
-        if isinstance(self._oracle, ExplicitCrossings):
-            return self._oracle.pairs
-        inner = self._oracle
-        while isinstance(inner, CountingCrossings):
-            inner = inner.inner
-        if isinstance(inner, ExplicitCrossings):
-            return inner.pairs
+        """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""
+        oracle = self._oracle
+        if isinstance(oracle, ExplicitCrossings):
+            return oracle.pairs
         edges = all_edges(self.n)
         out = set()
         for i, e in enumerate(edges):
@@ -182,7 +170,7 @@ class Drawing:
                 break
             cs = np.array([f[0] for f in rest], dtype=np.int64)
             ds = np.array([f[1] for f in rest], dtype=np.int64)
-            hits = inner.cross_pairs(e[0], e[1], cs, ds)
+            hits = oracle.cross_pairs(e[0], e[1], cs, ds)
             for j in np.nonzero(hits)[0]:
                 out.add((e, rest[int(j)]))
         return frozenset(out)
@@ -255,11 +243,6 @@ def geometric_drawing(points_1indexed, skip_checks=False):
     if not skip_checks:
         geometry.assert_general_position(pts[1:])
     return Drawing(len(pts) - 1, GeometricCrossings(pts), points=pts)
-
-
-def crosses(d, e, f):
-    """Module-level alias of Drawing.crosses."""
-    return d.crosses(e, f)
 
 
 def relabel(d, perm):
@@ -336,7 +319,9 @@ class TrianglePartition:
 
 
 def _edge_triangle_crossings(d, w, w2, tri_edges):
-    return sum(d.cross4(w, w2, *te) for te in tri_edges)
+    e = (w, w2)
+    t1, t2, t3 = tri_edges
+    return d.crosses(e, t1) + d.crosses(e, t2) + d.crosses(e, t3)
 
 
 def split_by_triangle(d, tri, among):
@@ -391,12 +376,12 @@ def side_convex(d, tri, side):
     for i, w in enumerate(side):
         for w2 in side[i + 1:]:
             for te in tri_edges:
-                if d.cross4(w, w2, *te):
+                if d.crosses((w, w2), te):
                     return False, (canon_edge(w, w2), te)
         # Corner-to-side edges share two triangle corners, so only the
         # opposite triangle edge can possibly be crossed.
         for te, corner in opposite.items():
-            if d.cross4(corner, w, *te):
+            if d.crosses((corner, w), te):
                 return False, (canon_edge(corner, w), te)
     return True, None
 
@@ -420,16 +405,13 @@ def triangle_sides(d, a, b, c):
 
 
 def instrumented(d):
-    """A view of `d` whose oracle counts queries.  Returns (drawing, counter)."""
-    counter = QueryCounter()
-    view = Drawing(
-        d.n,
-        CountingCrossings(d._oracle, counter),
-        rotations=d._rot,
-        points=d.points,
-    )
-    view._rot_cache = d._rot_cache  # share lazy rotation work
-    return view, counter
+    """A view of `d` with a fresh query counter.  Returns (drawing, counter).
+
+    The view shares d's oracle and rotations, including the lazy rotation cache.
+    """
+    view = Drawing(d.n, d._oracle, rotations=d._rot, points=d.points)
+    view._rot_cache = d._rot_cache
+    return view, view.counter
 
 
 def same_drawing(d1, d2):

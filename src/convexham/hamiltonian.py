@@ -23,7 +23,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .oracle import verify_certificate
-from .starframe import build_star_frame
+from .starframe import _evidence, build_star_frame, scan_bad_edges
 
 
 def _verified(d, cert, verify):
@@ -43,33 +43,13 @@ def _verified(d, cert, verify):
 # s-t Hamiltonian paths and Hamiltonian cycles
 
 
-def _scan_bad_for_target(d, subset, t):
-    """Rotation order of subset around t, plus bad edges with witnesses.
+def _pick_bad(order, bad):
+    """Deterministic choice: most witnesses, ties broken by scan position.
 
-    subset is a sorted tuple containing t.  A cyclically consecutive pair
-    {u, v} of the rotation is bad with witness w when {u, v} crosses {w, t}.
-    Returns (order, [(index, (u, v), witnesses), ...]).
+    Returns the bad pair (u, v) and its witnesses as host labels.
     """
-    inset = set(subset)
-    order = tuple(x for x in d.rotation_of(t) if x in inset)
-    k = len(order)
-    pairs = [(0, 1)] if k == 2 else [(i, (i + 1) % k) for i in range(k)]
-    bad = []
-    for i, j in pairs:
-        u, v = order[i], order[j]
-        others = [w for w in order if w != u and w != v]
-        if not others:
-            continue
-        hits = d.cross_pairs(*canon_edge(u, v), others, t)
-        wset = frozenset(w for w, h in zip(others, hits) if h)
-        if wset:
-            bad.append((i, (u, v), wset))
-    return order, bad
-
-
-def _pick_bad(bad):
-    """Deterministic choice: most witnesses, ties broken by scan position."""
-    return max(bad, key=lambda item: (len(item[2]), -item[0]))
+    i, wpos = max(bad, key=lambda item: (len(item[1]), -item[0]))
+    return order[i], order[(i + 1) % len(order)], frozenset(order[p] for p in wpos)
 
 
 def _split_sides(d, u, v, t, subset, wset):
@@ -125,12 +105,14 @@ def _solve_path(d, subset, s, t):
             mid = next(x for x in sub if x != s0 and x != t0)
             done.append([s0, mid, t0])
             continue
-        order, bad = _scan_bad_for_target(d, sub, t0)
+        inset = set(sub)
+        order = tuple(x for x in d.rotation_of(t0) if x in inset)
+        bad = scan_bad_edges(d, order, t0)
         if not bad:
             i = order.index(s0)
             done.append(list(order[i:] + order[:i]) + [t0])
             continue
-        _idx, (u, v), wset = _pick_bad(bad)
+        u, v, wset = _pick_bad(order, bad)
         vn, vc = _split_sides(d, u, v, t0, sub, wset)
         if s0 in vc:
             # P1 crosses the convex side to u, P2 sweeps the witness side
@@ -171,27 +153,19 @@ def hamiltonian_cycle(d, verify=True):
     second endpoint and closes with a star edge of t.
     """
     t = d.n
-    subset = tuple(range(1, d.n + 1))
-    order, bad = _scan_bad_for_target(d, subset, t)
+    order = d.rotation_of(t)
+    bad = scan_bad_edges(d, order, t)
     if not bad:
         seq = list(order) + [t]
     else:
-        _idx, (_u, v), _w = _pick_bad(bad)
-        seq = _solve_path(d, subset, v, t)
+        _u, v, _w = _pick_bad(order, bad)
+        seq = _solve_path(d, range(1, d.n + 1), v, t)
     cert = cycle_certificate(seq, {"plane": True, "hamiltonian": True})
     return _verified(d, cert, verify)
 
 
 # ---------------------------------------------------------------------------
 # Star-avoiding cycles, empty k-cycles, prescribed-edge paths
-
-
-def _frame_evidence(frame, which, frame_labels, detail):
-    return NotConvexEvidence(
-        which,
-        vertices=tuple(sorted(frame.to_host[f] for f in frame_labels)),
-        detail=detail,
-    )
 
 
 class _IntervalPath:
@@ -208,10 +182,10 @@ class _IntervalPath:
         elif f == self.hi + 1:
             self.hi = f
         else:
-            raise _frame_evidence(
-                self.frame,
+            raise _evidence(
                 "path-interval",
                 [f, self.lo, self.hi],
+                self.frame.to_host,
                 "visited labels stopped forming an integer interval",
             )
         self.seq.append(f)
@@ -223,10 +197,10 @@ def _assert_connector(d, frame, fu, fv):
     hu, hv = frame.to_host[fu], frame.to_host[fv]
     others = [frame.to_host[f] for f in range(1, n) if f != fu and f != fv]
     if others and any(d.cross_pairs(*canon_edge(hu, hv), others, frame.v_star)):
-        raise _frame_evidence(
-            frame,
+        raise _evidence(
             "connector-star-crossing",
             [fu, fv],
+            frame.to_host,
             "a connector edge crosses the star",
         )
 
@@ -255,8 +229,8 @@ def _star_frame_path(d, frame):
                 rp = cand
                 break
         if not xp < x:
-            raise _frame_evidence(
-                frame, "connector-monotone", [xp, x], "connector targets failed to descend"
+            raise _evidence(
+                "connector-monotone", [xp, x], frame.to_host, "connector targets failed to descend"
             )
         for y in range(x - 1, xp, -1):
             assert (y, y + 1) not in bad_set
@@ -277,8 +251,8 @@ def _star_frame_path(d, frame):
     # The wrap pair {n-1, 1} was validated good during frame construction.
     path.append(n - 1)
     if (path.lo, path.hi) != (1, n - 1):
-        raise _frame_evidence(
-            frame, "path-interval", [path.lo, path.hi], "path failed to cover 1..n-1"
+        raise _evidence(
+            "path-interval", [path.lo, path.hi], frame.to_host, "path failed to cover 1..n-1"
         )
     return path.seq
 
@@ -373,9 +347,9 @@ def geometric_path_with_two_edges(points, e, e2, verify=True):
         raise VertexOutOfRange(f"edges {e}, {e2} out of range 1..{d.n}")
     if {u, v} & {u2, v2}:
         raise EdgesCrossOrAdjacent(f"edges {e} and {e2} share a vertex")
-    pts = d.points
-    if geometry.segments_cross(pts[u], pts[v], pts[u2], pts[v2]):
+    if d.crosses((u, v), (u2, v2)):
         raise EdgesCrossOrAdjacent(f"edges {e} and {e2} cross")
+    pts = d.points
 
     def straddles(a, b, c, c2):
         o1 = geometry.orientation(pts[c], pts[c2], pts[a])

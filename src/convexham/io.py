@@ -67,11 +67,12 @@ def _require(cond, message):
 
 
 def _int_pair(x, what):
-    _require(
+    # Called per point and per edge: build the message only on failure.
+    if not (
         isinstance(x, (list, tuple)) and len(x) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in x),
-        f"{what} must be a pair of integers, got {x!r}",
-    )
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in x)
+    ):
+        raise FormatError(f"{what} must be a pair of integers, got {x!r}")
     return (x[0], x[1])
 
 
@@ -134,10 +135,8 @@ def _crossing_pairs(crossings):
     _require(isinstance(crossings, list), "field 'crossings' must be a list")
     pairs = set()
     for item in crossings:
-        _require(
-            isinstance(item, list) and len(item) == 2,
-            f"each crossing must be a pair of edges, got {item!r}",
-        )
+        if not (isinstance(item, list) and len(item) == 2):
+            raise FormatError(f"each crossing must be a pair of edges, got {item!r}")
         e = _edge(item[0])
         f = _edge(item[1])
         pairs.add((e, f) if e <= f else (f, e))

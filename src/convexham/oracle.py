@@ -8,12 +8,11 @@ code being verified.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .certificates import Certificate, mark_verified
-from .drawing import Drawing, all_edges, canon_edge
+from .certificates import mark_verified
+from .drawing import all_edges, canon_edge
 from .errors import (
     CertificateError,
     CycleNotPlane,
@@ -24,24 +23,9 @@ from .errors import (
 )
 from . import geometry
 
-_ENV_CAP = "CONVEXHAM_MAX_BRUTE_N"
-_DEFAULT_BRUTE_N = 12
-
-
-def max_brute_n():
-    """Size cap for exhaustive search, overridable via CONVEXHAM_MAX_BRUTE_N."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return _DEFAULT_BRUTE_N
-    return int(raw)
-
-
 def _require_small(n, cap):
     if n > cap:
-        raise TooLarge(
-            f"n={n} exceeds the exhaustive-search cap {cap} "
-            f"(override with {_ENV_CAP})"
-        )
+        raise TooLarge(f"n={n} exceeds the exhaustive-search cap {cap} (pass cap= to raise it)")
 
 
 def first_crossing(d, edges):
@@ -146,29 +130,42 @@ def polygon_partition(d, cycle):
     return frozenset(inside), frozenset(outside)
 
 
-def _plane_seq_extender(d, seq, seq_edges, x, extra_edge_check=None):
-    """Edge from seq[-1] to x, checked against existing edges (and extras)."""
-    e = canon_edge(seq[-1], x)
-    for f in seq_edges:
-        if not set(e) & set(f) and d.crosses(e, f):
-            return None
-    if extra_edge_check is not None and not extra_edge_check(e):
-        return None
-    return e
+def _plane_orders(crossers, n, starts, edge_ok, accept):
+    """Every order of 1..n that starts in `starts` and forms a plane path.
+
+    crossers maps each edge to the set of edges crossing it.  Each path edge
+    must pass edge_ok(e) and cross no earlier path edge; an order is kept
+    when accept(seq, edges) holds for the full sequence and its edges.
+    """
+    found = []
+    seq, edges = [], []
+
+    def extend():
+        if len(seq) == n:
+            if accept(seq, edges):
+                found.append(tuple(seq))
+            return
+        last = seq[-1]
+        for x in range(1, n + 1):
+            if x in seq:
+                continue
+            e = (last, x) if last < x else (x, last)
+            if not edge_ok(e) or not crossers[e].isdisjoint(edges):
+                continue
+            seq.append(x)
+            edges.append(e)
+            extend()
+            edges.pop()
+            seq.pop()
+
+    for start in starts:
+        seq.append(start)
+        extend()
+        seq.pop()
+    return found
 
 
-def _star_ok(d, v_star, e):
-    if v_star in e:
-        return True
-    for w in range(1, d.n + 1):
-        if w == v_star or w in e:
-            continue
-        if d.crosses(e, (v_star, w)):
-            return False
-    return True
-
-
-def brute_hamiltonian(d, mode="cycle", s=None, t=None, v_star=None, edge=None, cap=None):
+def brute_hamiltonian(d, mode="cycle", s=None, t=None, v_star=None, edge=None, cap=12):
     """Exhaustively enumerate plane Hamiltonian structures.
 
     mode="cycle": all plane Hamiltonian cycles, canonical form (starts at 1,
@@ -180,116 +177,48 @@ def brute_hamiltonian(d, mode="cycle", s=None, t=None, v_star=None, edge=None, c
     whose edge set contains `edge`.
     mode="paths_all": all plane Hamiltonian paths, canonical as above.
 
-    Refuses n above the cap (default from CONVEXHAM_MAX_BRUTE_N).
+    Refuses n above `cap`.
     """
     n = d.n
-    _require_small(n, max_brute_n() if cap is None else cap)
-    results = []
-
+    _require_small(n, cap)
+    every = range(1, n + 1)
+    edge_ok = lambda e: True  # noqa: E731
     if mode in ("cycle", "star_avoiding"):
         if mode == "star_avoiding":
             if v_star is None or not 1 <= v_star <= n:
                 raise ValueError(f"v_star required in 1..{n}")
-            extra = lambda e: _star_ok(d, v_star, e)  # noqa: E731
-        else:
-            extra = None
-        seq = [1]
+            star = {(v_star, w) if v_star < w else (w, v_star) for w in every if w != v_star}
+            # Edges at v_star are exempt; any other edge must cross no star edge.
+            edge_ok = lambda e: v_star in e or crossers[e].isdisjoint(star)  # noqa: E731
 
-        def close_cycle():
-            # Adjacent edges (first and last of the path) are skipped inside
-            # the extender as always.
-            e = _plane_seq_extender(d, seq, edges_acc, 1, extra)
-            if e is None:
-                return
-            if seq[1] < seq[-1]:
-                results.append(tuple(seq))
+        def accept(seq, edges):
+            # The closing edge (seq[-1], 1) is checked like any other.
+            e = (1, seq[-1])
+            return seq[1] < seq[-1] and edge_ok(e) and crossers[e].isdisjoint(edges)
 
-        edges_acc = []
-
-        def rec_cycle():
-            if len(seq) == n:
-                close_cycle()
-                return
-            for x in range(2, n + 1):
-                if x in seen:
-                    continue
-                e = _plane_seq_extender(d, seq, edges_acc, x, extra)
-                if e is None:
-                    continue
-                seq.append(x)
-                seen.add(x)
-                edges_acc.append(e)
-                rec_cycle()
-                edges_acc.pop()
-                seen.remove(x)
-                seq.pop()
-
-        seen = {1}
-        rec_cycle()
-
+        starts = (1,)
     elif mode == "path":
         if s is None or t is None or s == t:
             raise ValueError("mode='path' needs distinct s and t")
         if not (1 <= s <= n and 1 <= t <= n):
             raise VertexOutOfRange(f"endpoints out of range 1..{n}")
-        seq = [s]
-        edges_acc = []
-        seen = {s}
-
-        def rec_path():
-            if len(seq) == n:
-                if seq[-1] == t:
-                    results.append(tuple(seq))
-                return
-            for x in range(1, n + 1):
-                if x in seen or (x == t and len(seq) < n - 1):
-                    continue
-                e = _plane_seq_extender(d, seq, edges_acc, x)
-                if e is None:
-                    continue
-                seq.append(x)
-                seen.add(x)
-                edges_acc.append(e)
-                rec_path()
-                edges_acc.pop()
-                seen.remove(x)
-                seq.pop()
-
-        rec_path()
-
+        starts = (s,)
+        accept = lambda seq, edges: seq[-1] == t  # noqa: E731
     elif mode in ("contains", "paths_all"):
         want = canon_edge(*edge) if mode == "contains" else None
+        starts = every
 
-        for start in range(1, n + 1):
-            seq = [start]
-            edges_acc = []
-            seen = {start}
+        def accept(seq, edges):
+            return seq[0] < seq[-1] and (want is None or want in edges)
 
-            def rec_free():
-                if len(seq) == n:
-                    if seq[0] < seq[-1]:
-                        if want is None or want in edges_acc:
-                            results.append(tuple(seq))
-                    return
-                for x in range(1, n + 1):
-                    if x in seen:
-                        continue
-                    e = _plane_seq_extender(d, seq, edges_acc, x)
-                    if e is None:
-                        continue
-                    seq.append(x)
-                    seen.add(x)
-                    edges_acc.append(e)
-                    rec_free()
-                    edges_acc.pop()
-                    seen.remove(x)
-                    seq.pop()
-
-            rec_free()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    return sorted(results)
+    # Crossings come from the materialised crossing set, which is small at n <= cap.
+    crossers = {e: set() for e in all_edges(n)}
+    for e, f in d.crossing_set():
+        crossers[e].add(f)
+        crossers[f].add(e)
+    return sorted(_plane_orders(crossers, n, starts, edge_ok, accept))
 
 
 def exact_max_plane(d, cap=8):
@@ -345,7 +274,7 @@ def count_empty_triangles(d):
         ref = off[0]
         empty = True
         for w in off[1:]:
-            par = sum(d.cross4(ref, w, *te) for te in tri_edges) % 2
+            par = sum(d.crosses((ref, w), te) for te in tri_edges) % 2
             if par:
                 empty = False
                 break

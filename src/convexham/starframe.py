@@ -18,6 +18,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotConvexEvidence, TooFewVertices, VertexOutOfRange
 
 
@@ -65,20 +67,25 @@ def _evidence(which, frame_labels, to_host, detail):
     )
 
 
-def _scan_bad_pairs(d, to_host, n):
-    """All cyclic pairs (f, f+1) that cross a star edge, with witness sets."""
-    k = n - 1
-    pairs = [(1, 2)] if k == 2 else [(i, i % k + 1) for i in range(1, k + 1)]
-    v_star = to_host[n]
+def scan_bad_edges(d, order, hub):
+    """Bad edges of a rotation: consecutive pairs that cross a star edge.
+
+    `order` is the rotation of `hub`, possibly restricted to a subset.  The
+    cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
+    when it crosses {w, hub}.  One row query per pair, over the other
+    vertices of `order`.  Returns [(i, witnesses), ...] in scan order, with
+    witnesses as a frozenset of positions in `order`.
+    """
+    k = len(order)
+    if k < 3:
+        return []
+    twice = np.array(order * 2, dtype=np.int64)
     bad = []
-    for fu, fv in pairs:
-        others = [f for f in range(1, k + 1) if f != fu and f != fv]
-        if not others:
-            continue
-        hits = d.cross_pairs(to_host[fu], to_host[fv], [to_host[f] for f in others], v_star)
-        wset = frozenset(f for f, h in zip(others, hits) if h)
-        if wset:
-            bad.append(((fu, fv), wset))
+    for i in range(k):
+        # The other vertices, cyclically after the pair.
+        hits = d.cross_pairs(order[i], order[(i + 1) % k], twice[i + 2:i + k], hub)
+        if hits.any():
+            bad.append((i, frozenset(((np.flatnonzero(hits) + i + 2) % k).tolist())))
     return bad
 
 
@@ -132,7 +139,10 @@ def build_star_frame(d, v_star):
     k = n - 1
     order = d.rotation_of(v_star)
     to_host = [0] + list(order) + [v_star]
-    bad = _scan_bad_pairs(d, to_host, n)
+    bad = [
+        ((i + 1, (i + 1) % k + 1), frozenset(p + 1 for p in wpos))
+        for i, wpos in scan_bad_edges(d, order, v_star)
+    ]
     m = len(bad)
 
     if m == 0:

@@ -23,6 +23,7 @@ from convexham.errors import (
     K4Violation,
     NotAPermutation,
     TooFewVertices,
+    VertexOutOfRange,
 )
 
 seeds = st.integers(0, 400)
@@ -158,6 +159,43 @@ def test_instrumented_counts(rand8):
     assert counter.count == 4
     # The underlying drawing still answers identically.
     assert view.crosses((1, 3), (2, 4)) == rand8.crosses((1, 3), (2, 4))
+
+
+def test_instrumented_views_count_independently(rand8):
+    v1, c1 = instrumented(rand8)
+    v2, c2 = instrumented(rand8)
+    v1.cross_pairs(1, 2, [3, 4], 5)
+    v2.crosses((1, 2), (3, 4))
+    v2.crosses((1, 3), (2, 4))
+    assert (c1.count, c2.count) == (2, 2)
+    # A view of a view starts from zero too.
+    v3, c3 = instrumented(v1)
+    v3.crosses((1, 2), (3, 4))
+    assert (c1.count, c3.count) == (2, 1)
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(7, 1),
+                                  lambda: generators.two_page(7, ((1, 4),))])
+def test_crossing_set_is_uncounted(make):
+    d = make()
+    view, counter = instrumented(d)
+    assert view.crossing_set() == d.crossing_set()
+    assert counter.count == 0
+
+
+def test_crosses_checks_and_counts(rand8):
+    view, counter = instrumented(rand8)
+    for e, f in (((2, 2), (3, 4)), ((1, 2), (5, 5))):
+        with pytest.raises(ValueError, match="degenerate edge"):
+            view.crosses(e, f)
+    for e, f in (((1, 9), (2, 3)), ((0, 2), (3, 4)), ((1, 2), (3, 9))):
+        with pytest.raises(VertexOutOfRange):
+            view.crosses(e, f)
+    assert not view.crosses((1, 2), (2, 3))
+    assert not view.crosses((4, 1), (1, 3))
+    assert counter.count == 0
+    view.crosses((4, 1), (3, 2))
+    assert counter.count == 1
 
 
 def test_repr_mentions_backing(rand8):

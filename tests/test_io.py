@@ -132,6 +132,31 @@ def test_reader_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize("obj,message", [
+    ({"n": 3, "points": [[0, 0], [1, 0], [0]]}, "point must be a pair of integers, got [0]"),
+    ({"n": 3, "points": [[0, 0], [1, 0], [0, True]]},
+     "point must be a pair of integers, got [0, True]"),
+    ({"n": 4, "rotations": [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+      "crossings": [[[1, 2], [3]]]}, "edge must be a pair of integers, got [3]"),
+    ({"n": 4, "rotations": [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+      "crossings": [[[1, 2]]]}, "each crossing must be a pair of edges, got [[1, 2]]"),
+    ({"n": 4, "rotations": [[2, 3, 4], [1, 3, 4], [1, 2, 4], [1, 2, 3]],
+      "crossings": ["x"]}, "each crossing must be a pair of edges, got 'x'"),
+])
+def test_reader_messages(obj, message):
+    with pytest.raises(FormatError) as info:
+        io.drawing_from_json(obj)
+    assert str(info.value) == message
+
+
+def test_certificate_claim_message(rand8):
+    obj = io.certificate_to_json(st_hamiltonian_path(rand8, 2, 7))
+    obj["claims"]["endpoints"] = 5
+    with pytest.raises(FormatError) as info:
+        io.certificate_from_json(obj)
+    assert str(info.value) == "claim 'endpoints' must be a pair of integers, got 5"
+
+
 def test_certificate_roundtrip_preserves_claim_shapes(rand8):
     p = st_hamiltonian_path(rand8, 2, 7)
     p2 = io.loads_certificate(io.dumps_certificate(p))

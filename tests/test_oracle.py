@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -162,15 +163,33 @@ def test_brute_contains_filters_paths_all(conv6):
     assert sols == want and sols
 
 
-def test_brute_cap(monkeypatch):
+# sha256 of brute_hamiltonian's output for every mode over a fixed pool,
+# computed with the three separate enumerators the shared one replaced.
+BRUTE_POOL_SHA256 = "a5f7768f6d76ca52420e160e0c67e75542993c45764e85f70c767569fd9b6c25"
+
+
+def test_brute_outputs_unchanged():
+    pool = [generators.random_geometric(7, s) for s in range(4)]
+    pool += [generators.convex_position(6), generators.two_page(7, ((1, 4),))]
+    h = hashlib.sha256()
+    for d in pool:
+        n = d.n
+        runs = [("cycle", {}), ("paths_all", {})]
+        runs += [("path", {"s": s, "t": t}) for s, t in combinations(range(1, n + 1), 2)]
+        runs += [("path", {"s": t, "t": s}) for s, t in ((1, 2), (3, 5))]
+        runs += [("star_avoiding", {"v_star": v}) for v in range(1, n + 1)]
+        runs += [("contains", {"edge": e}) for e in ((1, 2), (2, 5), (6, 3))]
+        for mode, kw in runs:
+            sols = brute_hamiltonian(d, mode=mode, **kw)
+            h.update(repr((mode, sorted(kw.items()), sols)).encode())
+    assert h.hexdigest() == BRUTE_POOL_SHA256
+
+
+def test_brute_cap():
     d = generators.convex_position(6)
     with pytest.raises(TooLarge):
         brute_hamiltonian(d, mode="cycle", cap=5)
-    monkeypatch.setenv("CONVEXHAM_MAX_BRUTE_N", "5")
-    with pytest.raises(TooLarge):
-        brute_hamiltonian(d, mode="cycle")
-    monkeypatch.setenv("CONVEXHAM_MAX_BRUTE_N", "6")
-    assert brute_hamiltonian(d, mode="cycle")
+    assert brute_hamiltonian(d, mode="cycle", cap=6)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import generators
-from convexham.drawing import instrumented
+from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
-from convexham.starframe import build_star_frame
+from convexham.starframe import build_star_frame, scan_bad_edges
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -183,3 +183,50 @@ def test_quadratic_query_budget():
     view, counter = instrumented(d)
     build_star_frame(view, 60)
     assert counter.count <= 2 * 60 * 60
+
+
+def _bad_by_scalars(d, order, hub):
+    """Reference scan: bad pairs of `order` with host-label witnesses, one scalar query each."""
+    k = len(order)
+    out = {}
+    for i in range(k):
+        u, v = order[i], order[(i + 1) % k]
+        ws = frozenset(w for w in order if w not in (u, v) and d.crosses((u, v), (w, hub)))
+        if ws:
+            out[canon_edge(u, v)] = ws
+    return out
+
+
+def _scanned(d, order, hub):
+    k = len(order)
+    return {
+        canon_edge(order[i], order[(i + 1) % k]): frozenset(order[p] for p in wpos)
+        for i, wpos in scan_bad_edges(d, order, hub)
+    }
+
+
+@pytest.mark.parametrize("n,outer", MULTI_BAD)
+def test_scan_bad_edges_matches_frame(n, outer):
+    # The scan shared by the frame and the s-t path recursion finds the
+    # frame's bad edges and witnesses, and agrees with scalar queries.
+    d = generators.two_page(n, outer)
+    multi = 0
+    for hub in range(1, n + 1):
+        frame = build_star_frame(d, hub)
+        scanned = _scanned(d, d.rotation_of(hub), hub)
+        assert scanned == _bad_by_scalars(d, d.rotation_of(hub), hub)
+        assert sorted(scanned) == sorted(frame.bad_host())
+        for pair, ws in zip(frame.bad, frame.witnesses):
+            assert scanned[frame.host_edge(*pair)] == frozenset(frame.to_host[f] for f in ws)
+        multi += frame.m >= 2
+    assert multi
+
+
+@given(st.integers(4, 12), st.integers(0, 200), st.randoms())
+def test_scan_bad_edges_on_subsets(n, seed, rng):
+    # The s-t path recursion scans rotations restricted to a subset.
+    d = generators.random_geometric(n, seed)
+    hub = rng.randint(1, n)
+    keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
+    order = tuple(x for x in d.rotation_of(hub) if x in keep)
+    assert _scanned(d, order, hub) == _bad_by_scalars(d, order, hub)
