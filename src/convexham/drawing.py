@@ -72,18 +72,18 @@ class ExplicitCrossings:
         return canon_pair((a, b), (c, d)) in self.pairs
 
     def cross_pairs(self, a, b, cs, ds):
+        a, b = int(a), int(b)
         e = canon_edge(a, b)
         pairs = self.pairs
-        out = np.empty(len(cs), dtype=bool)
-        for i, (c, d) in enumerate(zip(cs, ds)):
-            c = int(c)
-            d = int(d)
+        out = []
+        # Python ints: iterating numpy scalars would cost more than the lookups.
+        for c, d in zip(np.asarray(cs).tolist(), np.asarray(ds).tolist()):
             if c == a or c == b or d == a or d == b:
-                out[i] = False
+                out.append(False)
             else:
                 f = (c, d) if c < d else (d, c)
-                out[i] = ((e, f) if e <= f else (f, e)) in pairs
-        return out
+                out.append(((e, f) if e <= f else (f, e)) in pairs)
+        return np.array(out, dtype=bool)
 
 
 class GeometricCrossings:
@@ -152,7 +152,7 @@ class Drawing:
 
     def cross_pairs(self, a, b, cs, ds):
         """Vectorised: does {a, b} cross {cs[i], ds[i]}?  ds may be a scalar."""
-        if isinstance(ds, int):
+        if np.ndim(ds) == 0:
             ds = np.full(len(cs), ds, dtype=np.int64)
         self.counter.count += len(cs)
         return self._oracle.cross_pairs(a, b, cs, ds)

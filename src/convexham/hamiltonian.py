@@ -10,6 +10,8 @@ and verify later).
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import geometry
 from .certificates import cycle_certificate, path_certificate
 from .drawing import canon_edge, induced_subdrawing, split_by_triangle
@@ -193,10 +195,10 @@ class _IntervalPath:
 
 def _assert_connector(d, frame, fu, fv):
     """A connector edge must cross no star edge; refutes convexity otherwise."""
-    n = d.n
     hu, hv = frame.to_host[fu], frame.to_host[fv]
-    others = [frame.to_host[f] for f in range(1, n) if f != fu and f != fv]
-    if others and any(d.cross_pairs(*canon_edge(hu, hv), others, frame.v_star)):
+    # Frame labels 1..n-1 in order, without fu and fv.
+    others = np.delete(np.array(frame.to_host[1 : d.n]), (fu - 1, fv - 1))
+    if d.cross_pairs(*canon_edge(hu, hv), others, frame.v_star).any():
         raise _evidence(
             "connector-star-crossing",
             [fu, fv],

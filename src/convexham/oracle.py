@@ -4,12 +4,27 @@ Everything here answers questions by brute force or by first principles on
 the crossing oracle alone.  This module must stay free of imports from the
 construction modules so that certificate verification is independent of the
 code being verified.
+
+verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
+
+- plane: `first_crossing` over the certificate's edges, row i being edge i
+  against edges i+1.., so C(|E|,2) entries on plane input.
+- star_avoiding (hub v): one row per edge {a, b} not at v, over the
+  star edges {w, v} for w in 1..n other than a, b and v.
+- maximal_plane: the plane check, then one row per non-edge against all of
+  E, stopping at the first row without a hit.  A maximal certificate costs
+  C(|E|,2) + (C(n,2) - |E|) * |E| entries.
+- empty_side: `cycle_sides`, i.e. the plane check of the k cycle edges, then
+  one row per cycle edge over all C(n-k,2) off-cycle pairs.
+- hamiltonian, contains, endpoints: no queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .certificates import mark_verified
 from .drawing import all_edges, canon_edge
@@ -28,18 +43,37 @@ def _require_small(n, cap):
         raise TooLarge(f"n={n} exceeds the exhaustive-search cap {cap} (pass cap= to raise it)")
 
 
+def _edge_array(d, edges):
+    """The given edges as a canonical (m, 2) int64 array, every label in 1..n."""
+    try:
+        arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise VertexOutOfRange(f"edge labels out of range 1..{d.n}") from None
+    loops = arr[:, 0] == arr[:, 1]
+    if loops.any():
+        u = int(arr[loops.argmax(), 0])
+        raise ValueError(f"degenerate edge ({u}, {u})")
+    arr.sort(axis=1)
+    out = (arr < 1) | (arr > d.n)
+    if out.any():
+        raise VertexOutOfRange(f"vertex {int(arr[out][0])} out of range 1..{d.n}")
+    return arr
+
+
 def first_crossing(d, edges):
-    """First pair of the given edges that cross, or None.  Row queries."""
-    edges = [canon_edge(*e) for e in edges]
-    for i in range(len(edges) - 1):
-        a, b = edges[i]
-        rest = edges[i + 1 :]
-        cs = [e[0] for e in rest]
-        ds = [e[1] for e in rest]
-        hits = d.cross_pairs(a, b, cs, ds)
-        for j, hit in enumerate(hits):
-            if hit:
-                return (edges[i], rest[j])
+    """First pair of the given edges that cross, or None.
+
+    Row i asks edge i against edges i+1.. in the given order; the scan stops
+    at the first row with a hit and returns that row's first hit.
+    """
+    arr = _edge_array(d, edges)
+    cs, ds = arr.T.copy()
+    rows = arr.tolist()
+    for i in range(len(rows) - 1):
+        a, b = rows[i]
+        hits = d.cross_pairs(a, b, cs[i + 1 :], ds[i + 1 :])
+        if hits.any():
+            return (tuple(rows[i]), tuple(rows[i + 1 + int(hits.argmax())]))
     return None
 
 
@@ -62,13 +96,6 @@ class CycleSides:
     side_b: frozenset
 
 
-def _cycle_edge_parity(d, w, w2, cycle_edges):
-    a, b = canon_edge(w, w2)
-    cs = [e[0] for e in cycle_edges]
-    ds = [e[1] for e in cycle_edges]
-    return int(sum(bool(h) for h in d.cross_pairs(a, b, cs, ds))) % 2
-
-
 def cycle_sides(d, cycle):
     """Partition vertices off a plane cycle into its two sides.
 
@@ -86,27 +113,28 @@ def cycle_sides(d, cycle):
     bad = first_crossing(d, cycle_edges)
     if bad is not None:
         raise CycleNotPlane(f"cycle edges {bad[0]} and {bad[1]} cross")
-    off = sorted(set(range(1, d.n + 1)) - set(cyc))
-    if not off:
+    on = np.zeros(d.n + 1, dtype=bool)
+    on[[0, *cyc]] = True
+    off = np.flatnonzero(~on)
+    if len(off) == 0:
         return CycleSides(cyc, frozenset(), frozenset())
-    ref = off[0]
-    same = [ref]
-    other = []
-    parity = {ref: 0}
-    for w in off[1:]:
-        p = _cycle_edge_parity(d, ref, w, cycle_edges)
-        parity[w] = p
-        (same if p == 0 else other).append(w)
-    # The 2-colouring must be consistent for every pair, not just pairs
-    # through the reference vertex.
-    for i, w in enumerate(off):
-        for w2 in off[i + 1 :]:
-            p = _cycle_edge_parity(d, w, w2, cycle_edges)
-            if p != (parity[w] ^ parity[w2]):
-                raise SideInconsistency(
-                    f"vertices {w},{w2} disagree with sides of cycle {cyc}"
-                )
-    return CycleSides(cyc, frozenset(same), frozenset(other))
+    # One row per cycle edge over every off-cycle pair, in row-major order;
+    # a pair's parity is the XOR of its rows.
+    iu, ju = np.triu_indices(len(off), 1)
+    cs, ds = off[iu], off[ju]
+    parity = np.zeros(len(iu), dtype=bool)
+    for a, b in cycle_edges:
+        parity ^= d.cross_pairs(a, b, cs, ds)
+    # The pairs through the reference vertex off[0] come first and fix the
+    # sides; the 2-colouring must then be consistent for every pair.
+    side = np.concatenate(([False], parity[: len(off) - 1]))
+    wrong = parity != (side[iu] ^ side[ju])
+    if wrong.any():
+        k = int(wrong.argmax())
+        raise SideInconsistency(
+            f"vertices {int(cs[k])},{int(ds[k])} disagree with sides of cycle {cyc}"
+        )
+    return CycleSides(cyc, frozenset(off[~side].tolist()), frozenset(off[side].tolist()))
 
 
 def polygon_partition(d, cycle):
@@ -286,12 +314,24 @@ def count_empty_triangles(d):
 def _check_star_avoiding(d, cert, v_star):
     if v_star not in cert.vertices:
         return False
-    for e in cert.edges:
-        if v_star in e:
+    every = np.arange(1, d.n + 1)
+    every = every[every != v_star]
+    for a, b in cert.edges:
+        if a == v_star or b == v_star:
             continue
-        a, b = e
-        cs = [w for w in range(1, d.n + 1) if w != v_star and w not in e]
-        if cs and any(d.cross_pairs(a, b, cs, v_star)):
+        if d.cross_pairs(a, b, every[(every != a) & (every != b)], v_star).any():
+            return False
+    return True
+
+
+def _check_maximal_plane(d, cert):
+    # have + {e} is plane iff have is plane and e crosses nothing in have.
+    if not is_plane(d, cert.edges):
+        return False
+    have = set(cert.edges)
+    cs, ds = _edge_array(d, cert.edges).T.copy()
+    for a, b in all_edges(d.n):
+        if (a, b) not in have and not d.cross_pairs(a, b, cs, ds).any():
             return False
     return True
 
@@ -326,18 +366,7 @@ def verify_certificate(d, cert):
             s, t = value
             ok = cert.vertices[0] == s and cert.vertices[-1] == t
         elif name == "maximal_plane":
-            if not value:
-                ok = True
-            else:
-                have = set(cert.edges)
-                ok = is_plane(d, cert.edges)
-                if ok:
-                    for e in all_edges(d.n):
-                        if e in have:
-                            continue
-                        if is_plane(d, list(have) + [e]):
-                            ok = False
-                            break
+            ok = (not value) or _check_maximal_plane(d, cert)
         else:
             raise CertificateError(f"unknown claim {name!r}", failed=(name,))
         if not ok:

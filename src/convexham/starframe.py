@@ -238,6 +238,7 @@ def _build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr):
     l_table = {}
     for i, (left, right) in enumerate(zip(blocks_left, blocks_right)):
         default = wr[i + 1]
+        left_host = np.array([to_host[x] for x in left], dtype=np.int64)
         li = len(left) - 1
         exhausted = False
         for r in right:
@@ -246,12 +247,7 @@ def _build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr):
                 continue
             while li >= 0:
                 l = left[li]
-                below = left[:li]
-                if below and any(
-                    d.cross_pairs(
-                        to_host[l], v_star, [to_host[x] for x in below], to_host[r]
-                    )
-                ):
+                if li and d.cross_pairs(to_host[l], v_star, left_host[:li], to_host[r]).any():
                     l_table[r] = l
                     break
                 li -= 1

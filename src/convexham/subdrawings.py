@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certificates import Certificate, subdrawing_certificate
 from .drawing import all_edges, canon_edge
 from .errors import NotConvex, SeedNotPlane
@@ -64,16 +66,22 @@ def greedy_maximal_plane(d, seed=(), order=None):
             raise ValueError("order must cover every edge exactly once")
     chosen = list(dict.fromkeys(seed))
     have = set(chosen)
+    # Chosen edges, in order, as the first k entries of two label arrays.
+    cs = np.zeros(len(chosen) + len(order), dtype=np.int64)
+    ds = np.zeros_like(cs)
+    k = len(chosen)
+    if k:
+        cs[:k], ds[:k] = np.array(chosen).T
     for e in order:
         if e in have:
             continue
         a, b = e
-        cs = [f[0] for f in chosen]
-        ds = [f[1] for f in chosen]
-        if chosen and any(d.cross_pairs(a, b, cs, ds)):
+        if k and d.cross_pairs(a, b, cs[:k], ds[:k]).any():
             continue
         chosen.append(e)
         have.add(e)
+        cs[k], ds[k] = e
+        k += 1
     return PlaneSubdrawing(d, frozenset(chosen))
 
 

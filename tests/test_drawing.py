@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -201,3 +202,21 @@ def test_crosses_checks_and_counts(rand8):
 def test_repr_mentions_backing(rand8):
     assert "geometric" in repr(rand8)
     assert "explicit" in repr(generators.twisted(5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generators.two_page(8, ((1, 4),)),
+    lambda: generators.random_geometric(8, 1),
+    # Coordinates beyond 2**52 take the exact integer path of the row kernel.
+    lambda: generators.geometric(
+        [(x * 2**60 + 1, y * 2**60 + 3) for x, y in generators.random_geometric(8, 1).points[1:]]
+    ),
+])
+def test_cross_pairs_broadcasts_numpy_scalar(make):
+    d = make()
+    cs = np.array([2, 3, 6, 8])
+    want = [d.crosses((1, 5), (c, 7)) for c in cs.tolist()]
+    for ds in (7, np.int64(7), np.int32(7), np.array(7)):
+        view, counter = instrumented(d)
+        assert view.cross_pairs(1, 5, cs, ds).tolist() == want
+        assert counter.count == len(cs)

@@ -1,4 +1,5 @@
 import hashlib
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -12,12 +13,15 @@ from convexham.certificates import (
     path_certificate,
     subdrawing_certificate,
 )
-from convexham.drawing import all_edges, canon_edge
+from convexham.drawing import all_edges, canon_edge, instrumented, new_drawing
 from convexham.errors import (
     CertificateError,
     CycleNotPlane,
+    SideInconsistency,
     TooLarge,
+    VertexOutOfRange,
 )
+from convexham.hamiltonian import star_avoiding_hamiltonian_cycle
 from convexham.oracle import (
     brute_hamiltonian,
     count_empty_triangles,
@@ -272,3 +276,153 @@ def test_verify_certificate_catches_lies():
     unknown = cycle_certificate((1, 2, 3), {"sparkly": True})
     with pytest.raises(CertificateError):
         verify_certificate(d, unknown)
+
+
+@cache
+def _row_drawing(kind, n, seed):
+    if kind == "geometric":
+        return generators.random_geometric(n, seed)
+    return generators.two_page(n, ((1, 4),) if seed % 2 else ())
+
+
+@given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5), st.data())
+def test_first_crossing_matches_scalar_reference(kind, n, seed, data):
+    d = _row_drawing(kind, n, seed)
+    labels = st.integers(1, n)
+    # Reversed, adjacent and repeated edges are all allowed.
+    edges = data.draw(st.lists(
+        st.tuples(labels, labels).filter(lambda e: e[0] != e[1]), max_size=14
+    ))
+    canon = [canon_edge(*e) for e in edges]
+    want, hit_row = None, None
+    for i, e in enumerate(canon):
+        j = next((j for j in range(i + 1, len(canon)) if d.crosses(e, canon[j])), None)
+        if j is not None:
+            want, hit_row = (e, canon[j]), i
+            break
+    view, counter = instrumented(d)
+    assert first_crossing(view, edges) == want
+    m = len(edges)
+    rows = range(m - 1) if hit_row is None else range(hit_row + 1)
+    assert counter.count == sum(m - 1 - i for i in rows)
+    assert is_plane(d, edges) == (want is None)
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8)])
+def test_first_crossing_rejects_labels_out_of_range(make):
+    d = make()
+    for edges in ([(0, 2), (1, 3)], [(-1, 2), (1, 3)], [(1, 9), (2, 3)],
+                  [(1, 3), (2, 10**30)]):
+        with pytest.raises(VertexOutOfRange):
+            first_crossing(d, edges)
+        with pytest.raises(VertexOutOfRange):
+            is_plane(d, edges)
+    with pytest.raises(ValueError, match="degenerate edge"):
+        first_crossing(d, [(1, 3), (4, 4)])
+    with pytest.raises(VertexOutOfRange):
+        greedy_maximal_plane(d, seed=[(1, 9)])
+
+
+def _pinned_certificates():
+    """(drawing, hub, star-avoiding cycle, greedy maximal plane edges)."""
+    out = []
+    for d, hub in ((generators.random_geometric(30, 2), 7),
+                   (generators.two_page(14, ((1, 4),)), 3)):
+        cyc = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+        sub = sorted(greedy_maximal_plane(d, order=all_edges(d.n)).edges)
+        out.append((d, hub, cyc, sub))
+    return out
+
+
+def _verify_count(d, cert):
+    view, counter = instrumented(d)
+    try:
+        verify_certificate(view, cert)
+        failed = ()
+    except CertificateError as err:
+        failed = err.failed
+    return counter.count, failed
+
+
+def test_verify_certificate_counts_per_claim():
+    # plane, star_avoiding and hamiltonian were counted by the previous
+    # verifier; maximal_plane is C(|E|,2) + (C(n,2) - |E|) * |E|.
+    pinned = [
+        {"plane": 435, "star_avoiding": 756, "hamiltonian": 0, "maximal_plane": 31205},
+        {"plane": 91, "star_avoiding": 132, "hamiltonian": 0, "maximal_plane": 2015},
+    ]
+    for (d, hub, cyc, sub), want in zip(_pinned_certificates(), pinned):
+        values = {"plane": True, "star_avoiding": hub, "hamiltonian": True}
+        for claim, value in values.items():
+            assert _verify_count(d, cycle_certificate(cyc, {claim: value})) == (want[claim], ())
+        m = len(sub)
+        assert want["maximal_plane"] == comb(m, 2) + (comb(d.n, 2) - m) * m
+        cert = subdrawing_certificate(sub, {"maximal_plane": True})
+        assert _verify_count(d, cert) == (want["maximal_plane"], ())
+
+
+def test_tampered_maximal_plane_certificates():
+    # Failed tuples and the crossing case's count are the previous verifier's.
+    for (d, _, _, sub), add_count in zip(_pinned_certificates(), (314, 102)):
+        claims = {"plane": True, "maximal_plane": True}
+        dropped = subdrawing_certificate(sub[1:], claims)
+        assert _verify_count(d, dropped)[1] == ("maximal_plane",)
+        extra = next(e for e in all_edges(d.n) if e not in sub)
+        crossed = subdrawing_certificate(sub + [extra], claims)
+        assert _verify_count(d, crossed) == (add_count, ("maximal_plane", "plane"))
+
+
+def _cycle_sides_reference(d, cyc):
+    """The previous cycle_sides: scalar parities against a reference vertex,
+    then every pair in row-major order."""
+    k = len(cyc)
+    cycle_edges = [canon_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+    off = sorted(set(range(1, d.n + 1)) - set(cyc))
+
+    def parity(w, w2):
+        return sum(d.crosses((w, w2), e) for e in cycle_edges) % 2
+
+    side = {w: parity(off[0], w) if w != off[0] else 0 for w in off}
+    for i, w in enumerate(off):
+        for w2 in off[i + 1:]:
+            if parity(w, w2) != side[w] ^ side[w2]:
+                return (w, w2)
+    return (frozenset(w for w in off if not side[w]), frozenset(w for w in off if side[w]))
+
+
+@given(st.integers(5, 8), st.randoms(use_true_random=False))
+def test_cycle_sides_matches_reference_on_abstract_crossings(n, rng):
+    # Arbitrary crossing sets obeying the K4 axiom: most are not realisable,
+    # so both the sides and the first inconsistent pair get exercised.
+    crossings = []
+    for quad in combinations(range(1, n + 1), 4):
+        if rng.random() < 0.3:
+            a, b, c, x = quad
+            crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
+    rots = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
+    d = new_drawing(n, rots, crossings)
+    cyc = tuple(rng.sample(range(1, n + 1), rng.randint(3, n - 2)))
+    k = len(cyc)
+    if first_crossing(d, [(cyc[i], cyc[(i + 1) % k]) for i in range(k)]) is not None:
+        return
+    want = _cycle_sides_reference(d, cyc)
+    view, counter = instrumented(d)
+    if isinstance(want[0], int):
+        with pytest.raises(SideInconsistency) as err:
+            cycle_sides(view, cyc)
+        assert str(err.value) == (
+            f"vertices {want[0]},{want[1]} disagree with sides of cycle {cyc}"
+        )
+    else:
+        sides = cycle_sides(view, cyc)
+        assert (sides.side_a, sides.side_b) == want
+        # One row per cycle edge over all off-cycle pairs, after the plane check.
+        assert counter.count == comb(k, 2) + comb(n - k, 2) * k
+
+
+def test_cycle_sides_inconsistency_message():
+    rots = [[u for u in range(1, 7) if u != v] for v in range(1, 7)]
+    d = new_drawing(6, rots, [((1, 2), (4, 5))])
+    with pytest.raises(SideInconsistency, match=r"vertices 5,6 disagree with sides of cycle \(1, 2, 3\)"):
+        cycle_sides(d, (1, 2, 3))
