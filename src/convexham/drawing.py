@@ -10,7 +10,10 @@ materialising the O(n^4) crossing set.
 A Drawing asks its oracle in exactly two ways: the checked scalar
 `crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
 query they pass on into the drawing's own QueryCounter; `instrumented(d)`
-returns a view of d with a fresh counter.
+returns a view of d with a fresh counter.  In a row, `cs` is a 1-D label
+array and `a`, `b` and `ds` are each a label, which stands for every entry,
+or a 1-D label array of len(cs): entry i asks {a_i, b_i} against
+{cs[i], ds[i]}, one query per entry.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -72,18 +75,39 @@ class ExplicitCrossings:
         return canon_pair((a, b), (c, d)) in self.pairs
 
     def cross_pairs(self, a, b, cs, ds):
-        a, b = int(a), int(b)
-        e = canon_edge(a, b)
+        # Python ints: iterating numpy scalars would cost more than the lookups.
+        cs = np.asarray(cs).tolist()
+        m = len(cs)
+        ds = _label_list(ds, m)
         pairs = self.pairs
         out = []
-        # Python ints: iterating numpy scalars would cost more than the lookups.
-        for c, d in zip(np.asarray(cs).tolist(), np.asarray(ds).tolist()):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            # A pair per entry (blocked scans).  Rows with one pair take the
+            # loop below, which canonicalises the pair once.
+            for a, b, c, d in zip(_label_list(a, m), _label_list(b, m), cs, ds):
+                if c == a or c == b or d == a or d == b:
+                    out.append(False)
+                else:
+                    e = (a, b) if a < b else (b, a)
+                    f = (c, d) if c < d else (d, c)
+                    out.append(((e, f) if e <= f else (f, e)) in pairs)
+            return np.array(out, dtype=bool)
+        a, b = int(a), int(b)
+        e = canon_edge(a, b)
+        for c, d in zip(cs, ds):
             if c == a or c == b or d == a or d == b:
                 out.append(False)
             else:
                 f = (c, d) if c < d else (d, c)
                 out.append(((e, f) if e <= f else (f, e)) in pairs)
         return np.array(out, dtype=bool)
+
+
+def _label_list(x, m):
+    """Operand x as m Python ints: a label repeats, a 1-D array or list converts."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    return x if isinstance(x, list) else [int(x)] * m
 
 
 class GeometricCrossings:
@@ -151,11 +175,15 @@ class Drawing:
         return self._oracle.cross(a, b, c, d)
 
     def cross_pairs(self, a, b, cs, ds):
-        """Vectorised: does {a, b} cross {cs[i], ds[i]}?  ds may be a scalar."""
-        if np.ndim(ds) == 0:
-            ds = np.full(len(cs), ds, dtype=np.int64)
-        self.counter.count += len(cs)
-        return self._oracle.cross_pairs(a, b, cs, ds)
+        """Vectorised: does {a_i, b_i} cross {cs[i], ds[i]}?  One query per entry.
+
+        `cs` is a 1-D label array; `a`, `b` and `ds` are each a label, which
+        stands for every entry, or a 1-D label array of len(cs).  Entries
+        sharing an endpoint answer False and still count.
+        """
+        hits = self._oracle.cross_pairs(a, b, cs, ds)
+        self.counter.count += hits.size
+        return hits
 
     def crossing_set(self):
         """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""

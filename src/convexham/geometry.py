@@ -1,12 +1,13 @@
 """Exact geometric predicates on integer points.
 
 All decisions reduce to signs of integer determinants, computed with
-Python's arbitrary-precision integers.  Vectorised code paths evaluate the
-same determinants in float64 behind a forward-error filter and fall back to
-exact integer arithmetic for entries too close to zero, so batched queries
-are bit-for-bit equivalent to the scalar ones.  The general-position check
-and the angular sort compare correctly rounded float64 slopes and settle
-only equal slopes with integers (see _line_keys).
+Python's arbitrary-precision integers.  The row kernel (PointBack) evaluates
+the same determinants in float64 from exact coordinate differences, where
+monotone rounding leaves a nonzero float determinant with the exact sign;
+only entries with a zero one are recomputed with integers, so batched
+queries are bit-for-bit equivalent to the scalar ones.  The general-position
+check and the angular sort compare correctly rounded float64 slopes and
+settle only equal slopes with integers (see _line_keys).
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ import numpy as np
 
 from .errors import DegeneratePointSet
 
-# Forward error bound factor for a 2x2 determinant of exactly-represented
-# float64 integers (Shewchuk's orient2d constant is ~3.33e-16; rounded up).
-_ERR = 4.0e-16
-
 # Coordinates up to this magnitude cast to float64 without rounding and
-# their pairwise differences stay exact, which the error filter assumes.
+# their pairwise differences stay exact, which the row kernel assumes.
 _FLOAT_SAFE = 2**52
 
 
@@ -207,25 +204,23 @@ def polygon_side(polygon, p):
 
 
 class PointBack:
-    """Float64 mirrors of a 1-indexed integer point table, for filtered rows.
+    """Float64 mirrors of a 1-indexed integer point table, for exact rows.
 
-    Provides vectorised crossing tests whose results are exact: a forward
-    error filter marks entries whose float determinant is too close to zero
-    and those are recomputed with integer arithmetic.
+    `cross_pairs` evaluates the four orientation determinants of each entry
+    in float64.  With every coordinate a float-safe integer, each coordinate
+    difference is exact, so a determinant t1 - t2 is computed as
+    fl(fl(t1) - fl(t2)) from its exact integer products t1 and t2.  Rounding
+    is monotone: t1 > t2 gives fl(t1) >= fl(t2), and a float subtraction
+    keeps the sign of its exact result.  A nonzero float determinant thus
+    has the exact sign, and no error bound is needed; an entry with a zero
+    one (shared endpoint, collinear points, or products rounded to a tie)
+    is recomputed with integers.
     """
 
     def __init__(self, pts):
         # pts: tuple with index 0 unused, entries (x, y) python ints
         self.pts = pts
-        max_abs = 0
-        for p in pts[1:]:
-            a = abs(p[0])
-            b = abs(p[1])
-            if a > max_abs:
-                max_abs = a
-            if b > max_abs:
-                max_abs = b
-        self.float_ok = max_abs <= _FLOAT_SAFE
+        self.float_ok = max(abs(c) for p in pts[1:] for c in p) <= _FLOAT_SAFE
         if self.float_ok:
             self.xs = np.array([0.0] + [float(p[0]) for p in pts[1:]])
             self.ys = np.array([0.0] + [float(p[1]) for p in pts[1:]])
@@ -233,63 +228,50 @@ class PointBack:
             self.xs = self.ys = None
 
     def cross_pairs(self, a, b, cs, ds):
-        """Bool array: does segment (a, b) properly cross segment (cs[i], ds[i])?
+        """Bool array: does segment (a_i, b_i) properly cross (cs[i], ds[i])?
 
-        Pairs sharing an endpoint report False (adjacent edges never cross).
-        `cs` and `ds` are integer label arrays of equal length.
+        `cs` is a 1-D label array; `a`, `b` and `ds` are each a label, which
+        stands for every entry, or a 1-D label array of len(cs).  Entries
+        sharing an endpoint report False (adjacent edges never cross).
         """
-        cs = np.asarray(cs, dtype=np.int64)
-        ds = np.asarray(ds, dtype=np.int64)
         if not self.float_ok:
-            pts = self.pts
-            pa, pb = pts[a], pts[b]
-            out = np.empty(len(cs), dtype=bool)
-            for i in range(len(cs)):
-                c = int(cs[i])
-                d = int(ds[i])
-                if c == a or c == b or d == a or d == b:
-                    out[i] = False
-                else:
-                    out[i] = segments_cross(pa, pb, pts[c], pts[d])
-            return out
+            return np.array(self._exact(a, b, cs, ds, np.arange(len(cs))), dtype=bool)
         xs, ys = self.xs, self.ys
-        ax, ay = xs[a], ys[a]
-        bx, by = xs[b], ys[b]
-        cx, cy = xs[cs], ys[cs]
-        dx, dy = xs[ds], ys[ds]
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        cx, cy, dx, dy = xs[cs], ys[cs], xs[ds], ys[ds]
         abx = bx - ax
         aby = by - ay
-        t1 = abx * (cy - ay)
-        t2 = aby * (cx - ax)
-        o1 = t1 - t2
-        e1 = _ERR * (np.abs(t1) + np.abs(t2))
-        t3 = abx * (dy - ay)
-        t4 = aby * (dx - ax)
-        o2 = t3 - t4
-        e2 = _ERR * (np.abs(t3) + np.abs(t4))
+        acx = cx - ax
+        acy = cy - ay
         cdx = dx - cx
         cdy = dy - cy
-        t5 = cdx * (ay - cy)
-        t6 = cdy * (ax - cx)
-        o3 = t5 - t6
-        e3 = _ERR * (np.abs(t5) + np.abs(t6))
-        t7 = cdx * (by - cy)
-        t8 = cdy * (bx - cx)
-        o4 = t7 - t8
-        e4 = _ERR * (np.abs(t7) + np.abs(t8))
-        res = ((o1 > 0) != (o2 > 0)) & ((o3 > 0) != (o4 > 0))
-        unsure = (
-            (np.abs(o1) <= e1)
-            | (np.abs(o2) <= e2)
-            | (np.abs(o3) <= e3)
-            | (np.abs(o4) <= e4)
-        )
-        adj = (cs == a) | (cs == b) | (ds == a) | (ds == b)
-        res &= ~adj
-        unsure &= ~adj
+        o12 = (abx * acy - aby * acx) * (abx * (dy - ay) - aby * (dx - ax))
+        o34 = (cdy * acx - cdx * acy) * (cdx * (by - cy) - cdy * (bx - cx))
+        res = (o12 < 0) & (o34 < 0)
+        # Nonzero determinants are integers, so these products neither
+        # underflow nor overflow: o12 * o34 is 0 exactly when one of the four
+        # is.  A shared endpoint makes one exactly 0, so adjacent entries
+        # are False here and land among the unsure ones.
+        unsure = o12 * o34 == 0
         if unsure.any():
-            pts = self.pts
-            pa, pb = pts[a], pts[b]
-            for i in np.nonzero(unsure)[0]:
-                res[i] = segments_cross(pa, pb, pts[int(cs[i])], pts[int(ds[i])])
+            idx = np.flatnonzero(unsure)
+            res[idx] = self._exact(a, b, cs, ds, idx)
         return res
+
+    def _exact(self, a, b, cs, ds, idx):
+        # Integer verdicts of the entries at idx; entries sharing an endpoint
+        # are False without a determinant.
+        pts = self.pts
+        entries = zip(_labels(a, idx), _labels(b, idx), _labels(cs, idx), _labels(ds, idx))
+        return [
+            c != a and c != b and d != a and d != b
+            and segments_cross(pts[a], pts[b], pts[c], pts[d])
+            for a, b, c, d in entries
+        ]
+
+
+def _labels(x, idx):
+    """Python int labels of operand x at positions idx; a scalar label repeats."""
+    if np.ndim(x) == 0:
+        return [int(x)] * len(idx)
+    return np.asarray(x)[idx].tolist()

@@ -14,13 +14,17 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, stopping at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries.
-- empty_side: `cycle_sides`, i.e. the plane check of the k cycle edges, then
-  one row per cycle edge over all C(n-k,2) off-cycle pairs.
+- empty_side: the sides of `cycle_sides`, i.e. the plane check of the k
+  cycle edges, then one row per cycle edge over all C(n-k,2) off-cycle
+  pairs.  A cycle certificate claiming plane as well runs the plane check
+  once.  A cycle that is not plane or has inconsistent sides fails the
+  claim.
 - hamiltonian, contains, endpoints: no queries.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -109,10 +113,19 @@ def cycle_sides(d, cycle):
         raise ValueError(f"not a cycle: {cyc}")
     if any(v < 1 or v > d.n for v in cyc):
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}: {cyc}")
-    cycle_edges = [canon_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    cycle_edges = _cycle_edges(cyc)
     bad = first_crossing(d, cycle_edges)
     if bad is not None:
         raise CycleNotPlane(f"cycle edges {bad[0]} and {bad[1]} cross")
+    return _plane_cycle_sides(d, cyc, cycle_edges)
+
+
+def _cycle_edges(cyc):
+    return tuple(canon_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
+
+
+def _plane_cycle_sides(d, cyc, cycle_edges):
+    # cycle_sides after its plane check.
     on = np.zeros(d.n + 1, dtype=bool)
     on[[0, *cyc]] = True
     off = np.flatnonzero(~on)
@@ -336,6 +349,21 @@ def _check_maximal_plane(d, cert):
     return True
 
 
+def _check_empty_side(d, cyc, plane):
+    # A sequence that is no plane cycle, or whose sides are inconsistent,
+    # has no empty side.
+    if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+        return False
+    edges = _cycle_edges(cyc)
+    if not plane(edges):
+        return False
+    try:
+        sides = _plane_cycle_sides(d, cyc, edges)
+    except SideInconsistency:
+        return False
+    return min(len(sides.side_a), len(sides.side_b)) == 0
+
+
 def verify_certificate(d, cert):
     """Re-check every claim of a certificate against the drawing.
 
@@ -346,19 +374,18 @@ def verify_certificate(d, cert):
     failed = []
     if any(v < 1 or v > d.n for v in cert.vertices):
         raise CertificateError(f"vertices out of range 1..{d.n}", failed=("structure",))
+    # A cycle certificate's edges are its cycle edges in cycle order, so the
+    # plane and empty_side claims share one plane check.
+    plane = functools.cache(lambda edges: is_plane(d, edges))
     for name, value in cert.claims.items():
         if name == "plane":
-            ok = (not value) or is_plane(d, cert.edges)
+            ok = (not value) or plane(tuple(cert.edges))
         elif name == "hamiltonian":
             ok = (not value) or set(cert.vertices) == set(range(1, d.n + 1))
         elif name == "star_avoiding":
             ok = _check_star_avoiding(d, cert, value)
         elif name == "empty_side":
-            if not value:
-                ok = True
-            else:
-                sides = cycle_sides(d, cert.vertices)
-                ok = min(len(sides.side_a), len(sides.side_b)) == 0
+            ok = (not value) or _check_empty_side(d, cert.vertices, plane)
         elif name == "contains":
             have = set(cert.edges)
             ok = all(canon_edge(*e) in have for e in value)

@@ -19,6 +19,7 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotConvexEvidence, TooFewVertices, VertexOutOfRange
 
@@ -67,25 +68,42 @@ def _evidence(which, frame_labels, to_host, detail):
     )
 
 
+# Entries per kernel call of the bad-edge scan: short rows are asked in
+# blocks of consecutive pairs, long rows one at a time.
+_SCAN_BLOCK_ENTRIES = 1 << 12
+
+
 def scan_bad_edges(d, order, hub):
     """Bad edges of a rotation: consecutive pairs that cross a star edge.
 
     `order` is the rotation of `hub`, possibly restricted to a subset.  The
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
-    when it crosses {w, hub}.  One row query per pair, over the other
-    vertices of `order`.  Returns [(i, witnesses), ...] in scan order, with
-    witnesses as a frozenset of positions in `order`.
+    when it crosses {w, hub}.  Row i asks the pair against the other k - 2
+    vertices of `order`, cyclically after the pair, so the scan costs
+    k * (k - 2) queries.  Up to _SCAN_BLOCK_ENTRIES // (k - 2) consecutive
+    rows go into one `cross_pairs` call with the same entries; a block of
+    one row passes its pair as labels.  Returns [(i, witnesses), ...] in
+    scan order, with witnesses as a frozenset of positions in `order`.
     """
     k = len(order)
     if k < 3:
         return []
     twice = np.array(order * 2, dtype=np.int64)
+    # others[i] is twice[i + 2:i + k], the vertices after pair i.
+    others = sliding_window_view(twice[2:], k - 2)
+    rows = max(1, _SCAN_BLOCK_ENTRIES // (k - 2))
     bad = []
-    for i in range(k):
-        # The other vertices, cyclically after the pair.
-        hits = d.cross_pairs(order[i], order[(i + 1) % k], twice[i + 2:i + k], hub)
-        if hits.any():
-            bad.append((i, frozenset(((np.flatnonzero(hits) + i + 2) % k).tolist())))
+    for i0 in range(0, k, rows):
+        i1 = min(i0 + rows, k)
+        if i1 - i0 == 1:
+            a, b = order[i0], order[i1 % k]
+        else:
+            a = np.repeat(twice[i0:i1], k - 2)
+            b = np.repeat(twice[i0 + 1:i1 + 1], k - 2)
+        hits = d.cross_pairs(a, b, others[i0:i1].ravel(), hub).reshape(i1 - i0, k - 2)
+        for r in np.flatnonzero(hits.any(axis=1)).tolist():
+            i = i0 + r
+            bad.append((i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())))
     return bad
 
 

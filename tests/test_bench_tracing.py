@@ -32,3 +32,21 @@ def test_tracer_targets_resolve_and_unwrap():
         tracing.uninstall(undo)
     for name, mod, path, *_r in tracing.TARGETS:
         assert _target(mod, path) is originals[name], name
+
+
+def test_traced_row_entries_equal_library_queries():
+    # The tracer counts len(cs) entries per row kernel call and the library
+    # counts the size of the answer: they agree while every operand of a
+    # row, blocked bad-edge scans included, stays 1-D.
+    from convexham import generators, instrumented, verify_certificate
+    from convexham.hamiltonian import star_avoiding_hamiltonian_cycle
+
+    view, counter = instrumented(generators.random_geometric(60, 3))
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        verify_certificate(view, star_avoiding_hamiltonian_cycle(view, 5, verify=False))
+    finally:
+        tracing.uninstall(undo)
+    assert counter.count > 0
+    assert tracer.counts["geometry.cross_pairs.entries"] == counter.count

@@ -175,6 +175,22 @@ def test_verify_rejects_lying_certificate(capsys, tmp_path):
     assert res["failed"] == ["endpoints"]
 
 
+def test_verify_fails_empty_side_of_crossing_cycle(capsys, tmp_path):
+    _, drawing, _ = run(capsys, "gen", "convex-position", "--n", "6")
+    dfile = tmp_path / "d.json"
+    dfile.write_text(drawing)
+    cert = {"kind": "cycle", "vertices": [1, 3, 2, 4, 5, 6],
+            "edges": [[1, 3], [2, 3], [2, 4], [4, 5], [5, 6], [1, 6]],
+            "claims": {"plane": True, "empty_side": True}}
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps(cert))
+    code, out, _ = run(capsys, "verify", "--in", str(dfile), "--cert", str(cfile))
+    assert code == 1
+    res = json.loads(out)
+    assert res["error"] == "CertificateError"
+    assert res["failed"] == ["empty_side", "plane"]
+
+
 def test_find_reads_stdin(capsys, monkeypatch):
     _, drawing, _ = run(capsys, "gen", "convex-position", "--n", "6")
     import io as _io

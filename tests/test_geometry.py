@@ -254,3 +254,98 @@ def test_pointback_exact_fallback_huge_coords():
     assert not back.float_ok
     rows = back.cross_pairs(1, 4, np.array([2]), np.array([3]))
     assert rows[0] == segments_cross(pts[1], pts[4], pts[2], pts[3])
+
+
+def _rows_reference(pts, entries):
+    """Scalar answers per entry (a, b, c, d): shared endpoints never cross."""
+    return [
+        c not in (a, b) and d not in (a, b) and segments_cross(pts[a], pts[b], pts[c], pts[d])
+        for a, b, c, d in entries
+    ]
+
+
+def _ask_rows(back, entries, scalar):
+    """PointBack rows over `entries`, with the operands named in `scalar`
+    (a subset of "abd") passed as one label taken from the first entry."""
+    cols = [list(col) for col in zip(*entries)]
+    for j, name in enumerate("abcd"):
+        if name in scalar:
+            cols[j] = [cols[j][0]] * len(entries)
+    a, b, cs, ds = (
+        int(col[0]) if name in scalar else np.array(col, dtype=np.int64)
+        for name, col in zip("abcd", cols)
+    )
+    return back.cross_pairs(a, b, cs, ds).tolist(), list(zip(*cols))
+
+
+OPERAND_FORMS = ["", "a", "b", "d", "ab", "ad", "bd", "abd"]
+
+
+@given(st.integers(4, 9), st.sampled_from([1, 2**40, 2**60]), st.data())
+def test_pointback_operand_forms_match_scalar_predicate(n, scale, data):
+    # Labels repeat freely, so entries share endpoints, repeat a segment or
+    # ask an edge against itself; on a 5x5 grid many triples are collinear.
+    grid = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=n, max_size=n, unique=True))
+    pts = (None, *((x * scale + 7, y * scale - 3) for x, y in grid))
+    back = PointBack(pts)
+    assert back.float_ok == (scale < 2**52)
+    label = st.integers(1, n)
+    entries = data.draw(st.lists(st.tuples(label, label, label, label), min_size=1, max_size=30))
+    for scalar in OPERAND_FORMS:
+        got, asked = _ask_rows(back, entries, scalar)
+        assert got == _rows_reference(pts, asked), scalar
+
+
+def _near_collinear(scale, data):
+    # Three points on each of three adjacent lattice lines of a long
+    # primitive direction s, offset by -(u, v), 0 and (u, v) with
+    # cross(s, (u, v)) = 1.  A point's determinant against two points of
+    # another line is a small multiple of 1 while the float products are
+    # near scale**2 / 64, and a segment from the first line to the last
+    # crosses the middle one at a half-integer step, which only those tiny
+    # determinants decide.
+    sx = data.draw(st.integers(scale // 16, scale // 8))
+    sy = data.draw(st.integers(1, scale // 8))
+    g = math.gcd(sx, sy)
+    sx, sy = sx // g, sy // g
+    v = pow(sx, -1, sy)
+    u = (sx * v - 1) // sy
+    bx, by = data.draw(st.tuples(*[st.integers(-scale // 4, scale // 4)] * 2))
+    return [(bx + k * u + j * sx, by + k * v + j * sy) for k in (-1, 0, 1) for j in range(3)]
+
+
+def _all_rows_with_fallbacks(pts):
+    """Every edge against every edge, asked row by row with array operands;
+    also returns how often the kernel fell back to integers."""
+    n = len(pts) - 1
+    back = PointBack(pts)
+    assert back.float_ok
+    edges = list(combinations(range(1, n + 1), 2))
+    cs = np.array([c for c, _ in edges])
+    ds = np.array([d for _, d in edges])
+    with mock.patch.object(geometry, "segments_cross", wraps=segments_cross) as spy:
+        for a, b in edges:
+            got = back.cross_pairs(np.full(len(edges), a), np.full(len(edges), b), cs, ds)
+            want = _rows_reference(pts, [(a, b, c, d) for c, d in edges])
+            assert got.tolist() == want
+    return spy.call_count
+
+
+@given(st.sampled_from([2**40, 2**52]), st.data())
+def test_pointback_near_collinear_points(scale, data):
+    pts = (None, *_near_collinear(scale, data))
+    assert _all_rows_with_fallbacks(pts) > 0
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=2, max_size=5,
+                unique=True))
+def test_pointback_tight_cluster_in_huge_span(cluster):
+    # Two far points stretch the span to 2^53: determinants mixing them with
+    # the cluster have products up to 2^104 that round, while those inside
+    # the cluster stay small and exact.  A planted collinear triple makes
+    # the kernel fall back to integers.
+    planted = [(0, 0), (3, 1), (6, 2)]
+    cluster = planted + [p for p in cluster if p not in planted]
+    pts = (None, *cluster, (2**52, 2**52 - 1), (-(2**52), 5))
+    assert _all_rows_with_fallbacks(pts) > 0

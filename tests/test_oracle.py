@@ -21,7 +21,7 @@ from convexham.errors import (
     TooLarge,
     VertexOutOfRange,
 )
-from convexham.hamiltonian import star_avoiding_hamiltonian_cycle
+from convexham.hamiltonian import empty_k_cycle, star_avoiding_hamiltonian_cycle
 from convexham.oracle import (
     brute_hamiltonian,
     count_empty_triangles,
@@ -347,10 +347,15 @@ def _verify_count(d, cert):
 
 def test_verify_certificate_counts_per_claim():
     # plane, star_avoiding and hamiltonian were counted by the previous
-    # verifier; maximal_plane is C(|E|,2) + (C(n,2) - |E|) * |E|.
+    # verifier; maximal_plane is C(|E|,2) + (C(n,2) - |E|) * |E|.  An
+    # empty k-cycle claiming plane and empty_side is checked for planarity
+    # once: C(k,2) + C(n-k,2) * k, where the previous verifier asked C(k,2)
+    # more (1785 and 189).
     pinned = [
-        {"plane": 435, "star_avoiding": 756, "hamiltonian": 0, "maximal_plane": 31205},
-        {"plane": 91, "star_avoiding": 132, "hamiltonian": 0, "maximal_plane": 2015},
+        {"plane": 435, "star_avoiding": 756, "hamiltonian": 0, "maximal_plane": 31205,
+         "empty_side": 1680},
+        {"plane": 91, "star_avoiding": 132, "hamiltonian": 0, "maximal_plane": 2015,
+         "empty_side": 168},
     ]
     for (d, hub, cyc, sub), want in zip(_pinned_certificates(), pinned):
         values = {"plane": True, "star_avoiding": hub, "hamiltonian": True}
@@ -360,6 +365,24 @@ def test_verify_certificate_counts_per_claim():
         assert want["maximal_plane"] == comb(m, 2) + (comb(d.n, 2) - m) * m
         cert = subdrawing_certificate(sub, {"maximal_plane": True})
         assert _verify_count(d, cert) == (want["maximal_plane"], ())
+        k = d.n // 2
+        assert want["empty_side"] == comb(k, 2) + comb(d.n - k, 2) * k
+        cert = empty_k_cycle(d, k, hub, verify=False)
+        assert cert.claims == {"plane": True, "empty_side": True}
+        assert _verify_count(d, cert) == (want["empty_side"], ())
+
+
+def test_broken_cycles_fail_the_empty_side_claim():
+    # A cycle that is not plane, has inconsistent sides or is no cycle at
+    # all fails empty_side as a claim; nothing else is raised.
+    crossed = cycle_certificate((1, 3, 2, 4, 5, 6), {"plane": True, "empty_side": True})
+    assert _verify_count(generators.convex_position(6), crossed)[1] == ("empty_side", "plane")
+    rots = [[u for u in range(1, 7) if u != v] for v in range(1, 7)]
+    d = new_drawing(6, rots, [((1, 2), (4, 5))])
+    inconsistent = cycle_certificate((1, 2, 3), {"empty_side": True})
+    assert _verify_count(d, inconsistent)[1] == ("empty_side",)
+    edge = path_certificate((1, 2), {"empty_side": True})
+    assert _verify_count(d, edge)[1] == ("empty_side",)
 
 
 def test_tampered_maximal_plane_certificates():

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators
+from convexham import generators, starframe
 from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, scan_bad_edges
@@ -230,3 +232,35 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
     order = tuple(x for x in d.rotation_of(hub) if x in keep)
     assert _scanned(d, order, hub) == _bad_by_scalars(d, order, hub)
+
+
+def _blocked_scan(d, order, hub, block):
+    """_scanned with _SCAN_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries."""
+    view, counter = instrumented(d)
+    with mock.patch.object(starframe, "_SCAN_BLOCK_ENTRIES", block):
+        scanned = _scanned(view, order, hub)
+    k = len(order)
+    assert counter.count == k * (k - 2)
+    return scanned
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_blocked_scan_matches_scalars(block):
+    # Blocks of one row, of a few rows with a partial last block, and of
+    # whole small scans, on multi-bad two-page drawings and on coordinates
+    # beyond 2^52, where the row kernel runs on integers only.
+    big = [(x * 2**60 + 1, y * 2**60 - 3) for x, y in generators.random_geometric(9, 4).points[1:]]
+    drawings = [generators.two_page(n, outer) for n, outer in MULTI_BAD]
+    for d in drawings + [generators.geometric(big)]:
+        for hub in range(1, d.n + 1):
+            order = d.rotation_of(hub)
+            assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
+
+
+@given(st.integers(4, 12), st.integers(0, 200), st.randoms(), st.sampled_from([1, 7, 64]))
+def test_blocked_scan_on_subsets(n, seed, rng, block):
+    d = generators.random_geometric(n, seed)
+    hub = rng.randint(1, n)
+    keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
+    order = tuple(x for x in d.rotation_of(hub) if x in keep)
+    assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
