@@ -1,4 +1,4 @@
-"""Command-line surface: generate, check, construct, verify, render, bench.
+"""Command-line surface: generate, check, construct, verify, render.
 
 Drawings and certificates travel as JSON on stdin/stdout so commands compose
 into shell pipelines; files only enter via explicit flags.  Every run writes
@@ -217,43 +217,6 @@ def cmd_render(args, manifest):
     return render_svg(d, highlight=highlight)
 
 
-def cmd_bench(args, manifest):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    manifest["seeds"] = list(range(args.seed, args.seed + args.reps))
-    results = []
-    total_queries = 0
-    for n in sizes:
-        for rep in range(args.reps):
-            seed = args.seed + rep
-            d = generators.random_geometric(n, seed)
-            view, counter = instrumented(d)
-            t0 = time.perf_counter()
-            star_avoiding_hamiltonian_cycle(view, v_star=n, verify=False)
-            ms = (time.perf_counter() - t0) * 1000.0
-            total_queries += counter.count
-            results.append(
-                {
-                    "n": n,
-                    "seed": seed,
-                    "queries": counter.count,
-                    "ms": round(ms, 3),
-                    "queries_per_n2": round(counter.count / (n * n), 4),
-                }
-            )
-    slopes = []
-    means = {n: _mean([r["queries"] for r in results if r["n"] == n]) for n in sizes}
-    import math
-
-    for a, b in zip(sizes, sizes[1:]):
-        slopes.append(round(math.log(means[b] / means[a]) / math.log(b / a), 4))
-    manifest["_queries"] = total_queries
-    return _dumps({"task": "star-hc", "results": results, "slopes": slopes})
-
-
-def _mean(xs):
-    return sum(xs) / len(xs)
-
-
 # ---------------------------------------------------------------- wiring
 
 
@@ -325,12 +288,6 @@ def build_parser():
     p.add_argument("--highlight", help="certificate JSON file to highlight")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("bench", help="oracle-query scaling of star-hc")
-    p.add_argument("--sizes", default="250,500,1000,2000")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=1, help="seeds per size")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -365,7 +322,7 @@ def main(argv=None):
         code = 1
     manifest["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     counter = manifest.pop("_counter", None)
-    manifest["oracle_queries"] = manifest.pop("_queries", None) if counter is None else counter.count
+    manifest["oracle_queries"] = None if counter is None else counter.count
     sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     print(_dumps(manifest), file=sys.stderr)
     return code

@@ -34,7 +34,6 @@ from .errors import (
     InvalidRotation,
     K4Violation,
     NotAPermutation,
-    SideInconsistency,
     TooFewVertices,
     VertexOutOfRange,
 )
@@ -110,19 +109,12 @@ def _label_list(x, m):
     return x if isinstance(x, list) else [int(x)] * m
 
 
-class GeometricCrossings:
-    """Crossing oracle that evaluates exact segment-intersection predicates."""
-
-    def __init__(self, pts):
-        self.pts = pts  # 1-indexed tuple, entry 0 unused
-        self.back = geometry.PointBack(pts)
+class GeometricCrossings(geometry.PointBack):
+    """Crossing oracle over integer points: exact scalar predicate, PointBack rows."""
 
     def cross(self, a, b, c, d):
         pts = self.pts
         return geometry.segments_cross(pts[a], pts[b], pts[c], pts[d])
-
-    def cross_pairs(self, a, b, cs, ds):
-        return self.back.cross_pairs(a, b, cs, ds)
 
 
 class Drawing:
@@ -346,48 +338,22 @@ class TrianglePartition:
     convex_b: bool
 
 
-def _edge_triangle_crossings(d, w, w2, tri_edges):
-    e = (w, w2)
-    t1, t2, t3 = tri_edges
-    return d.crosses(e, t1) + d.crosses(e, t2) + d.crosses(e, t3)
-
-
 def split_by_triangle(d, tri, among):
     """Partition `among` (disjoint from tri) into the two sides of triangle tri.
 
     Two vertices land on the same side iff the edge between them crosses the
-    triangle boundary an even number of times.  Assignments are made against
-    a reference vertex; use verify_sides() for the full pairwise consistency
-    check.
+    triangle boundary an even number of times.  Every vertex is placed
+    against the smallest one, w0: one row per triangle edge over the edges
+    (w0, w), 3 * (len(among) - 1) queries in all.  triangle_sides checks
+    the parity of every pair.
     """
-    a, b, c = tri
-    tri_edges = (canon_edge(a, b), canon_edge(b, c), canon_edge(a, c))
     rest = sorted(among)
     if not rest:
         return [], []
-    w0 = rest[0]
-    same, other = [w0], []
-    for w in rest[1:]:
-        if _edge_triangle_crossings(d, w0, w, tri_edges) % 2 == 0:
-            same.append(w)
-        else:
-            other.append(w)
-    return same, other
-
-
-def _verify_sides(d, tri, same, other):
-    tri_edges = (canon_edge(tri[0], tri[1]), canon_edge(tri[1], tri[2]),
-                 canon_edge(tri[0], tri[2]))
-    groups = [(same, same, True), (other, other, True), (same, other, False)]
-    for xs, ys, want_even in groups:
-        for i, w in enumerate(xs):
-            start = i + 1 if xs is ys else 0
-            for w2 in ys[start:]:
-                par = _edge_triangle_crossings(d, w, w2, tri_edges) % 2
-                if (par == 0) != want_even:
-                    raise SideInconsistency(
-                        f"triangle {tri}: parity of ({w},{w2}) contradicts side assignment"
-                    )
+    a, b, c = tri
+    w0, ws = rest[0], np.array(rest[1:], dtype=np.int64)
+    odd = d.cross_pairs(a, b, ws, w0) ^ d.cross_pairs(b, c, ws, w0) ^ d.cross_pairs(a, c, ws, w0)
+    return [w0, *ws[~odd].tolist()], ws[odd].tolist()
 
 
 def side_convex(d, tri, side):
@@ -415,21 +381,23 @@ def side_convex(d, tri, side):
 
 
 def triangle_sides(d, a, b, c):
-    """Partition the off-triangle vertices by side and report side convexity."""
+    """Partition the off-triangle vertices by side and report side convexity.
+
+    A triangle is a plane 3-cycle, so its sides are those of
+    oracle.cycle_sides, with the same convention and the same
+    SideInconsistency when the parity relation is no 2-colouring.
+    """
+    from .oracle import _cycle_edges, _plane_cycle_sides
+
     tri = tuple(sorted((a, b, c)))
     if len(set(tri)) != 3:
         raise ValueError(f"triangle needs three distinct vertices, got {(a, b, c)}")
     if tri[0] < 1 or tri[2] > d.n:
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
-    among = [v for v in range(1, d.n + 1) if v not in tri]
-    same, other = split_by_triangle(d, tri, among)
-    _verify_sides(d, tri, same, other)
-    # `same` contains the smallest off-triangle vertex, so it is side_a; an
-    # empty side can then only ever be side_b.
-    side_a, side_b = frozenset(same), frozenset(other)
-    conv_a, _ = side_convex(d, tri, side_a)
-    conv_b, _ = side_convex(d, tri, side_b)
-    return TrianglePartition(tri, side_a, side_b, conv_a, conv_b)
+    sides = _plane_cycle_sides(d, tri, _cycle_edges(tri))
+    conv_a, _ = side_convex(d, tri, sides.side_a)
+    conv_b, _ = side_convex(d, tri, sides.side_b)
+    return TrianglePartition(tri, sides.side_a, sides.side_b, conv_a, conv_b)
 
 
 def instrumented(d):

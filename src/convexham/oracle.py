@@ -13,13 +13,15 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
   star edges {w, v} for w in 1..n other than a, b and v.
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, stopping at the first row without a hit.  A maximal certificate costs
-  C(|E|,2) + (C(n,2) - |E|) * |E| entries.
+  C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
 - empty_side: the sides of `cycle_sides`, i.e. the plane check of the k
   cycle edges, then one row per cycle edge over all C(n-k,2) off-cycle
-  pairs.  A cycle certificate claiming plane as well runs the plane check
-  once.  A cycle that is not plane or has inconsistent sides fails the
+  pairs.  A cycle that is not plane or has inconsistent sides fails the
   claim.
 - hamiltonian, contains, endpoints: no queries.
+
+The plane check of one edge sequence runs once per call, however many of
+these claims ask it.
 """
 
 from __future__ import annotations
@@ -337,9 +339,9 @@ def _check_star_avoiding(d, cert, v_star):
     return True
 
 
-def _check_maximal_plane(d, cert):
+def _check_maximal_plane(d, cert, plane):
     # have + {e} is plane iff have is plane and e crosses nothing in have.
-    if not is_plane(d, cert.edges):
+    if not plane(tuple(cert.edges)):
         return False
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
@@ -375,7 +377,7 @@ def verify_certificate(d, cert):
     if any(v < 1 or v > d.n for v in cert.vertices):
         raise CertificateError(f"vertices out of range 1..{d.n}", failed=("structure",))
     # A cycle certificate's edges are its cycle edges in cycle order, so the
-    # plane and empty_side claims share one plane check.
+    # plane, maximal_plane and empty_side claims share one plane check.
     plane = functools.cache(lambda edges: is_plane(d, edges))
     for name, value in cert.claims.items():
         if name == "plane":
@@ -393,7 +395,7 @@ def verify_certificate(d, cert):
             s, t = value
             ok = cert.vertices[0] == s and cert.vertices[-1] == t
         elif name == "maximal_plane":
-            ok = (not value) or _check_maximal_plane(d, cert)
+            ok = (not value) or _check_maximal_plane(d, cert, plane)
         else:
             raise CertificateError(f"unknown claim {name!r}", failed=(name,))
         if not ok:

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from convexham import generators
+from convexham.drawing import new_drawing
 
 settings.register_profile(
     "suite",
@@ -24,6 +27,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def random_k4_drawing(n, rng):
+    """Drawing with an arbitrary crossing set obeying the K4 axiom.
+
+    Each 4-set gets one of its three crossing pairs with probability 0.3;
+    most such sets are not realisable, so parity relations that are no
+    2-colouring occur as well as consistent ones.
+    """
+    crossings = []
+    for quad in combinations(range(1, n + 1), 4):
+        if rng.random() < 0.3:
+            a, b, c, x = quad
+            crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
+    rots = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
+    return new_drawing(n, rots, crossings)
 
 
 @pytest.fixture(scope="session")

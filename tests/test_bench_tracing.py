@@ -37,16 +37,31 @@ def test_tracer_targets_resolve_and_unwrap():
 def test_traced_row_entries_equal_library_queries():
     # The tracer counts len(cs) entries per row kernel call and the library
     # counts the size of the answer: they agree while every operand of a
-    # row, blocked bad-edge scans included, stays 1-D.
+    # row, blocked bad-edge scans and triangle splits included, stays 1-D.
+    # A scalar query is one call of the backing's `cross`.
     from convexham import generators, instrumented, verify_certificate
-    from convexham.hamiltonian import star_avoiding_hamiltonian_cycle
+    from convexham.convexity import find_nonconvex_triangle
+    from convexham.hamiltonian import st_hamiltonian_path, star_avoiding_hamiltonian_cycle
 
-    view, counter = instrumented(generators.random_geometric(60, 3))
-    tracer = tracing.Tracer()
-    undo = tracing.install(tracer)
-    try:
-        verify_certificate(view, star_avoiding_hamiltonian_cycle(view, 5, verify=False))
-    finally:
-        tracing.uninstall(undo)
-    assert counter.count > 0
-    assert tracer.counts["geometry.cross_pairs.entries"] == counter.count
+    geo = generators.random_geometric(60, 3)
+    hull = min(range(1, 61), key=lambda v: geo.points[v])  # smallest x
+    s = 1 if hull != 1 else 2
+    geo_rows = ("geometry.cross_pairs.entries", "drawing.geometric_cross")
+    runs = [
+        (geo, geo_rows,
+         lambda d: verify_certificate(d, star_avoiding_hamiltonian_cycle(d, 5, verify=False))),
+        (geo, geo_rows, lambda d: st_hamiltonian_path(d, s, hull, verify=False)),
+        (generators.two_page(10, ((1, 4),)),
+         ("drawing.explicit_cross_pairs.entries", "drawing.explicit_cross"),
+         find_nonconvex_triangle),
+    ]
+    for d, (entries, scalar), run in runs:
+        view, counter = instrumented(d)
+        tracer = tracing.Tracer()
+        undo = tracing.install(tracer)
+        try:
+            run(view)
+        finally:
+            tracing.uninstall(undo)
+        assert tracer.counts[entries] > 0
+        assert tracer.counts[entries] + tracer.stats[scalar][tracing.CALLS] == counter.count

@@ -203,18 +203,6 @@ def test_find_reads_stdin(capsys, monkeypatch):
     assert len(obj["vertices"]) == 3
 
 
-def test_bench_slopes(capsys):
-    code, out, _ = run(capsys, "bench", "--sizes", "30,60", "--reps", "2", "--seed", "0")
-    assert code == 0
-    obj = json.loads(out)
-    assert [r["n"] for r in obj["results"]] == [30, 30, 60, 60]
-    for r in obj["results"]:
-        n = r["n"]
-        assert r["queries"] == (n - 1) * (n - 3)
-    assert len(obj["slopes"]) == 1
-    assert obj["slopes"][0] < 2.15
-
-
 def test_highlight_certificate_from_stdin(capsys, monkeypatch, tmp_path):
     _, drawing, _ = run(capsys, "gen", "random", "--n", "7", "--seed", "0")
     dfile = tmp_path / "d.json"

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from convexham.drawing import (
     new_drawing,
     relabel,
     same_drawing,
+    side_convex,
+    split_by_triangle,
     triangle_sides,
 )
 from convexham.errors import (
@@ -23,9 +26,11 @@ from convexham.errors import (
     InvalidRotation,
     K4Violation,
     NotAPermutation,
+    SideInconsistency,
     TooFewVertices,
     VertexOutOfRange,
 )
+from conftest import random_k4_drawing
 
 seeds = st.integers(0, 400)
 
@@ -150,6 +155,78 @@ def test_triangle_sides_partition(n, seed):
     assert not part.side_a & part.side_b
     if part.side_b:
         assert min(part.side_a) < min(part.side_b)
+
+
+def _parity(d, tri, w, w2):
+    a, b, c = tri
+    return sum(d.crosses((w, w2), e) for e in ((a, b), (b, c), (a, c))) % 2
+
+
+def _split_reference(d, tri, among):
+    """The previous split_by_triangle: three scalar queries per vertex against the smallest."""
+    w0, *rest = sorted(among)
+    odd = [w for w in rest if _parity(d, tri, w0, w)]
+    return [w0] + [w for w in rest if w not in odd], odd
+
+
+def _triangle_sides_reference(d, tri):
+    """The previous triangle_sides: the split, then every pair's parity checked.
+
+    Returns (side_a, side_b, convex_a, convex_b), or None where some pair
+    contradicts the split.
+    """
+    off = [v for v in range(1, d.n + 1) if v not in tri]
+    same, other = _split_reference(d, tri, off)
+    for i, w in enumerate(off):
+        for w2 in off[i + 1:]:
+            if _parity(d, tri, w, w2) != ((w in other) != (w2 in other)):
+                return None
+    return (frozenset(same), frozenset(other),
+            side_convex(d, tri, same)[0], side_convex(d, tri, other)[0])
+
+
+def _assert_triangle_sides_match(d):
+    for tri in combinations(range(1, d.n + 1), 3):
+        want = _triangle_sides_reference(d, tri)
+        view, counter = instrumented(d)
+        if want is None:
+            with pytest.raises(SideInconsistency, match="disagree with sides of cycle"):
+                triangle_sides(view, *tri)
+            continue
+        part = triangle_sides(view, *tri)
+        assert (part.side_a, part.side_b, part.convex_a, part.convex_b) == want
+        # Three rows over the off-triangle pairs, then the convexity checks.
+        total = counter.count
+        side_convex(view, tri, part.side_a)
+        side_convex(view, tri, part.side_b)
+        convexity_queries = counter.count - total
+        assert total - convexity_queries == 3 * comb(d.n - 3, 2)
+
+
+@given(st.integers(4, 9), seeds)
+def test_triangle_sides_matches_reference_geometric(n, seed):
+    _assert_triangle_sides_match(generators.random_geometric(n, seed))
+
+
+@pytest.mark.parametrize("n,outer", [(6, ((1, 4),)), (8, ((1, 4), (4, 7), (7, 8))), (9, ())])
+def test_triangle_sides_matches_reference_two_page(n, outer):
+    _assert_triangle_sides_match(generators.two_page(n, outer))
+
+
+@given(st.integers(5, 8), st.randoms(use_true_random=False))
+def test_triangle_sides_matches_reference_abstract(n, rng):
+    _assert_triangle_sides_match(random_k4_drawing(n, rng))
+
+
+@given(st.integers(4, 9), seeds, st.randoms(use_true_random=False))
+def test_split_by_triangle_matches_reference(n, seed, rng):
+    d = random_k4_drawing(n, rng) if seed % 2 else generators.random_geometric(n, seed)
+    tri = tuple(sorted(rng.sample(range(1, n + 1), 3)))
+    rest = [v for v in range(1, n + 1) if v not in tri]
+    among = rng.sample(rest, rng.randint(1, len(rest)))
+    view, counter = instrumented(d)
+    assert split_by_triangle(view, tri, among) == _split_reference(d, tri, among)
+    assert counter.count == 3 * (len(among) - 1)
 
 
 def test_instrumented_counts(rand8):

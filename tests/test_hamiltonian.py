@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import generators
-from convexham.drawing import adjacent, all_edges, canon_edge
+from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import (
     EdgesCrossOrAdjacent,
     KOutOfRange,
@@ -114,6 +114,16 @@ def test_star_avoiding_multi_bad_hubs(n, outer):
         if n <= 10:
             sols = brute_hamiltonian(d, mode="star_avoiding", v_star=v_star)
             assert _canon_cycle(cert.vertices) in sols
+
+
+def test_star_avoiding_build_queries():
+    # Around a straight-line hub the bad-edge scan of its n - 1 neighbours,
+    # (n - 1)(n - 3) queries, is the whole construction.
+    for n in (30, 60):
+        for seed in (0, 1):
+            view, counter = instrumented(generators.random_geometric(n, seed))
+            star_avoiding_hamiltonian_cycle(view, v_star=n, verify=False)
+            assert counter.count == (n - 1) * (n - 3)
 
 
 def test_empty_k_cycle_full_sweep(rand9):

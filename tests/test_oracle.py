@@ -33,6 +33,7 @@ from convexham.oracle import (
     verify_certificate,
 )
 from convexham.subdrawings import greedy_maximal_plane
+from conftest import random_k4_drawing
 
 
 def _hull_edges(n):
@@ -386,8 +387,9 @@ def test_broken_cycles_fail_the_empty_side_claim():
 
 
 def test_tampered_maximal_plane_certificates():
-    # Failed tuples and the crossing case's count are the previous verifier's.
-    for (d, _, _, sub), add_count in zip(_pinned_certificates(), (314, 102)):
+    # Failed tuples are the previous verifier's.  The plane and maximal_plane
+    # claims share one plane check, which stops at the added edge's crossing.
+    for (d, _, _, sub), add_count in zip(_pinned_certificates(), (157, 51)):
         claims = {"plane": True, "maximal_plane": True}
         dropped = subdrawing_certificate(sub[1:], claims)
         assert _verify_count(d, dropped)[1] == ("maximal_plane",)
@@ -416,15 +418,8 @@ def _cycle_sides_reference(d, cyc):
 
 @given(st.integers(5, 8), st.randoms(use_true_random=False))
 def test_cycle_sides_matches_reference_on_abstract_crossings(n, rng):
-    # Arbitrary crossing sets obeying the K4 axiom: most are not realisable,
-    # so both the sides and the first inconsistent pair get exercised.
-    crossings = []
-    for quad in combinations(range(1, n + 1), 4):
-        if rng.random() < 0.3:
-            a, b, c, x = quad
-            crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
-    rots = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
-    d = new_drawing(n, rots, crossings)
+    # Both the sides and the first inconsistent pair get exercised.
+    d = random_k4_drawing(n, rng)
     cyc = tuple(rng.sample(range(1, n + 1), rng.randint(3, n - 2)))
     k = len(cyc)
     if first_crossing(d, [(cyc[i], cyc[(i + 1) % k]) for i in range(k)]) is not None:
