@@ -55,6 +55,8 @@ def _parse_edge(text):
         u, v = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"edge endpoints must be integers, got {text!r}") from None
+    if u == v:
+        raise UsageError(f"edge joins a vertex to itself: {text!r}")
     return (u, v)
 
 

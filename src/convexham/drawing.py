@@ -3,9 +3,10 @@
 A drawing of K_n is stored as one rotation per vertex (the cyclic,
 counterclockwise order of the other n-1 vertices around it) plus a crossing
 oracle answering whether two independent edges cross.  Two oracle backings
-exist: an explicit set of crossing pairs, and a lazy geometric predicate
-over integer coordinates that answers each query in O(1) without ever
-materialising the O(n^4) crossing set.
+exist: the crossings an abstract drawing's rotations fix, read off once into
+a dense table (n <= 181), and a lazy geometric predicate over integer
+coordinates that answers each query in O(1) without ever materialising the
+O(n^4) crossing set.
 
 A Drawing asks its oracle in exactly two ways: the checked scalar
 `crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -31,10 +33,12 @@ import numpy as np
 from . import geometry
 from .errors import (
     AdjacentCrossing,
+    CrossingsDisagree,
     InvalidRotation,
     K4Violation,
     NotAPermutation,
     TooFewVertices,
+    TooLarge,
     VertexOutOfRange,
 )
 
@@ -65,48 +69,44 @@ class QueryCounter:
 
 
 class ExplicitCrossings:
-    """Crossing oracle backed by an explicit set of crossing pairs."""
+    """Crossing oracle over an (m, 4) array of crossing pairs (a, b, c, d): {a, b} x {c, d}.
 
-    def __init__(self, pairs):
-        self.pairs = frozenset(pairs)
+    Every query is one gather from two dense tables: `_edge_id[u, v]`
+    numbers the edges of K_n in all_edges order (label 0 and u == v give
+    the sentinel id C(n, 2)), and `_table[i, j]` says whether edges i and j
+    cross.  Shared endpoints and the sentinel read False.
+    """
+
+    def __init__(self, n, pairs=()):
+        m = n * (n - 1) // 2
+        if (m + 1) ** 2 > 1 << 28:  # n > 181
+            raise TooLarge(f"n={n} needs a {(m + 1) ** 2}-byte crossing table, over 2**28")
+        ids = np.full((n + 1, n + 1), m, dtype=np.int32)
+        # A boolean mask fills in row-major order, which is all_edges order.
+        ids[1:, 1:][np.less.outer(np.arange(n), np.arange(n))] = np.arange(m)
+        self._edge_id = np.minimum(ids, ids.T)
+        self._table = np.zeros((m + 1, m + 1), dtype=bool)
+        self._mark(np.asarray(pairs, dtype=np.int64).reshape(-1, 4))
+
+    def _mark(self, rows):
+        """Record the crossing pairs of an (m, 4) array (construction only)."""
+        i = self._edge_id[rows[:, 0], rows[:, 1]]
+        j = self._edge_id[rows[:, 2], rows[:, 3]]
+        self._table[i, j] = self._table[j, i] = True
+
+    def relabelled(self, to_old):
+        """This oracle on labels 1..k, label x standing for to_old[x] (to_old[0] = 0)."""
+        out = ExplicitCrossings(len(to_old) - 1)
+        old = np.empty(len(out._table), dtype=np.int32)
+        old[out._edge_id] = self._edge_id[np.ix_(to_old, to_old)]
+        out._table = self._table[np.ix_(old, old)]
+        return out
 
     def cross(self, a, b, c, d):
-        return canon_pair((a, b), (c, d)) in self.pairs
+        return bool(self._table[self._edge_id[a, b], self._edge_id[c, d]])
 
     def cross_pairs(self, a, b, cs, ds):
-        # Python ints: iterating numpy scalars would cost more than the lookups.
-        cs = np.asarray(cs).tolist()
-        m = len(cs)
-        ds = _label_list(ds, m)
-        pairs = self.pairs
-        out = []
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            # A pair per entry (blocked scans).  Rows with one pair take the
-            # loop below, which canonicalises the pair once.
-            for a, b, c, d in zip(_label_list(a, m), _label_list(b, m), cs, ds):
-                if c == a or c == b or d == a or d == b:
-                    out.append(False)
-                else:
-                    e = (a, b) if a < b else (b, a)
-                    f = (c, d) if c < d else (d, c)
-                    out.append(((e, f) if e <= f else (f, e)) in pairs)
-            return np.array(out, dtype=bool)
-        a, b = int(a), int(b)
-        e = canon_edge(a, b)
-        for c, d in zip(cs, ds):
-            if c == a or c == b or d == a or d == b:
-                out.append(False)
-            else:
-                f = (c, d) if c < d else (d, c)
-                out.append(((e, f) if e <= f else (f, e)) in pairs)
-        return np.array(out, dtype=bool)
-
-
-def _label_list(x, m):
-    """Operand x as m Python ints: a label repeats, a 1-D array or list converts."""
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    return x if isinstance(x, list) else [int(x)] * m
+        return self._table[self._edge_id[a, b], self._edge_id[cs, ds]]
 
 
 class GeometricCrossings(geometry.PointBack):
@@ -179,20 +179,16 @@ class Drawing:
 
     def crossing_set(self):
         """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""
-        oracle = self._oracle
-        if isinstance(oracle, ExplicitCrossings):
-            return oracle.pairs
         edges = all_edges(self.n)
-        out = set()
-        for i, e in enumerate(edges):
-            rest = edges[i + 1:]
-            if not rest:
-                break
-            cs = np.array([f[0] for f in rest], dtype=np.int64)
-            ds = np.array([f[1] for f in rest], dtype=np.int64)
-            hits = oracle.cross_pairs(e[0], e[1], cs, ds)
-            for j in np.nonzero(hits)[0]:
-                out.add((e, rest[int(j)]))
+        if isinstance(self._oracle, ExplicitCrossings):
+            i, j = np.nonzero(np.triu(self._oracle._table))
+            pick = edges.__getitem__
+            return frozenset(zip(map(pick, i.tolist()), map(pick, j.tolist())))
+        ends = np.array(edges, dtype=np.int64)
+        out = []
+        for i, (a, b) in enumerate(edges[:-1]):
+            hits = self._oracle.cross_pairs(a, b, ends[i + 1:, 0], ends[i + 1:, 1])
+            out += [(edges[i], edges[j]) for j in (np.flatnonzero(hits) + i + 1).tolist()]
         return frozenset(out)
 
     def __repr__(self):
@@ -217,29 +213,29 @@ def all_edges(n):
     return [(u, v) for u in range(1, n) for v in range(u + 1, n + 1)]
 
 
-def new_drawing(n, rotations, crossings):
-    """Build and validate a drawing from rotations and an explicit crossing set.
+def new_drawing(n, rotations, crossings=None):
+    """Build and validate a drawing from its rotations.
 
-    Validation covers rotation well-formedness, the no-adjacent-crossings
-    rule, and the at-most-one-crossing-per-K4 axiom.  Full topological
-    realisability of the crossing set is not decided here; side-consistency
-    is checked lazily whenever triangle partitions are computed.
+    The rotations fix which edges cross (see _rotation_crossings); subsystems
+    beyond 4-sets are not checked for realisability.  A given crossing list is
+    checked for labels out of range, adjacent edges and two crossings in one
+    K4, in that order, and must then equal the derived set.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
+    oracle = ExplicitCrossings(n)
     if len(rotations) != n:
         raise InvalidRotation(f"expected {n} rotations, got {len(rotations)}")
     rot = [None]
-    for i, r in enumerate(rotations):
-        v = i + 1
+    for v, r in enumerate(rotations, 1):
         expected = [u for u in range(1, n + 1) if u != v]
         if sorted(r) != expected:
             raise InvalidRotation(
                 f"rotation of vertex {v} is not a cyclic order of the others: {tuple(r)}"
             )
         rot.append(_canon_cycle(tuple(r)))
-    pairs = set()
-    for e, f in crossings:
+    given = set()
+    for e, f in () if crossings is None else crossings:
         e = canon_edge(*e)
         f = canon_edge(*f)
         for u in (*e, *f):
@@ -247,14 +243,57 @@ def new_drawing(n, rotations, crossings):
                 raise VertexOutOfRange(f"vertex {u} out of range 1..{n} in crossing pair")
         if adjacent(e, f):
             raise AdjacentCrossing(f"adjacent edges {e} and {f} listed as crossing")
-        pairs.add((e, f) if e <= f else (f, e))
-    quads = Counter(frozenset(e) | frozenset(f) for e, f in pairs)
+        given.add((e, f) if e <= f else (f, e))
+    quads = Counter(frozenset(e) | frozenset(f) for e, f in given)
     for quad, cnt in quads.items():
         if cnt > 1:
             raise K4Violation(
                 f"vertices {tuple(sorted(quad))} span {cnt} crossings; at most one allowed"
             )
-    return Drawing(n, ExplicitCrossings(pairs), rotations=rot)
+    for rows in _rotation_crossings(n, rot):
+        oracle._mark(rows)
+    d = Drawing(n, oracle, rotations=rot)
+    if crossings is not None and given != d.crossing_set():
+        e, f = min(given ^ d.crossing_set())
+        raise CrossingsDisagree(
+            f"listed crossing {e} x {f} is not fixed by the rotations" if (e, f) in given
+            else f"crossing {e} x {f} fixed by the rotations is not listed"
+        )
+    return d
+
+
+def _rotation_crossings(n, rot):
+    """Crossing pairs fixed by the rotations: (m, 4) arrays, a block per smallest vertex.
+
+    For a 4-set a < b < c < d, bit s_v says whether v's rotation meets the
+    other three in ascending cyclic order.  The bits of a simple drawing have
+    even parity (else InvalidRotation), and their pattern names the crossing:
+    s_a = s_b = s_c = s_d, ac x bd; s_a = s_b != s_c, ad x bc;
+    s_a = s_d != s_b, ab x cd; s_a = s_c != s_b, none.  Scratch is O(n^3).
+    """
+    pos = np.zeros((n + 1, n + 1), dtype=np.int16)  # n <= 181 fits int16
+    pos[np.arange(1, n + 1)[:, None], np.array(rot[1:])] = np.arange(n - 1)
+    triples = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), 3)), dtype=np.int16)
+    triples = triples.reshape(-1, 3)
+
+    def ascending(v, x, y, z):
+        p, q, r = pos[v, x], pos[v, y], pos[v, z]
+        # Two of the three steps x->y->z->x go forward in the ascending sense.
+        return ~((p < q) ^ (q < r) ^ (r < p))
+
+    for a in range(1, n - 2):
+        b, c, d = triples[np.searchsorted(triples[:, 0], a, side="right"):].T
+        sa, sb = ascending(a, b, c, d), ascending(b, a, c, d)
+        sc, sd = ascending(c, a, b, d), ascending(d, a, b, c)
+        odd = sa ^ sb ^ sc ^ sd
+        if odd.any():
+            k = int(np.argmax(odd))
+            quad = (a, int(b[k]), int(c[k]), int(d[k]))
+            raise InvalidRotation(f"rotations of vertices {quad} fit no simple drawing")
+        first = np.full_like(b, a)
+        yield np.stack([first, c, b, d], axis=1)[(sa == sb) & (sb == sc)]
+        yield np.stack([first, d, b, c], axis=1)[(sa == sb) & (sb != sc)]
+        yield np.stack([first, b, c, d], axis=1)[(sa == sd) & (sa != sb)]
 
 
 def geometric_drawing(points_1indexed, skip_checks=False):
@@ -270,25 +309,21 @@ def relabel(d, perm):
     n = d.n
     if not isinstance(perm, dict):
         perm = {i + 1: p for i, p in enumerate(perm)}
-    if sorted(perm) != list(range(1, n + 1)) or sorted(perm.values()) != list(
-        range(1, n + 1)
-    ):
+    labels = list(range(1, n + 1))
+    if sorted(perm) != labels or sorted(perm.values()) != labels:
         raise NotAPermutation(f"not a permutation of 1..{n}")
+    return _renamed(d, [0, *sorted(perm, key=perm.get)])
+
+
+def _renamed(d, to_old):
+    """d on the vertices to_old[1:], with vertex to_old[x] renamed x."""
     if d.points is not None:
-        pts = [None] * (n + 1)
-        for old in range(1, n + 1):
-            pts[perm[old]] = d.points[old]
-        return geometric_drawing(tuple(pts), skip_checks=True)
-    rot = [None] * (n + 1)
-    for old in range(1, n + 1):
-        rot[perm[old]] = _canon_cycle(tuple(perm[u] for u in d.rotation_of(old)))
-    pairs = {
-        canon_pair(
-            (perm[e[0]], perm[e[1]]), (perm[f[0]], perm[f[1]])
-        )
-        for e, f in d.crossing_set()
-    }
-    return Drawing(n, ExplicitCrossings(pairs), rotations=rot)
+        return geometric_drawing((None, *(d.points[v] for v in to_old[1:])), skip_checks=True)
+    to_new = {v: x for x, v in enumerate(to_old) if x}
+    rot = [None] + [
+        _canon_cycle(tuple(to_new[u] for u in d.rotation_of(v) if u in to_new)) for v in to_old[1:]
+    ]
+    return Drawing(len(to_old) - 1, d._oracle.relabelled(to_old), rotations=rot)
 
 
 def induced_subdrawing(d, vertices):
@@ -300,25 +335,7 @@ def induced_subdrawing(d, vertices):
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
     to_sub = {v: i + 1 for i, v in enumerate(vs)}
     to_host = {i + 1: v for i, v in enumerate(vs)}
-    if d.points is not None:
-        pts = tuple([None] + [d.points[v] for v in vs])
-        return Induced(geometric_drawing(pts, skip_checks=True), to_sub, to_host)
-    keep = set(vs)
-    rot = [None]
-    for v in vs:
-        rot.append(
-            _canon_cycle(tuple(to_sub[u] for u in d.rotation_of(v) if u in keep))
-        )
-    pairs = set()
-    for e, f in d.crossing_set():
-        if e[0] in keep and e[1] in keep and f[0] in keep and f[1] in keep:
-            pairs.add(
-                canon_pair(
-                    (to_sub[e[0]], to_sub[e[1]]), (to_sub[f[0]], to_sub[f[1]])
-                )
-            )
-    sub = Drawing(len(vs), ExplicitCrossings(pairs), rotations=rot)
-    return Induced(sub, to_sub, to_host)
+    return Induced(_renamed(d, [0, *vs]), to_sub, to_host)
 
 
 @dataclass(frozen=True)

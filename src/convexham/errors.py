@@ -25,6 +25,10 @@ class K4Violation(DrawingError):
     pass
 
 
+class CrossingsDisagree(DrawingError):
+    """A given crossing list differs from the one the rotations fix."""
+
+
 class SideInconsistency(DrawingError):
     pass
 

@@ -1,10 +1,11 @@
-"""Drawing generators: geometric point sets and the twisted family.
+"""Drawing generators: geometric point sets and the twisted and two-page families.
 
 Geometric drawings use exact integer predicates throughout, so every
-generated drawing is simple by construction.  The twisted family is the
-standard non-convex counterexample stock: its crossing rule is interval
-containment, realised by the log-spiral construction (every edge winds once
-around a centre; see tests for a polyline cross-validation).
+generated drawing is simple by construction.  The abstract families, twisted
+and two-page, are given by their rotations, which fix their crossings.  The
+twisted family is the standard non-convex counterexample stock: its crossing
+rule is interval containment, realised by the log-spiral construction (every
+edge winds once around a centre; see tests for a polyline cross-validation).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import random
 
 from . import geometry
-from .drawing import Drawing, geometric_drawing, new_drawing
-from .errors import DegeneratePointSet, ExhaustedRejection, TooFewVertices
+from .drawing import geometric_drawing, new_drawing
+from .errors import DegeneratePointSet, ExhaustedRejection, TooFewVertices, VertexOutOfRange
 
 # Retry budget for rejection sampling in random_geometric.
 _MAX_TRIES = 64
@@ -102,16 +103,7 @@ def twisted(n):
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
-    rotations = []
-    for i in range(1, n + 1):
-        rotations.append(tuple(range(n, i, -1)) + tuple(range(1, i)))
-    crossings = []
-    for a in range(1, n + 1):
-        for b in range(a + 3, n + 1):
-            for c in range(a + 1, b):
-                for dd in range(c + 1, b):
-                    crossings.append(((a, b), (c, dd)))
-    return new_drawing(n, rotations, crossings)
+    return new_drawing(n, [(*range(n, i, -1), *range(1, i)) for i in range(1, n + 1)])
 
 
 def two_page(n, outer_edges=()):
@@ -133,28 +125,17 @@ def two_page(n, outer_edges=()):
     outer = set()
     for e in outer_edges:
         u, w = e
-        if u == w or not (1 <= u <= n and 1 <= w <= n):
+        if u == w:
             raise ValueError(f"bad edge {e!r}")
-        outer.add((u, w) if u < w else (w, u))
-
-    def inside(u, w):
-        return ((u, w) if u < w else (w, u)) not in outer
-
+        if not (1 <= u <= n and 1 <= w <= n):
+            raise VertexOutOfRange(f"outer edge {e!r} has a vertex out of range 1..{n}")
+        outer |= {(u, w), (w, u)}
     rotations = []
     for v in range(1, n + 1):
         cyc = [(v + k - 1) % n + 1 for k in range(1, n)]
-        rotations.append(
-            tuple(w for w in cyc if inside(v, w))
-            + tuple(w for w in reversed(cyc) if not inside(v, w))
-        )
-    crossings = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            for c in range(a + 1, b):
-                for dd in range(b + 1, n + 1):
-                    if inside(a, b) == inside(c, dd):
-                        crossings.append(((a, b), (c, dd)))
-    return new_drawing(n, rotations, crossings)
+        rotations.append([w for w in cyc if (v, w) not in outer]
+                         + [w for w in reversed(cyc) if (v, w) in outer])
+    return new_drawing(n, rotations)
 
 
 def spiral_polylines(n, steps=360):

@@ -6,20 +6,21 @@ The drawing format is a bit-exact contract:
      "points": [[x, y], ...],               # integers; present for geometric drawings
      "rotations": [[int, ...], ...],        # rotations[i] = ccw order around vertex i+1;
                                             # omitted when "points" is present
-     "crossings": [[[u, v], [x, y]], ...]}  # omitted when "points" is present and n > 12
+     "crossings": [[[u, v], [x, y]], ...]}  # written only with "points" and n <= 12
 
 Writers emit canonical form: each rotation starts at its smallest label,
 edges are (min, max), crossing pairs are sorted lexicographically, keys are
 sorted and the encoding is compact.  Identical drawings therefore serialise
 to identical bytes.  A geometric drawing is written as its points (plus the
-crossing list while n <= 12); its rotations follow from the points and are
-not written.
+crossing list while n <= 12); an abstract one as its rotations, which fix
+its crossings.
 
-Readers treat "points" as authoritative and accept the derivable fields as
-redundant input, checked against the coordinates where that is affordable:
-rotations up to n = 64, stored crossings exhaustively up to n = 12 and
-pair-by-pair beyond.  Abstract drawings (no "points") need both
-"rotations" and "crossings".
+Readers treat "points", or else "rotations", as authoritative and accept
+the derivable fields as redundant input, checked where that is affordable.
+Next to points: rotations up to n = 64, stored crossings exhaustively up
+to n = 12 and pair-by-pair beyond.  Next to rotations: stored crossings
+always, with new_drawing's checks, and a list that differs from the one
+the rotations fix is a FormatError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 
 from .drawing import canon_edge, new_drawing
-from .errors import FormatError
+from .errors import CrossingsDisagree, FormatError
 from .generators import geometric
 
 _DRAWING_KEYS = {"n", "rotations", "crossings", "points"}
@@ -47,13 +48,12 @@ def drawing_to_json(d):
     a cross-check.
     """
     obj = {"n": d.n}
-    if d.points is not None:
-        obj["points"] = [list(d.points[v]) for v in range(1, d.n + 1)]
-        if d.n > _CROSSING_CHECK_MAX_N:
-            return obj
-    else:
+    if d.points is None:
         obj["rotations"] = [list(d.rotation_of(v)) for v in range(1, d.n + 1)]
-    obj["crossings"] = [[list(e), list(f)] for e, f in sorted(d.crossing_set())]
+        return obj
+    obj["points"] = [list(d.points[v]) for v in range(1, d.n + 1)]
+    if d.n <= _CROSSING_CHECK_MAX_N:
+        obj["crossings"] = [[list(e), list(f)] for e, f in sorted(d.crossing_set())]
     return obj
 
 
@@ -126,9 +126,13 @@ def drawing_from_json(obj):
         return d
 
     _require(rotations is not None, "abstract drawings need a 'rotations' field")
+    _require(len(rotations) == n, f"expected {n} rotations, got {len(rotations)}")
     crossings = obj.get("crossings")
-    _require(crossings is not None, "abstract drawings need a 'crossings' field")
-    return new_drawing(n, [tuple(r) for r in rotations], _crossing_pairs(crossings))
+    stored = None if crossings is None else _crossing_pairs(crossings)
+    try:
+        return new_drawing(n, [tuple(r) for r in rotations], stored)
+    except CrossingsDisagree as exc:
+        raise FormatError(f"stored crossings disagree with the rotations: {exc}") from None
 
 
 def _crossing_pairs(crossings):

@@ -63,7 +63,7 @@ class StarFrame:
 def _evidence(which, frame_labels, to_host, detail):
     return NotConvexEvidence(
         which,
-        vertices=tuple(sorted(to_host[f] for f in frame_labels)),
+        vertices=tuple(sorted({to_host[f] for f in frame_labels})),
         detail=detail,
     )
 

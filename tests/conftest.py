@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from convexham import generators
-from convexham.drawing import new_drawing
+from convexham.drawing import Drawing, ExplicitCrossings
 
 settings.register_profile(
     "suite",
@@ -41,8 +41,9 @@ def random_k4_drawing(n, rng):
         if rng.random() < 0.3:
             a, b, c, x = quad
             crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
-    rots = [[u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)]
-    return new_drawing(n, rots, crossings)
+    # Built directly: rotations fix a realisable crossing set, this one is free.
+    rots = [None] + [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
+    return Drawing(n, ExplicitCrossings(n, crossings), rotations=rots)
 
 
 @pytest.fixture(scope="session")

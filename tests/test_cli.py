@@ -225,7 +225,7 @@ def _assert_domain_error(code, out, err, name):
 def test_self_loop_crossing_is_format_error(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "twisted", "--n", "5")
     obj = json.loads(drawing)
-    obj["crossings"][0] = [[1, 1], [2, 3]]
+    obj["crossings"] = [[[1, 1], [2, 3]]]
     dfile = tmp_path / "d.json"
     dfile.write_text(json.dumps(obj))
     _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
@@ -250,3 +250,30 @@ def test_malformed_claim_is_format_error(capsys, tmp_path):
     cfile.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", "--in", str(dfile), "--cert", str(cfile))
     _assert_domain_error(code, out, err, "FormatError")
+
+
+def test_gen_two_page_outer_edge_out_of_range_is_domain_error(capsys):
+    _assert_domain_error(*run(capsys, "gen", "two-page", "--n", "5", "--outer", "1,7"),
+                         "VertexOutOfRange")
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: edge joins a vertex to itself")
+
+
+def test_gen_two_page_self_loop_outer_edge_is_usage_error(capsys):
+    _assert_usage_error(*run(capsys, "gen", "two-page", "--n", "5", "--outer", "2,2"))
+
+
+def test_find_edge_path_self_loop_is_usage_error(capsys, tmp_path):
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", "convex-position", "--n", "6")[1])
+    _assert_usage_error(*run(capsys, "find", "edge-path", "--in", str(dfile), "--edge", "2,2"))
+
+
+def test_find_two_edge_path_self_loop_is_usage_error(capsys, tmp_path):
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", "random", "--n", "7", "--seed", "0")[1])
+    _assert_usage_error(*run(capsys, "find", "two-edge-path", "--in", str(dfile),
+                             "--edges", "1,1;2,3"))

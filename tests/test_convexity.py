@@ -15,7 +15,7 @@ from convexham.convexity import (
     is_convex_by_k5,
     is_convex_by_triangles,
 )
-from convexham.drawing import induced_subdrawing, new_drawing, relabel
+from convexham.drawing import Drawing, ExplicitCrossings, induced_subdrawing, relabel
 from convexham.errors import NotK5
 
 
@@ -73,9 +73,8 @@ def test_classify_twisted_and_convex_flags():
 def test_classify_unrecognised_form():
     # Three crossings, all on edge {1,2}: passes the per-K4 validation but
     # matches no catalog form, so it lands in the non-realisable bucket.
-    d = new_drawing(
-        5, _full_rot(5), [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))]
-    )
+    crossings = ExplicitCrossings(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
+    d = Drawing(5, crossings, rotations=[None, *_full_rot(5)])
     assert classify_k5(d) is K5Class.IV_OR_V
     assert not is_convex_by_k5(d)
 

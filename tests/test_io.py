@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -217,3 +218,24 @@ def test_dumps_deterministic(rand9):
     assert io.dumps_drawing(rand9) == io.dumps_drawing(
         generators.random_geometric(9, 7)
     )
+
+
+# Written by the earlier format, which stored every crossing next to the rotations.
+OLD_ABSTRACT = Path(__file__).parent / "data" / "two_page8_with_crossings.json"
+
+
+def test_reader_checks_stored_crossings_against_rotations():
+    d = generators.two_page(8, ((1, 4), (4, 7), (7, 8)))
+    obj = json.loads(OLD_ABSTRACT.read_text())
+    assert same_drawing(io.drawing_from_json(obj), d)
+    assert io.dumps_drawing(io.drawing_from_json(obj)) == io.dumps_drawing(d)
+    dropped = dict(obj, crossings=obj["crossings"][1:])
+    with pytest.raises(FormatError, match="disagree with the rotations"):
+        io.drawing_from_json(dropped)
+    # A 4-set without a crossing takes an extra one without breaking the K4 rule.
+    quad = next(q for q in combinations(range(1, 9), 4)
+                if not any(set(e) | set(f) == set(q) for e, f in d.crossing_set()))
+    a, b, c, x = quad
+    added = dict(obj, crossings=obj["crossings"] + [[[a, b], [c, x]]])
+    with pytest.raises(FormatError, match="disagree with the rotations"):
+        io.drawing_from_json(added)

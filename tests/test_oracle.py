@@ -13,7 +13,7 @@ from convexham.certificates import (
     path_certificate,
     subdrawing_certificate,
 )
-from convexham.drawing import all_edges, canon_edge, instrumented, new_drawing
+from convexham.drawing import Drawing, ExplicitCrossings, all_edges, canon_edge, instrumented
 from convexham.errors import (
     CertificateError,
     CycleNotPlane,
@@ -378,8 +378,8 @@ def test_broken_cycles_fail_the_empty_side_claim():
     # all fails empty_side as a claim; nothing else is raised.
     crossed = cycle_certificate((1, 3, 2, 4, 5, 6), {"plane": True, "empty_side": True})
     assert _verify_count(generators.convex_position(6), crossed)[1] == ("empty_side", "plane")
-    rots = [[u for u in range(1, 7) if u != v] for v in range(1, 7)]
-    d = new_drawing(6, rots, [((1, 2), (4, 5))])
+    rots = [None] + [tuple(u for u in range(1, 7) if u != v) for v in range(1, 7)]
+    d = Drawing(6, ExplicitCrossings(6, [((1, 2), (4, 5))]), rotations=rots)
     inconsistent = cycle_certificate((1, 2, 3), {"empty_side": True})
     assert _verify_count(d, inconsistent)[1] == ("empty_side",)
     edge = path_certificate((1, 2), {"empty_side": True})
@@ -440,7 +440,7 @@ def test_cycle_sides_matches_reference_on_abstract_crossings(n, rng):
 
 
 def test_cycle_sides_inconsistency_message():
-    rots = [[u for u in range(1, 7) if u != v] for v in range(1, 7)]
-    d = new_drawing(6, rots, [((1, 2), (4, 5))])
+    rots = [None] + [tuple(u for u in range(1, 7) if u != v) for v in range(1, 7)]
+    d = Drawing(6, ExplicitCrossings(6, [((1, 2), (4, 5))]), rotations=rots)
     with pytest.raises(SideInconsistency, match=r"vertices 5,6 disagree with sides of cycle \(1, 2, 3\)"):
         cycle_sides(d, (1, 2, 3))
