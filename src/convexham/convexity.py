@@ -5,16 +5,29 @@ side S is convex when no edge spanned by S (together with the triangle's
 corners) crosses the triangle.  Equivalently, every induced 5-vertex
 subdrawing must be one of the three crossing patterns realisable by points
 (types I, II, III below).  Both routes are implemented; they must agree.
+
+The 5-set route is one pass.  Three rows read the crossing state of every
+4-set (which of its three matchings cross), 3 * C(n, 4) queries; each
+5-set's five states form a 15-bit code, and a 2**15-entry table built from
+the catalog forms maps the code to its K5Class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations, permutations
+from math import comb
 
-from .drawing import induced_subdrawing, side_convex, triangle_sides
-from .errors import NotK5
+import numpy as np
+
+from .drawing import side_convex, triangle_sides
+from .errors import NotK5, TooLarge
+
+# The 5-set pass keeps O(C(n, 4)) scratch; past this many 4-sets (n > 101)
+# it refuses rather than allocate gigabytes for hours of work.
+_MAX_QUADS = 1 << 22
 
 
 class K5Class(Enum):
@@ -28,6 +41,9 @@ class K5Class(Enum):
     @property
     def convex(self):
         return self in (K5Class.I, K5Class.II, K5Class.III)
+
+
+_CLASSES = tuple(K5Class)
 
 
 def canonical_k5_form(crossing_pairs):
@@ -57,6 +73,89 @@ def canonical_k5_form(crossing_pairs):
     return best
 
 
+def _k5_code(pairs):
+    """15-bit code of a crossing set on labels 1..5, as _k5_codes builds it.
+
+    Bits 3i..3i+2 hold the state of the 4-set missing label i + 1: for its
+    labels w0 < w1 < w2 < w3, bit j says whether w0 w(j+1) crosses the
+    other two.  Every pair must be of independent edges.
+    """
+    code = 0
+    for e, f in pairs:
+        w = sorted((*e, *f))
+        mate = sum(e) - w[0] if w[0] in e else sum(f) - w[0]
+        missing = 15 - sum(w)  # labels 1..5 sum to 15
+        code |= 1 << 3 * (missing - 1) + w.index(mate) - 1
+    return code
+
+
+def _lookup_table(forms):
+    """uint8 table from 15-bit code to index in _CLASSES.
+
+    Every relabelling of each form gets its tag; every other code is
+    IV_OR_V, as no relabelling of it matches a form.
+    """
+    table = np.full(1 << 15, _CLASSES.index(K5Class.IV_OR_V), dtype=np.uint8)
+    for tag, form in forms.items():
+        for perm in permutations(range(1, 6)):
+            m = (0, *perm)
+            code = _k5_code(((m[a], m[b]), (m[c], m[x])) for (a, b), (c, x) in form)
+            table[code] = _CLASSES.index(K5Class[tag])
+    return table
+
+
+@cache
+def _k5_table():
+    """The catalog's lookup table and its per-code non-convexity mask, built once."""
+    from ._k5_catalog import FORMS
+
+    table = _lookup_table(FORMS)
+    return table, ~np.array([c.convex for c in _CLASSES])[table]
+
+
+def _subsets(n, k):
+    """All k-subsets of range(n) as rows of an int16 array, in lex order."""
+    rows = np.arange(n, dtype=np.int16)[:, None]
+    for _ in range(k - 1):
+        last = rows[:, -1].astype(np.int64)
+        grow = n - 1 - last  # row r extends by last_r + 1, ..., n - 1
+        keep = np.repeat(np.arange(len(rows)), grow)
+        step = np.arange(len(keep)) - np.repeat(np.cumsum(grow) - grow, grow)
+        rows = np.column_stack([rows[keep], (last[keep] + 1 + step).astype(np.int16)])
+    return rows
+
+
+def _k5_codes(d):
+    """Codes of all 5-sets of d: (a, rest, codes) per smallest vertex, lex order.
+
+    Labels are 0-based: the block's 5-sets are {a} with each row of rest.
+    The three rows ask 3 * C(n, 4) queries, none adjacent; each 4-subset
+    state is then found by its colex rank.
+    """
+    n = d.n
+    if comb(n, 4) > _MAX_QUADS:
+        raise TooLarge(f"n={n} has {comb(n, 4)} 4-sets; the 5-set pass stops at {_MAX_QUADS}")
+    quads = _subsets(n, 4)
+    p, q, r, s = quads.T + 1
+    state = np.zeros(len(quads), dtype=np.uint16)
+    for bit, row in enumerate((d.cross_pairs(p, q, r, s), d.cross_pairs(p, r, q, s),
+                               d.cross_pairs(p, s, q, r))):
+        state[row] |= 1 << bit
+    b1, b2, b3, b4 = (np.array([comb(x, k) for x in range(n)], dtype=np.int32) for k in range(1, 5))
+    w, x, y, z = quads.T
+    by_colex = np.empty_like(state)
+    by_colex[b1[w] + b2[x] + b3[y] + b4[z]] = state
+    # Colex rank, less the added smallest vertex, of each quad without its i-th vertex.
+    drop = (b2[x] + b3[y] + b4[z], b2[w] + b3[y] + b4[z],
+            b2[w] + b3[x] + b4[z], b2[w] + b3[x] + b4[y])
+    for a in range(n - 4):
+        start = len(quads) - comb(n - a - 1, 4)  # the quads above a form a suffix
+        codes = state[start:].copy()
+        for i, rank in enumerate(drop, 1):
+            codes |= by_colex[a + rank[start:]] << 3 * i
+        yield a, quads[start:], codes
+
+
 def classify_k5(d):
     """Classify a 5-vertex drawing as K5Class.
 
@@ -64,16 +163,12 @@ def classify_k5(d):
     type V is the twisted drawing's pattern.  The remaining possibility is
     reported as IV_OR_V: with the four named forms excluded it can only be
     the fourth pattern, but the classifier never certifies that directly.
+    Costs 15 queries.
     """
     if d.n != 5:
         raise NotK5(f"expected a 5-vertex drawing, got n={d.n}")
-    from ._k5_catalog import FORMS
-
-    form = canonical_k5_form(d.crossing_set())
-    for tag, known in FORMS.items():
-        if form == known:
-            return K5Class[tag]
-    return K5Class.IV_OR_V
+    ((_, _, codes),) = _k5_codes(d)
+    return _CLASSES[_k5_table()[0][codes[0]]]
 
 
 @dataclass(frozen=True)
@@ -123,12 +218,16 @@ def is_convex_by_k5(d):
 
 
 def find_nonconvex_k5(d):
-    """First 5-subset (lex order) inducing a non-realisable pattern, or None."""
+    """First 5-subset (lex order) inducing a non-realisable pattern, or None.
+
+    One pass: 3 * C(n, 4) queries, then a table lookup per 5-set.
+    """
     if d.n < 5:
         return None
-    for sub in combinations(range(1, d.n + 1), 5):
-        d5 = induced_subdrawing(d, sub).drawing
-        cls = classify_k5(d5)
-        if not cls.convex:
-            return NonConvexK5(vertices=sub, k5_class=cls)
+    table, nonconvex = _k5_table()
+    for a, rest, codes in _k5_codes(d):
+        bad = nonconvex[codes]
+        k = int(bad.argmax())
+        if bad[k]:
+            return NonConvexK5((a + 1, *(rest[k] + 1).tolist()), _CLASSES[table[codes[k]]])
     return None

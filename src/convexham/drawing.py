@@ -191,6 +191,17 @@ class Drawing:
             out += [(edges[i], edges[j]) for j in (np.flatnonzero(hits) + i + 1).tolist()]
         return frozenset(out)
 
+    def crossing_degrees(self):
+        """How many edges cross each edge, in all_edges order; uncounted.
+
+        Abstract drawings sum their table's rows; geometric ones count over
+        crossing_set(), so small n only.
+        """
+        if isinstance(self._oracle, ExplicitCrossings):
+            return self._oracle._table[:-1, :-1].sum(axis=1)
+        deg = Counter(chain.from_iterable(self.crossing_set()))
+        return np.array([deg[e] for e in all_edges(self.n)])
+
     def __repr__(self):
         kind = "geometric" if self.points is not None else "explicit"
         return f"Drawing(n={self.n}, {kind})"
@@ -430,10 +441,14 @@ def instrumented(d):
 def same_drawing(d1, d2):
     """Structural equality: same n, same rotations, same crossing pairs.
 
-    Materialises crossing sets, so intended for small drawings (tests).
+    Two abstract drawings compare their crossing tables; otherwise the
+    crossing sets are materialised, so small drawings only.
     """
     if d1.n != d2.n:
         return False
     if d1.rotations != d2.rotations:
         return False
+    o1, o2 = d1._oracle, d2._oracle
+    if isinstance(o1, ExplicitCrossings) and isinstance(o2, ExplicitCrossings):
+        return np.array_equal(o1._table, o2._table)
     return d1.crossing_set() == d2.crossing_set()

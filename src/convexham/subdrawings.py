@@ -38,13 +38,10 @@ def crossing_degree_order(d):
     """All edges sorted by how many other edges cross them, then lex.
 
     The default greedy order: least-crossed edges first keeps hull-like
-    edges early.  Materialises the full crossing set; meant for moderate n.
+    edges early.  Uncounted; see Drawing.crossing_degrees for the cost.
     """
-    deg = {e: 0 for e in all_edges(d.n)}
-    for e, f in d.crossing_set():
-        deg[e] += 1
-        deg[f] += 1
-    return tuple(sorted(deg, key=lambda e: (deg[e], e)))
+    edges = all_edges(d.n)
+    return tuple(edges[i] for i in np.argsort(d.crossing_degrees(), kind="stable").tolist())
 
 
 def greedy_maximal_plane(d, seed=(), order=None):

@@ -84,6 +84,26 @@ def test_check_convex_twisted_witness(capsys, tmp_path):
     assert obj["witness"]["class"] == "V"
 
 
+@pytest.mark.parametrize("gen, expected", [
+    (("twisted", "--n", "7"),
+     '{"convex":false,"method":"k5","witness":{"class":"V","vertices":[1,2,3,4,5]}}'),
+    (("two-page", "--n", "9", "--outer", "1,4"), '{"convex":true,"method":"k5","witness":null}'),
+    (("two-page", "--n", "9", "--outer", "1,5;2,6"),
+     '{"convex":false,"method":"k5","witness":{"class":"IV_OR_V","vertices":[1,2,3,5,6]}}'),
+    (("random", "--n", "9", "--seed", "4"), '{"convex":true,"method":"k5","witness":null}'),
+])
+def test_check_convex_k5_stdout(capsys, tmp_path, gen, expected):
+    # Stdout as printed by the per-5-set classifier the table lookup replaced.
+    _, drawing, _ = run(capsys, "gen", *gen)
+    dfile = tmp_path / "d.json"
+    dfile.write_text(drawing)
+    code, out, err = run(capsys, "check-convex", "--in", str(dfile), "--method", "k5")
+    assert code == 0
+    assert out.strip() == expected
+    n = int(gen[2])
+    assert manifest_of(err)["oracle_queries"] == 3 * n * (n - 1) * (n - 2) * (n - 3) // 24
+
+
 def test_manifest_shape(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "random", "--n", "7", "--seed", "2")
     dfile = tmp_path / "d.json"

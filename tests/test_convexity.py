@@ -1,13 +1,19 @@
-from itertools import combinations
+import random
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_k4_drawing
 from convexham import generators
 from convexham._k5_catalog import FORMS
 from convexham.convexity import (
     K5Class,
+    NonConvexK5,
+    _k5_code,
+    _k5_table,
     canonical_k5_form,
     classify_k5,
     find_nonconvex_k5,
@@ -15,8 +21,14 @@ from convexham.convexity import (
     is_convex_by_k5,
     is_convex_by_triangles,
 )
-from convexham.drawing import Drawing, ExplicitCrossings, induced_subdrawing, relabel
-from convexham.errors import NotK5
+from convexham.drawing import (
+    Drawing,
+    ExplicitCrossings,
+    induced_subdrawing,
+    instrumented,
+    relabel,
+)
+from convexham.errors import NotK5, TooLarge
 
 
 def _full_rot(n):
@@ -125,3 +137,107 @@ def test_nonconvex_k5_witness(conv8):
 
 def test_convex_drawings_have_no_witness(conv6):
     assert find_nonconvex_triangle(conv6) is None
+
+
+# The per-5-set classifier the table lookup replaced, kept as the reference.
+def _reference_class(crossing_pairs):
+    form = canonical_k5_form(crossing_pairs)
+    for tag, known in FORMS.items():
+        if form == known:
+            return K5Class[tag]
+    return K5Class.IV_OR_V
+
+
+def _reference_find_nonconvex_k5(d):
+    for sub in combinations(range(1, d.n + 1), 5):
+        cls = _reference_class(induced_subdrawing(d, sub).drawing.crossing_set())
+        if not cls.convex:
+            return NonConvexK5(sub, cls)
+    return None
+
+
+def _code_pairs(code):
+    """The crossing pairs on labels 1..5 that a 15-bit code stands for."""
+    pairs = []
+    for i in range(5):
+        w = [v for v in range(1, 6) if v != i + 1]
+        for j in range(3):
+            if code >> 3 * i + j & 1:
+                mate = w[j + 1]
+                rest = tuple(v for v in w[1:] if v != mate)
+                pairs.append(((w[0], mate), rest))
+    return pairs
+
+
+def _fan(n, step):
+    return generators.two_page(n, tuple((1, j) for j in range(4, n - 1, step)))
+
+
+@given(st.integers(5, 9), st.sampled_from(["twisted", "fan", "geometric", "k4"]), st.randoms())
+def test_find_nonconvex_k5_matches_reference(n, kind, rng):
+    if kind == "k4":
+        d = random_k4_drawing(n, rng)
+    else:
+        d = {
+            "twisted": lambda: generators.twisted(n),
+            "fan": lambda: _fan(n, rng.choice((1, 2, 3))),
+            "geometric": lambda: generators.random_geometric(n, rng.randrange(1000)),
+        }[kind]()
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        d = relabel(d, perm)
+    assert find_nonconvex_k5(d) == _reference_find_nonconvex_k5(d)
+
+
+def test_table_matches_canonical_forms_on_catalog_codes():
+    table, nonconvex = _k5_table()
+    codes = set()
+    for form in FORMS.values():
+        for perm in permutations(range(1, 6)):
+            m = (0, *perm)
+            codes.add(_k5_code([((m[a], m[b]), (m[c], m[x])) for (a, b), (c, x) in form]))
+    assert len(codes) <= 480
+    for code in codes:
+        assert canonical_k5_form(_code_pairs(code)) in FORMS.values()
+        cls = _reference_class(_code_pairs(code))
+        assert list(K5Class)[table[code]] is cls
+        assert nonconvex[code] == (not cls.convex)
+    # Only the catalog codes are convex or type V.
+    assert sum(table != list(K5Class).index(K5Class.IV_OR_V)) == len(codes)
+
+
+@given(st.integers(0, (1 << 15) - 1))
+def test_table_matches_canonical_forms_on_random_codes(code):
+    assert _k5_code(_code_pairs(code)) == code
+    assert list(K5Class)[_k5_table()[0][code]] is _reference_class(_code_pairs(code))
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 12])
+def test_k5_pass_asks_three_queries_per_4_set(n):
+    rng = random.Random(n)
+    for d in (_fan(n, 2), generators.random_geometric(n, 1), random_k4_drawing(n, rng)):
+        view, counter = instrumented(d)
+        find_nonconvex_k5(view)
+        assert counter.count == 3 * comb(n, 4)
+    view, counter = instrumented(generators.twisted(5))
+    assert classify_k5(view) is K5Class.V
+    assert counter.count == 15
+
+
+def test_k5_pass_refuses_past_its_scratch_bound():
+    with pytest.raises(TooLarge):
+        find_nonconvex_k5(generators.convex_position(102))
+
+
+@pytest.mark.parametrize("n, step", [(16, 3), (24, 3), (24, 2)])
+def test_fans_convex_by_both_checks_at_scale(n, step):
+    d = relabel(_fan(n, step), list(range(n, 0, -1)))
+    assert is_convex_by_k5(d)
+    assert is_convex_by_triangles(d)
+
+
+def test_twisted_witness_at_scale():
+    d = generators.twisted(40)
+    bad = find_nonconvex_k5(d)
+    assert bad is not None and not bad.k5_class.convex
+    assert classify_k5(induced_subdrawing(d, bad.vertices).drawing) is bad.k5_class

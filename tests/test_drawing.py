@@ -106,6 +106,16 @@ def test_explicit_equals_geometric_oracle(n, seed):
             assert d.crosses(e, f) == d2.crosses(e, f)
 
 
+@given(st.integers(4, 8), st.randoms())
+def test_same_drawing_matches_crossing_sets(n, rng):
+    # Equal rotations, so only the crossing tables can tell these apart.
+    d1, d2 = random_k4_drawing(n, rng), random_k4_drawing(n, rng)
+    assert same_drawing(d1, d2) == (d1.crossing_set() == d2.crossing_set())
+    assert same_drawing(d1, relabel(d1, list(range(1, n + 1))))
+    geo = generators.random_geometric(n, rng.randrange(1000))
+    assert same_drawing(new_drawing(n, geo.rotations), geo)
+
+
 def test_rotation_canonical_form(rand9):
     for v in range(1, 10):
         rot = rand9.rotation_of(v)

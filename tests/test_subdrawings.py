@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import generators
-from convexham.drawing import all_edges, canon_edge
+from convexham.drawing import all_edges, canon_edge, instrumented, relabel
 from convexham.errors import NotConvex, SeedNotPlane
 from convexham.hamiltonian import hamiltonian_cycle
 from convexham.oracle import exact_max_plane, first_crossing, verify_certificate
@@ -60,6 +60,25 @@ def test_crossing_degree_order_shape(conv8):
     assert sorted(order) == list(all_edges(8))
     # hull edges cross nothing, so the 8 least-crossed come first
     assert set(order[:8]) == {(i, i + 1) for i in range(1, 8)} | {(1, 8)}
+
+
+def _reference_degree_order(d):
+    deg = {e: 0 for e in all_edges(d.n)}
+    for e, f in d.crossing_set():
+        deg[e] += 1
+        deg[f] += 1
+    return tuple(sorted(deg, key=lambda e: (deg[e], e)))
+
+
+@given(st.integers(4, 12), st.randoms())
+def test_crossing_degree_order_matches_crossing_set(n, rng):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    for d in (relabel(generators.two_page(n, ((1, 4),)), perm), generators.twisted(n),
+              generators.random_geometric(n, rng.randrange(1000))):
+        view, counter = instrumented(d)
+        assert crossing_degree_order(view) == _reference_degree_order(d)
+        assert counter.count == 0
 
 
 @pytest.mark.parametrize("n", range(3, 13))
