@@ -21,9 +21,6 @@ class Certificate:
     claims: dict = field(default_factory=dict)
     oracle_verified: bool = False
 
-    def claim(self, name, default=None):
-        return self.claims.get(name, default)
-
 
 def _seq_edges(seq, close):
     edges = [canon_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]

@@ -17,13 +17,12 @@ import sys
 import time
 
 from . import __version__, generators, io
-from .convexity import find_nonconvex_k5, find_nonconvex_triangle
+from .convexity import find_nonconvex_k5, find_nonconvex_triangle, require_convex
 from .drawing import instrumented
 from .errors import (
     CertificateError,
     DrawingError,
     NoCoordinates,
-    NotConvex,
     NotConvexEvidence,
 )
 from .hamiltonian import (
@@ -179,12 +178,7 @@ def cmd_max_plane(args, manifest):
     from .drawing import all_edges
 
     d = _load_drawing(args, manifest)
-    bad = find_nonconvex_triangle(d)
-    if bad is not None:
-        raise NotConvex(
-            f"maximal size is order-dependent on non-convex input; "
-            f"triangle {bad.triangle} has no convex side"
-        )
+    require_convex(d)
     sub = _max_plane_sub(d, args)
     out = {
         "size": len(sub),

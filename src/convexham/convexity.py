@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .drawing import side_convex, triangle_sides
-from .errors import NotK5, TooLarge
+from .errors import NotConvex, NotK5, TooLarge
 
 # The 5-set pass keeps O(C(n, 4)) scratch; past this many 4-sets (n > 101)
 # it refuses rather than allocate gigabytes for hours of work.
@@ -231,3 +231,17 @@ def find_nonconvex_k5(d):
         if bad[k]:
             return NonConvexK5((a + 1, *(rest[k] + 1).tolist()), _CLASSES[table[codes[k]]])
     return None
+
+
+def require_convex(d):
+    """Refuse a drawing whose maximal plane size would depend on the order.
+
+    Raises NotConvex naming the first non-realisable 5-set and its class;
+    like find_nonconvex_k5, raises TooLarge past n = 101.
+    """
+    bad = find_nonconvex_k5(d)
+    if bad is not None:
+        raise NotConvex(
+            f"maximal plane size is order-dependent on non-convex input; "
+            f"5-set {bad.vertices} is of class {bad.k5_class.name}"
+        )

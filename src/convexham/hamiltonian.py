@@ -14,7 +14,7 @@ import numpy as np
 
 from . import geometry
 from .certificates import cycle_certificate, path_certificate
-from .drawing import canon_edge, induced_subdrawing, split_by_triangle
+from .drawing import canon_edge, split_by_triangle
 from .errors import (
     CertificateError,
     EdgesCrossOrAdjacent,
@@ -80,6 +80,10 @@ def _solve_path(d, subset, s, t):
     """Plane Hamiltonian path from s to t inside subset (host labels).
 
     Iterative two-phase stack; recursion depth would otherwise reach n.
+    With s None the root picks its own start from the scan of t's rotation:
+    the chosen bad edge's second endpoint, or the rotation's first vertex
+    when there is no bad edge.  Either way the closing edge {t, s} is safe,
+    which is what hamiltonian_cycle needs.
     """
     work = [("solve", tuple(sorted(subset)), s, t)]
     done = []
@@ -96,20 +100,16 @@ def _solve_path(d, subset, s, t):
             done.append(p1 + p2[1:])
             continue
         _, sub, s0, t0 = item
-        k = len(sub)
-        if k == 1:
-            done.append([s0])
-            continue
-        if k == 2:
-            done.append([s0, t0])
-            continue
-        if k == 3:
-            mid = next(x for x in sub if x != s0 and x != t0)
-            done.append([s0, mid, t0])
+        if s0 is not None and len(sub) <= 3:
+            # At most one vertex between s0 and t0: the path is forced.
+            mid = [x for x in sub if x != s0 and x != t0]
+            done.append([s0, *mid, t0] if len(sub) > 1 else [s0])
             continue
         inset = set(sub)
         order = tuple(x for x in d.rotation_of(t0) if x in inset)
         bad = scan_bad_edges(d, order, t0)
+        if s0 is None:
+            s0 = _pick_bad(order, bad)[1] if bad else order[0]
         if not bad:
             i = order.index(s0)
             done.append(list(order[i:] + order[:i]) + [t0])
@@ -148,20 +148,13 @@ def st_hamiltonian_path(d, s, t, verify=True):
 
 
 def hamiltonian_cycle(d, verify=True):
-    """Plane Hamiltonian cycle: an s-t path chosen so the closing edge is safe.
+    """Plane Hamiltonian cycle: a path to the highest-label vertex t, closed.
 
-    With no bad edge around the highest-label vertex the rotation order
-    itself closes up; otherwise the path runs from the chosen bad edge's
-    second endpoint and closes with a star edge of t.
+    The s-t solver's root scans t's rotation once and starts the path where
+    the closing edge is safe (see _solve_path), so the cycle costs exactly
+    the queries of st_hamiltonian_path from that start to t.
     """
-    t = d.n
-    order = d.rotation_of(t)
-    bad = scan_bad_edges(d, order, t)
-    if not bad:
-        seq = list(order) + [t]
-    else:
-        _u, v, _w = _pick_bad(order, bad)
-        seq = _solve_path(d, range(1, d.n + 1), v, t)
+    seq = _solve_path(d, range(1, d.n + 1), None, d.n)
     cert = cycle_certificate(seq, {"plane": True, "hamiltonian": True})
     return _verified(d, cert, verify)
 
@@ -277,14 +270,12 @@ def star_avoiding_hamiltonian_cycle(d, v_star, verify=True):
 def empty_k_cycle(d, k, v_star, verify=True):
     """Plane k-cycle through v_star with one side free of vertices.
 
-    Cuts the star-avoiding path after k-1 vertices; the visited labels form
-    an integer interval, which is what keeps one side empty.
+    The first k vertices of the star-avoiding cycle: v_star, then k-1 frame
+    labels that form an integer interval, which keeps one side empty.
     """
     if not 3 <= k <= d.n:
         raise KOutOfRange(f"need 3 <= k <= {d.n}, got {k}")
-    frame = build_star_frame(d, v_star)
-    fpath = _star_frame_path(d, frame)[: k - 1]
-    seq = [v_star] + [frame.to_host[f] for f in fpath]
+    seq = star_avoiding_hamiltonian_cycle(d, v_star, verify=False).vertices[:k]
     claims = {"plane": True, "empty_side": True}
     if k == d.n:
         claims["hamiltonian"] = True
@@ -321,24 +312,13 @@ def path_containing_edge(d, e, verify=True):
 # Geometric: a path through two prescribed independent edges
 
 
-def _sub_path(d, subset, s, t):
-    """Plane s-t path inside subset, via an induced geometric subdrawing."""
-    if len(subset) == 1:
-        return [s]
-    if len(subset) == 2:
-        return [s, t]
-    ind = induced_subdrawing(d, subset)
-    seq = _solve_path(ind.drawing, range(1, ind.drawing.n + 1), ind.to_sub[s], ind.to_sub[t])
-    return [ind.to_host[x] for x in seq]
-
-
 def geometric_path_with_two_edges(points, e, e2, verify=True):
     """Plane Hamiltonian path on the given points containing both edges.
 
     The edges must be vertex-disjoint and non-crossing.  Extending them to
     lines splits the remaining points into three regions traversed in
     order: one ending at e, one carrying the leap from e to e2, one after
-    e2.  Sub-paths come from the s-t construction on induced subdrawings.
+    e2.  Sub-paths come from the s-t solver on each region's host labels.
     """
     from .generators import geometric
 
@@ -380,9 +360,9 @@ def geometric_path_with_two_edges(points, e, e2, verify=True):
             raise DegeneratePointSet(f"point {w} lies on the line through {u},{v}")
         (r2 if o == side_u2 else r1).append(w)
 
-    p1 = _sub_path(d, r1 + [u], min(r1), u) if r1 else [u]
-    p2 = _sub_path(d, sorted({v, u2} | set(r2)), v, u2)
-    p3 = _sub_path(d, r3 + [v2], v2, min(r3)) if r3 else [v2]
+    p1 = _solve_path(d, r1 + [u], min(r1), u) if r1 else [u]
+    p2 = _solve_path(d, r2 + [v, u2], v, u2)
+    p3 = _solve_path(d, r3 + [v2], v2, min(r3)) if r3 else [v2]
     seq = p1 + p2 + p3
     cert = path_certificate(
         seq,

@@ -107,19 +107,17 @@ def scan_bad_edges(d, order, hub):
     return bad
 
 
-def _cyclic_shift(label, offset, k):
-    return (label - 1 - offset) % k + 1
-
-
-def _find_witness_gap(bad, to_host, k):
+def _find_witness_gap(bad, order):
     """The cyclic gap between consecutive bad-edge endpoints holding all witnesses.
 
-    Returns the gap's left endpoint (a bad-edge endpoint).  Convexity forces
-    bad edges and witnesses into two disjoint cyclic blocks; if witnesses
-    spill over several gaps that structure is refuted.
+    `bad` is scan_bad_edges(d, order, hub); positions index `order`.  Returns
+    the gap's left endpoint (a bad-edge endpoint's position).  Convexity
+    forces bad edges and witnesses into two disjoint cyclic blocks; if
+    witnesses spill over several gaps that structure is refuted.
     """
-    ends = sorted({x for (p, _w) in bad for x in p})
-    all_w = sorted(set().union(*(w for _p, w in bad)))
+    k = len(order)
+    ends = sorted({x for i, _w in bad for x in (i, (i + 1) % k)})
+    all_w = sorted(set().union(*(w for _i, w in bad)))
     w0 = all_w[0]
     j = bisect.bisect_left(ends, w0) - 1
     if j < 0:
@@ -136,7 +134,7 @@ def _find_witness_gap(bad, to_host, k):
         raise _evidence(
             "witness-two-block",
             stray + [left, right],
-            to_host,
+            order,
             "witnesses are not confined to one gap between bad-edge endpoints",
         )
     return left
@@ -145,6 +143,9 @@ def _find_witness_gap(bad, to_host, k):
 def build_star_frame(d, v_star):
     """Label vertices around v_star, find bad edges, validate, build l_table.
 
+    The frame is v_star's rotation rotated once: it starts right after the
+    unique bad pair (m = 1) or after the left end of the witness gap
+    (m >= 2), so bad edges and witnesses are relabeled in one pass.
     Assumes (but never pre-checks) a convex drawing; on structural failure
     raises NotConvexEvidence carrying host-label vertices.  Crossing-oracle
     usage is O(n^2) end to end.
@@ -156,34 +157,21 @@ def build_star_frame(d, v_star):
         raise VertexOutOfRange(f"v_star out of range 1..{n}")
     k = n - 1
     order = d.rotation_of(v_star)
-    to_host = [0] + list(order) + [v_star]
-    bad = [
-        ((i + 1, (i + 1) % k + 1), frozenset(p + 1 for p in wpos))
-        for i, wpos in scan_bad_edges(d, order, v_star)
-    ]
-    m = len(bad)
-
+    scanned = scan_bad_edges(d, order, v_star)
+    m = len(scanned)
     if m == 0:
-        offset = 0
+        shift = 0
     elif m == 1:
         # Shift the unique bad pair onto the wrap position (n-1, 1).
-        offset = bad[0][0][1] - 1
+        shift = scanned[0][0] + 1
     else:
-        offset = _find_witness_gap(bad, to_host, k)
+        shift = _find_witness_gap(scanned, order) + 1
+    to_host = (0, *order[shift:], *order[:shift], v_star)
 
-    if offset:
-        new_to_host = [0] * (n + 1)
-        for f in range(1, k + 1):
-            new_to_host[_cyclic_shift(f, offset, k)] = to_host[f]
-        new_to_host[n] = v_star
-        bad = [
-            (
-                (_cyclic_shift(fu, offset, k), _cyclic_shift(fv, offset, k)),
-                frozenset(_cyclic_shift(w, offset, k) for w in wset),
-            )
-            for (fu, fv), wset in bad
-        ]
-        to_host = new_to_host
+    def frame(p):
+        return (p - shift) % k + 1
+
+    bad = [((frame(i), frame(i + 1)), frozenset(map(frame, wpos))) for i, wpos in scanned]
     to_frame = [0] * (n + 1)
     for f in range(1, n + 1):
         to_frame[to_host[f]] = f
@@ -235,7 +223,7 @@ def build_star_frame(d, v_star):
         drawing=d,
         v_star=v_star,
         to_frame=tuple(to_frame),
-        to_host=tuple(to_host),
+        to_host=to_host,
         bad=tuple(p for p, _w in bad),
         witnesses=tuple(w for _p, w in bad),
         blocks_left=blocks_left,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .certificates import Certificate, subdrawing_certificate
 from .drawing import all_edges, canon_edge
-from .errors import NotConvex, SeedNotPlane
+from .convexity import require_convex
+from .errors import SeedNotPlane
 from .oracle import first_crossing
 
 
@@ -96,12 +97,9 @@ def max_plane_size(d, order=None):
 
     One greedy run answers this only because maximal implies maximum on
     convex input, so non-convex drawings are refused outright rather than
-    given an order-dependent number.
+    given an order-dependent number (see convexity.require_convex).
     """
-    from .convexity import is_convex_by_triangles
-
-    if not is_convex_by_triangles(d):
-        raise NotConvex("max_plane_size is only meaningful for convex drawings")
+    require_convex(d)
     return len(greedy_maximal_plane(d, order=order))
 
 

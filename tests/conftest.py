@@ -1,10 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from convexham import generators
-from convexham.drawing import Drawing, ExplicitCrossings
+from convexham.drawing import Drawing, ExplicitCrossings, relabel
 
 settings.register_profile(
     "suite",
@@ -44,6 +45,26 @@ def random_k4_drawing(n, rng):
     # Built directly: rotations fix a realisable crossing set, this one is free.
     rots = [None] + [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
     return Drawing(n, ExplicitCrossings(n, crossings), rotations=rots)
+
+
+def permuted_fan(n, step, rng):
+    """two_page(n) with a fan of outer chords from vertex 1, randomly relabelled.
+
+    The chords (1, j), j = 4, 4 + step, ... < n - 1, give hubs with several
+    bad edges; the relabelling moves them off the low labels.
+    """
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(generators.two_page(n, tuple((1, j) for j in range(4, n - 1, step))), perm)
+
+
+def construction_pool(kind, n, seed):
+    """A drawing for the equivalence tests: fan, random geometric or twisted."""
+    if kind == "fan":
+        return permuted_fan(n, 1 + seed % 4, random.Random(seed))
+    if kind == "geometric":
+        return generators.random_geometric(n, seed)
+    return generators.twisted(n)
 
 
 @pytest.fixture(scope="session")

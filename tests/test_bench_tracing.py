@@ -5,11 +5,13 @@ a rename in src/ would otherwise surface only in a traced benchmark run.
 """
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
+from conftest import permuted_fan  # noqa: E402
 
 
 def _target(mod, path):
@@ -41,19 +43,25 @@ def test_traced_row_entries_equal_library_queries():
     # A scalar query is one call of the backing's `cross`.
     from convexham import generators, instrumented, verify_certificate
     from convexham.convexity import find_nonconvex_triangle
-    from convexham.hamiltonian import st_hamiltonian_path, star_avoiding_hamiltonian_cycle
+    from convexham.hamiltonian import (
+        hamiltonian_cycle,
+        st_hamiltonian_path,
+        star_avoiding_hamiltonian_cycle,
+    )
 
     geo = generators.random_geometric(60, 3)
     hull = min(range(1, 61), key=lambda v: geo.points[v])  # smallest x
     s = 1 if hull != 1 else 2
     geo_rows = ("geometry.cross_pairs.entries", "drawing.geometric_cross")
+    explicit_rows = ("drawing.explicit_cross_pairs.entries", "drawing.explicit_cross")
     runs = [
         (geo, geo_rows,
          lambda d: verify_certificate(d, star_avoiding_hamiltonian_cycle(d, 5, verify=False))),
         (geo, geo_rows, lambda d: st_hamiltonian_path(d, s, hull, verify=False)),
-        (generators.two_page(10, ((1, 4),)),
-         ("drawing.explicit_cross_pairs.entries", "drawing.explicit_cross"),
-         find_nonconvex_triangle),
+        (generators.two_page(10, ((1, 4),)), explicit_rows, find_nonconvex_triangle),
+        # The s-t solver's root scans vertex n's rotation for the cycle.
+        (permuted_fan(20, 3, random.Random(2)), explicit_rows,
+         lambda d: hamiltonian_cycle(d, verify=False)),
     ]
     for d, (entries, scalar), run in runs:
         view, counter = instrumented(d)

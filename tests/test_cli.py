@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from convexham import cli, convexity
 from convexham.cli import main
 
 
@@ -158,6 +159,22 @@ def test_max_plane_refuses_twisted(capsys, tmp_path):
     code, out, _ = run(capsys, "max-plane", "--in", str(dfile))
     assert code == 1
     assert json.loads(out)["error"] == "NotConvex"
+
+
+def test_max_plane_refuses_by_five_sets(capsys, tmp_path, monkeypatch):
+    def refuse(_d):
+        raise AssertionError("triangle method called")
+
+    monkeypatch.setattr(convexity, "find_nonconvex_triangle", refuse)
+    monkeypatch.setattr(cli, "find_nonconvex_triangle", refuse)
+    _, drawing, _ = run(capsys, "gen", "twisted", "--n", "40")
+    dfile = tmp_path / "d.json"
+    dfile.write_text(drawing)
+    code, out, _ = run(capsys, "max-plane", "--in", str(dfile))
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["error"] == "NotConvex"
+    assert "5-set (1, 2, 3, 4, 5) is of class V" in obj["message"]
 
 
 def test_render_outputs_svg(capsys, tmp_path):

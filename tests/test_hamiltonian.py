@@ -1,10 +1,13 @@
+import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators
+from conftest import construction_pool, permuted_fan
+from convexham import drawing, generators, hamiltonian
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import (
     EdgesCrossOrAdjacent,
@@ -13,6 +16,8 @@ from convexham.errors import (
     SameVertex,
 )
 from convexham.hamiltonian import (
+    _pick_bad,
+    _solve_path,
     empty_k_cycle,
     geometric_path_with_two_edges,
     hamiltonian_cycle,
@@ -21,6 +26,7 @@ from convexham.hamiltonian import (
     star_avoiding_hamiltonian_cycle,
 )
 from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane
+from convexham.starframe import scan_bad_edges
 
 MULTI_BAD = [
     (6, ((1, 4),)),
@@ -240,3 +246,87 @@ def test_twisted_never_yields_wrong_certificate():
 def test_plane_check_of_produced_cycles(rand9):
     cert = hamiltonian_cycle(rand9)
     assert is_plane(rand9, cert.edges)
+
+
+# ---------------------------------------------------------------------------
+# The cycle is the s-t solver's root; sub-paths solve on host labels.
+
+POOL = st.tuples(
+    st.sampled_from(["fan", "geometric", "twisted"]), st.integers(4, 16), st.integers(0, 10**6)
+)
+
+
+def _reference_cycle(d):
+    """The cycle as built before: its own scan of vertex n, then an s-t path."""
+    t = d.n
+    order = d.rotation_of(t)
+    bad = scan_bad_edges(d, order, t)
+    if not bad:
+        return tuple(order) + (t,)
+    return tuple(_solve_path(d, range(1, d.n + 1), _pick_bad(order, bad)[1], t))
+
+
+def _vertices_or_evidence(build, d):
+    try:
+        return build(d)
+    except NotConvexEvidence as exc:
+        return ("evidence", exc.which, exc.vertices, exc.detail)
+
+
+@given(POOL)
+def test_cycle_matches_reference(spec):
+    d = construction_pool(*spec)
+    got = _vertices_or_evidence(lambda x: hamiltonian_cycle(x, verify=False).vertices, d)
+    assert got == _vertices_or_evidence(_reference_cycle, d)
+
+
+def test_cycle_asks_the_queries_of_its_st_path():
+    # The root scans vertex n's rotation once; a separate pre-scan would add
+    # (n - 1)(n - 3) queries whenever vertex n has a bad edge.
+    rng = random.Random(5)
+    pool = [permuted_fan(n, 3, rng) for n in (8, 16, 30)]
+    pool += [generators.random_geometric(n, s) for n in (10, 40) for s in (0, 1)]
+    pool += [generators.convex_position(9), generators.two_page(3)]
+    with_bad = 0
+    for d in pool:
+        view, counter = instrumented(d)
+        start = hamiltonian_cycle(view, verify=False).vertices[0]
+        cycle_queries = counter.count
+        view, counter = instrumented(d)
+        st_hamiltonian_path(view, start, d.n, verify=False)
+        assert cycle_queries == counter.count
+        with_bad += bool(scan_bad_edges(d, d.rotation_of(d.n), d.n))
+    assert with_bad >= 4
+
+
+def _sub_path_reference(d, subset, s, t):
+    """A two-edge path's sub-path as built before, on an induced subdrawing."""
+    if len(subset) <= 2:
+        return [s, t][: len(subset)]
+    ind = drawing.induced_subdrawing(d, subset)
+    seq = _solve_path(ind.drawing, range(1, ind.drawing.n + 1), ind.to_sub[s], ind.to_sub[t])
+    return [ind.to_host[x] for x in seq]
+
+
+@given(st.integers(5, 12), st.integers(0, 10**6))
+def test_two_edge_path_matches_reference(n, seed):
+    d = generators.random_geometric(n, seed)
+    pts = [d.points[v] for v in range(1, n + 1)]
+    pairs = list(_independent_noncrossing_pairs(d))
+    for e, f in random.Random(seed).sample(pairs, min(8, len(pairs))):
+        got = geometric_path_with_two_edges(pts, e, f, verify=False).vertices
+        with mock.patch.object(hamiltonian, "_solve_path", _sub_path_reference):
+            want = geometric_path_with_two_edges(pts, e, f, verify=False).vertices
+        assert got == want
+
+
+def test_two_edge_path_builds_no_subdrawing(monkeypatch, rand8):
+    def refuse(*_args):
+        raise AssertionError("induced_subdrawing called")
+
+    monkeypatch.setattr(drawing, "induced_subdrawing", refuse)
+    monkeypatch.setattr(hamiltonian, "induced_subdrawing", refuse, raising=False)
+    pts = [rand8.points[v] for v in range(1, 9)]
+    for e, f in list(_independent_noncrossing_pairs(rand8))[:12]:
+        cert = geometric_path_with_two_edges(pts, e, f)
+        assert cert.oracle_verified

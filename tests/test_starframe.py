@@ -1,3 +1,5 @@
+import bisect
+from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -8,6 +10,8 @@ from convexham import generators, starframe
 from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, scan_bad_edges
+
+from conftest import construction_pool
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -264,3 +268,141 @@ def test_blocked_scan_on_subsets(n, seed, rng, block):
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
     order = tuple(x for x in d.rotation_of(hub) if x in keep)
     assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the frame as built by labelling the rotation 1..n-1 first, then
+# shifting every label and remapping bad edges and witnesses one by one.
+
+
+def _cyclic_shift(label, offset, k):
+    return (label - 1 - offset) % k + 1
+
+
+def _reference_witness_gap(bad, to_host, k):
+    ends = sorted({x for (p, _w) in bad for x in p})
+    all_w = sorted(set().union(*(w for _p, w in bad)))
+    j = bisect.bisect_left(ends, all_w[0]) - 1
+    if j < 0:
+        j = len(ends) - 1
+    left, right = ends[j], ends[(j + 1) % len(ends)]
+
+    def in_gap(x):
+        return left < x < right if left < right else x > left or x < right
+
+    stray = [w for w in all_w if not in_gap(w)]
+    if stray:
+        raise starframe._evidence(
+            "witness-two-block",
+            stray + [left, right],
+            to_host,
+            "witnesses are not confined to one gap between bad-edge endpoints",
+        )
+    return left
+
+
+def _reference_frame(d, v_star):
+    n = d.n
+    k = n - 1
+    order = d.rotation_of(v_star)
+    to_host = [0] + list(order) + [v_star]
+    bad = [
+        ((i + 1, (i + 1) % k + 1), frozenset(p + 1 for p in wpos))
+        for i, wpos in scan_bad_edges(d, order, v_star)
+    ]
+    m = len(bad)
+    if m == 0:
+        offset = 0
+    elif m == 1:
+        offset = bad[0][0][1] - 1
+    else:
+        offset = _reference_witness_gap(bad, to_host, k)
+    if offset:
+        new_to_host = [0] * (n + 1)
+        for f in range(1, k + 1):
+            new_to_host[_cyclic_shift(f, offset, k)] = to_host[f]
+        new_to_host[n] = v_star
+        bad = [
+            (
+                (_cyclic_shift(fu, offset, k), _cyclic_shift(fv, offset, k)),
+                frozenset(_cyclic_shift(w, offset, k) for w in wset),
+            )
+            for (fu, fv), wset in bad
+        ]
+        to_host = new_to_host
+    to_frame = [0] * (n + 1)
+    for f in range(1, n + 1):
+        to_frame[to_host[f]] = f
+
+    def refute(labels, detail, which="witness-two-block"):
+        return starframe._evidence(which, labels, to_host, detail)
+
+    blocks_left = blocks_right = ()
+    l_table = {}
+    if m >= 2:
+        for (fu, fv), _w in bad:
+            if fv != fu + 1:
+                raise refute([fu, fv], "a bad edge still spans the witness gap after relabeling")
+        bad.sort()
+        if bad[-1][0][0] != n - 2:
+            raise refute(list(bad[-1][0]), "the gap's boundary bad edge did not land on {n-2, n-1}")
+        for (v, _vn), wset in bad:
+            if max(wset) >= v:
+                raise refute([v, max(wset)], "a witness does not precede its bad edge",
+                             "witness-sidedness")
+        for i in range(m - 1):
+            if min(bad[i][1]) <= max(bad[i + 1][1]):
+                raise refute([min(bad[i][1]), max(bad[i + 1][1])],
+                             "witness ranges of consecutive bad edges do not nest",
+                             "witness-nestedness")
+        vs = [p[0] for p, _w in bad]
+        wl = [min(w) for _p, w in bad]
+        wr = [max(w) for _p, w in bad]
+        blocks_left = tuple(tuple(range(wr[i + 1] + 1, wl[i])) for i in range(m - 1))
+        blocks_right = tuple(tuple(range(vs[i] + 1, vs[i + 1] + 1)) for i in range(m - 1))
+        l_table = starframe._build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr)
+    return starframe.StarFrame(
+        drawing=d,
+        v_star=v_star,
+        to_frame=tuple(to_frame),
+        to_host=tuple(to_host),
+        bad=tuple(p for p, _w in bad),
+        witnesses=tuple(w for _p, w in bad),
+        blocks_left=blocks_left,
+        blocks_right=blocks_right,
+        l_table=l_table,
+    )
+
+
+def _frame_or_evidence(build, d, hub):
+    try:
+        frame = build(d, hub)
+    except NotConvexEvidence as exc:
+        return ("evidence", exc.which, exc.vertices, exc.detail)
+    return {f.name: getattr(frame, f.name) for f in fields(frame)}
+
+
+@given(st.sampled_from(["fan", "geometric", "twisted"]), st.integers(4, 14), st.integers(0, 10**6))
+def test_frame_matches_reference(kind, n, seed):
+    # Every field, or the evidence on non-convex input, equals the frame
+    # built by shifting and remapping labels.
+    d = construction_pool(kind, n, seed)
+    for hub in range(1, n + 1):
+        got = _frame_or_evidence(build_star_frame, d, hub)
+        assert got == _frame_or_evidence(_reference_frame, d, hub)
+
+
+def test_frame_reference_covers_every_route():
+    # Frames with m = 0, 1 and >= 2 bad edges, and refutations, all occur.
+    ms, refuted = set(), set()
+    for kind, n, seed in [("fan", 12, 1), ("fan", 16, 2), ("geometric", 9, 3), ("twisted", 9, 0)]:
+        d = construction_pool(kind, n, seed)
+        for hub in range(1, n + 1):
+            got = _frame_or_evidence(build_star_frame, d, hub)
+            assert got == _frame_or_evidence(_reference_frame, d, hub)
+            if isinstance(got, tuple):
+                refuted.add(got[1])
+            else:
+                ms.add(min(len(got["bad"]), 2))
+    assert ms == {0, 1, 2}
+    assert "witness-two-block" in refuted

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators
+from convexham import convexity, generators
 from convexham.drawing import all_edges, canon_edge, instrumented, relabel
-from convexham.errors import NotConvex, SeedNotPlane
+from convexham.errors import NotConvex, SeedNotPlane, TooLarge
 from convexham.hamiltonian import hamiltonian_cycle
 from convexham.oracle import exact_max_plane, first_crossing, verify_certificate
 from convexham.subdrawings import (
@@ -104,6 +104,22 @@ def test_size_is_order_invariant(conv8, rand9):
 def test_refuses_nonconvex():
     with pytest.raises(NotConvex):
         max_plane_size(generators.twisted(6))
+
+
+def test_refusal_is_the_five_set_pass(monkeypatch):
+    # The triangle method would take minutes at n = 40; the 5-set pass names
+    # a non-realisable 5-set instead.
+    def refuse(_d):
+        raise AssertionError("triangle method called")
+
+    monkeypatch.setattr(convexity, "find_nonconvex_triangle", refuse)
+    with pytest.raises(NotConvex, match=r"5-set \(1, 2, 3, 4, 5\) is of class V"):
+        max_plane_size(generators.twisted(40))
+
+
+def test_refusal_stops_past_the_five_set_limit():
+    with pytest.raises(TooLarge):
+        max_plane_size(generators.random_geometric(102, 0))
 
 
 def test_two_page_instances_meet_lower_bound():
