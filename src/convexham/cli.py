@@ -1,9 +1,10 @@
 """Command-line surface: generate, check, construct, verify, render.
 
 Drawings and certificates travel as JSON on stdin/stdout so commands compose
-into shell pipelines; files only enter via explicit flags.  Every run writes
-a manifest (command, input hash, seeds, versions, timing, oracle query
-count) to stderr, keeping stdout byte-reproducible for equal inputs.
+into shell pipelines; files only enter via explicit flags.  Every run that
+gets past argument parsing writes a manifest (command, input hash, seeds,
+versions, timing, oracle query count) to stderr, after the usage line of a
+usage error, keeping stdout byte-reproducible for equal inputs.
 
 Exit codes: 0 ok, 1 domain error (structured JSON on stdout), 2 usage error.
 """
@@ -307,19 +308,22 @@ def main(argv=None):
         "versions": _versions(),
     }
     t0 = time.perf_counter()
+    payload = None
     try:
         payload = args.func(args, manifest)
         code = 0
     except UsageError as exc:
+        # No stdout; the usage line comes first on stderr, then the manifest.
         print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except DrawingError as exc:
         payload = _dumps(_error_json(exc))
         code = 1
     manifest["timing_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     counter = manifest.pop("_counter", None)
     manifest["oracle_queries"] = None if counter is None else counter.count
-    sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+    if payload is not None:
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     print(_dumps(manifest), file=sys.stderr)
     return code
 

@@ -6,10 +6,15 @@ corners) crosses the triangle.  Equivalently, every induced 5-vertex
 subdrawing must be one of the three crossing patterns realisable by points
 (types I, II, III below).  Both routes are implemented; they must agree.
 
-The 5-set route is one pass.  Three rows read the crossing state of every
-4-set (which of its three matchings cross), 3 * C(n, 4) queries; each
-5-set's five states form a 15-bit code, and a 2**15-entry table built from
-the catalog forms maps the code to its K5Class.
+Both routes are one pass.  The triangle route takes the triangles in lex
+order, in blocks that share the smallest vertex and keep each row under
+_TRIANGLE_BLOCK_ENTRIES entries; a block asks six rows (the sides and their
+convexity, see drawing._triangle_verdicts), so a convex drawing costs
+C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  The 5-set route asks
+three rows that read the crossing state of every 4-set (which of its three
+matchings cross), 3 * C(n, 4) queries; each 5-set's five states form a
+15-bit code, and a 2**15-entry table built from the catalog forms maps the
+code to its K5Class.
 """
 
 from __future__ import annotations
@@ -17,17 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
 import numpy as np
 
-from .drawing import side_convex, triangle_sides
+from .drawing import _triangle_verdicts, side_convex
 from .errors import NotConvex, NotK5, TooLarge
+from .oracle import _side_inconsistency
 
 # The 5-set pass keeps O(C(n, 4)) scratch; past this many 4-sets (n > 101)
 # it refuses rather than allocate gigabytes for hours of work.
 _MAX_QUADS = 1 << 22
+
+# Entries per row of one block of the triangle pass: a block holds up to
+# this many off pairs over all its triangles, at least one triangle's.  At
+# n = 60 a block keeps ~4 MB of scratch.
+_TRIANGLE_BLOCK_ENTRIES = 1 << 16
 
 
 class K5Class(Enum):
@@ -192,15 +203,39 @@ class NonConvexK5:
 def find_nonconvex_triangle(d):
     """First triangle (lex order) with no convex side, or None.
 
-    The witness records one crossing per side proving neither is convex.
+    One pass over the triangle blocks, C(n, 3) * (3 * C(n - 3, 2) +
+    3 * (n - 3)) queries on convex input; it stops after the block holding
+    the first triangle whose sides are inconsistent or both not convex.
+    Sides that are no 2-colouring raise SideInconsistency, as
+    triangle_sides does.  Otherwise the witness records one crossing per
+    side proving neither is convex, from side_convex on that triangle.
     """
-    for tri in combinations(range(1, d.n + 1), 3):
-        part = triangle_sides(d, *tri)
-        if not (part.convex_a or part.convex_b):
-            _, wa = side_convex(d, part.triangle, part.side_a)
-            _, wb = side_convex(d, part.triangle, part.side_b)
-            return NonConvexTriangle(part.triangle, wa, wb)
+    for tris in _triangle_blocks(d.n):
+        off, side, wrong, convex = _triangle_verdicts(d, tris)
+        flagged = wrong.any(axis=1) | ~convex.any(axis=1)
+        if flagged.any():
+            k = int(flagged.argmax())
+            tri = tuple(tris[k].tolist())
+            if wrong[k].any():
+                raise _side_inconsistency(tri, off[k], wrong[k])
+            _, wa = side_convex(d, tri, off[k][~side[k]].tolist())
+            _, wb = side_convex(d, tri, off[k][side[k]].tolist())
+            return NonConvexTriangle(tri, wa, wb)
     return None
+
+
+def _triangle_blocks(n):
+    """All triangles of 1..n as (T, 3) int64 arrays, in lex order.
+
+    The triangles of one smallest vertex are cut into blocks of at most
+    _TRIANGLE_BLOCK_ENTRIES // C(n - 3, 2) triangles, and at least one.
+    """
+    size = max(1, _TRIANGLE_BLOCK_ENTRIES // max(1, comb(n - 3, 2)))
+    for a in range(1, n - 1):
+        bc = _subsets(n - a, 2).astype(np.int64) + a + 1
+        for i in range(0, len(bc), size):
+            block = bc[i : i + size]
+            yield np.column_stack([np.full(len(block), a), block])
 
 
 def is_convex_by_triangles(d):

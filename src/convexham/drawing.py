@@ -389,7 +389,9 @@ def side_convex(d, tri, side):
 
     The side is convex iff no edge spanned by side vertices and triangle
     corners crosses any triangle edge.  witness is (edge, triangle_edge) for
-    the first violation found, else None.
+    the first violation found, else None.  Scalar queries that stop at the
+    first crossing: the verdicts come from _triangle_verdicts, and this only
+    names the witnesses of a triangle found without a convex side.
     """
     a, b, c = tri
     tri_edges = (canon_edge(a, b), canon_edge(b, c), canon_edge(a, c))
@@ -408,24 +410,61 @@ def side_convex(d, tri, side):
     return True, None
 
 
+def _triangle_verdicts(d, tris):
+    """Sides and side convexity of a (T, 3) array of ascending triangles.
+
+    Returns (off, side, wrong, convex): off (T, n - 3) holds each
+    triangle's off vertices in ascending order, side and wrong are as in
+    oracle._parity_sides, and convex (T, 2) says whether side a (the class
+    of off[t, 0]) and side b are convex, as side_convex decides.
+    All rows take 1-D operands: three over the off pairs, in
+    np.triu_indices(n - 3, 1) order per triangle, and three corner rows
+    (corner, w) against the opposite triangle edge, so every triangle
+    costs 3 * C(n - 3, 2) + 3 * (n - 3) queries.
+    """
+    from .oracle import _off_vertices, _parity_sides
+
+    t, m = len(tris), d.n - 3
+    off = _off_vertices(d.n, tris)
+    a, b, c = (np.repeat(x, m * (m - 1) // 2) for x in tris.T)
+    side, wrong, (ab, bc, ac) = _parity_sides(d, ((a, b), (b, c), (a, c)), off)
+    # A side is violated by a pair inside it that crosses the triangle: on
+    # consistent sides, one of even parity that crosses some edge.  Or by a
+    # corner edge to one of its vertices crossing the opposite triangle edge.
+    inside = (ab | bc | ac) & ~(ab ^ bc ^ ac)
+    on_b = side.take(np.triu_indices(m, 1)[0], axis=1)
+    a, b, c = (np.repeat(x, m) for x in tris.T)
+    w = off.ravel()
+    corner = (d.cross_pairs(c, w, a, b) | d.cross_pairs(a, w, b, c)
+              | d.cross_pairs(b, w, a, c)).reshape(t, m)
+    convex = np.stack([
+        ~((inside & ~on_b).any(axis=1) | (corner & ~side).any(axis=1)),
+        ~((inside & on_b).any(axis=1) | (corner & side).any(axis=1)),
+    ], axis=1)
+    return off, side, wrong, convex
+
+
 def triangle_sides(d, a, b, c):
     """Partition the off-triangle vertices by side and report side convexity.
 
     A triangle is a plane 3-cycle, so its sides are those of
     oracle.cycle_sides, with the same convention and the same
-    SideInconsistency when the parity relation is no 2-colouring.
+    SideInconsistency when the parity relation is no 2-colouring.  The
+    one-triangle case of _triangle_verdicts: 3 * C(n - 3, 2) + 3 * (n - 3)
+    queries.
     """
-    from .oracle import _cycle_edges, _plane_cycle_sides
+    from .oracle import _side_inconsistency
 
     tri = tuple(sorted((a, b, c)))
     if len(set(tri)) != 3:
         raise ValueError(f"triangle needs three distinct vertices, got {(a, b, c)}")
     if tri[0] < 1 or tri[2] > d.n:
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
-    sides = _plane_cycle_sides(d, tri, _cycle_edges(tri))
-    conv_a, _ = side_convex(d, tri, sides.side_a)
-    conv_b, _ = side_convex(d, tri, sides.side_b)
-    return TrianglePartition(tri, sides.side_a, sides.side_b, conv_a, conv_b)
+    (off,), (side,), (wrong,), ((conv_a, conv_b),) = _triangle_verdicts(d, np.array([tri]))
+    if wrong.any():
+        raise _side_inconsistency(tri, off, wrong)
+    return TrianglePartition(tri, frozenset(off[~side].tolist()), frozenset(off[side].tolist()),
+                             bool(conv_a), bool(conv_b))
 
 
 def instrumented(d):

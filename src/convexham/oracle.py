@@ -128,28 +128,57 @@ def _cycle_edges(cyc):
 
 def _plane_cycle_sides(d, cyc, cycle_edges):
     # cycle_sides after its plane check.
-    on = np.zeros(d.n + 1, dtype=bool)
-    on[[0, *cyc]] = True
-    off = np.flatnonzero(~on)
-    if len(off) == 0:
+    off = _off_vertices(d.n, np.array([cyc]))
+    if off.size == 0:  # a Hamiltonian cycle asks no rows
         return CycleSides(cyc, frozenset(), frozenset())
-    # One row per cycle edge over every off-cycle pair, in row-major order;
-    # a pair's parity is the XOR of its rows.
-    iu, ju = np.triu_indices(len(off), 1)
-    cs, ds = off[iu], off[ju]
-    parity = np.zeros(len(iu), dtype=bool)
-    for a, b in cycle_edges:
-        parity ^= d.cross_pairs(a, b, cs, ds)
-    # The pairs through the reference vertex off[0] come first and fix the
-    # sides; the 2-colouring must then be consistent for every pair.
-    side = np.concatenate(([False], parity[: len(off) - 1]))
-    wrong = parity != (side[iu] ^ side[ju])
+    (side,), (wrong,), _rows = _parity_sides(d, cycle_edges, off)
+    off = off[0]
     if wrong.any():
-        k = int(wrong.argmax())
-        raise SideInconsistency(
-            f"vertices {int(cs[k])},{int(ds[k])} disagree with sides of cycle {cyc}"
-        )
+        raise _side_inconsistency(cyc, off, wrong)
     return CycleSides(cyc, frozenset(off[~side].tolist()), frozenset(off[side].tolist()))
+
+
+def _off_vertices(n, cycles):
+    """The labels of 1..n off each row of the (T, k) array cycles: (T, n - k), ascending."""
+    t, k = cycles.shape
+    keep = np.ones((t, n + 1), dtype=bool)
+    keep[:, 0] = False
+    keep[np.arange(t)[:, None], cycles] = False
+    return np.nonzero(keep)[1].reshape(t, n - k)
+
+
+def _parity_sides(d, edges, off):
+    """Sides of the off vertices of T plane cycles at once: (side, wrong, rows).
+
+    off is a (T, m) array whose row t holds the off-cycle vertices of cycle
+    t in ascending order.  edges holds one (a, b) operand pair per cycle
+    edge: labels, or arrays with one entry per off pair of every cycle.
+    Each cycle edge asks one row over the off pairs of all T cycles, in
+    np.triu_indices(m, 1) order per cycle: len(edges) * T * C(m, 2)
+    queries; rows holds their answers, each shaped (T, C(m, 2)).  A pair's
+    parity is the XOR of its rows.  side[t, i] says off[t, i] is not on the
+    side of off[t, 0]; wrong[t, p] says pair p of cycle t contradicts those
+    sides.
+    """
+    t, m = off.shape
+    iu, ju = np.triu_indices(m, 1)
+    cs, ds = off.take(iu, axis=1).ravel(), off.take(ju, axis=1).ravel()
+    rows = [d.cross_pairs(a, b, cs, ds).reshape(t, len(iu)) for a, b in edges]
+    parity = functools.reduce(np.bitwise_xor, rows)
+    # The pairs through the reference vertex off[:, 0] come first and fix
+    # the sides; the 2-colouring must then be consistent for every pair.
+    side = np.zeros((t, m), dtype=bool)
+    side[:, 1:] = parity[:, : m - 1]
+    return side, parity != (side.take(iu, axis=1) ^ side.take(ju, axis=1)), rows
+
+
+def _side_inconsistency(cyc, off, wrong):
+    """The SideInconsistency naming the first wrong pair of off, in row-major order."""
+    iu, ju = np.triu_indices(len(off), 1)
+    k = int(wrong.argmax())
+    return SideInconsistency(
+        f"vertices {int(off[iu[k]])},{int(off[ju[k]])} disagree with sides of cycle {cyc}"
+    )
 
 
 def polygon_partition(d, cycle):
@@ -162,9 +191,10 @@ def polygon_partition(d, cycle):
         raise NoCoordinates("drawing has no coordinates")
     cyc = tuple(cycle)
     poly = [d.points[v] for v in cyc]
+    on_cycle = set(cyc)
     inside, outside = set(), set()
     for w in range(1, d.n + 1):
-        if w in set(cyc):
+        if w in on_cycle:
             continue
         if geometry.polygon_side(poly, d.points[w]):
             inside.add(w)
@@ -301,28 +331,23 @@ def exact_max_plane(d, cap=8):
 def count_empty_triangles(d):
     """Number of triangles with all remaining vertices on one side.
 
-    A side is empty iff every off-triangle vertex has even crossing parity
-    with the smallest off-triangle vertex, i.e. the parity class of the
-    reference vertex absorbs everything.
+    A side is empty iff every off-triangle vertex w has even crossing
+    parity with the smallest off-triangle vertex, ref.  The triangles of one
+    smallest vertex share a block: one row per triangle edge over their
+    edges (ref, w), 3 * (n - 4) queries per triangle for n >= 4 and O(n^3)
+    scratch per block.
     """
     n = d.n
     count = 0
-    for tri in combinations(range(1, n + 1), 3):
-        off = [v for v in range(1, n + 1) if v not in tri]
-        if not off:
-            count += 1
-            continue
-        a, b, c = tri
-        tri_edges = ((a, b), (b, c), (a, c))
-        ref = off[0]
-        empty = True
-        for w in off[1:]:
-            par = sum(d.crosses((ref, w), te) for te in tri_edges) % 2
-            if par:
-                empty = False
-                break
-        if empty:
-            count += 1
+    for a in range(1, n - 1):
+        tris = np.array([(a, b, c) for b, c in combinations(range(a + 1, n + 1), 2)])
+        off = _off_vertices(n, tris)
+        ws = off[:, 1:]
+        w, ref = ws.ravel(), np.broadcast_to(off[:, :1], ws.shape).ravel()
+        p, q, r = (np.repeat(x, ws.shape[1]) for x in tris.T)
+        odd = (d.cross_pairs(p, q, w, ref) ^ d.cross_pairs(q, r, w, ref)
+               ^ d.cross_pairs(p, r, w, ref))
+        count += int((~odd.reshape(ws.shape).any(axis=1)).sum())
     return count
 
 

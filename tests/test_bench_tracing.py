@@ -39,7 +39,8 @@ def test_tracer_targets_resolve_and_unwrap():
 def test_traced_row_entries_equal_library_queries():
     # The tracer counts len(cs) entries per row kernel call and the library
     # counts the size of the answer: they agree while every operand of a
-    # row, blocked bad-edge scans and triangle splits included, stays 1-D.
+    # row, blocked bad-edge scans, triangle splits and triangle blocks
+    # included, stays 1-D.
     # A scalar query is one call of the backing's `cross`.
     from convexham import generators, instrumented, verify_certificate
     from convexham.convexity import find_nonconvex_triangle
@@ -59,6 +60,8 @@ def test_traced_row_entries_equal_library_queries():
          lambda d: verify_certificate(d, star_avoiding_hamiltonian_cycle(d, 5, verify=False))),
         (geo, geo_rows, lambda d: st_hamiltonian_path(d, s, hull, verify=False)),
         (generators.two_page(10, ((1, 4),)), explicit_rows, find_nonconvex_triangle),
+        # The triangle pass asks its rows in blocks of triangles.
+        (permuted_fan(16, 3, random.Random(1)), explicit_rows, find_nonconvex_triangle),
         # The s-t solver's root scans vertex n's rotation for the cycle.
         (permuted_fan(20, 3, random.Random(2)), explicit_rows,
          lambda d: hamiltonian_cycle(d, verify=False)),

@@ -1,8 +1,11 @@
 import json
+import random
+from math import comb
 
 import pytest
 
-from convexham import cli, convexity
+from conftest import permuted_fan
+from convexham import cli, convexity, io
 from convexham.cli import main
 
 
@@ -105,6 +108,37 @@ def test_check_convex_k5_stdout(capsys, tmp_path, gen, expected):
     assert manifest_of(err)["oracle_queries"] == 3 * n * (n - 1) * (n - 2) * (n - 3) // 24
 
 
+_TWISTED_TRIANGLE_WITNESS = (
+    '{"convex":false,"method":"triangles","witness":{"triangle":[1,3,4],'
+    '"violation_a":[[2,3],[1,4]],"violation_b":[[1,5],[3,4]]}}'
+)
+
+
+@pytest.mark.parametrize("drawing, expected", [
+    *((("twisted", "--n", str(n)), _TWISTED_TRIANGLE_WITNESS) for n in range(6, 10)),
+    (("two-page", "--n", "12", "--outer", "1,4"),
+     '{"convex":true,"method":"triangles","witness":null}'),
+    (("random", "--n", "9", "--seed", "4"), '{"convex":true,"method":"triangles","witness":null}'),
+    ("fan", '{"convex":true,"method":"triangles","witness":null}'),
+], ids=["twisted6", "twisted7", "twisted8", "twisted9", "two-page12", "random9", "fan12"])
+def test_check_convex_triangles_stdout(capsys, tmp_path, drawing, expected):
+    # Stdout as printed by the per-triangle loop the blocked pass replaced.
+    if drawing == "fan":
+        text = io.dumps_drawing(permuted_fan(12, 2, random.Random(4)))
+    else:
+        text = run(capsys, "gen", *drawing)[1]
+    dfile = tmp_path / "d.json"
+    dfile.write_text(text)
+    code, out, err = run(capsys, "check-convex", "--in", str(dfile))
+    assert code == 0
+    assert out.strip() == expected
+    n = json.loads(text)["n"]
+    if json.loads(out)["convex"]:
+        # Every triangle: three rows over the off pairs, three corner rows.
+        assert manifest_of(err)["oracle_queries"] == comb(n, 3) * (
+            3 * comb(n - 3, 2) + 3 * (n - 3))
+
+
 def test_manifest_shape(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "random", "--n", "7", "--seed", "2")
     dfile = tmp_path / "d.json"
@@ -129,9 +163,14 @@ def test_usage_error_missing_endpoint(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "convex-position", "--n", "6")
     dfile = tmp_path / "d.json"
     dfile.write_text(drawing)
-    code, _, err = run(capsys, "find", "st-path", "--in", str(dfile), "--s", "1")
-    assert code == 2
-    assert "usage error" in err
+    code, out, err = run(capsys, "find", "st-path", "--in", str(dfile), "--s", "1")
+    assert code == 2 and out == ""
+    usage, manifest = err.strip().splitlines()
+    assert usage == "usage error: st-path needs --s and --t"
+    m = json.loads(manifest)
+    assert m["command"][:2] == ["find", "st-path"]
+    assert len(m["input_hash"]) == 64
+    assert m["oracle_queries"] == 0
 
 
 def test_unknown_command_exits_two(capsys):

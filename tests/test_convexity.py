@@ -12,6 +12,7 @@ from convexham._k5_catalog import FORMS
 from convexham.convexity import (
     K5Class,
     NonConvexK5,
+    NonConvexTriangle,
     _k5_code,
     _k5_table,
     canonical_k5_form,
@@ -27,8 +28,9 @@ from convexham.drawing import (
     induced_subdrawing,
     instrumented,
     relabel,
+    side_convex,
 )
-from convexham.errors import NotK5, TooLarge
+from convexham.errors import NotK5, SideInconsistency, TooLarge
 
 
 def _full_rot(n):
@@ -173,19 +175,26 @@ def _fan(n, step):
     return generators.two_page(n, tuple((1, j) for j in range(4, n - 1, step)))
 
 
-@given(st.integers(5, 9), st.sampled_from(["twisted", "fan", "geometric", "k4"]), st.randoms())
-def test_find_nonconvex_k5_matches_reference(n, kind, rng):
+_KINDS = st.sampled_from(["twisted", "fan", "geometric", "k4"])
+
+
+def _drawing_of_kind(n, kind, rng):
+    """A random_k4_drawing, or a twisted, fan or geometric drawing randomly relabelled."""
     if kind == "k4":
-        d = random_k4_drawing(n, rng)
-    else:
-        d = {
-            "twisted": lambda: generators.twisted(n),
-            "fan": lambda: _fan(n, rng.choice((1, 2, 3))),
-            "geometric": lambda: generators.random_geometric(n, rng.randrange(1000)),
-        }[kind]()
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        d = relabel(d, perm)
+        return random_k4_drawing(n, rng)
+    d = {
+        "twisted": lambda: generators.twisted(n),
+        "fan": lambda: _fan(n, rng.choice((1, 2, 3))),
+        "geometric": lambda: generators.random_geometric(n, rng.randrange(1000)),
+    }[kind]()
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(d, perm)
+
+
+@given(st.integers(5, 9), _KINDS, st.randoms())
+def test_find_nonconvex_k5_matches_reference(n, kind, rng):
+    d = _drawing_of_kind(n, kind, rng)
     assert find_nonconvex_k5(d) == _reference_find_nonconvex_k5(d)
 
 
@@ -241,3 +250,56 @@ def test_twisted_witness_at_scale():
     bad = find_nonconvex_k5(d)
     assert bad is not None and not bad.k5_class.convex
     assert classify_k5(induced_subdrawing(d, bad.vertices).drawing) is bad.k5_class
+
+
+# The per-triangle loop the blocked triangle pass replaced, on scalar
+# queries, kept as the reference: sides by parity against the smallest off
+# vertex, the first pair (row-major) contradicting them raises, then
+# side_convex on both sides.
+def _parity(d, tri, w, w2):
+    a, b, c = tri
+    return sum(d.crosses((w, w2), e) for e in ((a, b), (b, c), (a, c))) % 2
+
+
+def _reference_find_nonconvex_triangle(d):
+    for tri in combinations(range(1, d.n + 1), 3):
+        off = [v for v in range(1, d.n + 1) if v not in tri]
+        other = {w for w in off[1:] if _parity(d, tri, off[0], w)}
+        for w, w2 in combinations(off, 2):
+            if _parity(d, tri, w, w2) != ((w in other) != (w2 in other)):
+                raise SideInconsistency(f"vertices {w},{w2} disagree with sides of cycle {tri}")
+        ok_a, wa = side_convex(d, tri, [w for w in off if w not in other])
+        ok_b, wb = side_convex(d, tri, other)
+        if not (ok_a or ok_b):
+            return NonConvexTriangle(tri, wa, wb)
+    return None
+
+
+def _outcome(find, d):
+    try:
+        return find(d)
+    except SideInconsistency as exc:
+        return str(exc)
+
+
+@given(st.integers(3, 9), _KINDS, st.randoms())
+def test_find_nonconvex_triangle_matches_reference(n, kind, rng):
+    d = _drawing_of_kind(n, kind, rng)
+    want = _outcome(_reference_find_nonconvex_triangle, d)
+    assert _outcome(find_nonconvex_triangle, d) == want
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_find_nonconvex_triangle_matches_reference_on_fans(n):
+    d = relabel(_fan(n, 3), list(range(n, 0, -1)))
+    assert find_nonconvex_triangle(d) is _reference_find_nonconvex_triangle(d) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+def test_triangle_pass_query_count_on_convex_input(n):
+    # Every triangle: three rows over its off pairs, three corner rows.
+    want = comb(n, 3) * (3 * comb(n - 3, 2) + 3 * (n - 3))
+    for d in (generators.random_geometric(n, n), relabel(_fan(n, 2), list(range(n, 0, -1)))):
+        view, counter = instrumented(d)
+        assert find_nonconvex_triangle(view) is None
+        assert counter.count == want

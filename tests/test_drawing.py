@@ -205,12 +205,9 @@ def _assert_triangle_sides_match(d):
             continue
         part = triangle_sides(view, *tri)
         assert (part.side_a, part.side_b, part.convex_a, part.convex_b) == want
-        # Three rows over the off-triangle pairs, then the convexity checks.
-        total = counter.count
-        side_convex(view, tri, part.side_a)
-        side_convex(view, tri, part.side_b)
-        convexity_queries = counter.count - total
-        assert total - convexity_queries == 3 * comb(d.n - 3, 2)
+        # Three rows over the off-triangle pairs, three corner rows over the
+        # off-triangle vertices.
+        assert counter.count == 3 * comb(d.n - 3, 2) + 3 * (d.n - 3)
 
 
 @given(st.integers(4, 9), seeds)
