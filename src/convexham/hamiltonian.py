@@ -25,7 +25,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .oracle import verify_certificate
-from .starframe import _evidence, build_star_frame, scan_bad_edges
+from .starframe import _bad_pairs, _evidence, build_star_frame, scan_bad_edges
 
 
 def _verified(d, cert, verify):
@@ -76,16 +76,37 @@ def _split_sides(d, u, v, t, subset, wset):
     return vn, vc
 
 
+def _fan_path(order, s, hub):
+    """s, then the rest of hub's (restricted) rotation `order` from s, then hub.
+
+    Plane when no consecutive pair of `order` is bad: the edges are the
+    consecutive pairs but the one that closes onto s, and one star edge.
+    """
+    i = order.index(s)
+    return [*order[i:], *order[:i], hub]
+
+
 def _solve_path(d, subset, s, t):
     """Plane Hamiltonian path from s to t inside subset (host labels).
 
     Iterative two-phase stack; recursion depth would otherwise reach n.
+    Every subproblem scans its target's rotation.  Without a bad edge the
+    path is that rotation's fan path; otherwise the triangle of the chosen
+    bad edge and the target splits the subproblem in two.
+
     With s None the root picks its own start from the scan of t's rotation:
     the chosen bad edge's second endpoint, or the rotation's first vertex
     when there is no bad edge.  Either way the closing edge {t, s} is safe,
     which is what hamiltonian_cycle needs.
+
+    With s given and a bad edge at t, the root first probes s's rotation
+    with the same scan, stopped after the first block that holds a bad
+    pair.  If s has no bad edge, the path is s's fan path toward t,
+    reversed, and nothing recurses.  In a straight-line drawing only hull
+    vertices have a bad edge, so a path from an interior s costs two scans.
     """
-    work = [("solve", tuple(sorted(subset)), s, t)]
+    root = ("solve", tuple(sorted(subset)), s, t)
+    work = [root]
     done = []
     while work:
         item = work.pop()
@@ -111,9 +132,13 @@ def _solve_path(d, subset, s, t):
         if s0 is None:
             s0 = _pick_bad(order, bad)[1] if bad else order[0]
         if not bad:
-            i = order.index(s0)
-            done.append(list(order[i:] + order[:i]) + [t0])
+            done.append(_fan_path(order, s0, t0))
             continue
+        if item is root and s is not None:
+            back = tuple(x for x in d.rotation_of(s0) if x in inset)
+            if next(_bad_pairs(d, back, s0), None) is None:
+                done.append(_fan_path(back, t0, s0)[::-1])
+                continue
         u, v, wset = _pick_bad(order, bad)
         vn, vc = _split_sides(d, u, v, t0, sub, wset)
         if s0 in vc:
@@ -135,7 +160,12 @@ def _solve_path(d, subset, s, t):
 
 
 def st_hamiltonian_path(d, s, t, verify=True):
-    """Plane Hamiltonian path from s to t (certificate with endpoints claim)."""
+    """Plane Hamiltonian path from s to t (certificate with endpoints claim).
+
+    Solved toward t, or, when t has a bad edge and s has none, as the
+    reversed fan path of s's rotation (see _solve_path).  Costs at most
+    the recursion toward t plus one probe of s's rotation.
+    """
     if s == t:
         raise SameVertex(f"need distinct endpoints, got s=t={s}")
     if not (1 <= s <= d.n and 1 <= t <= d.n):
@@ -152,7 +182,8 @@ def hamiltonian_cycle(d, verify=True):
 
     The s-t solver's root scans t's rotation once and starts the path where
     the closing edge is safe (see _solve_path), so the cycle costs exactly
-    the queries of st_hamiltonian_path from that start to t.
+    the queries of the recursion toward t from that start.  Without s, the
+    root probes no second rotation.
     """
     seq = _solve_path(d, range(1, d.n + 1), None, d.n)
     cert = cycle_certificate(seq, {"plane": True, "hamiltonian": True})

@@ -66,12 +66,14 @@ def _require(cond, message):
         raise FormatError(message)
 
 
+def _is_int(x):
+    # JSON true/false arrive as Python bools, which are ints.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_pair(x, what):
     # Called per point and per edge: build the message only on failure.
-    if not (
-        isinstance(x, (list, tuple)) and len(x) == 2
-        and all(isinstance(c, int) and not isinstance(c, bool) for c in x)
-    ):
+    if not (isinstance(x, (list, tuple)) and len(x) == 2 and _is_int(x[0]) and _is_int(x[1])):
         raise FormatError(f"{what} must be a pair of integers, got {x!r}")
     return (x[0], x[1])
 
@@ -82,12 +84,12 @@ def drawing_from_json(obj):
     extra = set(obj) - _DRAWING_KEYS
     _require(not extra, f"unknown drawing keys: {sorted(extra)}")
     n = obj.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool), "field 'n' must be an integer")
+    _require(_is_int(n), "field 'n' must be an integer")
     rotations = obj.get("rotations")
     if rotations is not None:
         _require(isinstance(rotations, list), "field 'rotations' must be a list")
         _require(
-            all(isinstance(r, list) and all(isinstance(u, int) for u in r) for r in rotations),
+            all(isinstance(r, list) and all(_is_int(u) for u in r) for r in rotations),
             "each rotation must be a list of integers",
         )
 
@@ -199,7 +201,7 @@ def certificate_from_json(obj):
     _require(kind in ("cycle", "path", "subdrawing"), f"unknown certificate kind {kind!r}")
     vertices = obj.get("vertices")
     _require(
-        isinstance(vertices, list) and all(isinstance(v, int) for v in vertices),
+        isinstance(vertices, list) and all(_is_int(v) for v in vertices),
         "field 'vertices' must be a list of integers",
     )
     edges = obj.get("edges")
@@ -231,6 +233,8 @@ def certificate_from_json(obj):
             )
     elif set(edges) != set(cert.edges):
         raise FormatError("stored edges disagree with the vertex sequence")
+    elif len(edges) > len(cert.edges):
+        raise FormatError("stored edges list an edge more than once")
     return cert
 
 
@@ -242,10 +246,7 @@ def _check_claim_shape(name, value):
     if name in _BOOL_CLAIMS:
         _require(isinstance(value, bool), f"claim {name!r} must be a boolean, got {value!r}")
     elif name == "star_avoiding":
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"claim 'star_avoiding' must be a vertex, got {value!r}",
-        )
+        _require(_is_int(value), f"claim 'star_avoiding' must be a vertex, got {value!r}")
     elif name == "endpoints":
         _int_pair(value, "claim 'endpoints'")
     elif name == "contains":

@@ -85,14 +85,19 @@ def scan_bad_edges(d, order, hub):
     one row passes its pair as labels.  Returns [(i, witnesses), ...] in
     scan order, with witnesses as a frozenset of positions in `order`.
     """
+    return list(_bad_pairs(d, order, hub))
+
+
+def _bad_pairs(d, order, hub):
+    """scan_bad_edges one block at a time: a caller that stops early asks no
+    block past the one holding the last bad pair it took."""
     k = len(order)
     if k < 3:
-        return []
+        return
     twice = np.array(order * 2, dtype=np.int64)
     # others[i] is twice[i + 2:i + k], the vertices after pair i.
     others = sliding_window_view(twice[2:], k - 2)
     rows = max(1, _SCAN_BLOCK_ENTRIES // (k - 2))
-    bad = []
     for i0 in range(0, k, rows):
         i1 = min(i0 + rows, k)
         if i1 - i0 == 1:
@@ -103,8 +108,7 @@ def scan_bad_edges(d, order, hub):
         hits = d.cross_pairs(a, b, others[i0:i1].ravel(), hub).reshape(i1 - i0, k - 2)
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
-            bad.append((i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())))
-    return bad
+            yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())
 
 
 def _find_witness_gap(bad, order):

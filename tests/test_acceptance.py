@@ -21,6 +21,7 @@ from convexham import generators
 from convexham.convexity import is_convex_by_k5, is_convex_by_triangles
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import NotConvexEvidence
+from convexham.geometry import orientation
 from convexham.hamiltonian import (
     empty_k_cycle,
     geometric_path_with_two_edges,
@@ -35,6 +36,7 @@ from convexham.oracle import (
     cycle_sides,
     exact_max_plane,
     polygon_partition,
+    verify_certificate,
 )
 from convexham.subdrawings import extend_cycle, greedy_maximal_plane
 
@@ -167,6 +169,41 @@ def test_c04_quadratic_query_growth():
         f"q(2000)={queries[2000]})"
     )
     assert ok, (slopes, wall)
+
+
+def _is_interior(d, v):
+    """No angular gap around v reaches pi: v is not a hull vertex."""
+    pts, order = d.points, d.rotation_of(v)
+    return all(
+        orientation(pts[v], pts[a], pts[b]) > 0 for a, b in zip(order, order[1:] + order[:1])
+    )
+
+
+def test_c04_interior_source_to_hull_target():
+    # Only hull vertices have a bad edge, so a path from an interior source
+    # is solved toward the source: one scan of each endpoint's rotation.
+    sizes = (250, 500, 1000, 2000)
+    failures = []
+    queries = {}
+    for n in sizes:
+        d = generators.random_geometric(n, 0)
+        t = min(range(1, n + 1), key=lambda v: d.points[v])
+        s = next(v for v in range(1, n + 1) if _is_interior(d, v))
+        view, counter = instrumented(d)
+        cert = st_hamiltonian_path(view, s, t, verify=False)
+        queries[n] = counter.count
+        if counter.count != 2 * (n - 1) * (n - 3):
+            failures.append(f"n={n} asked {counter.count} != 2(n-1)(n-3)")
+        ends = (cert.vertices[0], cert.vertices[-1])
+        if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
+            failures.append(f"n={n} ({s},{t}) bad certificate")
+    slope = log2(queries[2000] / queries[1000])
+    ok = not failures
+    record_criterion(
+        f"C04b interior source to leftmost hull vertex n=250..2000: {_verdict(ok)} "
+        f"(2(n-1)(n-3) queries at every n, slope 1000->2000 {slope:.3f}, verified)"
+    )
+    assert ok, failures
 
 
 def _random_plane_seed(d, rng):

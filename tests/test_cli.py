@@ -307,6 +307,12 @@ def test_self_loop_crossing_is_format_error(capsys, tmp_path):
     _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
 
 
+def test_boolean_rotation_label_is_format_error(capsys, tmp_path):
+    dfile = tmp_path / "d.json"
+    dfile.write_text('{"n": 3, "rotations": [[2, 3], [1, 3], [true, 2]]}')
+    _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
+
+
 def test_star_out_of_range_is_domain_error(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "random", "--n", "8", "--seed", "1")
     dfile = tmp_path / "d.json"

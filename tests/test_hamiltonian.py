@@ -3,7 +3,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import construction_pool, permuted_fan
@@ -18,6 +18,7 @@ from convexham.errors import (
 from convexham.hamiltonian import (
     _pick_bad,
     _solve_path,
+    _split_sides,
     empty_k_cycle,
     geometric_path_with_two_edges,
     hamiltonian_cycle,
@@ -26,7 +27,7 @@ from convexham.hamiltonian import (
     star_avoiding_hamiltonian_cycle,
 )
 from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane
-from convexham.starframe import scan_bad_edges
+from convexham.starframe import _bad_pairs, scan_bad_edges
 
 MULTI_BAD = [
     (6, ((1, 4),)),
@@ -256,6 +257,26 @@ POOL = st.tuples(
 )
 
 
+def _reference_st_path(d, subset, s, t):
+    """The s-t route before the probe of s's rotation: always solve toward t."""
+    sub = tuple(sorted(subset))
+    if len(sub) <= 3:
+        return [s, *(x for x in sub if x not in (s, t)), t] if len(sub) > 1 else [s]
+    order = tuple(x for x in d.rotation_of(t) if x in sub)
+    bad = scan_bad_edges(d, order, t)
+    if not bad:
+        i = order.index(s)
+        return [*order[i:], *order[:i], t]
+    u, v, wset = _pick_bad(order, bad)
+    vn, vc = _split_sides(d, u, v, t, sub, wset)
+    if s in vc:
+        p1 = _reference_st_path(d, vc | {u}, s, u)
+        return p1 + _reference_st_path(d, vn | {u, v}, u, v)[1:] + [t]
+    p, q = (u, v) if s != u else (v, u)
+    p1 = _reference_st_path(d, vn | {q, p}, s, p)
+    return p1 + _reference_st_path(d, vc | {t, p}, p, t)[1:]
+
+
 def _reference_cycle(d):
     """The cycle as built before: its own scan of vertex n, then an s-t path."""
     t = d.n
@@ -263,7 +284,18 @@ def _reference_cycle(d):
     bad = scan_bad_edges(d, order, t)
     if not bad:
         return tuple(order) + (t,)
-    return tuple(_solve_path(d, range(1, d.n + 1), _pick_bad(order, bad)[1], t))
+    return tuple(_reference_st_path(d, range(1, d.n + 1), _pick_bad(order, bad)[1], t))
+
+
+def _restricted(d, v, subset):
+    return tuple(x for x in d.rotation_of(v) if x in subset)
+
+
+def _reversed_fan_path(d, s, t, subset):
+    """s, then s's restricted rotation backwards from the vertex before t, then t."""
+    back = _restricted(d, s, subset)
+    i = back.index(t)
+    return (s, *reversed(back[i:] + back[:i]))
 
 
 def _vertices_or_evidence(build, d):
@@ -282,20 +314,33 @@ def test_cycle_matches_reference(spec):
 
 def test_cycle_asks_the_queries_of_its_st_path():
     # The root scans vertex n's rotation once; a separate pre-scan would add
-    # (n - 1)(n - 3) queries whenever vertex n has a bad edge.
+    # (n - 1)(n - 3) queries whenever vertex n has a bad edge.  The s-t path
+    # from the cycle's start adds a probe of the start's rotation when
+    # vertex n has a bad edge, and solves toward the start when the probe
+    # finds none.
     rng = random.Random(5)
     pool = [permuted_fan(n, 3, rng) for n in (8, 16, 30)]
     pool += [generators.random_geometric(n, s) for n in (10, 40) for s in (0, 1)]
     pool += [generators.convex_position(9), generators.two_page(3)]
     with_bad = 0
     for d in pool:
+        n = d.n
         view, counter = instrumented(d)
-        start = hamiltonian_cycle(view, verify=False).vertices[0]
+        cycle = hamiltonian_cycle(view, verify=False).vertices
         cycle_queries = counter.count
+        start = cycle[0]
         view, counter = instrumented(d)
-        st_hamiltonian_path(view, start, d.n, verify=False)
-        assert cycle_queries == counter.count
-        with_bad += bool(scan_bad_edges(d, d.rotation_of(d.n), d.n))
+        path = st_hamiltonian_path(view, start, n, verify=False).vertices
+        probe_view, probe = instrumented(d)
+        if not scan_bad_edges(d, d.rotation_of(n), n):
+            assert path == cycle and counter.count == cycle_queries
+            continue
+        with_bad += 1
+        if next(_bad_pairs(probe_view, d.rotation_of(start), start), None) is not None:
+            assert path == cycle and counter.count == cycle_queries + probe.count
+        else:
+            assert path == _reversed_fan_path(d, start, n, set(range(1, n + 1)))
+            assert counter.count == 2 * (n - 1) * (n - 3)
     assert with_bad >= 4
 
 
@@ -330,3 +375,37 @@ def test_two_edge_path_builds_no_subdrawing(monkeypatch, rand8):
     for e, f in list(_independent_noncrossing_pairs(rand8))[:12]:
         cert = geometric_path_with_two_edges(pts, e, f)
         assert cert.oracle_verified
+
+
+# ---------------------------------------------------------------------------
+# With a bad edge at t, the root probes s's rotation and, if s has none,
+# solves the path toward s.
+
+
+# About one example in twenty solves toward s.
+@settings(max_examples=150)
+@given(POOL, st.data())
+def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
+    d = construction_pool(*spec)
+    subset = set(data.draw(st.lists(st.integers(1, d.n), min_size=2, unique=True)))
+    s, t = data.draw(st.permutations(sorted(subset)))[:2]
+    k = len(subset)
+
+    def queries_and_result(build):
+        view, counter = instrumented(d)
+        got = _vertices_or_evidence(lambda x: tuple(build(x, subset, s, t)), view)
+        return counter.count, got
+
+    asked, got = queries_and_result(_solve_path)
+    ref_asked, want = queries_and_result(_reference_st_path)
+    probe = (k - 1) * (k - 3) if k > 3 else 0
+    assert asked <= ref_asked + probe
+    t_bad = k > 3 and scan_bad_edges(d, _restricted(d, t, subset), t)
+    if not t_bad or next(_bad_pairs(d, _restricted(d, s, subset), s), None) is not None:
+        assert got == want
+        return
+    assert got == _reversed_fan_path(d, s, t, subset)
+    assert asked == 2 * (k - 1) * (k - 3)
+    if spec[0] != "twisted":
+        edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
+        assert is_plane(d, edges)

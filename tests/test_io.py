@@ -207,6 +207,30 @@ def test_certificate_reader_rejects_claim_shapes(rand8, claims):
         io.certificate_from_json(obj)
 
 
+def test_reader_rejects_boolean_labels(rand8):
+    # JSON true/false are Python ints; as labels they would reach the oracle as 1/0.
+    with pytest.raises(FormatError) as info:
+        io.drawing_from_json({"n": 3, "rotations": [[2, 3], [1, 3], [True, 2]]})
+    assert str(info.value) == "each rotation must be a list of integers"
+    obj = io.certificate_to_json(st_hamiltonian_path(rand8, 2, 7))
+    obj["vertices"][0] = True
+    with pytest.raises(FormatError) as info:
+        io.certificate_from_json(obj)
+    assert str(info.value) == "field 'vertices' must be a list of integers"
+
+
+@pytest.mark.parametrize("kind", ["cycle", "path"])
+def test_certificate_reader_rejects_repeated_edges(rand8, kind):
+    cert = hamiltonian_cycle(rand8) if kind == "cycle" else st_hamiltonian_path(rand8, 2, 7)
+    obj = io.certificate_to_json(cert)
+    obj["edges"] = obj["edges"] * 2
+    with pytest.raises(FormatError) as info:
+        io.certificate_from_json(obj)
+    assert str(info.value) == "stored edges list an edge more than once"
+    obj["edges"] = obj["edges"][: len(cert.edges)]
+    assert io.certificate_from_json(obj) == cert
+
+
 def test_certificate_reader_rejects_self_loop_edge():
     obj = io.certificate_to_json(greedy_maximal_plane(generators.convex_position(6)).certificate())
     obj["edges"][0] = [3, 3]
