@@ -27,8 +27,8 @@ from .errors import (
     NotConvexEvidence,
 )
 from .hamiltonian import (
+    _two_edge_path,
     empty_k_cycle,
-    geometric_path_with_two_edges,
     hamiltonian_cycle,
     path_containing_edge,
     st_hamiltonian_path,
@@ -58,6 +58,13 @@ def _parse_edge(text):
     if u == v:
         raise UsageError(f"edge joins a vertex to itself: {text!r}")
     return (u, v)
+
+
+def _count(text):
+    """argparse type: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_edges(text):
@@ -152,8 +159,7 @@ def cmd_find(args, manifest):
         e, e2 = _require_two(_parse_edges(args.edges))
         if d.points is None:
             raise NoCoordinates("two-edge-path needs a drawing with coordinates")
-        pts = [d.points[v] for v in range(1, d.n + 1)]
-        cert = geometric_path_with_two_edges(pts, e, e2, verify=verify)
+        cert = _two_edge_path(d, e, e2, verify)
     else:  # max-plane as a find task: certificate only, pipeable into verify
         cert = _max_plane_sub(d, args).certificate()
         if verify:
@@ -271,7 +277,7 @@ def build_parser():
     p = sub.add_parser("max-plane", help="maximal plane subdrawing (convex input only)")
     p.add_argument("--in", dest="infile", help="drawing JSON file (default stdin)")
     p.add_argument("--seed-cycle", action="store_true", dest="seed_cycle")
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_count, default=0,
                    help="re-run with k random greedy orders; sizes must agree")
     p.set_defaults(func=cmd_max_plane)
 

@@ -13,7 +13,7 @@ convexity, see drawing._triangle_verdicts), so a convex drawing costs
 C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  The 5-set route asks
 three rows that read the crossing state of every 4-set (which of its three
 matchings cross), 3 * C(n, 4) queries; each 5-set's five states form a
-15-bit code, and a 2**15-entry table built from the catalog forms maps the
+15-bit code, and a 2**15-entry table built from four seed drawings maps the
 code to its K5Class.
 """
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .drawing import _triangle_verdicts, side_convex
 from .errors import NotConvex, NotK5, TooLarge
+from .generators import convex_position, geometric, twisted
 from .oracle import _side_inconsistency
 
 # The 5-set pass keeps O(C(n, 4)) scratch; past this many 4-sets (n > 101)
@@ -57,33 +58,6 @@ class K5Class(Enum):
 _CLASSES = tuple(K5Class)
 
 
-def canonical_k5_form(crossing_pairs):
-    """Relabel-invariant fingerprint of a 5-vertex crossing set.
-
-    Minimum over all 120 vertex relabelings of the sorted pair-of-edges
-    tuple.  Cheap enough (<=120 * 5 pairs) to call in bulk.
-    """
-    pairs = [tuple(sorted(map(tuple, map(sorted, p)))) for p in crossing_pairs]
-    best = None
-    for perm in permutations(range(1, 6)):
-        m = (None,) + perm
-        relabeled = sorted(
-            tuple(
-                sorted(
-                    (
-                        tuple(sorted((m[e[0]], m[e[1]]))),
-                        tuple(sorted((m[f[0]], m[f[1]]))),
-                    )
-                )
-            )
-            for e, f in pairs
-        )
-        key = tuple(relabeled)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def _k5_code(pairs):
     """15-bit code of a crossing set on labels 1..5, as _k5_codes builds it.
 
@@ -100,27 +74,27 @@ def _k5_code(pairs):
     return code
 
 
-def _lookup_table(forms):
-    """uint8 table from 15-bit code to index in _CLASSES.
-
-    Every relabelling of each form gets its tag; every other code is
-    IV_OR_V, as no relabelling of it matches a form.
-    """
-    table = np.full(1 << 15, _CLASSES.index(K5Class.IV_OR_V), dtype=np.uint8)
-    for tag, form in forms.items():
-        for perm in permutations(range(1, 6)):
-            m = (0, *perm)
-            code = _k5_code(((m[a], m[b]), (m[c], m[x])) for (a, b), (c, x) in form)
-            table[code] = _CLASSES.index(K5Class[tag])
-    return table
-
-
 @cache
 def _k5_table():
-    """The catalog's lookup table and its per-code non-convexity mask, built once."""
-    from ._k5_catalog import FORMS
+    """uint8 table from 15-bit code to index in _CLASSES, and its non-convexity mask.
 
-    table = _lookup_table(FORMS)
+    Built once from four seed drawings: point sets of types I, II and III
+    and twisted(5), type V.  Every relabelling of each seed gets its class;
+    every other code is IV_OR_V.
+    """
+    seeds = {
+        K5Class.I: convex_position(5),
+        K5Class.II: geometric([(0, 0), (40, 0), (40, 40), (0, 40), (18, 21)]),
+        K5Class.III: geometric([(0, 0), (60, 0), (0, 60), (14, 15), (22, 19)]),
+        K5Class.V: twisted(5),
+    }
+    table = np.full(1 << 15, _CLASSES.index(K5Class.IV_OR_V), dtype=np.uint8)
+    for cls, d in seeds.items():
+        pairs = d.crossing_set()
+        for perm in permutations(range(1, 6)):
+            m = (0, *perm)
+            code = _k5_code(((m[a], m[b]), (m[c], m[x])) for (a, b), (c, x) in pairs)
+            table[code] = _CLASSES.index(cls)
     return table, ~np.array([c.convex for c in _CLASSES])[table]
 
 
@@ -171,10 +145,11 @@ def classify_k5(d):
     """Classify a 5-vertex drawing as K5Class.
 
     Types I/II/III are the point-realisable patterns (5, 3, 1 crossings);
-    type V is the twisted drawing's pattern.  The remaining possibility is
-    reported as IV_OR_V: with the four named forms excluded it can only be
-    the fourth pattern, but the classifier never certifies that directly.
-    Costs 15 queries.
+    type V is the twisted drawing's pattern.  d has a type when it is a
+    relabelling of that type's seed drawing in _k5_table.  The remaining
+    possibility is reported as IV_OR_V: with the four seed drawings
+    excluded it can only be the fourth pattern, but the classifier never
+    certifies that directly.  Costs 15 queries.
     """
     if d.n != 5:
         raise NotK5(f"expected a 5-vertex drawing, got n={d.n}")

@@ -68,6 +68,13 @@ class QueryCounter:
     count: int = 0
 
 
+def _require_table(n):
+    """Raise TooLarge when K_n's crossing table would exceed 2**28 bytes (n > 181)."""
+    m = n * (n - 1) // 2
+    if (m + 1) ** 2 > 1 << 28:
+        raise TooLarge(f"n={n} needs a {(m + 1) ** 2}-byte crossing table, over 2**28")
+
+
 class ExplicitCrossings:
     """Crossing oracle over an (m, 4) array of crossing pairs (a, b, c, d): {a, b} x {c, d}.
 
@@ -78,9 +85,8 @@ class ExplicitCrossings:
     """
 
     def __init__(self, n, pairs=()):
+        _require_table(n)
         m = n * (n - 1) // 2
-        if (m + 1) ** 2 > 1 << 28:  # n > 181
-            raise TooLarge(f"n={n} needs a {(m + 1) ** 2}-byte crossing table, over 2**28")
         ids = np.full((n + 1, n + 1), m, dtype=np.int32)
         # A boolean mask fills in row-major order, which is all_edges order.
         ids[1:, 1:][np.less.outer(np.arange(n), np.arange(n))] = np.arange(m)
@@ -194,13 +200,14 @@ class Drawing:
     def crossing_degrees(self):
         """How many edges cross each edge, in all_edges order; uncounted.
 
-        Abstract drawings sum their table's rows; geometric ones count over
-        crossing_set(), so small n only.
+        Abstract drawings sum their table's rows; geometric ones ask one
+        row per edge against all edges.
         """
         if isinstance(self._oracle, ExplicitCrossings):
             return self._oracle._table[:-1, :-1].sum(axis=1)
-        deg = Counter(chain.from_iterable(self.crossing_set()))
-        return np.array([deg[e] for e in all_edges(self.n)])
+        ends = np.array(all_edges(self.n), dtype=np.int64)
+        c, d = ends.T
+        return np.array([np.count_nonzero(self._oracle.cross_pairs(a, b, c, d)) for a, b in ends])
 
     def __repr__(self):
         kind = "geometric" if self.points is not None else "explicit"
@@ -307,11 +314,8 @@ def _rotation_crossings(n, rot):
         yield np.stack([first, b, c, d], axis=1)[(sa == sd) & (sa != sb)]
 
 
-def geometric_drawing(points_1indexed, skip_checks=False):
-    """Internal: wrap validated 1-indexed integer points as a Drawing."""
-    pts = points_1indexed
-    if not skip_checks:
-        geometry.assert_general_position(pts[1:])
+def geometric_drawing(pts):
+    """Internal: wrap validated 1-indexed integer points (pts[0] unused) as a Drawing."""
     return Drawing(len(pts) - 1, GeometricCrossings(pts), points=pts)
 
 
@@ -329,7 +333,7 @@ def relabel(d, perm):
 def _renamed(d, to_old):
     """d on the vertices to_old[1:], with vertex to_old[x] renamed x."""
     if d.points is not None:
-        return geometric_drawing((None, *(d.points[v] for v in to_old[1:])), skip_checks=True)
+        return geometric_drawing((None, *(d.points[v] for v in to_old[1:])))
     to_new = {v: x for x, v in enumerate(to_old) if x}
     rot = [None] + [
         _canon_cycle(tuple(to_new[u] for u in d.rotation_of(v) if u in to_new)) for v in to_old[1:]

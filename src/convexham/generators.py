@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import geometry
-from .drawing import geometric_drawing, new_drawing
+from .drawing import _require_table, geometric_drawing, new_drawing
 from .errors import DegeneratePointSet, ExhaustedRejection, TooFewVertices, VertexOutOfRange
 
 # Retry budget for rejection sampling in random_geometric.
@@ -40,8 +40,7 @@ def geometric(points):
     Vertex i+1 sits at points[i].  Rotations are the counterclockwise
     angular orders; crossings are answered lazily by exact segment tests.
     """
-    pts = point_set(points)
-    return geometric_drawing((None,) + pts, skip_checks=True)
+    return geometric_drawing((None, *point_set(points)))
 
 
 def convex_position(n):
@@ -67,7 +66,7 @@ def convex_position(n):
             radius *= 2
             continue
         if geometry.strictly_convex_ccw(validated):
-            return geometric(validated)
+            return geometric_drawing((None, *validated))
         radius *= 2
 
 
@@ -103,6 +102,7 @@ def twisted(n):
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
+    _require_table(n)
     return new_drawing(n, [(*range(n, i, -1), *range(1, i)) for i in range(1, n + 1)])
 
 
@@ -122,6 +122,7 @@ def two_page(n, outer_edges=()):
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
+    _require_table(n)
     outer = set()
     for e in outer_edges:
         u, w = e

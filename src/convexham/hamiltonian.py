@@ -353,7 +353,11 @@ def geometric_path_with_two_edges(points, e, e2, verify=True):
     """
     from .generators import geometric
 
-    d = geometric(points)
+    return _two_edge_path(geometric(points), e, e2, verify)
+
+
+def _two_edge_path(d, e, e2, verify):
+    """geometric_path_with_two_edges on a geometric drawing d, asking d's oracle."""
     u, v = canon_edge(*e)
     u2, v2 = canon_edge(*e2)
     if not (1 <= u and v <= d.n and 1 <= u2 and v2 <= d.n):

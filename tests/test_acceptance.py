@@ -18,7 +18,7 @@ import pytest
 from conftest import record_criterion
 
 from convexham import generators
-from convexham.convexity import is_convex_by_k5, is_convex_by_triangles
+from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import NotConvexEvidence
 from convexham.geometry import orientation
@@ -38,6 +38,7 @@ from convexham.oracle import (
     polygon_partition,
     verify_certificate,
 )
+from convexham.starframe import build_star_frame
 from convexham.subdrawings import extend_cycle, greedy_maximal_plane
 
 RANDOM_SIZES = range(4, 13)
@@ -169,6 +170,35 @@ def test_c04_quadratic_query_growth():
         f"q(2000)={queries[2000]})"
     )
     assert ok, (slopes, wall)
+
+
+def test_c04_fan_family_at_hub_1():
+    # Convex drawings that no point set realises, with about n/3 bad edges
+    # at hub 1: the connector-table path of the star frame at scale.
+    sizes = (45, 90, 181)
+    failures = []
+    queries = {}
+    bad = {}
+    for n in sizes:
+        d = generators.two_page(n, tuple((1, j) for j in range(4, n - 1, 3)))
+        bad[n] = build_star_frame(d, 1).m
+        if bad[n] < n / 3 - 1:
+            failures.append(f"n={n} has {bad[n]} bad edges at hub 1, < n/3 - 1")
+        view, counter = instrumented(d)
+        cert = star_avoiding_hamiltonian_cycle(view, v_star=1, verify=False)
+        queries[n] = counter.count
+        if not verify_certificate(d, cert).oracle_verified:
+            failures.append(f"n={n} certificate not verified")
+        if n <= 101 and find_nonconvex_k5(d) is not None:
+            failures.append(f"n={n} has a non-convex 5-set")
+    slopes = [log2(queries[b] / queries[a]) / log2(b / a) for a, b in zip(sizes, sizes[1:])]
+    ok = not failures and max(slopes) <= 2.15
+    record_criterion(
+        f"C04c star-hc at hub 1 of the two-page fan n=45..181: {_verdict(ok)} "
+        f"(max slope {max(slopes):.3f} <= 2.15, m={'/'.join(map(str, bad.values()))} "
+        f">= n/3 - 1 bad edges, verified, convex by 5-sets at n <= 90)"
+    )
+    assert ok, (failures, slopes)
 
 
 def _is_interior(d, v):

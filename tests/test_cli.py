@@ -5,8 +5,10 @@ from math import comb
 import pytest
 
 from conftest import permuted_fan
-from convexham import cli, convexity, io
+from convexham import cli, convexity, generators, io
 from convexham.cli import main
+from convexham.drawing import instrumented
+from convexham.hamiltonian import _two_edge_path, geometric_path_with_two_edges
 
 
 def run(capsys, *argv):
@@ -191,6 +193,16 @@ def test_max_plane_trials(capsys, tmp_path):
     assert len(obj["edges"]) == 13
 
 
+def test_max_plane_negative_trials_is_usage_error(capsys, tmp_path):
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", "convex-position", "--n", "6")[1])
+    with pytest.raises(SystemExit) as exc:
+        main(["max-plane", "--in", str(dfile), "--trials", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
+
+
 def test_max_plane_refuses_twisted(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "twisted", "--n", "6")
     dfile = tmp_path / "d.json"
@@ -359,3 +371,25 @@ def test_find_two_edge_path_self_loop_is_usage_error(capsys, tmp_path):
     dfile.write_text(run(capsys, "gen", "random", "--n", "7", "--seed", "0")[1])
     _assert_usage_error(*run(capsys, "find", "two-edge-path", "--in", str(dfile),
                              "--edges", "1,1;2,3"))
+
+
+def test_gen_twisted_past_table_limit_is_domain_error(capsys):
+    _assert_domain_error(*run(capsys, "gen", "twisted", "--n", "2000"), "TooLarge")
+
+
+@pytest.mark.parametrize("n, seed", [(8, 1), (11, 4)])
+def test_find_two_edge_path_counts_its_queries(capsys, tmp_path, n, seed):
+    d = generators.random_geometric(n, seed)
+    raw = io.dumps_drawing(d)
+    dfile = tmp_path / "d.json"
+    dfile.write_text(raw)
+    e, f = (1, 2), next((a, b) for a in range(3, n) for b in range(a + 1, n + 1)
+                        if not d.crosses((1, 2), (a, b)))
+    code, out, err = run(capsys, "find", "two-edge-path", "--in", str(dfile),
+                         "--edges", f"{e[0]},{e[1]};{f[0]},{f[1]}")
+    assert code == 0
+    pts = [d.points[v] for v in range(1, n + 1)]
+    assert out == io.dumps_certificate(geometric_path_with_two_edges(pts, e, f)) + "\n"
+    view, counter = instrumented(io.loads_drawing(raw))
+    _two_edge_path(view, e, f, True)
+    assert manifest_of(err)["oracle_queries"] == counter.count > 0

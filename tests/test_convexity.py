@@ -1,21 +1,22 @@
+import hashlib
 import random
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_k4_drawing
 from convexham import generators
-from convexham._k5_catalog import FORMS
 from convexham.convexity import (
     K5Class,
     NonConvexK5,
     NonConvexTriangle,
     _k5_code,
     _k5_table,
-    canonical_k5_form,
     classify_k5,
     find_nonconvex_k5,
     find_nonconvex_triangle,
@@ -37,12 +38,43 @@ def _full_rot(n):
     return [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
 
 
+def canonical_k5_form(crossing_pairs):
+    """Relabel-invariant fingerprint of a 5-vertex crossing set, the reference classifier.
+
+    Minimum over all 120 vertex relabelings of the sorted pair-of-edges
+    tuple.
+    """
+    pairs = [tuple(sorted(map(tuple, map(sorted, p)))) for p in crossing_pairs]
+    best = None
+    for perm in permutations(range(1, 6)):
+        m = (None,) + perm
+        key = tuple(sorted(
+            tuple(sorted((tuple(sorted((m[e[0]], m[e[1]]))), tuple(sorted((m[f[0]], m[f[1]]))))))
+            for e, f in pairs
+        ))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@cache
+def _seed_forms():
+    """Canonical form of each named class's seed drawing: three point sets and twisted(5)."""
+    seeds = {
+        K5Class.I: generators.convex_position(5),
+        K5Class.II: generators.geometric([(0, 0), (40, 0), (40, 40), (0, 40), (18, 21)]),
+        K5Class.III: generators.geometric([(0, 0), (60, 0), (0, 60), (14, 15), (22, 19)]),
+        K5Class.V: generators.twisted(5),
+    }
+    return {cls: canonical_k5_form(d.crossing_set()) for cls, d in seeds.items()}
+
+
 def test_catalog_rederivation():
-    """Recompute the frozen five-vertex catalog from scratch.
+    """Recompute the five-vertex forms from scratch and match them to the seeds.
 
     All 5-subsets of one geometric K12 must land on the three point-set
-    forms (with 5, 3 and 1 crossings); the twisted K5 supplies the fourth.
-    Exactly the four frozen canonical forms may appear.
+    forms (with 5, 3 and 1 crossings), which are the forms of the seeds of
+    types I, II and III; the twisted K5 supplies the fourth.
     """
     d = generators.random_geometric(12, 94)
     seen = {}
@@ -50,13 +82,23 @@ def test_catalog_rederivation():
         d5 = induced_subdrawing(d, sub).drawing
         form = canonical_k5_form(d5.crossing_set())
         seen.setdefault(len(form), set()).add(form)
+    forms = _seed_forms()
     assert set(seen) == {5, 3, 1}
-    assert seen[5] == {FORMS["I"]}
-    assert seen[3] == {FORMS["II"]}
-    assert seen[1] == {FORMS["III"]}
+    assert seen[5] == {forms[K5Class.I]}
+    assert seen[3] == {forms[K5Class.II]}
+    assert seen[1] == {forms[K5Class.III]}
     tw = canonical_k5_form(generators.twisted(5).crossing_set())
-    assert tw == FORMS["V"]
-    assert len(set(FORMS.values())) == 4
+    assert tw == forms[K5Class.V]
+    assert len(set(forms.values())) == 4
+
+
+def test_k5_table_digest():
+    """The table's bytes, pinned: 12 / 60 / 15 / 60 codes of types I / II / III / V."""
+    table, nonconvex = _k5_table()
+    digest = "c968471a60a3963a41c322385e13bba6a2402a435ce1ca0078e7e9c7df1253e3"
+    assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+    assert np.bincount(table).tolist() == [12, 60, 15, 60, 32621]
+    assert nonconvex.sum() == 60 + 32621
 
 
 @given(st.randoms())
@@ -86,7 +128,7 @@ def test_classify_twisted_and_convex_flags():
 
 def test_classify_unrecognised_form():
     # Three crossings, all on edge {1,2}: passes the per-K4 validation but
-    # matches no catalog form, so it lands in the non-realisable bucket.
+    # matches no seed's form, so it lands in the non-realisable bucket.
     crossings = ExplicitCrossings(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
     d = Drawing(5, crossings, rotations=[None, *_full_rot(5)])
     assert classify_k5(d) is K5Class.IV_OR_V
@@ -144,9 +186,9 @@ def test_convex_drawings_have_no_witness(conv6):
 # The per-5-set classifier the table lookup replaced, kept as the reference.
 def _reference_class(crossing_pairs):
     form = canonical_k5_form(crossing_pairs)
-    for tag, known in FORMS.items():
+    for cls, known in _seed_forms().items():
         if form == known:
-            return K5Class[tag]
+            return cls
     return K5Class.IV_OR_V
 
 
@@ -200,18 +242,19 @@ def test_find_nonconvex_k5_matches_reference(n, kind, rng):
 
 def test_table_matches_canonical_forms_on_catalog_codes():
     table, nonconvex = _k5_table()
+    forms = _seed_forms().values()
     codes = set()
-    for form in FORMS.values():
+    for form in forms:
         for perm in permutations(range(1, 6)):
             m = (0, *perm)
             codes.add(_k5_code([((m[a], m[b]), (m[c], m[x])) for (a, b), (c, x) in form]))
     assert len(codes) <= 480
     for code in codes:
-        assert canonical_k5_form(_code_pairs(code)) in FORMS.values()
+        assert canonical_k5_form(_code_pairs(code)) in forms
         cls = _reference_class(_code_pairs(code))
         assert list(K5Class)[table[code]] is cls
         assert nonconvex[code] == (not cls.convex)
-    # Only the catalog codes are convex or type V.
+    # Only the seeds' codes are convex or type V.
     assert sum(table != list(K5Class).index(K5Class.IV_OR_V)) == len(codes)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from convexham import generators
 from convexham.drawing import all_edges, adjacent, canon_pair, same_drawing
-from convexham.errors import DegeneratePointSet, TooFewVertices
+from convexham.errors import DegeneratePointSet, TooFewVertices, TooLarge
 from convexham.geometry import strictly_convex_ccw
 
 
@@ -135,3 +136,17 @@ def test_two_page_rejects_bad_edges():
         generators.two_page(5, {(1, 7)})
     with pytest.raises(ValueError):
         generators.two_page(5, {(2, 2)})
+
+
+@pytest.mark.parametrize("make", [generators.twisted, generators.two_page])
+def test_abstract_families_refuse_large_n_before_building(make):
+    # The crossing table stops at n = 181; the refusal comes before the
+    # O(n^2) rotations are built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            make(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
