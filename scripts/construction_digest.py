@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Digest of every construction's output and query count over a fixed pool.
+
+Runs the star-avoiding cycle, the Hamiltonian cycle, s-t paths, paths
+through an edge and geometric two-edge paths (all unverified) on:
+random two-page drawings with arbitrary outer-edge sets (n = 5..16,
+relabelled), two-page fans at n = 20, 40, 61 and 181, twisted(5..10),
+random geometric drawings (n = 5..30) and hull-to-hull s-t paths at
+n = 300 and 1000.  Each run is one JSON line: its name, the certificate's
+vertices or the evidence (which, vertices, detail) or error, and the
+oracle queries it asked.  Two source trees that print the same digest do
+the same work in the same order.
+
+    python scripts/construction_digest.py [--src DIR] [--out FILE]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
+
+ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                help="directory holding the convexham package (default: this checkout's)")
+ap.add_argument("--out", help="also write the JSON lines here")
+args = ap.parse_args()
+sys.path.insert(0, args.src)
+
+from convexham import generators  # noqa: E402
+from convexham.drawing import instrumented, relabel  # noqa: E402
+from convexham.errors import NotConvexEvidence  # noqa: E402
+from convexham.hamiltonian import (  # noqa: E402
+    _two_edge_path,
+    hamiltonian_cycle,
+    path_containing_edge,
+    st_hamiltonian_path,
+    star_avoiding_hamiltonian_cycle,
+)
+
+
+def relabelled_two_page(n, outer, rng):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(generators.two_page(n, outer), perm)
+
+
+def run(d, build, *args):
+    view, counter = instrumented(d)
+    try:
+        res = list(build(view, *args, verify=False).vertices)
+    except NotConvexEvidence as exc:
+        res = ["evidence", exc.which, list(exc.vertices), exc.detail]
+    except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
+        res = ["error", type(exc).__name__, str(exc)]
+    return res, counter.count
+
+
+lines = []
+
+
+def emit(name, res, queries):
+    lines.append(json.dumps([name, res, queries]))
+
+
+def exercise(name, d, rng, pairs, hubs=None):
+    n = d.n
+    for hub in hubs if hubs is not None else range(1, n + 1):
+        emit(f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
+    emit(f"{name} cycle", *run(d, hamiltonian_cycle))
+    for _ in range(pairs):
+        s, t = rng.sample(range(1, n + 1), 2)
+        emit(f"{name} st {s} {t}", *run(d, st_hamiltonian_path, s, t))
+    for _ in range(pairs // 4):
+        e = tuple(rng.sample(range(1, n + 1), 2))
+        emit(f"{name} edge {e}", *run(d, path_containing_edge, e))
+
+
+rng = random.Random(2024)
+for i in range(240):
+    n = 5 + i % 12
+    p = rng.random()
+    outer = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+    exercise(f"two-page {i} n={n}", relabelled_two_page(n, outer, rng), rng, 16)
+for n in (20, 40, 61, 181):
+    for step in (1, 3):
+        d = relabelled_two_page(n, tuple((1, j) for j in range(4, n - 1, step)), rng)
+        hubs = None if n <= 61 else rng.sample(range(1, n + 1), 12)
+        exercise(f"fan n={n} step={step}", d, rng, 8 if n <= 61 else 3, hubs)
+for n in range(5, 11):
+    exercise(f"twisted n={n}", generators.twisted(n), rng, 30)
+for i in range(60):
+    n = 5 + i % 26
+    d = generators.random_geometric(n, i)
+    exercise(f"geometric {i} n={n}", d, rng, 12)
+    for _ in range(6):
+        a, b, c, x = rng.sample(range(1, n + 1), 4)
+        emit(f"geometric {i} two {(a, b)} {(c, x)}", *run(d, _two_edge_path, (a, b), (c, x)))
+for n in (300, 1000):
+    for seed in (1, 2, 3):
+        d = generators.random_geometric(n, seed)
+        s = max(range(1, n + 1), key=lambda v: d.points[v])
+        t = min(range(1, n + 1), key=lambda v: d.points[v])
+        emit(f"hull n={n} seed={seed}", *run(d, st_hamiltonian_path, s, t))
+
+text = "".join(line + "\n" for line in lines)
+if args.out:
+    Path(args.out).write_text(text)
+kinds = Counter()
+for line in lines:
+    res = json.loads(line)[1]
+    kinds[res[1] if res and res[0] in ("evidence", "error") else "certificate"] += 1
+print(f"{len(lines)} runs: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
+print("sha256", hashlib.sha256(text.encode()).hexdigest())

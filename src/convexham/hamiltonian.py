@@ -18,7 +18,6 @@ from .drawing import canon_edge, split_by_triangle
 from .errors import (
     CertificateError,
     EdgesCrossOrAdjacent,
-    DegeneratePointSet,
     KOutOfRange,
     NotConvexEvidence,
     SameVertex,
@@ -89,10 +88,13 @@ def _fan_path(order, s, hub):
 def _solve_path(d, subset, s, t):
     """Plane Hamiltonian path from s to t inside subset (host labels).
 
-    Iterative two-phase stack; recursion depth would otherwise reach n.
-    Every subproblem scans its target's rotation.  Without a bad edge the
-    path is that rotation's fan path; otherwise the triangle of the chosen
-    bad edge and the target splits the subproblem in two.
+    One stack, built in path order; recursion depth would otherwise reach
+    n.  The stack holds subproblems (set, s, t) and bare star-edge ends.
+    A solved piece joins the path without its first vertex, on which the
+    piece before it ended.  Every subproblem scans its target's rotation.
+    Without a bad edge the piece is that rotation's fan path; otherwise the
+    triangle of the chosen bad edge and the target splits the subproblem
+    in two, and the first half is solved first.
 
     With s None the root picks its own start from the scan of t's rotation:
     the chosen bad edge's second endpoint, or the rotation's first vertex
@@ -105,58 +107,47 @@ def _solve_path(d, subset, s, t):
     reversed, and nothing recurses.  In a straight-line drawing only hull
     vertices have a bad edge, so a path from an interior s costs two scans.
     """
-    root = ("solve", tuple(sorted(subset)), s, t)
+    root = (set(subset), s, t)
     work = [root]
-    done = []
+    path = [] if s is None else [s]
     while work:
         item = work.pop()
-        if item[0] == "case1":
-            p2 = done.pop()
-            p1 = done.pop()
-            done.append(p1 + p2[1:] + [item[1]])
+        if not isinstance(item, tuple):
+            # The star edge that closes a case-1 split onto its target.
+            path.append(item)
             continue
-        if item[0] == "case2":
-            p2 = done.pop()
-            p1 = done.pop()
-            done.append(p1 + p2[1:])
-            continue
-        _, sub, s0, t0 = item
+        sub, s0, t0 = item
         if s0 is not None and len(sub) <= 3:
-            # At most one vertex between s0 and t0: the path is forced.
-            mid = [x for x in sub if x != s0 and x != t0]
-            done.append([s0, *mid, t0] if len(sub) > 1 else [s0])
+            # At most one vertex between s0 and t0: the piece is forced.
+            if len(sub) > 1:
+                path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
-        inset = set(sub)
-        order = tuple(x for x in d.rotation_of(t0) if x in inset)
+        order = tuple(x for x in d.rotation_of(t0) if x in sub)
         bad = scan_bad_edges(d, order, t0)
         if s0 is None:
             s0 = _pick_bad(order, bad)[1] if bad else order[0]
+            path.append(s0)
         if not bad:
-            done.append(_fan_path(order, s0, t0))
+            path += _fan_path(order, s0, t0)[1:]
             continue
         if item is root and s is not None:
-            back = tuple(x for x in d.rotation_of(s0) if x in inset)
+            back = tuple(x for x in d.rotation_of(s0) if x in sub)
             if next(_bad_pairs(d, back, s0), None) is None:
-                done.append(_fan_path(back, t0, s0)[::-1])
+                path += reversed(_fan_path(back, t0, s0)[:-1])
                 continue
         u, v, wset = _pick_bad(order, bad)
         vn, vc = _split_sides(d, u, v, t0, sub, wset)
         if s0 in vc:
-            # P1 crosses the convex side to u, P2 sweeps the witness side
-            # from u to v, then one star edge {v, t0}.
-            work.append(("case1", t0))
-            work.append(("solve", tuple(sorted(vn | {u, v})), u, v))
-            work.append(("solve", tuple(sorted(vc | {u})), s0, u))
+            # Case 1: P1 crosses the convex side to u, P2 sweeps the witness
+            # side from u to v, then one star edge {v, t0}.
+            work += [t0, (vn | {u, v}, u, v), (vc | {u}, s0, u)]
         else:
-            p = u if s0 != u else v
-            q = v if s0 != u else u
-            # P1 sweeps the witness side from s0 to p, P2 crosses the convex
-            # side from p to t0.  (q is the bad-edge endpoint P1 passes through.)
-            work.append(("case2",))
-            work.append(("solve", tuple(sorted(vc | {t0, p})), p, t0))
-            work.append(("solve", tuple(sorted(vn | {q, p})), s0, p))
-    assert len(done) == 1
-    return done[0]
+            # Case 2: P1 sweeps the witness side from s0 to p, P2 crosses the
+            # convex side from p to t0.  (q is the bad-edge endpoint P1
+            # passes through.)
+            p, q = (u, v) if s0 != u else (v, u)
+            work += [(vc | {t0, p}, p, t0), (vn | {q, p}, s0, p)]
+    return path
 
 
 def st_hamiltonian_path(d, s, t, verify=True):
@@ -194,29 +185,6 @@ def hamiltonian_cycle(d, verify=True):
 # Star-avoiding cycles, empty k-cycles, prescribed-edge paths
 
 
-class _IntervalPath:
-    """Frame-label path whose visited set must stay an integer interval."""
-
-    def __init__(self, frame, start):
-        self.frame = frame
-        self.seq = [start]
-        self.lo = self.hi = start
-
-    def append(self, f):
-        if f == self.lo - 1:
-            self.lo = f
-        elif f == self.hi + 1:
-            self.hi = f
-        else:
-            raise _evidence(
-                "path-interval",
-                [f, self.lo, self.hi],
-                self.frame.to_host,
-                "visited labels stopped forming an integer interval",
-            )
-        self.seq.append(f)
-
-
 def _assert_connector(d, frame, fu, fv):
     """A connector edge must cross no star edge; refutes convexity otherwise."""
     hu, hv = frame.to_host[fu], frame.to_host[fv]
@@ -236,51 +204,30 @@ def _star_frame_path(d, frame):
 
     m <= 1: the labels in order (the bad edge, if any, is the unused wrap
     pair).  m >= 2: alternate between the tail of the witness blocks and the
-    vertices right of each bad edge, guided by the connector table; all
-    connectors are asserted non-star-crossing, consecutive-label edges are
-    good by the scan, and the visited set stays an interval throughout.
+    vertices right of each bad edge, guided by the connector table.  The
+    connectors are asserted non-star-crossing.  The frame makes the rest
+    hold: connector targets descend, so each run of labels extends the
+    visited interval at one end, and no run steps along a bad edge.
     """
     n = d.n
     if frame.m <= 1:
         return list(range(1, n))
-    bad_set = set(frame.bad)
-    v1 = frame.bad[0][0]
-    path = _IntervalPath(frame, v1)
-    x, r = v1, v1 + 1
-    while True:
+    x = frame.bad[0][0]
+    path = [x]
+    r = x + 1
+    while r < n - 1:
         xp = frame.l_table[r]
-        rp = n - 1
-        for cand in range(r + 1, n - 1):
-            if frame.l_table[cand] != xp:
-                rp = cand
-                break
-        if not xp < x:
-            raise _evidence(
-                "connector-monotone", [xp, x], frame.to_host, "connector targets failed to descend"
-            )
-        for y in range(x - 1, xp, -1):
-            assert (y, y + 1) not in bad_set
-            path.append(y)
+        rp = next((c for c in range(r + 1, n - 1) if frame.l_table[c] != xp), n - 1)
+        path += range(x - 1, xp, -1)
         _assert_connector(d, frame, xp + 1, r)
-        path.append(r)
-        for y in range(r + 1, rp):
-            assert (y - 1, y) not in bad_set
-            path.append(y)
+        path += range(r, rp)
         _assert_connector(d, frame, rp - 1, xp)
         path.append(xp)
         x, r = xp, rp
-        if rp == n - 1:
-            break
-    for y in range(x - 1, 0, -1):
-        assert (y, y + 1) not in bad_set
-        path.append(y)
-    # The wrap pair {n-1, 1} was validated good during frame construction.
+    path += range(x - 1, 0, -1)
+    # The wrap pair {n-1, 1} is good: the frame starts after the gap's left end.
     path.append(n - 1)
-    if (path.lo, path.hi) != (1, n - 1):
-        raise _evidence(
-            "path-interval", [path.lo, path.hi], frame.to_host, "path failed to cover 1..n-1"
-        )
-    return path.seq
+    return path
 
 
 def star_avoiding_hamiltonian_cycle(d, v_star, verify=True):
@@ -383,17 +330,11 @@ def _two_edge_path(d, e, e2, verify):
     others = [w for w in range(1, d.n + 1) if w not in (u, v, u2, v2)]
     r3, hside = [], []
     for w in others:
-        o = geometry.orientation(pts[u2], pts[v2], pts[w])
-        if o == 0:
-            raise DegeneratePointSet(f"point {w} lies on the line through {u2},{v2}")
-        (hside if o == side_e else r3).append(w)
+        (hside if geometry.orientation(pts[u2], pts[v2], pts[w]) == side_e else r3).append(w)
     side_u2 = geometry.orientation(pts[u], pts[v], pts[u2])
     r1, r2 = [], []
     for w in hside:
-        o = geometry.orientation(pts[u], pts[v], pts[w])
-        if o == 0:
-            raise DegeneratePointSet(f"point {w} lies on the line through {u},{v}")
-        (r2 if o == side_u2 else r1).append(w)
+        (r2 if geometry.orientation(pts[u], pts[v], pts[w]) == side_u2 else r1).append(w)
 
     p1 = _solve_path(d, r1 + [u], min(r1), u) if r1 else [u]
     p2 = _solve_path(d, r2 + [v, u2], v, u2)

@@ -15,7 +15,7 @@ import numpy as np
 from .certificates import Certificate, subdrawing_certificate
 from .drawing import all_edges, canon_edge
 from .convexity import require_convex
-from .errors import SeedNotPlane
+from .errors import EdgesCrossOrAdjacent, SeedNotPlane
 from .oracle import first_crossing
 
 
@@ -110,9 +110,13 @@ def faces(d, edges):
     the rotation), so each face of the combinatorial embedding appears as
     one closed walk.  The Euler relation V - E + W = 2*C_e + C_0 (C_e
     components with edges, C_0 isolated vertices) is asserted as a sanity
-    check on the embedding.
+    check on the embedding.  Raises VertexOutOfRange for a label outside
+    1..n and EdgesCrossOrAdjacent naming the first pair of edges that cross.
     """
     edges = [canon_edge(*e) for e in edges]
+    hit = first_crossing(d, edges)
+    if hit is not None:
+        raise EdgesCrossOrAdjacent(f"edges {hit[0]} and {hit[1]} cross")
     adj = {v: [] for v in range(1, d.n + 1)}
     for u, v in set(edges):
         adj[u].append(v)

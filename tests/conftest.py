@@ -58,10 +58,27 @@ def permuted_fan(n, step, rng):
     return relabel(generators.two_page(n, tuple((1, j) for j in range(4, n - 1, step))), perm)
 
 
+def random_two_page(n, rng):
+    """two_page(n) with a random set of outer edges, randomly relabelled.
+
+    Each edge goes outside with one probability drawn per drawing, so the
+    pool runs from nearly convex position to dense chord sets, most of them
+    not convex, with many bad edges at a hub.
+    """
+    p = rng.random()
+    outer = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return relabel(generators.two_page(n, outer), perm)
+
+
 def construction_pool(kind, n, seed):
-    """A drawing for the equivalence tests: fan, random geometric or twisted."""
+    """A drawing for the equivalence tests: fan, random two-page, random
+    geometric or twisted.  Only fans and geometric drawings are convex."""
     if kind == "fan":
         return permuted_fan(n, 1 + seed % 4, random.Random(seed))
+    if kind == "two-page":
+        return random_two_page(n, random.Random(seed))
     if kind == "geometric":
         return generators.random_geometric(n, seed)
     return generators.twisted(n)

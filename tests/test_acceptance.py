@@ -236,6 +236,40 @@ def test_c04_interior_source_to_hull_target():
     assert ok, failures
 
 
+# Queries of the s-t path between the extreme points of random_geometric(n,
+# seed) in (x, y) order, both on the hull: the recursion toward t at scale.
+HULL_TO_HULL_QUERIES = {
+    (250, 1): 455_676,
+    (250, 2): 396_895,
+    (500, 1): 1_900_912,
+    (500, 2): 1_837_039,
+    (1000, 1): 7_640_646,
+    (1000, 2): 4_248_268,
+    (2000, 1): 38_333_938,
+}
+
+
+def test_c04_hull_to_hull_st_paths_pinned():
+    failures = []
+    for (n, seed), want in HULL_TO_HULL_QUERIES.items():
+        d = generators.random_geometric(n, seed)
+        s = max(range(1, n + 1), key=lambda v: d.points[v])
+        t = min(range(1, n + 1), key=lambda v: d.points[v])
+        view, counter = instrumented(d)
+        cert = st_hamiltonian_path(view, s, t, verify=False)
+        if counter.count != want:
+            failures.append(f"n={n} seed={seed} asked {counter.count} != {want}")
+        ends = (cert.vertices[0], cert.vertices[-1])
+        if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
+            failures.append(f"n={n} seed={seed} ({s},{t}) bad certificate")
+    ok = not failures
+    record_criterion(
+        f"C04d hull-to-hull s-t paths n=250..2000: {_verdict(ok)} "
+        f"(pinned queries on {len(HULL_TO_HULL_QUERIES)} drawings, verified)"
+    )
+    assert ok, failures
+
+
 def _random_plane_seed(d, rng):
     edges = list(all_edges(d.n))
     rng.shuffle(edges)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import construction_pool, permuted_fan
-from convexham import drawing, generators, hamiltonian
+from test_starframe import _reference_frame
+from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import (
     EdgesCrossOrAdjacent,
@@ -253,7 +254,9 @@ def test_plane_check_of_produced_cycles(rand9):
 # The cycle is the s-t solver's root; sub-paths solve on host labels.
 
 POOL = st.tuples(
-    st.sampled_from(["fan", "geometric", "twisted"]), st.integers(4, 16), st.integers(0, 10**6)
+    st.sampled_from(["fan", "two-page", "geometric", "twisted"]),
+    st.integers(4, 16),
+    st.integers(0, 10**6),
 )
 
 
@@ -406,6 +409,102 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
         return
     assert got == _reversed_fan_path(d, s, t, subset)
     assert asked == 2 * (k - 1) * (k - 3)
-    if spec[0] != "twisted":
+    if spec[0] not in ("twisted", "two-page"):
         edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
         assert is_plane(d, edges)
+
+
+# ---------------------------------------------------------------------------
+# The star-avoiding walk against one that refutes every step.
+
+
+def _reference_star_walk(d, frame):
+    """The frame-label walk as built before: besides the connector rows, it
+    checks that connector targets descend, that every step extends the
+    visited interval, that no step runs along a bad edge and that the walk
+    covers 1..n-1."""
+    n = d.n
+    if frame.m <= 1:
+        return list(range(1, n))
+    bad_set = set(frame.bad)
+    v1 = frame.bad[0][0]
+    seq, lo, hi = [v1], v1, v1
+
+    def refute(which, labels, detail):
+        return starframe._evidence(which, labels, frame.to_host, detail)
+
+    def step(f):
+        nonlocal lo, hi
+        if f == lo - 1:
+            lo = f
+        elif f == hi + 1:
+            hi = f
+        else:
+            raise refute("path-interval", [f, lo, hi],
+                         "visited labels stopped forming an integer interval")
+        seq.append(f)
+
+    x, r = v1, v1 + 1
+    while True:
+        xp = frame.l_table[r]
+        rp = n - 1
+        for cand in range(r + 1, n - 1):
+            if frame.l_table[cand] != xp:
+                rp = cand
+                break
+        if not xp < x:
+            raise refute("connector-monotone", [xp, x], "connector targets failed to descend")
+        for y in range(x - 1, xp, -1):
+            assert (y, y + 1) not in bad_set
+            step(y)
+        hamiltonian._assert_connector(d, frame, xp + 1, r)
+        step(r)
+        for y in range(r + 1, rp):
+            assert (y - 1, y) not in bad_set
+            step(y)
+        hamiltonian._assert_connector(d, frame, rp - 1, xp)
+        step(xp)
+        x, r = xp, rp
+        if rp == n - 1:
+            break
+    for y in range(x - 1, 0, -1):
+        assert (y, y + 1) not in bad_set
+        step(y)
+    step(n - 1)
+    if (lo, hi) != (1, n - 1):
+        raise refute("path-interval", [lo, hi], "path failed to cover 1..n-1")
+    return seq
+
+
+def _reference_star_cycle(d, hub):
+    frame = _reference_frame(d, hub)
+    return (hub, *(frame.to_host[f] for f in _reference_star_walk(d, frame)))
+
+
+def _star_runs(d):
+    """Per hub: the cycle or evidence, and the queries asked, for both builds."""
+    for hub in range(1, d.n + 1):
+        runs = []
+        for build in (
+            lambda x: star_avoiding_hamiltonian_cycle(x, hub, verify=False).vertices,
+            lambda x: _reference_star_cycle(x, hub),
+        ):
+            view, counter = instrumented(d)
+            runs.append((_vertices_or_evidence(build, view), counter.count))
+        yield runs
+
+
+@given(POOL)
+def test_star_cycle_matches_reference(spec):
+    for got, want in _star_runs(construction_pool(*spec)):
+        assert got == want
+
+
+def test_star_cycle_reference_covers_every_route():
+    # Walks with several bad edges and connector refutations both occur.
+    seen = set()
+    for spec in [("fan", 12, 1), ("two-page", 10, 7), ("two-page", 13, 17), ("twisted", 8, 0)]:
+        for got, want in _star_runs(construction_pool(*spec)):
+            assert got == want
+            seen.add(got[0][1] if got[0][0] == "evidence" else "cycle")
+    assert {"cycle", "witness-two-block", "connector-star-crossing"} <= seen

@@ -382,7 +382,11 @@ def _frame_or_evidence(build, d, hub):
     return {f.name: getattr(frame, f.name) for f in fields(frame)}
 
 
-@given(st.sampled_from(["fan", "geometric", "twisted"]), st.integers(4, 14), st.integers(0, 10**6))
+@given(
+    st.sampled_from(["fan", "two-page", "geometric", "twisted"]),
+    st.integers(4, 14),
+    st.integers(0, 10**6),
+)
 def test_frame_matches_reference(kind, n, seed):
     # Every field, or the evidence on non-convex input, equals the frame
     # built by shifting and remapping labels.
@@ -395,7 +399,9 @@ def test_frame_matches_reference(kind, n, seed):
 def test_frame_reference_covers_every_route():
     # Frames with m = 0, 1 and >= 2 bad edges, and refutations, all occur.
     ms, refuted = set(), set()
-    for kind, n, seed in [("fan", 12, 1), ("fan", 16, 2), ("geometric", 9, 3), ("twisted", 9, 0)]:
+    for kind, n, seed in [
+        ("fan", 12, 1), ("fan", 16, 2), ("two-page", 10, 7), ("geometric", 9, 3), ("twisted", 9, 0)
+    ]:
         d = construction_pool(kind, n, seed)
         for hub in range(1, n + 1):
             got = _frame_or_evidence(build_star_frame, d, hub)

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from convexham import convexity, generators
 from convexham.drawing import all_edges, canon_edge, instrumented, relabel
-from convexham.errors import NotConvex, SeedNotPlane, TooLarge
+from convexham.errors import (
+    EdgesCrossOrAdjacent,
+    NotConvex,
+    SeedNotPlane,
+    TooLarge,
+    VertexOutOfRange,
+)
 from convexham.hamiltonian import hamiltonian_cycle
 from convexham.oracle import exact_max_plane, first_crossing, verify_certificate
 from convexham.subdrawings import (
@@ -157,6 +163,16 @@ def test_faces_degenerate_edge_sets(conv6):
     # a triangle separates two walks of length 3
     walks = faces(conv6, [(1, 2), (2, 3), (1, 3)])
     assert sorted(len(w) for w in walks) == [3, 3]
+
+
+def test_faces_refuses_bad_input():
+    # A label outside 1..n and a non-plane edge set are domain errors, not
+    # a bare KeyError or AssertionError.
+    d = generators.convex_position(5)
+    with pytest.raises(VertexOutOfRange, match="vertex 9"):
+        faces(d, [(1, 9)])
+    with pytest.raises(EdgesCrossOrAdjacent, match=r"edges \(1, 3\) and \(2, 4\) cross"):
+        faces(d, all_edges(5))
 
 
 def test_large_faces_are_uncrossed_in_host():
