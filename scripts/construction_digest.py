@@ -9,7 +9,8 @@ random geometric drawings (n = 5..30) and hull-to-hull s-t paths at
 n = 300 and 1000.  Each run is one JSON line: its name, the certificate's
 vertices or the evidence (which, vertices, detail) or error, and the
 oracle queries it asked.  Two source trees that print the same digest do
-the same work in the same order.
+the same work in the same order.  One more digest per task (star, cycle,
+st, edge, two, hull) shows which constructions a change moved.
 
     python scripts/construction_digest.py [--src DIR] [--out FILE]
 """
@@ -61,24 +62,27 @@ def run(d, build, *args):
     return res, counter.count
 
 
+TASKS = ("star", "cycle", "st", "edge", "two", "hull")
 lines = []
+tasks = []
 
 
-def emit(name, res, queries):
+def emit(task, name, res, queries):
+    tasks.append(task)
     lines.append(json.dumps([name, res, queries]))
 
 
 def exercise(name, d, rng, pairs, hubs=None):
     n = d.n
     for hub in hubs if hubs is not None else range(1, n + 1):
-        emit(f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
-    emit(f"{name} cycle", *run(d, hamiltonian_cycle))
+        emit("star", f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
+    emit("cycle", f"{name} cycle", *run(d, hamiltonian_cycle))
     for _ in range(pairs):
         s, t = rng.sample(range(1, n + 1), 2)
-        emit(f"{name} st {s} {t}", *run(d, st_hamiltonian_path, s, t))
+        emit("st", f"{name} st {s} {t}", *run(d, st_hamiltonian_path, s, t))
     for _ in range(pairs // 4):
         e = tuple(rng.sample(range(1, n + 1), 2))
-        emit(f"{name} edge {e}", *run(d, path_containing_edge, e))
+        emit("edge", f"{name} edge {e}", *run(d, path_containing_edge, e))
 
 
 rng = random.Random(2024)
@@ -100,13 +104,14 @@ for i in range(60):
     exercise(f"geometric {i} n={n}", d, rng, 12)
     for _ in range(6):
         a, b, c, x = rng.sample(range(1, n + 1), 4)
-        emit(f"geometric {i} two {(a, b)} {(c, x)}", *run(d, _two_edge_path, (a, b), (c, x)))
+        name = f"geometric {i} two {(a, b)} {(c, x)}"
+        emit("two", name, *run(d, _two_edge_path, (a, b), (c, x)))
 for n in (300, 1000):
     for seed in (1, 2, 3):
         d = generators.random_geometric(n, seed)
         s = max(range(1, n + 1), key=lambda v: d.points[v])
         t = min(range(1, n + 1), key=lambda v: d.points[v])
-        emit(f"hull n={n} seed={seed}", *run(d, st_hamiltonian_path, s, t))
+        emit("hull", f"hull n={n} seed={seed}", *run(d, st_hamiltonian_path, s, t))
 
 text = "".join(line + "\n" for line in lines)
 if args.out:
@@ -117,3 +122,7 @@ for line in lines:
     kinds[res[1] if res and res[0] in ("evidence", "error") else "certificate"] += 1
 print(f"{len(lines)} runs: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
 print("sha256", hashlib.sha256(text.encode()).hexdigest())
+for task in TASKS:
+    mine = [line + "\n" for line, t in zip(lines, tasks) if t == task]
+    digest = hashlib.sha256("".join(mine).encode()).hexdigest()
+    print(f"sha256 {task} {digest} ({len(mine)} runs)")

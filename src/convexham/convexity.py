@@ -246,9 +246,12 @@ def find_nonconvex_k5(d):
 def require_convex(d):
     """Refuse a drawing whose maximal plane size would depend on the order.
 
-    Raises NotConvex naming the first non-realisable 5-set and its class;
+    Straight-line drawings are convex and pass at once, at any n.  Otherwise
+    raises NotConvex naming the first non-realisable 5-set and its class;
     like find_nonconvex_k5, raises TooLarge past n = 101.
     """
+    if d.points is not None:
+        return
     bad = find_nonconvex_k5(d)
     if bad is not None:
         raise NotConvex(

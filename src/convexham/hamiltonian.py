@@ -6,6 +6,12 @@ violation surfaces as NotConvexEvidence with concrete vertices.  Every
 public routine returns a Certificate whose claims are re-verified by the
 independent oracle (pass verify=False to skip on a timing-critical path
 and verify later).
+
+Every cycle comes from the star frame: the star-avoiding cycle, and from
+it the plain Hamiltonian cycle, the empty k-cycles and the path through
+an edge, each O(n^2) queries.  Paths between two given ends come from
+the s-t solver, which also builds the pieces of the geometric path
+through two edges.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def _verified(d, cert, verify):
 
 
 # ---------------------------------------------------------------------------
-# s-t Hamiltonian paths and Hamiltonian cycles
+# s-t Hamiltonian paths
 
 
 def _pick_bad(order, bad):
@@ -96,20 +102,15 @@ def _solve_path(d, subset, s, t):
     triangle of the chosen bad edge and the target splits the subproblem
     in two, and the first half is solved first.
 
-    With s None the root picks its own start from the scan of t's rotation:
-    the chosen bad edge's second endpoint, or the rotation's first vertex
-    when there is no bad edge.  Either way the closing edge {t, s} is safe,
-    which is what hamiltonian_cycle needs.
-
-    With s given and a bad edge at t, the root first probes s's rotation
-    with the same scan, stopped after the first block that holds a bad
-    pair.  If s has no bad edge, the path is s's fan path toward t,
-    reversed, and nothing recurses.  In a straight-line drawing only hull
-    vertices have a bad edge, so a path from an interior s costs two scans.
+    With a bad edge at t, the root first probes s's rotation with the same
+    scan, stopped after the first block that holds a bad pair.  If s has
+    no bad edge, the path is s's fan path toward t, reversed, and nothing
+    recurses.  In a straight-line drawing only hull vertices have a bad
+    edge, so a path from an interior s costs two scans.
     """
     root = (set(subset), s, t)
     work = [root]
-    path = [] if s is None else [s]
+    path = [s]
     while work:
         item = work.pop()
         if not isinstance(item, tuple):
@@ -117,20 +118,17 @@ def _solve_path(d, subset, s, t):
             path.append(item)
             continue
         sub, s0, t0 = item
-        if s0 is not None and len(sub) <= 3:
+        if len(sub) <= 3:
             # At most one vertex between s0 and t0: the piece is forced.
             if len(sub) > 1:
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = tuple(x for x in d.rotation_of(t0) if x in sub)
         bad = scan_bad_edges(d, order, t0)
-        if s0 is None:
-            s0 = _pick_bad(order, bad)[1] if bad else order[0]
-            path.append(s0)
         if not bad:
             path += _fan_path(order, s0, t0)[1:]
             continue
-        if item is root and s is not None:
+        if item is root:
             back = tuple(x for x in d.rotation_of(s0) if x in sub)
             if next(_bad_pairs(d, back, s0), None) is None:
                 path += reversed(_fan_path(back, t0, s0)[:-1])
@@ -168,21 +166,8 @@ def st_hamiltonian_path(d, s, t, verify=True):
     return _verified(d, cert, verify)
 
 
-def hamiltonian_cycle(d, verify=True):
-    """Plane Hamiltonian cycle: a path to the highest-label vertex t, closed.
-
-    The s-t solver's root scans t's rotation once and starts the path where
-    the closing edge is safe (see _solve_path), so the cycle costs exactly
-    the queries of the recursion toward t from that start.  Without s, the
-    root probes no second rotation.
-    """
-    seq = _solve_path(d, range(1, d.n + 1), None, d.n)
-    cert = cycle_certificate(seq, {"plane": True, "hamiltonian": True})
-    return _verified(d, cert, verify)
-
-
 # ---------------------------------------------------------------------------
-# Star-avoiding cycles, empty k-cycles, prescribed-edge paths
+# Star-avoiding and Hamiltonian cycles, empty k-cycles, prescribed-edge paths
 
 
 def _assert_connector(d, frame, fu, fv):
@@ -242,6 +227,18 @@ def star_avoiding_hamiltonian_cycle(d, v_star, verify=True):
     cert = cycle_certificate(
         seq, {"plane": True, "hamiltonian": True, "star_avoiding": v_star}
     )
+    return _verified(d, cert, verify)
+
+
+def hamiltonian_cycle(d, verify=True):
+    """Plane Hamiltonian cycle: the star-avoiding cycle at vertex n, ending at n.
+
+    Plane with the whole star of n, so in particular plane; it costs the
+    star frame's queries, (n-1)(n-3) when vertex n has no bad edge (the
+    cycle is then n's rotation followed by n).
+    """
+    seq = star_avoiding_hamiltonian_cycle(d, d.n, verify=False).vertices
+    cert = cycle_certificate(seq[1:] + seq[:1], {"plane": True, "hamiltonian": True})
     return _verified(d, cert, verify)
 
 

@@ -16,11 +16,12 @@ crossing list while n <= 12); an abstract one as its rotations, which fix
 its crossings.
 
 Readers treat "points", or else "rotations", as authoritative and accept
-the derivable fields as redundant input, checked where that is affordable.
-Next to points: rotations up to n = 64, stored crossings exhaustively up
-to n = 12 and pair-by-pair beyond.  Next to rotations: stored crossings
-always, with new_drawing's checks, and a list that differs from the one
-the rotations fix is a FormatError.
+the derivable fields as redundant input, always checked: a stored field
+that differs from the one the authoritative field fixes is a FormatError.
+Next to points: rotations at every n (one ccw_order per vertex), and
+crossings only while n <= 12, where the check is exhaustive; a crossing
+list next to more points is a FormatError.  Next to rotations: stored
+crossings at every n, with new_drawing's checks.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .generators import geometric
 _DRAWING_KEYS = {"n", "rotations", "crossings", "points"}
 _CERT_KEYS = {"kind", "vertices", "edges", "claims", "oracle_verified"}
 
-# Redundancy-check budgets for geometric inputs that also carry the
-# derivable fields.  Beyond these, the coordinates alone are trusted.
-_ROTATION_CHECK_MAX_N = 64
+# The writer's crossing list next to points, and the reader's exhaustive
+# check of it, stop here.
 _CROSSING_CHECK_MAX_N = 12
 
 
@@ -100,31 +100,28 @@ def drawing_from_json(obj):
         d = geometric([_int_pair(p, "point") for p in points])
         if rotations is not None:
             _require(len(rotations) == n, f"expected {n} rotations, got {len(rotations)}")
-            if n <= _ROTATION_CHECK_MAX_N:
-                for v in range(1, n + 1):
-                    stored = tuple(rotations[v - 1])
-                    derived = d.rotation_of(v)
-                    if stored != derived:
-                        raise FormatError(
-                            f"stored rotation of vertex {v} disagrees with the points: "
-                            f"{stored} vs {derived}"
-                        )
-        crossings = obj.get("crossings")
-        if crossings is not None:
-            stored = _crossing_pairs(crossings)
-            if n <= _CROSSING_CHECK_MAX_N:
-                derived = d.crossing_set()
+            for v in range(1, n + 1):
+                stored = tuple(rotations[v - 1])
+                derived = d.rotation_of(v)
                 if stored != derived:
                     raise FormatError(
-                        "stored crossings disagree with the points "
-                        f"(e.g. {sorted(stored ^ derived)[:3]})"
+                        f"stored rotation of vertex {v} disagrees with the points: "
+                        f"{stored} vs {derived}"
                     )
-            else:
-                for e, f in stored:
-                    if not d.crosses(e, f):
-                        raise FormatError(
-                            f"stored crossing {e} x {f} contradicts the points"
-                        )
+        crossings = obj.get("crossings")
+        if crossings is not None:
+            _require(
+                n <= _CROSSING_CHECK_MAX_N,
+                f"stored crossings next to points are accepted only while n <= "
+                f"{_CROSSING_CHECK_MAX_N}, got n = {n}",
+            )
+            stored = _crossing_pairs(crossings)
+            derived = d.crossing_set()
+            if stored != derived:
+                raise FormatError(
+                    "stored crossings disagree with the points "
+                    f"(e.g. {sorted(stored ^ derived)[:3]})"
+                )
         return d
 
     _require(rotations is not None, "abstract drawings need a 'rotations' field")

@@ -172,15 +172,26 @@ def test_c04_quadratic_query_growth():
     assert ok, (slopes, wall)
 
 
-def test_c04_fan_family_at_hub_1():
+FAN_SIZES = (45, 90, 181)
+
+
+@pytest.fixture(scope="module")
+def fan_family():
+    """The two-page fans two_page(n, ((1, 4), (1, 7), ...)) at FAN_SIZES."""
+    return {
+        n: generators.two_page(n, tuple((1, j) for j in range(4, n - 1, 3))) for n in FAN_SIZES
+    }
+
+
+def test_c04_fan_family_at_hub_1(fan_family):
     # Convex drawings that no point set realises, with about n/3 bad edges
     # at hub 1: the connector-table path of the star frame at scale.
-    sizes = (45, 90, 181)
+    sizes = FAN_SIZES
     failures = []
     queries = {}
     bad = {}
     for n in sizes:
-        d = generators.two_page(n, tuple((1, j) for j in range(4, n - 1, 3)))
+        d = fan_family[n]
         bad[n] = build_star_frame(d, 1).m
         if bad[n] < n / 3 - 1:
             failures.append(f"n={n} has {bad[n]} bad edges at hub 1, < n/3 - 1")
@@ -197,6 +208,40 @@ def test_c04_fan_family_at_hub_1():
         f"C04c star-hc at hub 1 of the two-page fan n=45..181: {_verdict(ok)} "
         f"(max slope {max(slopes):.3f} <= 2.15, m={'/'.join(map(str, bad.values()))} "
         f">= n/3 - 1 bad edges, verified, convex by 5-sets at n <= 90)"
+    )
+    assert ok, (failures, slopes)
+
+
+# hamiltonian_cycle on the fans: vertex n has one bad edge, so star-hc at
+# hub n is one scan of its rotation, (n-1)(n-3) queries.
+FAN_CYCLE_QUERIES = {45: 1_848, 90: 7_743, 181: 32_040}
+
+
+def test_c04_fan_family_cycle_at_hub_n(fan_family):
+    # The plane Hamiltonian cycle is the star-avoiding cycle at vertex n, so
+    # it keeps the frame's quadratic bound where vertex n has a bad edge.
+    sizes = FAN_SIZES
+    failures = []
+    queries = {}
+    for n in sizes:
+        d = fan_family[n]
+        view, counter = instrumented(d)
+        cert = hamiltonian_cycle(view, verify=False)
+        queries[n] = counter.count
+        view, counter = instrumented(d)
+        star = star_avoiding_hamiltonian_cycle(view, v_star=n, verify=False).vertices
+        if queries[n] != FAN_CYCLE_QUERIES[n] or counter.count != queries[n]:
+            failures.append(f"n={n} asked {queries[n]}, star-hc {counter.count}, "
+                            f"pinned {FAN_CYCLE_QUERIES[n]}")
+        if cert.vertices != star[1:] + star[:1]:
+            failures.append(f"n={n} cycle is not star-hc at hub n ending at n")
+        if not verify_certificate(d, cert).oracle_verified:
+            failures.append(f"n={n} certificate not verified")
+    slopes = [log2(queries[b] / queries[a]) / log2(b / a) for a, b in zip(sizes, sizes[1:])]
+    ok = not failures and max(slopes) <= 2.15
+    record_criterion(
+        f"C04e hc on the two-page fan n=45..181: {_verdict(ok)} "
+        f"(max slope {max(slopes):.3f} <= 2.15, pinned queries, = star-hc at hub n, verified)"
     )
     assert ok, (failures, slopes)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construction_pool, permuted_fan
+from conftest import construction_pool
 from test_starframe import _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
@@ -27,7 +27,7 @@ from convexham.hamiltonian import (
     st_hamiltonian_path,
     star_avoiding_hamiltonian_cycle,
 )
-from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane
+from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane, verify_certificate
 from convexham.starframe import _bad_pairs, scan_bad_edges
 
 MULTI_BAD = [
@@ -251,7 +251,7 @@ def test_plane_check_of_produced_cycles(rand9):
 
 
 # ---------------------------------------------------------------------------
-# The cycle is the s-t solver's root; sub-paths solve on host labels.
+# The cycle is the star-avoiding cycle at n; sub-paths solve on host labels.
 
 POOL = st.tuples(
     st.sampled_from(["fan", "two-page", "geometric", "twisted"]),
@@ -280,16 +280,6 @@ def _reference_st_path(d, subset, s, t):
     return p1 + _reference_st_path(d, vc | {t, p}, p, t)[1:]
 
 
-def _reference_cycle(d):
-    """The cycle as built before: its own scan of vertex n, then an s-t path."""
-    t = d.n
-    order = d.rotation_of(t)
-    bad = scan_bad_edges(d, order, t)
-    if not bad:
-        return tuple(order) + (t,)
-    return tuple(_reference_st_path(d, range(1, d.n + 1), _pick_bad(order, bad)[1], t))
-
-
 def _restricted(d, v, subset):
     return tuple(x for x in d.rotation_of(v) if x in subset)
 
@@ -310,41 +300,30 @@ def _vertices_or_evidence(build, d):
 
 @given(POOL)
 def test_cycle_matches_reference(spec):
+    # The cycle is the star-avoiding cycle at vertex n, rotated to end at n.
     d = construction_pool(*spec)
-    got = _vertices_or_evidence(lambda x: hamiltonian_cycle(x, verify=False).vertices, d)
-    assert got == _vertices_or_evidence(_reference_cycle, d)
+
+    def reference(x):
+        seq = _reference_star_cycle(x, x.n)
+        return seq[1:] + seq[:1]
+
+    runs = []
+    for build in (lambda x: hamiltonian_cycle(x, verify=False).vertices, reference):
+        view, counter = instrumented(d)
+        runs.append((_vertices_or_evidence(build, view), counter.count))
+    assert runs[0] == runs[1]
 
 
-def test_cycle_asks_the_queries_of_its_st_path():
-    # The root scans vertex n's rotation once; a separate pre-scan would add
-    # (n - 1)(n - 3) queries whenever vertex n has a bad edge.  The s-t path
-    # from the cycle's start adds a probe of the start's rotation when
-    # vertex n has a bad edge, and solves toward the start when the probe
-    # finds none.
-    rng = random.Random(5)
-    pool = [permuted_fan(n, 3, rng) for n in (8, 16, 30)]
-    pool += [generators.random_geometric(n, s) for n in (10, 40) for s in (0, 1)]
-    pool += [generators.convex_position(9), generators.two_page(3)]
-    with_bad = 0
-    for d in pool:
-        n = d.n
+def test_cycle_on_a_hull_vertex_costs_one_scan():
+    # Vertex 300 is a hull vertex with a bad edge in each of these sets; the
+    # cycle still costs one scan of its rotation.
+    for seed in (32, 54, 97, 101):
+        d = generators.random_geometric(300, seed)
+        assert scan_bad_edges(d, d.rotation_of(300), 300)
         view, counter = instrumented(d)
-        cycle = hamiltonian_cycle(view, verify=False).vertices
-        cycle_queries = counter.count
-        start = cycle[0]
-        view, counter = instrumented(d)
-        path = st_hamiltonian_path(view, start, n, verify=False).vertices
-        probe_view, probe = instrumented(d)
-        if not scan_bad_edges(d, d.rotation_of(n), n):
-            assert path == cycle and counter.count == cycle_queries
-            continue
-        with_bad += 1
-        if next(_bad_pairs(probe_view, d.rotation_of(start), start), None) is not None:
-            assert path == cycle and counter.count == cycle_queries + probe.count
-        else:
-            assert path == _reversed_fan_path(d, start, n, set(range(1, n + 1)))
-            assert counter.count == 2 * (n - 1) * (n - 3)
-    assert with_bad >= 4
+        cert = hamiltonian_cycle(view, verify=False)
+        assert counter.count == 299 * 297 == 88_803
+        assert verify_certificate(d, cert).oracle_verified
 
 
 def _sub_path_reference(d, subset, s, t):

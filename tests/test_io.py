@@ -108,6 +108,28 @@ def test_reader_rejects_crossing_tamper(rand8):
         io.drawing_from_json(obj)
 
 
+def test_reader_checks_stored_rotations_at_every_n():
+    d = generators.random_geometric(65, 0)
+    obj = io.drawing_to_json(d)
+    obj["rotations"] = [list(r) for r in d.rotations]
+    assert io.dumps_drawing(io.drawing_from_json(obj)) == io.dumps_drawing(d)
+    rot = obj["rotations"][64]
+    rot[1], rot[2] = rot[2], rot[1]
+    with pytest.raises(FormatError, match="rotation of vertex 65"):
+        io.drawing_from_json(obj)
+
+
+def test_reader_refuses_crossings_next_to_more_than_12_points():
+    # The writer stops listing crossings there and the reader cannot afford
+    # the exhaustive check, so a list, complete or not, is refused.
+    d = generators.random_geometric(20, 1)
+    pairs = [[list(e), list(f)] for e, f in sorted(d.crossing_set())]
+    obj = io.drawing_to_json(d)
+    for crossings in (pairs, pairs[:-1]):
+        with pytest.raises(FormatError, match="only while n <= 12"):
+            io.drawing_from_json(dict(obj, crossings=crossings))
+
+
 def test_reader_rejects_malformed():
     with pytest.raises(FormatError):
         io.loads_drawing("{not json")

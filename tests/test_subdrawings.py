@@ -125,7 +125,13 @@ def test_refusal_is_the_five_set_pass(monkeypatch):
 
 def test_refusal_stops_past_the_five_set_limit():
     with pytest.raises(TooLarge):
-        max_plane_size(generators.random_geometric(102, 0))
+        max_plane_size(generators.two_page(102))
+
+
+def test_point_sets_skip_the_refusal():
+    # Straight-line drawings are convex, so no 5-set pass (and no limit).
+    n = 102
+    assert max_plane_size(generators.random_geometric(n, 0)) >= 2 * n - 3
 
 
 def test_two_page_instances_meet_lower_bound():
