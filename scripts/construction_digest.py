@@ -10,7 +10,11 @@ n = 300 and 1000.  Each run is one JSON line: its name, the certificate's
 vertices or the evidence (which, vertices, detail) or error, and the
 oracle queries it asked.  Two source trees that print the same digest do
 the same work in the same order.  One more digest per task (star, cycle,
-st, edge, two, hull) shows which constructions a change moved.
+st, edge, two, hull) shows which constructions a change moved.  Every
+certificate is then verified on a fresh counted view; the `sha256 verify`
+digest covers its name, "verified" or the failed claims, and the queries
+verification asked, so it shows whether a change moved the verifier's
+work, and on which verdicts.
 
     python scripts/construction_digest.py [--src DIR] [--out FILE]
 """
@@ -35,7 +39,7 @@ sys.path.insert(0, args.src)
 
 from convexham import generators  # noqa: E402
 from convexham.drawing import instrumented, relabel  # noqa: E402
-from convexham.errors import NotConvexEvidence  # noqa: E402
+from convexham.errors import CertificateError, NotConvexEvidence  # noqa: E402
 from convexham.hamiltonian import (  # noqa: E402
     _two_edge_path,
     hamiltonian_cycle,
@@ -43,6 +47,7 @@ from convexham.hamiltonian import (  # noqa: E402
     st_hamiltonian_path,
     star_avoiding_hamiltonian_cycle,
 )
+from convexham.oracle import verify_certificate  # noqa: E402
 
 
 def relabelled_two_page(n, outer, rng):
@@ -52,24 +57,39 @@ def relabelled_two_page(n, outer, rng):
 
 
 def run(d, build, *args):
+    """(outcome, queries, check): check is checked(d, cert) when a certificate was built."""
     view, counter = instrumented(d)
     try:
-        res = list(build(view, *args, verify=False).vertices)
+        cert = build(view, *args, verify=False)
     except NotConvexEvidence as exc:
-        res = ["evidence", exc.which, list(exc.vertices), exc.detail]
+        return ["evidence", exc.which, list(exc.vertices), exc.detail], counter.count, None
     except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
-        res = ["error", type(exc).__name__, str(exc)]
-    return res, counter.count
+        return ["error", type(exc).__name__, str(exc)], counter.count, None
+    return list(cert.vertices), counter.count, checked(d, cert)
+
+
+def checked(d, cert):
+    """["verified" or the failed claims, queries] of verifying cert on a fresh view."""
+    view, counter = instrumented(d)
+    try:
+        verify_certificate(view, cert)
+        verdict = "verified"
+    except CertificateError as exc:
+        verdict = list(exc.failed)
+    return [verdict, counter.count]
 
 
 TASKS = ("star", "cycle", "st", "edge", "two", "hull")
 lines = []
 tasks = []
+verify_lines = []
 
 
-def emit(task, name, res, queries):
+def emit(task, name, res, queries, check):
     tasks.append(task)
     lines.append(json.dumps([name, res, queries]))
+    if check is not None:
+        verify_lines.append(json.dumps([name, *check]))
 
 
 def exercise(name, d, rng, pairs, hubs=None):
@@ -126,3 +146,6 @@ for task in TASKS:
     mine = [line + "\n" for line, t in zip(lines, tasks) if t == task]
     digest = hashlib.sha256("".join(mine).encode()).hexdigest()
     print(f"sha256 {task} {digest} ({len(mine)} runs)")
+failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
+digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
+print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing)")

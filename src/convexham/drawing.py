@@ -14,7 +14,9 @@ query they pass on into the drawing's own QueryCounter; `instrumented(d)`
 returns a view of d with a fresh counter.  In a row, `cs` is a 1-D label
 array and `a`, `b` and `ds` are each a label, which stands for every entry,
 or a 1-D label array of len(cs): entry i asks {a_i, b_i} against
-{cs[i], ds[i]}, one query per entry.
+{cs[i], ds[i]}, one query per entry.  Callers with many short rows pack
+them into calls of up to ROW_BLOCK_ENTRIES entries (`row_blocks`), since
+a kernel call costs far more than an entry.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -81,7 +83,8 @@ class ExplicitCrossings:
     Every query is one gather from two dense tables: `_edge_id[u, v]`
     numbers the edges of K_n in all_edges order (label 0 and u == v give
     the sentinel id C(n, 2)), and `_table[i, j]` says whether edges i and j
-    cross.  Shared endpoints and the sentinel read False.
+    cross.  Shared endpoints and the sentinel read False; a label above n
+    raises IndexError.
     """
 
     def __init__(self, n, pairs=()):
@@ -112,7 +115,13 @@ class ExplicitCrossings:
         return bool(self._table[self._edge_id[a, b], self._edge_id[c, d]])
 
     def cross_pairs(self, a, b, cs, ds):
-        return self._table[self._edge_id[a, b], self._edge_id[cs, ds]]
+        # The crossing table is read with one `take` on its flat index,
+        # about half the cost per entry of 2-D fancy indexing; the index
+        # comes from edge ids, never from labels, so nothing aliases.  The
+        # edge ids stay a 2-D gather, which checks every label: checking
+        # labels for a flat id gather cost as much as it saved.
+        ids, table = self._edge_id, self._table
+        return table.take(ids[a, b] * len(table) + ids[cs, ds])
 
 
 class GeometricCrossings(geometry.PointBack):
@@ -192,9 +201,10 @@ class Drawing:
             return frozenset(zip(map(pick, i.tolist()), map(pick, j.tolist())))
         ends = np.array(edges, dtype=np.int64)
         out = []
-        for i, (a, b) in enumerate(edges[:-1]):
-            hits = self._oracle.cross_pairs(a, b, ends[i + 1:, 0], ends[i + 1:, 1])
-            out += [(edges[i], edges[j]) for j in (np.flatnonzero(hits) + i + 1).tolist()]
+        for i0, i1, hits in suffix_rows(self._oracle.cross_pairs, ends):
+            rows, cols = suffix_entries(len(edges), i0, i1)
+            k = np.flatnonzero(hits)
+            out += [(edges[i], edges[j]) for i, j in zip(rows[k].tolist(), cols[k].tolist())]
         return frozenset(out)
 
     def crossing_degrees(self):
@@ -212,6 +222,64 @@ class Drawing:
     def __repr__(self):
         kind = "geometric" if self.points is not None else "explicit"
         return f"Drawing(n={self.n}, {kind})"
+
+
+# Entries per kernel call when short rows are asked together.  One call
+# costs ~20-40 us on geometric drawings however short.  Verifying an
+# n = 300 path on 2 vCPUs took 1.7x / 1.3x as long with 1K / 2K blocks as
+# with 4K ones, the same with 8K and 2x with 16K.
+ROW_BLOCK_ENTRIES = 1 << 12
+
+
+def row_blocks(lens):
+    """Consecutive rows of the given lengths grouped into kernel calls.
+
+    Yields (i0, i1) in order: rows i0..i1-1 go into one `cross_pairs` call
+    of at most ROW_BLOCK_ENTRIES entries.  A row longer than a third of
+    that goes alone, so its caller can pass labels: a block of two such rows
+    built from arrays is slower than two label rows.  The grouping never
+    changes which entries are asked, or their order.
+    """
+    ends = np.cumsum(lens)
+    i0 = 0
+    while i0 < len(ends):
+        if lens[i0] > ROW_BLOCK_ENTRIES // 3:
+            i1 = i0 + 1
+        else:
+            limit = ends[i0] - lens[i0] + ROW_BLOCK_ENTRIES
+            i1 = max(i0 + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield i0, i1
+        i0 = i1
+
+
+def suffix_entries(m, i0, i1):
+    """Rows i0..i1-1 of the scan of edge i against edges i+1..m-1: (rows, cols).
+
+    The edge indices of each entry, flat in row-major order.
+    """
+    lens = np.arange(m - 1 - i0, m - 1 - i1, -1)
+    rows = np.repeat(np.arange(i0, i1), lens)
+    # Row i's entries start at flat position starts[i] with column i + 1.
+    starts = np.cumsum(lens) - lens
+    return rows, np.arange(len(rows)) + np.repeat(np.arange(i0 + 1, i1 + 1) - starts, lens)
+
+
+def suffix_rows(ask, ends):
+    """Ask every edge of an (m, 2) label array against the edges after it.
+
+    Row i is edge i against edges i+1..m-1, C(m, 2) entries in all.  Rows
+    go to ask(a, b, cs, ds) in the calls of `row_blocks`; yields (i0, i1,
+    hits) per call, hits in the order of suffix_entries(m, i0, i1).  A
+    caller that stops early asks no block past the one it stopped in.
+    """
+    m = len(ends)
+    a, b = ends.T.copy()
+    for i0, i1 in row_blocks(np.arange(m - 1, 0, -1)):
+        if i1 == i0 + 1:
+            yield i0, i1, ask(a[i0], b[i0], a[i1:], b[i1:])
+        else:
+            rows, cols = suffix_entries(m, i0, i1)
+            yield i0, i1, ask(a[rows], b[rows], a[cols], b[cols])
 
 
 class Induced(NamedTuple):

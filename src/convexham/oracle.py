@@ -12,7 +12,7 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.
 - maximal_plane: the plane check, then one row per non-edge against all of
-  E, stopping at the first row without a hit.  A maximal certificate costs
+  E, failing at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
 - empty_side: the sides of `cycle_sides`, i.e. the plane check of the k
   cycle edges, then one row per cycle edge over all C(n-k,2) off-cycle
@@ -21,7 +21,13 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 - hamiltonian, contains, endpoints: no queries.
 
 The plane check of one edge sequence runs once per call, however many of
-these claims ask it.
+these claims ask it.  The rows of the plane, star_avoiding and
+maximal_plane checks go to the drawing in the kernel calls of
+`drawing.row_blocks`, so entries and their order are as listed.  A check
+stops after the block that decides it: a certificate that verifies asks
+exactly the entries above, and a failing one asks every entry up to the
+end of the block holding the first crossing (plane, star_avoiding) or the
+first row without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import combinations
 import numpy as np
 
 from .certificates import mark_verified
-from .drawing import all_edges, canon_edge
+from .drawing import all_edges, canon_edge, row_blocks, suffix_entries, suffix_rows
 from .errors import (
     CertificateError,
     CycleNotPlane,
@@ -69,17 +75,17 @@ def _edge_array(d, edges):
 def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
-    Row i asks edge i against edges i+1.. in the given order; the scan stops
-    at the first row with a hit and returns that row's first hit.
+    Row i asks edge i against edges i+1.. in the given order, and the first
+    hit in that order is returned.  Rows are asked in blocks
+    (`drawing.suffix_rows`); the scan stops after the first block with a
+    hit, so a crossing costs the entries up to the end of its block.
     """
     arr = _edge_array(d, edges)
-    cs, ds = arr.T.copy()
-    rows = arr.tolist()
-    for i in range(len(rows) - 1):
-        a, b = rows[i]
-        hits = d.cross_pairs(a, b, cs[i + 1 :], ds[i + 1 :])
+    for i0, i1, hits in suffix_rows(d.cross_pairs, arr):
         if hits.any():
-            return (tuple(rows[i]), tuple(rows[i + 1 + int(hits.argmax())]))
+            rows, cols = suffix_entries(len(arr), i0, i1)
+            k = int(hits.argmax())
+            return tuple(arr[rows[k]].tolist()), tuple(arr[cols[k]].tolist())
     return None
 
 
@@ -352,14 +358,23 @@ def count_empty_triangles(d):
 
 
 def _check_star_avoiding(d, cert, v_star):
+    # Certificate edges are distinct non-loops, so each row holds n - 3 entries.
     if v_star not in cert.vertices:
         return False
     every = np.arange(1, d.n + 1)
     every = every[every != v_star]
-    for a, b in cert.edges:
-        if a == v_star or b == v_star:
-            continue
-        if d.cross_pairs(a, b, every[(every != a) & (every != b)], v_star).any():
+    rows = [e for e in cert.edges if v_star not in e]
+    ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    for i0, i1 in row_blocks(np.full(len(rows), d.n - 3)):
+        if i1 == i0 + 1:
+            a, b = rows[i0]
+            hits = d.cross_pairs(a, b, every[(every != a) & (every != b)], v_star)
+        else:
+            a, b = ends[i0:i1].T
+            keep = (every != a[:, None]) & (every != b[:, None])
+            cs = np.broadcast_to(every, keep.shape)[keep]
+            hits = d.cross_pairs(np.repeat(a, d.n - 3), np.repeat(b, d.n - 3), cs, v_star)
+        if hits.any():
             return False
     return True
 
@@ -370,8 +385,15 @@ def _check_maximal_plane(d, cert, plane):
         return False
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
-    for a, b in all_edges(d.n):
-        if (a, b) not in have and not d.cross_pairs(a, b, cs, ds).any():
+    non = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2)
+    for i0, i1 in row_blocks(np.full(len(non), len(cs))):
+        a, b = non[i0:i1].T
+        if i1 == i0 + 1:
+            hits = d.cross_pairs(a[0], b[0], cs, ds)
+        else:
+            hits = d.cross_pairs(np.repeat(a, len(cs)), np.repeat(b, len(cs)),
+                                 np.tile(cs, i1 - i0), np.tile(ds, i1 - i0))
+        if not hits.reshape(i1 - i0, len(cs)).any(axis=1).all():
             return False
     return True
 

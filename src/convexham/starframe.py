@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import drawing
 from .errors import NotConvexEvidence, TooFewVertices, VertexOutOfRange
 
 
@@ -68,11 +69,6 @@ def _evidence(which, frame_labels, to_host, detail):
     )
 
 
-# Entries per kernel call of the bad-edge scan: short rows are asked in
-# blocks of consecutive pairs, long rows one at a time.
-_SCAN_BLOCK_ENTRIES = 1 << 12
-
-
 def scan_bad_edges(d, order, hub):
     """Bad edges of a rotation: consecutive pairs that cross a star edge.
 
@@ -80,10 +76,11 @@ def scan_bad_edges(d, order, hub):
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
     vertices of `order`, cyclically after the pair, so the scan costs
-    k * (k - 2) queries.  Up to _SCAN_BLOCK_ENTRIES // (k - 2) consecutive
-    rows go into one `cross_pairs` call with the same entries; a block of
-    one row passes its pair as labels.  Returns [(i, witnesses), ...] in
-    scan order, with witnesses as a frozenset of positions in `order`.
+    k * (k - 2) queries.  Up to drawing.ROW_BLOCK_ENTRIES // (k - 2)
+    consecutive rows go into one `cross_pairs` call with the same entries;
+    a block of one row passes its pair as labels.  Returns [(i, witnesses),
+    ...] in scan order, with witnesses as a frozenset of positions in
+    `order`.
     """
     return list(_bad_pairs(d, order, hub))
 
@@ -97,7 +94,7 @@ def _bad_pairs(d, order, hub):
     twice = np.array(order * 2, dtype=np.int64)
     # others[i] is twice[i + 2:i + k], the vertices after pair i.
     others = sliding_window_view(twice[2:], k - 2)
-    rows = max(1, _SCAN_BLOCK_ENTRIES // (k - 2))
+    rows = max(1, drawing.ROW_BLOCK_ENTRIES // (k - 2))
     for i0 in range(0, k, rows):
         i1 = min(i0 + rows, k)
         if i1 - i0 == 1:

@@ -1,13 +1,15 @@
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators
+from convexham import drawing, generators
 from convexham.drawing import (
+    ExplicitCrossings,
     adjacent,
     all_edges,
     canon_edge,
@@ -262,10 +264,52 @@ def test_instrumented_views_count_independently(rand8):
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(7, 1),
                                   lambda: generators.two_page(7, ((1, 4),))])
 def test_crossing_set_is_uncounted(make):
+    # Geometric rows go in blocks of one or many rows, with a partial last
+    # block; the set is the scalar one either way.
     d = make()
-    view, counter = instrumented(d)
-    assert view.crossing_set() == d.crossing_set()
-    assert counter.count == 0
+    edges = all_edges(d.n)
+    want = {(e, f) for i, e in enumerate(edges) for f in edges[i + 1:] if d.crosses(e, f)}
+    for block in (1, 5, 40, drawing.ROW_BLOCK_ENTRIES):
+        view, counter = instrumented(d)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+            assert view.crossing_set() == d.crossing_set() == frozenset(want)
+        assert counter.count == 0
+
+
+def _gather_2d(oracle, a, b, cs, ds):
+    """The explicit oracle's row as a 2-D gather, the reference for its flat one."""
+    return oracle._table[oracle._edge_id[a, b], oracle._edge_id[cs, ds]]
+
+
+@given(st.integers(4, 12), st.randoms(use_true_random=False), st.data())
+def test_explicit_flat_gather_matches_2d(n, rng, data):
+    # Labels 0..n, with label 0 and u == v among them: both read the
+    # sentinel, which crosses nothing.
+    oracle = random_k4_drawing(n, rng)._oracle
+    size = data.draw(st.integers(0, 30))
+    labels = st.lists(st.integers(0, n), min_size=size, max_size=size).map(
+        lambda x: np.array(x, dtype=np.int64))
+    cs, ds = data.draw(labels), data.draw(labels)
+    for a, b in ((data.draw(st.integers(0, n)), data.draw(st.integers(0, n))),
+                 (data.draw(labels), data.draw(labels))):
+        got = oracle.cross_pairs(a, b, cs, ds)
+        assert got.dtype == bool
+        assert got.tolist() == _gather_2d(oracle, a, b, cs, ds).tolist()
+    zero = np.zeros(size, dtype=np.int64)
+    assert not oracle.cross_pairs(zero, cs, cs, ds).any()
+    assert not oracle.cross_pairs(cs, cs, cs, ds).any()
+
+
+@pytest.mark.parametrize("bad", [5, 6, 30])
+def test_explicit_gather_rejects_labels_above_n(bad):
+    # K_4's id table is 5 x 5: a label above 4 raises rather than reading
+    # another row of the flat crossing table.
+    oracle = ExplicitCrossings(4, [((1, 3), (2, 4))])
+    cs = np.array([2, 2])
+    for a, b, c, d in ((1, 3, np.array([2, bad]), 4), (1, bad, cs, 4), (bad, 3, cs, 4),
+                       (1, 3, cs, np.array([4, bad]))):
+        with pytest.raises(IndexError):
+            oracle.cross_pairs(a, b, c, d)
 
 
 def test_crosses_checks_and_counts(rand8):

@@ -2,12 +2,13 @@ import hashlib
 from functools import cache
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators
+from convexham import drawing, generators
 from convexham.certificates import (
     cycle_certificate,
     path_certificate,
@@ -286,8 +287,33 @@ def _row_drawing(kind, n, seed):
     return generators.two_page(n, ((1, 4),) if seed % 2 else ())
 
 
-@given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5), st.data())
-def test_first_crossing_matches_scalar_reference(kind, n, seed, data):
+def _asked(lens, hit_row, block):
+    """Entries a row scan asks when it stops after the block holding hit_row.
+
+    Reference for drawing.row_blocks: rows are packed greedily into blocks
+    of at most `block` entries, and a row longer than block // 3 is asked
+    alone.  hit_row None asks every row.
+    """
+    i = 0
+    while i < len(lens):
+        j, total = i + 1, lens[i]
+        while lens[i] <= block // 3 and j < len(lens) and total + lens[j] <= block:
+            total += lens[j]
+            j += 1
+        if hit_row is not None and hit_row < j:
+            return sum(lens[:j])
+        i = j
+    return sum(lens)
+
+
+# Block sizes that split edge lists into blocks of one row and of many
+# rows, with a partial last block, plus the default.
+BLOCKS = st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES])
+
+
+@given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5),
+       BLOCKS, st.data())
+def test_first_crossing_matches_scalar_reference(kind, n, seed, block, data):
     d = _row_drawing(kind, n, seed)
     labels = st.integers(1, n)
     # Reversed, adjacent and repeated edges are all allowed.
@@ -302,11 +328,13 @@ def test_first_crossing_matches_scalar_reference(kind, n, seed, data):
             want, hit_row = (e, canon[j]), i
             break
     view, counter = instrumented(d)
-    assert first_crossing(view, edges) == want
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+        assert first_crossing(view, edges) == want
+        assert is_plane(d, edges) == (want is None)
+    # C(m, 2) on plane input; otherwise the rows through the end of the
+    # block holding the first hit.
     m = len(edges)
-    rows = range(m - 1) if hit_row is None else range(hit_row + 1)
-    assert counter.count == sum(m - 1 - i for i in rows)
-    assert is_plane(d, edges) == (want is None)
+    assert counter.count == _asked([m - 1 - i for i in range(m - 1)], hit_row, block)
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
@@ -388,14 +416,88 @@ def test_broken_cycles_fail_the_empty_side_claim():
 
 def test_tampered_maximal_plane_certificates():
     # Failed tuples are the previous verifier's.  The plane and maximal_plane
-    # claims share one plane check, which stops at the added edge's crossing.
-    for (d, _, _, sub), add_count in zip(_pinned_certificates(), (157, 51)):
+    # claims share one plane check, which stops after the block holding the
+    # added edge's crossing.  Its C(80, 2) and C(27, 2) entries fit one
+    # block, so the check asks them all (row by row it stopped at 157 / 51).
+    for (d, _, _, sub), add_count in zip(_pinned_certificates(), (3160, 351)):
         claims = {"plane": True, "maximal_plane": True}
         dropped = subdrawing_certificate(sub[1:], claims)
         assert _verify_count(d, dropped)[1] == ("maximal_plane",)
         extra = next(e for e in all_edges(d.n) if e not in sub)
         crossed = subdrawing_certificate(sub + [extra], claims)
+        assert add_count == comb(len(sub) + 1, 2) <= drawing.ROW_BLOCK_ENTRIES
         assert _verify_count(d, crossed) == (add_count, ("maximal_plane", "plane"))
+
+
+def _star_reference(d, cert, hub):
+    """(first row crossing the star, rows) of the star_avoiding check, by scalars."""
+    rows = [e for e in cert.edges if hub not in e]
+    for r, e in enumerate(rows):
+        if any(d.crosses(e, (w, hub)) for w in range(1, d.n + 1) if w not in (*e, hub)):
+            return r, rows
+    return None, rows
+
+
+def _maximal_reference(d, edges):
+    """(first non-edge crossing no edge, non-edges) of the maximal_plane check, by scalars."""
+    have = set(edges)
+    non = [e for e in all_edges(d.n) if e not in have]
+    for r, e in enumerate(non):
+        if not any(d.crosses(e, f) for f in edges):
+            return r, non
+    return None, non
+
+
+@given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5),
+       BLOCKS, st.randoms(use_true_random=False))
+def test_star_avoiding_claims_in_blocks(kind, n, seed, block, rng):
+    # The constructed cycle verifies; a shuffled one often crosses the star.
+    d = _row_drawing(kind, n, seed)
+    hub = rng.randint(1, n)
+    built = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+    for cyc in (built, rng.sample(range(1, n + 1), rng.randint(3, n))):
+        cert = cycle_certificate(cyc, {"star_avoiding": hub})
+        if hub not in cyc:
+            continue  # fails without a query
+        hit_row, rows = _star_reference(d, cert, hub)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+            count, failed = _verify_count(d, cert)
+        assert failed == (() if hit_row is None else ("star_avoiding",))
+        assert count == _asked([n - 3] * len(rows), hit_row, block)
+        if cyc is built:
+            assert failed == () and count == (n - 3) * len(rows)
+
+
+@given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5),
+       BLOCKS, st.randoms(use_true_random=False))
+def test_maximal_plane_claims_in_blocks(kind, n, seed, block, rng):
+    # A greedy maximal plane subdrawing verifies; dropping edges breaks
+    # maximality, and an added non-edge crosses some edge, so the plane
+    # check fails first.
+    d = _row_drawing(kind, n, seed)
+    order = all_edges(n)
+    rng.shuffle(order)
+    sub = sorted(greedy_maximal_plane(d, order=order).edges)
+    dropped = rng.sample(sub, rng.randint(1, 3))
+    extra = rng.choice([e for e in all_edges(n) if e not in sub])
+    for edges in (sub, [e for e in sub if e not in dropped], sub + [extra]):
+        cert = subdrawing_certificate(edges, {"maximal_plane": True})
+        edges = cert.edges
+        m = len(edges)
+        plane_lens = [m - 1 - i for i in range(m - 1)]
+        crossing = next((i for i, e in enumerate(edges)
+                         if any(d.crosses(e, f) for f in edges[i + 1:])), None)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+            count, failed = _verify_count(d, cert)
+        if crossing is not None:
+            assert failed == ("maximal_plane",)
+            assert count == _asked(plane_lens, crossing, block)
+            continue
+        empty_row, non = _maximal_reference(d, edges)
+        assert failed == (() if empty_row is None else ("maximal_plane",))
+        assert count == comb(m, 2) + _asked([m] * len(non), empty_row, block)
+        if edges == tuple(sub):
+            assert failed == () and count == comb(m, 2) + (comb(n, 2) - m) * m
 
 
 def _cycle_sides_reference(d, cyc):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import generators, starframe
+from convexham import drawing, generators, starframe
 from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, scan_bad_edges
@@ -239,9 +239,9 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 
 
 def _blocked_scan(d, order, hub, block):
-    """_scanned with _SCAN_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries."""
+    """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries."""
     view, counter = instrumented(d)
-    with mock.patch.object(starframe, "_SCAN_BLOCK_ENTRIES", block):
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
         scanned = _scanned(view, order, hub)
     k = len(order)
     assert counter.count == k * (k - 2)
