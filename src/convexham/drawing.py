@@ -25,6 +25,7 @@ Vertices are labelled 1..n and edges are unordered pairs (u, v) with u < v.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -50,13 +51,6 @@ def canon_edge(u, v):
     if u == v:
         raise ValueError(f"degenerate edge ({u}, {v})")
     return (u, v) if u < v else (v, u)
-
-
-def canon_pair(e, f):
-    """Normalise an unordered pair of edges."""
-    e = canon_edge(*e)
-    f = canon_edge(*f)
-    return (e, f) if e <= f else (f, e)
 
 
 def adjacent(e, f):
@@ -240,14 +234,13 @@ def row_blocks(lens):
     built from arrays is slower than two label rows.  The grouping never
     changes which entries are asked, or their order.
     """
-    ends = np.cumsum(lens)
+    ends = [0, *np.cumsum(lens).tolist()]
     i0 = 0
-    while i0 < len(ends):
-        if lens[i0] > ROW_BLOCK_ENTRIES // 3:
+    while i0 < len(lens):
+        if ends[i0 + 1] - ends[i0] > ROW_BLOCK_ENTRIES // 3:
             i1 = i0 + 1
         else:
-            limit = ends[i0] - lens[i0] + ROW_BLOCK_ENTRIES
-            i1 = max(i0 + 1, int(np.searchsorted(ends, limit, side="right")))
+            i1 = max(i0 + 1, bisect_right(ends, ends[i0] + ROW_BLOCK_ENTRIES) - 1)
         yield i0, i1
         i0 = i1
 

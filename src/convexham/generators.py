@@ -138,23 +138,3 @@ def two_page(n, outer_edges=()):
                          + [w for w in reversed(cyc) if (v, w) in outer])
     return new_drawing(n, rotations)
 
-
-def spiral_polylines(n, steps=360):
-    """Float polylines of the twisted drawing's log-spiral edges (for cross-checks).
-
-    Edge {a, b} is the curve r(t) = r_a * (r_b / r_a)**t, angle 2*pi*t, for
-    t in [0, 1], with r_i = 2**i.  Returns {edge: [(x, y), ...]}.
-    """
-    import math
-
-    curves = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            pts = []
-            for s in range(steps + 1):
-                t = s / steps
-                r = 2.0 ** (a + (b - a) * t)
-                ang = 2 * math.pi * t
-                pts.append((r * math.cos(ang), r * math.sin(ang)))
-            curves[(a, b)] = pts
-    return curves

@@ -179,30 +179,6 @@ def strictly_convex_ccw(points_in_order):
     return True
 
 
-def polygon_side(polygon, p):
-    """Parity of crossings between an upward ray from p and the polygon boundary.
-
-    Returns 1 if p is strictly inside the (simple) polygon, 0 if strictly
-    outside.  p must not lie on the boundary; with the point set in general
-    position this cannot happen for a polygon through other set points.
-    """
-    px, py = p
-    inside = 0
-    m = len(polygon)
-    for i in range(m):
-        ax, ay = polygon[i]
-        bx, by = polygon[(i + 1) % m]
-        if (ax <= px) == (bx <= px):
-            continue
-        # Edge straddles the vertical line x = px (half-open rule).  The
-        # intersection is above p iff N / (bx - ax) > 0 with
-        # N = -cross(b - a, p - a).
-        num = -((bx - ax) * (py - ay) - (by - ay) * (px - ax))
-        if (num > 0) == (bx > ax):
-            inside ^= 1
-    return inside
-
-
 class PointBack:
     """Float64 mirrors of a 1-indexed integer point table, for exact rows.
 

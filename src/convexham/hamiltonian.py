@@ -30,7 +30,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .oracle import verify_certificate
-from .starframe import _bad_pairs, _evidence, build_star_frame, scan_bad_edges
+from .starframe import _evidence, build_star_frame, scan_bad_edges
 
 
 def _verified(d, cert, verify):
@@ -124,13 +124,13 @@ def _solve_path(d, subset, s, t):
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = tuple(x for x in d.rotation_of(t0) if x in sub)
-        bad = scan_bad_edges(d, order, t0)
+        bad = list(scan_bad_edges(d, order, t0))
         if not bad:
             path += _fan_path(order, s0, t0)[1:]
             continue
         if item is root:
             back = tuple(x for x in d.rotation_of(s0) if x in sub)
-            if next(_bad_pairs(d, back, s0), None) is None:
+            if next(scan_bad_edges(d, back, s0), None) is None:
                 path += reversed(_fan_path(back, t0, s0)[:-1])
                 continue
         u, v, wset = _pick_bad(order, bad)
@@ -154,6 +154,11 @@ def st_hamiltonian_path(d, s, t, verify=True):
     Solved toward t, or, when t has a bad edge and s has none, as the
     reversed fan path of s's rotation (see _solve_path).  Costs at most
     the recursion toward t plus one probe of s's rotation.
+
+    With verify=False the path is unchecked: on non-convex input it can
+    cross itself where verification would raise NotConvexEvidence; all
+    805 certificates of construction_digest.py's pool that fail `plane`
+    are such paths.
     """
     if s == t:
         raise SameVertex(f"need distinct endpoints, got s=t={s}")

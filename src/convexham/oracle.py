@@ -43,12 +43,11 @@ from .drawing import all_edges, canon_edge, row_blocks, suffix_entries, suffix_r
 from .errors import (
     CertificateError,
     CycleNotPlane,
-    NoCoordinates,
     SideInconsistency,
     TooLarge,
     VertexOutOfRange,
 )
-from . import geometry
+
 
 def _require_small(n, cap):
     if n > cap:
@@ -185,28 +184,6 @@ def _side_inconsistency(cyc, off, wrong):
     return SideInconsistency(
         f"vertices {int(off[iu[k]])},{int(off[ju[k]])} disagree with sides of cycle {cyc}"
     )
-
-
-def polygon_partition(d, cycle):
-    """Geometric cross-check of cycle sides via exact point-in-polygon.
-
-    Only for drawings carrying coordinates.  Returns (inside, outside) as
-    frozensets of off-cycle vertices.
-    """
-    if d.points is None:
-        raise NoCoordinates("drawing has no coordinates")
-    cyc = tuple(cycle)
-    poly = [d.points[v] for v in cyc]
-    on_cycle = set(cyc)
-    inside, outside = set(), set()
-    for w in range(1, d.n + 1):
-        if w in on_cycle:
-            continue
-        if geometry.polygon_side(poly, d.points[w]):
-            inside.add(w)
-        else:
-            outside.add(w)
-    return frozenset(inside), frozenset(outside)
 
 
 def _plane_orders(crossers, n, starts, edge_ok, accept):

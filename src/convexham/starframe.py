@@ -52,14 +52,6 @@ class StarFrame:
     def m(self):
         return len(self.bad)
 
-    def host_edge(self, fu, fv):
-        a, b = self.to_host[fu], self.to_host[fv]
-        return (a, b) if a < b else (b, a)
-
-    def bad_host(self):
-        """Bad edges as host-label pairs (for reporting)."""
-        return tuple(self.host_edge(*p) for p in self.bad)
-
 
 def _evidence(which, frame_labels, to_host, detail):
     return NotConvexEvidence(
@@ -75,29 +67,20 @@ def scan_bad_edges(d, order, hub):
     `order` is the rotation of `hub`, possibly restricted to a subset.  The
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
-    vertices of `order`, cyclically after the pair, so the scan costs
-    k * (k - 2) queries.  Up to drawing.ROW_BLOCK_ENTRIES // (k - 2)
-    consecutive rows go into one `cross_pairs` call with the same entries;
-    a block of one row passes its pair as labels.  Returns [(i, witnesses),
-    ...] in scan order, with witnesses as a frozenset of positions in
-    `order`.
+    vertices of `order`, cyclically after the pair, so a full scan costs
+    k * (k - 2) queries, in the `cross_pairs` calls of `drawing.row_blocks`
+    (a one-row call passes its pair as labels).  Yields (i, witnesses) in
+    scan order, witnesses as a frozenset of positions in `order`; a caller
+    that stops early asks no block past the one holding its last bad pair.
     """
-    return list(_bad_pairs(d, order, hub))
-
-
-def _bad_pairs(d, order, hub):
-    """scan_bad_edges one block at a time: a caller that stops early asks no
-    block past the one holding the last bad pair it took."""
     k = len(order)
     if k < 3:
         return
     twice = np.array(order * 2, dtype=np.int64)
     # others[i] is twice[i + 2:i + k], the vertices after pair i.
     others = sliding_window_view(twice[2:], k - 2)
-    rows = max(1, drawing.ROW_BLOCK_ENTRIES // (k - 2))
-    for i0 in range(0, k, rows):
-        i1 = min(i0 + rows, k)
-        if i1 - i0 == 1:
+    for i0, i1 in drawing.row_blocks(np.full(k, k - 2)):
+        if i1 == i0 + 1:
             a, b = order[i0], order[i1 % k]
         else:
             a = np.repeat(twice[i0:i1], k - 2)
@@ -111,24 +94,20 @@ def _bad_pairs(d, order, hub):
 def _find_witness_gap(bad, order):
     """The cyclic gap between consecutive bad-edge endpoints holding all witnesses.
 
-    `bad` is scan_bad_edges(d, order, hub); positions index `order`.  Returns
-    the gap's left endpoint (a bad-edge endpoint's position).  Convexity
-    forces bad edges and witnesses into two disjoint cyclic blocks; if
-    witnesses spill over several gaps that structure is refuted.
+    `bad` is list(scan_bad_edges(d, order, hub)); positions index `order`.
+    Returns the gap's left endpoint (a bad-edge endpoint's position).
+    Convexity forces bad edges and witnesses into two disjoint cyclic
+    blocks; if witnesses spill over several gaps that structure is refuted.
     """
     k = len(order)
     ends = sorted({x for i, _w in bad for x in (i, (i + 1) % k)})
     all_w = sorted(set().union(*(w for _i, w in bad)))
-    w0 = all_w[0]
-    j = bisect.bisect_left(ends, w0) - 1
-    if j < 0:
-        j = len(ends) - 1
+    # Below the first endpoint, j = -1 picks the gap that wraps around.
+    j = bisect.bisect_left(ends, all_w[0]) - 1
     left, right = ends[j], ends[(j + 1) % len(ends)]
 
     def in_gap(x):
-        if left < right:
-            return left < x < right
-        return x > left or x < right
+        return left < x < right if left < right else x > left or x < right
 
     stray = [w for w in all_w if not in_gap(w)]
     if stray:
@@ -158,7 +137,7 @@ def build_star_frame(d, v_star):
         raise VertexOutOfRange(f"v_star out of range 1..{n}")
     k = n - 1
     order = d.rotation_of(v_star)
-    scanned = scan_bad_edges(d, order, v_star)
+    scanned = list(scan_bad_edges(d, order, v_star))
     m = len(scanned)
     if m == 0:
         shift = 0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from convexham import generators
-from convexham.drawing import Drawing, ExplicitCrossings, relabel
+from convexham.drawing import Drawing, ExplicitCrossings, canon_edge, relabel
+from convexham.errors import NoCoordinates
 
 settings.register_profile(
     "suite",
@@ -28,6 +29,59 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def canon_pair(e, f):
+    """Normalise an unordered pair of edges."""
+    e = canon_edge(*e)
+    f = canon_edge(*f)
+    return (e, f) if e <= f else (f, e)
+
+
+def polygon_side(polygon, p):
+    """Parity of crossings between an upward ray from p and the polygon boundary.
+
+    Returns 1 if p is strictly inside the (simple) polygon, 0 if strictly
+    outside.  p must not lie on the boundary; with the point set in general
+    position this cannot happen for a polygon through other set points.
+    """
+    px, py = p
+    inside = 0
+    m = len(polygon)
+    for i in range(m):
+        ax, ay = polygon[i]
+        bx, by = polygon[(i + 1) % m]
+        if (ax <= px) == (bx <= px):
+            continue
+        # Edge straddles the vertical line x = px (half-open rule).  The
+        # intersection is above p iff N / (bx - ax) > 0 with
+        # N = -cross(b - a, p - a).
+        num = -((bx - ax) * (py - ay) - (by - ay) * (px - ax))
+        if (num > 0) == (bx > ax):
+            inside ^= 1
+    return inside
+
+
+def polygon_partition(d, cycle):
+    """Geometric cross-check of cycle sides via exact point-in-polygon.
+
+    Only for drawings carrying coordinates.  Returns (inside, outside) as
+    frozensets of off-cycle vertices.
+    """
+    if d.points is None:
+        raise NoCoordinates("drawing has no coordinates")
+    cyc = tuple(cycle)
+    poly = [d.points[v] for v in cyc]
+    on_cycle = set(cyc)
+    inside, outside = set(), set()
+    for w in range(1, d.n + 1):
+        if w in on_cycle:
+            continue
+        if polygon_side(poly, d.points[w]):
+            inside.add(w)
+        else:
+            outside.add(w)
+    return frozenset(inside), frozenset(outside)
 
 
 def random_k4_drawing(n, rng):

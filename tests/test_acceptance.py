@@ -15,7 +15,7 @@ from math import comb, log2
 
 import pytest
 
-from conftest import record_criterion
+from conftest import polygon_partition, record_criterion
 
 from convexham import generators
 from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
@@ -35,7 +35,6 @@ from convexham.oracle import (
     count_empty_triangles,
     cycle_sides,
     exact_max_plane,
-    polygon_partition,
     verify_certificate,
 )
 from convexham.starframe import build_star_frame

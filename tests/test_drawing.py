@@ -13,7 +13,6 @@ from convexham.drawing import (
     adjacent,
     all_edges,
     canon_edge,
-    canon_pair,
     induced_subdrawing,
     instrumented,
     new_drawing,
@@ -32,7 +31,7 @@ from convexham.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from conftest import random_k4_drawing
+from conftest import canon_pair, random_k4_drawing
 
 seeds = st.integers(0, 400)
 

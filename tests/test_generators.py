@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -7,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import generators
-from convexham.drawing import all_edges, adjacent, canon_pair, same_drawing
+from convexham.drawing import all_edges, adjacent, same_drawing
 from convexham.errors import DegeneratePointSet, TooFewVertices, TooLarge
 from convexham.geometry import strictly_convex_ccw
+from conftest import canon_pair
 
 
 def test_point_set_validation():
@@ -77,6 +79,25 @@ def test_twisted_rotation_shape():
     assert rot3[i:] + rot3[:i] == (5, 4, 1, 2)
 
 
+def spiral_polylines(n, steps=360):
+    """Float polylines of the twisted drawing's log-spiral edges (for cross-checks).
+
+    Edge {a, b} is the curve r(t) = r_a * (r_b / r_a)**t, angle 2*pi*t, for
+    t in [0, 1], with r_i = 2**i.  Returns {edge: [(x, y), ...]}.
+    """
+    curves = {}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            pts = []
+            for s in range(steps + 1):
+                t = s / steps
+                r = 2.0 ** (a + (b - a) * t)
+                ang = 2 * math.pi * t
+                pts.append((r * math.cos(ang), r * math.sin(ang)))
+            curves[(a, b)] = pts
+    return curves
+
+
 def _polylines_cross(p, q):
     from convexham.geometry import orientation
 
@@ -101,7 +122,7 @@ def test_twisted_matches_spiral_realization(n):
     # none lands exactly on a polyline vertex where the strict segment test
     # would miss it.
     d = generators.twisted(n)
-    curves = generators.spiral_polylines(n, steps=241)
+    curves = spiral_polylines(n, steps=241)
     for e, f in combinations(all_edges(n), 2):
         if adjacent(e, f):
             continue

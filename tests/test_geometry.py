@@ -15,10 +15,10 @@ from convexham.geometry import (
     assert_general_position,
     ccw_order,
     orientation,
-    polygon_side,
     segments_cross,
     strictly_convex_ccw,
 )
+from conftest import polygon_side
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)

@@ -28,7 +28,7 @@ from convexham.hamiltonian import (
     star_avoiding_hamiltonian_cycle,
 )
 from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane, verify_certificate
-from convexham.starframe import _bad_pairs, scan_bad_edges
+from convexham.starframe import scan_bad_edges
 
 MULTI_BAD = [
     (6, ((1, 4),)),
@@ -266,7 +266,7 @@ def _reference_st_path(d, subset, s, t):
     if len(sub) <= 3:
         return [s, *(x for x in sub if x not in (s, t)), t] if len(sub) > 1 else [s]
     order = tuple(x for x in d.rotation_of(t) if x in sub)
-    bad = scan_bad_edges(d, order, t)
+    bad = list(scan_bad_edges(d, order, t))
     if not bad:
         i = order.index(s)
         return [*order[i:], *order[:i], t]
@@ -319,7 +319,7 @@ def test_cycle_on_a_hull_vertex_costs_one_scan():
     # cycle still costs one scan of its rotation.
     for seed in (32, 54, 97, 101):
         d = generators.random_geometric(300, seed)
-        assert scan_bad_edges(d, d.rotation_of(300), 300)
+        assert list(scan_bad_edges(d, d.rotation_of(300), 300))
         view, counter = instrumented(d)
         cert = hamiltonian_cycle(view, verify=False)
         assert counter.count == 299 * 297 == 88_803
@@ -382,8 +382,8 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
     ref_asked, want = queries_and_result(_reference_st_path)
     probe = (k - 1) * (k - 3) if k > 3 else 0
     assert asked <= ref_asked + probe
-    t_bad = k > 3 and scan_bad_edges(d, _restricted(d, t, subset), t)
-    if not t_bad or next(_bad_pairs(d, _restricted(d, s, subset), s), None) is not None:
+    t_bad = k > 3 and list(scan_bad_edges(d, _restricted(d, t, subset), t))
+    if not t_bad or next(scan_bad_edges(d, _restricted(d, s, subset), s), None) is not None:
         assert got == want
         return
     assert got == _reversed_fan_path(d, s, t, subset)

@@ -30,11 +30,10 @@ from convexham.oracle import (
     exact_max_plane,
     first_crossing,
     is_plane,
-    polygon_partition,
     verify_certificate,
 )
 from convexham.subdrawings import greedy_maximal_plane
-from conftest import random_k4_drawing
+from conftest import polygon_partition, random_k4_drawing
 
 
 def _hull_edges(n):

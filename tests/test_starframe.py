@@ -2,6 +2,7 @@ import bisect
 from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,6 +27,15 @@ MULTI_BAD = [
 ]
 
 
+def _host_edge(frame, fu, fv):
+    return canon_edge(frame.to_host[fu], frame.to_host[fv])
+
+
+def _bad_host(frame):
+    """Bad edges as host-label pairs."""
+    return tuple(_host_edge(frame, *p) for p in frame.bad)
+
+
 def _frames(d):
     return [build_star_frame(d, h) for h in range(1, d.n + 1)]
 
@@ -33,7 +43,7 @@ def _frames(d):
 def test_worked_example_pentagon_hub5():
     frame = build_star_frame(generators.convex_position(5), 5)
     assert frame.m == 1
-    assert frame.bad_host() == ((1, 4),)
+    assert _bad_host(frame) == ((1, 4),)
     # With one bad edge the relabeling parks it on the wrap pair.
     assert frame.bad == ((4, 1),)
     assert [sorted(frame.to_host[w] for w in ws) for ws in frame.witnesses] == [[2, 3]]
@@ -48,7 +58,7 @@ def test_convex_position_every_hub_one_bad_edge(n):
         frame = build_star_frame(d, h)
         assert frame.m == 1
         lo, hi = sorted(((h - 2) % n + 1, h % n + 1))
-        assert frame.bad_host() == ((lo, hi),)
+        assert _bad_host(frame) == ((lo, hi),)
         wit_hosts = {frame.to_host[w] for w in frame.witnesses[0]}
         assert wit_hosts == set(range(1, n + 1)) - {h, lo, hi}
 
@@ -221,9 +231,9 @@ def test_scan_bad_edges_matches_frame(n, outer):
         frame = build_star_frame(d, hub)
         scanned = _scanned(d, d.rotation_of(hub), hub)
         assert scanned == _bad_by_scalars(d, d.rotation_of(hub), hub)
-        assert sorted(scanned) == sorted(frame.bad_host())
+        assert sorted(scanned) == sorted(_bad_host(frame))
         for pair, ws in zip(frame.bad, frame.witnesses):
-            assert scanned[frame.host_edge(*pair)] == frozenset(frame.to_host[f] for f in ws)
+            assert scanned[_host_edge(frame, *pair)] == frozenset(frame.to_host[f] for f in ws)
         multi += frame.m >= 2
     assert multi
 
@@ -239,12 +249,32 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 
 
 def _blocked_scan(d, order, hub, block):
-    """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries."""
+    """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries.
+
+    Its `cross_pairs` calls follow the groups of `row_blocks` over k rows of
+    k - 2 entries, and a one-row call passes its pair as labels.
+    """
     view, counter = instrumented(d)
-    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
-        scanned = _scanned(view, order, hub)
     k = len(order)
+    spy = mock.patch.object(
+        drawing.Drawing, "cross_pairs", autospec=True, side_effect=drawing.Drawing.cross_pairs
+    )
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy as calls:
+        scanned = _scanned(view, order, hub)
+        groups = list(drawing.row_blocks(np.full(k, k - 2))) if k >= 3 else []
     assert counter.count == k * (k - 2)
+    assert len(calls.call_args_list) == len(groups)
+    for (i0, i1), call in zip(groups, calls.call_args_list):
+        _view, a, b, cs, _hub = call.args
+        us = [order[i] for i in range(i0, i1)]
+        vs = [order[(i + 1) % k] for i in range(i0, i1)]
+        assert len(cs) == (i1 - i0) * (k - 2)
+        if i1 == i0 + 1:
+            assert np.ndim(a) == np.ndim(b) == 0
+            assert (a, b) == (us[0], vs[0])
+        else:
+            assert np.array_equal(a, np.repeat(us, k - 2))
+            assert np.array_equal(b, np.repeat(vs, k - 2))
     return scanned
 
 
