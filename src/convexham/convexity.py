@@ -27,10 +27,9 @@ from math import comb
 
 import numpy as np
 
-from .drawing import _triangle_verdicts, side_convex
+from .drawing import _side_inconsistency, _triangle_verdicts, side_convex
 from .errors import NotConvex, NotK5, TooLarge
 from .generators import convex_position, geometric, twisted
-from .oracle import _side_inconsistency
 
 # The 5-set pass keeps O(C(n, 4)) scratch; past this many 4-sets (n > 101)
 # it refuses rather than allocate gigabytes for hours of work.

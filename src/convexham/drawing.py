@@ -14,9 +14,10 @@ query they pass on into the drawing's own QueryCounter; `instrumented(d)`
 returns a view of d with a fresh counter.  In a row, `cs` is a 1-D label
 array and `a`, `b` and `ds` are each a label, which stands for every entry,
 or a 1-D label array of len(cs): entry i asks {a_i, b_i} against
-{cs[i], ds[i]}, one query per entry.  Callers with many short rows pack
-them into calls of up to ROW_BLOCK_ENTRIES entries (`row_blocks`), since
-a kernel call costs far more than an entry.
+{cs[i], ds[i]}, one query per entry.  Callers with many short rows ask
+them through `ask_rows`, which packs them into calls of up to
+ROW_BLOCK_ENTRIES entries, since a kernel call costs far more than an
+entry.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -25,10 +26,11 @@ Vertices are labelled 1..n and edges are unordered pairs (u, v) with u < v.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,7 @@ from .errors import (
     InvalidRotation,
     K4Violation,
     NotAPermutation,
+    SideInconsistency,
     TooFewVertices,
     TooLarge,
     VertexOutOfRange,
@@ -193,13 +196,8 @@ class Drawing:
             i, j = np.nonzero(np.triu(self._oracle._table))
             pick = edges.__getitem__
             return frozenset(zip(map(pick, i.tolist()), map(pick, j.tolist())))
-        ends = np.array(edges, dtype=np.int64)
-        out = []
-        for i0, i1, hits in suffix_rows(self._oracle.cross_pairs, ends):
-            rows, cols = suffix_entries(len(edges), i0, i1)
-            k = np.flatnonzero(hits)
-            out += [(edges[i], edges[j]) for i, j in zip(rows[k].tolist(), cols[k].tolist())]
-        return frozenset(out)
+        hits = suffix_hits(self._oracle.cross_pairs, np.array(edges, dtype=np.int64))
+        return frozenset((edges[i], edges[j]) for i, j in hits)
 
     def crossing_degrees(self):
         """How many edges cross each edge, in all_edges order; uncounted.
@@ -225,23 +223,32 @@ class Drawing:
 ROW_BLOCK_ENTRIES = 1 << 12
 
 
-def row_blocks(lens):
-    """Consecutive rows of the given lengths grouped into kernel calls.
+def ask_rows(ask, a, b, lens, operands):
+    """Ask rows of the given lengths in kernel calls of up to ROW_BLOCK_ENTRIES entries.
 
-    Yields (i0, i1) in order: rows i0..i1-1 go into one `cross_pairs` call
-    of at most ROW_BLOCK_ENTRIES entries.  A row longer than a third of
-    that goes alone, so its caller can pass labels: a block of two such rows
-    built from arrays is slower than two label rows.  The grouping never
-    changes which entries are asked, or their order.
+    Row i asks the pair {a[i], b[i]} against lens[i] entries, and
+    operands(i0, i1) gives the flat (cs, ds) of rows i0..i1-1 in row-major
+    order.  Consecutive rows share a call ask(a, b, cs, ds) greedily; a row
+    longer than a third of a block goes alone, since a block of two such
+    rows built from arrays is slower than two label rows.  A one-row call
+    passes its pair as labels, a longer one repeats each pair over its row.
+    Yields (i0, i1, hits) per call; a caller that stops early asks no later
+    block.  The grouping never changes which entries are asked, or their
+    order.
     """
-    ends = [0, *np.cumsum(lens).tolist()]
+    ends = list(accumulate(lens, initial=0))
     i0 = 0
     while i0 < len(lens):
-        if ends[i0 + 1] - ends[i0] > ROW_BLOCK_ENTRIES // 3:
+        if lens[i0] > ROW_BLOCK_ENTRIES // 3:
             i1 = i0 + 1
         else:
             i1 = max(i0 + 1, bisect_right(ends, ends[i0] + ROW_BLOCK_ENTRIES) - 1)
-        yield i0, i1
+        cs, ds = operands(i0, i1)
+        if i1 == i0 + 1:
+            yield i0, i1, ask(a[i0], b[i0], cs, ds)
+        else:
+            reps = np.array(lens[i0:i1])
+            yield i0, i1, ask(a[i0:i1].repeat(reps), b[i0:i1].repeat(reps), cs, ds)
         i0 = i1
 
 
@@ -257,22 +264,27 @@ def suffix_entries(m, i0, i1):
     return rows, np.arange(len(rows)) + np.repeat(np.arange(i0 + 1, i1 + 1) - starts, lens)
 
 
-def suffix_rows(ask, ends):
-    """Ask every edge of an (m, 2) label array against the edges after it.
+def suffix_hits(ask, ends):
+    """Index pairs (i, j), i < j, of the crossing edges of an (m, 2) label array.
 
-    Row i is edge i against edges i+1..m-1, C(m, 2) entries in all.  Rows
-    go to ask(a, b, cs, ds) in the calls of `row_blocks`; yields (i0, i1,
-    hits) per call, hits in the order of suffix_entries(m, i0, i1).  A
-    caller that stops early asks no block past the one it stopped in.
+    Row i asks edge i against edges i+1..m-1 through `ask_rows`, C(m, 2)
+    entries in all; pairs come in row-major order.  A caller that stops
+    early asks no block past the one holding its last pair.
     """
     m = len(ends)
     a, b = ends.T.copy()
-    for i0, i1 in row_blocks(np.arange(m - 1, 0, -1)):
+
+    def operands(i0, i1):
         if i1 == i0 + 1:
-            yield i0, i1, ask(a[i0], b[i0], a[i1:], b[i1:])
-        else:
+            return a[i1:], b[i1:]
+        _rows, cols = suffix_entries(m, i0, i1)
+        return a[cols], b[cols]
+
+    for i0, i1, hits in ask_rows(ask, a, b, list(range(m - 1, 0, -1)), operands):
+        k = np.flatnonzero(hits)
+        if k.size:
             rows, cols = suffix_entries(m, i0, i1)
-            yield i0, i1, ask(a[rows], b[rows], a[cols], b[cols])
+            yield from zip(rows[k].tolist(), cols[k].tolist())
 
 
 class Induced(NamedTuple):
@@ -475,20 +487,61 @@ def side_convex(d, tri, side):
     return True, None
 
 
+def _off_vertices(n, cycles):
+    """The labels of 1..n off each row of the (T, k) array cycles: (T, n - k), ascending."""
+    t, k = cycles.shape
+    keep = np.ones((t, n + 1), dtype=bool)
+    keep[:, 0] = False
+    keep[np.arange(t)[:, None], cycles] = False
+    return np.nonzero(keep)[1].reshape(t, n - k)
+
+
+def _parity_sides(d, edges, off):
+    """Sides of the off vertices of T plane cycles at once: (side, wrong, rows).
+
+    off is a (T, m) array whose row t holds the off-cycle vertices of cycle
+    t in ascending order.  edges holds one (a, b) operand pair per cycle
+    edge: labels, or arrays with one entry per off pair of every cycle.
+    Each cycle edge asks one row over the off pairs of all T cycles, in
+    np.triu_indices(m, 1) order per cycle: len(edges) * T * C(m, 2)
+    queries; rows holds their answers, each shaped (T, C(m, 2)).  A pair's
+    parity is the XOR of its rows.  side[t, i] says off[t, i] is not on the
+    side of off[t, 0]; wrong[t, p] says pair p of cycle t contradicts those
+    sides.
+    """
+    t, m = off.shape
+    iu, ju = np.triu_indices(m, 1)
+    cs, ds = off.take(iu, axis=1).ravel(), off.take(ju, axis=1).ravel()
+    rows = [d.cross_pairs(a, b, cs, ds).reshape(t, len(iu)) for a, b in edges]
+    parity = functools.reduce(np.bitwise_xor, rows)
+    # The pairs through the reference vertex off[:, 0] come first and fix
+    # the sides; the 2-colouring must then be consistent for every pair.
+    side = np.zeros((t, m), dtype=bool)
+    side[:, 1:] = parity[:, : m - 1]
+    return side, parity != (side.take(iu, axis=1) ^ side.take(ju, axis=1)), rows
+
+
+def _side_inconsistency(cyc, off, wrong):
+    """The SideInconsistency naming the first wrong pair of off, in row-major order."""
+    iu, ju = np.triu_indices(len(off), 1)
+    k = int(wrong.argmax())
+    return SideInconsistency(
+        f"vertices {int(off[iu[k]])},{int(off[ju[k]])} disagree with sides of cycle {cyc}"
+    )
+
+
 def _triangle_verdicts(d, tris):
     """Sides and side convexity of a (T, 3) array of ascending triangles.
 
     Returns (off, side, wrong, convex): off (T, n - 3) holds each
     triangle's off vertices in ascending order, side and wrong are as in
-    oracle._parity_sides, and convex (T, 2) says whether side a (the class
+    _parity_sides, and convex (T, 2) says whether side a (the class
     of off[t, 0]) and side b are convex, as side_convex decides.
     All rows take 1-D operands: three over the off pairs, in
     np.triu_indices(n - 3, 1) order per triangle, and three corner rows
     (corner, w) against the opposite triangle edge, so every triangle
     costs 3 * C(n - 3, 2) + 3 * (n - 3) queries.
     """
-    from .oracle import _off_vertices, _parity_sides
-
     t, m = len(tris), d.n - 3
     off = _off_vertices(d.n, tris)
     a, b, c = (np.repeat(x, m * (m - 1) // 2) for x in tris.T)
@@ -518,8 +571,6 @@ def triangle_sides(d, a, b, c):
     one-triangle case of _triangle_verdicts: 3 * C(n - 3, 2) + 3 * (n - 3)
     queries.
     """
-    from .oracle import _side_inconsistency
-
     tri = tuple(sorted((a, b, c)))
     if len(set(tri)) != 3:
         raise ValueError(f"triangle needs three distinct vertices, got {(a, b, c)}")

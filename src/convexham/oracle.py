@@ -22,12 +22,12 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 
 The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  The rows of the plane, star_avoiding and
-maximal_plane checks go to the drawing in the kernel calls of
-`drawing.row_blocks`, so entries and their order are as listed.  A check
-stops after the block that decides it: a certificate that verifies asks
-exactly the entries above, and a failing one asks every entry up to the
-end of the block holding the first crossing (plane, star_avoiding) or the
-first row without one (maximal_plane).
+maximal_plane checks go to the drawing through `drawing.ask_rows`, so
+entries and their order are as listed.  A check stops after the block
+that decides it: a certificate that verifies asks exactly the entries
+above, and a failing one asks every entry up to the end of the block
+holding the first crossing (plane, star_avoiding) or the first row
+without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -39,7 +39,15 @@ from itertools import combinations
 import numpy as np
 
 from .certificates import mark_verified
-from .drawing import all_edges, canon_edge, row_blocks, suffix_entries, suffix_rows
+from .drawing import (
+    _off_vertices,
+    _parity_sides,
+    _side_inconsistency,
+    all_edges,
+    ask_rows,
+    canon_edge,
+    suffix_hits,
+)
 from .errors import (
     CertificateError,
     CycleNotPlane,
@@ -76,16 +84,12 @@ def first_crossing(d, edges):
 
     Row i asks edge i against edges i+1.. in the given order, and the first
     hit in that order is returned.  Rows are asked in blocks
-    (`drawing.suffix_rows`); the scan stops after the first block with a
+    (`drawing.suffix_hits`); the scan stops after the first block with a
     hit, so a crossing costs the entries up to the end of its block.
     """
     arr = _edge_array(d, edges)
-    for i0, i1, hits in suffix_rows(d.cross_pairs, arr):
-        if hits.any():
-            rows, cols = suffix_entries(len(arr), i0, i1)
-            k = int(hits.argmax())
-            return tuple(arr[rows[k]].tolist()), tuple(arr[cols[k]].tolist())
-    return None
+    hit = next(suffix_hits(d.cross_pairs, arr), None)
+    return None if hit is None else tuple(tuple(arr[i].tolist()) for i in hit)
 
 
 def is_plane(d, edges):
@@ -141,49 +145,6 @@ def _plane_cycle_sides(d, cyc, cycle_edges):
     if wrong.any():
         raise _side_inconsistency(cyc, off, wrong)
     return CycleSides(cyc, frozenset(off[~side].tolist()), frozenset(off[side].tolist()))
-
-
-def _off_vertices(n, cycles):
-    """The labels of 1..n off each row of the (T, k) array cycles: (T, n - k), ascending."""
-    t, k = cycles.shape
-    keep = np.ones((t, n + 1), dtype=bool)
-    keep[:, 0] = False
-    keep[np.arange(t)[:, None], cycles] = False
-    return np.nonzero(keep)[1].reshape(t, n - k)
-
-
-def _parity_sides(d, edges, off):
-    """Sides of the off vertices of T plane cycles at once: (side, wrong, rows).
-
-    off is a (T, m) array whose row t holds the off-cycle vertices of cycle
-    t in ascending order.  edges holds one (a, b) operand pair per cycle
-    edge: labels, or arrays with one entry per off pair of every cycle.
-    Each cycle edge asks one row over the off pairs of all T cycles, in
-    np.triu_indices(m, 1) order per cycle: len(edges) * T * C(m, 2)
-    queries; rows holds their answers, each shaped (T, C(m, 2)).  A pair's
-    parity is the XOR of its rows.  side[t, i] says off[t, i] is not on the
-    side of off[t, 0]; wrong[t, p] says pair p of cycle t contradicts those
-    sides.
-    """
-    t, m = off.shape
-    iu, ju = np.triu_indices(m, 1)
-    cs, ds = off.take(iu, axis=1).ravel(), off.take(ju, axis=1).ravel()
-    rows = [d.cross_pairs(a, b, cs, ds).reshape(t, len(iu)) for a, b in edges]
-    parity = functools.reduce(np.bitwise_xor, rows)
-    # The pairs through the reference vertex off[:, 0] come first and fix
-    # the sides; the 2-colouring must then be consistent for every pair.
-    side = np.zeros((t, m), dtype=bool)
-    side[:, 1:] = parity[:, : m - 1]
-    return side, parity != (side.take(iu, axis=1) ^ side.take(ju, axis=1)), rows
-
-
-def _side_inconsistency(cyc, off, wrong):
-    """The SideInconsistency naming the first wrong pair of off, in row-major order."""
-    iu, ju = np.triu_indices(len(off), 1)
-    k = int(wrong.argmax())
-    return SideInconsistency(
-        f"vertices {int(off[iu[k]])},{int(off[ju[k]])} disagree with sides of cycle {cyc}"
-    )
 
 
 def _plane_orders(crossers, n, starts, edge_ok, accept):
@@ -281,18 +242,17 @@ def exact_max_plane(d, cap=8):
     """Maximum number of pairwise non-crossing edges, by branch and bound.
 
     The crossing graph on the C(n,2) edges is small for n <= 8; this is a
-    plain maximum-independent-set search with a popcount bound.
+    plain maximum-independent-set search with a popcount bound.  Its edges
+    come from the uncounted crossing set.
     """
     _require_small(d.n, cap)
-    edges = all_edges(d.n)
-    m = len(edges)
+    index = {e: i for i, e in enumerate(all_edges(d.n))}
+    m = len(index)
     conflict = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            e, f = edges[i], edges[j]
-            if not set(e) & set(f) and d.crosses(e, f):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
+    for e, f in d.crossing_set():
+        i, j = index[e], index[f]
+        conflict[i] |= 1 << j
+        conflict[j] |= 1 << i
     best = 0
     full = (1 << m) - 1
 
@@ -341,19 +301,17 @@ def _check_star_avoiding(d, cert, v_star):
     every = np.arange(1, d.n + 1)
     every = every[every != v_star]
     rows = [e for e in cert.edges if v_star not in e]
-    ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    for i0, i1 in row_blocks(np.full(len(rows), d.n - 3)):
+    a, b = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+
+    def operands(i0, i1):
         if i1 == i0 + 1:
-            a, b = rows[i0]
-            hits = d.cross_pairs(a, b, every[(every != a) & (every != b)], v_star)
-        else:
-            a, b = ends[i0:i1].T
-            keep = (every != a[:, None]) & (every != b[:, None])
-            cs = np.broadcast_to(every, keep.shape)[keep]
-            hits = d.cross_pairs(np.repeat(a, d.n - 3), np.repeat(b, d.n - 3), cs, v_star)
-        if hits.any():
-            return False
-    return True
+            x, y = rows[i0]  # Python ints compare faster than numpy scalars
+            return every[(every != x) & (every != y)], v_star
+        keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
+        return np.broadcast_to(every, keep.shape)[keep], v_star
+
+    asked = ask_rows(d.cross_pairs, a, b, [d.n - 3] * len(rows), operands)
+    return not any(hits.any() for _i0, _i1, hits in asked)
 
 
 def _check_maximal_plane(d, cert, plane):
@@ -362,17 +320,10 @@ def _check_maximal_plane(d, cert, plane):
         return False
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
-    non = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2)
-    for i0, i1 in row_blocks(np.full(len(non), len(cs))):
-        a, b = non[i0:i1].T
-        if i1 == i0 + 1:
-            hits = d.cross_pairs(a[0], b[0], cs, ds)
-        else:
-            hits = d.cross_pairs(np.repeat(a, len(cs)), np.repeat(b, len(cs)),
-                                 np.tile(cs, i1 - i0), np.tile(ds, i1 - i0))
-        if not hits.reshape(i1 - i0, len(cs)).any(axis=1).all():
-            return False
-    return True
+    a, b = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2).T
+    rows = ask_rows(d.cross_pairs, a, b, [len(cs)] * len(a),
+                    lambda i0, i1: (np.tile(cs, i1 - i0), np.tile(ds, i1 - i0)))
+    return all(hits.reshape(i1 - i0, len(cs)).any(axis=1).all() for i0, i1, hits in rows)
 
 
 def _check_empty_side(d, cyc, plane):

@@ -68,10 +68,10 @@ def scan_bad_edges(d, order, hub):
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
     vertices of `order`, cyclically after the pair, so a full scan costs
-    k * (k - 2) queries, in the `cross_pairs` calls of `drawing.row_blocks`
-    (a one-row call passes its pair as labels).  Yields (i, witnesses) in
-    scan order, witnesses as a frozenset of positions in `order`; a caller
-    that stops early asks no block past the one holding its last bad pair.
+    k * (k - 2) queries, asked through `drawing.ask_rows`.  Yields
+    (i, witnesses) in scan order, witnesses as a frozenset of positions in
+    `order`; a caller that stops early asks no block past the one holding
+    its last bad pair.
     """
     k = len(order)
     if k < 3:
@@ -79,13 +79,10 @@ def scan_bad_edges(d, order, hub):
     twice = np.array(order * 2, dtype=np.int64)
     # others[i] is twice[i + 2:i + k], the vertices after pair i.
     others = sliding_window_view(twice[2:], k - 2)
-    for i0, i1 in drawing.row_blocks(np.full(k, k - 2)):
-        if i1 == i0 + 1:
-            a, b = order[i0], order[i1 % k]
-        else:
-            a = np.repeat(twice[i0:i1], k - 2)
-            b = np.repeat(twice[i0 + 1:i1 + 1], k - 2)
-        hits = d.cross_pairs(a, b, others[i0:i1].ravel(), hub).reshape(i1 - i0, k - 2)
+    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k,
+                            lambda i0, i1: (others[i0:i1].ravel(), hub))
+    for i0, i1, hits in rows:
+        hits = hits.reshape(i1 - i0, k - 2)
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
             yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())

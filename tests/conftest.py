@@ -38,6 +38,23 @@ def canon_pair(e, f):
     return (e, f) if e <= f else (f, e)
 
 
+def row_groups(lens, block):
+    """Reference for drawing.ask_rows' grouping: (i0, i1) per kernel call.
+
+    Rows are packed greedily into calls of at most `block` entries, and a
+    row longer than block // 3 is asked alone.
+    """
+    groups, i = [], 0
+    while i < len(lens):
+        j, total = i + 1, lens[i]
+        while lens[i] <= block // 3 and j < len(lens) and total + lens[j] <= block:
+            total += lens[j]
+            j += 1
+        groups.append((i, j))
+        i = j
+    return groups
+
+
 def polygon_side(polygon, p):
     """Parity of crossings between an upward ray from p and the polygon boundary.
 

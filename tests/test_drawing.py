@@ -31,7 +31,7 @@ from convexham.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from conftest import canon_pair, random_k4_drawing
+from conftest import canon_pair, random_k4_drawing, row_groups
 
 seeds = st.integers(0, 400)
 
@@ -273,6 +273,47 @@ def test_crossing_set_is_uncounted(make):
         with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
             assert view.crossing_set() == d.crossing_set() == frozenset(want)
         assert counter.count == 0
+
+
+@given(st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES]), st.data())
+def test_ask_rows_groups_rows_greedily(block, data):
+    # Row lengths on both sides of a third of the block, and at it.
+    edge = st.sampled_from([block // 3, block // 3 + 1, block])
+    lens = data.draw(st.lists(
+        st.one_of(st.integers(0, 30), st.integers(1300, 1500), edge), max_size=24))
+    # Row i's entries are the flat positions ends[i]..ends[i + 1] - 1.
+    ends = np.cumsum([0, *lens])
+    a, b = np.arange(len(lens)) + 100, np.arange(len(lens)) + 500
+    calls = []
+
+    def ask(*args):
+        calls.append(args)
+        return args[2] % 3 == 0
+
+    def operands(i0, i1):
+        return np.arange(ends[i0], ends[i1]), -1
+
+    groups = row_groups(lens, block)
+    stop = data.draw(st.integers(0, len(groups)))
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+        rows = drawing.ask_rows(ask, a, b, lens, operands)
+        got = [next(rows) for _ in range(stop)]
+        rows.close()
+    # A caller that stops early asks no later block.
+    assert [(i0, i1) for i0, i1, _hits in got] == groups[:stop]
+    assert len(calls) == stop
+    for (i0, i1, hits), (ca, cb, cs, ds) in zip(got, calls):
+        assert np.array_equal(hits, cs % 3 == 0) and ds == -1
+        if i1 == i0 + 1:
+            assert np.ndim(ca) == np.ndim(cb) == 0
+            assert (ca, cb) == (a[i0], b[i0])
+        else:
+            assert np.array_equal(ca, np.repeat(a[i0:i1], lens[i0:i1]))
+            assert np.array_equal(cb, np.repeat(b[i0:i1], lens[i0:i1]))
+            assert len(ca) == len(cb) == len(cs)
+    # The operands joined together are the row-major entries.
+    joined = np.concatenate([np.arange(0)] + [cs for _a, _b, cs, _d in calls])
+    assert np.array_equal(joined, np.arange(ends[groups[stop - 1][1]] if stop else 0))
 
 
 def _gather_2d(oracle, a, b, cs, ds):

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 from functools import cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -33,7 +35,7 @@ from convexham.oracle import (
     verify_certificate,
 )
 from convexham.subdrawings import greedy_maximal_plane
-from conftest import polygon_partition, random_k4_drawing
+from conftest import polygon_partition, random_k4_drawing, row_groups
 
 
 def _hull_edges(n):
@@ -279,6 +281,22 @@ def test_verify_certificate_catches_lies():
         verify_certificate(d, unknown)
 
 
+def _package_imports(name):
+    """The package modules that module `name` imports relatively, at any depth of its body."""
+    path = Path(drawing.__file__).with_name(f"{name}.py")
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else (a.name for a in node.names))
+    return out
+
+
+def test_verifier_is_independent_of_the_constructions():
+    # The oracle re-checks certificates on the crossing oracle alone.
+    assert _package_imports("oracle") == {"certificates", "drawing", "errors"}
+    assert _package_imports("drawing") == {"geometry", "errors"}
+
+
 @cache
 def _row_drawing(kind, n, seed):
     if kind == "geometric":
@@ -289,19 +307,11 @@ def _row_drawing(kind, n, seed):
 def _asked(lens, hit_row, block):
     """Entries a row scan asks when it stops after the block holding hit_row.
 
-    Reference for drawing.row_blocks: rows are packed greedily into blocks
-    of at most `block` entries, and a row longer than block // 3 is asked
-    alone.  hit_row None asks every row.
+    Blocks are those of conftest.row_groups; hit_row None asks every row.
     """
-    i = 0
-    while i < len(lens):
-        j, total = i + 1, lens[i]
-        while lens[i] <= block // 3 and j < len(lens) and total + lens[j] <= block:
-            total += lens[j]
-            j += 1
+    for _i, j in row_groups(lens, block):
         if hit_row is not None and hit_row < j:
             return sum(lens[:j])
-        i = j
     return sum(lens)
 
 

@@ -12,7 +12,7 @@ from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, scan_bad_edges
 
-from conftest import construction_pool
+from conftest import construction_pool, row_groups
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -251,8 +251,8 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 def _blocked_scan(d, order, hub, block):
     """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries.
 
-    Its `cross_pairs` calls follow the groups of `row_blocks` over k rows of
-    k - 2 entries, and a one-row call passes its pair as labels.
+    Its `cross_pairs` calls follow conftest.row_groups over k rows of k - 2
+    entries, and a one-row call passes its pair as labels.
     """
     view, counter = instrumented(d)
     k = len(order)
@@ -261,7 +261,7 @@ def _blocked_scan(d, order, hub, block):
     )
     with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy as calls:
         scanned = _scanned(view, order, hub)
-        groups = list(drawing.row_blocks(np.full(k, k - 2))) if k >= 3 else []
+        groups = row_groups([k - 2] * k, block) if k >= 3 else []
     assert counter.count == k * (k - 2)
     assert len(calls.call_args_list) == len(groups)
     for (i0, i1), call in zip(groups, calls.call_args_list):
