@@ -16,6 +16,12 @@ digest covers its name, "verified" or the failed claims, and the queries
 verification asked, so it shows whether a change moved the verifier's
 work, and on which verdicts.
 
+The `sha256 probe` line digests s-t paths between interior and hull
+vertices of random_geometric(300 and 1000, seeds 1-3), where one scan
+spans several row blocks, so it sees where a scan stops.  These runs stay
+out of every other digest; the line also digests their vertices alone and
+sums their queries per direction.
+
     python scripts/construction_digest.py [--src DIR] [--out FILE]
 """
 
@@ -40,6 +46,7 @@ sys.path.insert(0, args.src)
 from convexham import generators  # noqa: E402
 from convexham.drawing import instrumented, relabel  # noqa: E402
 from convexham.errors import CertificateError, NotConvexEvidence  # noqa: E402
+from convexham.geometry import orientation  # noqa: E402
 from convexham.hamiltonian import (  # noqa: E402
     _two_edge_path,
     hamiltonian_cycle,
@@ -133,9 +140,34 @@ for n in (300, 1000):
         t = min(range(1, n + 1), key=lambda v: d.points[v])
         emit("hull", f"hull n={n} seed={seed}", *run(d, st_hamiltonian_path, s, t))
 
+
+def interior(d, v):
+    """No angular gap around v reaches pi: v is no hull vertex, so it has no bad edge."""
+    pts, order = d.points, d.rotation_of(v)
+    return all(
+        orientation(pts[v], pts[a], pts[b]) > 0 for a, b in zip(order, order[1:] + order[:1])
+    )
+
+
+probe_rng = random.Random(2025)
+probe_lines = []
+probe_queries = Counter()
+for n in (300, 1000):
+    for seed in (1, 2, 3):
+        d = generators.random_geometric(n, seed)
+        lo = min(range(1, n + 1), key=lambda v: d.points[v])
+        hi = max(range(1, n + 1), key=lambda v: d.points[v])
+        inner = [v for v in probe_rng.sample(range(1, n + 1), 8) if interior(d, v)][:2]
+        for way, s, t in [*(("interior->hull", v, lo) for v in inner),
+                          *(("hull->interior", hi, v) for v in inner)]:
+            res, queries, _check = run(d, st_hamiltonian_path, s, t)
+            probe_lines.append(json.dumps([f"probe {way} n={n} seed={seed} {s} {t}", res, queries]))
+            probe_queries[way] += queries
+
 text = "".join(line + "\n" for line in lines)
+probe_text = "".join(line + "\n" for line in probe_lines)
 if args.out:
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(text + probe_text)
 kinds = Counter()
 for line in lines:
     res = json.loads(line)[1]
@@ -149,3 +181,10 @@ for task in TASKS:
 failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
 digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
 print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing)")
+# The probe digest covers its runs' names, outcomes and queries; the
+# vertices digest leaves the queries out.
+digest = hashlib.sha256(probe_text.encode()).hexdigest()
+outcomes = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in probe_lines)
+print(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
+      f"{hashlib.sha256(outcomes.encode()).hexdigest()[:16]}, queries "
+      + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")

@@ -138,29 +138,33 @@ def _ccw_cmp(s, t):
     return -1 if c > 0 else 1
 
 
-def ccw_order(points, anchor, candidates):
+def ccw_order(points, anchor, candidates, back=None):
     """Labels in `candidates` sorted counterclockwise around points[anchor].
 
-    `points` maps labels to integer coordinates (any indexable).  The order
+    `points` is a 1-indexed table of integer points (entry 0 unused) and
+    `back` a PointBack over it, built here when not given.  The order
     starts at the positive x-axis direction.  Points are assumed to be in
-    general position, so the angular order is strict.
+    general position, so the angular order is strict.  The float keys come
+    from one gather of back's float64 mirrors, whose differences are exact;
+    equal keys, or coordinates past 2^52, take the exact comparator.
     """
-    ax, ay = points[anchor]
-    cand = list(candidates)
-    dxs = [points[v][0] - ax for v in cand]
-    dys = [points[v][1] - ay for v in cand]
-    if max(map(abs, dxs + dys), default=0) <= 2 * _FLOAT_SAFE:
-        # Differences up to 2^53 convert to float64 exactly.
-        fx = np.array(dxs, dtype=np.float64)
-        fy = np.array(dys, dtype=np.float64)
+    back = PointBack(points) if back is None else back
+    labels = np.asarray(candidates, dtype=np.int64)
+    if back.float_ok:
+        xs, ys = back.xs, back.ys
+        fx, fy = xs[labels] - xs[anchor], ys[labels] - ys[anchor]
         half = (fy < 0) | ((fy == 0) & (fx < 0))
         key = _line_keys(fx, fy)
         order = np.lexsort((key, half))
         h = half[order]
         k = key[order]
         if not ((h[1:] == h[:-1]) & (k[1:] == k[:-1])).any():
-            return [cand[i] for i in order.tolist()]
-    keyed = [(_half(dx, dy), dx, dy, v) for dx, dy, v in zip(dxs, dys, cand)]
+            return labels[order].tolist()
+    ax, ay = points[anchor]
+    keyed = []
+    for v in labels.tolist():
+        dx, dy = points[v][0] - ax, points[v][1] - ay
+        keyed.append((_half(dx, dy), dx, dy, v))
     keyed.sort(key=cmp_to_key(_ccw_cmp))
     return [t[3] for t in keyed]
 

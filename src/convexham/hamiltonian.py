@@ -102,11 +102,14 @@ def _solve_path(d, subset, s, t):
     triangle of the chosen bad edge and the target splits the subproblem
     in two, and the first half is solved first.
 
-    With a bad edge at t, the root first probes s's rotation with the same
-    scan, stopped after the first block that holds a bad pair.  If s has
-    no bad edge, the path is s's fan path toward t, reversed, and nothing
-    recurses.  In a straight-line drawing only hull vertices have a bad
-    edge, so a path from an interior s costs two scans.
+    A scan is read up to the block that holds its first bad pair, and only
+    a split reads the rest, for `_pick_bad`.  With a bad edge at t, the
+    root first probes s's rotation the same way.  If s has no bad edge,
+    the path is s's fan path toward t, reversed, nothing recurses, and t's
+    scan stops there.  In a straight-line drawing only hull vertices have
+    a bad edge, so a path from an interior s costs one scan of s plus t's
+    scan through its first bad block: (n-1)(n-3) + (n-3) r queries, with r
+    the rows of t's rotation up to the end of that block.
     """
     root = (set(subset), s, t)
     work = [root]
@@ -124,8 +127,9 @@ def _solve_path(d, subset, s, t):
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = tuple(x for x in d.rotation_of(t0) if x in sub)
-        bad = list(scan_bad_edges(d, order, t0))
-        if not bad:
+        scan = scan_bad_edges(d, order, t0)
+        first = next(scan, None)
+        if first is None:
             path += _fan_path(order, s0, t0)[1:]
             continue
         if item is root:
@@ -133,7 +137,7 @@ def _solve_path(d, subset, s, t):
             if next(scan_bad_edges(d, back, s0), None) is None:
                 path += reversed(_fan_path(back, t0, s0)[:-1])
                 continue
-        u, v, wset = _pick_bad(order, bad)
+        u, v, wset = _pick_bad(order, [first, *scan])
         vn, vc = _split_sides(d, u, v, t0, sub, wset)
         if s0 in vc:
             # Case 1: P1 crosses the convex side to u, P2 sweeps the witness
@@ -153,7 +157,9 @@ def st_hamiltonian_path(d, s, t, verify=True):
 
     Solved toward t, or, when t has a bad edge and s has none, as the
     reversed fan path of s's rotation (see _solve_path).  Costs at most
-    the recursion toward t plus one probe of s's rotation.
+    the recursion toward t plus one probe of s's rotation; from an
+    interior vertex of a point set, one scan of s plus t's scan through
+    its first bad block.
 
     With verify=False the path is unchecked: on non-convex input it can
     cross itself where verification would raise NotConvexEvidence; all

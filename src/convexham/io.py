@@ -18,7 +18,8 @@ its crossings.
 Readers treat "points", or else "rotations", as authoritative and accept
 the derivable fields as redundant input, always checked: a stored field
 that differs from the one the authoritative field fixes is a FormatError.
-Next to points: rotations at every n (one ccw_order per vertex), and
+Next to points: rotations at every n (one ccw_order per vertex, on the
+oracle's float64 mirrors), and
 crossings only while n <= 12, where the check is exhaustive; a crossing
 list next to more points is a FormatError.  Next to rotations: stored
 crossings at every n, with new_drawing's checks.
@@ -71,6 +72,11 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_ints(xs):
+    # _is_int of every entry, decided once per distinct type.
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, xs)))
+
+
 def _int_pair(x, what):
     # Called per point and per edge: build the message only on failure.
     if not (isinstance(x, (list, tuple)) and len(x) == 2 and _is_int(x[0]) and _is_int(x[1])):
@@ -89,7 +95,7 @@ def drawing_from_json(obj):
     if rotations is not None:
         _require(isinstance(rotations, list), "field 'rotations' must be a list")
         _require(
-            all(isinstance(r, list) and all(_is_int(u) for u in r) for r in rotations),
+            all(isinstance(r, list) and _all_ints(r) for r in rotations),
             "each rotation must be a list of integers",
         )
 
@@ -198,7 +204,7 @@ def certificate_from_json(obj):
     _require(kind in ("cycle", "path", "subdrawing"), f"unknown certificate kind {kind!r}")
     vertices = obj.get("vertices")
     _require(
-        isinstance(vertices, list) and all(_is_int(v) for v in vertices),
+        isinstance(vertices, list) and _all_ints(vertices),
         "field 'vertices' must be a list of integers",
     )
     edges = obj.get("edges")

@@ -15,13 +15,12 @@ from math import comb, log2
 
 import pytest
 
-from conftest import polygon_partition, record_criterion
+from conftest import first_bad_block_end, is_interior, polygon_partition, record_criterion
 
 from convexham import generators
 from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import NotConvexEvidence
-from convexham.geometry import orientation
 from convexham.hamiltonian import (
     empty_k_cycle,
     geometric_path_with_two_edges,
@@ -245,29 +244,23 @@ def test_c04_fan_family_cycle_at_hub_n(fan_family):
     assert ok, (failures, slopes)
 
 
-def _is_interior(d, v):
-    """No angular gap around v reaches pi: v is not a hull vertex."""
-    pts, order = d.points, d.rotation_of(v)
-    return all(
-        orientation(pts[v], pts[a], pts[b]) > 0 for a, b in zip(order, order[1:] + order[:1])
-    )
-
-
 def test_c04_interior_source_to_hull_target():
     # Only hull vertices have a bad edge, so a path from an interior source
-    # is solved toward the source: one scan of each endpoint's rotation.
+    # is solved toward the source: one scan of s's rotation, and t's scan
+    # through the block that holds its first bad pair, found by a full scan.
     sizes = (250, 500, 1000, 2000)
     failures = []
     queries = {}
     for n in sizes:
         d = generators.random_geometric(n, 0)
         t = min(range(1, n + 1), key=lambda v: d.points[v])
-        s = next(v for v in range(1, n + 1) if _is_interior(d, v))
+        s = next(v for v in range(1, n + 1) if is_interior(d, v))
+        r_t = first_bad_block_end(d, d.rotation_of(t), t)
         view, counter = instrumented(d)
         cert = st_hamiltonian_path(view, s, t, verify=False)
         queries[n] = counter.count
-        if counter.count != 2 * (n - 1) * (n - 3):
-            failures.append(f"n={n} asked {counter.count} != 2(n-1)(n-3)")
+        if counter.count != (n - 1) * (n - 3) + (n - 3) * r_t:
+            failures.append(f"n={n} asked {counter.count} != (n-1)(n-3) + (n-3)*{r_t}")
         ends = (cert.vertices[0], cert.vertices[-1])
         if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
             failures.append(f"n={n} ({s},{t}) bad certificate")
@@ -275,7 +268,8 @@ def test_c04_interior_source_to_hull_target():
     ok = not failures
     record_criterion(
         f"C04b interior source to leftmost hull vertex n=250..2000: {_verdict(ok)} "
-        f"(2(n-1)(n-3) queries at every n, slope 1000->2000 {slope:.3f}, verified)"
+        f"((n-1)(n-3) + (n-3) r_t queries at every n, r_t the end row of t's first bad "
+        f"block; slope 1000->2000 {slope:.3f}, verified)"
     )
     assert ok, failures
 

@@ -2,11 +2,12 @@ import random
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construction_pool
+from conftest import construction_pool, first_bad_block_end, is_interior, row_groups
 from test_starframe import _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
@@ -387,10 +388,53 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
         assert got == want
         return
     assert got == _reversed_fan_path(d, s, t, subset)
-    assert asked == 2 * (k - 1) * (k - 3)
+    # One scan of s, and t's scan through the block of its first bad pair.
+    r_t = first_bad_block_end(d, _restricted(d, t, subset), t)
+    assert asked == (k - 1) * (k - 3) + (k - 3) * r_t
     if spec[0] not in ("twisted", "two-page"):
         edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
         assert is_plane(d, edges)
+
+
+def _scan_calls(d, build):
+    """build(view)'s result, its queries and the `cross_pairs` calls it made."""
+    view, counter = instrumented(d)
+    spy = mock.patch.object(
+        drawing.Drawing, "cross_pairs", autospec=True, side_effect=drawing.Drawing.cross_pairs
+    )
+    with spy as calls:
+        got = build(view)
+    return got, counter.count, [call.args[1:] for call in calls.call_args_list]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_interior_source_reads_t_through_its_first_bad_block(seed):
+    # At n = 300 a scan spans 23 blocks of 13 rows.  From an interior s, t's
+    # scan stops after the block that holds its first bad pair; from a hull
+    # s, it is read in full, as the reference solver does.
+    d = generators.random_geometric(300, seed)
+    n = d.n
+    hull = [v for v in range(1, n + 1) if not is_interior(d, v)]
+    s = next(v for v in range(1, n + 1) if is_interior(d, v))
+    groups = row_groups([n - 3] * (n - 1), drawing.ROW_BLOCK_ENTRIES)
+    stops = []
+    for t in hull[:3]:
+        r_t = first_bad_block_end(d, d.rotation_of(t), t)
+        stops.append(r_t)
+        cert, asked, calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
+        t_rows = [cs for _a, _b, cs, ds in calls if np.ndim(ds) == 0 and ds == t]
+        assert len(t_rows) == sum(i1 <= r_t for _i0, i1 in groups)
+        assert sum(map(len, t_rows)) == (n - 3) * r_t
+        assert asked == (n - 1) * (n - 3) + (n - 3) * r_t
+        assert verify_certificate(d, cert).oracle_verified
+    assert min(stops) < n - 1
+    s, t = hull[-1], hull[0]
+    back = _restricted(d, s, range(1, n + 1))
+    probe = _scan_calls(d, lambda x: next(scan_bad_edges(x, back, s), None))
+    assert probe[0] is not None
+    want, ref_asked, _calls = _scan_calls(d, lambda x: _reference_st_path(x, range(1, n + 1), s, t))
+    cert, asked, _calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
+    assert (cert.vertices, asked) == (tuple(want), ref_asked + probe[1])
 
 
 # ---------------------------------------------------------------------------
