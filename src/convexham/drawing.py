@@ -153,7 +153,7 @@ class Drawing:
         if rot is None:
             others = np.arange(1, self.n)
             others[v - 1:] += 1
-            order = geometry.ccw_order(self.points, v, others, back=self._oracle)
+            order = geometry.ccw_order(self._oracle, v, others)
             rot = _canon_cycle(tuple(order))
             self._rot_cache[v] = rot
         return rot
@@ -226,11 +226,9 @@ ROW_BLOCK_ENTRIES = 1 << 12
 def ask_rows(ask, a, b, lens, operands):
     """Ask rows of the given lengths in kernel calls of up to ROW_BLOCK_ENTRIES entries.
 
-    Row i asks the pair {a[i], b[i]} against lens[i] entries; an int
-    `lens` is the length of each of the len(a) rows, and a call repeats
-    the pairs by that scalar instead of by an array.  operands(i0, i1)
-    gives the flat (cs, ds) of rows i0..i1-1 in row-major order.
-    Consecutive rows share a call ask(a, b, cs, ds) greedily; a row
+    Row i asks the pair {a[i], b[i]} against lens[i] entries, and
+    operands(i0, i1) gives the flat (cs, ds) of rows i0..i1-1 in row-major
+    order.  Consecutive rows share a call ask(a, b, cs, ds) greedily; a row
     longer than a third of a block goes alone, since a block of two such
     rows built from arrays is slower than two label rows.  A one-row call
     passes its pair as labels, a longer one repeats each pair over its row.
@@ -238,9 +236,6 @@ def ask_rows(ask, a, b, lens, operands):
     block.  The grouping never changes which entries are asked, or their
     order.
     """
-    width = lens if isinstance(lens, int) else None
-    if width is not None:
-        lens = [width] * len(a)
     ends = list(accumulate(lens, initial=0))
     i0 = 0
     while i0 < len(lens):
@@ -252,7 +247,7 @@ def ask_rows(ask, a, b, lens, operands):
         if i1 == i0 + 1:
             yield i0, i1, ask(a[i0], b[i0], cs, ds)
         else:
-            reps = np.array(lens[i0:i1]) if width is None else width
+            reps = np.array(lens[i0:i1])
             yield i0, i1, ask(a[i0:i1].repeat(reps), b[i0:i1].repeat(reps), cs, ds)
         i0 = i1
 
@@ -278,19 +273,17 @@ def suffix_hits(ask, ends):
     """
     m = len(ends)
     a, b = ends.T.copy()
-    block = None  # the (rows, cols) of the last multi-row block
 
     def operands(i0, i1):
-        nonlocal block
         if i1 == i0 + 1:
             return a[i1:], b[i1:]
-        block = suffix_entries(m, i0, i1)
-        return a[block[1]], b[block[1]]
+        _rows, cols = suffix_entries(m, i0, i1)
+        return a[cols], b[cols]
 
     for i0, i1, hits in ask_rows(ask, a, b, list(range(m - 1, 0, -1)), operands):
         k = np.flatnonzero(hits)
         if k.size:
-            rows, cols = block if i1 > i0 + 1 else suffix_entries(m, i0, i1)
+            rows, cols = suffix_entries(m, i0, i1)
             yield from zip(rows[k].tolist(), cols[k].tolist())
 
 

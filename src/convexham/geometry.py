@@ -138,17 +138,15 @@ def _ccw_cmp(s, t):
     return -1 if c > 0 else 1
 
 
-def ccw_order(points, anchor, candidates, back=None):
-    """Labels in `candidates` sorted counterclockwise around points[anchor].
+def ccw_order(back, anchor, candidates):
+    """Labels in `candidates` sorted counterclockwise around point `anchor` of a PointBack.
 
-    `points` is a 1-indexed table of integer points (entry 0 unused) and
-    `back` a PointBack over it, built here when not given.  The order
-    starts at the positive x-axis direction.  Points are assumed to be in
-    general position, so the angular order is strict.  The float keys come
-    from one gather of back's float64 mirrors, whose differences are exact;
-    equal keys, or coordinates past 2^52, take the exact comparator.
+    The order starts at the positive x-axis direction.  Points are assumed
+    to be in general position, so the angular order is strict.  The float
+    keys come from one gather of back's float64 mirrors, whose differences
+    are exact; equal keys, or coordinates past 2^52, take the exact
+    comparator on back.pts.
     """
-    back = PointBack(points) if back is None else back
     labels = np.asarray(candidates, dtype=np.int64)
     if back.float_ok:
         xs, ys = back.xs, back.ys
@@ -160,6 +158,7 @@ def ccw_order(points, anchor, candidates, back=None):
         k = key[order]
         if not ((h[1:] == h[:-1]) & (k[1:] == k[:-1])).any():
             return labels[order].tolist()
+    points = back.pts
     ax, ay = points[anchor]
     keyed = []
     for v in labels.tolist():

@@ -310,7 +310,7 @@ def _check_star_avoiding(d, cert, v_star):
         keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
         return np.broadcast_to(every, keep.shape)[keep], v_star
 
-    asked = ask_rows(d.cross_pairs, a, b, d.n - 3, operands)
+    asked = ask_rows(d.cross_pairs, a, b, [d.n - 3] * len(rows), operands)
     return not any(hits.any() for _i0, _i1, hits in asked)
 
 
@@ -321,7 +321,7 @@ def _check_maximal_plane(d, cert, plane):
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
     a, b = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2).T
-    rows = ask_rows(d.cross_pairs, a, b, len(cs),
+    rows = ask_rows(d.cross_pairs, a, b, [len(cs)] * len(a),
                     lambda i0, i1: (np.tile(cs, i1 - i0), np.tile(ds, i1 - i0)))
     return all(hits.reshape(i1 - i0, len(cs)).any(axis=1).all() for i0, i1, hits in rows)
 

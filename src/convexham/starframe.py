@@ -79,7 +79,7 @@ def scan_bad_edges(d, order, hub):
     twice = np.array(order * 2, dtype=np.int64)
     # others[i] is twice[i + 2:i + k], the vertices after pair i.
     others = sliding_window_view(twice[2:], k - 2)
-    rows = drawing.ask_rows(d.cross_pairs, twice[:k], twice[1:k + 1], k - 2,
+    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k,
                             lambda i0, i1: (others[i0:i1].ravel(), hub))
     for i0, i1, hits in rows:
         hits = hits.reshape(i1 - i0, k - 2)

@@ -316,32 +316,6 @@ def test_ask_rows_groups_rows_greedily(block, data):
     assert np.array_equal(joined, np.arange(ends[groups[stop - 1][1]] if stop else 0))
 
 
-@given(st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES]), st.data())
-def test_ask_rows_one_length_asks_as_its_list(block, data):
-    # An int length asks exactly what the list of that length per row does.
-    width = data.draw(st.sampled_from([0, 1, 5, block // 3, block // 3 + 1, block, 1400]))
-    rows = data.draw(st.integers(0, 40))
-    a, b = np.arange(rows) + 100, np.arange(rows) + 500
-
-    def asked(lens):
-        calls = []
-
-        def ask(*args):
-            calls.append(args)
-            return args[2] % 3 == 0
-
-        def operands(i0, i1):
-            return np.arange(i0 * width, i1 * width), -1
-
-        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
-            rows = drawing.ask_rows(ask, a, b, lens, operands)
-            got = [(i0, i1, hits.tolist()) for i0, i1, hits in rows]
-        return got, [[np.asarray(x).tolist() for x in call] for call in calls]
-
-    assert asked(width) == asked([width] * rows)
-    assert [(i0, i1) for i0, i1, _hits in asked(width)[0]] == row_groups([width] * rows, block)
-
-
 def _gather_2d(oracle, a, b, cs, ds):
     """The explicit oracle's row as a 2-D gather, the reference for its flat one."""
     return oracle._table[oracle._edge_id[a, b], oracle._edge_id[cs, ds]]

@@ -175,7 +175,7 @@ def test_ccw_order_matches_reference(pts, pairs, data):
     assume(len(rays) == len(cands))
     table = (None, anchor, *cands)
     labels = data.draw(st.permutations(range(2, len(table))))
-    assert ccw_order(table, 1, labels) == ref_ccw_order(table, 1, labels)
+    assert ccw_order(PointBack(table), 1, labels) == ref_ccw_order(table, 1, labels)
 
 
 def test_ccw_order_float_key_tie():
@@ -183,12 +183,12 @@ def test_ccw_order_float_key_tie():
     pts = (None, (0, 0), (m + 1, m), (-5, 3), (m, m - 1), (1, -7))
     keys = geometry._line_keys(np.array([float(m), m + 1.0]), np.array([m - 1.0, float(m)]))
     assert keys[0] == keys[1]
-    assert ccw_order(pts, 1, [2, 3, 4, 5]) == [4, 2, 3, 5]
+    assert ccw_order(PointBack(pts), 1, [2, 3, 4, 5]) == [4, 2, 3, 5]
 
 
 def test_ccw_order_compass():
     pts = (None, (0, 0), (10, 1), (1, 10), (-10, 2), (-1, -10))
-    order = ccw_order(pts, 1, [2, 3, 4, 5])
+    order = ccw_order(PointBack(pts), 1, [2, 3, 4, 5])
     # Starting vertex is unspecified; the cyclic order is fixed.
     i = order.index(2)
     assert order[i:] + order[:i] == [2, 3, 4, 5]
