@@ -14,7 +14,9 @@ st, edge, two, hull) shows which constructions a change moved.  Every
 certificate is then verified on a fresh counted view; the `sha256 verify`
 digest covers its name, "verified" or the failed claims, and the queries
 verification asked, so it shows whether a change moved the verifier's
-work, and on which verdicts.
+work, and on which verdicts.  The `sha256 outcomes` digest covers every
+run's name and outcome without its queries, so a change that moves
+queries on purpose shows that its outputs stay.
 
 The `sha256 probe` line digests s-t paths between interior and hull
 vertices of random_geometric(300 and 1000, seeds 1-3), where one scan
@@ -174,6 +176,11 @@ for line in lines:
     kinds[res[1] if res and res[0] in ("evidence", "error") else "certificate"] += 1
 print(f"{len(lines)} runs: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
 print("sha256", hashlib.sha256(text.encode()).hexdigest())
+# Names and outcomes of every run, the probe's too, without their queries:
+# a change that moves queries on purpose shows here that its outputs stay.
+outcomes = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in lines + probe_lines)
+print(f"sha256 outcomes {hashlib.sha256(outcomes.encode()).hexdigest()} "
+      f"({len(lines) + len(probe_lines)} runs)")
 for task in TASKS:
     mine = [line + "\n" for line, t in zip(lines, tasks) if t == task]
     digest = hashlib.sha256("".join(mine).encode()).hexdigest()
@@ -184,7 +191,7 @@ print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} fail
 # The probe digest covers its runs' names, outcomes and queries; the
 # vertices digest leaves the queries out.
 digest = hashlib.sha256(probe_text.encode()).hexdigest()
-outcomes = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in probe_lines)
+vertices = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in probe_lines)
 print(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
-      f"{hashlib.sha256(outcomes.encode()).hexdigest()[:16]}, queries "
+      f"{hashlib.sha256(vertices.encode()).hexdigest()[:16]}, queries "
       + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")

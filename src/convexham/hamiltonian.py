@@ -16,6 +16,8 @@ through two edges.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from . import geometry
@@ -30,7 +32,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .oracle import verify_certificate
-from .starframe import _evidence, build_star_frame, scan_bad_edges
+from .starframe import _evidence, build_star_frame, probe_bad_edge, scan_bad_edges
 
 
 def _verified(d, cert, verify):
@@ -102,14 +104,18 @@ def _solve_path(d, subset, s, t):
     triangle of the chosen bad edge and the target splits the subproblem
     in two, and the first half is solved first.
 
-    A scan is read up to the block that holds its first bad pair, and only
-    a split reads the rest, for `_pick_bad`.  With a bad edge at t, the
-    root first probes s's rotation the same way.  If s has no bad edge,
-    the path is s's fan path toward t, reversed, nothing recurses, and t's
-    scan stops there.  In a straight-line drawing only hull vertices have
-    a bad edge, so a path from an interior s costs one scan of s plus t's
-    scan through its first bad block: (n-1)(n-3) + (n-3) r queries, with r
-    the rows of t's rotation up to the end of that block.
+    At the root both ends are first asked one `probe_bad_edge` row, which
+    can prove a bad edge but not rule one out.  A hit at t stands for t's
+    scan until a split needs it; a miss reads t's scan up to the block
+    that holds its first bad pair.  With a bad edge at t, s's probe and
+    then, on a miss, s's scan decide whether s has one.  If not, the path
+    is s's fan path toward t, reversed, nothing recurses, and t's scan is
+    read no further.  Only a split reads t's whole scan, for `_pick_bad`.
+    In a straight-line drawing only hull vertices have a bad edge, so a
+    path from an interior s to a t whose probe hits costs the two probe
+    rows and one scan of s: (n-1) + (n-1) + (n-1)(n-3) = (n-1)^2 queries.
+    A root whose probe misses asks at most 2(n-1) more than without the
+    probes.
     """
     root = (set(subset), s, t)
     work = [root]
@@ -127,17 +133,20 @@ def _solve_path(d, subset, s, t):
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = tuple(x for x in d.rotation_of(t0) if x in sub)
-        scan = scan_bad_edges(d, order, t0)
-        first = next(scan, None)
-        if first is None:
-            path += _fan_path(order, s0, t0)[1:]
-            continue
+        bad = scan_bad_edges(d, order, t0)
+        # A root whose probe hits knows t has a bad edge without its scan.
+        if item is not root or not probe_bad_edge(d, order, t0):
+            first = next(bad, None)
+            if first is None:
+                path += _fan_path(order, s0, t0)[1:]
+                continue
+            bad = chain([first], bad)
         if item is root:
             back = tuple(x for x in d.rotation_of(s0) if x in sub)
-            if next(scan_bad_edges(d, back, s0), None) is None:
+            if not probe_bad_edge(d, back, s0) and next(scan_bad_edges(d, back, s0), None) is None:
                 path += reversed(_fan_path(back, t0, s0)[:-1])
                 continue
-        u, v, wset = _pick_bad(order, [first, *scan])
+        u, v, wset = _pick_bad(order, bad)
         vn, vc = _split_sides(d, u, v, t0, sub, wset)
         if s0 in vc:
             # Case 1: P1 crosses the convex side to u, P2 sweeps the witness
@@ -157,9 +166,9 @@ def st_hamiltonian_path(d, s, t, verify=True):
 
     Solved toward t, or, when t has a bad edge and s has none, as the
     reversed fan path of s's rotation (see _solve_path).  Costs at most
-    the recursion toward t plus one probe of s's rotation; from an
-    interior vertex of a point set, one scan of s plus t's scan through
-    its first bad block.
+    the recursion toward t plus one scan of s's rotation and two probe
+    rows of n - 1; from an interior vertex of a point set to a hull
+    vertex whose probe hits, (n-1)^2 queries.
 
     With verify=False the path is unchecked: on non-convex input it can
     cross itself where verification would raise NotConvexEvidence; all

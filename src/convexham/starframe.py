@@ -88,6 +88,19 @@ def scan_bad_edges(d, order, hub):
             yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())
 
 
+def probe_bad_edge(d, order, hub):
+    """One row that can prove a bad edge of a rotation: True on a hit.
+
+    Pair i = {order[i], order[i+1]} is asked against the star edge of the
+    vertex halfway round after it, {order[(i + 1 + k // 2) % k], hub}: k
+    queries in one `cross_pairs` call.  A hit is a bad pair by definition;
+    a miss proves nothing, and a caller that must know reads
+    `scan_bad_edges`.
+    """
+    a = np.array(order, dtype=np.int64)
+    return bool(d.cross_pairs(a, np.roll(a, -1), np.roll(a, -(1 + len(a) // 2)), hub).any())
+
+
 def _find_witness_gap(bad, order):
     """The cyclic gap between consecutive bad-edge endpoints holding all witnesses.
 

@@ -1,11 +1,10 @@
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from convexham import drawing, generators
+from convexham import generators
 from convexham.drawing import Drawing, ExplicitCrossings, canon_edge, relabel
 from convexham.errors import NoCoordinates
 from convexham.geometry import orientation
@@ -55,23 +54,6 @@ def row_groups(lens, block):
         groups.append((i, j))
         i = j
     return groups
-
-
-def first_bad_block_end(d, order, hub):
-    """End row of the scan block that holds hub's first bad pair, or None.
-
-    The bad pairs come from an independent full scan, one uncounted row per
-    pair of `order` against the k - 2 vertices after it; the block is the
-    row_groups group of k rows of k - 2 entries that holds the first.
-    """
-    k = len(order)
-    twice = np.array(order * 2)
-    bad = [i for i in range(k)
-           if d._oracle.cross_pairs(twice[i], twice[i + 1], twice[i + 2:i + k], hub).any()]
-    if not bad:
-        return None
-    return next(i1 for i0, i1 in row_groups([k - 2] * k, drawing.ROW_BLOCK_ENTRIES)
-                if i0 <= bad[0] < i1)
 
 
 def is_interior(d, v):

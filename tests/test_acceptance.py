@@ -15,7 +15,7 @@ from math import comb, log2
 
 import pytest
 
-from conftest import first_bad_block_end, is_interior, polygon_partition, record_criterion
+from conftest import is_interior, polygon_partition, record_criterion
 
 from convexham import generators
 from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
@@ -246,8 +246,8 @@ def test_c04_fan_family_cycle_at_hub_n(fan_family):
 
 def test_c04_interior_source_to_hull_target():
     # Only hull vertices have a bad edge, so a path from an interior source
-    # is solved toward the source: one scan of s's rotation, and t's scan
-    # through the block that holds its first bad pair, found by a full scan.
+    # is solved toward the source.  t's probe row proves t's bad edge, and
+    # s's probe row and scan find none: (n-1) + (n-1) + (n-1)(n-3) queries.
     sizes = (250, 500, 1000, 2000)
     failures = []
     queries = {}
@@ -255,12 +255,11 @@ def test_c04_interior_source_to_hull_target():
         d = generators.random_geometric(n, 0)
         t = min(range(1, n + 1), key=lambda v: d.points[v])
         s = next(v for v in range(1, n + 1) if is_interior(d, v))
-        r_t = first_bad_block_end(d, d.rotation_of(t), t)
         view, counter = instrumented(d)
         cert = st_hamiltonian_path(view, s, t, verify=False)
         queries[n] = counter.count
-        if counter.count != (n - 1) * (n - 3) + (n - 3) * r_t:
-            failures.append(f"n={n} asked {counter.count} != (n-1)(n-3) + (n-3)*{r_t}")
+        if counter.count != (n - 1) ** 2:
+            failures.append(f"n={n} asked {counter.count} != (n-1)^2")
         ends = (cert.vertices[0], cert.vertices[-1])
         if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
             failures.append(f"n={n} ({s},{t}) bad certificate")
@@ -268,8 +267,7 @@ def test_c04_interior_source_to_hull_target():
     ok = not failures
     record_criterion(
         f"C04b interior source to leftmost hull vertex n=250..2000: {_verdict(ok)} "
-        f"((n-1)(n-3) + (n-3) r_t queries at every n, r_t the end row of t's first bad "
-        f"block; slope 1000->2000 {slope:.3f}, verified)"
+        f"((n-1)^2 queries at every n; slope 1000->2000 {slope:.3f}, verified)"
     )
     assert ok, failures
 
@@ -277,13 +275,13 @@ def test_c04_interior_source_to_hull_target():
 # Queries of the s-t path between the extreme points of random_geometric(n,
 # seed) in (x, y) order, both on the hull: the recursion toward t at scale.
 HULL_TO_HULL_QUERIES = {
-    (250, 1): 455_676,
-    (250, 2): 396_895,
-    (500, 1): 1_900_912,
-    (500, 2): 1_837_039,
-    (1000, 1): 7_640_646,
-    (1000, 2): 4_248_268,
-    (2000, 1): 38_333_938,
+    (250, 1): 428_510,
+    (250, 2): 335_890,
+    (500, 1): 1_794_558,
+    (500, 2): 1_595_501,
+    (1000, 1): 6_817_128,
+    (1000, 2): 4_062_830,
+    (2000, 1): 34_779_282,
 }
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construction_pool, first_bad_block_end, is_interior, row_groups
-from test_starframe import _reference_frame
+from conftest import construction_pool, is_interior, row_groups
+from test_starframe import _halfway_hit, _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
 from convexham.errors import (
@@ -362,7 +362,22 @@ def test_two_edge_path_builds_no_subdrawing(monkeypatch, rand8):
 
 # ---------------------------------------------------------------------------
 # With a bad edge at t, the root probes s's rotation and, if s has none,
-# solves the path toward s.
+# solves the path toward s.  One probe row per end comes first.
+
+
+def _first_bad_block_end(d, order, hub):
+    """End row of the scan block that holds hub's first bad pair.
+
+    The bad pairs come from an independent full scan, one uncounted row per
+    pair of `order` against the k - 2 vertices after it; the block is the
+    row_groups group of k rows of k - 2 entries that holds the first.
+    """
+    k = len(order)
+    twice = np.array(order * 2)
+    first = next(i for i in range(k)
+                 if d._oracle.cross_pairs(twice[i], twice[i + 1], twice[i + 2:i + k], hub).any())
+    return next(i1 for i0, i1 in row_groups([k - 2] * k, drawing.ROW_BLOCK_ENTRIES)
+                if i0 <= first < i1)
 
 
 # About one example in twenty solves toward s.
@@ -381,19 +396,40 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
 
     asked, got = queries_and_result(_solve_path)
     ref_asked, want = queries_and_result(_reference_st_path)
-    probe = (k - 1) * (k - 3) if k > 3 else 0
-    assert asked <= ref_asked + probe
-    t_bad = k > 3 and list(scan_bad_edges(d, _restricted(d, t, subset), t))
+    # At most a scan of s and the two probe rows more than the reference.
+    extra = (k - 1) * (k - 3) + 2 * (k - 1) if k > 3 else 0
+    assert asked <= ref_asked + extra
+    order = _restricted(d, t, subset)
+    t_bad = k > 3 and list(scan_bad_edges(d, order, t))
     if not t_bad or next(scan_bad_edges(d, _restricted(d, s, subset), s), None) is not None:
         assert got == want
         return
     assert got == _reversed_fan_path(d, s, t, subset)
-    # One scan of s, and t's scan through the block of its first bad pair.
-    r_t = first_bad_block_end(d, _restricted(d, t, subset), t)
-    assert asked == (k - 1) * (k - 3) + (k - 3) * r_t
+    # Both probes and one scan of s; t's scan through the block of its
+    # first bad pair only when t's probe misses.
+    t_scan = 0 if _halfway_hit(d, order, t) else (k - 3) * _first_bad_block_end(d, order, t)
+    assert asked == (k - 1) ** 2 + t_scan
     if spec[0] not in ("twisted", "two-page"):
         edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
         assert is_plane(d, edges)
+
+
+@pytest.mark.parametrize("spec,subset,s,t", [
+    (("geometric", 8, 386607), (1, 2, 4, 5, 6, 7, 8), 6, 1),
+    (("fan", 11, 154515), (2, 4, 6, 9, 11), 11, 9),
+    (("two-page", 14, 864652), (1, 2, 3, 5, 6, 9, 12, 13), 9, 13),
+])
+def test_root_whose_probe_misses_reads_t_to_its_first_bad_block(spec, subset, s, t):
+    # t has a bad edge its probe misses, and s has none: the root asks both
+    # probes, t's scan through the block of its first bad pair and s's scan.
+    d = construction_pool(*spec)
+    k = len(subset)
+    order = _restricted(d, t, subset)
+    assert list(scan_bad_edges(d, order, t)) and not _halfway_hit(d, order, t)
+    view, counter = instrumented(d)
+    got = _solve_path(view, subset, s, t)
+    assert tuple(got) == _reversed_fan_path(d, s, t, subset)
+    assert counter.count == (k - 1) ** 2 + (k - 3) * _first_bad_block_end(d, order, t)
 
 
 def _scan_calls(d, build):
@@ -408,33 +444,26 @@ def _scan_calls(d, build):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_interior_source_reads_t_through_its_first_bad_block(seed):
-    # At n = 300 a scan spans 23 blocks of 13 rows.  From an interior s, t's
-    # scan stops after the block that holds its first bad pair; from a hull
-    # s, it is read in full, as the reference solver does.
+def test_interior_source_asks_one_row_of_t(seed):
+    # At n = 300 a scan spans 23 blocks of 13 rows.  From an interior s,
+    # t's probe proves its bad edge: t is asked one row of n - 1 entries
+    # and none of its scan, (n - 1)^2 queries in all.  From a hull s, both
+    # probes hit and t's scan is read in full, as the reference solver does.
     d = generators.random_geometric(300, seed)
     n = d.n
     hull = [v for v in range(1, n + 1) if not is_interior(d, v)]
     s = next(v for v in range(1, n + 1) if is_interior(d, v))
-    groups = row_groups([n - 3] * (n - 1), drawing.ROW_BLOCK_ENTRIES)
-    stops = []
     for t in hull[:3]:
-        r_t = first_bad_block_end(d, d.rotation_of(t), t)
-        stops.append(r_t)
         cert, asked, calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
         t_rows = [cs for _a, _b, cs, ds in calls if np.ndim(ds) == 0 and ds == t]
-        assert len(t_rows) == sum(i1 <= r_t for _i0, i1 in groups)
-        assert sum(map(len, t_rows)) == (n - 3) * r_t
-        assert asked == (n - 1) * (n - 3) + (n - 3) * r_t
+        assert [len(cs) for cs in t_rows] == [n - 1]
+        assert asked == (n - 1) ** 2
         assert verify_certificate(d, cert).oracle_verified
-    assert min(stops) < n - 1
     s, t = hull[-1], hull[0]
-    back = _restricted(d, s, range(1, n + 1))
-    probe = _scan_calls(d, lambda x: next(scan_bad_edges(x, back, s), None))
-    assert probe[0] is not None
+    assert _halfway_hit(d, _restricted(d, s, range(1, n + 1)), s)
     want, ref_asked, _calls = _scan_calls(d, lambda x: _reference_st_path(x, range(1, n + 1), s, t))
     cert, asked, _calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
-    assert (cert.vertices, asked) == (tuple(want), ref_asked + probe[1])
+    assert (cert.vertices, asked) == (tuple(want), ref_asked + 2 * (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from convexham import drawing, generators, starframe
 from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
-from convexham.starframe import build_star_frame, scan_bad_edges
+from convexham.starframe import build_star_frame, probe_bad_edge, scan_bad_edges
 
-from conftest import construction_pool, row_groups
+from conftest import construction_pool, is_interior, row_groups
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -298,6 +298,60 @@ def test_blocked_scan_on_subsets(n, seed, rng, block):
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
     order = tuple(x for x in d.rotation_of(hub) if x in keep)
     assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
+
+
+def _halfway_hit(d, order, hub):
+    """Reference probe: does some pair i of `order` cross the star edge of
+    order[(i + 1 + k // 2) % k]?  One scalar query per pair."""
+    k = len(order)
+    return k >= 3 and any(
+        d.crosses((order[i], order[(i + 1) % k]), (order[(i + 1 + k // 2) % k], hub))
+        for i in range(k)
+    )
+
+
+@given(
+    st.sampled_from(["fan", "two-page", "geometric", "twisted"]),
+    st.integers(4, 14),
+    st.integers(0, 10**6),
+    st.randoms(),
+)
+def test_probe_is_one_row_that_proves_a_bad_edge(kind, n, seed, rng):
+    # On whole and restricted rotations: one `cross_pairs` call of k
+    # entries, each pair against the star edge of the vertex halfway round,
+    # and a hit only where the scan finds a bad pair.
+    d = construction_pool(kind, n, seed)
+    for hub in range(1, n + 1):
+        keep = set(rng.sample(range(1, n + 1), rng.randint(4, n))) | {hub}
+        for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep)):
+            k = len(order)
+            view, counter = instrumented(d)
+            spy = mock.patch.object(
+                drawing.Drawing, "cross_pairs", autospec=True,
+                side_effect=drawing.Drawing.cross_pairs,
+            )
+            with spy as calls:
+                hit = probe_bad_edge(view, order, hub)
+            assert hit == _halfway_hit(d, order, hub)
+            assert counter.count == k
+            [call] = calls.call_args_list
+            _view, a, b, cs, ds = call.args
+            assert list(a) == list(order)
+            assert list(b) == [order[(i + 1) % k] for i in range(k)]
+            assert list(cs) == [order[(i + 1 + k // 2) % k] for i in range(k)]
+            assert ds == hub
+            if hit:
+                assert next(scan_bad_edges(d, order, hub), None) is not None
+
+
+@pytest.mark.parametrize("n,seed", [(40, 1), (120, 2), (300, 3)])
+def test_probe_misses_at_interior_points(n, seed):
+    # An interior point of a point set has no bad edge, so its probe cannot
+    # hit; a hull vertex has one, which its probe mostly finds.
+    d = generators.random_geometric(n, seed)
+    hits = {v: probe_bad_edge(d, d.rotation_of(v), v) for v in range(1, n + 1)}
+    assert not any(hits[v] for v in hits if is_interior(d, v))
+    assert any(hits[v] for v in hits if not is_interior(d, v))
 
 
 # ---------------------------------------------------------------------------
