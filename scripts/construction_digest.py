@@ -16,7 +16,10 @@ digest covers its name, "verified" or the failed claims, and the queries
 verification asked, so it shows whether a change moved the verifier's
 work, and on which verdicts.  The `sha256 outcomes` digest covers every
 run's name and outcome without its queries, so a change that moves
-queries on purpose shows that its outputs stay.
+queries on purpose shows that its outputs stay.  The `sha256 tables`
+digest covers np.packbits of the crossing table of every abstract drawing
+exercised (the two-page pool, the fans and twisted), so it shows whether
+a change moved the crossings that rotations fix.
 
 The `sha256 probe` line digests s-t paths between interior and hull
 vertices of random_geometric(300 and 1000, seeds 1-3), where one scan
@@ -44,6 +47,8 @@ ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "s
 ap.add_argument("--out", help="also write the JSON lines here")
 args = ap.parse_args()
 sys.path.insert(0, args.src)
+
+import numpy as np  # noqa: E402
 
 from convexham import generators  # noqa: E402
 from convexham.drawing import instrumented, relabel  # noqa: E402
@@ -92,6 +97,8 @@ TASKS = ("star", "cycle", "st", "edge", "two", "hull")
 lines = []
 tasks = []
 verify_lines = []
+tables = hashlib.sha256()
+table_names = []
 
 
 def emit(task, name, res, queries, check):
@@ -103,6 +110,9 @@ def emit(task, name, res, queries, check):
 
 def exercise(name, d, rng, pairs, hubs=None):
     n = d.n
+    if d.points is None:
+        tables.update(np.packbits(d._oracle._table).tobytes())
+        table_names.append(name)
     for hub in hubs if hubs is not None else range(1, n + 1):
         emit("star", f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
     emit("cycle", f"{name} cycle", *run(d, hamiltonian_cycle))
@@ -188,6 +198,7 @@ for task in TASKS:
 failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
 digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
 print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing)")
+print(f"sha256 tables {tables.hexdigest()} ({len(table_names)} abstract drawings)")
 # The probe digest covers its runs' names, outcomes and queries; the
 # vertices digest leaves the queries out.
 digest = hashlib.sha256(probe_text.encode()).hexdigest()

@@ -30,7 +30,7 @@ import functools
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +99,54 @@ class ExplicitCrossings:
         i = self._edge_id[rows[:, 0], rows[:, 1]]
         j = self._edge_id[rows[:, 2], rows[:, 3]]
         self._table[i, j] = self._table[j, i] = True
+
+    def _mark_rotations(self, rot):
+        """Record the crossings fixed by the rotations rot[1..n] (construction only).
+
+        For a 4-set a < b < c < d, bit s_v says whether v's rotation meets the
+        other three in ascending cyclic order.  The bits of a simple drawing have
+        even parity (else InvalidRotation names the first odd 4-set in lex order),
+        and their pattern names the crossing: s_a = s_b = s_c = s_d, ac x bd;
+        s_a = s_b != s_c, ad x bc; s_a = s_d != s_b, ab x cd; s_a = s_c != s_b, none.
+        Each bit is an xor of three position comparisons.  The comparisons and
+        crossing spots of a triple (b, c, d) alone are built once, for all triples
+        in lex order (O(n^3) scratch: 19 bytes per triple; n <= 181 lets uint16
+        index the (n+1)^2 grid).  Each a reads the suffix with b > a by three 1-D
+        takes from grids of a's row and column: bits x = s_a ^ s_b, y = s_b ^ s_c,
+        z = s_a ^ s_d of a byte.  Its crossings go into its edges' rows, then mirrored.
+        """
+        n, w, stride = len(rot) - 1, len(rot), len(self._table)
+        pos = np.zeros((w, w), dtype=np.int16)  # pos[v, u]: u's place around v
+        pos[np.arange(1, w)[:, None], np.array(rot[1:])] = np.arange(n - 1)
+        lt = np.less.outer(range(w), range(w))
+        lt[0] = False
+        b, c, d = np.unravel_index(np.flatnonzero(lt[:, :, None] & lt), (w, w, w))
+        fbc, fbd, fcd = ((u * w + v).astype(np.uint16) for u, v in ((b, c), (b, d), (c, d)))
+        inb, inc = pos.take(fbc) < pos.take(fbd), pos.T.take(fbc) < pos.take(fcd)
+        const = (inb + 2 * (inb ^ inc) + 4 * (pos.T.take(fbd) < pos.T.take(fcd))).astype(np.uint8)
+        # Flat table indices of ac x bd, ad x bc and ab x cd, less lo - a - 1 rows.
+        spots = [(x * stride + self._edge_id.take(f)).astype(np.int32)
+                 for x, f in ((c, fbd), (d, fbc), (b, fcd))]
+        del b, c, d, inb, inc  # intp scratch, freed before the table fills
+        flat, start, hi = self._table.reshape(-1), 0, 0
+        for a in range(1, n - 2):
+            start += (n - a) * (n - a - 1) // 2  # past the triples with b = a
+            lo, hi = hi, hi + n - a  # a's edges have ids lo..hi-1
+            m = np.less.outer(pos[a], pos[a]).view(np.uint8)  # m[u, v]: u before v around a
+            u = (pos[:, a, None] < pos).view(np.uint8)  # u[v, x]: a before x around v
+            mu = m ^ u  # bits 0, 1, 2 of the grids at bc, bd and cd xor to x, y, z
+            q_bd = mu | u << 1 | (m ^ u.T) << 2
+            s = (mu | (u ^ u.T) << 1 | m << 2).take(fbc[start:]) ^ const[start:]
+            s ^= q_bd.take(fbd[start:])
+            s ^= (q_bd ^ u).take(fcd[start:])
+            if (odd := (s + 2) & 4).any():  # bit 2 of s + 2 is y ^ z
+                k = start + int(np.argmax(odd))
+                quad = (a, *divmod(int(fbc[k]), w), int(fcd[k]) % w)
+                raise InvalidRotation(f"rotations of vertices {quad} fit no simple drawing")
+            s &= 3  # x = y = 0: ac x bd; y alone: ad x bc; x alone: ab x cd
+            for code, spot in zip((0, 2, 1), spots):
+                flat[spot[start:][s == code] + np.intp((lo - a - 1) * stride)] = True
+            self._table[hi:-1, lo:hi] = self._table[lo:hi, hi:-1].T
 
     def relabelled(self, to_old):
         """This oracle on labels 1..k, label x standing for to_old[x] (to_old[0] = 0)."""
@@ -307,10 +355,12 @@ def all_edges(n):
 def new_drawing(n, rotations, crossings=None):
     """Build and validate a drawing from its rotations.
 
-    The rotations fix which edges cross (see _rotation_crossings); subsystems
-    beyond 4-sets are not checked for realisability.  A given crossing list is
-    checked for labels out of range, adjacent edges and two crossings in one
-    K4, in that order, and must then equal the derived set.
+    The rotations fix which edges cross, read off in one pass that builds the
+    per-triple data once and lets each smallest vertex read its suffix of
+    triples (ExplicitCrossings._mark_rotations); subsystems beyond 4-sets are
+    not checked for realisability.  A given crossing list is checked for labels
+    out of range, adjacent edges and two crossings in one K4, in that order,
+    and must then equal the derived set.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
@@ -341,8 +391,7 @@ def new_drawing(n, rotations, crossings=None):
             raise K4Violation(
                 f"vertices {tuple(sorted(quad))} span {cnt} crossings; at most one allowed"
             )
-    for rows in _rotation_crossings(n, rot):
-        oracle._mark(rows)
+    oracle._mark_rotations(rot)
     d = Drawing(n, oracle, rotations=rot)
     if crossings is not None and given != d.crossing_set():
         e, f = min(given ^ d.crossing_set())
@@ -351,40 +400,6 @@ def new_drawing(n, rotations, crossings=None):
             else f"crossing {e} x {f} fixed by the rotations is not listed"
         )
     return d
-
-
-def _rotation_crossings(n, rot):
-    """Crossing pairs fixed by the rotations: (m, 4) arrays, a block per smallest vertex.
-
-    For a 4-set a < b < c < d, bit s_v says whether v's rotation meets the
-    other three in ascending cyclic order.  The bits of a simple drawing have
-    even parity (else InvalidRotation), and their pattern names the crossing:
-    s_a = s_b = s_c = s_d, ac x bd; s_a = s_b != s_c, ad x bc;
-    s_a = s_d != s_b, ab x cd; s_a = s_c != s_b, none.  Scratch is O(n^3).
-    """
-    pos = np.zeros((n + 1, n + 1), dtype=np.int16)  # n <= 181 fits int16
-    pos[np.arange(1, n + 1)[:, None], np.array(rot[1:])] = np.arange(n - 1)
-    triples = np.fromiter(chain.from_iterable(combinations(range(1, n + 1), 3)), dtype=np.int16)
-    triples = triples.reshape(-1, 3)
-
-    def ascending(v, x, y, z):
-        p, q, r = pos[v, x], pos[v, y], pos[v, z]
-        # Two of the three steps x->y->z->x go forward in the ascending sense.
-        return ~((p < q) ^ (q < r) ^ (r < p))
-
-    for a in range(1, n - 2):
-        b, c, d = triples[np.searchsorted(triples[:, 0], a, side="right"):].T
-        sa, sb = ascending(a, b, c, d), ascending(b, a, c, d)
-        sc, sd = ascending(c, a, b, d), ascending(d, a, b, c)
-        odd = sa ^ sb ^ sc ^ sd
-        if odd.any():
-            k = int(np.argmax(odd))
-            quad = (a, int(b[k]), int(c[k]), int(d[k]))
-            raise InvalidRotation(f"rotations of vertices {quad} fit no simple drawing")
-        first = np.full_like(b, a)
-        yield np.stack([first, c, b, d], axis=1)[(sa == sb) & (sb == sc)]
-        yield np.stack([first, d, b, c], axis=1)[(sa == sb) & (sb != sc)]
-        yield np.stack([first, b, c, d], axis=1)[(sa == sd) & (sa != sb)]
 
 
 def geometric_drawing(pts):

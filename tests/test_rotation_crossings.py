@@ -1,5 +1,7 @@
 """Crossings derived from rotations, against enumerated reference crossing sets."""
 
+import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -8,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import permuted_fan
 from convexham import generators, io
-from convexham.drawing import all_edges, new_drawing
+from convexham.drawing import all_edges, new_drawing, relabel
 from convexham.errors import CrossingsDisagree, DrawingError, InvalidRotation, TooLarge
 
 
@@ -37,6 +40,24 @@ def _twisted_reference(n):
     return crossings
 
 
+def _first_odd_quad(rots):
+    """Scalar reference of the parity rule: the first odd 4-set in lex order, or None.
+
+    For a < b < c < d, bit s_v says whether v's rotation meets the other three
+    in ascending cyclic order; a simple drawing's four bits have even parity.
+    """
+    place = [None] + [{u: i for i, u in enumerate(r)} for r in rots]
+
+    def ascending(v, x, y, z):
+        p, q, r = place[v][x], place[v][y], place[v][z]
+        return (p < q) + (q < r) + (r < p) == 2
+
+    for quad in combinations(range(1, len(rots) + 1), 4):
+        if sum(ascending(v, *(u for u in quad if u != v)) for v in quad) % 2:
+            return quad
+    return None
+
+
 def _rot(n):
     return [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
 
@@ -51,6 +72,35 @@ def test_rotations_give_the_geometric_crossings(n, seed):
 def test_two_page_matches_reference(n, data):
     outer = data.draw(st.sets(st.sampled_from(all_edges(n)), max_size=n))
     assert generators.two_page(n, outer).crossing_set() == _two_page_reference(n, outer)
+
+
+@given(st.integers(4, 16), st.data())
+def test_permuted_two_page_matches_reference(n, data):
+    outer = data.draw(st.sets(st.sampled_from(all_edges(n)), max_size=2 * n))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    moved = relabel(generators.two_page(n, outer), perm)
+    want = {tuple(sorted(tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in p))
+            for p in _two_page_reference(n, outer)}
+    assert new_drawing(n, moved.rotations).crossing_set() == want
+
+
+def test_fan_table_is_the_interleave_rule():
+    """two_page(90, fan): same-page edges cross iff their label intervals interleave."""
+    n = 90
+    outer = [(1, j) for j in range(4, n - 1)]
+    u, v = np.array(all_edges(n)).T
+    page = (u == 1) & (4 <= v) & (v < n - 1)  # the outer edges
+    first = (u[:, None] < u) & (u < v[:, None]) & (v[:, None] < v)  # u_i < u_j < v_i < v_j
+    want = np.zeros((len(u) + 1,) * 2, dtype=bool)
+    want[:-1, :-1] = (first | first.T) & (page[:, None] == page)
+    assert np.array_equal(generators.two_page(n, outer)._oracle._table, want)
+
+
+@pytest.mark.parametrize("n", [40, 90])
+def test_relabelled_fan_rotations_give_the_remapped_table(n):
+    """relabel remaps the parent's table and never re-derives it from rotations."""
+    moved = permuted_fan(n, 1, random.Random(n))
+    assert np.array_equal(new_drawing(n, moved.rotations)._oracle._table, moved._oracle._table)
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -87,6 +137,31 @@ def test_odd_signature_names_its_four_vertices():
     rots[0] = rots[0][::-1]
     with pytest.raises(InvalidRotation, match=r"vertices \(1, 2, 3, 4\)"):
         new_drawing(5, rots)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("spot", range(4))
+def test_first_odd_four_set_is_named(n, spot):
+    """Swapping neighbours x, y in v's rotation makes every {v, x, y, z} odd.
+
+    v sits at position `spot` of the first of them, which always holds
+    vertex 1: a cyclic order of four has an even number of ascending
+    triples, so every 5-set holds an even number of odd 4-sets, and an odd
+    4-set without vertex 1 makes one with it odd too.
+    """
+    rng = random.Random(4 * n + spot)
+    outer = [e for e in all_edges(n) if rng.random() < 0.2]
+    rots = [list(r) for r in generators.two_page(n, outer).rotations]
+    swaps = [(v, i) for v in range(1, n + 1) for i in range(n - 2)
+             if (v == 1) == (spot == 0)
+             and (spot == 0 or sorted({v, *rots[v - 1][i:i + 2]}).index(v) == spot - 1)
+             and 1 not in rots[v - 1][i:i + 2]]
+    v, i = rng.choice(swaps)
+    rots[v - 1][i:i + 2] = rots[v - 1][i + 1], rots[v - 1][i]
+    want = _first_odd_quad(rots)
+    assert want[0] == 1 and want[spot] == v
+    with pytest.raises(InvalidRotation, match=re.escape(f"vertices {want} fit no simple")):
+        new_drawing(n, rots)
 
 
 def test_given_list_must_equal_the_derived_set():
