@@ -21,6 +21,14 @@ digest covers np.packbits of the crossing table of every abstract drawing
 exercised (the two-page pool, the fans and twisted), so it shows whether
 a change moved the crossings that rotations fix.
 
+The `sha256 plane` line digests greedy_maximal_plane's edges and queries on
+every drawing exercised, in the default order and in one random order
+seeded by the drawing's name.  The `sha256 convexity` line digests the
+witnesses (or errors) of find_nonconvex_triangle and find_nonconvex_k5
+and the queries of each on every drawing exercised with n <= 40, and
+also digests the witnesses alone.  Neither draws from the shared random
+stream, so they move no other line.  --out writes their JSON lines too.
+
 The `sha256 probe` line digests s-t paths between interior and hull
 vertices of random_geometric(300 and 1000, seeds 1-3), where one scan
 spans several row blocks, so it sees where a scan stops.  These runs stay
@@ -51,7 +59,8 @@ sys.path.insert(0, args.src)
 import numpy as np  # noqa: E402
 
 from convexham import generators  # noqa: E402
-from convexham.drawing import instrumented, relabel  # noqa: E402
+from convexham.convexity import find_nonconvex_k5, find_nonconvex_triangle  # noqa: E402
+from convexham.drawing import all_edges, instrumented, relabel  # noqa: E402
 from convexham.errors import CertificateError, NotConvexEvidence  # noqa: E402
 from convexham.geometry import orientation  # noqa: E402
 from convexham.hamiltonian import (  # noqa: E402
@@ -62,6 +71,7 @@ from convexham.hamiltonian import (  # noqa: E402
     star_avoiding_hamiltonian_cycle,
 )
 from convexham.oracle import verify_certificate  # noqa: E402
+from convexham.subdrawings import greedy_maximal_plane  # noqa: E402
 
 
 def relabelled_two_page(n, outer, rng):
@@ -82,6 +92,16 @@ def run(d, build, *args):
     return list(cert.vertices), counter.count, checked(d, cert)
 
 
+def counted(d, ask):
+    """[outcome, queries] of ask on a fresh view of d; an error is an outcome."""
+    view, counter = instrumented(d)
+    try:
+        res = ask(view)
+    except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
+        res = ["error", type(exc).__name__, str(exc)]
+    return [res, counter.count]
+
+
 def checked(d, cert):
     """["verified" or the failed claims, queries] of verifying cert on a fresh view."""
     view, counter = instrumented(d)
@@ -97,6 +117,8 @@ TASKS = ("star", "cycle", "st", "edge", "two", "hull")
 lines = []
 tasks = []
 verify_lines = []
+plane_lines = []
+convexity_lines = []
 tables = hashlib.sha256()
 table_names = []
 
@@ -113,6 +135,15 @@ def exercise(name, d, rng, pairs, hubs=None):
     if d.points is None:
         tables.update(np.packbits(d._oracle._table).tobytes())
         table_names.append(name)
+    order = all_edges(n)
+    random.Random(name).shuffle(order)
+    for kind, how in (("default", None), ("random", order)):
+        plane_lines.append(json.dumps([name, kind, *counted(
+            d, lambda v: sorted(greedy_maximal_plane(v, order=how).edges))]))
+    if n <= 40:
+        convexity_lines.append(json.dumps([
+            name, *counted(d, lambda v: repr(find_nonconvex_triangle(v))),
+            *counted(d, lambda v: repr(find_nonconvex_k5(v)))]))
     for hub in hubs if hubs is not None else range(1, n + 1):
         emit("star", f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
     emit("cycle", f"{name} cycle", *run(d, hamiltonian_cycle))
@@ -179,7 +210,8 @@ for n in (300, 1000):
 text = "".join(line + "\n" for line in lines)
 probe_text = "".join(line + "\n" for line in probe_lines)
 if args.out:
-    Path(args.out).write_text(text + probe_text)
+    Path(args.out).write_text(text + probe_text + "".join(
+        line + "\n" for line in plane_lines + convexity_lines))
 kinds = Counter()
 for line in lines:
     res = json.loads(line)[1]
@@ -199,6 +231,13 @@ failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
 digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
 print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing)")
 print(f"sha256 tables {tables.hexdigest()} ({len(table_names)} abstract drawings)")
+digest = hashlib.sha256("".join(line + "\n" for line in plane_lines).encode()).hexdigest()
+print(f"sha256 plane {digest} ({len(plane_lines)} runs)")
+# The witnesses digest leaves the queries out.
+digest = hashlib.sha256("".join(line + "\n" for line in convexity_lines).encode()).hexdigest()
+witnesses = "".join(json.dumps(json.loads(line)[1::2]) + "\n" for line in convexity_lines)
+print(f"sha256 convexity {digest} ({len(convexity_lines)} runs, witnesses "
+      f"{hashlib.sha256(witnesses.encode()).hexdigest()[:16]})")
 # The probe digest covers its runs' names, outcomes and queries; the
 # vertices digest leaves the queries out.
 digest = hashlib.sha256(probe_text.encode()).hexdigest()

@@ -7,14 +7,14 @@ subdrawing must be one of the three crossing patterns realisable by points
 (types I, II, III below).  Both routes are implemented; they must agree.
 
 Both routes are one pass.  The triangle route takes the triangles in lex
-order, in blocks that share the smallest vertex and keep each row under
-_TRIANGLE_BLOCK_ENTRIES entries; a block asks six rows (the sides and their
-convexity, see drawing._triangle_verdicts), so a convex drawing costs
-C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  The 5-set route asks
-three rows that read the crossing state of every 4-set (which of its three
-matchings cross), 3 * C(n, 4) queries; each 5-set's five states form a
-15-bit code, and a 2**15-entry table built from four seed drawings maps the
-code to its K5Class.
+order, in blocks that keep each row under _TRIANGLE_BLOCK_ENTRIES entries
+and hold no more triangles than vertex 1 has; a block asks six rows (the
+sides and their convexity, see drawing._triangle_verdicts), so a convex
+drawing costs C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  The
+5-set route asks three rows that read the crossing state of every 4-set
+(which of its three matchings cross), 3 * C(n, 4) queries; each 5-set's
+five states form a 15-bit code, and a 2**15-entry table built from four
+seed drawings maps the code to its K5Class.
 """
 
 from __future__ import annotations
@@ -201,15 +201,15 @@ def find_nonconvex_triangle(d):
 def _triangle_blocks(n):
     """All triangles of 1..n as (T, 3) int64 arrays, in lex order.
 
-    The triangles of one smallest vertex are cut into blocks of at most
-    _TRIANGLE_BLOCK_ENTRIES // C(n - 3, 2) triangles, and at least one.
+    The lex-ordered list is cut into blocks of _TRIANGLE_BLOCK_ENTRIES //
+    C(n - 3, 2) triangles, at least one and at most vertex 1's C(n - 1, 2),
+    so a block may span several smallest vertices but is never larger than
+    the triangles of vertex 1.
     """
-    size = max(1, _TRIANGLE_BLOCK_ENTRIES // max(1, comb(n - 3, 2)))
-    for a in range(1, n - 1):
-        bc = _subsets(n - a, 2).astype(np.int64) + a + 1
-        for i in range(0, len(bc), size):
-            block = bc[i : i + size]
-            yield np.column_stack([np.full(len(block), a), block])
+    size = max(1, min(_TRIANGLE_BLOCK_ENTRIES // max(1, comb(n - 3, 2)), comb(n - 1, 2)))
+    tris = _subsets(n, 3)
+    for i in range(0, len(tris), size):
+        yield tris[i : i + size].astype(np.int64) + 1
 
 
 def is_convex_by_triangles(d):

@@ -4,9 +4,9 @@ A drawing of K_n is stored as one rotation per vertex (the cyclic,
 counterclockwise order of the other n-1 vertices around it) plus a crossing
 oracle answering whether two independent edges cross.  Two oracle backings
 exist: the crossings an abstract drawing's rotations fix, read off once into
-a dense table (n <= 181), and a lazy geometric predicate over integer
-coordinates that answers each query in O(1) without ever materialising the
-O(n^4) crossing set.
+a dense table when first asked (n <= 181), and a lazy geometric predicate
+over integer coordinates that answers each query in O(1) without ever
+materialising the O(n^4) crossing set.
 
 A Drawing asks its oracle in exactly two ways: the checked scalar
 `crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
@@ -75,33 +75,33 @@ def _require_table(n):
 
 
 class ExplicitCrossings:
-    """Crossing oracle over an (m, 4) array of crossing pairs (a, b, c, d): {a, b} x {c, d}.
+    """Crossing oracle of an abstract drawing, read from a dense crossing table.
 
     Every query is one gather from two dense tables: `_edge_id[u, v]`
     numbers the edges of K_n in all_edges order (label 0 and u == v give
     the sentinel id C(n, 2)), and `_table[i, j]` says whether edges i and j
     cross.  Shared endpoints and the sentinel read False; a label above n
-    raises IndexError.
+    raises IndexError.  The table is built from the rotations rot[1..n]
+    (0-dummy list) on its first read, so a drawing that is only written out
+    never pays the 4-set pass; `relabelled` assigns a ready table instead.
     """
 
-    def __init__(self, n, pairs=()):
+    def __init__(self, rot):
+        n = len(rot) - 1
         _require_table(n)
         m = n * (n - 1) // 2
         ids = np.full((n + 1, n + 1), m, dtype=np.int32)
         # A boolean mask fills in row-major order, which is all_edges order.
         ids[1:, 1:][np.less.outer(np.arange(n), np.arange(n))] = np.arange(m)
         self._edge_id = np.minimum(ids, ids.T)
-        self._table = np.zeros((m + 1, m + 1), dtype=bool)
-        self._mark(np.asarray(pairs, dtype=np.int64).reshape(-1, 4))
+        self._rot = rot
 
-    def _mark(self, rows):
-        """Record the crossing pairs of an (m, 4) array (construction only)."""
-        i = self._edge_id[rows[:, 0], rows[:, 1]]
-        j = self._edge_id[rows[:, 2], rows[:, 3]]
-        self._table[i, j] = self._table[j, i] = True
+    @functools.cached_property
+    def _table(self):
+        return self._mark_rotations()
 
-    def _mark_rotations(self, rot):
-        """Record the crossings fixed by the rotations rot[1..n] (construction only).
+    def _mark_rotations(self):
+        """The crossing table fixed by the rotations rot[1..n], built on first read.
 
         For a 4-set a < b < c < d, bit s_v says whether v's rotation meets the
         other three in ascending cyclic order.  The bits of a simple drawing have
@@ -115,7 +115,10 @@ class ExplicitCrossings:
         takes from grids of a's row and column: bits x = s_a ^ s_b, y = s_b ^ s_c,
         z = s_a ^ s_d of a byte.  Its crossings go into its edges' rows, then mirrored.
         """
-        n, w, stride = len(rot) - 1, len(rot), len(self._table)
+        rot = self._rot
+        n, w = len(rot) - 1, len(rot)
+        stride = n * (n - 1) // 2 + 1
+        table = np.zeros((stride, stride), dtype=bool)
         pos = np.zeros((w, w), dtype=np.int16)  # pos[v, u]: u's place around v
         pos[np.arange(1, w)[:, None], np.array(rot[1:])] = np.arange(n - 1)
         lt = np.less.outer(range(w), range(w))
@@ -128,7 +131,7 @@ class ExplicitCrossings:
         spots = [(x * stride + self._edge_id.take(f)).astype(np.int32)
                  for x, f in ((c, fbd), (d, fbc), (b, fcd))]
         del b, c, d, inb, inc  # intp scratch, freed before the table fills
-        flat, start, hi = self._table.reshape(-1), 0, 0
+        flat, start, hi = table.reshape(-1), 0, 0
         for a in range(1, n - 2):
             start += (n - a) * (n - a - 1) // 2  # past the triples with b = a
             lo, hi = hi, hi + n - a  # a's edges have ids lo..hi-1
@@ -146,12 +149,16 @@ class ExplicitCrossings:
             s &= 3  # x = y = 0: ac x bd; y alone: ad x bc; x alone: ab x cd
             for code, spot in zip((0, 2, 1), spots):
                 flat[spot[start:][s == code] + np.intp((lo - a - 1) * stride)] = True
-            self._table[hi:-1, lo:hi] = self._table[lo:hi, hi:-1].T
+            table[hi:-1, lo:hi] = table[lo:hi, hi:-1].T
+        return table
 
-    def relabelled(self, to_old):
-        """This oracle on labels 1..k, label x standing for to_old[x] (to_old[0] = 0)."""
-        out = ExplicitCrossings(len(to_old) - 1)
-        old = np.empty(len(out._table), dtype=np.int32)
+    def relabelled(self, to_old, rot):
+        """This oracle on labels 1..k with rotations rot, label x standing for to_old[x].
+
+        to_old[0] = 0; the table is gathered from this one's.
+        """
+        out, k = ExplicitCrossings(rot), len(rot) - 1
+        old = np.empty(k * (k - 1) // 2 + 1, dtype=np.int32)
         old[out._edge_id] = self._edge_id[np.ix_(to_old, to_old)]
         out._table = self._table[np.ix_(old, old)]
         return out
@@ -355,26 +362,25 @@ def all_edges(n):
 def new_drawing(n, rotations, crossings=None):
     """Build and validate a drawing from its rotations.
 
-    The rotations fix which edges cross, read off in one pass that builds the
-    per-triple data once and lets each smallest vertex read its suffix of
-    triples (ExplicitCrossings._mark_rotations); subsystems beyond 4-sets are
-    not checked for realisability.  A given crossing list is checked for labels
-    out of range, adjacent edges and two crossings in one K4, in that order,
-    and must then equal the derived set.
+    The rotations fix which edges cross.  The crossing table is read off at
+    once, in one pass that builds the per-triple data once and lets each
+    smallest vertex read its suffix of triples (ExplicitCrossings._mark_rotations),
+    so rotations that fit no simple drawing raise InvalidRotation here;
+    subsystems beyond 4-sets are not checked for realisability.  A given
+    crossing list is checked for labels out of range, adjacent edges and two
+    crossings in one K4, in that order, and must then equal the derived set.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
-    oracle = ExplicitCrossings(n)
+    _require_table(n)
     if len(rotations) != n:
         raise InvalidRotation(f"expected {n} rotations, got {len(rotations)}")
-    rot = [None]
     for v, r in enumerate(rotations, 1):
         expected = [u for u in range(1, n + 1) if u != v]
         if sorted(r) != expected:
             raise InvalidRotation(
                 f"rotation of vertex {v} is not a cyclic order of the others: {tuple(r)}"
             )
-        rot.append(_canon_cycle(tuple(r)))
     given = set()
     for e, f in () if crossings is None else crossings:
         e = canon_edge(*e)
@@ -391,8 +397,8 @@ def new_drawing(n, rotations, crossings=None):
             raise K4Violation(
                 f"vertices {tuple(sorted(quad))} span {cnt} crossings; at most one allowed"
             )
-    oracle._mark_rotations(rot)
-    d = Drawing(n, oracle, rotations=rot)
+    d = rotation_drawing(rotations)
+    d._oracle._table  # the 4-set pass, which checks every 4-set
     if crossings is not None and given != d.crossing_set():
         e, f = min(given ^ d.crossing_set())
         raise CrossingsDisagree(
@@ -400,6 +406,15 @@ def new_drawing(n, rotations, crossings=None):
             else f"crossing {e} x {f} fixed by the rotations is not listed"
         )
     return d
+
+
+def rotation_drawing(rotations):
+    """Internal: wrap the rotations of vertices 1..n, simple by construction, as a Drawing.
+
+    Nothing is checked, and the crossing table is built on its first read.
+    """
+    rot = [None, *(_canon_cycle(tuple(r)) for r in rotations)]
+    return Drawing(len(rotations), ExplicitCrossings(rot), rotations=rot)
 
 
 def geometric_drawing(pts):
@@ -426,7 +441,7 @@ def _renamed(d, to_old):
     rot = [None] + [
         _canon_cycle(tuple(to_new[u] for u in d.rotation_of(v) if u in to_new)) for v in to_old[1:]
     ]
-    return Drawing(len(to_old) - 1, d._oracle.relabelled(to_old), rotations=rot)
+    return Drawing(len(to_old) - 1, d._oracle.relabelled(to_old, rot), rotations=rot)
 
 
 def induced_subdrawing(d, vertices):

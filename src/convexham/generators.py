@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import geometry
-from .drawing import _require_table, geometric_drawing, new_drawing
+from .drawing import _require_table, geometric_drawing, rotation_drawing
 from .errors import DegeneratePointSet, ExhaustedRejection, TooFewVertices, VertexOutOfRange
 
 # Retry budget for rejection sampling in random_geometric.
@@ -98,12 +98,14 @@ def twisted(n):
     Vertices sit on a ray ordered by label; every edge spirals once around
     the ray's origin, so log-radius profiles are linear in the winding angle
     and two edges meet exactly when their label intervals nest.  The
-    rotation of vertex i reads (n, n-1, ..., i+1, 1, 2, ..., i-1).
+    rotation of vertex i reads (n, n-1, ..., i+1, 1, 2, ..., i-1).  Simple
+    by construction, so the rotations are not checked and the crossing
+    table is built only when first read.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
     _require_table(n)
-    return new_drawing(n, [(*range(n, i, -1), *range(1, i)) for i in range(1, n + 1)])
+    return rotation_drawing([(*range(n, i, -1), *range(1, i)) for i in range(1, n + 1)])
 
 
 def two_page(n, outer_edges=()):
@@ -118,7 +120,9 @@ def two_page(n, outer_edges=()):
     With no outer edges this is combinatorially convex_position(n).  With a
     few long outer chords it produces convex drawings that are not
     stretchable to points, including hubs with several bad edges; that is
-    the stock this family exists to supply.
+    the stock this family exists to supply.  Simple by construction, so
+    the rotations are not checked and the crossing table is built only
+    when first read: writing the drawing out never pays the O(n^4) pass.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
@@ -136,5 +140,5 @@ def two_page(n, outer_edges=()):
         cyc = [(v + k - 1) % n + 1 for k in range(1, n)]
         rotations.append([w for w in cyc if (v, w) not in outer]
                          + [w for w in reversed(cyc) if (v, w) in outer])
-    return new_drawing(n, rotations)
+    return rotation_drawing(rotations)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, subdrawing_certificate
-from .drawing import all_edges, canon_edge
+from . import drawing
+from .drawing import all_edges, ask_rows, canon_edge
 from .convexity import require_convex
 from .errors import EdgesCrossOrAdjacent, SeedNotPlane
 from .oracle import first_crossing
@@ -51,6 +52,10 @@ def greedy_maximal_plane(d, seed=(), order=None):
     The seed must itself be plane (SeedNotPlane otherwise).  Every edge of
     the drawing is offered once; an edge enters iff it crosses nothing
     already chosen, which makes the result maximal regardless of order.
+    Each candidate asks one query per edge chosen before it.  The candidates
+    go in drawing.ask_rows blocks: a block asks its candidates against the
+    edges chosen before it, then each edge the block accepts is asked, in
+    one row, against every later candidate of the block.
     """
     seed = tuple(canon_edge(*e) for e in seed)
     bad = first_crossing(d, seed) if seed else None
@@ -60,26 +65,38 @@ def greedy_maximal_plane(d, seed=(), order=None):
         order = crossing_degree_order(d)
     else:
         order = tuple(canon_edge(*e) for e in order)
-        if set(order) != set(all_edges(d.n)):
+        if len(order) != len(set(order)) or set(order) != set(all_edges(d.n)):
             raise ValueError("order must cover every edge exactly once")
     chosen = list(dict.fromkeys(seed))
     have = set(chosen)
+    cand = np.array([e for e in order if e not in have], dtype=np.int64).reshape(-1, 2)
+    a, b = cand.T.copy()
     # Chosen edges, in order, as the first k entries of two label arrays.
-    cs = np.zeros(len(chosen) + len(order), dtype=np.int64)
+    cs = np.zeros(len(chosen) + len(cand), dtype=np.int64)
     ds = np.zeros_like(cs)
     k = len(chosen)
     if k:
         cs[:k], ds[:k] = np.array(chosen).T
-    for e in order:
-        if e in have:
-            continue
-        a, b = e
-        if k and d.cross_pairs(a, b, cs[:k], ds[:k]).any():
-            continue
-        chosen.append(e)
-        have.add(e)
-        cs[k], ds[k] = e
-        k += 1
+
+    def operands(i0, i1):
+        return np.tile(cs[:k], i1 - i0), np.tile(ds[:k], i1 - i0)
+
+    i = 0
+    while i < len(cand):
+        # The first call of ask_rows holds at most ROW_BLOCK_ENTRIES // k rows
+        # of k entries, so it never needs more row lengths than that.
+        rows = min(len(cand) - i, max(1, drawing.ROW_BLOCK_ENTRIES // max(k, 1)))
+        _i0, span, hits = next(ask_rows(d.cross_pairs, a[i:], b[i:], [k] * rows, operands))
+        free = ~hits.reshape(span, k).any(axis=1)
+        for j in range(i, i + span):
+            if not free[j - i]:
+                continue
+            chosen.append((int(a[j]), int(b[j])))
+            cs[k], ds[k] = a[j], b[j]
+            k += 1
+            if j + 1 < i + span:  # the block's later candidates, rejected ones too
+                free[j + 1 - i:] &= ~d.cross_pairs(a[j], b[j], a[j + 1:i + span], b[j + 1:i + span])
+        i += span
     return PlaneSubdrawing(d, frozenset(chosen))
 
 

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -110,6 +111,29 @@ def polygon_partition(d, cycle):
     return frozenset(inside), frozenset(outside)
 
 
+def lex_rotations(n):
+    """0-dummy rotations listing the other vertices in label order."""
+    return [None] + [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
+
+
+def pair_oracle(n, pairs):
+    """An explicit oracle on 1..n whose table holds exactly the crossing pairs given.
+
+    pairs is a sequence of ((a, b), (c, d)), or of (a, b, c, d); no pair is
+    checked, so the crossing set need not be one any rotations fix.  Its
+    rotations are lex_rotations(n), and they fix nothing here.
+    """
+    oracle = ExplicitCrossings(lex_rotations(n))
+    m = n * (n - 1) // 2
+    table = np.zeros((m + 1, m + 1), dtype=bool)
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
+    i = oracle._edge_id[rows[:, 0], rows[:, 1]]
+    j = oracle._edge_id[rows[:, 2], rows[:, 3]]
+    table[i, j] = table[j, i] = True
+    oracle._table = table
+    return oracle
+
+
 def random_k4_drawing(n, rng):
     """Drawing with an arbitrary crossing set obeying the K4 axiom.
 
@@ -123,8 +147,7 @@ def random_k4_drawing(n, rng):
             a, b, c, x = quad
             crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
     # Built directly: rotations fix a realisable crossing set, this one is free.
-    rots = [None] + [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
-    return Drawing(n, ExplicitCrossings(n, crossings), rotations=rots)
+    return Drawing(n, pair_oracle(n, crossings), rotations=lex_rotations(n))
 
 
 def permuted_fan(n, step, rng):

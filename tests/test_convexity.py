@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_k4_drawing
-from convexham import generators
+from conftest import pair_oracle, random_k4_drawing
+from convexham import convexity, generators
 from convexham.convexity import (
     K5Class,
     NonConvexK5,
     NonConvexTriangle,
     _k5_code,
     _k5_table,
+    _triangle_blocks,
     classify_k5,
     find_nonconvex_k5,
     find_nonconvex_triangle,
@@ -25,7 +26,6 @@ from convexham.convexity import (
 )
 from convexham.drawing import (
     Drawing,
-    ExplicitCrossings,
     induced_subdrawing,
     instrumented,
     relabel,
@@ -129,7 +129,7 @@ def test_classify_twisted_and_convex_flags():
 def test_classify_unrecognised_form():
     # Three crossings, all on edge {1,2}: passes the per-K4 validation but
     # matches no seed's form, so it lands in the non-realisable bucket.
-    crossings = ExplicitCrossings(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
+    crossings = pair_oracle(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
     d = Drawing(5, crossings, rotations=[None, *_full_rot(5)])
     assert classify_k5(d) is K5Class.IV_OR_V
     assert not is_convex_by_k5(d)
@@ -346,3 +346,17 @@ def test_triangle_pass_query_count_on_convex_input(n):
         view, counter = instrumented(d)
         assert find_nonconvex_triangle(view) is None
         assert counter.count == want
+
+
+@pytest.mark.parametrize("n", [*range(3, 21), 60])
+def test_triangle_blocks_cut_the_lex_list(n):
+    # Blocks of at most ENTRIES // C(n - 3, 2) triangles (at least one),
+    # never more than vertex 1's C(n - 1, 2).
+    blocks = list(_triangle_blocks(n))
+    assert np.concatenate(blocks).tolist() == [list(t) for t in combinations(range(1, n + 1), 3)]
+    fit = convexity._TRIANGLE_BLOCK_ENTRIES // max(1, comb(n - 3, 2))
+    cap = max(1, min(fit, comb(n - 1, 2)))
+    assert all(len(b) <= cap for b in blocks)
+    assert all(len(b) == cap for b in blocks[:-1])
+    if fit >= comb(n - 1, 2):
+        assert blocks[0].tolist() == [[1, b, c] for b, c in combinations(range(2, n + 1), 2)]

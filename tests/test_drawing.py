@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from convexham import drawing, generators
 from convexham.drawing import (
-    ExplicitCrossings,
     adjacent,
     all_edges,
     canon_edge,
@@ -31,7 +30,7 @@ from convexham.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from conftest import canon_pair, random_k4_drawing, row_groups
+from conftest import canon_pair, pair_oracle, random_k4_drawing, row_groups
 
 seeds = st.integers(0, 400)
 
@@ -344,7 +343,7 @@ def test_explicit_flat_gather_matches_2d(n, rng, data):
 def test_explicit_gather_rejects_labels_above_n(bad):
     # K_4's id table is 5 x 5: a label above 4 raises rather than reading
     # another row of the flat crossing table.
-    oracle = ExplicitCrossings(4, [((1, 3), (2, 4))])
+    oracle = pair_oracle(4, [((1, 3), (2, 4))])
     cs = np.array([2, 2])
     for a, b, c, d in ((1, 3, np.array([2, bad]), 4), (1, bad, cs, 4), (bad, 3, cs, 4),
                        (1, 3, cs, np.array([4, bad]))):

@@ -16,7 +16,7 @@ from convexham.certificates import (
     path_certificate,
     subdrawing_certificate,
 )
-from convexham.drawing import Drawing, ExplicitCrossings, all_edges, canon_edge, instrumented
+from convexham.drawing import Drawing, all_edges, canon_edge, instrumented
 from convexham.errors import (
     CertificateError,
     CycleNotPlane,
@@ -35,7 +35,7 @@ from convexham.oracle import (
     verify_certificate,
 )
 from convexham.subdrawings import greedy_maximal_plane
-from conftest import polygon_partition, random_k4_drawing, row_groups
+from conftest import lex_rotations, pair_oracle, polygon_partition, random_k4_drawing, row_groups
 
 
 def _hull_edges(n):
@@ -415,8 +415,7 @@ def test_broken_cycles_fail_the_empty_side_claim():
     # all fails empty_side as a claim; nothing else is raised.
     crossed = cycle_certificate((1, 3, 2, 4, 5, 6), {"plane": True, "empty_side": True})
     assert _verify_count(generators.convex_position(6), crossed)[1] == ("empty_side", "plane")
-    rots = [None] + [tuple(u for u in range(1, 7) if u != v) for v in range(1, 7)]
-    d = Drawing(6, ExplicitCrossings(6, [((1, 2), (4, 5))]), rotations=rots)
+    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]), rotations=lex_rotations(6))
     inconsistent = cycle_certificate((1, 2, 3), {"empty_side": True})
     assert _verify_count(d, inconsistent)[1] == ("empty_side",)
     edge = path_certificate((1, 2), {"empty_side": True})
@@ -551,7 +550,6 @@ def test_cycle_sides_matches_reference_on_abstract_crossings(n, rng):
 
 
 def test_cycle_sides_inconsistency_message():
-    rots = [None] + [tuple(u for u in range(1, 7) if u != v) for v in range(1, 7)]
-    d = Drawing(6, ExplicitCrossings(6, [((1, 2), (4, 5))]), rotations=rots)
+    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]), rotations=lex_rotations(6))
     with pytest.raises(SideInconsistency, match=r"vertices 5,6 disagree with sides of cycle \(1, 2, 3\)"):
         cycle_sides(d, (1, 2, 3))

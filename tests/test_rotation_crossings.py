@@ -1,5 +1,6 @@
 """Crossings derived from rotations, against enumerated reference crossing sets."""
 
+import json
 import random
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import permuted_fan
 from convexham import generators, io
-from convexham.drawing import all_edges, new_drawing, relabel
+from convexham.drawing import ExplicitCrossings, all_edges, new_drawing, relabel, same_drawing
 from convexham.errors import CrossingsDisagree, DrawingError, InvalidRotation, TooLarge
 
 
@@ -221,3 +222,54 @@ def test_induced_and_relabelled_crossings_follow_the_parent():
         want = {tuple(tuple(sub.to_sub[u] for u in e) for e in p)
                 for p in pairs if set(p[0]) | set(p[1]) <= set(vs)}
         assert sub.drawing.crossing_set() == want
+
+
+def _fan(n):
+    return tuple((1, j) for j in range(4, n - 1))
+
+
+@pytest.mark.parametrize("n", [12, 40, 90, 181])
+def test_lazy_two_page_fan_equals_new_drawing(n):
+    """two_page builds its table on first read, and it is new_drawing's table."""
+    d = generators.two_page(n, _fan(n))
+    assert "_table" not in vars(d._oracle)
+    assert same_drawing(d, new_drawing(n, d.rotations))
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_lazy_twisted_equals_new_drawing(n):
+    d = generators.twisted(n)
+    assert "_table" not in vars(d._oracle)
+    assert same_drawing(d, new_drawing(n, d.rotations))
+
+
+def test_writing_generated_drawings_skips_the_four_set_pass(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the 4-set pass ran")
+
+    monkeypatch.setattr(ExplicitCrossings, "_mark_rotations", refuse)
+    text = io.dumps_drawing(generators.two_page(181, _fan(181)))
+    assert json.loads(text)["n"] == 181
+    io.dumps_drawing(generators.twisted(10))
+    with pytest.raises(AssertionError, match="4-set pass"):
+        io.loads_drawing(text)  # new_drawing reads the table at once
+
+
+class _Unread:
+    """An outer-edge set that fails when read."""
+
+    def __iter__(self):
+        raise AssertionError("outer edges read")
+
+
+@pytest.mark.parametrize("make", [generators.twisted, lambda n: generators.two_page(n, _Unread())])
+def test_abstract_families_refuse_182_before_any_rotation(make):
+    # 182 rotations of 181 labels take ~270 KB; the refusal allocates ~1 KB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            make(182)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 14

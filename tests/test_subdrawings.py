@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import convexity, generators
+from convexham import convexity, drawing, generators
 from convexham.drawing import all_edges, canon_edge, instrumented, relabel
 from convexham.errors import (
     EdgesCrossOrAdjacent,
@@ -59,6 +61,62 @@ def test_greedy_rejects_crossing_seed(rand8):
 def test_order_must_cover_all_edges(conv6):
     with pytest.raises(ValueError):
         greedy_maximal_plane(conv6, order=[(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="exactly once"):
+        greedy_maximal_plane(conv6, order=[*all_edges(6), (2, 1)])
+
+
+def _greedy_reference(d, seed=(), order=None):
+    """The per-edge greedy: each candidate asks one row against every edge chosen before it."""
+    chosen = list(dict.fromkeys(canon_edge(*e) for e in seed))
+    assert not chosen or first_crossing(d, chosen) is None  # the seed check's queries
+    order = crossing_degree_order(d) if order is None else [canon_edge(*e) for e in order]
+    for e in order:
+        if e in chosen:
+            continue
+        if chosen and d.cross_pairs(*e, *np.array(chosen).T).any():
+            continue
+        chosen.append(e)
+    return frozenset(chosen)
+
+
+def _greedy_pool():
+    pool = [generators.two_page(n, tuple((1, j) for j in range(4, n - 1, 2))) for n in (12, 20, 33)]
+    pool += [generators.twisted(n) for n in range(6, 10)]
+    pool += [generators.random_geometric(n, n) for n in (30, 45, 60)]
+    return pool
+
+
+def _greedy_runs(d):
+    """(seed, order) pairs: the default order, two seeded random orders and a plane seed."""
+    runs = [((), None)]
+    for i in range(2):
+        order = all_edges(d.n)
+        random.Random(i).shuffle(order)
+        runs.append(((), order))
+    runs.append((sorted(_greedy_reference(d, order=order))[: d.n // 2], order[::-1]))
+    return runs
+
+
+def _assert_greedy_matches_reference(d):
+    for seed, order in _greedy_runs(d):
+        view, counter = instrumented(d)
+        got = greedy_maximal_plane(view, seed=seed, order=order).edges
+        ref_view, ref_counter = instrumented(d)
+        assert got == _greedy_reference(ref_view, seed, order)
+        assert counter.count == ref_counter.count
+
+
+@pytest.mark.parametrize("d", _greedy_pool(), ids=repr)
+def test_greedy_matches_per_edge_reference(d):
+    # Blocked rows ask every candidate exactly the edges chosen before it.
+    _assert_greedy_matches_reference(d)
+
+
+def test_greedy_matches_reference_in_small_blocks():
+    # 64-entry blocks: many blocks, and single-row calls once k > 21.
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", 64):
+        for d in (generators.random_geometric(30, 30), generators.two_page(20, ((1, 8),))):
+            _assert_greedy_matches_reference(d)
 
 
 def test_crossing_degree_order_shape(conv8):
