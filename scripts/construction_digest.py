@@ -14,9 +14,10 @@ st, edge, two, hull) shows which constructions a change moved.  Every
 certificate is then verified on a fresh counted view; the `sha256 verify`
 digest covers its name, "verified" or the failed claims, and the queries
 verification asked, so it shows whether a change moved the verifier's
-work, and on which verdicts.  The `sha256 outcomes` digest covers every
-run's name and outcome without its queries, so a change that moves
-queries on purpose shows that its outputs stay.  The `sha256 tables`
+work, and on which verdicts; the line also counts the failing
+certificates per task and failed claim.  The `sha256 outcomes` digest
+covers every run's name and outcome without its queries, so a change
+that moves queries on purpose shows that its outputs stay.  The `sha256 tables`
 digest covers np.packbits of the crossing table of every abstract drawing
 exercised (the two-page pool, the fans and twisted), so it shows whether
 a change moved the crossings that rotations fix.
@@ -117,6 +118,7 @@ TASKS = ("star", "cycle", "st", "edge", "two", "hull")
 lines = []
 tasks = []
 verify_lines = []
+failed = Counter()  # "task claim" -> failing certificates
 plane_lines = []
 convexity_lines = []
 tables = hashlib.sha256()
@@ -128,6 +130,8 @@ def emit(task, name, res, queries, check):
     lines.append(json.dumps([name, res, queries]))
     if check is not None:
         verify_lines.append(json.dumps([name, *check]))
+        if check[0] != "verified":
+            failed.update(f"{task} {claim}" for claim in check[0])
 
 
 def exercise(name, d, rng, pairs, hubs=None):
@@ -229,7 +233,8 @@ for task in TASKS:
     print(f"sha256 {task} {digest} ({len(mine)} runs)")
 failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
 digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
-print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing)")
+print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing"
+      + "".join(f", {k} {v}" for k, v in sorted(failed.items())) + ")")
 print(f"sha256 tables {tables.hexdigest()} ({len(table_names)} abstract drawings)")
 digest = hashlib.sha256("".join(line + "\n" for line in plane_lines).encode()).hexdigest()
 print(f"sha256 plane {digest} ({len(plane_lines)} runs)")

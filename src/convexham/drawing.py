@@ -83,7 +83,7 @@ class ExplicitCrossings:
     cross.  Shared endpoints and the sentinel read False; a label above n
     raises IndexError.  The table is built from the rotations rot[1..n]
     (0-dummy list) on its first read, so a drawing that is only written out
-    never pays the 4-set pass; `relabelled` assigns a ready table instead.
+    or relabelled never pays the 4-set pass.
     """
 
     def __init__(self, rot):
@@ -151,17 +151,6 @@ class ExplicitCrossings:
                 flat[spot[start:][s == code] + np.intp((lo - a - 1) * stride)] = True
             table[hi:-1, lo:hi] = table[lo:hi, hi:-1].T
         return table
-
-    def relabelled(self, to_old, rot):
-        """This oracle on labels 1..k with rotations rot, label x standing for to_old[x].
-
-        to_old[0] = 0; the table is gathered from this one's.
-        """
-        out, k = ExplicitCrossings(rot), len(rot) - 1
-        old = np.empty(k * (k - 1) // 2 + 1, dtype=np.int32)
-        old[out._edge_id] = self._edge_id[np.ix_(to_old, to_old)]
-        out._table = self._table[np.ix_(old, old)]
-        return out
 
     def cross(self, a, b, c, d):
         return bool(self._table[self._edge_id[a, b], self._edge_id[c, d]])
@@ -438,10 +427,8 @@ def _renamed(d, to_old):
     if d.points is not None:
         return geometric_drawing((None, *(d.points[v] for v in to_old[1:])))
     to_new = {v: x for x, v in enumerate(to_old) if x}
-    rot = [None] + [
-        _canon_cycle(tuple(to_new[u] for u in d.rotation_of(v) if u in to_new)) for v in to_old[1:]
-    ]
-    return Drawing(len(to_old) - 1, d._oracle.relabelled(to_old, rot), rotations=rot)
+    rot = [[to_new[u] for u in d.rotation_of(v) if u in to_new] for v in to_old[1:]]
+    return rotation_drawing(rot)
 
 
 def induced_subdrawing(d, vertices):

@@ -16,8 +16,6 @@ through two edges.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from . import geometry
@@ -32,7 +30,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .oracle import verify_certificate
-from .starframe import _evidence, build_star_frame, probe_bad_edge, scan_bad_edges
+from .starframe import _evidence, build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
 
 def _verified(d, cert, verify):
@@ -50,15 +48,6 @@ def _verified(d, cert, verify):
 
 # ---------------------------------------------------------------------------
 # s-t Hamiltonian paths
-
-
-def _pick_bad(order, bad):
-    """Deterministic choice: most witnesses, ties broken by scan position.
-
-    Returns the bad pair (u, v) and its witnesses as host labels.
-    """
-    i, wpos = max(bad, key=lambda item: (len(item[1]), -item[0]))
-    return order[i], order[(i + 1) % len(order)], frozenset(order[p] for p in wpos)
 
 
 def _split_sides(d, u, v, t, subset, wset):
@@ -93,38 +82,53 @@ def _fan_path(order, s, hub):
     return [*order[i:], *order[:i], hub]
 
 
+def _refute_star_edge(d, piece, tri):
+    """One row: the star edge {v, t0} closing a case-1 split's piece (tri = (u, v,
+    t0)) against every edge of the piece but its last, which ends at v."""
+    _u, v, t0 = tri
+    hits = d.cross_pairs(v, t0, np.array(piece[:-2]), np.array(piece[1:-1]))
+    if hits.any():
+        j = hits.argmax()
+        a, b = piece[j], piece[j + 1]
+        raise NotConvexEvidence(
+            "split-star-edge-crossing",
+            vertices=(v, t0, a, b),
+            detail=f"star edge {canon_edge(v, t0)} closing split triangle "
+            f"{tuple(sorted(tri))} crosses path edge {canon_edge(a, b)}",
+        )
+
+
 def _solve_path(d, subset, s, t):
     """Plane Hamiltonian path from s to t inside subset (host labels).
 
     One stack, built in path order; recursion depth would otherwise reach
-    n.  The stack holds subproblems (set, s, t) and bare star-edge ends.
-    A solved piece joins the path without its first vertex, on which the
-    piece before it ended.  Every subproblem scans its target's rotation.
-    Without a bad edge the piece is that rotation's fan path; otherwise the
-    triangle of the chosen bad edge and the target splits the subproblem
-    in two, and the first half is solved first.
+    n.  It holds subproblems (set, s, t) and the star edges that close
+    case-1 splits, as (start in path, triangle).  A solved piece joins the
+    path without its first vertex, on which the piece before it ended.
 
-    At the root both ends are first asked one `probe_bad_edge` row, which
-    can prove a bad edge but not rule one out.  A hit at t stands for t's
-    scan until a split needs it; a miss reads t's scan up to the block
-    that holds its first bad pair.  With a bad edge at t, s's probe and
-    then, on a miss, s's scan decide whether s has one.  If not, the path
-    is s's fan path toward t, reversed, nothing recurses, and t's scan is
-    read no further.  Only a split reads t's whole scan, for `_pick_bad`.
-    In a straight-line drawing only hull vertices have a bad edge, so a
-    path from an interior s to a t whose probe hits costs the two probe
-    rows and one scan of s: (n-1) + (n-1) + (n-1)(n-3) = (n-1)^2 queries.
-    A root whose probe misses asks at most 2(n-1) more than without the
-    probes.
+    A subproblem of four or more vertices splits by one rule on t's
+    rotation restricted to it, of k vertices: a `probe_bad_edge` row (k
+    queries), then on a hit at pair i that pair's `witness_row` (k - 2), on
+    a miss the scan up to its first bad pair.  Without a bad pair the piece
+    is the fan path; else the triangle of the pair and t splits the
+    subproblem in two, the first half solved first, and a case-1 split's
+    star edge is asked against its built piece (`_refute_star_edge`,
+    k - 2).  At the root, a bad edge at t first sends s through the same
+    probe and scan; if s has no bad edge, the path is s's fan path toward
+    t, reversed, and t's witness row is never asked.
+    So a path from an interior point of a point set (no bad edge) to a t
+    whose probe hits costs (n-1) + (n-1) + (n-1)(n-3) = (n-1)^2 queries.
     """
     root = (set(subset), s, t)
     work = [root]
     path = [s]
     while work:
         item = work.pop()
-        if not isinstance(item, tuple):
-            # The star edge that closes a case-1 split onto its target.
-            path.append(item)
+        if len(item) == 2:
+            # The star edge {v, t0} that closes a case-1 split onto t0.
+            start, tri = item
+            _refute_star_edge(d, path[start:], tri)
+            path.append(tri[2])
             continue
         sub, s0, t0 = item
         if len(sub) <= 3:
@@ -133,25 +137,26 @@ def _solve_path(d, subset, s, t):
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = tuple(x for x in d.rotation_of(t0) if x in sub)
-        bad = scan_bad_edges(d, order, t0)
-        # A root whose probe hits knows t has a bad edge without its scan.
-        if item is not root or not probe_bad_edge(d, order, t0):
-            first = next(bad, None)
-            if first is None:
+        i, wpos = probe_bad_edge(d, order, t0), None
+        if i is None:
+            i, wpos = next(scan_bad_edges(d, order, t0), (None, None))
+            if i is None:
                 path += _fan_path(order, s0, t0)[1:]
                 continue
-            bad = chain([first], bad)
         if item is root:
             back = tuple(x for x in d.rotation_of(s0) if x in sub)
-            if not probe_bad_edge(d, back, s0) and next(scan_bad_edges(d, back, s0), None) is None:
+            if (probe_bad_edge(d, back, s0) is None
+                    and next(scan_bad_edges(d, back, s0), None) is None):
                 path += reversed(_fan_path(back, t0, s0)[:-1])
                 continue
-        u, v, wset = _pick_bad(order, bad)
-        vn, vc = _split_sides(d, u, v, t0, sub, wset)
+        if wpos is None:
+            wpos = witness_row(d, order, t0, i)
+        u, v = order[i], order[(i + 1) % len(order)]
+        vn, vc = _split_sides(d, u, v, t0, sub, {order[p] for p in wpos})
         if s0 in vc:
             # Case 1: P1 crosses the convex side to u, P2 sweeps the witness
             # side from u to v, then one star edge {v, t0}.
-            work += [t0, (vn | {u, v}, u, v), (vc | {u}, s0, u)]
+            work += [(len(path) - 1, (u, v, t0)), (vn | {u, v}, u, v), (vc | {u}, s0, u)]
         else:
             # Case 2: P1 sweeps the witness side from s0 to p, P2 crosses the
             # convex side from p to t0.  (q is the bad-edge endpoint P1
@@ -165,15 +170,13 @@ def st_hamiltonian_path(d, s, t, verify=True):
     """Plane Hamiltonian path from s to t (certificate with endpoints claim).
 
     Solved toward t, or, when t has a bad edge and s has none, as the
-    reversed fan path of s's rotation (see _solve_path).  Costs at most
-    the recursion toward t plus one scan of s's rotation and two probe
-    rows of n - 1; from an interior vertex of a point set to a hull
-    vertex whose probe hits, (n-1)^2 queries.
+    reversed fan path of s's rotation (see _solve_path).  From an interior
+    vertex of a point set to a hull vertex whose probe hits, (n-1)^2 queries.
 
-    With verify=False the path is unchecked: on non-convex input it can
-    cross itself where verification would raise NotConvexEvidence; all
-    805 certificates of construction_digest.py's pool that fail `plane`
-    are such paths.
+    With verify=False the path is unchecked.  Every split refutes a star
+    edge that crosses its own piece, but on non-convex input the path can
+    still cross itself elsewhere, where verification would raise
+    NotConvexEvidence: 28 certificates of construction_digest.py's pool.
     """
     if s == t:
         raise SameVertex(f"need distinct endpoints, got s=t={s}")

@@ -89,16 +89,25 @@ def scan_bad_edges(d, order, hub):
 
 
 def probe_bad_edge(d, order, hub):
-    """One row that can prove a bad edge of a rotation: True on a hit.
+    """One row that can prove a bad edge of a rotation: the first pair it hits, or None.
 
     Pair i = {order[i], order[i+1]} is asked against the star edge of the
     vertex halfway round after it, {order[(i + 1 + k // 2) % k], hub}: k
-    queries in one `cross_pairs` call.  A hit is a bad pair by definition;
-    a miss proves nothing, and a caller that must know reads
-    `scan_bad_edges`.
+    queries in one `cross_pairs` call.  A hit is a bad pair by definition,
+    whose witnesses `witness_row` reads; a miss proves nothing, and a
+    caller that must know reads `scan_bad_edges`.
     """
     a = np.array(order, dtype=np.int64)
-    return bool(d.cross_pairs(a, np.roll(a, -1), np.roll(a, -(1 + len(a) // 2)), hub).any())
+    hits = d.cross_pairs(a, np.roll(a, -1), np.roll(a, -(1 + len(a) // 2)), hub)
+    return int(hits.argmax()) if hits.any() else None
+
+
+def witness_row(d, order, hub, i):
+    """Row i of `scan_bad_edges` (k - 2 queries): pair i's witnesses, as positions."""
+    k = len(order)
+    others = np.roll(np.array(order, dtype=np.int64), -i - 2)[: k - 2]
+    hits = d.cross_pairs(order[i], order[(i + 1) % k], others, hub)
+    return frozenset(((np.flatnonzero(hits) + i + 2) % k).tolist())
 
 
 def _find_witness_gap(bad, order):

@@ -9,6 +9,7 @@ few minutes: the brute-force cross-checks are run at full fidelity.
 
 import hashlib
 import json
+import random
 import time
 from itertools import combinations
 from math import comb, log2
@@ -274,14 +275,17 @@ def test_c04_interior_source_to_hull_target():
 
 # Queries of the s-t path between the extreme points of random_geometric(n,
 # seed) in (x, y) order, both on the hull: the recursion toward t at scale.
+# Every subproblem splits on its probe's first hit or its scan's first bad
+# pair, so each input asks at most n^2, and n = 4000 at most 1.5 n^2.
 HULL_TO_HULL_QUERIES = {
-    (250, 1): 428_510,
-    (250, 2): 335_890,
-    (500, 1): 1_794_558,
-    (500, 2): 1_595_501,
-    (1000, 1): 6_817_128,
-    (1000, 2): 4_062_830,
-    (2000, 1): 34_779_282,
+    (250, 1): 22_331,
+    (250, 2): 45_707,
+    (500, 1): 118_366,
+    (500, 2): 78_044,
+    (1000, 1): 313_736,
+    (1000, 2): 476_374,
+    (2000, 1): 2_037_155,
+    (4000, 1): 14_846_580,
 }
 
 
@@ -295,15 +299,51 @@ def test_c04_hull_to_hull_st_paths_pinned():
         cert = st_hamiltonian_path(view, s, t, verify=False)
         if counter.count != want:
             failures.append(f"n={n} seed={seed} asked {counter.count} != {want}")
+        if counter.count > (1.5 if n == 4000 else 1) * n * n:
+            failures.append(f"n={n} seed={seed} asked {counter.count / n**2:.2f} n^2")
         ends = (cert.vertices[0], cert.vertices[-1])
         if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
             failures.append(f"n={n} seed={seed} ({s},{t}) bad certificate")
     ok = not failures
     record_criterion(
-        f"C04d hull-to-hull s-t paths n=250..2000: {_verdict(ok)} "
-        f"(pinned queries on {len(HULL_TO_HULL_QUERIES)} drawings, verified)"
+        f"C04d hull-to-hull s-t paths n=250..4000: {_verdict(ok)} "
+        f"(pinned queries on {len(HULL_TO_HULL_QUERIES)} drawings, <= n^2 below n=4000, "
+        f"<= 1.5 n^2 at 4000, verified)"
     )
     assert ok, failures
+
+
+# Summed queries of the s-t paths between 60 pairs from random.Random(7) on
+# each fan: most splits have one bad pair, found by the probe's row.
+FAN_ST_QUERIES = {45: 162_041, 90: 689_494, 181: 2_900_237}
+
+
+def test_c04_fan_family_st_paths(fan_family):
+    # Convex drawings with ~n/3 bad edges at hub 1: the s-t solver splits
+    # ~n times, and each split asks rows of its subproblem, not its scan.
+    sizes = FAN_SIZES
+    failures = []
+    queries = {}
+    for n in sizes:
+        d = fan_family[n]
+        rng = random.Random(7)
+        view, counter = instrumented(d)
+        for _ in range(60):
+            s, t = rng.sample(range(1, n + 1), 2)
+            cert = st_hamiltonian_path(view, s, t, verify=False)
+            ends = (cert.vertices[0], cert.vertices[-1])
+            if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
+                failures.append(f"n={n} ({s},{t}) bad certificate")
+        queries[n] = counter.count
+        if queries[n] != FAN_ST_QUERIES[n]:
+            failures.append(f"n={n} asked {queries[n]} != {FAN_ST_QUERIES[n]}")
+    slopes = [log2(queries[b] / queries[a]) / log2(b / a) for a, b in zip(sizes, sizes[1:])]
+    ok = not failures and max(slopes) <= 2.15
+    record_criterion(
+        f"C04f s-t paths on the two-page fan n=45..181: {_verdict(ok)} "
+        f"(60 pairs each, max slope {max(slopes):.3f} <= 2.15, pinned queries, verified)"
+    )
+    assert ok, (failures, slopes)
 
 
 def _random_plane_seed(d, rng):

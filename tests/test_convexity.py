@@ -192,9 +192,23 @@ def _reference_class(crossing_pairs):
     return K5Class.IV_OR_V
 
 
+def _sub_crossings(d, sub):
+    """Crossing pairs among the vertices `sub` (sorted), renamed 1..5 in order.
+
+    Asked edge pair by edge pair of d, so a pair oracle (random_k4_drawing),
+    whose rotations fix none of its crossings, keeps its own.
+    """
+    to_sub = {v: i for i, v in enumerate(sub, 1)}
+    edges = list(combinations(sub, 2))
+    return {
+        (tuple(map(to_sub.get, e)), tuple(map(to_sub.get, f)))
+        for e, f in combinations(edges, 2) if d.crosses(e, f)
+    }
+
+
 def _reference_find_nonconvex_k5(d):
     for sub in combinations(range(1, d.n + 1), 5):
-        cls = _reference_class(induced_subdrawing(d, sub).drawing.crossing_set())
+        cls = _reference_class(_sub_crossings(d, sub))
         if not cls.convex:
             return NonConvexK5(sub, cls)
     return None

@@ -111,9 +111,13 @@ def test_same_drawing_matches_crossing_sets(n, rng):
     # Equal rotations, so only the crossing tables can tell these apart.
     d1, d2 = random_k4_drawing(n, rng), random_k4_drawing(n, rng)
     assert same_drawing(d1, d2) == (d1.crossing_set() == d2.crossing_set())
-    assert same_drawing(d1, relabel(d1, list(range(1, n + 1))))
+    # A relabelled drawing keeps its rotations and reads its crossings from
+    # them, which a pair oracle's rotations do not fix.
+    assert same_drawing(relabel(d1, list(range(1, n + 1))), new_drawing(n, d1.rotations))
     geo = generators.random_geometric(n, rng.randrange(1000))
-    assert same_drawing(new_drawing(n, geo.rotations), geo)
+    abstract = new_drawing(n, geo.rotations)
+    assert same_drawing(abstract, geo)
+    assert same_drawing(abstract, relabel(abstract, list(range(1, n + 1))))
 
 
 def test_rotation_canonical_form(rand9):

@@ -18,7 +18,6 @@ from convexham.errors import (
     SameVertex,
 )
 from convexham.hamiltonian import (
-    _pick_bad,
     _solve_path,
     _split_sides,
     empty_k_cycle,
@@ -236,7 +235,29 @@ def test_twisted_st_path_succeeds_or_explains():
             assert cert.oracle_verified
             assert is_plane(d, cert.edges)
             outcomes["ok"] += 1
-    assert outcomes == {"ok": 11, "evidence": 4}
+    assert outcomes == {"ok": 12, "evidence": 3}
+
+
+def test_split_star_edge_crossing_names_two_crossing_edges():
+    # twisted(n) is not convex.  A case-1 split closes its piece with the
+    # star edge {v, t0}; where that edge crosses an edge of the piece, the
+    # unverified path is refuted instead of returned crossed.
+    raised = []
+    for n in range(5, 11):
+        d = generators.twisted(n)
+        for s, t in combinations(range(1, n + 1), 2):
+            try:
+                st_hamiltonian_path(d, s, t, verify=False)
+            except NotConvexEvidence as exc:
+                if exc.which == "split-star-edge-crossing":
+                    raised.append((n, s, t, exc))
+    assert len(raised) == 44
+    for n, s, t, exc in raised:
+        v, t0, a, b = exc.vertices
+        assert generators.twisted(n).crosses((v, t0), (a, b))
+        assert f"star edge {canon_edge(v, t0)} closing split triangle" in exc.detail
+    n, s, t, exc = raised[0]
+    assert (n, s, t, exc.vertices) == (6, 1, 3, (6, 3, 5, 4))
 
 
 def test_twisted_never_yields_wrong_certificate():
@@ -262,20 +283,49 @@ POOL = st.tuples(
 
 
 def _reference_st_path(d, subset, s, t):
-    """The s-t route before the probe of s's rotation: always solve toward t."""
+    """The s-t route toward t, split on the pair the solver's rule picks.
+
+    The pair is the first whose halfway probe hits (`_halfway_hit`), else
+    the first of a full scan; both are asked uncounted, and the witnesses
+    come from the scan.  d is charged the rows the solver asks, on the
+    rotation of t restricted to the subproblem, of k vertices: the k-entry
+    probe, then the pair's witness row (k - 2) on a hit, or on a miss the
+    scan through the block of its first bad pair, or all of it; and after
+    a case-1 split, k - 2 for its star edge against its piece but the
+    piece's last edge, each edge asked by a scalar query.
+    """
     sub = tuple(sorted(subset))
     if len(sub) <= 3:
         return [s, *(x for x in sub if x not in (s, t)), t] if len(sub) > 1 else [s]
-    order = tuple(x for x in d.rotation_of(t) if x in sub)
-    bad = list(scan_bad_edges(d, order, t))
-    if not bad:
+    order = _restricted(d, t, sub)
+    k = len(order)
+    free = instrumented(d)[0]
+    bad = dict(scan_bad_edges(free, order, t))
+    i = _halfway_hit(free, order, t)
+    d.counter.count += k
+    if i is not None:
+        d.counter.count += k - 2
+    elif bad:
+        i = min(bad)
+        d.counter.count += (k - 2) * _first_bad_block_end(d, order, t)
+    else:
+        d.counter.count += k * (k - 2)
         i = order.index(s)
         return [*order[i:], *order[:i], t]
-    u, v, wset = _pick_bad(order, bad)
-    vn, vc = _split_sides(d, u, v, t, sub, wset)
+    u, v = order[i], order[(i + 1) % k]
+    vn, vc = _split_sides(d, u, v, t, sub, {order[p] for p in bad[i]})
     if s in vc:
-        p1 = _reference_st_path(d, vc | {u}, s, u)
-        return p1 + _reference_st_path(d, vn | {u, v}, u, v)[1:] + [t]
+        piece = _reference_st_path(d, vc | {u}, s, u) + _reference_st_path(d, vn | {u, v}, u, v)[1:]
+        d.counter.count += k - 2
+        for a, b in zip(piece, piece[1:-1]):
+            if free.crosses((v, t), (a, b)):
+                raise NotConvexEvidence(
+                    "split-star-edge-crossing",
+                    vertices=(v, t, a, b),
+                    detail=f"star edge {canon_edge(v, t)} closing split triangle "
+                    f"{tuple(sorted((u, v, t)))} crosses path edge {canon_edge(a, b)}",
+                )
+        return piece + [t]
     p, q = (u, v) if s != u else (v, u)
     p1 = _reference_st_path(d, vn | {q, p}, s, p)
     return p1 + _reference_st_path(d, vc | {t, p}, p, t)[1:]
@@ -396,18 +446,23 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
 
     asked, got = queries_and_result(_solve_path)
     ref_asked, want = queries_and_result(_reference_st_path)
-    # At most a scan of s and the two probe rows more than the reference.
-    extra = (k - 1) * (k - 3) + 2 * (k - 1) if k > 3 else 0
-    assert asked <= ref_asked + extra
-    order = _restricted(d, t, subset)
-    t_bad = k > 3 and list(scan_bad_edges(d, order, t))
-    if not t_bad or next(scan_bad_edges(d, _restricted(d, s, subset), s), None) is not None:
-        assert got == want
+    order, back = _restricted(d, t, subset), _restricted(d, s, subset)
+    if not (k > 3 and list(scan_bad_edges(d, order, t))):
+        # t's fan path: the reference's rows and nothing more.
+        assert (got, asked) == (want, ref_asked)
+        return
+    if next(scan_bad_edges(d, back, s), None) is not None:
+        # Before the root splits, s is asked its probe row and, if that
+        # misses, its scan through the block of its first bad pair.
+        s_scan = 0 if _halfway_hit(d, back, s) is not None else (
+            (k - 3) * _first_bad_block_end(d, back, s))
+        assert (got, asked) == (want, ref_asked + (k - 1) + s_scan)
         return
     assert got == _reversed_fan_path(d, s, t, subset)
     # Both probes and one scan of s; t's scan through the block of its
     # first bad pair only when t's probe misses.
-    t_scan = 0 if _halfway_hit(d, order, t) else (k - 3) * _first_bad_block_end(d, order, t)
+    t_scan = 0 if _halfway_hit(d, order, t) is not None else (
+        (k - 3) * _first_bad_block_end(d, order, t))
     assert asked == (k - 1) ** 2 + t_scan
     if spec[0] not in ("twisted", "two-page"):
         edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
@@ -425,7 +480,7 @@ def test_root_whose_probe_misses_reads_t_to_its_first_bad_block(spec, subset, s,
     d = construction_pool(*spec)
     k = len(subset)
     order = _restricted(d, t, subset)
-    assert list(scan_bad_edges(d, order, t)) and not _halfway_hit(d, order, t)
+    assert list(scan_bad_edges(d, order, t)) and _halfway_hit(d, order, t) is None
     view, counter = instrumented(d)
     got = _solve_path(view, subset, s, t)
     assert tuple(got) == _reversed_fan_path(d, s, t, subset)
@@ -447,8 +502,9 @@ def _scan_calls(d, build):
 def test_interior_source_asks_one_row_of_t(seed):
     # At n = 300 a scan spans 23 blocks of 13 rows.  From an interior s,
     # t's probe proves its bad edge: t is asked one row of n - 1 entries
-    # and none of its scan, (n - 1)^2 queries in all.  From a hull s, both
-    # probes hit and t's scan is read in full, as the reference solver does.
+    # and none of its scan, (n - 1)^2 queries in all.  From a hull s, s's
+    # probe hits too, and then the path is the reference solver's, which
+    # asks t's rows as the solver does, plus that one row of s.
     d = generators.random_geometric(300, seed)
     n = d.n
     hull = [v for v in range(1, n + 1) if not is_interior(d, v)]
@@ -460,10 +516,10 @@ def test_interior_source_asks_one_row_of_t(seed):
         assert asked == (n - 1) ** 2
         assert verify_certificate(d, cert).oracle_verified
     s, t = hull[-1], hull[0]
-    assert _halfway_hit(d, _restricted(d, s, range(1, n + 1)), s)
+    assert _halfway_hit(d, _restricted(d, s, range(1, n + 1)), s) is not None
     want, ref_asked, _calls = _scan_calls(d, lambda x: _reference_st_path(x, range(1, n + 1), s, t))
     cert, asked, _calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
-    assert (cert.vertices, asked) == (tuple(want), ref_asked + 2 * (n - 1))
+    assert (cert.vertices, asked) == (tuple(want), ref_asked + (n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from convexham import drawing, generators, starframe
 from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
-from convexham.starframe import build_star_frame, probe_bad_edge, scan_bad_edges
+from convexham.starframe import build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
 from conftest import construction_pool, is_interior, row_groups
 
@@ -301,13 +301,24 @@ def test_blocked_scan_on_subsets(n, seed, rng, block):
 
 
 def _halfway_hit(d, order, hub):
-    """Reference probe: does some pair i of `order` cross the star edge of
-    order[(i + 1 + k // 2) % k]?  One scalar query per pair."""
+    """Reference probe: the first pair i of `order` that crosses the star edge
+    of order[(i + 1 + k // 2) % k], or None.  One scalar query per pair."""
     k = len(order)
-    return k >= 3 and any(
-        d.crosses((order[i], order[(i + 1) % k]), (order[(i + 1 + k // 2) % k], hub))
-        for i in range(k)
+    hits = (i for i in range(k)
+            if d.crosses((order[i], order[(i + 1) % k]), (order[(i + 1 + k // 2) % k], hub)))
+    return next(hits, None) if k >= 3 else None
+
+
+def _one_call(d, ask):
+    """ask(view)'s result, its queries and the args of its one `cross_pairs` call."""
+    view, counter = instrumented(d)
+    spy = mock.patch.object(
+        drawing.Drawing, "cross_pairs", autospec=True, side_effect=drawing.Drawing.cross_pairs,
     )
+    with spy as calls:
+        got = ask(view)
+    [call] = calls.call_args_list
+    return got, counter.count, call.args[1:]
 
 
 @given(
@@ -319,29 +330,44 @@ def _halfway_hit(d, order, hub):
 def test_probe_is_one_row_that_proves_a_bad_edge(kind, n, seed, rng):
     # On whole and restricted rotations: one `cross_pairs` call of k
     # entries, each pair against the star edge of the vertex halfway round,
-    # and a hit only where the scan finds a bad pair.
+    # and the first pair that hits, which the scan finds bad.
     d = construction_pool(kind, n, seed)
     for hub in range(1, n + 1):
         keep = set(rng.sample(range(1, n + 1), rng.randint(4, n))) | {hub}
         for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep)):
             k = len(order)
-            view, counter = instrumented(d)
-            spy = mock.patch.object(
-                drawing.Drawing, "cross_pairs", autospec=True,
-                side_effect=drawing.Drawing.cross_pairs,
-            )
-            with spy as calls:
-                hit = probe_bad_edge(view, order, hub)
+            hit, asked, (a, b, cs, ds) = _one_call(d, lambda v: probe_bad_edge(v, order, hub))
             assert hit == _halfway_hit(d, order, hub)
-            assert counter.count == k
-            [call] = calls.call_args_list
-            _view, a, b, cs, ds = call.args
+            assert asked == k
             assert list(a) == list(order)
             assert list(b) == [order[(i + 1) % k] for i in range(k)]
             assert list(cs) == [order[(i + 1 + k // 2) % k] for i in range(k)]
             assert ds == hub
-            if hit:
-                assert next(scan_bad_edges(d, order, hub), None) is not None
+            if hit is not None:
+                assert hit in dict(scan_bad_edges(d, order, hub))
+
+
+@given(
+    st.sampled_from(["fan", "two-page", "geometric", "twisted"]),
+    st.integers(4, 14),
+    st.integers(0, 10**6),
+    st.randoms(),
+)
+def test_witness_row_is_row_i_of_the_scan(kind, n, seed, rng):
+    # One `cross_pairs` call of k - 2 entries: pair i against the vertices
+    # after it, with the witnesses the scan gives pair i (none if it is good).
+    d = construction_pool(kind, n, seed)
+    for hub in rng.sample(range(1, n + 1), 3):
+        keep = set(rng.sample(range(1, n + 1), rng.randint(4, n))) | {hub}
+        order = tuple(x for x in d.rotation_of(hub) if x in keep)
+        k = len(order)
+        bad = dict(scan_bad_edges(d, order, hub))
+        for i in range(k):
+            got, asked, (a, b, cs, ds) = _one_call(d, lambda v: witness_row(v, order, hub, i))
+            assert got == bad.get(i, frozenset())
+            assert asked == k - 2
+            assert (a, b, ds) == (order[i], order[(i + 1) % k], hub)
+            assert list(cs) == [order[(i + j) % k] for j in range(2, k)]
 
 
 @pytest.mark.parametrize("n,seed", [(40, 1), (120, 2), (300, 3)])
@@ -349,7 +375,7 @@ def test_probe_misses_at_interior_points(n, seed):
     # An interior point of a point set has no bad edge, so its probe cannot
     # hit; a hull vertex has one, which its probe mostly finds.
     d = generators.random_geometric(n, seed)
-    hits = {v: probe_bad_edge(d, d.rotation_of(v), v) for v in range(1, n + 1)}
+    hits = {v: probe_bad_edge(d, d.rotation_of(v), v) is not None for v in range(1, n + 1)}
     assert not any(hits[v] for v in hits if is_interior(d, v))
     assert any(hits[v] for v in hits if not is_interior(d, v))
 
