@@ -36,6 +36,12 @@ spans several row blocks, so it sees where a scan stops.  These runs stay
 out of every other digest; the line also digests their vertices alone and
 sums their queries per direction.
 
+The `calls` line counts the `Drawing.cross_pairs` calls of each task
+family: the constructions (star, cycle, st, edge, two, hull, probe),
+their verification (verify) and the plane and convexity runs.  It stays
+outside every digest, so a change that packs or unpacks rows into kernel
+calls shows there alone.
+
     python scripts/construction_digest.py [--src DIR] [--out FILE]
 """
 
@@ -61,7 +67,7 @@ import numpy as np  # noqa: E402
 
 from convexham import generators  # noqa: E402
 from convexham.convexity import find_nonconvex_k5, find_nonconvex_triangle  # noqa: E402
-from convexham.drawing import all_edges, instrumented, relabel  # noqa: E402
+from convexham.drawing import Drawing, all_edges, instrumented, relabel  # noqa: E402
 from convexham.errors import CertificateError, NotConvexEvidence  # noqa: E402
 from convexham.geometry import orientation  # noqa: E402
 from convexham.hamiltonian import (  # noqa: E402
@@ -75,14 +81,29 @@ from convexham.oracle import verify_certificate  # noqa: E402
 from convexham.subdrawings import greedy_maximal_plane  # noqa: E402
 
 
+calls = Counter()  # task family -> Drawing.cross_pairs calls
+family = "other"  # the family whose calls are being counted
+_cross_pairs = Drawing.cross_pairs
+
+
+def _counted_cross_pairs(self, *args):
+    calls[family] += 1
+    return _cross_pairs(self, *args)
+
+
+Drawing.cross_pairs = _counted_cross_pairs
+
+
 def relabelled_two_page(n, outer, rng):
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return relabel(generators.two_page(n, outer), perm)
 
 
-def run(d, build, *args):
+def run(task, d, build, *args):
     """(outcome, queries, check): check is checked(d, cert) when a certificate was built."""
+    global family
+    family = task
     view, counter = instrumented(d)
     try:
         cert = build(view, *args, verify=False)
@@ -93,8 +114,10 @@ def run(d, build, *args):
     return list(cert.vertices), counter.count, checked(d, cert)
 
 
-def counted(d, ask):
+def counted(task, d, ask):
     """[outcome, queries] of ask on a fresh view of d; an error is an outcome."""
+    global family
+    family = task
     view, counter = instrumented(d)
     try:
         res = ask(view)
@@ -105,6 +128,8 @@ def counted(d, ask):
 
 def checked(d, cert):
     """["verified" or the failed claims, queries] of verifying cert on a fresh view."""
+    global family
+    family = "verify"
     view, counter = instrumented(d)
     try:
         verify_certificate(view, cert)
@@ -143,20 +168,20 @@ def exercise(name, d, rng, pairs, hubs=None):
     random.Random(name).shuffle(order)
     for kind, how in (("default", None), ("random", order)):
         plane_lines.append(json.dumps([name, kind, *counted(
-            d, lambda v: sorted(greedy_maximal_plane(v, order=how).edges))]))
+            "plane", d, lambda v: sorted(greedy_maximal_plane(v, order=how).edges))]))
     if n <= 40:
         convexity_lines.append(json.dumps([
-            name, *counted(d, lambda v: repr(find_nonconvex_triangle(v))),
-            *counted(d, lambda v: repr(find_nonconvex_k5(v)))]))
+            name, *counted("convexity", d, lambda v: repr(find_nonconvex_triangle(v))),
+            *counted("convexity", d, lambda v: repr(find_nonconvex_k5(v)))]))
     for hub in hubs if hubs is not None else range(1, n + 1):
-        emit("star", f"{name} star {hub}", *run(d, star_avoiding_hamiltonian_cycle, hub))
-    emit("cycle", f"{name} cycle", *run(d, hamiltonian_cycle))
+        emit("star", f"{name} star {hub}", *run("star", d, star_avoiding_hamiltonian_cycle, hub))
+    emit("cycle", f"{name} cycle", *run("cycle", d, hamiltonian_cycle))
     for _ in range(pairs):
         s, t = rng.sample(range(1, n + 1), 2)
-        emit("st", f"{name} st {s} {t}", *run(d, st_hamiltonian_path, s, t))
+        emit("st", f"{name} st {s} {t}", *run("st", d, st_hamiltonian_path, s, t))
     for _ in range(pairs // 4):
         e = tuple(rng.sample(range(1, n + 1), 2))
-        emit("edge", f"{name} edge {e}", *run(d, path_containing_edge, e))
+        emit("edge", f"{name} edge {e}", *run("edge", d, path_containing_edge, e))
 
 
 rng = random.Random(2024)
@@ -179,13 +204,13 @@ for i in range(60):
     for _ in range(6):
         a, b, c, x = rng.sample(range(1, n + 1), 4)
         name = f"geometric {i} two {(a, b)} {(c, x)}"
-        emit("two", name, *run(d, _two_edge_path, (a, b), (c, x)))
+        emit("two", name, *run("two", d, _two_edge_path, (a, b), (c, x)))
 for n in (300, 1000):
     for seed in (1, 2, 3):
         d = generators.random_geometric(n, seed)
         s = max(range(1, n + 1), key=lambda v: d.points[v])
         t = min(range(1, n + 1), key=lambda v: d.points[v])
-        emit("hull", f"hull n={n} seed={seed}", *run(d, st_hamiltonian_path, s, t))
+        emit("hull", f"hull n={n} seed={seed}", *run("hull", d, st_hamiltonian_path, s, t))
 
 
 def interior(d, v):
@@ -207,7 +232,7 @@ for n in (300, 1000):
         inner = [v for v in probe_rng.sample(range(1, n + 1), 8) if interior(d, v)][:2]
         for way, s, t in [*(("interior->hull", v, lo) for v in inner),
                           *(("hull->interior", hi, v) for v in inner)]:
-            res, queries, _check = run(d, st_hamiltonian_path, s, t)
+            res, queries, _check = run("probe", d, st_hamiltonian_path, s, t)
             probe_lines.append(json.dumps([f"probe {way} n={n} seed={seed} {s} {t}", res, queries]))
             probe_queries[way] += queries
 
@@ -250,3 +275,4 @@ vertices = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in probe_lin
 print(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
       f"{hashlib.sha256(vertices.encode()).hexdigest()[:16]}, queries "
       + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")
+print("calls " + ", ".join(f"{k} {v}" for k, v in sorted(calls.items())))

@@ -23,10 +23,9 @@ class Certificate:
 
 
 def _seq_edges(seq, close):
-    edges = [canon_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-    if close:
-        edges.append(canon_edge(seq[-1], seq[0]))
-    return tuple(edges)
+    # seq is a tuple of distinct vertices, so no pair is degenerate.
+    nxt = seq[1:] + seq[:1] if close else seq[1:]
+    return tuple((u, v) if u < v else (v, u) for u, v in zip(seq, nxt))
 
 
 def cycle_certificate(seq, claims, verified=False):

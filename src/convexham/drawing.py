@@ -11,12 +11,15 @@ materialising the O(n^4) crossing set.
 A Drawing asks its oracle in exactly two ways: the checked scalar
 `crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
 query they pass on into the drawing's own QueryCounter; `instrumented(d)`
-returns a view of d with a fresh counter.  In a row, `cs` is a 1-D label
-array and `a`, `b` and `ds` are each a label, which stands for every entry,
-or a 1-D label array of len(cs): entry i asks {a_i, b_i} against
-{cs[i], ds[i]}, one query per entry.  Callers with many short rows ask
-them through `ask_rows`, which packs them into calls of up to
-ROW_BLOCK_ENTRIES entries, since a kernel call costs far more than an
+returns a view of d with a fresh counter.  The four operands of a row
+are labels or label arrays that broadcast together, and each entry of the
+broadcast shape asks {a, b} against {c, d}, one query per entry.  A 1-D
+row has `cs` a label array and `a`, `b` and `ds` each a label, which
+stands for every entry, or a label array of len(cs); a 2-D block asks an
+(R, 1) pair column against (R, L) operands, or against operands that
+broadcast to them, such as one (L,) row or one label.  Callers with many
+short rows ask them through `ask_rows`, which packs them into calls of up
+to ROW_BLOCK_ENTRIES entries, since a kernel call costs far more than an
 entry.
 
 Drawings are value objects: after construction only their query counter
@@ -160,7 +163,8 @@ class ExplicitCrossings:
         # about half the cost per entry of 2-D fancy indexing; the index
         # comes from edge ids, never from labels, so nothing aliases.  The
         # edge ids stay a 2-D gather, which checks every label: checking
-        # labels for a flat id gather cost as much as it saved.
+        # labels for a flat id gather cost as much as it saved.  Operands
+        # broadcast as in Drawing.cross_pairs.
         ids, table = self._edge_id, self._table
         return table.take(ids[a, b] * len(table) + ids[cs, ds])
 
@@ -202,6 +206,28 @@ class Drawing:
             self._rot_cache[v] = rot
         return rot
 
+    def rotation_among(self, v, labels):
+        """v's rotation restricted to the set `labels` (v itself is ignored).
+
+        The same tuple as filtering rotation_of(v): it starts at the first
+        label met going round from the smallest other vertex, where
+        rotation_of(v) starts.  A point set sorts only the given labels
+        around v, plus that start label, which is then dropped if it is not
+        one of them.  Given every other vertex, it is rotation_of(v).
+        """
+        if len(labels) - (v in labels) == self.n - 1:
+            return self.rotation_of(v)
+        if self._rot is not None:
+            return tuple(x for x in self._rot[v] if x in labels)
+        start = 1 if v != 1 else 2
+        cand = [x for x in labels if x != v]
+        extra = start not in labels
+        if extra:
+            cand.append(start)
+        order = geometry.ccw_order(self._oracle, v, cand)
+        i = order.index(start)
+        return (*order[i + extra:], *order[:i])
+
     @property
     def rotations(self):
         """All rotations as a tuple indexed by vertex - 1."""
@@ -223,10 +249,13 @@ class Drawing:
         return self._oracle.cross(a, b, c, d)
 
     def cross_pairs(self, a, b, cs, ds):
-        """Vectorised: does {a_i, b_i} cross {cs[i], ds[i]}?  One query per entry.
+        """Vectorised: does {a, b} cross {c, d}, entry by entry?  One query per entry.
 
-        `cs` is a 1-D label array; `a`, `b` and `ds` are each a label, which
-        stands for every entry, or a 1-D label array of len(cs).  Entries
+        The operands are labels or label arrays that broadcast together; the
+        answer has their broadcast shape.  A 1-D row has `cs` a label array
+        and `a`, `b` and `ds` each a label, which stands for every entry, or
+        a label array of len(cs); a 2-D block is an (R, 1) pair column
+        against (R, L) operands, or operands that broadcast to them.  Entries
         sharing an endpoint answer False and still count.
         """
         hits = self._oracle.cross_pairs(a, b, cs, ds)
@@ -270,17 +299,21 @@ ROW_BLOCK_ENTRIES = 1 << 12
 def ask_rows(ask, a, b, lens, operands):
     """Ask rows of the given lengths in kernel calls of up to ROW_BLOCK_ENTRIES entries.
 
-    Row i asks the pair {a[i], b[i]} against lens[i] entries, and
-    operands(i0, i1) gives the flat (cs, ds) of rows i0..i1-1 in row-major
-    order.  Consecutive rows share a call ask(a, b, cs, ds) greedily; a row
-    longer than a third of a block goes alone, since a block of two such
-    rows built from arrays is slower than two label rows.  A one-row call
-    passes its pair as labels, a longer one repeats each pair over its row.
+    Row i asks the pair {a[i], b[i]} (label arrays) against lens[i]
+    entries, and operands(i0, i1) gives the (cs, ds) of rows i0..i1-1.
+    Consecutive rows share a call ask(a, b, cs, ds) greedily; a row longer
+    than a third of a block goes alone, since a block of two such rows
+    built from arrays is slower than two label rows.  A one-row call passes
+    its pair as labels, and its operands broadcast to lens[i0] entries.
+    When every row has one length L, a call of R > 1 rows passes an (R, 1)
+    pair column, and its operands broadcast to (R, L); otherwise it repeats
+    each pair over its row, and its operands are flat, in row-major order.
     Yields (i0, i1, hits) per call; a caller that stops early asks no later
     block.  The grouping never changes which entries are asked, or their
     order.
     """
     ends = list(accumulate(lens, initial=0))
+    even = min(lens, default=0) == max(lens, default=0)
     i0 = 0
     while i0 < len(lens):
         if lens[i0] > ROW_BLOCK_ENTRIES // 3:
@@ -290,6 +323,8 @@ def ask_rows(ask, a, b, lens, operands):
         cs, ds = operands(i0, i1)
         if i1 == i0 + 1:
             yield i0, i1, ask(a[i0], b[i0], cs, ds)
+        elif even:
+            yield i0, i1, ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
         else:
             reps = np.array(lens[i0:i1])
             yield i0, i1, ask(a[i0:i1].repeat(reps), b[i0:i1].repeat(reps), cs, ds)
@@ -466,15 +501,19 @@ def split_by_triangle(d, tri, among):
     Two vertices land on the same side iff the edge between them crosses the
     triangle boundary an even number of times.  Every vertex is placed
     against the smallest one, w0: one row per triangle edge over the edges
-    (w0, w), 3 * (len(among) - 1) queries in all.  triangle_sides checks
-    the parity of every pair.
+    (w0, w), 3 * (len(among) - 1) queries in all, asked as one `ask_rows`
+    block (one call while a row holds at most a third of a block).
+    triangle_sides checks the parity of every pair.
     """
     rest = sorted(among)
     if not rest:
         return [], []
     a, b, c = tri
     w0, ws = rest[0], np.array(rest[1:], dtype=np.int64)
-    odd = d.cross_pairs(a, b, ws, w0) ^ d.cross_pairs(b, c, ws, w0) ^ d.cross_pairs(a, c, ws, w0)
+    rows = ask_rows(d.cross_pairs, np.array([a, b, a]), np.array([b, c, c]), [len(ws)] * 3,
+                    lambda i0, i1: (ws, w0))
+    odd = np.bitwise_xor.reduce(
+        np.concatenate([hits.reshape(i1 - i0, len(ws)) for i0, i1, hits in rows]))
     return [w0, *ws[~odd].tolist()], ws[odd].tolist()
 
 

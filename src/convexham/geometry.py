@@ -207,14 +207,18 @@ class PointBack:
             self.xs = self.ys = None
 
     def cross_pairs(self, a, b, cs, ds):
-        """Bool array: does segment (a_i, b_i) properly cross (cs[i], ds[i])?
+        """Bool array: does segment (a, b) properly cross (c, d), entry by entry?
 
-        `cs` is a 1-D label array; `a`, `b` and `ds` are each a label, which
-        stands for every entry, or a 1-D label array of len(cs).  Entries
-        sharing an endpoint report False (adjacent edges never cross).
+        The four operands are labels or label arrays that broadcast together
+        (see `drawing.Drawing.cross_pairs`): a 1-D row, or a 2-D block of an
+        (R, 1) pair column against (R, L) operands.  The answer has the
+        broadcast shape.  Entries sharing an endpoint report False (adjacent
+        edges never cross).
         """
         if not self.float_ok:
-            return np.array(self._exact(a, b, cs, ds, np.arange(len(cs))), dtype=bool)
+            shape = np.broadcast_shapes(*map(np.shape, (a, b, cs, ds)))
+            hits = self._exact(a, b, cs, ds, np.arange(math.prod(shape)), shape)
+            return np.array(hits, dtype=bool).reshape(shape)
         xs, ys = self.xs, self.ys
         ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
         cx, cy, dx, dy = xs[cs], ys[cs], xs[ds], ys[ds]
@@ -234,14 +238,15 @@ class PointBack:
         unsure = o12 * o34 == 0
         if unsure.any():
             idx = np.flatnonzero(unsure)
-            res[idx] = self._exact(a, b, cs, ds, idx)
+            res.reshape(-1)[idx] = self._exact(a, b, cs, ds, idx, res.shape)
         return res
 
-    def _exact(self, a, b, cs, ds, idx):
-        # Integer verdicts of the entries at idx; entries sharing an endpoint
-        # are False without a determinant.
+    def _exact(self, a, b, cs, ds, idx, shape):
+        # Integer verdicts of the entries at flat positions idx of the
+        # operands broadcast to shape; entries sharing an endpoint are False
+        # without a determinant.
         pts = self.pts
-        entries = zip(_labels(a, idx), _labels(b, idx), _labels(cs, idx), _labels(ds, idx))
+        entries = zip(*(_labels(x, idx, shape) for x in (a, b, cs, ds)))
         return [
             c != a and c != b and d != a and d != b
             and segments_cross(pts[a], pts[b], pts[c], pts[d])
@@ -249,8 +254,11 @@ class PointBack:
         ]
 
 
-def _labels(x, idx):
-    """Python int labels of operand x at positions idx; a scalar label repeats."""
+def _labels(x, idx, shape):
+    """Python int labels at flat positions idx of operand x broadcast to shape."""
     if np.ndim(x) == 0:
         return [int(x)] * len(idx)
-    return np.asarray(x)[idx].tolist()
+    if x.shape != shape:
+        x = np.broadcast_to(x, shape)
+    # A flat iterator costs ~1 us more per call than a 1-D gather.
+    return (x.flat if x.ndim > 1 else x)[idx].tolist()

@@ -136,7 +136,7 @@ def _solve_path(d, subset, s, t):
             if len(sub) > 1:
                 path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
-        order = tuple(x for x in d.rotation_of(t0) if x in sub)
+        order = d.rotation_among(t0, sub)
         i, wpos = probe_bad_edge(d, order, t0), None
         if i is None:
             i, wpos = next(scan_bad_edges(d, order, t0), (None, None))
@@ -144,7 +144,7 @@ def _solve_path(d, subset, s, t):
                 path += _fan_path(order, s0, t0)[1:]
                 continue
         if item is root:
-            back = tuple(x for x in d.rotation_of(s0) if x in sub)
+            back = d.rotation_among(s0, sub)
             if (probe_bad_edge(d, back, s0) is None
                     and next(scan_bad_edges(d, back, s0), None) is None):
                 path += reversed(_fan_path(back, t0, s0)[:-1])

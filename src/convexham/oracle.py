@@ -23,11 +23,12 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  The rows of the plane, star_avoiding and
 maximal_plane checks go to the drawing through `drawing.ask_rows`, so
-entries and their order are as listed.  A check stops after the block
-that decides it: a certificate that verifies asks exactly the entries
-above, and a failing one asks every entry up to the end of the block
-holding the first crossing (plane, star_avoiding) or the first row
-without one (maximal_plane).
+entries and their order are as listed; the star_avoiding and
+maximal_plane rows, all of one length, go as 2-D blocks.  A check stops
+after the block that decides it: a certificate that verifies asks
+exactly the entries above, and a failing one asks every entry up to the
+end of the block holding the first crossing (plane, star_avoiding) or
+the first row without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def _check_star_avoiding(d, cert, v_star):
             x, y = rows[i0]  # Python ints compare faster than numpy scalars
             return every[(every != x) & (every != y)], v_star
         keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
-        return np.broadcast_to(every, keep.shape)[keep], v_star
+        return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
 
     asked = ask_rows(d.cross_pairs, a, b, [d.n - 3] * len(rows), operands)
     return not any(hits.any() for _i0, _i1, hits in asked)
@@ -321,8 +322,7 @@ def _check_maximal_plane(d, cert, plane):
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
     a, b = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2).T
-    rows = ask_rows(d.cross_pairs, a, b, [len(cs)] * len(a),
-                    lambda i0, i1: (np.tile(cs, i1 - i0), np.tile(ds, i1 - i0)))
+    rows = ask_rows(d.cross_pairs, a, b, [len(cs)] * len(a), lambda i0, i1: (cs, ds))
     return all(hits.reshape(i1 - i0, len(cs)).any(axis=1).all() for i0, i1, hits in rows)
 
 
@@ -349,7 +349,7 @@ def verify_certificate(d, cert):
     silently.
     """
     failed = []
-    if any(v < 1 or v > d.n for v in cert.vertices):
+    if cert.vertices and (min(cert.vertices) < 1 or max(cert.vertices) > d.n):
         raise CertificateError(f"vertices out of range 1..{d.n}", failed=("structure",))
     # A cycle certificate's edges are its cycle edges in cycle order, so the
     # plane, maximal_plane and empty_side claims share one plane check.

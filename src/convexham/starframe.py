@@ -19,7 +19,6 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import drawing
 from .errors import NotConvexEvidence, TooFewVertices, VertexOutOfRange
@@ -68,7 +67,8 @@ def scan_bad_edges(d, order, hub):
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
     vertices of `order`, cyclically after the pair, so a full scan costs
-    k * (k - 2) queries, asked through `drawing.ask_rows`.  Yields
+    k * (k - 2) queries, asked through `drawing.ask_rows` in 2-D blocks of
+    a strided window over the doubled order.  Yields
     (i, witnesses) in scan order, witnesses as a frozenset of positions in
     `order`; a caller that stops early asks no block past the one holding
     its last bad pair.
@@ -77,12 +77,13 @@ def scan_bad_edges(d, order, hub):
     if k < 3:
         return
     twice = np.array(order * 2, dtype=np.int64)
-    # others[i] is twice[i + 2:i + k], the vertices after pair i.
-    others = sliding_window_view(twice[2:], k - 2)
+    # others[i] is twice[i + 2:i + k], the vertices after pair i: a strided
+    # window over twice, which the constructor checks against its buffer.
+    size = twice.itemsize
+    others = np.ndarray((k, k - 2), twice.dtype, twice, 2 * size, (size, size))
     rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k,
-                            lambda i0, i1: (others[i0:i1].ravel(), hub))
-    for i0, i1, hits in rows:
-        hits = hits.reshape(i1 - i0, k - 2)
+                            lambda i0, i1: (others[i0:i1], hub))
+    for i0, i1, hits in rows:  # hits is (i1 - i0, k - 2), as the window
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
             yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())

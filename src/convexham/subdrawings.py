@@ -79,7 +79,7 @@ def greedy_maximal_plane(d, seed=(), order=None):
         cs[:k], ds[:k] = np.array(chosen).T
 
     def operands(i0, i1):
-        return np.tile(cs[:k], i1 - i0), np.tile(ds[:k], i1 - i0)
+        return cs[:k], ds[:k]
 
     i = 0
     while i < len(cand):

@@ -8,6 +8,9 @@ import importlib
 import random
 import sys
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
@@ -37,11 +40,14 @@ def test_tracer_targets_resolve_and_unwrap():
 
 
 def test_traced_row_entries_equal_library_queries():
-    # The tracer counts len(cs) entries per row kernel call and the library
-    # counts the size of the answer: they agree while every operand of a
-    # row, blocked bad-edge scans, triangle splits and triangle blocks
-    # included, stays 1-D.
-    # A scalar query is one call of the backing's `cross`.
+    # Every query the library counts passes through a traced backing call:
+    # a row kernel call answers the broadcast size of its operands, and a
+    # scalar query is one call of the backing's `cross`.  The tracer counts
+    # len(cs) entries per row kernel call, which is that size for a 1-D row
+    # but R for a 2-D block of an (R, 1) pair column against (R, L)
+    # operands (bad-edge scans, star and maximal-plane checks, triangle
+    # splits), so its `entries` is checked against len(cs) of the calls it
+    # wrapped, and the library's count against their sizes.
     from convexham import generators, instrumented, verify_certificate
     from convexham.convexity import find_nonconvex_triangle
     from convexham.hamiltonian import (
@@ -70,9 +76,18 @@ def test_traced_row_entries_equal_library_queries():
         view, counter = instrumented(d)
         tracer = tracing.Tracer()
         undo = tracing.install(tracer)
+        backing = type(d._oracle)
+        traced = backing.cross_pairs
+        rows = []  # (len(cs), entries) of every traced row kernel call
+
+        def spy(self, a, b, cs, ds, traced=traced, rows=rows):
+            rows.append((len(cs), np.broadcast(a, b, cs, ds).size))
+            return traced(self, a, b, cs, ds)
+
         try:
-            run(view)
+            with mock.patch.object(backing, "cross_pairs", spy):
+                run(view)
         finally:
             tracing.uninstall(undo)
-        assert tracer.counts[entries] > 0
-        assert tracer.counts[entries] + tracer.stats[scalar][tracing.CALLS] == counter.count
+        assert tracer.counts[entries] == sum(n for n, _size in rows) > 0
+        assert sum(size for _n, size in rows) + tracer.stats[scalar][tracing.CALLS] == counter.count

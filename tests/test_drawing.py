@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import drawing, generators
+from convexham import drawing, generators, geometry, starframe
 from convexham.drawing import (
     adjacent,
     all_edges,
@@ -30,7 +30,7 @@ from convexham.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from conftest import canon_pair, pair_oracle, random_k4_drawing, row_groups
+from conftest import canon_pair, construction_pool, pair_oracle, random_k4_drawing, row_groups
 
 seeds = st.integers(0, 400)
 
@@ -280,10 +280,14 @@ def test_crossing_set_is_uncounted(make):
 
 @given(st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES]), st.data())
 def test_ask_rows_groups_rows_greedily(block, data):
-    # Row lengths on both sides of a third of the block, and at it.
+    # Row lengths on both sides of a third of the block, and at it; ragged
+    # rows, or rows of one length.
     edge = st.sampled_from([block // 3, block // 3 + 1, block])
-    lens = data.draw(st.lists(
-        st.one_of(st.integers(0, 30), st.integers(1300, 1500), edge), max_size=24))
+    length = st.one_of(st.integers(0, 30), st.integers(1300, 1500), edge)
+    lens = data.draw(st.one_of(
+        st.lists(length, max_size=24),
+        st.builds(lambda x, k: [x] * k, length, st.integers(0, 24))))
+    even = len(set(lens)) <= 1
     # Row i's entries are the flat positions ends[i]..ends[i + 1] - 1.
     ends = np.cumsum([0, *lens])
     a, b = np.arange(len(lens)) + 100, np.arange(len(lens)) + 500
@@ -294,7 +298,9 @@ def test_ask_rows_groups_rows_greedily(block, data):
         return args[2] % 3 == 0
 
     def operands(i0, i1):
-        return np.arange(ends[i0], ends[i1]), -1
+        # Rows of one length take (R, L) operands in a call of R > 1 rows.
+        flat = np.arange(ends[i0], ends[i1])
+        return (flat.reshape(i1 - i0, -1) if even and i1 > i0 + 1 else flat), -1
 
     groups = row_groups(lens, block)
     stop = data.draw(st.integers(0, len(groups)))
@@ -310,13 +316,105 @@ def test_ask_rows_groups_rows_greedily(block, data):
         if i1 == i0 + 1:
             assert np.ndim(ca) == np.ndim(cb) == 0
             assert (ca, cb) == (a[i0], b[i0])
+        elif even:
+            assert np.array_equal(ca, a[i0:i1, None]) and np.array_equal(cb, b[i0:i1, None])
         else:
             assert np.array_equal(ca, np.repeat(a[i0:i1], lens[i0:i1]))
             assert np.array_equal(cb, np.repeat(b[i0:i1], lens[i0:i1]))
             assert len(ca) == len(cb) == len(cs)
     # The operands joined together are the row-major entries.
-    joined = np.concatenate([np.arange(0)] + [cs for _a, _b, cs, _d in calls])
+    joined = np.concatenate([np.arange(0)] + [cs.ravel() for _a, _b, cs, _d in calls])
     assert np.array_equal(joined, np.arange(ends[groups[stop - 1][1]] if stop else 0))
+
+
+def _block_drawing(kind, n):
+    if kind == "two-page":
+        return generators.two_page(n, ((1, 4),))
+    d = generators.random_geometric(n, n)
+    if kind == "beyond 2^52":
+        return generators.geometric([(x * 2**60 + 1, y * 2**60 - 3) for x, y in d.points[1:]])
+    return d
+
+
+@given(st.sampled_from(["geometric", "beyond 2^52", "two-page"]), st.integers(5, 9), st.data())
+def test_row_blocks_match_flat_rows_and_scalars(kind, n, data):
+    # An (R, 1) pair column against (R, L) operands, or against one label
+    # d: each entry equals the flat 1-D row's and the scalar query's, and
+    # the block counts R * L queries.  Pairs and operands share endpoints
+    # freely, so PointBack's exact fallback reads broadcast operands at flat
+    # positions inside a 2-D block (beyond 2^52 it answers every entry).
+    d = _block_drawing(kind, n)
+    label = st.integers(1, n)
+    edge = st.tuples(label, label).filter(lambda e: e[0] != e[1])
+    r, width = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 6))
+    a, b = np.array(data.draw(st.lists(edge, min_size=r, max_size=r))).T[:, :, None]
+    if data.draw(st.booleans()):
+        ds = data.draw(label)
+        cs = np.array(data.draw(st.lists(label.filter(lambda c: c != ds),
+                                         min_size=r * width, max_size=r * width)), dtype=np.int64)
+        cs = cs.reshape(r, width)
+    else:
+        ops = data.draw(st.lists(edge, min_size=r * width, max_size=r * width))
+        cs, ds = np.array(ops, dtype=np.int64).reshape(r, width, 2).transpose(2, 0, 1)
+    dd = np.broadcast_to(ds, (r, width))
+    want = [[d.crosses((a[i, 0], b[i, 0]), (cs[i, j], dd[i, j])) for j in range(width)]
+            for i in range(r)]
+    view, counter = instrumented(d)
+    exact = mock.patch.object(geometry.PointBack, "_exact", autospec=True,
+                              side_effect=geometry.PointBack._exact)
+    with exact as fallback:
+        block = view.cross_pairs(a, b, cs, ds)
+    assert block.shape == (r, width) and block.tolist() == want
+    assert counter.count == r * width
+    shared = any({a[i, 0], b[i, 0]} & {cs[i, j], dd[i, j]} for i in range(r) for j in range(width))
+    assert fallback.called == (kind == "beyond 2^52" or (kind == "geometric" and shared))
+    flat = view.cross_pairs(a.repeat(width), b.repeat(width), cs.ravel(), dd.ravel())
+    assert flat.tolist() == block.ravel().tolist()
+    assert counter.count == 2 * r * width
+
+
+def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
+    """Patches recording the `Drawing.cross_pairs` calls under a block size."""
+    spy = mock.patch.object(drawing.Drawing, "cross_pairs", autospec=True,
+                            side_effect=drawing.Drawing.cross_pairs)
+    return mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy
+
+
+def test_row_block_call_shapes():
+    # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one call
+    # of a (k, 1) pair column against (k, k - 2) operands; a split at small
+    # k is one call of a (3, 1) column.  Rows over a third of a block go
+    # alone and pass their pair as labels.
+    d = generators.random_geometric(66, 1)
+    for k in (3, 40, 65):
+        order = d.rotation_of(66)[:k]
+        patched, spy = _spied_calls()
+        with patched, spy as calls:
+            list(starframe.scan_bad_edges(d, order, 66))
+        ((_d, a, b, cs, hub),) = [c.args for c in calls.call_args_list]
+        assert (a.shape, b.shape, cs.shape, hub) == ((k, 1), (k, 1), (k, k - 2), 66)
+    for block, ncalls in ((drawing.ROW_BLOCK_ENTRIES, 1), (12, 3)):
+        patched, spy = _spied_calls(block)
+        with patched, spy as calls:
+            split_by_triangle(d, (1, 2, 3), range(4, 10))
+        args = [c.args for c in calls.call_args_list]
+        assert len(args) == ncalls
+        if ncalls == 1:
+            ((_d, a, b, cs, w0),) = args
+            assert a.tolist() == [[1], [2], [1]] and b.tolist() == [[2], [3], [3]]
+            assert (cs.tolist(), w0) == ([5, 6, 7, 8, 9], 4)
+        else:
+            assert [(a, b) for _d, a, b, _cs, _w0 in args] == [(1, 2), (2, 3), (1, 3)]
+
+
+@given(st.sampled_from(["fan", "two-page", "geometric", "twisted"]), st.integers(5, 14),
+       st.integers(0, 50), st.randoms(use_true_random=False))
+def test_rotation_among_is_the_filtered_rotation(kind, n, seed, rng):
+    d = construction_pool(kind, n, seed)
+    v = rng.randint(1, n)
+    labels = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+    fresh = relabel(d, range(1, n + 1))  # no cached rotations
+    assert fresh.rotation_among(v, labels) == tuple(x for x in d.rotation_of(v) if x in labels)
 
 
 def _gather_2d(oracle, a, b, cs, ds):
