@@ -258,6 +258,7 @@ def _labels(x, idx, shape):
     """Python int labels at flat positions idx of operand x broadcast to shape."""
     if np.ndim(x) == 0:
         return [int(x)] * len(idx)
+    x = np.asarray(x)
     if x.shape != shape:
         x = np.broadcast_to(x, shape)
     # A flat iterator costs ~1 us more per call than a 1-D gather.

@@ -81,9 +81,14 @@ def scan_bad_edges(d, order, hub):
     # window over twice, which the constructor checks against its buffer.
     size = twice.itemsize
     others = np.ndarray((k, k - 2), twice.dtype, twice, 2 * size, (size, size))
-    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k,
-                            lambda i0, i1: (others[i0:i1], hub))
-    for i0, i1, hits in rows:  # hits is (i1 - i0, k - 2), as the window
+
+    def operands(i0, i1):
+        # A one-row call asks its row 1-D, like the label pair it goes with.
+        return (others[i0] if i1 == i0 + 1 else others[i0:i1]), hub
+
+    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k, operands)
+    for i0, i1, hits in rows:
+        hits = hits.reshape(i1 - i0, k - 2)
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
             yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())

@@ -11,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
@@ -39,15 +40,13 @@ def test_tracer_targets_resolve_and_unwrap():
         assert _target(mod, path) is originals[name], name
 
 
-def test_traced_row_entries_equal_library_queries():
-    # Every query the library counts passes through a traced backing call:
-    # a row kernel call answers the broadcast size of its operands, and a
-    # scalar query is one call of the backing's `cross`.  The tracer counts
-    # len(cs) entries per row kernel call, which is that size for a 1-D row
-    # but R for a 2-D block of an (R, 1) pair column against (R, L)
-    # operands (bad-edge scans, star and maximal-plane checks, triangle
-    # splits), so its `entries` is checked against len(cs) of the calls it
-    # wrapped, and the library's count against their sizes.
+def _traced_runs():
+    """Trace five runs; yields (tracer, entries, scalar, counter, sizes).
+
+    entries and scalar name the tracer's row entry count and its scalar
+    query layer for the run's backing; sizes holds the broadcast size of
+    the operands of every row kernel call the backing answered.
+    """
     from convexham import generators, instrumented, verify_certificate
     from convexham.convexity import find_nonconvex_triangle
     from convexham.hamiltonian import (
@@ -78,10 +77,10 @@ def test_traced_row_entries_equal_library_queries():
         undo = tracing.install(tracer)
         backing = type(d._oracle)
         traced = backing.cross_pairs
-        rows = []  # (len(cs), entries) of every traced row kernel call
+        sizes = []
 
-        def spy(self, a, b, cs, ds, traced=traced, rows=rows):
-            rows.append((len(cs), np.broadcast(a, b, cs, ds).size))
+        def spy(self, a, b, cs, ds, traced=traced, sizes=sizes):
+            sizes.append(np.broadcast(a, b, cs, ds).size)
             return traced(self, a, b, cs, ds)
 
         try:
@@ -89,5 +88,29 @@ def test_traced_row_entries_equal_library_queries():
                 run(view)
         finally:
             tracing.uninstall(undo)
-        assert tracer.counts[entries] == sum(n for n, _size in rows) > 0
-        assert sum(size for _n, size in rows) + tracer.stats[scalar][tracing.CALLS] == counter.count
+        yield tracer, entries, scalar, counter, sizes
+
+
+def test_traced_row_entries_equal_library_queries():
+    # Every query the library counts passes through a traced backing call:
+    # a row kernel call answers the broadcast size of its operands, a 1-D
+    # row as in the triangle passes or a 2-D block of an (R, 1) pair column
+    # against (R, L) operands as in the scans and the star check, and a
+    # scalar query is one call of the backing's `cross`.  The next test
+    # holds the tracer's own entry count to the library's.
+    for tracer, entries, scalar, counter, sizes in _traced_runs():
+        assert tracer.counts[entries] > 0
+        assert sum(sizes) + tracer.stats[scalar][tracing.CALLS] == counter.count
+
+
+@pytest.mark.xfail(strict=True, reason="perfbench/tracing.py _count_row counts len(cs) entries "
+                   "per row kernel call, R for an (R, L) block; counting the broadcast "
+                   "size of args[1:5] mends it")
+def test_traced_row_entries_count_every_entry_of_a_block():
+    # The tracer counts the entries of a row kernel call and the library
+    # counts the size of the answer: they agree only once the tracer counts
+    # the broadcast size of a 2-D block.  When it does, this test passes,
+    # strict xfail fails the suite, and the marker comes off.
+    for tracer, entries, scalar, counter, _sizes in _traced_runs():
+        assert tracer.counts[entries] > 0
+        assert tracer.counts[entries] + tracer.stats[scalar][tracing.CALLS] == counter.count

@@ -373,6 +373,20 @@ def test_row_blocks_match_flat_rows_and_scalars(kind, n, data):
     assert counter.count == 2 * r * width
 
 
+@pytest.mark.parametrize("kind", ["geometric", "beyond 2^52", "two-page"])
+def test_list_operands_reach_the_exact_fallback(kind):
+    # Label lists are operands too: an entry sharing an endpoint, or any
+    # entry beyond 2^52, sends them through PointBack's exact fallback.
+    d = _block_drawing(kind, 7)
+    view, counter = instrumented(d)
+    got = view.cross_pairs(1, 2, [2, 4, 5], 6).tolist()
+    assert got == [d.crosses((1, 2), (c, 6)) for c in (2, 4, 5)]
+    got = view.cross_pairs([[1], [3]], [[2], [4]], [[2, 5], [3, 6]], 7).tolist()
+    assert got == [[d.crosses((1, 2), (c, 7)) for c in (2, 5)],
+                   [d.crosses((3, 4), (c, 7)) for c in (3, 6)]]
+    assert counter.count == 7
+
+
 def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
     """Patches recording the `Drawing.cross_pairs` calls under a block size."""
     spy = mock.patch.object(drawing.Drawing, "cross_pairs", autospec=True,

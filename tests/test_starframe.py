@@ -252,8 +252,9 @@ def _blocked_scan(d, order, hub, block):
     """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries.
 
     Its `cross_pairs` calls follow conftest.row_groups over k rows of k - 2
-    entries: a one-row call passes its pair as labels, a longer one an
-    (R, 1) pair column, and either passes its rows' windows as (R, k - 2).
+    entries: a one-row call passes its pair as labels and its window as a
+    1-D row, a longer one an (R, 1) pair column and its windows as
+    (R, k - 2).
     """
     view, counter = instrumented(d)
     k = len(order)
@@ -269,11 +270,13 @@ def _blocked_scan(d, order, hub, block):
         _view, a, b, cs, _hub = call.args
         us = [order[i] for i in range(i0, i1)]
         vs = [order[(i + 1) % k] for i in range(i0, i1)]
-        assert cs.tolist() == [[order[(i + j) % k] for j in range(2, k)] for i in range(i0, i1)]
+        windows = [[order[(i + j) % k] for j in range(2, k)] for i in range(i0, i1)]
         if i1 == i0 + 1:
+            assert cs.tolist() == windows[0]
             assert np.ndim(a) == np.ndim(b) == 0
             assert (a, b) == (us[0], vs[0])
         else:
+            assert cs.tolist() == windows
             assert np.array_equal(a, np.array(us)[:, None])
             assert np.array_equal(b, np.array(vs)[:, None])
     return scanned
