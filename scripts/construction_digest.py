@@ -27,7 +27,9 @@ every drawing exercised, in the default order and in one random order
 seeded by the drawing's name.  The `sha256 convexity` line digests the
 witnesses (or errors) of find_nonconvex_triangle and find_nonconvex_k5
 and the queries of each on every drawing exercised with n <= 40, and
-also digests the witnesses alone.  Neither draws from the shared random
+also digests the witnesses alone; outside the digests it sums the queries
+of the triangle runs and of the k5 runs, so a change that moves them on
+purpose shows by how much.  Neither line draws from the shared random
 stream, so they move no other line.  --out writes their JSON lines too.
 
 The `sha256 probe` line digests s-t paths between interior and hull
@@ -266,8 +268,10 @@ print(f"sha256 plane {digest} ({len(plane_lines)} runs)")
 # The witnesses digest leaves the queries out.
 digest = hashlib.sha256("".join(line + "\n" for line in convexity_lines).encode()).hexdigest()
 witnesses = "".join(json.dumps(json.loads(line)[1::2]) + "\n" for line in convexity_lines)
+tri_queries, k5_queries = (sum(json.loads(line)[i] for line in convexity_lines) for i in (2, 4))
 print(f"sha256 convexity {digest} ({len(convexity_lines)} runs, witnesses "
-      f"{hashlib.sha256(witnesses.encode()).hexdigest()[:16]})")
+      f"{hashlib.sha256(witnesses.encode()).hexdigest()[:16]}, queries triangles {tri_queries}, "
+      f"k5 {k5_queries})")
 # The probe digest covers its runs' names, outcomes and queries; the
 # vertices digest leaves the queries out.
 digest = hashlib.sha256(probe_text.encode()).hexdigest()

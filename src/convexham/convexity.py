@@ -8,9 +8,11 @@ subdrawing must be one of the three crossing patterns realisable by points
 
 Both routes are one pass.  The triangle route takes the triangles in lex
 order, in blocks that keep each row under _TRIANGLE_BLOCK_ENTRIES entries
-and hold no more triangles than vertex 1 has; a block asks six rows (the
-sides and their convexity, see drawing._triangle_verdicts), so a convex
-drawing costs C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  The
+and hold no more triangles than vertex 1 has; a block asks six 2-D rows,
+its (T, 1) corner columns against off pairs and off vertices (the sides
+and their convexity, see drawing._triangle_verdicts), so a convex drawing
+costs C(n, 3) * (3 * C(n - 3, 2) + 3 * (n - 3)) queries.  A flagged
+triangle's witnesses are read from its rows of that block.  The
 5-set route asks three rows that read the crossing state of every 4-set
 (which of its three matchings cross), 3 * C(n, 4) queries; each 5-set's
 five states form a 15-bit code, and a 2**15-entry table built from four
@@ -27,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .drawing import _side_inconsistency, _triangle_verdicts, side_convex
+from .drawing import _side_inconsistency, _triangle_verdicts
 from .errors import NotConvex, NotK5, TooLarge
 from .generators import convex_position, geometric, twisted
 
@@ -179,23 +181,46 @@ def find_nonconvex_triangle(d):
 
     One pass over the triangle blocks, C(n, 3) * (3 * C(n - 3, 2) +
     3 * (n - 3)) queries on convex input; it stops after the block holding
-    the first triangle whose sides are inconsistent or both not convex.
-    Sides that are no 2-colouring raise SideInconsistency, as
-    triangle_sides does.  Otherwise the witness records one crossing per
-    side proving neither is convex, from side_convex on that triangle.
+    the first triangle whose sides are inconsistent or both not convex,
+    and asks nothing beyond its blocks.  Sides that are no 2-colouring
+    raise SideInconsistency, as triangle_sides does.  Otherwise the witness
+    records one crossing per side proving neither is convex, read from the
+    flagged triangle's rows of its block (_side_witness).
     """
     for tris in _triangle_blocks(d.n):
-        off, side, wrong, convex = _triangle_verdicts(d, tris)
+        off, side, wrong, convex, rows = _triangle_verdicts(d, tris)
         flagged = wrong.any(axis=1) | ~convex.any(axis=1)
         if flagged.any():
             k = int(flagged.argmax())
             tri = tuple(tris[k].tolist())
             if wrong[k].any():
                 raise _side_inconsistency(tri, off[k], wrong[k])
-            _, wa = side_convex(d, tri, off[k][~side[k]].tolist())
-            _, wb = side_convex(d, tri, off[k][side[k]].tolist())
-            return NonConvexTriangle(tri, wa, wb)
+            rows = [row[k] for row in rows]
+            return NonConvexTriangle(tri, _side_witness(tri, off[k], ~side[k], rows),
+                                     _side_witness(tri, off[k], side[k], rows))
     return None
+
+
+def _side_witness(tri, off, on_side, rows):
+    """First (edge, triangle_edge) crossing of one side of tri, from its six rows.
+
+    off holds the ascending off vertices, on_side marks the side's, and
+    rows are the triangle's rows of _triangle_verdicts.  The order is a
+    scan of the side's vertices w ascending: for each w, its pairs
+    (w, w2 > w) against ab, bc and ac, then its corner edges (c, w),
+    (a, w) and (b, w) against ab, bc and ac.  The side must not be convex.
+    """
+    a, b, c = tri
+    edges, corners = ((a, b), (b, c), (a, c)), (c, a, b)
+    iu, ju = np.triu_indices(len(off), 1)
+    pairs = np.stack(rows[:3], axis=1) & (on_side[iu] & on_side[ju])[:, None]
+    ends = np.stack(rows[3:], axis=1) & on_side[:, None]
+    # A vertex's pairs come before its corner edges, and triu order runs by w.
+    p, e = divmod(int(pairs.argmax()), 3)
+    i, f = divmod(int(ends.argmax()), 3)
+    if pairs[p, e] and (not ends[i, f] or iu[p] <= i):
+        return (int(off[iu[p]]), int(off[ju[p]])), edges[e]
+    return tuple(sorted((corners[f], int(off[i])))), edges[f]
 
 
 def _triangle_blocks(n):

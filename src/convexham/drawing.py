@@ -496,7 +496,7 @@ class TrianglePartition:
 
 
 def split_by_triangle(d, tri, among):
-    """Partition `among` (disjoint from tri) into the two sides of triangle tri.
+    """Partition `among` (non-empty, disjoint from tri) into the two sides of triangle tri.
 
     Two vertices land on the same side iff the edge between them crosses the
     triangle boundary an even number of times.  Every vertex is placed
@@ -506,8 +506,6 @@ def split_by_triangle(d, tri, among):
     triangle_sides checks the parity of every pair.
     """
     rest = sorted(among)
-    if not rest:
-        return [], []
     a, b, c = tri
     w0, ws = rest[0], np.array(rest[1:], dtype=np.int64)
     rows = ask_rows(d.cross_pairs, np.array([a, b, a]), np.array([b, c, c]), [len(ws)] * 3,
@@ -515,32 +513,6 @@ def split_by_triangle(d, tri, among):
     odd = np.bitwise_xor.reduce(
         np.concatenate([hits.reshape(i1 - i0, len(ws)) for i0, i1, hits in rows]))
     return [w0, *ws[~odd].tolist()], ws[odd].tolist()
-
-
-def side_convex(d, tri, side):
-    """Is the side of `tri` holding `side` convex?  Returns (flag, witness).
-
-    The side is convex iff no edge spanned by side vertices and triangle
-    corners crosses any triangle edge.  witness is (edge, triangle_edge) for
-    the first violation found, else None.  Scalar queries that stop at the
-    first crossing: the verdicts come from _triangle_verdicts, and this only
-    names the witnesses of a triangle found without a convex side.
-    """
-    a, b, c = tri
-    tri_edges = (canon_edge(a, b), canon_edge(b, c), canon_edge(a, c))
-    opposite = {canon_edge(a, b): c, canon_edge(b, c): a, canon_edge(a, c): b}
-    side = sorted(side)
-    for i, w in enumerate(side):
-        for w2 in side[i + 1:]:
-            for te in tri_edges:
-                if d.crosses((w, w2), te):
-                    return False, (canon_edge(w, w2), te)
-        # Corner-to-side edges share two triangle corners, so only the
-        # opposite triangle edge can possibly be crossed.
-        for te, corner in opposite.items():
-            if d.crosses((corner, w), te):
-                return False, (canon_edge(corner, w), te)
-    return True, None
 
 
 def _off_vertices(n, cycles):
@@ -557,22 +529,21 @@ def _parity_sides(d, edges, off):
 
     off is a (T, m) array whose row t holds the off-cycle vertices of cycle
     t in ascending order.  edges holds one (a, b) operand pair per cycle
-    edge: labels, or arrays with one entry per off pair of every cycle.
-    Each cycle edge asks one row over the off pairs of all T cycles, in
+    edge: labels, or (T, 1) columns with one pair per cycle.  Each cycle
+    edge asks one (T, C(m, 2)) block over the off pairs of every cycle, in
     np.triu_indices(m, 1) order per cycle: len(edges) * T * C(m, 2)
-    queries; rows holds their answers, each shaped (T, C(m, 2)).  A pair's
-    parity is the XOR of its rows.  side[t, i] says off[t, i] is not on the
-    side of off[t, 0]; wrong[t, p] says pair p of cycle t contradicts those
-    sides.
+    queries; rows holds their answers.  A pair's parity is the XOR of its
+    rows.  side[t, i] says off[t, i] is not on the side of off[t, 0];
+    wrong[t, p] says pair p of cycle t contradicts those sides.
     """
-    t, m = off.shape
+    m = off.shape[1]
     iu, ju = np.triu_indices(m, 1)
-    cs, ds = off.take(iu, axis=1).ravel(), off.take(ju, axis=1).ravel()
-    rows = [d.cross_pairs(a, b, cs, ds).reshape(t, len(iu)) for a, b in edges]
+    cs, ds = off.take(iu, axis=1), off.take(ju, axis=1)
+    rows = [d.cross_pairs(a, b, cs, ds) for a, b in edges]
     parity = functools.reduce(np.bitwise_xor, rows)
     # The pairs through the reference vertex off[:, 0] come first and fix
     # the sides; the 2-colouring must then be consistent for every pair.
-    side = np.zeros((t, m), dtype=bool)
+    side = np.zeros(off.shape, dtype=bool)
     side[:, 1:] = parity[:, : m - 1]
     return side, parity != (side.take(iu, axis=1) ^ side.take(ju, axis=1)), rows
 
@@ -589,33 +560,34 @@ def _side_inconsistency(cyc, off, wrong):
 def _triangle_verdicts(d, tris):
     """Sides and side convexity of a (T, 3) array of ascending triangles.
 
-    Returns (off, side, wrong, convex): off (T, n - 3) holds each
+    Returns (off, side, wrong, convex, rows): off (T, n - 3) holds each
     triangle's off vertices in ascending order, side and wrong are as in
-    _parity_sides, and convex (T, 2) says whether side a (the class
-    of off[t, 0]) and side b are convex, as side_convex decides.
-    All rows take 1-D operands: three over the off pairs, in
-    np.triu_indices(n - 3, 1) order per triangle, and three corner rows
-    (corner, w) against the opposite triangle edge, so every triangle
-    costs 3 * C(n - 3, 2) + 3 * (n - 3) queries.
+    _parity_sides, and convex (T, 2) says whether side a (the class of
+    off[t, 0]) and side b are convex: no edge spanned by the side and the
+    corners crosses the triangle.  Each of the six rows is one block of
+    the (T, 1) corner columns of a triangle edge, in the order ab, bc, ac:
+    three (T, C(n - 3, 2)) blocks over the off pairs, in
+    np.triu_indices(n - 3, 1) order per triangle, then three (T, n - 3)
+    blocks over the edges (c, w), (a, w) and (b, w) from the opposite
+    corner to each off vertex w.  Every triangle costs
+    3 * C(n - 3, 2) + 3 * (n - 3) queries.
     """
-    t, m = len(tris), d.n - 3
     off = _off_vertices(d.n, tris)
-    a, b, c = (np.repeat(x, m * (m - 1) // 2) for x in tris.T)
+    a, b, c = tris[:, 0:1], tris[:, 1:2], tris[:, 2:3]
     side, wrong, (ab, bc, ac) = _parity_sides(d, ((a, b), (b, c), (a, c)), off)
     # A side is violated by a pair inside it that crosses the triangle: on
     # consistent sides, one of even parity that crosses some edge.  Or by a
     # corner edge to one of its vertices crossing the opposite triangle edge.
     inside = (ab | bc | ac) & ~(ab ^ bc ^ ac)
-    on_b = side.take(np.triu_indices(m, 1)[0], axis=1)
-    a, b, c = (np.repeat(x, m) for x in tris.T)
-    w = off.ravel()
-    corner = (d.cross_pairs(c, w, a, b) | d.cross_pairs(a, w, b, c)
-              | d.cross_pairs(b, w, a, c)).reshape(t, m)
+    on_b = side.take(np.triu_indices(off.shape[1], 1)[0], axis=1)
+    corner_rows = [d.cross_pairs(a, b, c, off), d.cross_pairs(b, c, a, off),
+                   d.cross_pairs(a, c, b, off)]
+    corner = functools.reduce(np.bitwise_or, corner_rows)
     convex = np.stack([
         ~((inside & ~on_b).any(axis=1) | (corner & ~side).any(axis=1)),
         ~((inside & on_b).any(axis=1) | (corner & side).any(axis=1)),
     ], axis=1)
-    return off, side, wrong, convex
+    return off, side, wrong, convex, (ab, bc, ac, *corner_rows)
 
 
 def triangle_sides(d, a, b, c):
@@ -632,7 +604,7 @@ def triangle_sides(d, a, b, c):
         raise ValueError(f"triangle needs three distinct vertices, got {(a, b, c)}")
     if tri[0] < 1 or tri[2] > d.n:
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}")
-    (off,), (side,), (wrong,), ((conv_a, conv_b),) = _triangle_verdicts(d, np.array([tri]))
+    (off,), (side,), (wrong,), ((conv_a, conv_b),), _rows = _triangle_verdicts(d, np.array([tri]))
     if wrong.any():
         raise _side_inconsistency(tri, off, wrong)
     return TrianglePartition(tri, frozenset(off[~side].tolist()), frozenset(off[side].tolist()),

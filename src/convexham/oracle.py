@@ -33,13 +33,12 @@ the first row without one (maximal_plane).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .certificates import mark_verified
+from .certificates import _seq_edges, mark_verified
 from .drawing import (
     _off_vertices,
     _parity_sides,
@@ -125,15 +124,11 @@ def cycle_sides(d, cycle):
         raise ValueError(f"not a cycle: {cyc}")
     if any(v < 1 or v > d.n for v in cyc):
         raise VertexOutOfRange(f"vertices out of range 1..{d.n}: {cyc}")
-    cycle_edges = _cycle_edges(cyc)
+    cycle_edges = _seq_edges(cyc, close=True)
     bad = first_crossing(d, cycle_edges)
     if bad is not None:
         raise CycleNotPlane(f"cycle edges {bad[0]} and {bad[1]} cross")
     return _plane_cycle_sides(d, cyc, cycle_edges)
-
-
-def _cycle_edges(cyc):
-    return tuple(canon_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
 
 
 def _plane_cycle_sides(d, cyc, cycle_edges):
@@ -277,21 +272,20 @@ def count_empty_triangles(d):
 
     A side is empty iff every off-triangle vertex w has even crossing
     parity with the smallest off-triangle vertex, ref.  The triangles of one
-    smallest vertex share a block: one row per triangle edge over their
-    edges (ref, w), 3 * (n - 4) queries per triangle for n >= 4 and O(n^3)
-    scratch per block.
+    smallest vertex share a block: one per triangle edge, its (T, 1) corner
+    columns against the edges (w, ref), 3 * (n - 4) queries per triangle for
+    n >= 4 and O(n^3) scratch per block.
     """
     n = d.n
     count = 0
     for a in range(1, n - 1):
         tris = np.array([(a, b, c) for b, c in combinations(range(a + 1, n + 1), 2)])
         off = _off_vertices(n, tris)
-        ws = off[:, 1:]
-        w, ref = ws.ravel(), np.broadcast_to(off[:, :1], ws.shape).ravel()
-        p, q, r = (np.repeat(x, ws.shape[1]) for x in tris.T)
-        odd = (d.cross_pairs(p, q, w, ref) ^ d.cross_pairs(q, r, w, ref)
-               ^ d.cross_pairs(p, r, w, ref))
-        count += int((~odd.reshape(ws.shape).any(axis=1)).sum())
+        ws, ref = off[:, 1:], off[:, :1]
+        p, q, r = tris[:, 0:1], tris[:, 1:2], tris[:, 2:3]
+        odd = (d.cross_pairs(p, q, ws, ref) ^ d.cross_pairs(q, r, ws, ref)
+               ^ d.cross_pairs(p, r, ws, ref))
+        count += int((~odd.any(axis=1)).sum())
     return count
 
 
@@ -331,7 +325,7 @@ def _check_empty_side(d, cyc, plane):
     # has no empty side.
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         return False
-    edges = _cycle_edges(cyc)
+    edges = _seq_edges(cyc, close=True)
     if not plane(edges):
         return False
     try:
@@ -352,8 +346,16 @@ def verify_certificate(d, cert):
     if cert.vertices and (min(cert.vertices) < 1 or max(cert.vertices) > d.n):
         raise CertificateError(f"vertices out of range 1..{d.n}", failed=("structure",))
     # A cycle certificate's edges are its cycle edges in cycle order, so the
-    # plane, maximal_plane and empty_side claims share one plane check.
-    plane = functools.cache(lambda edges: is_plane(d, edges))
+    # plane, maximal_plane and empty_side claims share one plane check; edge
+    # sequences are compared, not hashed, as a tuple's hash is not cached.
+    checked = []  # (edges, plane) per edge sequence
+
+    def plane(edges):
+        ok = next((ok for seen, ok in checked if seen == edges), None)
+        if ok is None:
+            checked.append((edges, ok := is_plane(d, edges)))
+        return ok
+
     for name, value in cert.claims.items():
         if name == "plane":
             ok = (not value) or plane(tuple(cert.edges))

@@ -40,6 +40,32 @@ def canon_pair(e, f):
     return (e, f) if e <= f else (f, e)
 
 
+def side_convex(d, tri, side):
+    """Is the side of `tri` holding `side` convex?  Returns (flag, witness).
+
+    The side is convex iff no edge spanned by side vertices and triangle
+    corners crosses any triangle edge.  witness is (edge, triangle_edge) for
+    the first violation found, else None.  Scalar queries that stop at the
+    first crossing: the reference for the side verdicts of
+    drawing._triangle_verdicts and the witnesses of find_nonconvex_triangle.
+    """
+    a, b, c = tri
+    tri_edges = (canon_edge(a, b), canon_edge(b, c), canon_edge(a, c))
+    opposite = {canon_edge(a, b): c, canon_edge(b, c): a, canon_edge(a, c): b}
+    side = sorted(side)
+    for i, w in enumerate(side):
+        for w2 in side[i + 1:]:
+            for te in tri_edges:
+                if d.crosses((w, w2), te):
+                    return False, (canon_edge(w, w2), te)
+        # Corner-to-side edges share two triangle corners, so only the
+        # opposite triangle edge can possibly be crossed.
+        for te, corner in opposite.items():
+            if d.crosses((corner, w), te):
+                return False, (canon_edge(corner, w), te)
+    return True, None
+
+
 def row_groups(lens, block):
     """Reference for drawing.ask_rows' grouping: (i0, i1) per kernel call.
 

@@ -228,6 +228,33 @@ def test_max_plane_refuses_by_five_sets(capsys, tmp_path, monkeypatch):
     assert "5-set (1, 2, 3, 4, 5) is of class V" in obj["message"]
 
 
+def test_max_plane_certificates_from_find_and_seed_cycle(capsys, tmp_path):
+    # find max-plane, with and without --seed-cycle, and max-plane
+    # --seed-cycle each emit a verifiable maximal plane certificate; a
+    # seeded one contains every edge of find hc's cycle.
+    n = 9
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", "random", "--n", str(n), "--seed", "6")[1])
+    _, hc, _ = run(capsys, "find", "hc", "--in", str(dfile))
+    cycle = {tuple(e) for e in json.loads(hc)["edges"]}
+    certs = {
+        "find": json.loads(run(capsys, "find", "max-plane", "--in", str(dfile))[1]),
+        "find seeded": json.loads(
+            run(capsys, "find", "max-plane", "--seed-cycle", "--in", str(dfile))[1]),
+        "max-plane seeded": json.loads(
+            run(capsys, "max-plane", "--seed-cycle", "--in", str(dfile))[1])["certificate"],
+    }
+    for name, cert in certs.items():
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, "verify", "--in", str(dfile), "--cert", str(cfile))
+        assert code == 0 and json.loads(out)["verified"], name
+        assert cert["claims"] == {"plane": True, "maximal_plane": True}, name
+        assert len(cert["edges"]) >= 2 * n - 3, name
+        if "seeded" in name:
+            assert cycle <= {tuple(e) for e in cert["edges"]}, name
+
+
 def test_render_outputs_svg(capsys, tmp_path):
     _, drawing, _ = run(capsys, "gen", "random", "--n", "6", "--seed", "5")
     dfile = tmp_path / "d.json"

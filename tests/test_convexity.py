@@ -3,13 +3,14 @@ import random
 from functools import cache
 from itertools import combinations, permutations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pair_oracle, random_k4_drawing
+from conftest import pair_oracle, random_k4_drawing, side_convex
 from convexham import convexity, generators
 from convexham.convexity import (
     K5Class,
@@ -29,7 +30,6 @@ from convexham.drawing import (
     induced_subdrawing,
     instrumented,
     relabel,
-    side_convex,
 )
 from convexham.errors import NotK5, SideInconsistency, TooLarge
 
@@ -360,6 +360,55 @@ def test_triangle_pass_query_count_on_convex_input(n):
         view, counter = instrumented(d)
         assert find_nonconvex_triangle(view) is None
         assert counter.count == want
+
+
+def _spied_triangle_pass(d):
+    """find_nonconvex_triangle on a counted view of d: (result, queries, row calls).
+
+    A scalar query fails the call.
+    """
+    view, counter = instrumented(d)
+    spy = mock.patch.object(Drawing, "cross_pairs", autospec=True,
+                            side_effect=Drawing.cross_pairs)
+    scalar = mock.patch.object(Drawing, "crosses", side_effect=AssertionError("scalar query"))
+    with scalar, spy as calls:
+        bad = find_nonconvex_triangle(view)
+    return bad, counter.count, [c.args[1:] for c in calls.call_args_list]
+
+
+def _assert_block_calls(n, blocks, calls):
+    # Six calls per block: the (T, 1) corner columns of ab, bc and ac against
+    # (T, C(n - 3, 2)) off pairs, then against (T, n - 3) off vertices.
+    assert len(calls) == 6 * len(blocks)
+    for k, tris in enumerate(blocks):
+        t = len(tris)
+        for j, (a, b, cs, ds) in enumerate(calls[6 * k : 6 * k + 6]):
+            x, y = ((0, 1), (1, 2), (0, 2))[j % 3]
+            assert a.tolist() == tris[:, x : x + 1].tolist()
+            assert b.tolist() == tris[:, y : y + 1].tolist()
+            width = comb(n - 3, 2) if j < 3 else n - 3
+            assert np.broadcast_shapes(np.shape(cs), np.shape(ds)) == (t, width)
+
+
+@pytest.mark.parametrize("n, want", [(6, 180), (7, 450), (8, 945), (9, 1764)])
+def test_triangle_pass_names_its_witness_from_its_blocks(n, want):
+    # The pass stops after the block holding the flagged triangle, and its
+    # witnesses come from that block's rows: T (3 C(n - 3, 2) + 3 (n - 3))
+    # queries per block asked, and no scalar query.
+    bad, queries, calls = _spied_triangle_pass(generators.twisted(n))
+    blocks = []
+    for tris in _triangle_blocks(n):
+        blocks.append(tris)
+        if list(bad.triangle) in tris.tolist():
+            break
+    assert queries == sum(map(len, blocks)) * (3 * comb(n - 3, 2) + 3 * (n - 3)) == want
+    _assert_block_calls(n, blocks, calls)
+
+
+def test_triangle_pass_cost_on_the_n60_fan():
+    bad, queries, calls = _spied_triangle_pass(_fan(60, 3))
+    assert bad is None and queries == 169_696_980
+    _assert_block_calls(60, list(_triangle_blocks(60)), calls)
 
 
 @pytest.mark.parametrize("n", [*range(3, 21), 60])

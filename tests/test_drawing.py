@@ -17,7 +17,6 @@ from convexham.drawing import (
     new_drawing,
     relabel,
     same_drawing,
-    side_convex,
     split_by_triangle,
     triangle_sides,
 )
@@ -30,7 +29,14 @@ from convexham.errors import (
     TooFewVertices,
     VertexOutOfRange,
 )
-from conftest import canon_pair, construction_pool, pair_oracle, random_k4_drawing, row_groups
+from conftest import (
+    canon_pair,
+    construction_pool,
+    pair_oracle,
+    random_k4_drawing,
+    row_groups,
+    side_convex,
+)
 
 seeds = st.integers(0, 400)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construction_pool, is_interior, row_groups
+from conftest import construction_pool, is_interior, random_k4_drawing, row_groups
 from test_starframe import _halfway_hit, _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
@@ -219,6 +219,24 @@ def test_twisted_pipeline_raises_evidence():
         with pytest.raises(NotConvexEvidence) as err:
             star_avoiding_hamiltonian_cycle(d, hub)
         assert err.value.which == "witness-two-block"
+
+
+def test_non_simple_inputs_raise_side_and_nestedness_evidence():
+    # A crossing set free of rotations (random_k4_drawing) reaches two
+    # refutations that no run of scripts/construction_digest.py raises: the
+    # witnesses of a split's bad edge are not one side of its triangle, and
+    # the witness ranges of a hub's bad edges do not nest.
+    d = random_k4_drawing(6, random.Random(0))
+    with pytest.raises(NotConvexEvidence) as err:
+        st_hamiltonian_path(d, 2, 3, verify=False)
+    assert (err.value.which, err.value.vertices, err.value.detail) == (
+        "witness-side", (1, 6),
+        "witnesses of bad edge (4, 5) are not exactly one side of triangle (3, 4, 5)")
+    d = random_k4_drawing(7, random.Random(1))
+    with pytest.raises(NotConvexEvidence) as err:
+        star_avoiding_hamiltonian_cycle(d, 7, verify=False)
+    assert (err.value.which, err.value.vertices, err.value.detail) == (
+        "witness-nestedness", (3,), "witness ranges of consecutive bad edges do not nest")
 
 
 def test_twisted_st_path_succeeds_or_explains():
