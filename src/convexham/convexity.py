@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .drawing import _side_inconsistency, _triangle_verdicts
+from .drawing import _side_inconsistency, _triangle_verdicts, _triu_pairs
 from .errors import NotConvex, NotK5, TooLarge
 from .generators import convex_position, geometric, twisted
 
@@ -212,7 +212,7 @@ def _side_witness(tri, off, on_side, rows):
     """
     a, b, c = tri
     edges, corners = ((a, b), (b, c), (a, c)), (c, a, b)
-    iu, ju = np.triu_indices(len(off), 1)
+    iu, ju = _triu_pairs(len(off))
     pairs = np.stack(rows[:3], axis=1) & (on_side[iu] & on_side[ju])[:, None]
     ends = np.stack(rows[3:], axis=1) & on_side[:, None]
     # A vertex's pairs come before its corner edges, and triu order runs by w.

@@ -289,10 +289,12 @@ class Drawing:
         return f"Drawing(n={self.n}, {kind})"
 
 
-# Entries per kernel call when short rows are asked together.  One call
-# costs ~20-40 us on geometric drawings however short.  Verifying an
-# n = 300 path on 2 vCPUs took 1.7x / 1.3x as long with 1K / 2K blocks as
-# with 4K ones, the same with 8K and 2x with 16K.
+# Entries per kernel call when short rows are asked together.  On
+# geometric drawings one call costs ~12 us however short, plus ~7 ns per
+# entry of a 1-D row (a 2K-entry row ~25 us, 2 vCPUs).  Verifying an
+# n = 300 path took 1.9x / 1.3x as long with 1K / 2K blocks as with 4K
+# ones, about the same with 8K and 1.7x with 16K, whose float64
+# temporaries reach 128 KB, a size malloc serves by mmap.
 ROW_BLOCK_ENTRIES = 1 << 12
 
 
@@ -524,6 +526,14 @@ def _off_vertices(n, cycles):
     return np.nonzero(keep)[1].reshape(t, n - k)
 
 
+@functools.lru_cache(maxsize=4)
+def _triu_pairs(m):
+    """np.triu_indices(m, 1), read-only and built once per m for all blocks of a pass."""
+    iu, ju = np.triu_indices(m, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _parity_sides(d, edges, off):
     """Sides of the off vertices of T plane cycles at once: (side, wrong, rows).
 
@@ -537,7 +547,7 @@ def _parity_sides(d, edges, off):
     wrong[t, p] says pair p of cycle t contradicts those sides.
     """
     m = off.shape[1]
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _triu_pairs(m)
     cs, ds = off.take(iu, axis=1), off.take(ju, axis=1)
     rows = [d.cross_pairs(a, b, cs, ds) for a, b in edges]
     parity = functools.reduce(np.bitwise_xor, rows)
@@ -550,7 +560,7 @@ def _parity_sides(d, edges, off):
 
 def _side_inconsistency(cyc, off, wrong):
     """The SideInconsistency naming the first wrong pair of off, in row-major order."""
-    iu, ju = np.triu_indices(len(off), 1)
+    iu, ju = _triu_pairs(len(off))
     k = int(wrong.argmax())
     return SideInconsistency(
         f"vertices {int(off[iu[k]])},{int(off[ju[k]])} disagree with sides of cycle {cyc}"
@@ -579,7 +589,7 @@ def _triangle_verdicts(d, tris):
     # consistent sides, one of even parity that crosses some edge.  Or by a
     # corner edge to one of its vertices crossing the opposite triangle edge.
     inside = (ab | bc | ac) & ~(ab ^ bc ^ ac)
-    on_b = side.take(np.triu_indices(off.shape[1], 1)[0], axis=1)
+    on_b = side.take(_triu_pairs(off.shape[1])[0], axis=1)
     corner_rows = [d.cross_pairs(a, b, c, off), d.cross_pairs(b, c, a, off),
                    d.cross_pairs(a, c, b, off)]
     corner = functools.reduce(np.bitwise_or, corner_rows)

@@ -4,10 +4,10 @@ All decisions reduce to signs of integer determinants, computed with
 Python's arbitrary-precision integers.  The row kernel (PointBack) evaluates
 the same determinants in float64 from exact coordinate differences, where
 monotone rounding leaves a nonzero float determinant with the exact sign;
-only entries with a zero one are recomputed with integers, so batched
-queries are bit-for-bit equivalent to the scalar ones.  The general-position
-check and the angular sort compare correctly rounded float64 slopes and
-settle only equal slopes with integers (see _line_keys).
+only entries whose float signs leave the verdict open are recomputed with
+integers, so batched queries are bit-for-bit equivalent to the scalar ones.
+The general-position check and the angular sort compare correctly rounded
+float64 slopes and settle only equal slopes with integers (see _line_keys).
 """
 
 from __future__ import annotations
@@ -186,14 +186,23 @@ class PointBack:
     """Float64 mirrors of a 1-indexed integer point table, for exact rows.
 
     `cross_pairs` evaluates the four orientation determinants of each entry
-    in float64.  With every coordinate a float-safe integer, each coordinate
-    difference is exact, so a determinant t1 - t2 is computed as
-    fl(fl(t1) - fl(t2)) from its exact integer products t1 and t2.  Rounding
-    is monotone: t1 > t2 gives fl(t1) >= fl(t2), and a float subtraction
-    keeps the sign of its exact result.  A nonzero float determinant thus
-    has the exact sign, and no error bound is needed; an entry with a zero
-    one (shared endpoint, collinear points, or products rounded to a tie)
-    is recomputed with integers.
+    in float64 from shared differences.  With u = c - a and w = d - a they
+    are o1 = cross(b - a, u), o2 = cross(b - a, w), o3 = cross(u, w) =
+    orient(c, d, a) and o4 = cross(u - (b - a), w - (b - a)) =
+    orient(c, d, b).  With every coordinate a float-safe integer, each of
+    these differences is an exact integer, so a determinant t1 - t2 is
+    computed as fl(fl(t1) - fl(t2)) from its exact integer products t1 and
+    t2.  Rounding is monotone: t1 > t2 gives fl(t1) >= fl(t2), and a float
+    subtraction keeps the sign of its exact result.  A nonzero float
+    determinant thus has the exact sign, and no error bound is needed.  It
+    is also an integer, so the products o1 o2 and o3 o4 neither underflow
+    nor overflow, and each is 0 only with a zero factor.  The segments
+    cross iff both exact products are negative, and m = max(o1 o2, o3 o4)
+    decides every entry but those with m == 0: m < 0 leaves all four
+    determinants nonzero, with the exact signs of a crossing; m > 0 has a
+    pair nonzero with one sign, so one segment lies strictly on one side
+    of the other's line.  Entries with m == 0 (a shared endpoint, collinear
+    points, or products rounded to a tie) are recomputed with integers.
     """
 
     def __init__(self, pts):
@@ -220,24 +229,33 @@ class PointBack:
             hits = self._exact(a, b, cs, ds, np.arange(math.prod(shape)), shape)
             return np.array(hits, dtype=bool).reshape(shape)
         xs, ys = self.xs, self.ys
-        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-        cx, cy, dx, dy = xs[cs], ys[cs], xs[ds], ys[ds]
-        abx = bx - ax
-        aby = by - ay
-        acx = cx - ax
-        acy = cy - ay
-        cdx = dx - cx
-        cdy = dy - cy
-        o12 = (abx * acy - aby * acx) * (abx * (dy - ay) - aby * (dx - ax))
-        o34 = (cdy * acx - cdx * acy) * (cdx * (by - cy) - cdy * (bx - cx))
-        res = (o12 < 0) & (o34 < 0)
-        # Nonzero determinants are integers, so these products neither
-        # underflow nor overflow: o12 * o34 is 0 exactly when one of the four
-        # is.  A shared endpoint makes one exactly 0, so adjacent entries
-        # are False here and land among the unsure ones.
-        unsure = o12 * o34 == 0
-        if unsure.any():
-            idx = np.flatnonzero(unsure)
+        ax, ay = xs[a], ys[a]
+        bx, by = xs[b] - ax, ys[b] - ay  # b - a
+        ux, uy = xs[cs] - ax, ys[cs] - ay  # u = c - a
+        wx, wy = xs[ds] - ax, ys[ds] - ay  # w = d - a
+        o1 = bx * uy
+        o1 -= by * ux
+        o2 = bx * wy
+        o2 -= by * wx
+        o3 = ux * wy
+        o3 -= uy * wx
+        # In place: b's shape fits in those of u and w (a label, an (R, 1)
+        # column like a, or a 1-D row like cs), but d's may exceed c's (an
+        # (R, 1) column c against (R, L) operands), so products with w
+        # allocate.
+        ux -= bx  # c - b
+        uy -= by
+        wx -= bx  # d - b
+        wy -= by
+        o4 = ux * wy
+        o4 -= uy * wx
+        o3 *= o4
+        m = np.maximum(o3, o1 * o2, out=o3)
+        res = m < 0
+        # Entries with m == 0 go to integers; a shared endpoint zeroes both
+        # products, so adjacent entries are among them.
+        idx = np.flatnonzero(m == 0)
+        if idx.size:
             res.reshape(-1)[idx] = self._exact(a, b, cs, ds, idx, res.shape)
         return res
 

@@ -300,8 +300,10 @@ def _check_star_avoiding(d, cert, v_star):
 
     def operands(i0, i1):
         if i1 == i0 + 1:
-            x, y = rows[i0]  # Python ints compare faster than numpy scalars
-            return every[(every != x) & (every != y)], v_star
+            # every is sorted, so label u sits at u - 1 - (u > v_star), and
+            # a canonical edge's ends come in that order.
+            i, j = (u - 1 - (u > v_star) for u in rows[i0])
+            return np.concatenate((every[:i], every[i + 1:j], every[j + 1:])), v_star
         keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
         return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
 

@@ -297,6 +297,99 @@ def test_pointback_operand_forms_match_scalar_predicate(n, scale, data):
         assert got == _rows_reference(pts, asked), scalar
 
 
+# Operand shapes of a kernel call, per operand (a, b, cs, ds): a label, an
+# (R, 1) column, an (L,) row or an (R, L) block.  The 1-D rows come first:
+# labels against a row (the scan), then array a, b or ds; the 2-D blocks
+# are an (R, 1) pair column against full operands, with ds a label, a
+# column or a block, against one (L,) row (split_by_triangle), an (R, 1)
+# column c against (R, L) d (the triangle corner rows), and a label pair
+# against a block (cycle sides).
+SHAPE_FORMS = [
+    ("label", "label", "row", "label"),
+    ("row", "label", "row", "label"),
+    ("label", "row", "row", "label"),
+    ("label", "label", "row", "row"),
+    ("row", "row", "row", "row"),
+    ("col", "col", "full", "full"),
+    ("col", "col", "full", "label"),
+    ("col", "col", "full", "col"),
+    ("col", "col", "row", "label"),
+    ("col", "col", "row", "row"),
+    ("col", "col", "col", "full"),
+    ("label", "label", "full", "full"),
+]
+
+
+def _operand(block, kind):
+    """The part of an (R, L) label block that an operand of this kind reads."""
+    return {"label": int(block[0, 0]), "col": block[:, :1], "row": block[0],
+            "full": block}[kind]
+
+
+@st.composite
+def kernel_point_sets(draw):
+    """A random general-position set, or nine near-collinear points (see
+    _near_collinear) moved to coordinates just under 2^52, where the float
+    products round and their differences can tie."""
+    if draw(st.booleans()):
+        return generators.random_geometric(draw(st.integers(4, 12)), draw(st.integers(0, 300))).points
+    data = draw(st.data())
+    near = _near_collinear(2**52, data)
+    shift = 2**52 - max(max(p) for p in near) - draw(st.integers(0, 2**20))
+    return (None, *((x + shift, y + shift) for x, y in near))
+
+
+@given(kernel_point_sets(), st.integers(1, 4), st.integers(1, 6), st.data())
+def test_pointback_shapes_match_scalar_predicate(pts, rows, cols, data):
+    back = PointBack(pts)
+    assert back.float_ok
+    label = st.integers(1, len(pts) - 1)
+    blocks = [np.array(data.draw(st.lists(st.lists(label, min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)), dtype=np.int64)
+              for _ in "abcd"]
+    for form in SHAPE_FORMS:
+        ops = [_operand(block, kind) for block, kind in zip(blocks, form)]
+        got = back.cross_pairs(*ops)
+        grid = np.broadcast_arrays(*map(np.asarray, ops))
+        assert got.dtype == bool and got.shape == grid[0].shape, form
+        entries = zip(*(g.ravel().tolist() for g in grid))
+        assert got.ravel().tolist() == _rows_reference(pts, entries), form
+
+
+@given(st.integers(5, 30), st.integers(0, 300), st.integers(1, 4), st.integers(1, 8),
+       st.booleans(), st.data())
+def test_pointback_falls_back_only_on_shared_endpoints(n, seed, rows, cols, swap, data):
+    # Below 2^25 every product is exact, and in general position no
+    # determinant of three distinct points is 0: the float signs decide every
+    # entry but those sharing an endpoint, which zero both products.
+    pts = generators.random_geometric(n, seed).points
+    assert max(max(p) for p in pts[1:]) < 2**25
+    # a and c come from the lower labels, b and d from the upper ones (c and
+    # d swapped with `swap`), so every shape asks proper segments, and the
+    # shared endpoints are a = c and b = d, or a = d and b = c.
+    low, high = st.integers(1, n // 2), st.integers(n // 2 + 1, n)
+    blocks = [np.array(data.draw(st.lists(st.lists(half, min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)), dtype=np.int64)
+              for half in ((low, high, high, low) if swap else (low, high, low, high))]
+    asked = []
+    exact = PointBack._exact
+
+    def spy(self, a, b, cs, ds, idx, shape):
+        asked.append((shape, idx.tolist()))
+        return exact(self, a, b, cs, ds, idx, shape)
+
+    back = PointBack(pts)
+    with mock.patch.object(PointBack, "_exact", spy):
+        for form in SHAPE_FORMS:
+            asked.clear()
+            ops = [_operand(block, kind) for block, kind in zip(blocks, form)]
+            back.cross_pairs(*ops)
+            a, b, c, d = (g.ravel() for g in np.broadcast_arrays(*map(np.asarray, ops)))
+            shared = np.flatnonzero((a == c) | (a == d) | (b == c) | (b == d)).tolist()
+            assert asked == ([(np.broadcast_shapes(*map(np.shape, ops)), shared)]
+                             if shared else []), form
+
+
 def _near_collinear(scale, data):
     # Three points on each of three adjacent lattice lines of a long
     # primitive direction s, offset by -(u, v), 0 and (u, v) with
