@@ -44,6 +44,11 @@ their verification (verify) and the plane and convexity runs.  It stays
 outside every digest, so a change that packs or unpacks rows into kernel
 calls shows there alone.
 
+The last line reruns the geometric pool and its verification on copies
+with every coordinate times 2^40, past 2^52, and prints `big same`, or
+how many runs moved their vertices, outcome or queries.  It stays outside
+every digest and after the `calls` line, so it moves no other line.
+
     python scripts/construction_digest.py [--src DIR] [--out FILE]
 """
 
@@ -102,8 +107,18 @@ def relabelled_two_page(n, outer, rng):
     return relabel(generators.two_page(n, outer), perm)
 
 
+replay = None  # while a list, run() appends (d, task, build, args, result) to it
+
+
 def run(task, d, build, *args):
     """(outcome, queries, check): check is checked(d, cert) when a certificate was built."""
+    result = _outcome(task, d, build, *args)
+    if replay is not None:
+        replay.append((d, task, build, args, result))
+    return result
+
+
+def _outcome(task, d, build, *args):
     global family
     family = task
     view, counter = instrumented(d)
@@ -199,6 +214,7 @@ for n in (20, 40, 61, 181):
         exercise(f"fan n={n} step={step}", d, rng, 8 if n <= 61 else 3, hubs)
 for n in range(5, 11):
     exercise(f"twisted n={n}", generators.twisted(n), rng, 30)
+replay = []
 for i in range(60):
     n = 5 + i % 26
     d = generators.random_geometric(n, i)
@@ -207,6 +223,7 @@ for i in range(60):
         a, b, c, x = rng.sample(range(1, n + 1), 4)
         name = f"geometric {i} two {(a, b)} {(c, x)}"
         emit("two", name, *run("two", d, _two_edge_path, (a, b), (c, x)))
+geometric_runs, replay = replay, None
 for n in (300, 1000):
     for seed in (1, 2, 3):
         d = generators.random_geometric(n, seed)
@@ -280,3 +297,13 @@ print(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
       f"{hashlib.sha256(vertices.encode()).hexdigest()[:16]}, queries "
       + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")
 print("calls " + ", ".join(f"{k} {v}" for k, v in sorted(calls.items())))
+# The geometric pool again on copies with every coordinate times 2^40, past
+# 2^52: scaling keeps every orientation sign, so each run and its
+# verification must repeat their vertices, outcome and queries.
+big = {}
+differ = 0
+for d, task, build, args, result in geometric_runs:
+    if id(d) not in big:
+        big[id(d)] = generators.geometric([(x << 40, y << 40) for x, y in d.points[1:]])
+    differ += run(task, big[id(d)], build, *args) != result
+print("big same" if not differ else f"big {differ} of {len(geometric_runs)} runs differ")

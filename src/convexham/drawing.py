@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -40,10 +39,8 @@ import numpy as np
 
 from . import geometry
 from .errors import (
-    AdjacentCrossing,
     CrossingsDisagree,
     InvalidRotation,
-    K4Violation,
     NotAPermutation,
     SideInconsistency,
     TooFewVertices,
@@ -57,10 +54,6 @@ def canon_edge(u, v):
     if u == v:
         raise ValueError(f"degenerate edge ({u}, {v})")
     return (u, v) if u < v else (v, u)
-
-
-def adjacent(e, f):
-    return e[0] in f or e[1] in f
 
 
 @dataclass
@@ -393,8 +386,9 @@ def new_drawing(n, rotations, crossings=None):
     smallest vertex read its suffix of triples (ExplicitCrossings._mark_rotations),
     so rotations that fit no simple drawing raise InvalidRotation here;
     subsystems beyond 4-sets are not checked for realisability.  A given
-    crossing list is checked for labels out of range, adjacent edges and two
-    crossings in one K4, in that order, and must then equal the derived set.
+    crossing list must equal the derived set, which holds only independent
+    pairs with labels in 1..n and at most one pair per K4; a list that
+    differs raises CrossingsDisagree naming the smallest differing pair.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
@@ -407,30 +401,17 @@ def new_drawing(n, rotations, crossings=None):
             raise InvalidRotation(
                 f"rotation of vertex {v} is not a cyclic order of the others: {tuple(r)}"
             )
-    given = set()
-    for e, f in () if crossings is None else crossings:
-        e = canon_edge(*e)
-        f = canon_edge(*f)
-        for u in (*e, *f):
-            if not 1 <= u <= n:
-                raise VertexOutOfRange(f"vertex {u} out of range 1..{n} in crossing pair")
-        if adjacent(e, f):
-            raise AdjacentCrossing(f"adjacent edges {e} and {f} listed as crossing")
-        given.add((e, f) if e <= f else (f, e))
-    quads = Counter(frozenset(e) | frozenset(f) for e, f in given)
-    for quad, cnt in quads.items():
-        if cnt > 1:
-            raise K4Violation(
-                f"vertices {tuple(sorted(quad))} span {cnt} crossings; at most one allowed"
-            )
     d = rotation_drawing(rotations)
     d._oracle._table  # the 4-set pass, which checks every 4-set
-    if crossings is not None and given != d.crossing_set():
-        e, f = min(given ^ d.crossing_set())
-        raise CrossingsDisagree(
-            f"listed crossing {e} x {f} is not fixed by the rotations" if (e, f) in given
-            else f"crossing {e} x {f} fixed by the rotations is not listed"
-        )
+    if crossings is not None:
+        given = {tuple(sorted((canon_edge(*e), canon_edge(*f)))) for e, f in crossings}
+        fixed = d.crossing_set()
+        if given != fixed:
+            e, f = min(given ^ fixed)
+            raise CrossingsDisagree(
+                f"listed crossing {e} x {f} is not fixed by the rotations" if (e, f) in given
+                else f"crossing {e} x {f} fixed by the rotations is not listed"
+            )
     return d
 
 

@@ -17,14 +17,6 @@ class InvalidRotation(DrawingError):
     pass
 
 
-class AdjacentCrossing(DrawingError):
-    pass
-
-
-class K4Violation(DrawingError):
-    pass
-
-
 class CrossingsDisagree(DrawingError):
     """A given crossing list differs from the one the rotations fix."""
 

@@ -2,10 +2,12 @@
 
 All decisions reduce to signs of integer determinants, computed with
 Python's arbitrary-precision integers.  The row kernel (PointBack) evaluates
-the same determinants in float64 from exact coordinate differences, where
-monotone rounding leaves a nonzero float determinant with the exact sign;
-only entries whose float signs leave the verdict open are recomputed with
-integers, so batched queries are bit-for-bit equivalent to the scalar ones.
+the same determinants with numpy from exact coordinate differences, on
+float64 mirrors of the coordinates up to 2^52, where monotone rounding
+leaves a nonzero float determinant with the exact sign, and on mirrors of
+the Python ints past it, where every sign is exact.  Only entries whose
+signs leave the verdict open are recomputed with the scalar predicate, so
+batched queries are bit-for-bit equivalent to the scalar ones.
 The general-position check and the angular sort compare correctly rounded
 float64 slopes and settle only equal slopes with integers (see _line_keys).
 """
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import DegeneratePointSet
 
 # Coordinates up to this magnitude cast to float64 without rounding and
-# their pairwise differences stay exact, which the row kernel assumes.
+# their pairwise differences stay exact, which the float64 mirrors assume.
 _FLOAT_SAFE = 2**52
 
 
@@ -183,10 +185,10 @@ def strictly_convex_ccw(points_in_order):
 
 
 class PointBack:
-    """Float64 mirrors of a 1-indexed integer point table, for exact rows.
+    """Numpy mirrors of a 1-indexed integer point table, for exact rows.
 
     `cross_pairs` evaluates the four orientation determinants of each entry
-    in float64 from shared differences.  With u = c - a and w = d - a they
+    from shared differences.  With u = c - a and w = d - a they
     are o1 = cross(b - a, u), o2 = cross(b - a, w), o3 = cross(u, w) =
     orient(c, d, a) and o4 = cross(u - (b - a), w - (b - a)) =
     orient(c, d, b).  With every coordinate a float-safe integer, each of
@@ -203,17 +205,19 @@ class PointBack:
     pair nonzero with one sign, so one segment lies strictly on one side
     of the other's line.  Entries with m == 0 (a shared endpoint, collinear
     points, or products rounded to a tie) are recomputed with integers.
+
+    Past 2^52 the mirrors are object arrays of the Python ints, on which
+    the same statements are exact: m < 0 is the crossing predicate, and
+    m == 0 comes only with a zero determinant, where segments never cross.
     """
 
     def __init__(self, pts):
         # pts: tuple with index 0 unused, entries (x, y) python ints
         self.pts = pts
         self.float_ok = max(abs(c) for p in pts[1:] for c in p) <= _FLOAT_SAFE
-        if self.float_ok:
-            self.xs = np.array([0.0] + [float(p[0]) for p in pts[1:]])
-            self.ys = np.array([0.0] + [float(p[1]) for p in pts[1:]])
-        else:
-            self.xs = self.ys = None
+        dtype = np.float64 if self.float_ok else object
+        self.xs = np.array([0] + [p[0] for p in pts[1:]], dtype=dtype)
+        self.ys = np.array([0] + [p[1] for p in pts[1:]], dtype=dtype)
 
     def cross_pairs(self, a, b, cs, ds):
         """Bool array: does segment (a, b) properly cross (c, d), entry by entry?
@@ -224,10 +228,6 @@ class PointBack:
         broadcast shape.  Entries sharing an endpoint report False (adjacent
         edges never cross).
         """
-        if not self.float_ok:
-            shape = np.broadcast_shapes(*map(np.shape, (a, b, cs, ds)))
-            hits = self._exact(a, b, cs, ds, np.arange(math.prod(shape)), shape)
-            return np.array(hits, dtype=bool).reshape(shape)
         xs, ys = self.xs, self.ys
         ax, ay = xs[a], ys[a]
         bx, by = xs[b] - ax, ys[b] - ay  # b - a

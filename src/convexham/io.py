@@ -22,7 +22,7 @@ Next to points: rotations at every n (one ccw_order per vertex, on the
 oracle's float64 mirrors), and
 crossings only while n <= 12, where the check is exhaustive; a crossing
 list next to more points is a FormatError.  Next to rotations: stored
-crossings at every n, with new_drawing's checks.
+crossings at every n, which must equal the set the rotations fix.
 """
 
 from __future__ import annotations

@@ -33,6 +33,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def adjacent(e, f):
+    """True iff edges e and f share an endpoint."""
+    return e[0] in f or e[1] in f
+
+
 def canon_pair(e, f):
     """Normalise an unordered pair of edges."""
     e = canon_edge(*e)

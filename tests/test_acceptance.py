@@ -16,11 +16,11 @@ from math import comb, log2
 
 import pytest
 
-from conftest import is_interior, polygon_partition, record_criterion
+from conftest import adjacent, is_interior, polygon_partition, record_criterion
 
 from convexham import generators
 from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
-from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
+from convexham.drawing import all_edges, canon_edge, instrumented
 from convexham.errors import NotConvexEvidence
 from convexham.hamiltonian import (
     empty_k_cycle,

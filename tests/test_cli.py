@@ -346,6 +346,20 @@ def test_self_loop_crossing_is_format_error(capsys, tmp_path):
     _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
 
 
+@pytest.mark.parametrize("crossings", [
+    [[[1, 2], [2, 3]]],  # adjacent edges
+    [[[1, 2], [3, 4]], [[1, 3], [2, 4]]],  # two crossings in one K4
+    [[[1, 2], [3, 9]]],  # a label out of range
+], ids=["adjacent", "k4", "out-of-range"])
+def test_crossing_list_the_rotations_cannot_fix_is_format_error(capsys, tmp_path, crossings):
+    _, drawing, _ = run(capsys, "gen", "two-page", "--n", "6", "--outer", "1,4")
+    obj = json.loads(drawing)
+    obj["crossings"] = crossings
+    dfile = tmp_path / "d.json"
+    dfile.write_text(json.dumps(obj))
+    _assert_domain_error(*run(capsys, "find", "hc", "--in", str(dfile)), "FormatError")
+
+
 def test_boolean_rotation_label_is_format_error(capsys, tmp_path):
     dfile = tmp_path / "d.json"
     dfile.write_text('{"n": 3, "rotations": [[2, 3], [1, 3], [true, 2]]}')

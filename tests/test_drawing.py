@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from convexham import drawing, generators, geometry, starframe
 from convexham.drawing import (
-    adjacent,
     all_edges,
     canon_edge,
     induced_subdrawing,
@@ -21,15 +20,15 @@ from convexham.drawing import (
     triangle_sides,
 )
 from convexham.errors import (
-    AdjacentCrossing,
+    CrossingsDisagree,
     InvalidRotation,
-    K4Violation,
     NotAPermutation,
     SideInconsistency,
     TooFewVertices,
     VertexOutOfRange,
 )
 from conftest import (
+    adjacent,
     canon_pair,
     construction_pool,
     pair_oracle,
@@ -62,12 +61,12 @@ def test_new_drawing_validation_errors():
         new_drawing(3, rot3[:2], [])
     with pytest.raises(InvalidRotation):
         new_drawing(3, [(2, 2), (1, 3), (1, 2)], [])
-    with pytest.raises(AdjacentCrossing):
+    # An adjacent pair, and two crossings in one K4, are pairs the
+    # rotations cannot fix; the comparison names the one they do not.
+    with pytest.raises(CrossingsDisagree, match=r"listed crossing \(1, 2\) x \(2, 3\) is not"):
         new_drawing(4, _rot(4), [((1, 2), (2, 3))])
-    with pytest.raises(K4Violation):
-        new_drawing(
-            4, _rot(4), [((1, 2), (3, 4)), ((1, 3), (2, 4))]
-        )
+    with pytest.raises(CrossingsDisagree, match=r"listed crossing \(1, 2\) x \(3, 4\) is not"):
+        new_drawing(4, _rot(4), [((1, 2), (3, 4)), ((1, 3), (2, 4))])
 
 
 def _rot(n):
@@ -348,7 +347,8 @@ def test_row_blocks_match_flat_rows_and_scalars(kind, n, data):
     # d: each entry equals the flat 1-D row's and the scalar query's, and
     # the block counts R * L queries.  Pairs and operands share endpoints
     # freely, so PointBack's exact fallback reads broadcast operands at flat
-    # positions inside a 2-D block (beyond 2^52 it answers every entry).
+    # positions inside a 2-D block; on float and on integer mirrors (beyond
+    # 2^52) alike it answers exactly the entries sharing an endpoint.
     d = _block_drawing(kind, n)
     label = st.integers(1, n)
     edge = st.tuples(label, label).filter(lambda e: e[0] != e[1])
@@ -373,7 +373,7 @@ def test_row_blocks_match_flat_rows_and_scalars(kind, n, data):
     assert block.shape == (r, width) and block.tolist() == want
     assert counter.count == r * width
     shared = any({a[i, 0], b[i, 0]} & {cs[i, j], dd[i, j]} for i in range(r) for j in range(width))
-    assert fallback.called == (kind == "beyond 2^52" or (kind == "geometric" and shared))
+    assert fallback.called == (kind != "two-page" and shared)
     flat = view.cross_pairs(a.repeat(width), b.repeat(width), cs.ravel(), dd.ravel())
     assert flat.tolist() == block.ravel().tolist()
     assert counter.count == 2 * r * width
@@ -381,8 +381,8 @@ def test_row_blocks_match_flat_rows_and_scalars(kind, n, data):
 
 @pytest.mark.parametrize("kind", ["geometric", "beyond 2^52", "two-page"])
 def test_list_operands_reach_the_exact_fallback(kind):
-    # Label lists are operands too: an entry sharing an endpoint, or any
-    # entry beyond 2^52, sends them through PointBack's exact fallback.
+    # Label lists are operands too: an entry sharing an endpoint sends them
+    # through PointBack's exact fallback, beyond 2^52 as below it.
     d = _block_drawing(kind, 7)
     view, counter = instrumented(d)
     got = view.cross_pairs(1, 2, [2, 4, 5], 6).tolist()
@@ -496,7 +496,7 @@ def test_repr_mentions_backing(rand8):
 @pytest.mark.parametrize("make", [
     lambda: generators.two_page(8, ((1, 4),)),
     lambda: generators.random_geometric(8, 1),
-    # Coordinates beyond 2**52 take the exact integer path of the row kernel.
+    # Coordinates beyond 2**52 run the row kernel on integer mirrors.
     lambda: generators.geometric(
         [(x * 2**60 + 1, y * 2**60 + 3) for x, y in generators.random_geometric(8, 1).points[1:]]
     ),

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import generators
-from convexham.drawing import all_edges, adjacent, same_drawing
+from convexham.drawing import all_edges, same_drawing
 from convexham.errors import DegeneratePointSet, TooFewVertices, TooLarge
 from convexham.geometry import strictly_convex_ccw
-from conftest import canon_pair
+from conftest import adjacent, canon_pair
 
 
 def test_point_set_validation():

@@ -24,7 +24,8 @@ coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)
 
 # Coordinate magnitudes: small; 2^40..2^52, where the float64 keys of
-# distinct lines can tie; beyond 2^52, where only the exact paths run.
+# distinct lines can tie; beyond 2^52, where the general-position check and
+# the angular sort run on integers only.
 SCALES = [2**10, 2**40, 2**46, 2**52, 2**60]
 
 
@@ -247,11 +248,12 @@ def test_pointback_rows_match_scalar_predicate(n, seed):
 
 
 def test_pointback_exact_fallback_huge_coords():
-    # Beyond the float-safe window every row must fall back to integers.
+    # Beyond the float-safe window the mirrors hold the Python ints, and the
+    # same row kernel runs on them exactly.
     big = 2**60
     pts = (None, (0, 0), (big, 1), (1, big), (big, big - 3))
     back = PointBack(pts)
-    assert not back.float_ok
+    assert not back.float_ok and back.xs.dtype == object
     rows = back.cross_pairs(1, 4, np.array([2]), np.array([3]))
     assert rows[0] == segments_cross(pts[1], pts[4], pts[2], pts[3])
 
@@ -326,13 +328,22 @@ def _operand(block, kind):
             "full": block}[kind]
 
 
+def _beyond_float_safe(pts, shift):
+    """pts (index 0 unused) times 2^60, moved by (shift, -shift): past 2^52,
+    with every orientation sign kept."""
+    return (None, *(((x << 60) + shift, (y << 60) - shift) for x, y in pts[1:]))
+
+
 @st.composite
 def kernel_point_sets(draw):
-    """A random general-position set, or nine near-collinear points (see
+    """A random general-position set, the same moved past 2^52, where the
+    kernel runs on integer mirrors, or nine near-collinear points (see
     _near_collinear) moved to coordinates just under 2^52, where the float
     products round and their differences can tie."""
-    if draw(st.booleans()):
-        return generators.random_geometric(draw(st.integers(4, 12)), draw(st.integers(0, 300))).points
+    kind = draw(st.sampled_from(["random", "beyond 2^52", "near 2^52"]))
+    if kind != "near 2^52":
+        pts = generators.random_geometric(draw(st.integers(4, 12)), draw(st.integers(0, 300))).points
+        return pts if kind == "random" else _beyond_float_safe(pts, draw(st.integers(-2**62, 2**62)))
     data = draw(st.data())
     near = _near_collinear(2**52, data)
     shift = 2**52 - max(max(p) for p in near) - draw(st.integers(0, 2**20))
@@ -342,7 +353,7 @@ def kernel_point_sets(draw):
 @given(kernel_point_sets(), st.integers(1, 4), st.integers(1, 6), st.data())
 def test_pointback_shapes_match_scalar_predicate(pts, rows, cols, data):
     back = PointBack(pts)
-    assert back.float_ok
+    assert back.float_ok == (max(abs(c) for p in pts[1:] for c in p) <= 2**52)
     label = st.integers(1, len(pts) - 1)
     blocks = [np.array(data.draw(st.lists(st.lists(label, min_size=cols, max_size=cols),
                                           min_size=rows, max_size=rows)), dtype=np.int64)
@@ -357,13 +368,17 @@ def test_pointback_shapes_match_scalar_predicate(pts, rows, cols, data):
 
 
 @given(st.integers(5, 30), st.integers(0, 300), st.integers(1, 4), st.integers(1, 8),
-       st.booleans(), st.data())
-def test_pointback_falls_back_only_on_shared_endpoints(n, seed, rows, cols, swap, data):
+       st.booleans(), st.booleans(), st.data())
+def test_pointback_falls_back_only_on_shared_endpoints(n, seed, rows, cols, swap, big, data):
     # Below 2^25 every product is exact, and in general position no
     # determinant of three distinct points is 0: the float signs decide every
-    # entry but those sharing an endpoint, which zero both products.
+    # entry but those sharing an endpoint, which zero both products.  Moved
+    # past 2^52 (`big`), the kernel runs on integer mirrors, where every sign
+    # is exact, and falls back on the same entries.
     pts = generators.random_geometric(n, seed).points
     assert max(max(p) for p in pts[1:]) < 2**25
+    if big:
+        pts = _beyond_float_safe(pts, data.draw(st.integers(-2**62, 2**62)))
     # a and c come from the lower labels, b and d from the upper ones (c and
     # d swapped with `swap`), so every shape asks proper segments, and the
     # shared endpoints are a = c and b = d, or a = d and b = c.

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import construction_pool, is_interior, random_k4_drawing, row_groups
+from conftest import adjacent, construction_pool, is_interior, random_k4_drawing, row_groups
 from test_starframe import _halfway_hit, _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
-from convexham.drawing import adjacent, all_edges, canon_edge, instrumented
+from convexham.drawing import all_edges, canon_edge, instrumented
 from convexham.errors import (
     EdgesCrossOrAdjacent,
     KOutOfRange,
@@ -29,6 +29,7 @@ from convexham.hamiltonian import (
 )
 from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane, verify_certificate
 from convexham.starframe import scan_bad_edges
+from convexham.subdrawings import greedy_maximal_plane
 
 MULTI_BAD = [
     (6, ((1, 4),)),
@@ -634,3 +635,26 @@ def test_star_cycle_reference_covers_every_route():
             assert got == want
             seen.add(got[0][1] if got[0][0] == "evidence" else "cycle")
     assert {"cycle", "witness-two-block", "connector-star-crossing"} <= seen
+
+
+@pytest.mark.parametrize("n, seed", [(8, 1), (30, 2), (120, 3), (300, 4)])
+def test_constructions_repeat_on_coordinates_past_2_52(n, seed):
+    # Times 2^40 every coordinate is past 2^52, where the row kernel runs on
+    # integer mirrors.  Scaling keeps every orientation sign, so each
+    # construction repeats its certificate and its queries.
+    d = generators.random_geometric(n, seed)
+    big = generators.geometric([(x << 40, y << 40) for x, y in d.points[1:]])
+    builds = [
+        lambda v: star_avoiding_hamiltonian_cycle(v, 1, verify=False).vertices,
+        lambda v: hamiltonian_cycle(v, verify=False).vertices,
+        lambda v: st_hamiltonian_path(v, 2, n, verify=False).vertices,
+    ]
+    if n <= 30:  # n^3 queries at ~1.3 us each on integer mirrors
+        builds.append(lambda v: greedy_maximal_plane(v, order=all_edges(n)).edges)
+    for build in builds:
+        runs = []
+        for drawing_ in (d, big):
+            view, counter = instrumented(drawing_)
+            runs.append((build(view), counter.count))
+        assert runs[0] == runs[1]
+

@@ -14,7 +14,7 @@ from convexham.certificates import (
     subdrawing_certificate,
 )
 from convexham.drawing import same_drawing
-from convexham.errors import FormatError, VertexOutOfRange
+from convexham.errors import FormatError
 from convexham.hamiltonian import hamiltonian_cycle, st_hamiltonian_path
 from convexham.oracle import verify_certificate
 from convexham.subdrawings import greedy_maximal_plane
@@ -146,7 +146,7 @@ def test_reader_rejects_malformed():
     for crossing in ([[1, 1], [2, 3]], [[1, 2], [3]]):
         with pytest.raises(FormatError):
             io.loads_drawing(json.dumps({"n": 4, "rotations": rot4, "crossings": [crossing]}))
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(FormatError, match=r"listed crossing \(1, 2\) x \(3, 9\) is not"):
         io.loads_drawing(json.dumps({"n": 4, "rotations": rot4, "crossings": [[[1, 2], [3, 9]]]}))
     with pytest.raises(FormatError):
         io.loads_drawing(

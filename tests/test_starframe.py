@@ -286,7 +286,7 @@ def _blocked_scan(d, order, hub, block):
 def test_blocked_scan_matches_scalars(block):
     # Blocks of one row, of a few rows with a partial last block, and of
     # whole small scans, on multi-bad two-page drawings and on coordinates
-    # beyond 2^52, where the row kernel runs on integers only.
+    # beyond 2^52, where the row kernel runs on integer mirrors.
     big = [(x * 2**60 + 1, y * 2**60 - 3) for x, y in generators.random_geometric(9, 4).points[1:]]
     drawings = [generators.two_page(n, outer) for n, outer in MULTI_BAD]
     for d in drawings + [generators.geometric(big)]:
