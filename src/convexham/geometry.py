@@ -9,7 +9,9 @@ the Python ints past it, where every sign is exact.  Only entries whose
 signs leave the verdict open are recomputed with the scalar predicate, so
 batched queries are bit-for-bit equivalent to the scalar ones.
 The general-position check and the angular sort compare correctly rounded
-float64 slopes and settle only equal slopes with integers (see _line_keys).
+float64 slopes, from float64 division up to 2^52 and from Python-int
+division past it, and settle only equal slopes with integers (see
+_line_keys).
 """
 
 from __future__ import annotations
@@ -63,17 +65,20 @@ _GP_BLOCK_ENTRIES = 1 << 16
 
 
 def _line_keys(dx, dy):
-    """Float key -dx/dy (-inf for dy == 0) of float64 direction vectors.
+    """Float64 key -dx/dy (-inf for dy == 0) of direction vectors.
 
     The key of (dx, dy) equals that of (-dx, -dy), so it names the line
-    through the origin.  With dx, dy exact in float64 the key is the
-    correctly rounded value of the rational -dx/dy, and rounding is
-    monotone: equal rationals give equal keys, and within one half plane
-    (dy > 0, or dy < 0) the key ascends with the counterclockwise angle.
-    Distinct keys therefore prove distinct lines and strict angular order;
-    only equal keys need an exact look.
+    through the origin.  dx and dy are float64 arrays of exact integers, or
+    object arrays of Python ints, whose true division is correctly rounded
+    too.  Either way the key is the correctly rounded value of the rational
+    -dx/dy, and rounding is monotone: equal rationals give equal keys, and
+    within one half plane (dy > 0, or dy < 0) the key ascends with the
+    counterclockwise angle.  Distinct keys therefore prove distinct lines
+    and strict angular order; only equal keys need an exact look.  A
+    Python-int key past float64's range raises OverflowError.
     """
-    return np.divide(-dx, dy, out=np.full(dx.shape, -np.inf), where=dy != 0)
+    keys = np.divide(-dx, dy, out=np.full(dx.shape, -np.inf, dx.dtype), where=dy != 0)
+    return keys.astype(np.float64, copy=False)
 
 
 def assert_general_position(points):
@@ -81,8 +86,10 @@ def assert_general_position(points):
 
     `points` is a sequence of (x, y) integer pairs.  Runs in O(n^2 log n):
     around each anchor the lines to the later points are sorted by a float
-    key, and only anchors with two equal adjacent keys are re-checked by
-    hashing exact reduced directions.
+    key, and only anchors with two equal adjacent keys, or whose block
+    raises OverflowError, are re-checked by hashing exact reduced
+    directions.  Past 2^52 the differences are Python ints in object
+    arrays.
     """
     n = len(points)
     seen = {}
@@ -92,11 +99,8 @@ def assert_general_position(points):
         seen[p] = i
     if n < 3:
         return
-    if max(max(abs(x), abs(y)) for x, y in points) > _FLOAT_SAFE:
-        for i in range(n - 2):
-            _assert_gp_row(points, i)
-        return
-    xy = np.array(points, dtype=np.float64)
+    big = max(max(abs(x), abs(y)) for x, y in points) > _FLOAT_SAFE
+    xy = np.array(points, dtype=object if big else np.float64)
     rows = max(1, _GP_BLOCK_ENTRIES // n)
     for i0 in range(0, n - 2, rows):
         i1 = min(i0 + rows, n - 2)
@@ -105,10 +109,14 @@ def assert_general_position(points):
         # with NaN, which equals nothing.
         dx = xy[i0 + 1:, 0] - xy[i0:i1, 0, None]
         dy = xy[i0 + 1:, 1] - xy[i0:i1, 1, None]
-        keys = _line_keys(dx, dy)
-        keys[np.arange(keys.shape[1]) < np.arange(i1 - i0)[:, None]] = np.nan
-        keys.sort(axis=1)
-        flagged = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        try:
+            keys = _line_keys(dx, dy)
+        except OverflowError:
+            flagged = np.ones(i1 - i0, dtype=bool)
+        else:
+            keys[np.arange(keys.shape[1]) < np.arange(i1 - i0)[:, None]] = np.nan
+            keys.sort(axis=1)
+            flagged = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
         for i in np.nonzero(flagged)[0]:
             _assert_gp_row(points, i0 + int(i))
 
@@ -145,16 +153,19 @@ def ccw_order(back, anchor, candidates):
 
     The order starts at the positive x-axis direction.  Points are assumed
     to be in general position, so the angular order is strict.  The float
-    keys come from one gather of back's float64 mirrors, whose differences
-    are exact; equal keys, or coordinates past 2^52, take the exact
-    comparator on back.pts.
+    keys come from one gather of back's mirrors (float64, or Python ints
+    past 2^52), whose differences are exact; equal keys, or a key past
+    float64's range, take the exact comparator on back.pts.
     """
     labels = np.asarray(candidates, dtype=np.int64)
-    if back.float_ok:
-        xs, ys = back.xs, back.ys
-        fx, fy = xs[labels] - xs[anchor], ys[labels] - ys[anchor]
-        half = (fy < 0) | ((fy == 0) & (fx < 0))
+    xs, ys = back.xs, back.ys
+    fx, fy = xs[labels] - xs[anchor], ys[labels] - ys[anchor]
+    half = (fy < 0) | ((fy == 0) & (fx < 0))
+    try:
         key = _line_keys(fx, fy)
+    except OverflowError:
+        pass  # a key past float64's range: the exact comparator decides
+    else:
         order = np.lexsort((key, half))
         h = half[order]
         k = key[order]
@@ -214,8 +225,8 @@ class PointBack:
     def __init__(self, pts):
         # pts: tuple with index 0 unused, entries (x, y) python ints
         self.pts = pts
-        self.float_ok = max(abs(c) for p in pts[1:] for c in p) <= _FLOAT_SAFE
-        dtype = np.float64 if self.float_ok else object
+        big = max(abs(c) for p in pts[1:] for c in p) > _FLOAT_SAFE
+        dtype = object if big else np.float64
         self.xs = np.array([0] + [p[0] for p in pts[1:]], dtype=dtype)
         self.ys = np.array([0] + [p[1] for p in pts[1:]], dtype=dtype)
 

@@ -29,7 +29,7 @@ from .errors import (
     SameVertex,
     VertexOutOfRange,
 )
-from .oracle import verify_certificate
+from .oracle import first_crossing, verify_certificate
 from .starframe import _evidence, build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
 
@@ -113,11 +113,21 @@ def _solve_path(d, subset, s, t):
     is the fan path; else the triangle of the pair and t splits the
     subproblem in two, the first half solved first, and a case-1 split's
     star edge is asked against its built piece (`_refute_star_edge`,
-    k - 2).  At the root, a bad edge at t first sends s through the same
-    probe and scan; if s has no bad edge, the path is s's fan path toward
-    t, reversed, and t's witness row is never asked.
-    So a path from an interior point of a point set (no bad edge) to a t
-    whose probe hits costs (n-1) + (n-1) + (n-1)(n-3) = (n-1)^2 queries.
+    k - 2).
+
+    The root is the whole answer, so it settles a fan path by asking its
+    k edges against each other (`first_crossing`, C(k, 2) queries), which
+    proves it plane on any drawing, instead of scanning for bad pairs
+    (k(k - 2)).  When t's probe misses, t's fan path is asked first and, if
+    plane, returned; if it crosses and t's scan finds no bad pair, the
+    crossing refutes convexity (`fan-path-crossing`).  When t has a bad
+    pair and s's probe misses, s's fan path toward t, read backwards, is
+    asked and, if plane, returned, with t's witness row never asked.  Any
+    other root splits as above.  A subproblem keeps its scan: a plane piece
+    need not avoid its sibling pieces.
+    So a path from an interior point of a point set to a t whose probe
+    hits costs (n-1) + (n-1) + C(n-1, 2) = (n-1)(n+2)/2 queries, and to an
+    interior t (no bad pair) (n-1) + C(n-1, 2) = (n-1)n/2.
     """
     root = (set(subset), s, t)
     work = [root]
@@ -139,16 +149,30 @@ def _solve_path(d, subset, s, t):
         order = d.rotation_among(t0, sub)
         i, wpos = probe_bad_edge(d, order, t0), None
         if i is None:
+            fan = _fan_path(order, s0, t0)
+            hit = first_crossing(d, zip(fan, fan[1:])) if item is root else None
+            if item is root and hit is None:
+                path += fan[1:]
+                continue
             i, wpos = next(scan_bad_edges(d, order, t0), (None, None))
             if i is None:
-                path += _fan_path(order, s0, t0)[1:]
+                if hit is not None:
+                    e, f = hit
+                    raise NotConvexEvidence(
+                        "fan-path-crossing",
+                        vertices=tuple(sorted({t0, *e, *f})),
+                        detail=f"{t0} has no bad edge, but edges {e} and {f} "
+                        "of its fan path cross",
+                    )
+                path += fan[1:]
                 continue
         if item is root:
             back = d.rotation_among(s0, sub)
-            if (probe_bad_edge(d, back, s0) is None
-                    and next(scan_bad_edges(d, back, s0), None) is None):
-                path += reversed(_fan_path(back, t0, s0)[:-1])
-                continue
+            if probe_bad_edge(d, back, s0) is None:
+                fan = _fan_path(back, t0, s0)[::-1]
+                if first_crossing(d, zip(fan, fan[1:])) is None:
+                    path += fan[1:]
+                    continue
         if wpos is None:
             wpos = witness_row(d, order, t0, i)
         u, v = order[i], order[(i + 1) % len(order)]
@@ -169,14 +193,16 @@ def _solve_path(d, subset, s, t):
 def st_hamiltonian_path(d, s, t, verify=True):
     """Plane Hamiltonian path from s to t (certificate with endpoints claim).
 
-    Solved toward t, or, when t has a bad edge and s has none, as the
-    reversed fan path of s's rotation (see _solve_path).  From an interior
-    vertex of a point set to a hull vertex whose probe hits, (n-1)^2 queries.
+    t's fan path, or s's read backwards, when the oracle proves it plane;
+    else solved toward t (see _solve_path).  From an interior vertex of a
+    point set to a hull vertex whose probe hits, (n-1)(n+2)/2 queries; to
+    another interior vertex, (n-1)n/2.
 
-    With verify=False the path is unchecked.  Every split refutes a star
-    edge that crosses its own piece, but on non-convex input the path can
-    still cross itself elsewhere, where verification would raise
-    NotConvexEvidence: 28 certificates of construction_digest.py's pool.
+    With verify=False the path is unchecked.  A root fan path is returned
+    only when plane, and every split refutes a star edge that crosses its
+    own piece, but on non-convex input a split path can still cross itself
+    elsewhere, where verification would raise NotConvexEvidence: 25
+    certificates of construction_digest.py's pool.
     """
     if s == t:
         raise SameVertex(f"need distinct endpoints, got s=t={s}")

@@ -246,29 +246,58 @@ def test_c04_fan_family_cycle_at_hub_n(fan_family):
 
 
 def test_c04_interior_source_to_hull_target():
-    # Only hull vertices have a bad edge, so a path from an interior source
-    # is solved toward the source.  t's probe row proves t's bad edge, and
-    # s's probe row and scan find none: (n-1) + (n-1) + (n-1)(n-3) queries.
-    sizes = (250, 500, 1000, 2000)
+    # Only hull vertices have a bad edge.  t's probe row proves t's bad
+    # edge, s's probe row misses, and s's fan path toward t, read backwards,
+    # is asked edge against edge and is plane: it is the path, in
+    # (n-1) + (n-1) + C(n-1, 2) = (n-1)(n+2)/2 queries.
+    sizes = (250, 500, 1000, 2000, 4000)
     failures = []
     queries = {}
+    wall = {}
     for n in sizes:
         d = generators.random_geometric(n, 0)
         t = min(range(1, n + 1), key=lambda v: d.points[v])
         s = next(v for v in range(1, n + 1) if is_interior(d, v))
         view, counter = instrumented(d)
+        t0 = time.perf_counter()
         cert = st_hamiltonian_path(view, s, t, verify=False)
+        wall[n] = time.perf_counter() - t0
         queries[n] = counter.count
-        if counter.count != (n - 1) ** 2:
-            failures.append(f"n={n} asked {counter.count} != (n-1)^2")
+        if counter.count != (n - 1) * (n + 2) // 2:
+            failures.append(f"n={n} asked {counter.count} != (n-1)(n+2)/2")
         ends = (cert.vertices[0], cert.vertices[-1])
         if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
             failures.append(f"n={n} ({s},{t}) bad certificate")
-    slope = log2(queries[2000] / queries[1000])
+    slope = log2(queries[4000] / queries[2000])
+    ok = not failures and wall[4000] < 10.0
+    record_criterion(
+        f"C04b interior source to leftmost hull vertex n=250..4000: {_verdict(ok)} "
+        f"((n-1)(n+2)/2 queries at every n; slope 2000->4000 {slope:.3f}, "
+        f"n=4000 wall {wall[4000]:.2f}s < 10s, verified)"
+    )
+    assert ok, (failures, wall)
+
+
+def test_c04_interior_to_interior_st_paths():
+    # Neither end has a bad edge.  t's probe row misses, and t's fan path
+    # from s is asked edge against edge and is plane: it is the path, in
+    # (n-1) + C(n-1, 2) = (n-1)n/2 queries.
+    sizes = (250, 500, 1000, 2000)
+    failures = []
+    for n in sizes:
+        d = generators.random_geometric(n, 0)
+        s, t = [v for v in range(1, n + 1) if is_interior(d, v)][:2]
+        view, counter = instrumented(d)
+        cert = st_hamiltonian_path(view, s, t, verify=False)
+        if counter.count != (n - 1) * n // 2:
+            failures.append(f"n={n} asked {counter.count} != (n-1)n/2")
+        ends = (cert.vertices[0], cert.vertices[-1])
+        if not (ends == (s, t) and verify_certificate(d, cert).oracle_verified):
+            failures.append(f"n={n} ({s},{t}) bad certificate")
     ok = not failures
     record_criterion(
-        f"C04b interior source to leftmost hull vertex n=250..2000: {_verdict(ok)} "
-        f"((n-1)^2 queries at every n; slope 1000->2000 {slope:.3f}, verified)"
+        f"C04g interior to interior s-t paths n=250..2000: {_verdict(ok)} "
+        f"((n-1)n/2 queries at every n, verified)"
     )
     assert ok, failures
 

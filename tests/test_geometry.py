@@ -25,7 +25,8 @@ point = st.tuples(coord, coord)
 
 # Coordinate magnitudes: small; 2^40..2^52, where the float64 keys of
 # distinct lines can tie; beyond 2^52, where the general-position check and
-# the angular sort run on integers only.
+# the angular sort take their keys from Python-int division and the row
+# kernel runs on Python ints.
 SCALES = [2**10, 2**40, 2**46, 2**52, 2**60]
 
 
@@ -187,6 +188,39 @@ def test_ccw_order_float_key_tie():
     assert ccw_order(PointBack(pts), 1, [2, 3, 4, 5]) == [4, 2, 3, 5]
 
 
+def test_keys_past_2_52_come_from_integer_division():
+    # Scaling by 2^40 keeps every quotient -dx/dy, so the correctly rounded
+    # keys of the Python ints are those of the unscaled set: no equal keys,
+    # and neither the exact row nor the exact comparator is asked.
+    n = 60
+    d = generators.random_geometric(n, 1)
+    pts = [(x * 2**40, y * 2**40) for x, y in d.points[1:]]
+    back = PointBack((None, *pts))
+    assert back.xs.dtype == object
+    with (mock.patch.object(geometry, "_assert_gp_row", wraps=geometry._assert_gp_row) as rows,
+          mock.patch.object(geometry, "_ccw_cmp", wraps=geometry._ccw_cmp) as cmps):
+        assert_general_position(pts)
+        got = [ccw_order(back, a, [v for v in range(1, n + 1) if v != a]) for a in range(1, n + 1)]
+    assert rows.call_count == cmps.call_count == 0
+    assert got == [ref_ccw_order(back.pts, a, [v for v in range(1, n + 1) if v != a])
+                   for a in range(1, n + 1)]
+
+
+def test_keys_past_float_range_take_the_exact_code():
+    # A quotient past 2^1024 has no float64 key: its block of anchors, or
+    # its angular sort, goes to the exact code.
+    big = 2**1100
+    with pytest.raises(OverflowError):
+        geometry._line_keys(np.array([big], dtype=object), np.array([1], dtype=object))
+    pts = [(0, 0), (big, 1), (3, big + 5), (-7, -2), (5, 3), (-big, 9)]
+    assert_verdict_matches_brute_force(pts)
+    assert_verdict_matches_brute_force(pts + [(2 * big, 2)])
+    table = (None, *pts)
+    for a in range(1, len(table)):
+        cands = [v for v in range(1, len(table)) if v != a]
+        assert ccw_order(PointBack(table), a, cands) == ref_ccw_order(table, a, cands)
+
+
 def test_ccw_order_compass():
     pts = (None, (0, 0), (10, 1), (1, 10), (-10, 2), (-1, -10))
     order = ccw_order(PointBack(pts), 1, [2, 3, 4, 5])
@@ -253,7 +287,7 @@ def test_pointback_exact_fallback_huge_coords():
     big = 2**60
     pts = (None, (0, 0), (big, 1), (1, big), (big, big - 3))
     back = PointBack(pts)
-    assert not back.float_ok and back.xs.dtype == object
+    assert back.xs.dtype == object
     rows = back.cross_pairs(1, 4, np.array([2]), np.array([3]))
     assert rows[0] == segments_cross(pts[1], pts[4], pts[2], pts[3])
 
@@ -291,7 +325,7 @@ def test_pointback_operand_forms_match_scalar_predicate(n, scale, data):
                               min_size=n, max_size=n, unique=True))
     pts = (None, *((x * scale + 7, y * scale - 3) for x, y in grid))
     back = PointBack(pts)
-    assert back.float_ok == (scale < 2**52)
+    assert (back.xs.dtype == np.float64) == (scale < 2**52)
     label = st.integers(1, n)
     entries = data.draw(st.lists(st.tuples(label, label, label, label), min_size=1, max_size=30))
     for scalar in OPERAND_FORMS:
@@ -353,7 +387,7 @@ def kernel_point_sets(draw):
 @given(kernel_point_sets(), st.integers(1, 4), st.integers(1, 6), st.data())
 def test_pointback_shapes_match_scalar_predicate(pts, rows, cols, data):
     back = PointBack(pts)
-    assert back.float_ok == (max(abs(c) for p in pts[1:] for c in p) <= 2**52)
+    assert (back.xs.dtype == np.float64) == (max(abs(c) for p in pts[1:] for c in p) <= 2**52)
     label = st.integers(1, len(pts) - 1)
     blocks = [np.array(data.draw(st.lists(st.lists(label, min_size=cols, max_size=cols),
                                           min_size=rows, max_size=rows)), dtype=np.int64)
@@ -428,7 +462,7 @@ def _all_rows_with_fallbacks(pts):
     also returns how often the kernel fell back to integers."""
     n = len(pts) - 1
     back = PointBack(pts)
-    assert back.float_ok
+    assert back.xs.dtype == np.float64
     edges = list(combinations(range(1, n + 1), 2))
     cs = np.array([c for c, _ in edges])
     ds = np.array([d for _, d in edges])

@@ -226,10 +226,15 @@ def test_non_simple_inputs_raise_side_and_nestedness_evidence():
     # A crossing set free of rotations (random_k4_drawing) reaches two
     # refutations that no run of scripts/construction_digest.py raises: the
     # witnesses of a split's bad edge are not one side of its triangle, and
-    # the witness ranges of a hub's bad edges do not nest.
+    # the witness ranges of a hub's bad edges do not nest.  From 2 to 3,
+    # 3's probe misses and its fan path from 2 is asked and plane, so it is
+    # the answer; from 4 to 3 the root splits.
     d = random_k4_drawing(6, random.Random(0))
+    cert = st_hamiltonian_path(d, 2, 3, verify=False)
+    assert cert.vertices == _fan_path_of(d, 2, 3, range(1, 7))
+    assert is_plane(d, cert.edges)
     with pytest.raises(NotConvexEvidence) as err:
-        st_hamiltonian_path(d, 2, 3, verify=False)
+        st_hamiltonian_path(d, 4, 3, verify=False)
     assert (err.value.which, err.value.vertices, err.value.detail) == (
         "witness-side", (1, 6),
         "witnesses of bad edge (4, 5) are not exactly one side of triangle (3, 4, 5)")
@@ -238,6 +243,23 @@ def test_non_simple_inputs_raise_side_and_nestedness_evidence():
         star_avoiding_hamiltonian_cycle(d, 7, verify=False)
     assert (err.value.which, err.value.vertices, err.value.detail) == (
         "witness-nestedness", (3,), "witness ranges of consecutive bad edges do not nest")
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 6])
+def test_crossing_root_fan_path_is_evidence(s):
+    # Vertex 1 of this crossing set has no bad pair, but its fan path from s
+    # crosses itself: the root names 1 and the two crossing edges instead of
+    # returning that path.
+    d = random_k4_drawing(6, random.Random(0))
+    assert not list(scan_bad_edges(d, d.rotation_of(1), 1))
+    with pytest.raises(NotConvexEvidence) as err:
+        st_hamiltonian_path(d, s, 1, verify=False)
+    assert err.value.which == "fan-path-crossing"
+    fan = _fan_path_of(d, s, 1, range(1, 7))
+    e, f = _first_path_crossing(d, fan)[0]
+    assert err.value.vertices == tuple(sorted({1, *e, *f}))
+    assert err.value.detail == f"1 has no bad edge, but edges {e} and {f} of its fan path cross"
+    assert d.crosses(e, f)
 
 
 def test_twisted_st_path_succeeds_or_explains():
@@ -430,8 +452,9 @@ def test_two_edge_path_builds_no_subdrawing(monkeypatch, rand8):
 
 
 # ---------------------------------------------------------------------------
-# With a bad edge at t, the root probes s's rotation and, if s has none,
-# solves the path toward s.  One probe row per end comes first.
+# The root settles a fan path by asking its edges against each other:
+# first t's, when t's probe misses; then, when t has a bad pair and s's
+# probe misses, s's read backwards.  A plane one is the answer.
 
 
 def _first_bad_block_end(d, order, hub):
@@ -449,10 +472,39 @@ def _first_bad_block_end(d, order, hub):
                 if i0 <= first < i1)
 
 
-# About one example in twenty solves toward s.
+def _first_path_crossing(d, seq):
+    """Reference for the root's plane check of a path: (first crossing, entries).
+
+    Row i asks edge i against the later edges by scalar queries on d,
+    uncounted.  The entries are those through the row_groups block of rows
+    m - 1, m - 2, ..., 1 (m edges) that holds the first crossing, or all
+    C(m, 2) of a plane path.
+    """
+    edges = [canon_edge(a, b) for a, b in zip(seq, seq[1:])]
+    m = len(edges)
+    lens = list(range(m - 1, 0, -1))
+    first = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                  if d.crosses(edges[i], edges[j])), None)
+    if first is None:
+        return None, m * (m - 1) // 2
+    end = next(i1 for i0, i1 in row_groups(lens, drawing.ROW_BLOCK_ENTRIES)
+               if i0 <= first[0] < i1)
+    return (edges[first[0]], edges[first[1]]), sum(lens[:end])
+
+
+def _fan_path_of(d, s, t, subset):
+    """s, then t's restricted rotation from s, then t."""
+    order = _restricted(d, t, subset)
+    i = order.index(s)
+    return (*order[i:], *order[:i], t)
+
+
+# About one example in five ends on t's fan path and one in fifteen on
+# s's.  A crossing fan path at a t without a bad pair is rare here; it is
+# pinned on its own input (test_crossing_root_fan_path_is_evidence).
 @settings(max_examples=150)
 @given(POOL, st.data())
-def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
+def test_st_path_matches_reference_unless_solved_by_a_root_fan(spec, data):
     d = construction_pool(*spec)
     subset = set(data.draw(st.lists(st.integers(1, d.n), min_size=2, unique=True)))
     s, t = data.draw(st.permutations(sorted(subset)))[:2]
@@ -465,27 +517,40 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
 
     asked, got = queries_and_result(_solve_path)
     ref_asked, want = queries_and_result(_reference_st_path)
-    order, back = _restricted(d, t, subset), _restricted(d, s, subset)
-    if not (k > 3 and list(scan_bad_edges(d, order, t))):
-        # t's fan path: the reference's rows and nothing more.
+    if k <= 3:
         assert (got, asked) == (want, ref_asked)
         return
-    if next(scan_bad_edges(d, back, s), None) is not None:
-        # Before the root splits, s is asked its probe row and, if that
-        # misses, its scan through the block of its first bad pair.
-        s_scan = 0 if _halfway_hit(d, back, s) is not None else (
-            (k - 3) * _first_bad_block_end(d, back, s))
-        assert (got, asked) == (want, ref_asked + (k - 1) + s_scan)
-        return
-    assert got == _reversed_fan_path(d, s, t, subset)
-    # Both probes and one scan of s; t's scan through the block of its
-    # first bad pair only when t's probe misses.
-    t_scan = 0 if _halfway_hit(d, order, t) is not None else (
-        (k - 3) * _first_bad_block_end(d, order, t))
-    assert asked == (k - 1) ** 2 + t_scan
-    if spec[0] not in ("twisted", "two-page"):
-        edges = [canon_edge(a, b) for a, b in zip(got, got[1:])]
-        assert is_plane(d, edges)
+    order, back = _restricted(d, t, subset), _restricted(d, s, subset)
+    # t's rows but its witness row, and the entries the root asks beyond
+    # the reference's.
+    t_rows, extra = k - 1, 0
+    if _halfway_hit(d, order, t) is None:
+        hit, cost = _first_path_crossing(d, _fan_path_of(d, s, t, subset))
+        if hit is None:
+            # t's probe row and its plane fan path, C(k-1, 2) entries.
+            assert (got, asked) == (_fan_path_of(d, s, t, subset), t_rows + (k - 1) * (k - 2) // 2)
+            assert is_plane(d, [canon_edge(a, b) for a, b in zip(got, got[1:])])
+            return
+        extra += cost
+        if not list(scan_bad_edges(d, order, t)):
+            # The reference's rows, and t's fan path through its first crossing.
+            e, f = hit
+            assert got == ("evidence", "fan-path-crossing", tuple(sorted({t, *e, *f})),
+                           f"{t} has no bad edge, but edges {e} and {f} of its fan path cross")
+            assert asked == ref_asked + extra
+            return
+        t_rows += cost + (k - 3) * _first_bad_block_end(d, order, t)
+    extra += k - 1  # s's probe row
+    if _halfway_hit(d, back, s) is None:
+        hit, cost = _first_path_crossing(d, _reversed_fan_path(d, s, t, subset))
+        if hit is None:
+            # s's probe row and its plane fan path; t's witness row is never asked.
+            assert got == _reversed_fan_path(d, s, t, subset)
+            assert asked == t_rows + (k - 1) + (k - 1) * (k - 2) // 2
+            assert is_plane(d, [canon_edge(a, b) for a, b in zip(got, got[1:])])
+            return
+        extra += cost
+    assert (got, asked) == (want, ref_asked + extra)
 
 
 @pytest.mark.parametrize("spec,subset,s,t", [
@@ -494,16 +559,21 @@ def test_st_path_matches_reference_unless_solved_toward_s(spec, data):
     (("two-page", 14, 864652), (1, 2, 3, 5, 6, 9, 12, 13), 9, 13),
 ])
 def test_root_whose_probe_misses_reads_t_to_its_first_bad_block(spec, subset, s, t):
-    # t has a bad edge its probe misses, and s has none: the root asks both
-    # probes, t's scan through the block of its first bad pair and s's scan.
+    # t has a bad edge its probe misses, and its fan path crosses; s has no
+    # bad edge.  The root asks t's probe, t's fan path through the block of
+    # its first crossing, t's scan through the block of its first bad pair,
+    # then s's probe and s's plane fan path: C(k-1, 2) entries.
     d = construction_pool(*spec)
     k = len(subset)
     order = _restricted(d, t, subset)
     assert list(scan_bad_edges(d, order, t)) and _halfway_hit(d, order, t) is None
+    hit, t_fan = _first_path_crossing(d, _fan_path_of(d, s, t, subset))
+    assert hit is not None
     view, counter = instrumented(d)
     got = _solve_path(view, subset, s, t)
     assert tuple(got) == _reversed_fan_path(d, s, t, subset)
-    assert counter.count == (k - 1) ** 2 + (k - 3) * _first_bad_block_end(d, order, t)
+    assert counter.count == ((k - 1) + t_fan + (k - 3) * _first_bad_block_end(d, order, t)
+                             + (k - 1) + (k - 1) * (k - 2) // 2)
 
 
 def _scan_calls(d, build):
@@ -521,9 +591,11 @@ def _scan_calls(d, build):
 def test_interior_source_asks_one_row_of_t(seed):
     # At n = 300 a scan spans 23 blocks of 13 rows.  From an interior s,
     # t's probe proves its bad edge: t is asked one row of n - 1 entries
-    # and none of its scan, (n - 1)^2 queries in all.  From a hull s, s's
-    # probe hits too, and then the path is the reference solver's, which
-    # asks t's rows as the solver does, plus that one row of s.
+    # and none of its scan, s its probe row, and s's fan path is asked
+    # plane, (n - 1) + (n - 1) + C(n - 1, 2) = (n - 1)(n + 2)/2 queries in
+    # all.  From a hull s, s's probe hits too, and then the path is the
+    # reference solver's, which asks t's rows as the solver does, plus that
+    # one row of s.
     d = generators.random_geometric(300, seed)
     n = d.n
     hull = [v for v in range(1, n + 1) if not is_interior(d, v)]
@@ -532,7 +604,8 @@ def test_interior_source_asks_one_row_of_t(seed):
         cert, asked, calls = _scan_calls(d, lambda x: st_hamiltonian_path(x, s, t, verify=False))
         t_rows = [cs for _a, _b, cs, ds in calls if np.ndim(ds) == 0 and ds == t]
         assert [len(cs) for cs in t_rows] == [n - 1]
-        assert asked == (n - 1) ** 2
+        assert asked == (n - 1) * (n + 2) // 2 == 45_149
+        assert cert.vertices == _reversed_fan_path(d, s, t, range(1, n + 1))
         assert verify_certificate(d, cert).oracle_verified
     s, t = hull[-1], hull[0]
     assert _halfway_hit(d, _restricted(d, s, range(1, n + 1)), s) is not None
