@@ -16,11 +16,13 @@ are labels or label arrays that broadcast together, and each entry of the
 broadcast shape asks {a, b} against {c, d}, one query per entry.  A 1-D
 row has `cs` a label array and `a`, `b` and `ds` each a label, which
 stands for every entry, or a label array of len(cs); a 2-D block asks an
-(R, 1) pair column against (R, L) operands, or against operands that
-broadcast to them, such as one (L,) row or one label.  Callers with many
-short rows ask them through `ask_rows`, which packs them into calls of up
-to ROW_BLOCK_ENTRIES entries, since a kernel call costs far more than an
-entry.
+(R, 1) pair column, or one (L,) pair row, against (R, L) operands, or
+against operands that broadcast to them, such as one (L,) row or one
+label.  Kernel calls are few and large, since a call costs far more than
+an entry: `ask_rows` packs rows of one length into calls of up to
+ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks the
+pairs of an edge list by cyclic offsets, each call one edge row against a
+block of up to OFFSET_BLOCK_ENTRIES entries.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -30,9 +32,7 @@ Vertices are labelled 1..n and edges are unordered pairs (u, v) with u < v.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -247,9 +247,10 @@ class Drawing:
         The operands are labels or label arrays that broadcast together; the
         answer has their broadcast shape.  A 1-D row has `cs` a label array
         and `a`, `b` and `ds` each a label, which stands for every entry, or
-        a label array of len(cs); a 2-D block is an (R, 1) pair column
-        against (R, L) operands, or operands that broadcast to them.  Entries
-        sharing an endpoint answer False and still count.
+        a label array of len(cs); a 2-D block is an (R, 1) pair column, or
+        one (L,) pair row, against (R, L) operands, or operands that
+        broadcast to them.  Entries sharing an endpoint answer False and
+        still count.
         """
         hits = self._oracle.cross_pairs(a, b, cs, ds)
         self.counter.count += hits.size
@@ -262,7 +263,7 @@ class Drawing:
             i, j = np.nonzero(np.triu(self._oracle._table))
             pick = edges.__getitem__
             return frozenset(zip(map(pick, i.tolist()), map(pick, j.tolist())))
-        hits = suffix_hits(self._oracle.cross_pairs, np.array(edges, dtype=np.int64))
+        hits = offset_hits(self._oracle.cross_pairs, np.array(edges, dtype=np.int64))
         return frozenset((edges[i], edges[j]) for i, j in hits)
 
     def crossing_degrees(self):
@@ -287,78 +288,86 @@ class Drawing:
 # entry of a 1-D row (a 2K-entry row ~25 us, 2 vCPUs).  Verifying an
 # n = 300 path took 1.9x / 1.3x as long with 1K / 2K blocks as with 4K
 # ones, about the same with 8K and 1.7x with 16K, whose float64
-# temporaries reach 128 KB, a size malloc serves by mmap.
+# temporaries reach 128 KB, a size malloc serves by mmap.  8K here would
+# move where early-stopping scans stop, and so their query counts.
 ROW_BLOCK_ENTRIES = 1 << 12
 
+# Entries per kernel call of the plane check's offset rows (`offset_hits`),
+# whose pair operand is one edge row broadcast over the block.  8K entries
+# keep the float64 temporaries at 64 KB, under malloc's mmap threshold.
+# On point sets the plane check of a 299-edge path took 0.95 ms with 8K
+# calls against 1.16 ms with 4K and 1.44 ms as row-major suffix rows in 4K
+# calls, and of a 2,000-edge cycle 43 against 55 and 59 ms (in process,
+# alternating, best of 5, 2 vCPUs).
+OFFSET_BLOCK_ENTRIES = 2 * ROW_BLOCK_ENTRIES
 
-def ask_rows(ask, a, b, lens, operands):
-    """Ask rows of the given lengths in kernel calls of up to ROW_BLOCK_ENTRIES entries.
 
-    Row i asks the pair {a[i], b[i]} (label arrays) against lens[i]
+def ask_rows(ask, a, b, rows, length, operands):
+    """Ask `rows` rows of `length` entries each in kernel calls of up to ROW_BLOCK_ENTRIES entries.
+
+    Row i asks the pair {a[i], b[i]} (label arrays) against `length`
     entries, and operands(i0, i1) gives the (cs, ds) of rows i0..i1-1.
-    Consecutive rows share a call ask(a, b, cs, ds) greedily; a row longer
-    than a third of a block goes alone, since a block of two such rows
-    built from arrays is slower than two label rows.  A one-row call passes
-    its pair as labels, and its operands broadcast to lens[i0] entries.
-    When every row has one length L, a call of R > 1 rows passes an (R, 1)
-    pair column, and its operands broadcast to (R, L); otherwise it repeats
-    each pair over its row, and its operands are flat, in row-major order.
-    Yields (i0, i1, hits) per call; a caller that stops early asks no later
-    block.  The grouping never changes which entries are asked, or their
-    order.
+    A call holds ROW_BLOCK_ENTRIES // length consecutive rows (a row of no
+    entries counting as one), the last call fewer, or one row when that
+    quotient is below three, since a block of two long rows built from
+    arrays is slower than two label rows.  A one-row call passes its pair
+    as labels, and its operands broadcast to `length` entries; a call of
+    R > 1 rows passes an (R, 1) pair column, and its operands broadcast to
+    (R, length).  Yields (i0, i1, hits) per call; a caller that stops
+    early asks no later block.  The grouping never changes which entries
+    are asked, or their order.
     """
-    ends = list(accumulate(lens, initial=0))
-    even = min(lens, default=0) == max(lens, default=0)
-    i0 = 0
-    while i0 < len(lens):
-        if lens[i0] > ROW_BLOCK_ENTRIES // 3:
-            i1 = i0 + 1
-        else:
-            i1 = max(i0 + 1, bisect_right(ends, ends[i0] + ROW_BLOCK_ENTRIES) - 1)
+    per = ROW_BLOCK_ENTRIES // max(length, 1)
+    if per < 3:
+        per = 1
+    for i0 in range(0, rows, per):
+        i1 = min(i0 + per, rows)
         cs, ds = operands(i0, i1)
         if i1 == i0 + 1:
             yield i0, i1, ask(a[i0], b[i0], cs, ds)
-        elif even:
-            yield i0, i1, ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
         else:
-            reps = np.array(lens[i0:i1])
-            yield i0, i1, ask(a[i0:i1].repeat(reps), b[i0:i1].repeat(reps), cs, ds)
-        i0 = i1
+            yield i0, i1, ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
 
 
-def suffix_entries(m, i0, i1):
-    """Rows i0..i1-1 of the scan of edge i against edges i+1..m-1: (rows, cols).
+def offset_hits(ask, ends):
+    """Index pairs (i, j), i < j, of the crossing edges of an (m, 2) label array, in offset order.
 
-    The edge indices of each entry, flat in row-major order.
-    """
-    lens = np.arange(m - 1 - i0, m - 1 - i1, -1)
-    rows = np.repeat(np.arange(i0, i1), lens)
-    # Row i's entries start at flat position starts[i] with column i + 1.
-    starts = np.cumsum(lens) - lens
-    return rows, np.arange(len(rows)) + np.repeat(np.arange(i0 + 1, i1 + 1) - starts, lens)
-
-
-def suffix_hits(ask, ends):
-    """Index pairs (i, j), i < j, of the crossing edges of an (m, 2) label array.
-
-    Row i asks edge i against edges i+1..m-1 through `ask_rows`, C(m, 2)
-    entries in all; pairs come in row-major order.  A caller that stops
-    early asks no block past the one holding its last pair.
+    The edges after the first, for even m, or all of them, for odd m, form
+    a cycle of odd length c.  Row k asks its edge i against its edge
+    (i + k) mod c for every i, k = 1..(c - 1) / 2, after row 0 of edge 0
+    against the c others for even m: C(m, 2) entries, each pair once.  A
+    call asks OFFSET_BLOCK_ENTRIES // c consecutive rows (at least one) as
+    the cycle's (c,) edge row broadcast over a contiguous (R, c) block, so
+    C(m, 2) entries that fit one block are one call.  Hits come row by
+    row, and by i within a row; a caller that stops early asks no block
+    past the one holding its last pair.  A path or a cycle listed in order
+    shares endpoints only between neighbours, all in rows 0 and 1.
     """
     m = len(ends)
-    a, b = ends.T.copy()
-
-    def operands(i0, i1):
-        if i1 == i0 + 1:
-            return a[i1:], b[i1:]
-        _rows, cols = suffix_entries(m, i0, i1)
-        return a[cols], b[cols]
-
-    for i0, i1, hits in ask_rows(ask, a, b, list(range(m - 1, 0, -1)), operands):
-        k = np.flatnonzero(hits)
+    if m < 2:
+        return
+    s = 1 - m % 2  # 1: edge 0 has row 0
+    c = m - s
+    a, b = ends[s:].T.copy()
+    last = (c - 1) // 2
+    # Row k of a window is the doubled cycle of a (or b) from place k on.
+    # Each call copies its rows, since numpy gathers from overlapping
+    # windows at about twice the cost of a copy; row 0 becomes edge 0's.
+    twice = np.concatenate((a, a, b, b))
+    size = twice.itemsize
+    windows = [np.ndarray((last + 1, c), twice.dtype, twice, o * size, (size, size))
+               for o in (0, 2 * c)]
+    per = max(1, OFFSET_BLOCK_ENTRIES // c)
+    for k0 in range(1 - s, last + 1, per):
+        cs, ds = (w[k0:k0 + per].copy() for w in windows)
+        if k0 == 0:
+            cs[0], ds[0] = ends[0]
+        k, i = np.nonzero(ask(a, b, cs, ds))
         if k.size:
-            rows, cols = suffix_entries(m, i0, i1)
-            yield from zip(rows[k].tolist(), cols[k].tolist())
+            k += k0
+            j = np.where(k > 0, (i + k) % c + s, 0)
+            i += s
+            yield from zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
 
 
 class Induced(NamedTuple):
@@ -491,7 +500,7 @@ def split_by_triangle(d, tri, among):
     rest = sorted(among)
     a, b, c = tri
     w0, ws = rest[0], np.array(rest[1:], dtype=np.int64)
-    rows = ask_rows(d.cross_pairs, np.array([a, b, a]), np.array([b, c, c]), [len(ws)] * 3,
+    rows = ask_rows(d.cross_pairs, np.array([a, b, a]), np.array([b, c, c]), 3, len(ws),
                     lambda i0, i1: (ws, w0))
     odd = np.bitwise_xor.reduce(
         np.concatenate([hits.reshape(i1 - i0, len(ws)) for i0, i1, hits in rows]))

@@ -235,9 +235,9 @@ class PointBack:
 
         The four operands are labels or label arrays that broadcast together
         (see `drawing.Drawing.cross_pairs`): a 1-D row, or a 2-D block of an
-        (R, 1) pair column against (R, L) operands.  The answer has the
-        broadcast shape.  Entries sharing an endpoint report False (adjacent
-        edges never cross).
+        (R, 1) pair column or an (L,) pair row against (R, L) operands.  The
+        answer has the broadcast shape.  Entries sharing an endpoint report
+        False (adjacent edges never cross).
         """
         xs, ys = self.xs, self.ys
         ax, ay = xs[a], ys[a]
@@ -263,7 +263,7 @@ class PointBack:
         o3 *= o4
         m = np.maximum(o3, o1 * o2, out=o3)
         res = m < 0
-        # Entries with m == 0 go to integers; a shared endpoint zeroes both
+        # Entries with m == 0 go to _exact; a shared endpoint zeroes both
         # products, so adjacent entries are among them.
         idx = np.flatnonzero(m == 0)
         if idx.size:
@@ -271,24 +271,25 @@ class PointBack:
         return res
 
     def _exact(self, a, b, cs, ds, idx, shape):
-        # Integer verdicts of the entries at flat positions idx of the
-        # operands broadcast to shape; entries sharing an endpoint are False
-        # without a determinant.
-        pts = self.pts
-        entries = zip(*(_labels(x, idx, shape) for x in (a, b, cs, ds)))
-        return [
-            c != a and c != b and d != a and d != b
-            and segments_cross(pts[a], pts[b], pts[c], pts[d])
-            for a, b, c, d in entries
-        ]
+        # Verdicts of the entries at flat positions idx of the operands
+        # broadcast to shape.  Entries sharing an endpoint are False by one
+        # label comparison; only the others reach the integer predicate.
+        at = np.unravel_index(idx, shape) if shape else ()
+        a, b, c, d = (_labels(x, at, len(idx)) for x in (a, b, cs, ds))
+        res = np.zeros(len(idx), dtype=bool)
+        open_ = np.flatnonzero((c != a) & (c != b) & (d != a) & (d != b))
+        if open_.size:
+            pts = self.pts
+            entries = zip(*(x[open_].tolist() for x in (a, b, c, d)))
+            res[open_] = [segments_cross(pts[a], pts[b], pts[c], pts[d])
+                          for a, b, c, d in entries]
+        return res
 
 
-def _labels(x, idx, shape):
-    """Python int labels at flat positions idx of operand x broadcast to shape."""
-    if np.ndim(x) == 0:
-        return [int(x)] * len(idx)
+def _labels(x, at, count):
+    """The count labels of operand x at coordinates `at` of the broadcast shape, as an array."""
     x = np.asarray(x)
-    if x.shape != shape:
-        x = np.broadcast_to(x, shape)
-    # A flat iterator costs ~1 us more per call than a 1-D gather.
-    return (x.flat if x.ndim > 1 else x)[idx].tolist()
+    # x's axes align with the last axes of the shape; an axis of length 1
+    # repeats.  (np.broadcast_to costs ~3 us more per operand.)
+    got = x[tuple(0 if size == 1 else i for size, i in zip(x.shape, at[len(at) - x.ndim:]))]
+    return got if np.ndim(got) else np.full(count, got)

@@ -7,8 +7,8 @@ code being verified.
 
 verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 
-- plane: `first_crossing` over the certificate's edges, row i being edge i
-  against edges i+1.., so C(|E|,2) entries on plane input.
+- plane: `first_crossing` over the certificate's edges, every pair once
+  by cyclic offsets (`drawing.offset_hits`), C(|E|,2) entries on plane input.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.
 - maximal_plane: the plane check, then one row per non-edge against all of
@@ -21,14 +21,14 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 - hamiltonian, contains, endpoints: no queries.
 
 The plane check of one edge sequence runs once per call, however many of
-these claims ask it.  The rows of the plane, star_avoiding and
-maximal_plane checks go to the drawing through `drawing.ask_rows`, so
-entries and their order are as listed; the star_avoiding and
-maximal_plane rows, all of one length, go as 2-D blocks.  A check stops
-after the block that decides it: a certificate that verifies asks
-exactly the entries above, and a failing one asks every entry up to the
-end of the block holding the first crossing (plane, star_avoiding) or
-the first row without one (maximal_plane).
+these claims ask it.  Its offset rows go to the drawing as one edge row
+against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, and the
+star_avoiding and maximal_plane rows, all of one length, through
+`drawing.ask_rows` as 2-D blocks, so entries and their order are as
+listed.  A check stops after the block that decides it: a certificate
+that verifies asks exactly the entries above, and a failing one asks
+every entry up to the end of the block holding the first crossing
+(plane, star_avoiding) or the first row without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .drawing import (
     all_edges,
     ask_rows,
     canon_edge,
-    suffix_hits,
+    offset_hits,
 )
 from .errors import (
     CertificateError,
@@ -82,13 +82,14 @@ def _edge_array(d, edges):
 def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
-    Row i asks edge i against edges i+1.. in the given order, and the first
-    hit in that order is returned.  Rows are asked in blocks
-    (`drawing.suffix_hits`); the scan stops after the first block with a
-    hit, so a crossing costs the entries up to the end of its block.
+    The pairs are asked by cyclic offsets (`drawing.offset_hits`), C(m, 2)
+    entries for m edges, and the first hit in that order is returned as
+    (earlier edge, later edge) in the given order.  The check stops after
+    the block holding that hit, so a crossing costs the entries up to the
+    end of its block.
     """
     arr = _edge_array(d, edges)
-    hit = next(suffix_hits(d.cross_pairs, arr), None)
+    hit = next(offset_hits(d.cross_pairs, arr), None)
     return None if hit is None else tuple(tuple(arr[i].tolist()) for i in hit)
 
 
@@ -307,7 +308,7 @@ def _check_star_avoiding(d, cert, v_star):
         keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
         return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
 
-    asked = ask_rows(d.cross_pairs, a, b, [d.n - 3] * len(rows), operands)
+    asked = ask_rows(d.cross_pairs, a, b, len(rows), d.n - 3, operands)
     return not any(hits.any() for _i0, _i1, hits in asked)
 
 
@@ -318,7 +319,7 @@ def _check_maximal_plane(d, cert, plane):
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
     a, b = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2).T
-    rows = ask_rows(d.cross_pairs, a, b, [len(cs)] * len(a), lambda i0, i1: (cs, ds))
+    rows = ask_rows(d.cross_pairs, a, b, len(a), len(cs), lambda i0, i1: (cs, ds))
     return all(hits.reshape(i1 - i0, len(cs)).any(axis=1).all() for i0, i1, hits in rows)
 
 

@@ -86,8 +86,10 @@ def scan_bad_edges(d, order, hub):
         # A one-row call asks its row 1-D, like the label pair it goes with.
         return (others[i0] if i1 == i0 + 1 else others[i0:i1]), hub
 
-    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], [k - 2] * k, operands)
+    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], k, k - 2, operands)
     for i0, i1, hits in rows:
+        if not hits.any():
+            continue
         hits = hits.reshape(i1 - i0, k - 2)
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
@@ -103,16 +105,17 @@ def probe_bad_edge(d, order, hub):
     whose witnesses `witness_row` reads; a miss proves nothing, and a
     caller that must know reads `scan_bad_edges`.
     """
-    a = np.array(order, dtype=np.int64)
-    hits = d.cross_pairs(a, np.roll(a, -1), np.roll(a, -(1 + len(a) // 2)), hub)
+    k = len(order)
+    twice = np.array(order * 2, dtype=np.int64)
+    hits = d.cross_pairs(twice[:k], twice[1:k + 1], twice[1 + k // 2:1 + k // 2 + k], hub)
     return int(hits.argmax()) if hits.any() else None
 
 
 def witness_row(d, order, hub, i):
     """Row i of `scan_bad_edges` (k - 2 queries): pair i's witnesses, as positions."""
     k = len(order)
-    others = np.roll(np.array(order, dtype=np.int64), -i - 2)[: k - 2]
-    hits = d.cross_pairs(order[i], order[(i + 1) % k], others, hub)
+    twice = np.array(order * 2, dtype=np.int64)
+    hits = d.cross_pairs(twice[i], twice[i + 1], twice[i + 2:i + k], hub)
     return frozenset(((np.flatnonzero(hits) + i + 2) % k).tolist())
 
 

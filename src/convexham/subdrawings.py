@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import Certificate, subdrawing_certificate
-from . import drawing
 from .drawing import all_edges, ask_rows, canon_edge
 from .convexity import require_convex
 from .errors import EdgesCrossOrAdjacent, SeedNotPlane
@@ -83,10 +82,7 @@ def greedy_maximal_plane(d, seed=(), order=None):
 
     i = 0
     while i < len(cand):
-        # The first call of ask_rows holds at most ROW_BLOCK_ENTRIES // k rows
-        # of k entries, so it never needs more row lengths than that.
-        rows = min(len(cand) - i, max(1, drawing.ROW_BLOCK_ENTRIES // max(k, 1)))
-        _i0, span, hits = next(ask_rows(d.cross_pairs, a[i:], b[i:], [k] * rows, operands))
+        _i0, span, hits = next(ask_rows(d.cross_pairs, a[i:], b[i:], len(cand) - i, k, operands))
         free = ~hits.reshape(span, k).any(axis=1)
         for j in range(i, i + span):
             if not free[j - i]:

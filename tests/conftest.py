@@ -71,21 +71,59 @@ def side_convex(d, tri, side):
     return True, None
 
 
-def row_groups(lens, block):
-    """Reference for drawing.ask_rows' grouping: (i0, i1) per kernel call.
+def row_groups(rows, length, block):
+    """Reference for drawing.ask_rows' grouping of rows of one length: (i0, i1) per call.
 
-    Rows are packed greedily into calls of at most `block` entries, and a
-    row longer than block // 3 is asked alone.
+    Rows are packed greedily into calls of at most `block` entries, a row
+    counting as at least one entry, and a row longer than block // 3 is
+    asked alone.
     """
+    size = max(length, 1)
     groups, i = [], 0
-    while i < len(lens):
-        j, total = i + 1, lens[i]
-        while lens[i] <= block // 3 and j < len(lens) and total + lens[j] <= block:
-            total += lens[j]
+    while i < rows:
+        j, total = i + 1, size
+        while size <= block // 3 and j < rows and total + size <= block:
+            total += size
             j += 1
         groups.append((i, j))
         i = j
     return groups
+
+
+def offset_blocks(m, block):
+    """Reference for the plane check's kernel calls on m edges (drawing.offset_hits).
+
+    One list per call of the edge index pairs (i, j), i < j, that it asks,
+    in offset order.  The edges after the first, for even m, or all of
+    them, for odd m, form a cycle of odd length c.  For even m edge 0 is
+    first asked against every other edge; then row k pairs cycle edge i
+    with cycle edge (i + k) mod c, for i = 0..c-1, k = 1..(c - 1) / 2.
+    Consecutive rows share a call, block // c of them (at least one).
+    """
+    if m < 2:
+        return []
+    s = 1 - m % 2
+    c = m - s
+    rows = [[(0, j) for j in range(1, m)]] if s else []
+    for k in range(1, (c - 1) // 2 + 1):
+        rows.append([tuple(sorted((s + i, s + (i + k) % c))) for i in range(c)])
+    per = max(1, block // c)
+    return [sum(rows[r:r + per], []) for r in range(0, len(rows), per)]
+
+
+def first_crossing_reference(d, edges, block):
+    """(first crossing pair, entries asked) of the plane check of canonical `edges`.
+
+    Scalar queries on d in the order of offset_blocks; the entries are
+    those through the block holding the first crossing, or all C(m, 2).
+    """
+    asked = 0
+    for pairs in offset_blocks(len(edges), block):
+        asked += len(pairs)
+        for i, j in pairs:
+            if d.crosses(edges[i], edges[j]):
+                return (edges[i], edges[j]), asked
+    return None, asked
 
 
 def is_interior(d, v):

@@ -271,31 +271,25 @@ def test_instrumented_views_count_independently(rand8):
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(7, 1),
                                   lambda: generators.two_page(7, ((1, 4),))])
 def test_crossing_set_is_uncounted(make):
-    # Geometric rows go in blocks of one or many rows, with a partial last
-    # block; the set is the scalar one either way.
+    # Geometric offset rows go in blocks of one or many rows, with a partial
+    # last block; the set is the scalar one either way.
     d = make()
     edges = all_edges(d.n)
     want = {(e, f) for i, e in enumerate(edges) for f in edges[i + 1:] if d.crosses(e, f)}
-    for block in (1, 5, 40, drawing.ROW_BLOCK_ENTRIES):
+    for block in (1, 5, 40, drawing.OFFSET_BLOCK_ENTRIES):
         view, counter = instrumented(d)
-        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+        with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
             assert view.crossing_set() == d.crossing_set() == frozenset(want)
         assert counter.count == 0
 
 
 @given(st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES]), st.data())
 def test_ask_rows_groups_rows_greedily(block, data):
-    # Row lengths on both sides of a third of the block, and at it; ragged
-    # rows, or rows of one length.
+    # Row lengths on both sides of a third of the block, and at it.
     edge = st.sampled_from([block // 3, block // 3 + 1, block])
-    length = st.one_of(st.integers(0, 30), st.integers(1300, 1500), edge)
-    lens = data.draw(st.one_of(
-        st.lists(length, max_size=24),
-        st.builds(lambda x, k: [x] * k, length, st.integers(0, 24))))
-    even = len(set(lens)) <= 1
-    # Row i's entries are the flat positions ends[i]..ends[i + 1] - 1.
-    ends = np.cumsum([0, *lens])
-    a, b = np.arange(len(lens)) + 100, np.arange(len(lens)) + 500
+    length = data.draw(st.one_of(st.integers(0, 30), st.integers(1300, 1500), edge))
+    rows = data.draw(st.integers(0, 24))
+    a, b = np.arange(rows) + 100, np.arange(rows) + 500
     calls = []
 
     def ask(*args):
@@ -303,16 +297,17 @@ def test_ask_rows_groups_rows_greedily(block, data):
         return args[2] % 3 == 0
 
     def operands(i0, i1):
-        # Rows of one length take (R, L) operands in a call of R > 1 rows.
-        flat = np.arange(ends[i0], ends[i1])
-        return (flat.reshape(i1 - i0, -1) if even and i1 > i0 + 1 else flat), -1
+        # Row i's entries are the flat positions i L..(i + 1) L - 1, as
+        # (R, L) operands in a call of R > 1 rows.
+        flat = np.arange(i0 * length, i1 * length)
+        return (flat.reshape(i1 - i0, length) if i1 > i0 + 1 else flat), -1
 
-    groups = row_groups(lens, block)
+    groups = row_groups(rows, length, block)
     stop = data.draw(st.integers(0, len(groups)))
     with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
-        rows = drawing.ask_rows(ask, a, b, lens, operands)
-        got = [next(rows) for _ in range(stop)]
-        rows.close()
+        asked = drawing.ask_rows(ask, a, b, rows, length, operands)
+        got = [next(asked) for _ in range(stop)]
+        asked.close()
     # A caller that stops early asks no later block.
     assert [(i0, i1) for i0, i1, _hits in got] == groups[:stop]
     assert len(calls) == stop
@@ -321,15 +316,11 @@ def test_ask_rows_groups_rows_greedily(block, data):
         if i1 == i0 + 1:
             assert np.ndim(ca) == np.ndim(cb) == 0
             assert (ca, cb) == (a[i0], b[i0])
-        elif even:
-            assert np.array_equal(ca, a[i0:i1, None]) and np.array_equal(cb, b[i0:i1, None])
         else:
-            assert np.array_equal(ca, np.repeat(a[i0:i1], lens[i0:i1]))
-            assert np.array_equal(cb, np.repeat(b[i0:i1], lens[i0:i1]))
-            assert len(ca) == len(cb) == len(cs)
+            assert np.array_equal(ca, a[i0:i1, None]) and np.array_equal(cb, b[i0:i1, None])
     # The operands joined together are the row-major entries.
     joined = np.concatenate([np.arange(0)] + [cs.ravel() for _a, _b, cs, _d in calls])
-    assert np.array_equal(joined, np.arange(ends[groups[stop - 1][1]] if stop else 0))
+    assert np.array_equal(joined, np.arange(groups[stop - 1][1] * length if stop else 0))
 
 
 def _block_drawing(kind, n):

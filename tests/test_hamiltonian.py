@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacent, construction_pool, is_interior, random_k4_drawing, row_groups
+from conftest import (
+    adjacent,
+    construction_pool,
+    first_crossing_reference,
+    is_interior,
+    random_k4_drawing,
+    row_groups,
+)
 from test_starframe import _halfway_hit, _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import all_edges, canon_edge, instrumented
@@ -468,28 +475,19 @@ def _first_bad_block_end(d, order, hub):
     twice = np.array(order * 2)
     first = next(i for i in range(k)
                  if d._oracle.cross_pairs(twice[i], twice[i + 1], twice[i + 2:i + k], hub).any())
-    return next(i1 for i0, i1 in row_groups([k - 2] * k, drawing.ROW_BLOCK_ENTRIES)
+    return next(i1 for i0, i1 in row_groups(k, k - 2, drawing.ROW_BLOCK_ENTRIES)
                 if i0 <= first < i1)
 
 
 def _first_path_crossing(d, seq):
     """Reference for the root's plane check of a path: (first crossing, entries).
 
-    Row i asks edge i against the later edges by scalar queries on d,
-    uncounted.  The entries are those through the row_groups block of rows
-    m - 1, m - 2, ..., 1 (m edges) that holds the first crossing, or all
-    C(m, 2) of a plane path.
+    Scalar queries on d, uncounted, in the offset order of
+    conftest.offset_blocks; the entries are those through the block that
+    holds the first crossing, or all C(m, 2) of a plane path.
     """
     edges = [canon_edge(a, b) for a, b in zip(seq, seq[1:])]
-    m = len(edges)
-    lens = list(range(m - 1, 0, -1))
-    first = next(((i, j) for i in range(m) for j in range(i + 1, m)
-                  if d.crosses(edges[i], edges[j])), None)
-    if first is None:
-        return None, m * (m - 1) // 2
-    end = next(i1 for i0, i1 in row_groups(lens, drawing.ROW_BLOCK_ENTRIES)
-               if i0 <= first[0] < i1)
-    return (edges[first[0]], edges[first[1]]), sum(lens[:end])
+    return first_crossing_reference(d, edges, drawing.OFFSET_BLOCK_ENTRIES)
 
 
 def _fan_path_of(d, s, t, subset):

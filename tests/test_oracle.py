@@ -6,11 +6,12 @@ from math import comb
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import drawing, generators
+from convexham import drawing, generators, geometry
 from convexham.certificates import (
     cycle_certificate,
     path_certificate,
@@ -24,7 +25,7 @@ from convexham.errors import (
     TooLarge,
     VertexOutOfRange,
 )
-from convexham.hamiltonian import empty_k_cycle, star_avoiding_hamiltonian_cycle
+from convexham.hamiltonian import empty_k_cycle, hamiltonian_cycle, star_avoiding_hamiltonian_cycle
 from convexham.oracle import (
     brute_hamiltonian,
     count_empty_triangles,
@@ -35,7 +36,15 @@ from convexham.oracle import (
     verify_certificate,
 )
 from convexham.subdrawings import greedy_maximal_plane
-from conftest import lex_rotations, pair_oracle, polygon_partition, random_k4_drawing, row_groups
+from conftest import (
+    first_crossing_reference,
+    lex_rotations,
+    offset_blocks,
+    pair_oracle,
+    polygon_partition,
+    random_k4_drawing,
+    row_groups,
+)
 
 
 def _hull_edges(n):
@@ -70,8 +79,6 @@ def test_cycle_sides_canonical_side_a(rand9):
 
 
 def hc_vertices(d):
-    from convexham.hamiltonian import hamiltonian_cycle
-
     return list(hamiltonian_cycle(d, verify=False).vertices)
 
 
@@ -223,8 +230,6 @@ def test_count_empty_triangles_closed_forms():
 
 
 def test_verify_certificate_passes(rand8):
-    from convexham.hamiltonian import hamiltonian_cycle
-
     cert = hamiltonian_cycle(rand8, verify=False)
     assert not cert.oracle_verified
     assert verify_certificate(rand8, cert).oracle_verified
@@ -304,20 +309,21 @@ def _row_drawing(kind, n, seed):
     return generators.two_page(n, ((1, 4),) if seed % 2 else ())
 
 
-def _asked(lens, hit_row, block):
-    """Entries a row scan asks when it stops after the block holding hit_row.
+def _asked(rows, length, hit_row, block):
+    """Entries a scan of rows of one length asks when it stops after the block holding hit_row.
 
     Blocks are those of conftest.row_groups; hit_row None asks every row.
     """
-    for _i, j in row_groups(lens, block):
+    for _i, j in row_groups(rows, length, block):
         if hit_row is not None and hit_row < j:
-            return sum(lens[:j])
-    return sum(lens)
+            return j * length
+    return rows * length
 
 
-# Block sizes that split edge lists into blocks of one row and of many
-# rows, with a partial last block, plus the default.
-BLOCKS = st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES])
+# Block sizes that split rows into blocks of one row and of many rows,
+# with a partial last block, plus the defaults.
+BLOCKS = st.sampled_from([1, 4, 7, 20, 64, drawing.ROW_BLOCK_ENTRIES,
+                          drawing.OFFSET_BLOCK_ENTRIES])
 
 
 @given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5),
@@ -329,21 +335,100 @@ def test_first_crossing_matches_scalar_reference(kind, n, seed, block, data):
     edges = data.draw(st.lists(
         st.tuples(labels, labels).filter(lambda e: e[0] != e[1]), max_size=14
     ))
-    canon = [canon_edge(*e) for e in edges]
-    want, hit_row = None, None
-    for i, e in enumerate(canon):
-        j = next((j for j in range(i + 1, len(canon)) if d.crosses(e, canon[j])), None)
-        if j is not None:
-            want, hit_row = (e, canon[j]), i
-            break
+    # The first crossing in offset order, and C(m, 2) entries on plane
+    # input, otherwise the offset rows through the end of its block.
+    want, asked = first_crossing_reference(d, [canon_edge(*e) for e in edges], block)
     view, counter = instrumented(d)
-    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+    with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
         assert first_crossing(view, edges) == want
         assert is_plane(d, edges) == (want is None)
-    # C(m, 2) on plane input; otherwise the rows through the end of the
-    # block holding the first hit.
-    m = len(edges)
-    assert counter.count == _asked([m - 1 - i for i in range(m - 1)], hit_row, block)
+    assert counter.count == asked
+
+
+class _PlaneSpy:
+    """An oracle that answers False and keeps the operands of every row call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def cross_pairs(self, a, b, cs, ds):
+        self.calls.append((a, b, cs, ds))
+        return np.zeros(np.broadcast_shapes(*map(np.shape, (a, b, cs, ds))), dtype=bool)
+
+
+@given(st.integers(0, 40), st.sampled_from([1, 5, 19, 20, 39, 64, 300,
+                                            drawing.OFFSET_BLOCK_ENTRIES]))
+def test_plane_check_asks_every_pair_once(m, block):
+    # Edge i is (2i + 1, 2i + 2), so a label names its edge.  Blocks of
+    # fewer entries than a row, of one row, of several rows and of all.
+    spy = _PlaneSpy()
+    d = Drawing(2 * m, spy)
+    with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
+        assert first_crossing(d, [(2 * i + 1, 2 * i + 2) for i in range(m)]) is None
+    c = m - (m % 2 == 0)  # the odd cycle's length
+    asked = []
+    for a, b, cs, ds in spy.calls:
+        # One (c,) edge row against a contiguous (R, c) block.
+        assert a.shape == b.shape == (c,) and cs.shape == ds.shape and cs.shape[1:] == (c,)
+        assert cs.flags.c_contiguous and ds.flags.c_contiguous
+        assert np.array_equal(b, a + 1) and np.array_equal(ds, cs + 1)
+        ends = np.broadcast_arrays(a, cs)
+        asked.append([tuple(sorted(e)) for e in zip(*((x.ravel() // 2).tolist() for x in ends))])
+    assert asked == offset_blocks(m, block)
+    assert sorted(sum(asked, [])) == list(combinations(range(m), 2))
+    assert d.counter.count == comb(m, 2)
+    if 0 < comb(m, 2) <= block:
+        assert len(spy.calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(128, 2),
+                                  lambda: generators.two_page(128, ((1, 4),))])
+def test_plane_check_within_one_block_is_one_call(make):
+    # A 40-edge cycle (C(40, 2) = 780 entries) and a 127-edge path (8,001)
+    # fit one block, so each is one kernel call.
+    d = make()
+    cyc = hamiltonian_cycle(d).vertices
+    spy = mock.patch.object(drawing.Drawing, "cross_pairs", autospec=True,
+                            side_effect=drawing.Drawing.cross_pairs)
+    for edges in ([(v, v + 1) for v in range(1, 40)] + [(1, 40)],
+                  list(zip(cyc, cyc[1:]))):
+        assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
+        with spy as calls:
+            first_crossing(d, edges)
+        assert calls.call_count == 1
+
+
+@pytest.mark.parametrize("scale", [1, 2**40])
+@given(st.integers(4, 24), st.integers(0, 300), st.randoms(use_true_random=False))
+def test_plane_check_settles_shared_endpoints_in_numpy(scale, n, seed, rng):
+    # On float64 mirrors and, x 2^40, on object mirrors of the Python ints,
+    # the entries of a Hamiltonian cycle or path that share an endpoint
+    # reach the kernel's fallback but never the scalar predicate, and the
+    # answer is the scalar reference's.  A plane cycle asks every entry.
+    pts = generators.random_geometric(n, seed).points
+    d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
+    assert (d._oracle.xs.dtype == object) == (scale > 1)
+    order = rng.sample(range(1, n + 1), n)
+    plane = hamiltonian_cycle(d).vertices
+    lists = [list(zip(order, order[1:] + order[:1])), list(zip(order, order[1:])),
+             list(zip(plane, plane[1:] + plane[:1]))]
+    wants = [first_crossing_reference(d, [canon_edge(*e) for e in edges],
+                                      drawing.OFFSET_BLOCK_ENTRIES)[0] for edges in lists]
+    assert wants[2] is None
+
+    scalar = geometry.segments_cross
+
+    def predicate(p, q, r, s):
+        assert len({p, q, r, s}) == 4, "a shared endpoint reached segments_cross"
+        return scalar(p, q, r, s)
+
+    exact = mock.patch.object(geometry.PointBack, "_exact", autospec=True,
+                              side_effect=geometry.PointBack._exact)
+    with mock.patch.object(geometry, "segments_cross", side_effect=predicate), exact as fallback:
+        for edges, want in zip(lists, wants):
+            fallback.reset_mock()
+            assert first_crossing(d, edges) == want
+            assert fallback.called
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
@@ -433,7 +518,7 @@ def test_tampered_maximal_plane_certificates():
         assert _verify_count(d, dropped)[1] == ("maximal_plane",)
         extra = next(e for e in all_edges(d.n) if e not in sub)
         crossed = subdrawing_certificate(sub + [extra], claims)
-        assert add_count == comb(len(sub) + 1, 2) <= drawing.ROW_BLOCK_ENTRIES
+        assert add_count == comb(len(sub) + 1, 2) <= drawing.OFFSET_BLOCK_ENTRIES
         assert _verify_count(d, crossed) == (add_count, ("maximal_plane", "plane"))
 
 
@@ -471,7 +556,7 @@ def test_star_avoiding_claims_in_blocks(kind, n, seed, block, rng):
         with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
             count, failed = _verify_count(d, cert)
         assert failed == (() if hit_row is None else ("star_avoiding",))
-        assert count == _asked([n - 3] * len(rows), hit_row, block)
+        assert count == _asked(len(rows), n - 3, hit_row, block)
         if cyc is built:
             assert failed == () and count == (n - 3) * len(rows)
 
@@ -492,18 +577,17 @@ def test_maximal_plane_claims_in_blocks(kind, n, seed, block, rng):
         cert = subdrawing_certificate(edges, {"maximal_plane": True})
         edges = cert.edges
         m = len(edges)
-        plane_lens = [m - 1 - i for i in range(m - 1)]
-        crossing = next((i for i, e in enumerate(edges)
-                         if any(d.crosses(e, f) for f in edges[i + 1:])), None)
-        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+        crossing, plane_cost = first_crossing_reference(d, edges, block)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), \
+                mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
             count, failed = _verify_count(d, cert)
         if crossing is not None:
             assert failed == ("maximal_plane",)
-            assert count == _asked(plane_lens, crossing, block)
+            assert count == plane_cost
             continue
         empty_row, non = _maximal_reference(d, edges)
         assert failed == (() if empty_row is None else ("maximal_plane",))
-        assert count == comb(m, 2) + _asked([m] * len(non), empty_row, block)
+        assert count == comb(m, 2) + _asked(len(non), m, empty_row, block)
         if edges == tuple(sub):
             assert failed == () and count == comb(m, 2) + (comb(n, 2) - m) * m
 

@@ -263,7 +263,7 @@ def _blocked_scan(d, order, hub, block):
     )
     with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy as calls:
         scanned = _scanned(view, order, hub)
-        groups = row_groups([k - 2] * k, block) if k >= 3 else []
+        groups = row_groups(k, k - 2, block) if k >= 3 else []
     assert counter.count == k * (k - 2)
     assert len(calls.call_args_list) == len(groups)
     for (i0, i1), call in zip(groups, calls.call_args_list):

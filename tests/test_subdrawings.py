@@ -231,11 +231,13 @@ def test_faces_degenerate_edge_sets(conv6):
 
 def test_faces_refuses_bad_input():
     # A label outside 1..n and a non-plane edge set are domain errors, not
-    # a bare KeyError or AssertionError.
+    # a bare KeyError or AssertionError.  The crossing named is the first
+    # in offset order (conftest.offset_blocks): offset 3 among the edges
+    # after (1, 2) pairs (2, 4) with (3, 5).
     d = generators.convex_position(5)
     with pytest.raises(VertexOutOfRange, match="vertex 9"):
         faces(d, [(1, 9)])
-    with pytest.raises(EdgesCrossOrAdjacent, match=r"edges \(1, 3\) and \(2, 4\) cross"):
+    with pytest.raises(EdgesCrossOrAdjacent, match=r"edges \(2, 4\) and \(3, 5\) cross"):
         faces(d, all_edges(5))
 
 
