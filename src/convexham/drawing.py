@@ -9,20 +9,14 @@ over integer coordinates that answers each query in O(1) without ever
 materialising the O(n^4) crossing set.
 
 A Drawing asks its oracle in exactly two ways: the checked scalar
-`crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`.  Both count every
-query they pass on into the drawing's own QueryCounter; `instrumented(d)`
-returns a view of d with a fresh counter.  The four operands of a row
-are labels or label arrays that broadcast together, and each entry of the
-broadcast shape asks {a, b} against {c, d}, one query per entry.  A 1-D
-row has `cs` a label array and `a`, `b` and `ds` each a label, which
-stands for every entry, or a label array of len(cs); a 2-D block asks an
-(R, 1) pair column, or one (L,) pair row, against (R, L) operands, or
-against operands that broadcast to them, such as one (L,) row or one
-label.  Kernel calls are few and large, since a call costs far more than
-an entry: `ask_rows` packs rows of one length into calls of up to
-ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks the
-pairs of an edge list by cyclic offsets, each call one edge row against a
-block of up to OFFSET_BLOCK_ENTRIES entries.
+`crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`, whose docstring
+states what a row's operands may be.  Both count every query they pass on
+into the drawing's own QueryCounter; `instrumented(d)` returns a view of d
+with a fresh counter.  Kernel calls are few and large, since a call costs
+far more than an entry: `ask_rows` packs rows of one length into calls of
+up to ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks
+the pairs of an edge list by cyclic offsets, each call one edge row
+against a block of up to OFFSET_BLOCK_ENTRIES entries.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -244,12 +238,14 @@ class Drawing:
     def cross_pairs(self, a, b, cs, ds):
         """Vectorised: does {a, b} cross {c, d}, entry by entry?  One query per entry.
 
-        The operands are labels or label arrays that broadcast together; the
-        answer has their broadcast shape.  A 1-D row has `cs` a label array
-        and `a`, `b` and `ds` each a label, which stands for every entry, or
-        a label array of len(cs); a 2-D block is an (R, 1) pair column, or
-        one (L,) pair row, against (R, L) operands, or operands that
-        broadcast to them.  Entries sharing an endpoint answer False and
+        The operands are labels or label arrays that broadcast together, and
+        each entry of their broadcast shape, the answer's, asks {a, b}
+        against {c, d}.  A 1-D row has `cs` a label array and `a`, `b` and
+        `ds` each a label, which stands for every entry, or a label array
+        of len(cs); a 2-D block is an (R, 1) pair column, or one (L,) pair
+        row, against (R, L) operands, or operands that broadcast to them,
+        such as one (L,) row or one label.  Both backings' `cross_pairs`
+        take these operands.  Entries sharing an endpoint answer False and
         still count.
         """
         hits = self._oracle.cross_pairs(a, b, cs, ds)
@@ -259,10 +255,6 @@ class Drawing:
     def crossing_set(self):
         """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""
         edges = all_edges(self.n)
-        if isinstance(self._oracle, ExplicitCrossings):
-            i, j = np.nonzero(np.triu(self._oracle._table))
-            pick = edges.__getitem__
-            return frozenset(zip(map(pick, i.tolist()), map(pick, j.tolist())))
         hits = offset_hits(self._oracle.cross_pairs, np.array(edges, dtype=np.int64))
         return frozenset((edges[i], edges[j]) for i, j in hits)
 
@@ -302,31 +294,31 @@ ROW_BLOCK_ENTRIES = 1 << 12
 OFFSET_BLOCK_ENTRIES = 2 * ROW_BLOCK_ENTRIES
 
 
-def ask_rows(ask, a, b, rows, length, operands):
-    """Ask `rows` rows of `length` entries each in kernel calls of up to ROW_BLOCK_ENTRIES entries.
+def ask_rows(ask, a, b, length, operands):
+    """Ask one row of `length` entries per pair {a[i], b[i]} (label arrays), in few kernel calls.
 
-    Row i asks the pair {a[i], b[i]} (label arrays) against `length`
-    entries, and operands(i0, i1) gives the (cs, ds) of rows i0..i1-1.
-    A call holds ROW_BLOCK_ENTRIES // length consecutive rows (a row of no
-    entries counting as one), the last call fewer, or one row when that
-    quotient is below three, since a block of two long rows built from
-    arrays is slower than two label rows.  A one-row call passes its pair
-    as labels, and its operands broadcast to `length` entries; a call of
-    R > 1 rows passes an (R, 1) pair column, and its operands broadcast to
-    (R, length).  Yields (i0, i1, hits) per call; a caller that stops
-    early asks no later block.  The grouping never changes which entries
-    are asked, or their order.
+    operands(i0, i1) gives the (cs, ds) of rows i0..i1-1.  A call holds
+    ROW_BLOCK_ENTRIES // length consecutive rows (a row of no entries
+    counting as one), the last call fewer, or one row when that quotient
+    is below three, since a block of two long rows built from arrays is
+    slower than two label rows.  A one-row call passes its pair as labels,
+    and its operands broadcast to `length` entries; a call of R > 1 rows
+    passes an (R, 1) pair column, and its operands broadcast to
+    (R, length).  Yields (i0, hits) per call, hits shaped (R, length); a
+    caller that stops early asks no later block.  The grouping never
+    changes which entries are asked, or their order.
     """
     per = ROW_BLOCK_ENTRIES // max(length, 1)
     if per < 3:
         per = 1
-    for i0 in range(0, rows, per):
-        i1 = min(i0 + per, rows)
+    for i0 in range(0, len(a), per):
+        i1 = min(i0 + per, len(a))
         cs, ds = operands(i0, i1)
         if i1 == i0 + 1:
-            yield i0, i1, ask(a[i0], b[i0], cs, ds)
+            hits = ask(a[i0], b[i0], cs, ds)
         else:
-            yield i0, i1, ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
+            hits = ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
+        yield i0, hits.reshape(i1 - i0, length)
 
 
 def offset_hits(ask, ends):
@@ -493,17 +485,15 @@ def split_by_triangle(d, tri, among):
     Two vertices land on the same side iff the edge between them crosses the
     triangle boundary an even number of times.  Every vertex is placed
     against the smallest one, w0: one row per triangle edge over the edges
-    (w0, w), 3 * (len(among) - 1) queries in all, asked as one `ask_rows`
-    block (one call while a row holds at most a third of a block).
-    triangle_sides checks the parity of every pair.
+    (w0, w), 3 * (len(among) - 1) queries in all, asked as one call of a
+    (3, 1) triangle-edge column.  triangle_sides checks the parity of
+    every pair.
     """
     rest = sorted(among)
     a, b, c = tri
     w0, ws = rest[0], np.array(rest[1:], dtype=np.int64)
-    rows = ask_rows(d.cross_pairs, np.array([a, b, a]), np.array([b, c, c]), 3, len(ws),
-                    lambda i0, i1: (ws, w0))
-    odd = np.bitwise_xor.reduce(
-        np.concatenate([hits.reshape(i1 - i0, len(ws)) for i0, i1, hits in rows]))
+    hits = d.cross_pairs(np.array([[a], [b], [a]]), np.array([[b], [c], [c]]), ws, w0)
+    odd = np.bitwise_xor.reduce(hits)
     return [w0, *ws[~odd].tolist()], ws[odd].tolist()
 
 

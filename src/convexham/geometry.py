@@ -233,10 +233,8 @@ class PointBack:
     def cross_pairs(self, a, b, cs, ds):
         """Bool array: does segment (a, b) properly cross (c, d), entry by entry?
 
-        The four operands are labels or label arrays that broadcast together
-        (see `drawing.Drawing.cross_pairs`): a 1-D row, or a 2-D block of an
-        (R, 1) pair column or an (L,) pair row against (R, L) operands.  The
-        answer has the broadcast shape.  Entries sharing an endpoint report
+        The operands are those of `drawing.Drawing.cross_pairs`, and the
+        answer has their broadcast shape.  Entries sharing an endpoint report
         False (adjacent edges never cross).
         """
         xs, ys = self.xs, self.ys
@@ -272,10 +270,14 @@ class PointBack:
 
     def _exact(self, a, b, cs, ds, idx, shape):
         # Verdicts of the entries at flat positions idx of the operands
-        # broadcast to shape.  Entries sharing an endpoint are False by one
-        # label comparison; only the others reach the integer predicate.
+        # broadcast to shape.  An operand's axes align with the last axes of
+        # the shape, and an axis of length 1 repeats (np.broadcast_to costs
+        # ~3-6 us more per operand).  Entries sharing an endpoint are False
+        # by one label comparison; only the others reach the integer predicate.
         at = np.unravel_index(idx, shape) if shape else ()
-        a, b, c, d = (_labels(x, at, len(idx)) for x in (a, b, cs, ds))
+        got = [x[tuple(0 if size == 1 else i for size, i in zip(x.shape, at[len(at) - x.ndim:]))]
+               for x in map(np.asarray, (a, b, cs, ds))]
+        a, b, c, d = (x if x.ndim else np.full(len(idx), x) for x in got)
         res = np.zeros(len(idx), dtype=bool)
         open_ = np.flatnonzero((c != a) & (c != b) & (d != a) & (d != b))
         if open_.size:
@@ -285,11 +287,3 @@ class PointBack:
                           for a, b, c, d in entries]
         return res
 
-
-def _labels(x, at, count):
-    """The count labels of operand x at coordinates `at` of the broadcast shape, as an array."""
-    x = np.asarray(x)
-    # x's axes align with the last axes of the shape; an axis of length 1
-    # repeats.  (np.broadcast_to costs ~3 us more per operand.)
-    got = x[tuple(0 if size == 1 else i for size, i in zip(x.shape, at[len(at) - x.ndim:]))]
-    return got if np.ndim(got) else np.full(count, got)

@@ -143,8 +143,7 @@ def _solve_path(d, subset, s, t):
         sub, s0, t0 = item
         if len(sub) <= 3:
             # At most one vertex between s0 and t0: the piece is forced.
-            if len(sub) > 1:
-                path += [*(x for x in sub if x != s0 and x != t0), t0]
+            path += [*(x for x in sub if x != s0 and x != t0), t0]
             continue
         order = d.rotation_among(t0, sub)
         i, wpos = probe_bad_edge(d, order, t0), None

@@ -308,8 +308,7 @@ def _check_star_avoiding(d, cert, v_star):
         keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
         return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
 
-    asked = ask_rows(d.cross_pairs, a, b, len(rows), d.n - 3, operands)
-    return not any(hits.any() for _i0, _i1, hits in asked)
+    return not any(hits.any() for _i0, hits in ask_rows(d.cross_pairs, a, b, d.n - 3, operands))
 
 
 def _check_maximal_plane(d, cert, plane):
@@ -319,8 +318,8 @@ def _check_maximal_plane(d, cert, plane):
     have = set(cert.edges)
     cs, ds = _edge_array(d, cert.edges).T.copy()
     a, b = np.array([e for e in all_edges(d.n) if e not in have], dtype=np.int64).reshape(-1, 2).T
-    rows = ask_rows(d.cross_pairs, a, b, len(a), len(cs), lambda i0, i1: (cs, ds))
-    return all(hits.reshape(i1 - i0, len(cs)).any(axis=1).all() for i0, i1, hits in rows)
+    rows = ask_rows(d.cross_pairs, a, b, len(cs), lambda i0, i1: (cs, ds))
+    return all(hits.any(axis=1).all() for _i0, hits in rows)
 
 
 def _check_empty_side(d, cyc, plane):

@@ -86,11 +86,9 @@ def scan_bad_edges(d, order, hub):
         # A one-row call asks its row 1-D, like the label pair it goes with.
         return (others[i0] if i1 == i0 + 1 else others[i0:i1]), hub
 
-    rows = drawing.ask_rows(d.cross_pairs, twice, twice[1:], k, k - 2, operands)
-    for i0, i1, hits in rows:
+    for i0, hits in drawing.ask_rows(d.cross_pairs, twice[:k], twice[1:], k - 2, operands):
         if not hits.any():
             continue
-        hits = hits.reshape(i1 - i0, k - 2)
         for r in np.flatnonzero(hits.any(axis=1)).tolist():
             i = i0 + r
             yield i, frozenset(((np.flatnonzero(hits[r]) + i + 2) % k).tolist())
@@ -234,11 +232,7 @@ def _build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr):
         default = wr[i + 1]
         left_host = np.array([to_host[x] for x in left], dtype=np.int64)
         li = len(left) - 1
-        exhausted = False
         for r in right:
-            if exhausted:
-                l_table[r] = default
-                continue
             while li >= 0:
                 l = left[li]
                 if li and d.cross_pairs(to_host[l], v_star, left_host[:li], to_host[r]).any():
@@ -246,8 +240,6 @@ def _build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr):
                     break
                 li -= 1
             else:
-                # No l works for this r; the same holds for every later r in
-                # the block, so stop probing.
-                exhausted = True
+                # No l works for this r, nor for a later r, which asks nothing.
                 l_table[r] = default
     return l_table

@@ -82,8 +82,8 @@ def greedy_maximal_plane(d, seed=(), order=None):
 
     i = 0
     while i < len(cand):
-        _i0, span, hits = next(ask_rows(d.cross_pairs, a[i:], b[i:], len(cand) - i, k, operands))
-        free = ~hits.reshape(span, k).any(axis=1)
+        _i0, hits = next(ask_rows(d.cross_pairs, a[i:], b[i:], k, operands))
+        free, span = ~hits.any(axis=1), len(hits)
         for j in range(i, i + span):
             if not free[j - i]:
                 continue

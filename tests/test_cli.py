@@ -434,3 +434,34 @@ def test_find_two_edge_path_counts_its_queries(capsys, tmp_path, n, seed):
     view, counter = instrumented(io.loads_drawing(raw))
     _two_edge_path(view, e, f, True)
     assert manifest_of(err)["oracle_queries"] == counter.count > 0
+
+
+@pytest.mark.parametrize("kind, argv, code, message", [
+    ("convex-position", ["find", "edge-path", "--edge", "1,2,3"], 2,
+     "expected an edge like 'u,v', got '1,2,3'"),
+    ("convex-position", ["find", "edge-path", "--edge", "a,b"], 2,
+     "edge endpoints must be integers, got 'a,b'"),
+    ("convex-position", ["find", "star-hc"], 2, "star-hc needs --star"),
+    ("convex-position", ["find", "empty-cycle", "--star", "1"], 2,
+     "empty-cycle needs --k and --star"),
+    ("convex-position", ["find", "edge-path"], 2, "edge-path needs --edge u,v"),
+    ("convex-position", ["find", "two-edge-path"], 2, "two-edge-path needs --edges u,v;x,y"),
+    ("convex-position", ["find", "two-edge-path", "--edges", "1,2;3,4;5,6"], 2,
+     "expected exactly two edges, got 3"),
+    ("convex-position", ["verify"], 2,
+     "verify needs --cert FILE (drawing comes from --in or stdin)"),
+    ("two-page", ["find", "two-edge-path", "--edges", "1,2;3,4"], 1,
+     "two-edge-path needs a drawing with coordinates"),
+])
+def test_command_errors_exit_with_their_kind(capsys, tmp_path, kind, argv, code, message):
+    # A usage error exits 2 with nothing on stdout; a domain error exits 1
+    # with its error JSON on stdout.  Either way the manifest ends stderr.
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", kind, "--n", "6")[1])
+    got, out, err = run(capsys, *argv, "--in", str(dfile))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith(f"usage error: {message}\n")
+    else:
+        assert json.loads(out) == {"error": "NoCoordinates", "message": message}
+    assert manifest_of(err)["command"] == [*argv, "--in", str(dfile)]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pair_oracle, random_k4_drawing, side_convex
+from conftest import pair_oracle, random_k4_drawing, random_two_page, side_convex
 from convexham import convexity, generators
 from convexham.convexity import (
     K5Class,
@@ -231,13 +231,18 @@ def _fan(n, step):
     return generators.two_page(n, tuple((1, j) for j in range(4, n - 1, step)))
 
 
-_KINDS = st.sampled_from(["twisted", "fan", "geometric", "k4"])
+# Random two-page drawings are the kind whose nonconvex sides are often
+# first violated by a pair off the triangle, not by a corner edge.
+_KINDS = st.sampled_from(["twisted", "fan", "geometric", "k4", "two-page"])
 
 
 def _drawing_of_kind(n, kind, rng):
-    """A random_k4_drawing, or a twisted, fan or geometric drawing randomly relabelled."""
+    """A random_k4_drawing or random_two_page, or a twisted, fan or
+    geometric drawing randomly relabelled."""
     if kind == "k4":
         return random_k4_drawing(n, rng)
+    if kind == "two-page":
+        return random_two_page(n, rng)
     d = {
         "twisted": lambda: generators.twisted(n),
         "fan": lambda: _fan(n, rng.choice((1, 2, 3))),
@@ -344,6 +349,17 @@ def test_find_nonconvex_triangle_matches_reference(n, kind, rng):
     d = _drawing_of_kind(n, kind, rng)
     want = _outcome(_reference_find_nonconvex_triangle, d)
     assert _outcome(find_nonconvex_triangle, d) == want
+
+
+@pytest.mark.parametrize("n, seed", [(6, 4), (6, 5), (7, 10), (7, 12)])
+def test_find_nonconvex_triangle_names_pair_witnesses(n, seed):
+    # Drawings whose first violation on one side is a pair (w, w2) off the
+    # triangle crossing a triangle edge, not a corner edge.
+    d = random_two_page(n, random.Random(seed))
+    got = find_nonconvex_triangle(d)
+    assert got == _reference_find_nonconvex_triangle(d)
+    assert any(not set(edge) & set(got.triangle) for edge, _tri_edge in
+               (got.violation_a, got.violation_b))
 
 
 @pytest.mark.parametrize("n", [16, 24])

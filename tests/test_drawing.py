@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import drawing, generators, geometry, starframe
+from convexham import drawing, generators, geometry, hamiltonian, oracle, starframe
 from convexham.drawing import (
     all_edges,
     canon_edge,
@@ -305,14 +305,16 @@ def test_ask_rows_groups_rows_greedily(block, data):
     groups = row_groups(rows, length, block)
     stop = data.draw(st.integers(0, len(groups)))
     with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
-        asked = drawing.ask_rows(ask, a, b, rows, length, operands)
+        asked = drawing.ask_rows(ask, a, b, length, operands)
         got = [next(asked) for _ in range(stop)]
         asked.close()
-    # A caller that stops early asks no later block.
-    assert [(i0, i1) for i0, i1, _hits in got] == groups[:stop]
+    # A caller that stops early asks no later block; each block's hits are
+    # shaped (rows, length), whatever shape the call returned.
+    assert [(i0, i0 + len(hits)) for i0, hits in got] == groups[:stop]
     assert len(calls) == stop
-    for (i0, i1, hits), (ca, cb, cs, ds) in zip(got, calls):
-        assert np.array_equal(hits, cs % 3 == 0) and ds == -1
+    for (i0, hits), (_i0, i1), (ca, cb, cs, ds) in zip(got, groups, calls):
+        assert hits.shape == (i1 - i0, length)
+        assert np.array_equal(hits, (cs % 3 == 0).reshape(i1 - i0, length)) and ds == -1
         if i1 == i0 + 1:
             assert np.ndim(ca) == np.ndim(cb) == 0
             assert (ca, cb) == (a[i0], b[i0])
@@ -393,9 +395,9 @@ def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
 
 def test_row_block_call_shapes():
     # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one call
-    # of a (k, 1) pair column against (k, k - 2) operands; a split at small
-    # k is one call of a (3, 1) column.  Rows over a third of a block go
-    # alone and pass their pair as labels.
+    # of a (k, 1) pair column against (k, k - 2) operands.  A split is one
+    # call of a (3, 1) column whatever the block size, also when its rows
+    # are longer than a third of a block.
     d = generators.random_geometric(66, 1)
     for k in (3, 40, 65):
         order = d.rotation_of(66)[:k]
@@ -404,18 +406,13 @@ def test_row_block_call_shapes():
             list(starframe.scan_bad_edges(d, order, 66))
         ((_d, a, b, cs, hub),) = [c.args for c in calls.call_args_list]
         assert (a.shape, b.shape, cs.shape, hub) == ((k, 1), (k, 1), (k, k - 2), 66)
-    for block, ncalls in ((drawing.ROW_BLOCK_ENTRIES, 1), (12, 3)):
+    for block in (drawing.ROW_BLOCK_ENTRIES, 12):
         patched, spy = _spied_calls(block)
         with patched, spy as calls:
             split_by_triangle(d, (1, 2, 3), range(4, 10))
-        args = [c.args for c in calls.call_args_list]
-        assert len(args) == ncalls
-        if ncalls == 1:
-            ((_d, a, b, cs, w0),) = args
-            assert a.tolist() == [[1], [2], [1]] and b.tolist() == [[2], [3], [3]]
-            assert (cs.tolist(), w0) == ([5, 6, 7, 8, 9], 4)
-        else:
-            assert [(a, b) for _d, a, b, _cs, _w0 in args] == [(1, 2), (2, 3), (1, 3)]
+        ((_d, a, b, cs, w0),) = [c.args for c in calls.call_args_list]
+        assert a.tolist() == [[1], [2], [1]] and b.tolist() == [[2], [3], [3]]
+        assert (cs.tolist(), w0) == ([5, 6, 7, 8, 9], 4)
 
 
 @given(st.sampled_from(["fan", "two-page", "geometric", "twisted"]), st.integers(5, 14),
@@ -500,3 +497,33 @@ def test_cross_pairs_broadcasts_numpy_scalar(make):
         view, counter = instrumented(d)
         assert view.cross_pairs(1, 5, cs, ds).tolist() == want
         assert counter.count == len(cs)
+
+
+_FIVE = generators.convex_position(5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: oracle.cycle_sides(_FIVE, (1, 2, 6)), VertexOutOfRange,
+     "vertices out of range 1..5: (1, 2, 6)"),
+    (lambda: triangle_sides(_FIVE, 1, 2, 6), VertexOutOfRange, "vertices out of range 1..5"),
+    (lambda: triangle_sides(_FIVE, 1, 2, 2), ValueError,
+     "triangle needs three distinct vertices, got (1, 2, 2)"),
+    (lambda: induced_subdrawing(_FIVE, (0, 1, 2)), VertexOutOfRange,
+     "vertices out of range 1..5"),
+    (lambda: hamiltonian.path_containing_edge(_FIVE, (1, 6)), VertexOutOfRange,
+     "edge (1, 6) out of range 1..5"),
+    (lambda: hamiltonian._two_edge_path(_FIVE, (1, 2), (3, 6), False), VertexOutOfRange,
+     "edges (1, 2), (3, 6) out of range 1..5"),
+])
+def test_out_of_range_vertices_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_same_drawing_tells_sizes_and_rotations_apart():
+    twisted = generators.twisted(5)
+    assert twisted.rotations != _FIVE.rotations
+    assert not same_drawing(_FIVE, generators.convex_position(6))
+    assert not same_drawing(_FIVE, twisted)
+    assert same_drawing(_FIVE, generators.convex_position(5))

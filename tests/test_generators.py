@@ -171,3 +171,15 @@ def test_abstract_families_refuse_large_n_before_building(make):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("make", [
+    generators.convex_position,
+    lambda n: generators.random_geometric(n, 0),
+    generators.twisted,
+    generators.two_page,
+])
+@pytest.mark.parametrize("n", [0, 2])
+def test_generators_refuse_fewer_than_three_vertices(make, n):
+    with pytest.raises(TooFewVertices, match=f"^need n >= 3, got {n}$"):
+        make(n)

@@ -285,3 +285,17 @@ def test_reader_checks_stored_crossings_against_rotations():
     added = dict(obj, crossings=obj["crossings"] + [[[a, b], [c, x]]])
     with pytest.raises(FormatError, match="disagree with the rotations"):
         io.drawing_from_json(added)
+
+
+def test_certificate_constructor_errors_become_format_errors():
+    obj = io.certificate_to_json(path_certificate((1, 2, 3), {"plane": True}))
+    obj["vertices"] = [1, 2, 1]
+    with pytest.raises(FormatError) as exc:
+        io.certificate_from_json(obj)
+    assert str(exc.value) == "repeated vertex in path (1, 2, 1)"
+    assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+
+def test_loads_certificate_rejects_invalid_json():
+    with pytest.raises(FormatError, match="^invalid JSON: Expecting property name"):
+        io.loads_certificate("{")
