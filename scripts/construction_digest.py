@@ -23,8 +23,8 @@ exercised (the two-page pool, the fans and twisted), so it shows whether
 a change moved the crossings that rotations fix.
 
 The `sha256 plane` line digests greedy_maximal_plane's edges and queries on
-every drawing exercised, in the default order and in one random order
-seeded by the drawing's name.  The `sha256 convexity` line digests the
+every drawing exercised, in the default order (all_edges, lex) and in one
+random order seeded by the drawing's name.  The `sha256 convexity` line digests the
 witnesses (or errors) of find_nonconvex_triangle and find_nonconvex_k5
 and the queries of each on every drawing exercised with n <= 40, and
 also digests the witnesses alone; outside the digests it sums the queries

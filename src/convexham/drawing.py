@@ -258,18 +258,6 @@ class Drawing:
         hits = offset_hits(self._oracle.cross_pairs, np.array(edges, dtype=np.int64))
         return frozenset((edges[i], edges[j]) for i, j in hits)
 
-    def crossing_degrees(self):
-        """How many edges cross each edge, in all_edges order; uncounted.
-
-        Abstract drawings sum their table's rows; geometric ones ask one
-        row per edge against all edges.
-        """
-        if isinstance(self._oracle, ExplicitCrossings):
-            return self._oracle._table[:-1, :-1].sum(axis=1)
-        ends = np.array(all_edges(self.n), dtype=np.int64)
-        c, d = ends.T
-        return np.array([np.count_nonzero(self._oracle.cross_pairs(a, b, c, d)) for a, b in ends])
-
     def __repr__(self):
         kind = "geometric" if self.points is not None else "explicit"
         return f"Drawing(n={self.n}, {kind})"

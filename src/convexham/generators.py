@@ -10,6 +10,7 @@ edge winds once around a centre; see tests for a polyline cross-validation).
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import geometry
@@ -46,28 +47,22 @@ def geometric(points):
 def convex_position(n):
     """Drawing of n points in strictly convex position (rounded circle).
 
-    The radius grows until rounding neither merges points, creates a
-    collinear triple, nor bends the polygon; labels follow the hull
-    counterclockwise.
+    Labels follow the hull counterclockwise.
     """
     if n < 3:
         raise TooFewVertices(f"need n >= 3, got {n}")
-    import math
-
+    # One radius s suffices.  With t = 2 pi / n, the turn at each vertex of
+    # the exact polygon is 2 s^2 (1 - cos t) sin t.  Rounding moves a point
+    # by at most sqrt(2) / 2 and so shifts a turn by at most 2 sqrt(2) L + 2,
+    # L = 2 s sin(t / 2) the side.  At s = max(64, 2 n^2) the turn is over
+    # 21 times that shift for every n >= 3, so the rounded polygon stays
+    # strictly convex: distinct points in general position.
     radius = max(64, 2 * n * n)
-    while True:
-        pts = []
-        for k in range(n):
-            ang = 2 * math.pi * k / n
-            pts.append((round(radius * math.cos(ang)), round(radius * math.sin(ang))))
-        try:
-            validated = point_set(pts)
-        except DegeneratePointSet:
-            radius *= 2
-            continue
-        if geometry.strictly_convex_ccw(validated):
-            return geometric_drawing((None, *validated))
-        radius *= 2
+    pts = []
+    for k in range(n):
+        ang = 2 * math.pi * k / n
+        pts.append((round(radius * math.cos(ang)), round(radius * math.sin(ang))))
+    return geometric(pts)
 
 
 def random_geometric(n, seed):

@@ -181,20 +181,6 @@ def ccw_order(back, anchor, candidates):
     return [t[3] for t in keyed]
 
 
-def strictly_convex_ccw(points_in_order):
-    """True iff the points, in the given cyclic order, form a strictly convex CCW polygon."""
-    n = len(points_in_order)
-    if n < 3:
-        return False
-    for i in range(n):
-        a = points_in_order[i]
-        b = points_in_order[(i + 1) % n]
-        c = points_in_order[(i + 2) % n]
-        if orientation(a, b, c) <= 0:
-            return False
-    return True
-
-
 class PointBack:
     """Numpy mirrors of a 1-indexed integer point table, for exact rows.
 

@@ -37,7 +37,6 @@ class StarFrame:
     wrap pair {n-1, 1}, so labels 1..n-1 form a good path.
     """
 
-    drawing: object
     v_star: int
     to_frame: tuple  # host label -> frame label ([0] unused)
     to_host: tuple  # frame label -> host label ([0] unused)
@@ -206,7 +205,6 @@ def build_star_frame(d, v_star):
         l_table = _build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr)
 
     return StarFrame(
-        drawing=d,
         v_star=v_star,
         to_frame=tuple(to_frame),
         to_host=to_host,

@@ -2,8 +2,9 @@
 
 A plane subdrawing is a set of pairwise non-crossing edges.  In convex
 drawings every maximal plane subdrawing is maximum with exactly the same
-size, so a single greedy pass from any seed in any order hits the optimum;
-max_plane_size leans on that and therefore refuses non-convex input.
+size, so a single greedy pass from any seed in any order hits the optimum
+(the greedy takes the edges in all_edges order by default); max_plane_size
+leans on that and therefore refuses non-convex input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import Certificate, subdrawing_certificate
+from .certificates import subdrawing_certificate
 from .drawing import all_edges, ask_rows, canon_edge
 from .convexity import require_convex
 from .errors import EdgesCrossOrAdjacent, SeedNotPlane
@@ -38,19 +39,23 @@ class PlaneSubdrawing:
 def crossing_degree_order(d):
     """All edges sorted by how many other edges cross them, then lex.
 
-    The default greedy order: least-crossed edges first keeps hull-like
-    edges early.  Uncounted; see Drawing.crossing_degrees for the cost.
+    An opt-in greedy order, uncounted.  It reads the whole crossing set
+    (Drawing.crossing_set): C(n, 2)^2 / 2 kernel entries, quartic in n.
     """
-    edges = all_edges(d.n)
-    return tuple(edges[i] for i in np.argsort(d.crossing_degrees(), kind="stable").tolist())
+    deg = dict.fromkeys(all_edges(d.n), 0)
+    for e, f in d.crossing_set():
+        deg[e] += 1
+        deg[f] += 1
+    return tuple(sorted(deg, key=lambda e: (deg[e], e)))
 
 
 def greedy_maximal_plane(d, seed=(), order=None):
     """Grow a maximal plane subdrawing from `seed` along `order`.
 
     The seed must itself be plane (SeedNotPlane otherwise).  Every edge of
-    the drawing is offered once; an edge enters iff it crosses nothing
-    already chosen, which makes the result maximal regardless of order.
+    the drawing is offered once, in all_edges order unless `order` lists
+    them all; an edge enters iff it crosses nothing already chosen, which
+    makes the result maximal regardless of order.
     Each candidate asks one query per edge chosen before it.  The candidates
     go in drawing.ask_rows blocks: a block asks its candidates against the
     edges chosen before it, then each edge the block accepts is asked, in
@@ -61,7 +66,7 @@ def greedy_maximal_plane(d, seed=(), order=None):
     if bad is not None:
         raise SeedNotPlane(f"seed edges {bad[0]} and {bad[1]} cross")
     if order is None:
-        order = crossing_degree_order(d)
+        order = all_edges(d.n)
     else:
         order = tuple(canon_edge(*e) for e in order)
         if len(order) != len(set(order)) or set(order) != set(all_edges(d.n)):
@@ -98,11 +103,7 @@ def greedy_maximal_plane(d, seed=(), order=None):
 
 def extend_cycle(d, cycle_cert, order=None):
     """Extend a plane cycle certificate's edges to a maximal plane subdrawing."""
-    if isinstance(cycle_cert, Certificate):
-        seed = cycle_cert.edges
-    else:
-        seed = tuple(cycle_cert)
-    return greedy_maximal_plane(d, seed=seed, order=order)
+    return greedy_maximal_plane(d, seed=cycle_cert.edges, order=order)
 
 
 def max_plane_size(d, order=None):

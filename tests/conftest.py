@@ -71,6 +71,20 @@ def side_convex(d, tri, side):
     return True, None
 
 
+def strictly_convex_ccw(points_in_order):
+    """True iff the points, in the given cyclic order, form a strictly convex CCW polygon."""
+    n = len(points_in_order)
+    if n < 3:
+        return False
+    for i in range(n):
+        a = points_in_order[i]
+        b = points_in_order[(i + 1) % n]
+        c = points_in_order[(i + 2) % n]
+        if orientation(a, b, c) <= 0:
+            return False
+    return True
+
+
 def row_groups(rows, length, block):
     """Reference for drawing.ask_rows' grouping of rows of one length: (i0, i1) per call.
 

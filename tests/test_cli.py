@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,25 @@ def test_pipeline_gen_find_verify(capsys, tmp_path):
     cfile.write_text(cert)
     code, out, _ = run(capsys, "verify", "--in", str(dfile), "--cert", str(cfile))
     assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+def test_module_entry_point_pipeline(tmp_path):
+    # `python -m convexham` as three processes with files between them.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def convexham(*argv):
+        proc = subprocess.run([sys.executable, "-m", "convexham", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    dfile, cfile = tmp_path / "d.json", tmp_path / "c.json"
+    dfile.write_text(convexham("gen", "convex-position", "--n", "6"))
+    cfile.write_text(convexham("find", "hc", "--in", str(dfile)))
+    out = convexham("verify", "--in", str(dfile), "--cert", str(cfile))
     assert json.loads(out)["verified"] is True
 
 

@@ -1,7 +1,9 @@
 import math
+import random
 import tracemalloc
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -9,9 +11,8 @@ from hypothesis import strategies as st
 
 from convexham import generators
 from convexham.drawing import all_edges, same_drawing
-from convexham.errors import DegeneratePointSet, TooFewVertices, TooLarge
-from convexham.geometry import strictly_convex_ccw
-from conftest import adjacent, canon_pair
+from convexham.errors import DegeneratePointSet, ExhaustedRejection, TooFewVertices, TooLarge
+from conftest import adjacent, canon_pair, strictly_convex_ccw
 
 
 def test_point_set_validation():
@@ -31,13 +32,14 @@ def test_geometric_square():
     assert len(d.crossing_set()) == 1
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", [*range(3, 13), 500, 2000])
 def test_convex_position(n):
     d = generators.convex_position(n)
     assert d.n == n
     assert strictly_convex_ccw([d.points[v] for v in range(1, n + 1)])
-    # In convex position every 4-subset contributes exactly one crossing.
-    assert len(d.crossing_set()) == comb(n, 4)
+    if n <= 12:  # the crossing set is quartic in n
+        # In convex position every 4-subset contributes exactly one crossing.
+        assert len(d.crossing_set()) == comb(n, 4)
 
 
 def test_random_geometric_deterministic():
@@ -46,6 +48,39 @@ def test_random_geometric_deterministic():
     assert a.points == b.points
     c = generators.random_geometric(9, 12)
     assert c.points != a.points
+
+
+def test_random_geometric_resamples_a_degenerate_draw():
+    # A degenerate first draw is dropped and the whole set drawn again from
+    # the same stream; a degenerate draw every time ends in ExhaustedRejection.
+    real = generators.geometric
+    calls = []
+
+    def once(pts):
+        calls.append(pts)
+        if len(calls) == 1:
+            raise DegeneratePointSet("planted")
+        return real(pts)
+
+    with mock.patch.object(generators, "geometric", once):
+        d = generators.random_geometric(9, 11)
+    rng = random.Random(11)
+    side = max(10**4, 8 * 9**3)
+    draws = [[(rng.randrange(side + 1), rng.randrange(side + 1)) for _ in range(9)]
+             for _ in range(2)]
+    assert calls == draws
+    assert d.points[1:] == tuple(draws[1])
+
+    def always(pts):
+        calls.append(pts)
+        raise DegeneratePointSet("planted")
+
+    calls.clear()
+    with mock.patch.object(generators, "geometric", always):
+        with pytest.raises(ExhaustedRejection,
+                           match=r"^no general-position sample for n=9, seed=11 in 64 tries$"):
+            generators.random_geometric(9, 11)
+    assert len(calls) == 64
 
 
 @given(st.integers(3, 30), st.integers(0, 1000))

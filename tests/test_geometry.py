@@ -16,9 +16,8 @@ from convexham.geometry import (
     ccw_order,
     orientation,
     segments_cross,
-    strictly_convex_ccw,
 )
-from conftest import polygon_side
+from conftest import polygon_side, strictly_convex_ccw
 
 coord = st.integers(-1000, 1000)
 point = st.tuples(coord, coord)

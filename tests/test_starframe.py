@@ -476,7 +476,6 @@ def _reference_frame(d, v_star):
         blocks_right = tuple(tuple(range(vs[i] + 1, vs[i + 1] + 1)) for i in range(m - 1))
         l_table = starframe._build_l_table(d, to_host, v_star, blocks_left, blocks_right, wr)
     return starframe.StarFrame(
-        drawing=d,
         v_star=v_star,
         to_frame=tuple(to_frame),
         to_host=tuple(to_host),

@@ -69,7 +69,7 @@ def _greedy_reference(d, seed=(), order=None):
     """The per-edge greedy: each candidate asks one row against every edge chosen before it."""
     chosen = list(dict.fromkeys(canon_edge(*e) for e in seed))
     assert not chosen or first_crossing(d, chosen) is None  # the seed check's queries
-    order = crossing_degree_order(d) if order is None else [canon_edge(*e) for e in order]
+    order = all_edges(d.n) if order is None else [canon_edge(*e) for e in order]
     for e in order:
         if e in chosen:
             continue
@@ -110,6 +110,36 @@ def _assert_greedy_matches_reference(d):
 def test_greedy_matches_per_edge_reference(d):
     # Blocked rows ask every candidate exactly the edges chosen before it.
     _assert_greedy_matches_reference(d)
+
+
+def test_greedy_default_order_is_lex():
+    # No order offers the edges in all_edges order: the same edges from the
+    # same counted queries as that order given explicitly.
+    for d in _greedy_pool():
+        view, counter = instrumented(d)
+        got = greedy_maximal_plane(view).edges
+        lex_view, lex_counter = instrumented(d)
+        assert got == greedy_maximal_plane(lex_view, order=all_edges(d.n)).edges, d
+        assert counter.count == lex_counter.count, d
+
+
+def test_default_greedy_asks_no_uncounted_entries():
+    # Every entry the backing's row kernel answers is a counted query, so the
+    # default order reads no crossing degrees (C(n, 2)^2 kernel entries on a
+    # point set).
+    for d in (generators.random_geometric(40, 2), generators.twisted(9)):
+        backing = type(d._oracle)
+        kernel = backing.cross_pairs
+        sizes = []
+
+        def spy(self, a, b, cs, ds, kernel=kernel, sizes=sizes):
+            sizes.append(np.broadcast(a, b, cs, ds).size)
+            return kernel(self, a, b, cs, ds)
+
+        view, counter = instrumented(d)
+        with mock.patch.object(backing, "cross_pairs", spy):
+            greedy_maximal_plane(view)
+        assert counter.count > 0 and sum(sizes) == counter.count, d
 
 
 def test_greedy_matches_reference_in_small_blocks():
