@@ -38,18 +38,24 @@ spans several row blocks, so it sees where a scan stops.  These runs stay
 out of every other digest; the line also digests their vertices alone and
 sums their queries per direction.
 
-The `calls` line counts the `Drawing.cross_pairs` calls of each task
-family: the constructions (star, cycle, st, edge, two, hull, probe),
-their verification (verify) and the plane and convexity runs.  It stays
-outside every digest, so a change that packs or unpacks rows into kernel
-calls shows there alone.
+The `calls` line counts the kernel calls of each task family, a
+`Drawing.cross_pairs` call or a walk block of the plane check on points
+(`Drawing.cross_walk`) being one each: the constructions (star, cycle,
+st, edge, two, hull, probe), their verification (verify) and the plane
+and convexity runs.  It stays outside every digest, so a change that
+packs or unpacks rows into kernel calls shows there alone.
 
 The last line reruns the geometric pool and its verification on copies
 with every coordinate times 2^40, past 2^52, and prints `big same`, or
 how many runs moved their vertices, outcome or queries.  It stays outside
 every digest and after the `calls` line, so it moves no other line.
 
-    python scripts/construction_digest.py [--src DIR] [--out FILE]
+The committed DIGEST.txt is this script's stdout.  --check FILE compares
+the lines printed with FILE's, prints each moved line, old and new, to
+stderr, and exits 1 if any line moved.  A change that moves a count on
+purpose commits the new DIGEST.txt with it.
+
+    python scripts/construction_digest.py [--src DIR] [--out FILE] [--check FILE]
 """
 
 from __future__ import annotations
@@ -60,13 +66,14 @@ import json
 import random
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                 help="directory holding the convexham package (default: this checkout's)")
 ap.add_argument("--out", help="also write the JSON lines here")
+ap.add_argument("--check", help="exit 1 unless the lines printed equal this file's")
 args = ap.parse_args()
 sys.path.insert(0, args.src)
 
@@ -88,17 +95,22 @@ from convexham.oracle import verify_certificate  # noqa: E402
 from convexham.subdrawings import greedy_maximal_plane  # noqa: E402
 
 
-calls = Counter()  # task family -> Drawing.cross_pairs calls
+calls = Counter()  # task family -> kernel calls
 family = "other"  # the family whose calls are being counted
-_cross_pairs = Drawing.cross_pairs
 
 
-def _counted_cross_pairs(self, *args):
-    calls[family] += 1
-    return _cross_pairs(self, *args)
+def _counted(ask):
+    def counted(self, *args):
+        calls[family] += 1
+        return ask(self, *args)
+
+    return counted
 
 
-Drawing.cross_pairs = _counted_cross_pairs
+# A tree given by --src may predate the walk blocks.
+for _name in ("cross_pairs", "cross_walk"):
+    if _name in vars(Drawing):
+        setattr(Drawing, _name, _counted(vars(Drawing)[_name]))
 
 
 def relabelled_two_page(n, outer, rng):
@@ -255,6 +267,14 @@ for n in (300, 1000):
             probe_lines.append(json.dumps([f"probe {way} n={n} seed={seed} {s} {t}", res, queries]))
             probe_queries[way] += queries
 
+printed = []
+
+
+def say(line):
+    print(line)
+    printed.append(line)
+
+
 text = "".join(line + "\n" for line in lines)
 probe_text = "".join(line + "\n" for line in probe_lines)
 if args.out:
@@ -264,46 +284,56 @@ kinds = Counter()
 for line in lines:
     res = json.loads(line)[1]
     kinds[res[1] if res and res[0] in ("evidence", "error") else "certificate"] += 1
-print(f"{len(lines)} runs: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
-print("sha256", hashlib.sha256(text.encode()).hexdigest())
+say(f"{len(lines)} runs: " + ", ".join(f"{k} {v}" for k, v in sorted(kinds.items())))
+say(f"sha256 {hashlib.sha256(text.encode()).hexdigest()}")
 # Names and outcomes of every run, the probe's too, without their queries:
 # a change that moves queries on purpose shows here that its outputs stay.
 outcomes = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in lines + probe_lines)
-print(f"sha256 outcomes {hashlib.sha256(outcomes.encode()).hexdigest()} "
-      f"({len(lines) + len(probe_lines)} runs)")
+say(f"sha256 outcomes {hashlib.sha256(outcomes.encode()).hexdigest()} "
+    f"({len(lines) + len(probe_lines)} runs)")
 for task in TASKS:
     mine = [line + "\n" for line, t in zip(lines, tasks) if t == task]
     digest = hashlib.sha256("".join(mine).encode()).hexdigest()
-    print(f"sha256 {task} {digest} ({len(mine)} runs)")
+    say(f"sha256 {task} {digest} ({len(mine)} runs)")
 failing = sum(json.loads(line)[1] != "verified" for line in verify_lines)
 digest = hashlib.sha256("".join(line + "\n" for line in verify_lines).encode()).hexdigest()
-print(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing"
-      + "".join(f", {k} {v}" for k, v in sorted(failed.items())) + ")")
-print(f"sha256 tables {tables.hexdigest()} ({len(table_names)} abstract drawings)")
+say(f"sha256 verify {digest} ({len(verify_lines)} certificates, {failing} failing"
+    + "".join(f", {k} {v}" for k, v in sorted(failed.items())) + ")")
+say(f"sha256 tables {tables.hexdigest()} ({len(table_names)} abstract drawings)")
 digest = hashlib.sha256("".join(line + "\n" for line in plane_lines).encode()).hexdigest()
-print(f"sha256 plane {digest} ({len(plane_lines)} runs)")
+say(f"sha256 plane {digest} ({len(plane_lines)} runs)")
 # The witnesses digest leaves the queries out.
 digest = hashlib.sha256("".join(line + "\n" for line in convexity_lines).encode()).hexdigest()
 witnesses = "".join(json.dumps(json.loads(line)[1::2]) + "\n" for line in convexity_lines)
 tri_queries, k5_queries = (sum(json.loads(line)[i] for line in convexity_lines) for i in (2, 4))
-print(f"sha256 convexity {digest} ({len(convexity_lines)} runs, witnesses "
-      f"{hashlib.sha256(witnesses.encode()).hexdigest()[:16]}, queries triangles {tri_queries}, "
-      f"k5 {k5_queries})")
+say(f"sha256 convexity {digest} ({len(convexity_lines)} runs, witnesses "
+    f"{hashlib.sha256(witnesses.encode()).hexdigest()[:16]}, queries triangles {tri_queries}, "
+    f"k5 {k5_queries})")
 # The probe digest covers its runs' names, outcomes and queries; the
 # vertices digest leaves the queries out.
 digest = hashlib.sha256(probe_text.encode()).hexdigest()
 vertices = "".join(json.dumps(json.loads(line)[:2]) + "\n" for line in probe_lines)
-print(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
-      f"{hashlib.sha256(vertices.encode()).hexdigest()[:16]}, queries "
-      + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")
-print("calls " + ", ".join(f"{k} {v}" for k, v in sorted(calls.items())))
+say(f"sha256 probe {digest} ({len(probe_lines)} runs, vertices "
+    f"{hashlib.sha256(vertices.encode()).hexdigest()[:16]}, queries "
+    + ", ".join(f"{way} {q}" for way, q in sorted(probe_queries.items())) + ")")
+say("calls " + ", ".join(f"{k} {v}" for k, v in sorted(calls.items())))
 # The geometric pool again on copies with every coordinate times 2^40, past
 # 2^52: scaling keeps every orientation sign, so each run and its
 # verification must repeat their vertices, outcome and queries.
 big = {}
 differ = 0
-for d, task, build, args, result in geometric_runs:
+for d, task, build, run_args, result in geometric_runs:
     if id(d) not in big:
         big[id(d)] = generators.geometric([(x << 40, y << 40) for x, y in d.points[1:]])
-    differ += run(task, big[id(d)], build, *args) != result
-print("big same" if not differ else f"big {differ} of {len(geometric_runs)} runs differ")
+    differ += run(task, big[id(d)], build, *run_args) != result
+say("big same" if not differ else f"big {differ} of {len(geometric_runs)} runs differ")
+if args.check:
+    want = Path(args.check).read_text().splitlines()
+    moved = 0
+    for i, (old, new) in enumerate(zip_longest(want, printed, fillvalue="(none)"), 1):
+        if old != new:
+            moved += 1
+            print(f"moved line {i}:\n  old: {old}\n  new: {new}", file=sys.stderr)
+    print(f"check {args.check}: " + (f"{moved} lines moved" if moved else
+                                     f"all {len(want)} lines same"), file=sys.stderr)
+    sys.exit(1 if moved else 0)

@@ -8,15 +8,17 @@ a dense table when first asked (n <= 181), and a lazy geometric predicate
 over integer coordinates that answers each query in O(1) without ever
 materialising the O(n^4) crossing set.
 
-A Drawing asks its oracle in exactly two ways: the checked scalar
-`crosses(e, f)` and the row `cross_pairs(a, b, cs, ds)`, whose docstring
-states what a row's operands may be.  Both count every query they pass on
-into the drawing's own QueryCounter; `instrumented(d)` returns a view of d
-with a fresh counter.  Kernel calls are few and large, since a call costs
-far more than an entry: `ask_rows` packs rows of one length into calls of
-up to ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks
-the pairs of an edge list by cyclic offsets, each call one edge row
-against a block of up to OFFSET_BLOCK_ENTRIES entries.
+A Drawing asks its oracle through the checked scalar `crosses(e, f)`, the
+row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
+operands may be, and, on points, `cross_walk`, a block of the plane check
+of a walk.  All count every query they pass on into the drawing's own
+QueryCounter; `instrumented(d)` returns a view of d with a fresh counter.
+Kernel calls are few and large, since a call costs far more than an
+entry: `ask_rows` packs rows of one length into calls of up to
+ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks the
+pairs of an edge list by cyclic offsets, each call one edge row against a
+block of up to OFFSET_BLOCK_ENTRIES entries; `plane_hits` asks the same
+blocks of a path or cycle on points from the walk kernel.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -252,6 +254,16 @@ class Drawing:
         self.counter.count += hits.size
         return hits
 
+    def cross_walk(self, rows, k0, k1):
+        """Offset rows k0..k1-1 of a walk's plane check, from rows = `PointBack.walk_rows(walk)`.
+
+        The bool (k1 - k0, c) block of `offset_hits`' rows, one query per
+        entry.
+        """
+        hits = rows(k0, k1)
+        self.counter.count += hits.size
+        return hits
+
     def crossing_set(self):
         """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""
         edges = all_edges(self.n)
@@ -334,20 +346,65 @@ def offset_hits(ask, ends):
     # Each call copies its rows, since numpy gathers from overlapping
     # windows at about twice the cost of a copy; row 0 becomes edge 0's.
     twice = np.concatenate((a, a, b, b))
-    size = twice.itemsize
-    windows = [np.ndarray((last + 1, c), twice.dtype, twice, o * size, (size, size))
-               for o in (0, 2 * c)]
-    per = max(1, OFFSET_BLOCK_ENTRIES // c)
-    for k0 in range(1 - s, last + 1, per):
-        cs, ds = (w[k0:k0 + per].copy() for w in windows)
+    windows = geometry._windows((twice[:2 * c], twice[2 * c:]), last + 1, c)
+
+    def block(k0, k1):
+        cs, ds = (w[k0:k1].copy() for w in windows)
         if k0 == 0:
             cs[0], ds[0] = ends[0]
-        k, i = np.nonzero(ask(a, b, cs, ds))
+        return ask(a, b, cs, ds)
+
+    yield from _offset_pairs(block, m)
+
+
+def _offset_pairs(block, m):
+    """offset_hits' index pairs, from block(k0, k1): the (k1 - k0, c) hits of rows k0..k1-1."""
+    s = 1 - m % 2
+    c = m - s
+    last = (c - 1) // 2
+    per = max(1, OFFSET_BLOCK_ENTRIES // c)
+    for k0 in range(1 - s, last + 1, per):
+        k, i = np.nonzero(block(k0, min(k0 + per, last + 1)))
         if k.size:
             k += k0
             j = np.where(k > 0, (i + k) % c + s, 0)
             i += s
             yield from zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+
+
+def _walk(ends):
+    """The labels v_0..v_m of a walk whose edge t is ends[t] = {v_t, v_{t+1}}, or None.
+
+    ends is an (m, 2) label array, m >= 2.  It is a walk when each edge
+    shares exactly one endpoint with the next, and each edge between two
+    others meets them at its two ends (a star is no walk).
+    """
+    (a, b), (c, d) = ends[:-1].T, ends[1:].T
+    in_a, in_b = (a == c) | (a == d), (b == c) | (b == d)
+    joints = np.where(in_a, a, b)  # v_1..v_{m-1}
+    if (in_a == in_b).any() or (joints[1:] == joints[:-1]).any():
+        return None
+    walk = np.empty(len(ends) + 1, dtype=ends.dtype)
+    walk[1:-1] = joints
+    walk[0] = ends[0, 0] + ends[0, 1] - joints[0]
+    walk[-1] = ends[-1, 0] + ends[-1, 1] - joints[-1]
+    return walk
+
+
+def plane_hits(d, ends):
+    """offset_hits(d.cross_pairs, ends), its blocks answered by `PointBack.walk_rows` on a walk.
+
+    A drawing with points whose edges form a path or a cycle in order
+    (`_walk`) asks each block through `d.cross_walk`; any other edge list,
+    and every abstract drawing, asks `d.cross_pairs`.  Either way the same
+    blocks ask the same entries, count the same queries and give the same
+    hits.
+    """
+    walk = _walk(ends) if d.points is not None and len(ends) > 1 else None
+    if walk is None:
+        return offset_hits(d.cross_pairs, ends)
+    rows = d._oracle.walk_rows(walk)
+    return _offset_pairs(lambda k0, k1: d.cross_walk(rows, k0, k1), len(ends))
 
 
 class Induced(NamedTuple):

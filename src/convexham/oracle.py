@@ -8,7 +8,7 @@ code being verified.
 verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
-  by cyclic offsets (`drawing.offset_hits`), C(|E|,2) entries on plane input.
+  by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.
 - maximal_plane: the plane check, then one row per non-edge against all of
@@ -22,7 +22,8 @@ verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
 
 The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  Its offset rows go to the drawing as one edge row
-against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, and the
+against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, or, for a
+cycle or path on a point set, as the same blocks of the walk kernel, and the
 star_avoiding and maximal_plane rows, all of one length, through
 `drawing.ask_rows` as 2-D blocks, so entries and their order are as
 listed.  A check stops after the block that decides it: a certificate
@@ -46,7 +47,7 @@ from .drawing import (
     all_edges,
     ask_rows,
     canon_edge,
-    offset_hits,
+    plane_hits,
 )
 from .errors import (
     CertificateError,
@@ -82,14 +83,16 @@ def _edge_array(d, edges):
 def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
-    The pairs are asked by cyclic offsets (`drawing.offset_hits`), C(m, 2)
+    The pairs are asked by cyclic offsets (`drawing.plane_hits`: the walk
+    kernel when the drawing has points and the edges form a path or cycle
+    in order, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
     entries for m edges, and the first hit in that order is returned as
     (earlier edge, later edge) in the given order.  The check stops after
     the block holding that hit, so a crossing costs the entries up to the
     end of its block.
     """
     arr = _edge_array(d, edges)
-    hit = next(offset_hits(d.cross_pairs, arr), None)
+    hit = next(plane_hits(d, arr), None)
     return None if hit is None else tuple(tuple(arr[i].tolist()) for i in hit)
 
 

@@ -47,7 +47,7 @@ def _traced_runs():
     query layer for the run's backing; sizes holds the broadcast size of
     the operands of every row kernel call the backing answered.
     """
-    from convexham import generators, instrumented, verify_certificate
+    from convexham import generators, geometry, instrumented, verify_certificate
     from convexham.convexity import find_nonconvex_triangle
     from convexham.hamiltonian import (
         hamiltonian_cycle,
@@ -83,8 +83,20 @@ def _traced_runs():
             sizes.append(np.broadcast(a, b, cs, ds).size)
             return traced(self, a, b, cs, ds)
 
+        def walk_spy(self, walk, walk_rows=geometry.PointBack.walk_rows, sizes=sizes):
+            # A walk's plane check asks its offset rows of c entries each.
+            rows, m = walk_rows(self, walk), len(walk) - 1
+            c = m - 1 + m % 2
+
+            def asked(k0, k1):
+                sizes.append((k1 - k0) * c)
+                return rows(k0, k1)
+
+            return asked
+
+        walks = mock.patch.object(geometry.PointBack, "walk_rows", walk_spy)
         try:
-            with mock.patch.object(backing, "cross_pairs", spy):
+            with mock.patch.object(backing, "cross_pairs", spy), walks:
                 run(view)
         finally:
             tracing.uninstall(undo)
@@ -92,12 +104,14 @@ def _traced_runs():
 
 
 def test_traced_row_entries_equal_library_queries():
-    # Every query the library counts passes through a traced backing call:
-    # a row kernel call answers the broadcast size of its operands, a 1-D
-    # row as in the triangle passes or a 2-D block of an (R, 1) pair column
-    # against (R, L) operands as in the scans and the star check, and a
-    # scalar query is one call of the backing's `cross`.  The next test
-    # holds the tracer's own entry count to the library's.
+    # Every query the library counts passes through a backing call: a row
+    # kernel call answers the broadcast size of its operands, a 1-D row as
+    # in the triangle passes or a 2-D block of an (R, 1) pair column
+    # against (R, L) operands as in the scans and the star check, a walk
+    # block of the plane check on points (the star-hc verification, the
+    # s-t root's fan path) its R offset rows of c entries, and a scalar
+    # query is one call of the backing's `cross`.  The next test holds the
+    # tracer's own entry count to the library's.
     for tracer, entries, scalar, counter, sizes in _traced_runs():
         assert tracer.counts[entries] > 0
         assert sum(sizes) + tracer.stats[scalar][tracing.CALLS] == counter.count

@@ -25,7 +25,12 @@ from convexham.errors import (
     TooLarge,
     VertexOutOfRange,
 )
-from convexham.hamiltonian import empty_k_cycle, hamiltonian_cycle, star_avoiding_hamiltonian_cycle
+from convexham.hamiltonian import (
+    empty_k_cycle,
+    hamiltonian_cycle,
+    st_hamiltonian_path,
+    star_avoiding_hamiltonian_cycle,
+)
 from convexham.oracle import (
     brute_hamiltonian,
     count_empty_triangles,
@@ -385,17 +390,20 @@ def test_plane_check_asks_every_pair_once(m, block):
                                   lambda: generators.two_page(128, ((1, 4),))])
 def test_plane_check_within_one_block_is_one_call(make):
     # A 40-edge cycle (C(40, 2) = 780 entries) and a 127-edge path (8,001)
-    # fit one block, so each is one kernel call.
+    # fit one block, so each is one kernel call: a walk block on points, a
+    # row call on the abstract drawing.
     d = make()
     cyc = hamiltonian_cycle(d).vertices
-    spy = mock.patch.object(drawing.Drawing, "cross_pairs", autospec=True,
-                            side_effect=drawing.Drawing.cross_pairs)
+    rows, walks = (mock.patch.object(drawing.Drawing, name, autospec=True,
+                                     side_effect=getattr(drawing.Drawing, name))
+                   for name in ("cross_pairs", "cross_walk"))
     for edges in ([(v, v + 1) for v in range(1, 40)] + [(1, 40)],
                   list(zip(cyc, cyc[1:]))):
         assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
-        with spy as calls:
+        with rows as row_calls, walks as walk_calls:
             first_crossing(d, edges)
-        assert calls.call_count == 1
+        assert row_calls.call_count + walk_calls.call_count == 1
+        assert walk_calls.call_count == (d.points is not None)
 
 
 @pytest.mark.parametrize("scale", [1, 2**40])
@@ -429,6 +437,83 @@ def test_plane_check_settles_shared_endpoints_in_numpy(scale, n, seed, rng):
             fallback.reset_mock()
             assert first_crossing(d, edges) == want
             assert fallback.called
+
+
+def _walks(d, rng):
+    """Walks on d as vertex sequences, with whether they close: plane ones (a
+    star-hc cycle, an s-t path, either cut to a path one edge shorter),
+    crossing ones (random orders) and one that revisits labels, which is no
+    walk where it steps back along the edge it came by."""
+    n = d.n
+    hub, s, t = rng.sample(range(1, n + 1), 3)
+    cyc = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+    path = st_hamiltonian_path(d, s, t, verify=False).vertices
+    order = rng.sample(range(1, n + 1), rng.randint(4, n))
+    again = order + rng.sample(order, 3)
+    again = [v for i, v in enumerate(again) if not i or v != again[i - 1]]
+    return [(cyc, True), (cyc, False), (path, False), (path[:-1], False), (order, True),
+            (order, False), (order[:-1], True), (again, False)]
+
+
+@pytest.mark.parametrize("scale", [1, 2**40])
+@given(st.integers(5, 24), st.integers(0, 300),
+       st.sampled_from([1, 5, 40, drawing.OFFSET_BLOCK_ENTRIES]),
+       st.randoms(use_true_random=False))
+def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
+    # On float64 mirrors and, x 2^40, on object mirrors: the hits of every
+    # walk, in order, and the entries of each block equal offset_hits over
+    # cross_pairs, and first_crossing answers the scalar reference with its
+    # queries, for open and closed walks of odd and even length.
+    pts = generators.random_geometric(n, seed).points
+    d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
+    kinds = set()
+    for seq, closed in _walks(d, rng):
+        seq = [*seq, seq[0]] if closed else seq
+        edges = [canon_edge(*e) for e in zip(seq, seq[1:])]
+        ends = np.array(edges, dtype=np.int64)
+        walk = drawing._walk(ends) is not None
+        kinds.add((walk, closed, len(edges) % 2))
+        asked, answered = [], []
+
+        def ask(*args):
+            asked.append(d._oracle.cross_pairs(*args))
+            return asked[-1]
+
+        def cross_walk(self, rows, k0, k1, cross_walk=Drawing.cross_walk):
+            answered.append(cross_walk(self, rows, k0, k1))
+            return answered[-1]
+
+        view, counter = instrumented(d)
+        with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
+            want = list(drawing.offset_hits(ask, ends))
+            with mock.patch.object(Drawing, "cross_walk", cross_walk):
+                assert list(drawing.plane_hits(view, ends)) == want
+            # Each block answers the same entries alike, of the same shape.
+            assert [x.tolist() for x in answered] == [x.tolist() for x in asked if walk]
+            assert counter.count == sum(x.size for x in asked)
+            first, queries = first_crossing_reference(d, edges, block)
+            view, counter = instrumented(d)
+            assert first_crossing(view, list(zip(seq, seq[1:]))) == first
+            assert counter.count == queries
+    assert {(True, closed, odd) for closed in (True, False) for odd in (0, 1)} <= kinds
+
+
+def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
+    # A star, a subdrawing's sorted edges and an abstract drawing's cycle
+    # ask cross_pairs; a cycle on points asks its walk blocks.
+    geo, abstract = generators.random_geometric(12, 1), generators.two_page(12)
+    star = [(1, v) for v in range(2, 13)]
+    sub = sorted(greedy_maximal_plane(geo).edges)
+    cyc = hamiltonian_cycle(abstract).vertices
+    ring = list(zip(cyc, cyc[1:] + cyc[:1]))
+    spy = mock.patch.object(geometry.PointBack, "walk_rows", autospec=True,
+                            side_effect=geometry.PointBack.walk_rows)
+    with spy as walks:
+        for d, edges in ((geo, star), (geo, sub), (abstract, ring)):
+            first_crossing(d, edges)
+        assert not walks.called
+        first_crossing(geo, ring)
+        assert walks.call_count == 1
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
