@@ -39,10 +39,11 @@ out of every other digest; the line also digests their vertices alone and
 sums their queries per direction.
 
 The `calls` line counts the kernel calls of each task family, a
-`Drawing.cross_pairs` call or a walk block of the plane check on points
-(`Drawing.cross_walk`) being one each: the constructions (star, cycle,
-st, edge, two, hull, probe), their verification (verify) and the plane
-and convexity runs.  It stays outside every digest, so a change that
+`Drawing.cross_pairs` call or a `Drawing.cross_block` call being one
+each; the latter is a walk block of the plane check on points or a star
+block of the bad-edge scan or the star_avoiding check: the constructions
+(star, cycle, st, edge, two, hull, probe), their verification (verify)
+and the plane and convexity runs.  It stays outside every digest, so a change that
 packs or unpacks rows into kernel calls shows there alone.
 
 The last line reruns the geometric pool and its verification on copies
@@ -107,8 +108,8 @@ def _counted(ask):
     return counted
 
 
-# A tree given by --src may predate the walk blocks.
-for _name in ("cross_pairs", "cross_walk"):
+# A tree given by --src may predate the block entry, or name it cross_walk.
+for _name in ("cross_pairs", "cross_block", "cross_walk"):
     if _name in vars(Drawing):
         setattr(Drawing, _name, _counted(vars(Drawing)[_name]))
 

@@ -10,15 +10,17 @@ materialising the O(n^4) crossing set.
 
 A Drawing asks its oracle through the checked scalar `crosses(e, f)`, the
 row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
-operands may be, and, on points, `cross_walk`, a block of the plane check
-of a walk.  All count every query they pass on into the drawing's own
-QueryCounter; `instrumented(d)` returns a view of d with a fresh counter.
-Kernel calls are few and large, since a call costs far more than an
-entry: `ask_rows` packs rows of one length into calls of up to
-ROW_BLOCK_ENTRIES entries, and the plane check's `offset_hits` asks the
-pairs of an edge list by cyclic offsets, each call one edge row against a
-block of up to OFFSET_BLOCK_ENTRIES entries; `plane_hits` asks the same
-blocks of a path or cycle on points from the walk kernel.
+operands may be, and `cross_block`, a block of a backing's walk kernel
+(the plane check of a walk on points) or star kernel (pairs consecutive
+in an order against a hub's star edges).  All count every query they
+pass on into the drawing's own QueryCounter; `instrumented(d)` returns a
+view of d with a fresh counter.  Kernel calls are few and large, since a
+call costs far more than an entry: `ask_rows` packs rows of one length
+into calls of up to ROW_BLOCK_ENTRIES entries, and `star_hits` asks the
+star kernel's rows in the same blocks; the plane check's `offset_hits`
+asks the pairs of an edge list by cyclic offsets, each call one edge row
+against a block of up to OFFSET_BLOCK_ENTRIES entries, and `plane_hits`
+asks the same blocks of a path or cycle on points from the walk kernel.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -157,6 +159,14 @@ class ExplicitCrossings:
         ids, table = self._edge_id, self._table
         return table.take(ids[a, b] * len(table) + ids[cs, ds])
 
+    def star_rows(self, order, hub):
+        """`PointBack.star_rows` as `ask_rows`' `cross_pairs` gathers over the same windows."""
+        twice = geometry._star_labels(order, hub, len(self._rot) - 1)
+        k = len(twice) // 2
+        (others,) = geometry._windows((twice[2:],), k, k - 2)
+        return _row_asker(self.cross_pairs, twice[:k], twice[1:], k - 2,
+                          lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
+
 
 class GeometricCrossings(geometry.PointBack):
     """Crossing oracle over integer points: exact scalar predicate, PointBack rows."""
@@ -254,13 +264,14 @@ class Drawing:
         self.counter.count += hits.size
         return hits
 
-    def cross_walk(self, rows, k0, k1):
-        """Offset rows k0..k1-1 of a walk's plane check, from rows = `PointBack.walk_rows(walk)`.
+    def cross_block(self, rows, i0, i1):
+        """Rows i0..i1-1 of a backing's block function, one query per entry.
 
-        The bool (k1 - k0, c) block of `offset_hits`' rows, one query per
-        entry.
+        rows is `walk_rows(walk)`, whose rows are a walk's offset rows of
+        `offset_hits`, or `star_rows(order, hub)`, whose rows are pairs
+        consecutive in order against the hub's star edges.
         """
-        hits = rows(k0, k1)
+        hits = rows(i0, i1)
         self.counter.count += hits.size
         return hits
 
@@ -297,28 +308,60 @@ OFFSET_BLOCK_ENTRIES = 2 * ROW_BLOCK_ENTRIES
 def ask_rows(ask, a, b, length, operands):
     """Ask one row of `length` entries per pair {a[i], b[i]} (label arrays), in few kernel calls.
 
-    operands(i0, i1) gives the (cs, ds) of rows i0..i1-1.  A call holds
-    ROW_BLOCK_ENTRIES // length consecutive rows (a row of no entries
-    counting as one), the last call fewer, or one row when that quotient
-    is below three, since a block of two long rows built from arrays is
-    slower than two label rows.  A one-row call passes its pair as labels,
-    and its operands broadcast to `length` entries; a call of R > 1 rows
-    passes an (R, 1) pair column, and its operands broadcast to
-    (R, length).  Yields (i0, hits) per call, hits shaped (R, length); a
-    caller that stops early asks no later block.  The grouping never
-    changes which entries are asked, or their order.
+    operands(i0, i1) gives the (cs, ds) of rows i0..i1-1, grouped as
+    `_row_blocks` says.  Yields (i0, hits) per call, hits shaped
+    (R, length).
     """
-    per = ROW_BLOCK_ENTRIES // max(length, 1)
-    if per < 3:
-        per = 1
-    for i0 in range(0, len(a), per):
-        i1 = min(i0 + per, len(a))
+    return _row_blocks(_row_asker(ask, a, b, length, operands), len(a), length)
+
+
+def _row_asker(ask, a, b, length, operands):
+    """block(i0, i1): ask's answer to rows i0..i1-1 of `ask_rows`, shaped (R, length).
+
+    A one-row call passes its pair as labels, and its operands broadcast to
+    `length` entries; a call of R > 1 rows passes an (R, 1) pair column,
+    and its operands broadcast to (R, length).
+    """
+    def block(i0, i1):
         cs, ds = operands(i0, i1)
         if i1 == i0 + 1:
             hits = ask(a[i0], b[i0], cs, ds)
         else:
             hits = ask(a[i0:i1, None], b[i0:i1, None], cs, ds)
-        yield i0, hits.reshape(i1 - i0, length)
+        return hits.reshape(i1 - i0, length)
+
+    return block
+
+
+def _row_blocks(block, rows, length):
+    """(i0, block(i0, i1)) per kernel call over `rows` rows of `length` entries.
+
+    A call holds ROW_BLOCK_ENTRIES // length consecutive rows (a row of no
+    entries counting as one), the last call fewer, or one row when that
+    quotient is below three, since a block of two long rows built from
+    arrays is slower than two label rows.  The constant is read when the
+    first call is asked.  A caller that stops early asks no later block,
+    and the grouping never changes which entries are asked, or their
+    order.
+    """
+    per = ROW_BLOCK_ENTRIES // max(length, 1)
+    if per < 3:
+        per = 1
+    for i0 in range(0, rows, per):
+        yield i0, block(i0, min(i0 + per, rows))
+
+
+def star_hits(d, order, hub, rows):
+    """(i0, hits) per call of rows 0..rows-1 of the backing's `star_rows(order, hub)`.
+
+    Row i asks the pair {order[i], order[i + 1]} against the star edges
+    {w, hub} of the k - 2 labels after it in `order`, cyclically, k =
+    len(order) >= 3.  Rows are grouped as in `ask_rows`, and every block
+    is one `d.cross_block` call, hits shaped (R, k - 2).  The labels are
+    checked here, before any block is asked.
+    """
+    block = d._oracle.star_rows(order, hub)
+    return _row_blocks(lambda i0, i1: d.cross_block(block, i0, i1), rows, len(order) - 2)
 
 
 def offset_hits(ask, ends):
@@ -395,7 +438,7 @@ def plane_hits(d, ends):
     """offset_hits(d.cross_pairs, ends), its blocks answered by `PointBack.walk_rows` on a walk.
 
     A drawing with points whose edges form a path or a cycle in order
-    (`_walk`) asks each block through `d.cross_walk`; any other edge list,
+    (`_walk`) asks each block through `d.cross_block`; any other edge list,
     and every abstract drawing, asks `d.cross_pairs`.  Either way the same
     blocks ask the same entries, count the same queries and give the same
     hits.
@@ -404,7 +447,7 @@ def plane_hits(d, ends):
     if walk is None:
         return offset_hits(d.cross_pairs, ends)
     rows = d._oracle.walk_rows(walk)
-    return _offset_pairs(lambda k0, k1: d.cross_walk(rows, k0, k1), len(ends))
+    return _offset_pairs(lambda k0, k1: d.cross_block(rows, k0, k1), len(ends))
 
 
 class Induced(NamedTuple):

@@ -21,7 +21,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import DegeneratePointSet
+from .errors import DegeneratePointSet, VertexOutOfRange
 
 # Coordinates up to this magnitude cast to float64 without rounding and
 # their pairwise differences stay exact, which the float64 mirrors assume.
@@ -186,6 +186,19 @@ def _windows(arrays, length, width):
     return [np.ndarray((length, width), x.dtype, x, 0, (x.itemsize,) * 2) for x in arrays]
 
 
+def _star_labels(order, hub, n):
+    """`order` twice over as an int64 array, once it and `hub` are checked to be labels in 1..n.
+
+    A label outside 1..n raises VertexOutOfRange; numpy would read a
+    negative one as a label counted from the end.
+    """
+    labels = np.asarray(order, dtype=np.int64)
+    if not (0 < hub <= n and 0 < labels.min() and labels.max() <= n):
+        bad = labels[(labels < 1) | (labels > n)].tolist() if 0 < hub <= n else [hub]
+        raise VertexOutOfRange(f"vertex {bad[0]} out of range 1..{n}")
+    return np.concatenate((labels, labels))
+
+
 class PointBack:
     """Numpy mirrors of a 1-indexed integer point table, for exact rows.
 
@@ -228,6 +241,19 @@ class PointBack:
     unchanged on float64 and object mirrors alike: the walk rows answer
     each entry as `cross_pairs` does, though rounding may send other
     entries to `_exact`.
+
+    `star_rows` answers the rows of pairs {a, b} consecutive in an order
+    against the star edges {w, h} of a hub h.  With P_x = x - h, an exact
+    difference, orient(x, y, h) = cross(y - x, h - x) = cross(P_y - P_x,
+    -P_x) = cross(P_x, P_y) as integers, and orient is invariant under
+    cyclic shifts, so o2 = orient(a, b, h) = cross(P_a, P_b), o3 =
+    orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
+    cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
+    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1, and each
+    is computed once.  Only o1 = cross(b - a, w - a) reads the coordinates
+    themselves.  Each value is one determinant of exact differences (|P|
+    <= 2^53), computed as fl(fl(t1) - fl(t2)), so the argument and the m
+    rule above hold unchanged.
     """
 
     def __init__(self, pts):
@@ -367,6 +393,63 @@ class PointBack:
             if idx.size:
                 res.reshape(-1)[idx] = self._exact(*ends, cs, ds, idx, res.shape)
             return res
+
+        return rows
+
+    def star_rows(self, order, hub):
+        """The rows of pairs consecutive in `order` against the star edges of `hub`.
+
+        Returns rows(i0, i1), the bool (i1 - i0, k - 2) answer of
+        `cross_pairs(order[i], order[i + 1], order[i + 2:i + k], hub)`, the
+        window taken cyclically, for i = i0..i1-1, k = len(order) >= 3.
+        The labels are checked once (`_star_labels`).  A block is computed
+        from windows of coordinates gathered once, a one-row block in 1-D;
+        only the labels of the entries that reach `_exact` are gathered.
+        """
+        twice = _star_labels(order, hub, len(self.pts) - 1)
+        k = len(twice) // 2
+        xs, ys = self.xs[twice], self.ys[twice]
+        px, py = xs - self.xs[hub], ys - self.ys[hub]
+        # Row i of a window holds the k - 2 labels or coordinates after pair
+        # i, or, for G, the k - 1 differences P after order[i].
+        (wx, wy, ws), (gx, gy) = (_windows((xs[2:], ys[2:], twice[2:]), k, k - 2),
+                                  _windows((px[1:], py[1:]), k + 1, k - 1))
+        last = [None, None]  # the last G row computed, and its row index
+
+        def orients(at, window):
+            g = px[at] * gy[window]
+            g -= py[at] * gx[window]
+            return g
+
+        def rows(i0, i1):
+            if i1 == i0 + 1:
+                # A scan at k > 1,367 asks one row per call: G row i0 is
+                # then the previous call's last.
+                top = last[0] if last[1] == i0 else orients(i0, i0)
+                bot = orients(i1, i1)
+                o2, o3, o4 = top[0], top[1:], bot[:-1]
+                at, pair = i0, (i0, i1)
+            else:
+                g = orients((slice(i0, i1 + 1), None), slice(i0, i1 + 1))
+                o2, o3, o4 = g[:-1, :1], g[:-1, 1:], g[1:, :-1]
+                at, pair = slice(i0, i1), ((slice(i0, i1), None), (slice(i0 + 1, i1 + 1), None))
+                bot = g[-1]
+            last[:] = bot, i1
+            ax, ay = xs[pair[0]], ys[pair[0]]
+            o1 = wy[at] - ay
+            o1 *= xs[pair[1]] - ax
+            dx = wx[at] - ax
+            dx *= ys[pair[1]] - ay
+            o1 -= dx
+            o1 *= o2
+            m = np.maximum(o1, o3 * o4, out=o1)
+            res = m < 0
+            # Entries with m == 0 go to _exact, as in cross_pairs.
+            idx = np.flatnonzero(m == 0)
+            if idx.size:
+                res.reshape(-1)[idx] = self._exact(twice[pair[0]], twice[pair[1]], ws[at], hub, idx,
+                                                   m.shape)
+            return res.reshape(i1 - i0, k - 2)
 
         return rows
 

@@ -5,12 +5,16 @@ the crossing oracle alone.  This module must stay free of imports from the
 construction modules so that certificate verification is independent of the
 code being verified.
 
-verify_certificate asks the drawing's rows (`cross_pairs`) per claim:
+verify_certificate asks the drawing's rows (`cross_pairs`, or `cross_block` for
+a block of a backing's walk or star kernel) per claim:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
-  star edges {w, v} for w in 1..n other than a, b and v.
+  star edges {w, v} for w in 1..n other than a, b and v.  When those
+  edges form, in order, a path through every vertex but v, its rows are
+  the star kernel's (`drawing.star_hits`), each row's w in path order;
+  any other edge list asks them through `cross_pairs`, w ascending.
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, failing at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
@@ -24,12 +28,12 @@ The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  Its offset rows go to the drawing as one edge row
 against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, or, for a
 cycle or path on a point set, as the same blocks of the walk kernel, and the
-star_avoiding and maximal_plane rows, all of one length, through
-`drawing.ask_rows` as 2-D blocks, so entries and their order are as
-listed.  A check stops after the block that decides it: a certificate
-that verifies asks exactly the entries above, and a failing one asks
-every entry up to the end of the block holding the first crossing
-(plane, star_avoiding) or the first row without one (maximal_plane).
+star_avoiding and maximal_plane rows, all of one length, in the 2-D
+blocks of `drawing.ask_rows`, so entries and their order are as listed.
+A check stops after the block that decides it: a certificate that
+verifies asks exactly the entries above, and a failing one asks every
+entry up to the end of the block holding the first crossing (plane,
+star_avoiding) or the first row without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -44,10 +48,12 @@ from .drawing import (
     _off_vertices,
     _parity_sides,
     _side_inconsistency,
+    _walk,
     all_edges,
     ask_rows,
     canon_edge,
     plane_hits,
+    star_hits,
 )
 from .errors import (
     CertificateError,
@@ -300,18 +306,27 @@ def _check_star_avoiding(d, cert, v_star):
     every = np.arange(1, d.n + 1)
     every = every[every != v_star]
     rows = [e for e in cert.edges if v_star not in e]
-    a, b = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    # Edges that form, in order, a path through every vertex but v_star are
+    # the star kernel's rows 0..n-3 of that path; the kernel's windows then
+    # hold every other vertex once, in path order.
+    walk = _walk(ends) if len(rows) > 1 else None
+    if walk is not None and np.array_equal(np.sort(walk), every):
+        blocks = star_hits(d, walk, v_star, len(rows))
+    else:
+        a, b = ends.T
 
-    def operands(i0, i1):
-        if i1 == i0 + 1:
-            # every is sorted, so label u sits at u - 1 - (u > v_star), and
-            # a canonical edge's ends come in that order.
-            i, j = (u - 1 - (u > v_star) for u in rows[i0])
-            return np.concatenate((every[:i], every[i + 1:j], every[j + 1:])), v_star
-        keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
-        return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
+        def operands(i0, i1):
+            if i1 == i0 + 1:
+                # every is sorted, so label u sits at u - 1 - (u > v_star), and
+                # a canonical edge's ends come in that order.
+                i, j = (u - 1 - (u > v_star) for u in rows[i0])
+                return np.concatenate((every[:i], every[i + 1:j], every[j + 1:])), v_star
+            keep = (every != a[i0:i1, None]) & (every != b[i0:i1, None])
+            return every[None].repeat(i1 - i0, axis=0)[keep].reshape(i1 - i0, -1), v_star
 
-    return not any(hits.any() for _i0, hits in ask_rows(d.cross_pairs, a, b, d.n - 3, operands))
+        blocks = ask_rows(d.cross_pairs, a, b, d.n - 3, operands)
+    return not any(hits.any() for _i0, hits in blocks)
 
 
 def _check_maximal_plane(d, cert, plane):

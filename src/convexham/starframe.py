@@ -66,26 +66,17 @@ def scan_bad_edges(d, order, hub):
     cyclically consecutive pair {order[i], order[i+1]} is bad with witness w
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
     vertices of `order`, cyclically after the pair, so a full scan costs
-    k * (k - 2) queries, asked through `drawing.ask_rows` in 2-D blocks of
-    a strided window over the doubled order.  Yields
-    (i, witnesses) in scan order, witnesses as a frozenset of positions in
-    `order`; a caller that stops early asks no block past the one holding
-    its last bad pair.
+    k * (k - 2) queries, asked through `drawing.star_hits` in the blocks of
+    `drawing.ask_rows`: on points from the star kernel, which computes each
+    orientation about the hub once for neighbouring pairs, on abstract
+    drawings as gathers from the crossing table.  Yields (i, witnesses) in
+    scan order, witnesses as a frozenset of positions in `order`; a caller
+    that stops early asks no block past the one holding its last bad pair.
     """
     k = len(order)
     if k < 3:
         return
-    twice = np.array(order * 2, dtype=np.int64)
-    # others[i] is twice[i + 2:i + k], the vertices after pair i: a strided
-    # window over twice, which the constructor checks against its buffer.
-    size = twice.itemsize
-    others = np.ndarray((k, k - 2), twice.dtype, twice, 2 * size, (size, size))
-
-    def operands(i0, i1):
-        # A one-row call asks its row 1-D, like the label pair it goes with.
-        return (others[i0] if i1 == i0 + 1 else others[i0:i1]), hub
-
-    for i0, hits in drawing.ask_rows(d.cross_pairs, twice[:k], twice[1:], k - 2, operands):
+    for i0, hits in drawing.star_hits(d, order, hub, k):
         if not hits.any():
             continue
         for r in np.flatnonzero(hits.any(axis=1)).tolist():

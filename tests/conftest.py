@@ -1,5 +1,7 @@
 import random
+from contextlib import contextmanager
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +104,39 @@ def row_groups(rows, length, block):
         groups.append((i, j))
         i = j
     return groups
+
+
+@contextmanager
+def kernel_calls():
+    """Record the counted kernel calls: (name, args, answer) per call, in order.
+
+    Both counted entries are spied, `Drawing.cross_pairs` (args a, b, cs,
+    ds) and `Drawing.cross_block` (args rows, i0, i1), a walk or star block.
+    """
+    calls = []
+
+    def spied(name):
+        entry = getattr(Drawing, name)
+
+        def call(self, *args):
+            calls.append((name, args, entry(self, *args)))
+            return calls[-1][2]
+
+        return call
+
+    with mock.patch.object(Drawing, "cross_pairs", spied("cross_pairs")), \
+            mock.patch.object(Drawing, "cross_block", spied("cross_block")):
+        yield calls
+
+
+def star_windows(order, i0, i1):
+    """The operands of rows i0..i1-1 of a star block of `order`: the (R, 1) pair
+    columns and the (R, k - 2) windows of the labels after each pair, cyclically."""
+    k = len(order)
+    us = [[order[i % k]] for i in range(i0, i1)]
+    vs = [[order[(i + 1) % k]] for i in range(i0, i1)]
+    windows = [[order[(i + j) % k] for j in range(2, k)] for i in range(i0, i1)]
+    return (np.array(x, dtype=np.int64).reshape(i1 - i0, -1) for x in (us, vs, windows))
 
 
 def offset_blocks(m, block):

@@ -44,10 +44,11 @@ def _traced_runs():
     """Trace five runs; yields (tracer, entries, scalar, counter, sizes).
 
     entries and scalar name the tracer's row entry count and its scalar
-    query layer for the run's backing; sizes holds the broadcast size of
-    the operands of every row kernel call the backing answered.
+    query layer for the run's backing; sizes holds the entries of every
+    row kernel call, walk block and star block the backing answered.
     """
     from convexham import generators, geometry, instrumented, verify_certificate
+    from convexham.certificates import cycle_certificate
     from convexham.convexity import find_nonconvex_triangle
     from convexham.hamiltonian import (
         hamiltonian_cycle,
@@ -60,9 +61,18 @@ def _traced_runs():
     s = 1 if hull != 1 else 2
     geo_rows = ("geometry.cross_pairs.entries", "drawing.geometric_cross")
     explicit_rows = ("drawing.explicit_cross_pairs.entries", "drawing.explicit_cross")
+
+    def star_hc(d):
+        # Listed from the hub, the cycle's other edges form one path, whose
+        # star check asks star blocks; listed from another vertex they form
+        # two, whose star check asks cross_pairs rows.
+        cert = star_avoiding_hamiltonian_cycle(d, 5, verify=False)
+        verify_certificate(d, cert)
+        turned = cert.vertices[30:] + cert.vertices[:30]
+        verify_certificate(d, cycle_certificate(turned, cert.claims))
+
     runs = [
-        (geo, geo_rows,
-         lambda d: verify_certificate(d, star_avoiding_hamiltonian_cycle(d, 5, verify=False))),
+        (geo, geo_rows, star_hc),
         (geo, geo_rows, lambda d: st_hamiltonian_path(d, s, hull, verify=False)),
         (generators.two_page(10, ((1, 4),)), explicit_rows, find_nonconvex_triangle),
         # The triangle pass asks its rows in blocks of triangles.
@@ -94,9 +104,20 @@ def _traced_runs():
 
             return asked
 
+        def star_spy(self, order, hub, star_rows=geometry.PointBack.star_rows, sizes=sizes):
+            # A star block of rows i0..i1-1 asks R (k - 2) entries.
+            rows, k = star_rows(self, order, hub), len(order)
+
+            def asked(i0, i1):
+                sizes.append((i1 - i0) * (k - 2))
+                return rows(i0, i1)
+
+            return asked
+
         walks = mock.patch.object(geometry.PointBack, "walk_rows", walk_spy)
+        stars = mock.patch.object(geometry.PointBack, "star_rows", star_spy)
         try:
-            with mock.patch.object(backing, "cross_pairs", spy), walks:
+            with mock.patch.object(backing, "cross_pairs", spy), walks, stars:
                 run(view)
         finally:
             tracing.uninstall(undo)
@@ -107,11 +128,13 @@ def test_traced_row_entries_equal_library_queries():
     # Every query the library counts passes through a backing call: a row
     # kernel call answers the broadcast size of its operands, a 1-D row as
     # in the triangle passes or a 2-D block of an (R, 1) pair column
-    # against (R, L) operands as in the scans and the star check, a walk
-    # block of the plane check on points (the star-hc verification, the
-    # s-t root's fan path) its R offset rows of c entries, and a scalar
-    # query is one call of the backing's `cross`.  The next test holds the
-    # tracer's own entry count to the library's.
+    # against (R, L) operands as in the scans and the star check on an
+    # abstract drawing, a walk block of the plane check on points (the
+    # star-hc verification, the s-t root's fan path) its R offset rows of
+    # c entries, a star block on points (the scans, the star check) its R
+    # rows of k - 2, and a scalar query is one call of the backing's
+    # `cross`.  The next test holds the tracer's own entry count to the
+    # library's.
     for tracer, entries, scalar, counter, sizes in _traced_runs():
         assert tracer.counts[entries] > 0
         assert sum(sizes) + tracer.stats[scalar][tracing.CALLS] == counter.count

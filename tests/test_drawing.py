@@ -31,10 +31,12 @@ from conftest import (
     adjacent,
     canon_pair,
     construction_pool,
+    kernel_calls,
     pair_oracle,
     random_k4_drawing,
     row_groups,
     side_convex,
+    star_windows,
 )
 
 seeds = st.integers(0, 400)
@@ -394,18 +396,21 @@ def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
 
 
 def test_row_block_call_shapes():
-    # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one call
-    # of a (k, 1) pair column against (k, k - 2) operands.  A split is one
-    # call of a (3, 1) column whatever the block size, also when its rows
-    # are longer than a third of a block.
+    # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one call,
+    # a star block of all k rows: the answer of a (k, 1) pair column
+    # against (k, k - 2) operands.  A split is one call of a (3, 1) column
+    # whatever the block size, also when its rows are longer than a third
+    # of a block.
     d = generators.random_geometric(66, 1)
     for k in (3, 40, 65):
         order = d.rotation_of(66)[:k]
-        patched, spy = _spied_calls()
-        with patched, spy as calls:
+        with kernel_calls() as calls:
             list(starframe.scan_bad_edges(d, order, 66))
-        ((_d, a, b, cs, hub),) = [c.args for c in calls.call_args_list]
-        assert (a.shape, b.shape, cs.shape, hub) == ((k, 1), (k, 1), (k, k - 2), 66)
+        ((name, (_rows, i0, i1), hits),) = calls
+        a, b, cs = star_windows(order, i0, i1)
+        assert (name, i0, i1) == ("cross_block", 0, k)
+        assert (a.shape, b.shape, cs.shape, hits.shape) == ((k, 1), (k, 1), (k, k - 2), (k, k - 2))
+        assert np.array_equal(hits, d._oracle.cross_pairs(a, b, cs, 66))
     for block in (drawing.ROW_BLOCK_ENTRIES, 12):
         patched, spy = _spied_calls(block)
         with patched, spy as calls:
@@ -413,6 +418,65 @@ def test_row_block_call_shapes():
         ((_d, a, b, cs, w0),) = [c.args for c in calls.call_args_list]
         assert a.tolist() == [[1], [2], [1]] and b.tolist() == [[2], [3], [3]]
         assert (cs.tolist(), w0) == ([5, 6, 7, 8, 9], 4)
+
+
+def _star_pool(kind, n, seed):
+    # Points as given, and x 2^40 or x 2^60 (then shifted), past 2^52, on
+    # object mirrors; or an abstract drawing of the construction pool.
+    scale = {"geometric": 1, "x2^40": 2**40, "x2^60": 2**60}.get(kind)
+    if scale is None:
+        return construction_pool(kind, n, seed)
+    pts = generators.random_geometric(n, seed).points[1:]
+    d = generators.geometric([(x * scale + 1, y * scale - 3) for x, y in pts])
+    assert (d._oracle.xs.dtype == object) == (scale > 1)
+    return d
+
+
+@given(st.sampled_from(["geometric", "x2^40", "x2^60", "fan", "two-page", "twisted"]),
+       st.integers(4, 14), st.integers(0, 300), st.sampled_from([1, 7, 64, 4096]),
+       st.randoms(use_true_random=False))
+def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
+    # On whole rotations and on rotations restricted to a subset, as the s-t
+    # solver asks them: star_hits groups rows as ask_rows does, and every
+    # block equals cross_pairs over the same window, array for array; so
+    # do the blocks of one star_rows asked last to first.
+    d = _star_pool(kind, n, seed)
+    hub = rng.randint(1, n)
+    keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
+    for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep)):
+        k = len(order)
+        if k < 3:
+            continue
+        view, counter = instrumented(d)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+            got = list(drawing.star_hits(view, order, hub, k))
+        groups = row_groups(k, k - 2, block)
+        assert [(i0, i0 + len(hits)) for i0, hits in got] == groups
+        assert counter.count == k * (k - 2)
+        rows = d._oracle.star_rows(order, hub)
+        backwards = [rows(i0, i1) for i0, i1 in reversed(groups)][::-1]
+        for (i0, i1), (_i0, hits), again in zip(groups, got, backwards):
+            want = d._oracle.cross_pairs(*star_windows(order, i0, i1), hub)
+            assert want.shape == (i1 - i0, k - 2)
+            for x in (hits, again):
+                assert x.dtype == bool and x.shape == want.shape
+                assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8, ((1, 4),))])
+def test_star_kernel_rejects_labels_out_of_range(make):
+    # Labels are checked once, when the block function is made: a negative
+    # one raises instead of reading vertex 8, and no query is counted.
+    d = make()
+    for order, hub in (([-1, 2, 3, 4], 8), ([1, 0, 3], 8), ([1, 2, 9], 8), ([1, 2, 3], -1),
+                       ([1, 2, 3], 0), ([1, 2, 3], 9)):
+        with pytest.raises(VertexOutOfRange, match="out of range 1..8"):
+            d._oracle.star_rows(order, hub)
+        view, counter = instrumented(d)
+        with pytest.raises(VertexOutOfRange):
+            list(starframe.scan_bad_edges(view, order, hub))
+        assert counter.count == 0
 
 
 @given(st.sampled_from(["fan", "two-page", "geometric", "twisted"]), st.integers(5, 14),

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import random
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from convexham import drawing, generators, geometry
+from convexham import drawing, generators, geometry, oracle
 from convexham.certificates import (
+    Certificate,
     cycle_certificate,
     path_certificate,
     subdrawing_certificate,
@@ -396,7 +398,7 @@ def test_plane_check_within_one_block_is_one_call(make):
     cyc = hamiltonian_cycle(d).vertices
     rows, walks = (mock.patch.object(drawing.Drawing, name, autospec=True,
                                      side_effect=getattr(drawing.Drawing, name))
-                   for name in ("cross_pairs", "cross_walk"))
+                   for name in ("cross_pairs", "cross_block"))
     for edges in ([(v, v + 1) for v in range(1, 40)] + [(1, 40)],
                   list(zip(cyc, cyc[1:]))):
         assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
@@ -479,14 +481,14 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
             asked.append(d._oracle.cross_pairs(*args))
             return asked[-1]
 
-        def cross_walk(self, rows, k0, k1, cross_walk=Drawing.cross_walk):
-            answered.append(cross_walk(self, rows, k0, k1))
+        def cross_block(self, rows, k0, k1, cross_block=Drawing.cross_block):
+            answered.append(cross_block(self, rows, k0, k1))
             return answered[-1]
 
         view, counter = instrumented(d)
         with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
             want = list(drawing.offset_hits(ask, ends))
-            with mock.patch.object(Drawing, "cross_walk", cross_walk):
+            with mock.patch.object(Drawing, "cross_block", cross_block):
                 assert list(drawing.plane_hits(view, ends)) == want
             # Each block answers the same entries alike, of the same shape.
             assert [x.tolist() for x in answered] == [x.tolist() for x in asked if walk]
@@ -644,6 +646,65 @@ def test_star_avoiding_claims_in_blocks(kind, n, seed, block, rng):
         assert count == _asked(len(rows), n - 3, hit_row, block)
         if cyc is built:
             assert failed == () and count == (n - 3) * len(rows)
+
+
+def _star_kernel_spies():
+    return (mock.patch.object(oracle, name, wraps=getattr(oracle, name))
+            for name in ("star_hits", "ask_rows"))
+
+
+@pytest.mark.parametrize("kind", ["geometric", "two_page"])
+@pytest.mark.parametrize("block", [1, 7, 64, drawing.ROW_BLOCK_ENTRIES])
+def test_star_check_on_a_spanning_path_takes_the_star_kernel(kind, block):
+    # On a star-hc cycle, on it reversed, and on a planted cycle through the
+    # hub that crosses its star, the star kernel and, with _walk answering
+    # None, the ask_rows rows give the same verdict with the same queries.
+    n, hub = 14, 5
+    d = _row_drawing(kind, n, 1)
+    built = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+    others = [v for v in range(1, n + 1) if v != hub]
+    planted = (hub, *random.Random(3).sample(others, n - 1))
+    for seq, crossing in ((built, False), ((hub, *built[:0:-1]), False), (planted, True)):
+        cert = cycle_certificate(seq, {"star_avoiding": hub})
+        hit_row, rows = _star_reference(d, cert, hub)
+        assert (hit_row is not None) == crossing
+        want = (_asked(len(rows), n - 3, hit_row, block), ("star_avoiding",) if crossing else ())
+        star, rows_path = _star_kernel_spies()
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
+            with star as kernel, rows_path as asked:
+                assert _verify_count(d, cert) == want
+            assert (kernel.call_count, asked.call_count) == (1, 0)
+            with mock.patch.object(oracle, "_walk", return_value=None):
+                assert _verify_count(d, cert) == want
+
+
+@pytest.mark.parametrize("kind", ["geometric", "two_page"])
+def test_star_check_off_a_spanning_path_asks_rows(kind):
+    # Shuffled edges, a path that misses a vertex, and a walk through every
+    # other vertex that revisits one take the ask_rows rows, with the
+    # verdict and the queries of the scalar reference.
+    n, hub = 12, 5
+    d = _row_drawing(kind, n, 1)
+    built = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+    x = built[1:]
+    edges = cycle_certificate(built, {}).edges
+    revisit = (x[0], x[1], x[2], x[0], *x[3:])
+    walk_edges = [(hub, x[0]), *zip(revisit, revisit[1:]), (x[-1], hub)]
+    claims = {"star_avoiding": hub}
+    certs = [
+        Certificate("cycle", built, tuple(random.Random(4).sample(edges, len(edges))), claims),
+        cycle_certificate(built[:-1], claims),
+        Certificate("cycle", built, tuple(canon_edge(*e) for e in walk_edges), claims),
+    ]
+    assert drawing._walk(np.array(walk_edges[1:-1])).tolist() == list(revisit)
+    for cert in certs:
+        hit_row, rows = _star_reference(d, cert, hub)
+        star, rows_path = _star_kernel_spies()
+        with star as kernel, rows_path as asked:
+            count, failed = _verify_count(d, cert)
+        assert (kernel.call_count, asked.call_count) == (0, 1)
+        assert failed == (() if hit_row is None else ("star_avoiding",))
+        assert count == _asked(len(rows), n - 3, hit_row, drawing.ROW_BLOCK_ENTRIES)
 
 
 @given(st.sampled_from(["geometric", "two_page"]), st.integers(5, 9), st.integers(0, 5),

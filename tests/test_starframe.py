@@ -12,7 +12,7 @@ from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
-from conftest import construction_pool, is_interior, row_groups
+from conftest import construction_pool, is_interior, kernel_calls, row_groups, star_windows
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -251,34 +251,44 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 def _blocked_scan(d, order, hub, block):
     """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries.
 
-    Its `cross_pairs` calls follow conftest.row_groups over k rows of k - 2
-    entries: a one-row call passes its pair as labels and its window as a
-    1-D row, a longer one an (R, 1) pair column and its windows as
-    (R, k - 2).
+    Its kernel calls, `Drawing.cross_pairs` and `Drawing.cross_block`
+    counted together, follow conftest.row_groups over k rows of k - 2
+    entries: each is one star block of rows i0..i1-1, whose (R, k - 2)
+    answer is that of `cross_pairs` of the pairs' (R, 1) columns against
+    their windows, and whose R (k - 2) entries sum to the scan's queries.
+    On an abstract drawing the block is one gather of the crossing table:
+    a one-row block passes its pair as labels and its window as a 1-D row,
+    a longer one an (R, 1) pair column and its windows as (R, k - 2).
     """
     view, counter = instrumented(d)
     k = len(order)
-    spy = mock.patch.object(
-        drawing.Drawing, "cross_pairs", autospec=True, side_effect=drawing.Drawing.cross_pairs
-    )
-    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy as calls:
+    gather = mock.patch.object(type(d._oracle), "cross_pairs", autospec=True,
+                               side_effect=type(d._oracle).cross_pairs)
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), kernel_calls() as calls, \
+            gather as gathers:
         scanned = _scanned(view, order, hub)
         groups = row_groups(k, k - 2, block) if k >= 3 else []
     assert counter.count == k * (k - 2)
-    assert len(calls.call_args_list) == len(groups)
-    for (i0, i1), call in zip(groups, calls.call_args_list):
-        _view, a, b, cs, _hub = call.args
-        us = [order[i] for i in range(i0, i1)]
-        vs = [order[(i + 1) % k] for i in range(i0, i1)]
-        windows = [[order[(i + j) % k] for j in range(2, k)] for i in range(i0, i1)]
+    assert len(calls) == len(groups)
+    assert sum(hits.size for _name, _args, hits in calls) == counter.count
+    if d.points is None:
+        assert gathers.call_count == len(groups)
+    for g, ((i0, i1), (name, (_rows, c0, c1), hits)) in enumerate(zip(groups, calls)):
+        assert (name, c0, c1) == ("cross_block", i0, i1)
+        us, vs, windows = star_windows(order, i0, i1)
+        assert hits.shape == windows.shape == (i1 - i0, k - 2)
+        assert np.array_equal(hits, d._oracle.cross_pairs(us, vs, windows, hub))
+        if d.points is not None:
+            continue
+        _oracle, a, b, cs, _hub = gathers.call_args_list[g].args
         if i1 == i0 + 1:
-            assert cs.tolist() == windows[0]
+            assert cs.tolist() == windows[0].tolist()
             assert np.ndim(a) == np.ndim(b) == 0
-            assert (a, b) == (us[0], vs[0])
+            assert (a, b) == (us[0, 0], vs[0, 0])
         else:
-            assert cs.tolist() == windows
-            assert np.array_equal(a, np.array(us)[:, None])
-            assert np.array_equal(b, np.array(vs)[:, None])
+            assert cs.tolist() == windows.tolist()
+            assert np.array_equal(a, us)
+            assert np.array_equal(b, vs)
     return scanned
 
 
