@@ -114,21 +114,24 @@ def cmd_gen(args, manifest):
 
 def cmd_check_convex(args, manifest):
     d = _load_drawing(args, manifest)
-    if args.method == "triangles":
+    method = args.method
+    if method is None:
+        # A straight-line drawing is convex by definition: no query.
+        method = "geometric" if d.points is not None else "triangles"
+    bad = witness = None
+    if method == "triangles":
         bad = find_nonconvex_triangle(d)
-        witness = None
         if bad is not None:
             witness = {
                 "triangle": list(bad.triangle),
                 "violation_a": io._jsonify(bad.violation_a),
                 "violation_b": io._jsonify(bad.violation_b),
             }
-    else:
+    elif method == "k5":
         bad = find_nonconvex_k5(d)
-        witness = None
         if bad is not None:
             witness = {"vertices": list(bad.vertices), "class": bad.k5_class.name}
-    return _dumps({"convex": bad is None, "method": args.method, "witness": witness})
+    return _dumps({"convex": bad is None, "method": method, "witness": witness})
 
 
 def cmd_find(args, manifest):
@@ -250,7 +253,9 @@ def build_parser():
 
     p = sub.add_parser("check-convex", help="convexity verdict with witness")
     p.add_argument("--in", dest="infile", help="drawing JSON file (default stdin)")
-    p.add_argument("--method", choices=["triangles", "k5"], default="triangles")
+    p.add_argument("--method", choices=["triangles", "k5"],
+                   help="default: triangles, or no pass (method geometric) on a drawing "
+                   "with points, which is convex by definition")
     p.set_defaults(func=cmd_check_convex)
 
     p = sub.add_parser("find", help="construct a certificate")

@@ -250,10 +250,18 @@ class PointBack:
     orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
     cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
     of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1, and each
-    is computed once.  Only o1 = cross(b - a, w - a) reads the coordinates
-    themselves.  Each value is one determinant of exact differences (|P|
-    <= 2^53), computed as fl(fl(t1) - fl(t2)), so the argument and the m
-    rule above hold unchanged.
+    is computed once.  A block forms q = o3 o4 for every entry first.
+    Where q > 0, m = max(o1 o2, q) > 0 whatever o1 is, so the entry misses;
+    only where q <= 0 is o1 = cross(b - a, w - a) formed from the
+    coordinates, and m with it.  Around a hub the order is angular, and
+    the line through h and w separates only the pair whose angular gap
+    holds the ray opposite w, so q <= 0 at about k of the k(k - 2) entries,
+    most rows having none.  The entries formed get the same float values as
+    when o1 is formed everywhere, and the entries skipped have m > 0, so
+    the verdicts and the entries with m == 0, which go to `_exact`, do not
+    change.  Each value is one determinant of exact differences (|P| <=
+    2^53), computed as fl(fl(t1) - fl(t2)), so the argument and the m rule
+    above hold unchanged.
     """
 
     def __init__(self, pts):
@@ -402,18 +410,17 @@ class PointBack:
         Returns rows(i0, i1), the bool (i1 - i0, k - 2) answer of
         `cross_pairs(order[i], order[i + 1], order[i + 2:i + k], hub)`, the
         window taken cyclically, for i = i0..i1-1, k = len(order) >= 3.
-        The labels are checked once (`_star_labels`).  A block is computed
-        from windows of coordinates gathered once, a one-row block in 1-D;
-        only the labels of the entries that reach `_exact` are gathered.
+        The labels are checked once (`_star_labels`).  A block's G rows come
+        from windows of differences gathered once; o1 and the labels are
+        gathered only at the entries that o3 o4 leaves open.
         """
         twice = _star_labels(order, hub, len(self.pts) - 1)
         k = len(twice) // 2
         xs, ys = self.xs[twice], self.ys[twice]
         px, py = xs - self.xs[hub], ys - self.ys[hub]
-        # Row i of a window holds the k - 2 labels or coordinates after pair
-        # i, or, for G, the k - 1 differences P after order[i].
-        (wx, wy, ws), (gx, gy) = (_windows((xs[2:], ys[2:], twice[2:]), k, k - 2),
-                                  _windows((px[1:], py[1:]), k + 1, k - 1))
+        ex, ey = xs[1:] - xs[:-1], ys[1:] - ys[:-1]  # b - a of row i
+        # Row i of a window holds the k - 1 differences P after order[i].
+        gx, gy = _windows((px[1:], py[1:]), k + 1, k - 1)
         last = [None, None]  # the last G row computed, and its row index
 
         def orients(at, window):
@@ -427,28 +434,31 @@ class PointBack:
                 # then the previous call's last.
                 top = last[0] if last[1] == i0 else orients(i0, i0)
                 bot = orients(i1, i1)
-                o2, o3, o4 = top[0], top[1:], bot[:-1]
-                at, pair = i0, (i0, i1)
+                o2, q = top[:1], top[1:] * bot[:-1]
             else:
                 g = orients((slice(i0, i1 + 1), None), slice(i0, i1 + 1))
-                o2, o3, o4 = g[:-1, :1], g[:-1, 1:], g[1:, :-1]
-                at, pair = slice(i0, i1), ((slice(i0, i1), None), (slice(i0 + 1, i1 + 1), None))
+                o2, q = g[:-1, 0], (g[:-1, 1:] * g[1:, :-1]).ravel()
                 bot = g[-1]
             last[:] = bot, i1
-            ax, ay = xs[pair[0]], ys[pair[0]]
-            o1 = wy[at] - ay
-            o1 *= xs[pair[1]] - ax
-            dx = wx[at] - ax
-            dx *= ys[pair[1]] - ay
-            o1 -= dx
-            o1 *= o2
-            m = np.maximum(o1, o3 * o4, out=o1)
-            res = m < 0
-            # Entries with m == 0 go to _exact, as in cross_pairs.
-            idx = np.flatnonzero(m == 0)
+            res = np.zeros(q.size, dtype=bool)
+            # q = o3 o4 > 0 makes m > 0 whatever o1 is: a miss.  Only the
+            # other entries form o1, at row r = i - i0 and column j of the
+            # block: a = order[i], b = order[i + 1], w = order[i + j + 2].
+            idx = (q <= 0).nonzero()[0]
             if idx.size:
-                res.reshape(-1)[idx] = self._exact(twice[pair[0]], twice[pair[1]], ws[at], hub, idx,
-                                                   m.shape)
+                r, j = np.divmod(idx, k - 2)
+                i = r + i0
+                w = i + j + 2
+                o1 = ex[i] * (ys[w] - ys[i])
+                o1 -= ey[i] * (xs[w] - xs[i])
+                o1 *= o2[r]
+                m = np.maximum(o1, q[idx], out=o1)
+                res[idx] = m < 0
+                # Entries with m == 0 go to _exact, as in cross_pairs.
+                zero = (m == 0).nonzero()[0]
+                if zero.size:
+                    res[idx[zero]] = self._exact(twice[i], twice[i + 1], twice[w], hub, zero,
+                                                 m.shape)
             return res.reshape(i1 - i0, k - 2)
 
         return rows

@@ -154,7 +154,7 @@ def test_check_convex_triangles_stdout(capsys, tmp_path, drawing, expected):
         text = run(capsys, "gen", *drawing)[1]
     dfile = tmp_path / "d.json"
     dfile.write_text(text)
-    code, out, err = run(capsys, "check-convex", "--in", str(dfile))
+    code, out, err = run(capsys, "check-convex", "--in", str(dfile), "--method", "triangles")
     assert code == 0
     assert out.strip() == expected
     n = json.loads(text)["n"]
@@ -162,6 +162,27 @@ def test_check_convex_triangles_stdout(capsys, tmp_path, drawing, expected):
         # Every triangle: three rows over the off pairs, three corner rows.
         assert manifest_of(err)["oracle_queries"] == comb(n, 3) * (
             3 * comb(n - 3, 2) + 3 * (n - 3))
+
+
+@pytest.mark.parametrize("gen, method, queries", [
+    (("random", "--n", "80", "--seed", "1"), "geometric", 0),
+    (("two-page", "--n", "9", "--outer", "1,4"), "triangles", comb(9, 3) * (3 * comb(6, 2) + 3 * 6)),
+    (("twisted", "--n", "6"), "triangles", None),
+], ids=["random80", "two-page9", "twisted6"])
+def test_check_convex_default_method(capsys, tmp_path, gen, method, queries):
+    # With no --method, a drawing with points is convex by definition and
+    # asks nothing, at any n; an abstract drawing takes the triangle pass,
+    # with the stdout of --method triangles.
+    dfile = tmp_path / "d.json"
+    dfile.write_text(run(capsys, "gen", *gen)[1])
+    code, out, err = run(capsys, "check-convex", "--in", str(dfile))
+    assert code == 0
+    assert json.loads(out)["method"] == method
+    if queries is not None:
+        assert json.loads(out) == {"convex": True, "method": method, "witness": None}
+        assert manifest_of(err)["oracle_queries"] == queries
+    if method == "triangles":
+        assert run(capsys, "check-convex", "--in", str(dfile), "--method", method)[1] == out
 
 
 def test_manifest_shape(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -437,13 +438,18 @@ def _star_pool(kind, n, seed):
        st.randoms(use_true_random=False))
 def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
     # On whole rotations and on rotations restricted to a subset, as the s-t
-    # solver asks them: star_hits groups rows as ask_rows does, and every
-    # block equals cross_pairs over the same window, array for array; so
-    # do the blocks of one star_rows asked last to first.
+    # solver asks them, and on shuffled orders: star_hits groups rows as
+    # ask_rows does, and every block equals cross_pairs over the same
+    # window, array for array; so do the blocks of one star_rows asked last
+    # to first.  An angular order leaves about k of the k(k - 2) entries to
+    # the point kernel's o1, a shuffled one about half of them.
     d = _star_pool(kind, n, seed)
     hub = rng.randint(1, n)
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
-    for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep)):
+    shuffled = [x for x in range(1, n + 1) if x != hub]
+    rng.shuffle(shuffled)
+    for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep),
+                  shuffled):
         k = len(order)
         if k < 3:
             continue
@@ -461,6 +467,50 @@ def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
             for x in (hits, again):
                 assert x.dtype == bool and x.shape == want.shape
                 assert np.array_equal(x, want)
+
+
+def _float_tie_drawing():
+    # Hub h = (2^50, 2^50) and, relative to it, a = (P, Q) and w = (2P + 1,
+    # 2Q + 1) with P = 2^50, Q = P - 1: cross(a - h, w - h) = P - Q = 1, but
+    # its products 2^101 - 2^50 and 2^101 - 2^50 - 1 round to one float64,
+    # so the star kernel's o3 of a against the star edge {w, h} is 0.  b
+    # lies across the line hw from a, so ab crosses the star edge: a
+    # crossing with q = o3 o4 = 0, settled only by _exact.  Then four
+    # points of [2^50, 2^52) in general position.
+    p = 2**50
+    h, a, w, b = (p, p), (2 * p, 2 * p - 1), (3 * p + 1, 3 * p - 1), (2 * p - 2**40, 2 * p + 2**40)
+    rng = random.Random(5)
+    more = [(rng.randrange(p, 4 * p), rng.randrange(p, 4 * p)) for _ in range(4)]
+    d = generators.geometric([h, a, w, b, *more])
+    assert d._oracle.xs.dtype == np.float64
+    return d
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_star_kernel_settles_float_ties_exactly(block):
+    # Near-collinear float64 mirrors: a candidate entry with m == 0 reaches
+    # _exact from star_rows and gets the scalar verdict, and every block
+    # still equals cross_pairs.  The tie sits at rows 0 and 3 of the orders.
+    d = _float_tie_drawing()
+    pts, hub = d.points, 1
+    exact = geometry.PointBack._exact
+    for order in ((2, 4, 3, 5, 6, 7, 8), (6, 7, 8, 2, 4, 3, 5)):
+        k = len(order)
+        spy = mock.patch.object(geometry.PointBack, "_exact", autospec=True, side_effect=exact)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), spy as calls:
+            got = list(drawing.star_hits(d, order, hub, k))
+        asked = []
+        for call in calls.call_args_list:
+            _self, a, b, cs, ds, idx, shape = call.args
+            verdicts = exact(d._oracle, a, b, cs, ds, idx, shape)
+            at = np.unravel_index(idx, shape)
+            labels = [np.broadcast_to(x, shape)[at].tolist() for x in (a, b, cs, ds)]
+            for entry, crossed in zip(zip(*labels), verdicts.tolist()):
+                assert crossed == geometry.segments_cross(*(pts[x] for x in entry))
+                asked.append((entry, crossed))
+        assert ((2, 4, 3, 1), True) in asked
+        for (i0, i1), (_i0, hits) in zip(row_groups(k, k - 2, block), got):
+            assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
