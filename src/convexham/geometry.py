@@ -249,19 +249,20 @@ class PointBack:
     cyclic shifts, so o2 = orient(a, b, h) = cross(P_a, P_b), o3 =
     orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
     cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
-    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1, and each
-    is computed once.  A block forms q = o3 o4 for every entry first.
-    Where q > 0, m = max(o1 o2, q) > 0 whatever o1 is, so the entry misses;
-    only where q <= 0 is o1 = cross(b - a, w - a) formed from the
-    coordinates, and m with it.  Around a hub the order is angular, and
-    the line through h and w separates only the pair whose angular gap
-    holds the ray opposite w, so q <= 0 at about k of the k(k - 2) entries,
-    most rows having none.  The entries formed get the same float values as
-    when o1 is formed everywhere, and the entries skipped have m > 0, so
-    the verdicts and the entries with m == 0, which go to `_exact`, do not
-    change.  Each value is one determinant of exact differences (|P| <=
-    2^53), computed as fl(fl(t1) - fl(t2)), so the argument and the m rule
-    above hold unchanged.
+    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1.  If the
+    order is strictly counterclockwise about h and o2 > 0, the turn from a
+    to b is under π, so ab lies in the closed wedge from P_a to P_b.  The
+    star edge wh meets that wedge only along w's ray, no w of the order
+    lies strictly inside it, and a ray along P_a or P_b meets ab only at an
+    endpoint: the row is all misses.  A float o2 > 0 has the exact sign, so
+    a block of such rows costs no G row.  Any other block (the pair of a
+    hub on the hull that turns by more than π, an o2 rounded to 0, an order
+    that is not angular) forms each G row once and q = o3 o4 for every
+    entry; where q > 0, m = max(o1 o2, q) > 0 whatever o1 is, and only where
+    q <= 0 is o1 = cross(b - a, w - a) formed, and m with it.  Each value is
+    one determinant of exact differences (|P| <= 2^53), computed as
+    fl(fl(t1) - fl(t2)), so the argument and the m rule above hold
+    unchanged, though rounding may send other entries to `_exact`.
     """
 
     def __init__(self, pts):
@@ -305,7 +306,7 @@ class PointBack:
         res = m < 0
         # Entries with m == 0 go to _exact; a shared endpoint zeroes both
         # products, so adjacent entries are among them.
-        idx = np.flatnonzero(m == 0)
+        idx = (m == 0).ravel().nonzero()[0]
         if idx.size:
             res.reshape(-1)[idx] = self._exact(a, b, cs, ds, idx, res.shape)
         return res
@@ -397,7 +398,7 @@ class PointBack:
             res = mx < 0
             # Entries with mx == 0, among them every pair of neighbours, go
             # to _exact, as in cross_pairs.
-            idx = np.flatnonzero(mx == 0)
+            idx = (mx == 0).ravel().nonzero()[0]
             if idx.size:
                 res.reshape(-1)[idx] = self._exact(*ends, cs, ds, idx, res.shape)
             return res
@@ -410,9 +411,11 @@ class PointBack:
         Returns rows(i0, i1), the bool (i1 - i0, k - 2) answer of
         `cross_pairs(order[i], order[i + 1], order[i + 2:i + k], hub)`, the
         window taken cyclically, for i = i0..i1-1, k = len(order) >= 3.
-        The labels are checked once (`_star_labels`).  A block's G rows come
-        from windows of differences gathered once; o1 and the labels are
-        gathered only at the entries that o3 o4 leaves open.
+        The labels are checked once (`_star_labels`).  A block whose rows
+        all have o2 > 0 is all misses if the order is a cyclic shift of
+        `ccw_order`, which the first such block decides; another block's G
+        rows come from windows of differences gathered once, and o1 and the
+        labels are gathered only at the entries that o3 o4 leaves open.
         """
         twice = _star_labels(order, hub, len(self.pts) - 1)
         k = len(twice) // 2
@@ -422,6 +425,11 @@ class PointBack:
         # Row i of a window holds the k - 1 differences P after order[i].
         gx, gy = _windows((px[1:], py[1:]), k + 1, k - 1)
         last = [None, None]  # the last G row computed, and its row index
+        # o2 of row i, G[i, 1], by the statements of orients.
+        o2 = px[:k] * py[1:k + 1]
+        o2 -= py[:k] * px[1:k + 1]
+        short = (o2 > 0).tolist()  # the pair turns by less than π
+        angular = None  # is order a cyclic shift of ccw_order?  Sorted when first asked
 
         def orients(at, window):
             g = px[at] * gy[window]
@@ -429,15 +437,26 @@ class PointBack:
             return g
 
         def rows(i0, i1):
+            nonlocal angular
+            if all(short[i0:i1]):
+                # Short turns of an angular order miss every star edge.  The
+                # s-t solver's orders have their hub on their hull, and most
+                # of their blocks hold its long turn, so they seldom sort.
+                if angular is None:
+                    ccw = np.asarray(ccw_order(self, hub, twice[:k]))
+                    start = int((twice[:k] == ccw[0]).argmax())
+                    angular = np.array_equal(twice[start:start + k], ccw)
+                if angular:
+                    return np.zeros((i1 - i0, k - 2), dtype=bool)
             if i1 == i0 + 1:
                 # A scan at k > 1,367 asks one row per call: G row i0 is
                 # then the previous call's last.
                 top = last[0] if last[1] == i0 else orients(i0, i0)
                 bot = orients(i1, i1)
-                o2, q = top[:1], top[1:] * bot[:-1]
+                q = top[1:] * bot[:-1]
             else:
                 g = orients((slice(i0, i1 + 1), None), slice(i0, i1 + 1))
-                o2, q = g[:-1, 0], (g[:-1, 1:] * g[1:, :-1]).ravel()
+                q = (g[:-1, 1:] * g[1:, :-1]).ravel()
                 bot = g[-1]
             last[:] = bot, i1
             res = np.zeros(q.size, dtype=bool)
@@ -451,7 +470,7 @@ class PointBack:
                 w = i + j + 2
                 o1 = ex[i] * (ys[w] - ys[i])
                 o1 -= ey[i] * (xs[w] - xs[i])
-                o1 *= o2[r]
+                o1 *= o2[i]
                 m = np.maximum(o1, q[idx], out=o1)
                 res[idx] = m < 0
                 # Entries with m == 0 go to _exact, as in cross_pairs.

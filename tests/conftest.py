@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from convexham import generators
+from convexham import generators, geometry
 from convexham.drawing import Drawing, ExplicitCrossings, canon_edge, relabel
 from convexham.errors import NoCoordinates
 from convexham.geometry import orientation
@@ -137,6 +137,29 @@ def star_windows(order, i0, i1):
     vs = [[order[(i + 1) % k]] for i in range(i0, i1)]
     windows = [[order[(i + j) % k] for j in range(2, k)] for i in range(i0, i1)]
     return (np.array(x, dtype=np.int64).reshape(i1 - i0, -1) for x in (us, vs, windows))
+
+
+@contextmanager
+def star_g_rows():
+    """Collect, in the yielded set, the G rows that point star kernels form.
+
+    `PointBack.star_rows` forms G row i, cross(P_order[i], P_order[i+δ]),
+    from row i of its two coordinate windows; this patches
+    `geometry._windows` so that every read of such a window adds its rows
+    to the yielded set.  A block settled without G reads none.  Only for
+    point sets: the abstract backing reads its label windows the same way.
+    """
+    read = set()
+
+    class Reads(np.ndarray):
+        def __getitem__(self, key):
+            read.update(range(key.start, key.stop) if isinstance(key, slice) else (key,))
+            return np.asarray(super().__getitem__(key))
+
+    make = geometry._windows
+    with mock.patch.object(geometry, "_windows",
+                           lambda *args: [w.view(Reads) for w in make(*args)]):
+        yield read
 
 
 def offset_blocks(m, block):

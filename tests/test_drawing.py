@@ -37,6 +37,7 @@ from conftest import (
     random_k4_drawing,
     row_groups,
     side_convex,
+    star_g_rows,
     star_windows,
 )
 
@@ -511,6 +512,112 @@ def test_star_kernel_settles_float_ties_exactly(block):
         assert ((2, 4, 3, 1), True) in asked
         for (i0, i1), (_i0, hits) in zip(row_groups(k, k - 2, block), got):
             assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
+
+
+def _long_turns(d, order, hub):
+    """Rows i of `order` whose pair turns about hub by more than π: cross(P_a, P_b) < 0, exactly."""
+    pts, k = d.points, len(order)
+    hx, hy = pts[hub]
+    p = [(pts[x][0] - hx, pts[x][1] - hy) for x in order]
+    return [i for i in range(k) if p[i][0] * p[(i + 1) % k][1] < p[i][1] * p[(i + 1) % k][0]]
+
+
+def _star_blocks_against_cross_pairs(d, order, hub, block):
+    """Ask star_hits with ROW_BLOCK_ENTRIES = block, check every block against
+    cross_pairs, and return (hit entries (row, column), G rows formed, blocks)."""
+    k = len(order)
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
+        got = list(drawing.star_hits(d, order, hub, k))
+    groups = row_groups(k, k - 2, block)
+    assert [(i0, i0 + len(hits)) for i0, hits in got] == groups
+    hit = set()
+    for (i0, i1), (_i0, hits) in zip(groups, got):
+        assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
+        hit.update((i0 + int(r), int(j)) for r, j in zip(*hits.nonzero()))
+    return hit, formed, groups
+
+
+@given(st.sampled_from(["geometric", "x2^40", "x2^60"]), st.integers(4, 40), st.integers(0, 300),
+       st.sampled_from([1, 7, 64, 4096]), st.randoms(use_true_random=False))
+def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, block, rng):
+    # Cyclic shifts of a rotation, whole or restricted to a subset, at a
+    # random hub and at a hull hub (the smallest point): only a block
+    # holding the one pair that turns by more than π forms its G rows, and
+    # only that pair can hit.  Every block still equals cross_pairs.
+    d = _star_pool(kind, n, seed)
+    for hub in (rng.randint(1, n), min(range(1, n + 1), key=d.points.__getitem__)):
+        keep = set(rng.sample(range(1, n + 1), rng.randint(3, n)))
+        for rotation in (d.rotation_of(hub), d.rotation_among(hub, keep)):
+            k = len(rotation)
+            if k < 3:
+                continue
+            s = rng.randrange(k)
+            order = rotation[s:] + rotation[:s]
+            long_ = _long_turns(d, order, hub)
+            assert len(long_) <= 1
+            hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+            assert {i for i, _j in hit} <= set(long_)
+            dense = [range(i0, i1 + 1) for i0, i1 in groups if any(i0 <= i < i1 for i in long_)]
+            assert formed == set().union(*dense)
+
+
+def _tied_long_turn_drawing():
+    # Hub h = (2p - 2, 2p - 2), p = 2^50, and relative to it a = (-p, 1 - p)
+    # and b = (2p + 1, 2p - 1): cross(P_a, P_b) = -1, so the pair (a, b)
+    # turns by just over π and h is a hull vertex, but the products
+    # -2p^2 + p and -2p^2 + p + 1 round to one float64, so o2 = 0.  Four
+    # points near P = (-1, 1) 2^44 lie across ab from h: their star edges
+    # cross ab, and every other pair turns by less than π.
+    p = 2**50
+    h = (2 * p - 2, 2 * p - 2)
+    rng = random.Random(7)
+    ws = [(h[0] - 2**44 - rng.randrange(2**42), h[1] + 2**44 + rng.randrange(2**42))
+          for _ in range(4)]
+    d = generators.geometric([h, (h[0] - p, h[1] + 1 - p), (h[0] + 2 * p + 1, h[1] + 2 * p - 1), *ws])
+    assert d._oracle.xs.dtype == np.float64
+    return d
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
+    # The hub's rotation is angular, but its long turn has o2 = 0 in
+    # float64: that row takes the G rows and _exact, and reports its four
+    # hits; the short turns are settled.
+    d = _tied_long_turn_drawing()
+    hub, a, b = 1, 2, 3
+    rotation = d.rotation_of(hub)
+    i = rotation.index(a)
+    assert rotation[(i + 1) % len(rotation)] == b and _long_turns(d, rotation, hub) == [i]
+    xs, ys = d._oracle.xs, d._oracle.ys
+    px, py = xs[[a, b]] - xs[hub], ys[[a, b]] - ys[hub]
+    assert px[0] * py[1] - py[0] * px[1] == 0
+    exact = geometry.PointBack._exact
+    spy = mock.patch.object(geometry.PointBack, "_exact", autospec=True, side_effect=exact)
+    for s in range(len(rotation)):
+        order = rotation[s:] + rotation[:s]
+        row = (i - s) % len(order)
+        hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+        assert hit == {(row, j) for j in range(4)}
+        dense = next((i0, i1) for i0, i1 in groups if i0 <= row < i1)
+        assert formed == set(range(dense[0], dense[1] + 1))
+        rows = d._oracle.star_rows(order, hub)
+        with spy as calls:
+            assert rows(row, row + 1).sum() == 4
+        assert calls.call_count == 1 and calls.call_args.args[5].size == 4
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_star_kernel_asks_every_row_of_a_star_polygon(block):
+    # Five points around a central hub, listed as a pentagram: each pair
+    # turns by 144°, so every o2 > 0, but the order winds twice and is not
+    # a rotation.  Every block forms its G rows, and each row's pair crosses
+    # the star edge of the point its wedge holds: five hits.
+    d = generators.geometric([(1, 2), (1000, 7), (313, 951), (-809, 590), (-806, -586),
+                              (305, -950)])
+    hub, order = 1, (2, 4, 6, 3, 5)
+    assert _long_turns(d, order, hub) == [] and d.rotation_of(hub) == (2, 3, 4, 5, 6)
+    hit, formed, _groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+    assert {i for i, _j in hit} == set(range(5)) and len(hit) == 5 and formed == set(range(6))
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),

@@ -51,6 +51,7 @@ from conftest import (
     polygon_partition,
     random_k4_drawing,
     row_groups,
+    star_g_rows,
 )
 
 
@@ -676,6 +677,37 @@ def test_star_check_on_a_spanning_path_takes_the_star_kernel(kind, block):
             assert (kernel.call_count, asked.call_count) == (1, 0)
             with mock.patch.object(oracle, "_walk", return_value=None):
                 assert _verify_count(d, cert) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, drawing.ROW_BLOCK_ENTRIES])
+def test_star_check_of_a_rotation_started_at_the_wrong_place(block):
+    # Around a hull hub every pair of its rotation turns by less than π
+    # but one, (a, b).  The cycle through the hub and its rotation started
+    # at b is star-avoiding, and the star kernel forms no G row for it.
+    # Started anywhere else, the path holds the pair (a, b), which crosses
+    # a star edge: the claim fails, with the queries of the scalar
+    # reference, and only the block holding (a, b) forms G rows.
+    n = 14
+    d = _row_drawing("geometric", n, 1)
+    pts = d.points
+    hub = min(range(1, n + 1), key=pts.__getitem__)
+    rotation, k = d.rotation_of(hub), n - 1
+    (i,) = [i for i in range(k)
+            if geometry.orientation(pts[hub], pts[rotation[i]], pts[rotation[(i + 1) % k]]) < 0]
+    for s in range(k):
+        cert = cycle_certificate((hub, *rotation[s:], *rotation[:s]), {"star_avoiding": hub})
+        hit_row, rows = _star_reference(d, cert, hub)
+        assert (hit_row is None) == (s == (i + 1) % k)
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
+            count, failed = _verify_count(d, cert)
+        assert failed == (() if hit_row is None else ("star_avoiding",))
+        assert count == _asked(len(rows), n - 3, hit_row, block)
+        if hit_row is None:
+            assert formed == set()
+        else:
+            assert hit_row == (i - s) % k
+            i0, i1 = next(g for g in row_groups(len(rows), n - 3, block) if g[0] <= hit_row < g[1])
+            assert formed == set(range(i0, i1 + 1))
 
 
 @pytest.mark.parametrize("kind", ["geometric", "two_page"])
