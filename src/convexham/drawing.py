@@ -407,8 +407,10 @@ def _offset_pairs(block, m):
     last = (c - 1) // 2
     per = max(1, OFFSET_BLOCK_ENTRIES // c)
     for k0 in range(1 - s, last + 1, per):
-        k, i = np.nonzero(block(k0, min(k0 + per, last + 1)))
-        if k.size:
+        hits = block(k0, min(k0 + per, last + 1))
+        # A 2-D nonzero costs ~18 us on a (4, 1999) block; any() far less.
+        if hits.any():
+            k, i = np.nonzero(hits)
             k += k0
             j = np.where(k > 0, (i + k) % c + s, 0)
             i += s

@@ -240,24 +240,36 @@ class PointBack:
     fl(fl(t1) - fl(t2)), so the argument above and the m rule hold
     unchanged on float64 and object mirrors alike: the walk rows answer
     each entry as `cross_pairs` does, though rounding may send other
-    entries to `_exact`.
+    entries to `_exact`.  A fan walk, (h, L), (h, L, h) or (L, h) with L
+    a fan about h (below), is plane: its rows are all misses, formed from
+    no window.  h is tried as the first label and an open walk's last.
+
+    A fan about a hub h is a label list L = (x_1, ..., x_r) that `angular`
+    finds to be a cyclic shift of `ccw_order(self, h, L)` with every
+    o2_i = cross(P_{x_i}, P_{x_{i+1}}) > 0, P_x = x - h an exact
+    difference, or of the reversed sort with every o2_i < 0.  Each pair
+    x_i x_{i+1} then turns by under π, so it lies in the closed wedge from
+    P_{x_i} to P_{x_{i+1}}.  These wedges are gaps of one angular sort, so
+    no label of L lies strictly inside one and their interiors are
+    disjoint.  A star edge {w, h}, w in L, meets a wedge only along w's
+    ray, and two wedges meet only at h or along a shared ray; a segment
+    meets its wedge's rays only at its endpoints, so the pair misses every
+    star edge and every pair it shares no label with.  A float o2 != 0 has
+    the exact sign, so fans are found without any row.
 
     `star_rows` answers the rows of pairs {a, b} consecutive in an order
-    against the star edges {w, h} of a hub h.  With P_x = x - h, an exact
-    difference, orient(x, y, h) = cross(y - x, h - x) = cross(P_y - P_x,
-    -P_x) = cross(P_x, P_y) as integers, and orient is invariant under
-    cyclic shifts, so o2 = orient(a, b, h) = cross(P_a, P_b), o3 =
+    against the star edges {w, h} of a hub h.  With P_x = x - h,
+    orient(x, y, h) = cross(y - x, h - x) = cross(P_y - P_x, -P_x) =
+    cross(P_x, P_y) as integers, and orient is invariant under cyclic
+    shifts, so o2 = orient(a, b, h) = cross(P_a, P_b), o3 =
     orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
     cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
-    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1.  If the
-    order is strictly counterclockwise about h and o2 > 0, the turn from a
-    to b is under π, so ab lies in the closed wedge from P_a to P_b.  The
-    star edge wh meets that wedge only along w's ray, no w of the order
-    lies strictly inside it, and a ray along P_a or P_b meets ab only at an
-    endpoint: the row is all misses.  A float o2 > 0 has the exact sign, so
-    a block of such rows costs no G row.  Any other block (the pair of a
-    hub on the hull that turns by more than π, an o2 rounded to 0, an order
-    that is not angular) forms each G row once and q = o3 o4 for every
+    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1.  A
+    block of rows whose o2 all have the sign `angular` gives the order is
+    a block of a fan's pairs, all misses, and costs no G row.  Any other
+    block (the pair of a hub on the hull that turns by more than π, an o2
+    rounded to 0, an order that is not angular) forms each G row once and
+    q = o3 o4 for every
     entry; where q > 0, m = max(o1 o2, q) > 0 whatever o1 is, and only where
     q <= 0 is o1 = cross(b - a, w - a) formed, and m with it.  Each value is
     one determinant of exact differences (|P| <= 2^53), computed as
@@ -319,13 +331,18 @@ class PointBack:
         bool (k1 - k0, c) answer of `cross_pairs` to that function's offset
         rows k0..k1-1: row k pairs cycle edge i (walk edge s + i, s = 1 - m
         % 2, c = m - s) with cycle edge (i + k) mod c, row 0 edge 0 with
-        each cycle edge.  The coordinates are gathered once, and a block is
-        computed from copied windows of them; only the labels of the
-        entries that reach `_exact` are gathered.
+        each cycle edge.  A fan walk's rows are all misses.  Otherwise the
+        coordinates are gathered once, and a block is computed from copied
+        windows of them; only the labels of the entries that reach
+        `_exact` are gathered.
         """
         m = len(walk) - 1
         s = 1 - m % 2
         c = m - s
+        closed = bool(walk[0] == walk[m])
+        if self._fan(walk[0], walk[1:m + 1 - closed]) or (
+                not closed and self._fan(walk[m], walk[:m])):
+            return lambda k0, k1: np.zeros((k1 - k0, c), dtype=bool)
         last = (c - 1) // 2
         # Cycle edge i runs from S_i to E_i = S_{i+1}, but for an open walk
         # E_{c-1} != S_0.  Row δ of a window holds S_{i+δ}, E_{i+δ} or
@@ -411,9 +428,9 @@ class PointBack:
         Returns rows(i0, i1), the bool (i1 - i0, k - 2) answer of
         `cross_pairs(order[i], order[i + 1], order[i + 2:i + k], hub)`, the
         window taken cyclically, for i = i0..i1-1, k = len(order) >= 3.
-        The labels are checked once (`_star_labels`).  A block whose rows
-        all have o2 > 0 is all misses if the order is a cyclic shift of
-        `ccw_order`, which the first such block decides; another block's G
+        The labels are checked once (`_star_labels`).  A block whose rows'
+        o2 all have one sign is all misses if `angular` gives the order that
+        sign, which the first such block decides; another block's G
         rows come from windows of differences gathered once, and o1 and the
         labels are gathered only at the entries that o3 o4 leaves open.
         """
@@ -428,8 +445,8 @@ class PointBack:
         # o2 of row i, G[i, 1], by the statements of orients.
         o2 = px[:k] * py[1:k + 1]
         o2 -= py[:k] * px[1:k + 1]
-        short = (o2 > 0).tolist()  # the pair turns by less than π
-        angular = None  # is order a cyclic shift of ccw_order?  Sorted when first asked
+        sign = ((o2 > 0).astype(np.int8) - (o2 < 0)).tolist()
+        turn = None  # self.angular(hub, order), sorted when first asked
 
         def orients(at, window):
             g = px[at] * gy[window]
@@ -437,16 +454,15 @@ class PointBack:
             return g
 
         def rows(i0, i1):
-            nonlocal angular
-            if all(short[i0:i1]):
-                # Short turns of an angular order miss every star edge.  The
-                # s-t solver's orders have their hub on their hull, and most
-                # of their blocks hold its long turn, so they seldom sort.
-                if angular is None:
-                    ccw = np.asarray(ccw_order(self, hub, twice[:k]))
-                    start = int((twice[:k] == ccw[0]).argmax())
-                    angular = np.array_equal(twice[start:start + k], ccw)
-                if angular:
+            nonlocal turn
+            s = sign[i0]
+            if s and sign[i0:i1].count(s) == i1 - i0:
+                # Pairs of a fan miss every star edge.  The s-t solver's
+                # orders have their hub on their hull, and most of their
+                # blocks hold its long turn, so they seldom sort.
+                if turn is None:
+                    turn = self.angular(hub, twice[:k])
+                if turn == s:
                     return np.zeros((i1 - i0, k - 2), dtype=bool)
             if i1 == i0 + 1:
                 # A scan at k > 1,367 asks one row per call: G row i0 is
@@ -481,6 +497,23 @@ class PointBack:
             return res.reshape(i1 - i0, k - 2)
 
         return rows
+
+    def angular(self, hub, labels):
+        """+1 if the label array is a cyclic shift of `ccw_order(self, hub, labels)`, -1 if
+        one of its reverse, else 0."""
+        ccw, got = ccw_order(self, hub, labels), labels.tolist()
+        i = got.index(ccw[0])
+        got = got[i:] + got[:i]
+        return 1 if got == ccw else -int(got[1:] == ccw[:0:-1])
+
+    def _fan(self, hub, labels):
+        # Is the label array, read as a path, a fan about hub: every o2 of
+        # one sign, which `angular` gives too?
+        px, py = self.xs[labels] - self.xs[hub], self.ys[labels] - self.ys[hub]
+        o2 = px[:-1] * py[1:]
+        o2 -= py[:-1] * px[1:]
+        turn = 1 if (o2 > 0).all() else -1 if (o2 < 0).all() else 0
+        return turn != 0 and self.angular(hub, labels) == turn
 
     def _exact(self, a, b, cs, ds, idx, shape):
         # Verdicts of the entries at flat positions idx of the operands

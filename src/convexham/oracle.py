@@ -10,6 +10,9 @@ a block of a backing's walk or star kernel) per claim:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
+  A fan walk on a point set (a hub, then an angular order about it, as
+  the star-avoiding cycle and the s-t fan path are) is plane, and its
+  blocks are answered and counted without computing an entry.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.  When those
   edges form, in order, a path through every vertex but v, its rows are
@@ -39,7 +42,7 @@ star_avoiding) or the first row without one (maximal_plane).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -69,12 +72,17 @@ def _require_small(n, cap):
         raise TooLarge(f"n={n} exceeds the exhaustive-search cap {cap} (pass cap= to raise it)")
 
 
-def _edge_array(d, edges):
-    """The given edges as a canonical (m, 2) int64 array, every label in 1..n."""
+def _label_pairs(d, edges):
+    """The label pairs of the given edges as an (m, 2) int64 array; a label past int64 raises."""
     try:
-        arr = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
     except OverflowError:
         raise VertexOutOfRange(f"edge labels out of range 1..{d.n}") from None
+
+
+def _edge_array(d, edges):
+    """The given edges as a canonical (m, 2) int64 array, every label in 1..n."""
+    arr = _label_pairs(d, edges)
     loops = arr[:, 0] == arr[:, 1]
     if loops.any():
         u = int(arr[loops.argmax(), 0])
@@ -306,7 +314,7 @@ def _check_star_avoiding(d, cert, v_star):
     every = np.arange(1, d.n + 1)
     every = every[every != v_star]
     rows = [e for e in cert.edges if v_star not in e]
-    ends = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    ends = _label_pairs(d, rows)
     # Edges that form, in order, a path through every vertex but v_star are
     # the star kernel's rows 0..n-3 of that path; the kernel's windows then
     # hold every other vertex once, in path order.

@@ -198,6 +198,52 @@ def first_crossing_reference(d, edges, block):
     return None, asked
 
 
+def tied_long_turn_drawing():
+    """Float64 mirrors on which a hull hub's long turn has o2 rounded to 0."""
+    # Hub h = (2p - 2, 2p - 2), p = 2^50, and relative to it a = (-p, 1 - p)
+    # and b = (2p + 1, 2p - 1): cross(P_a, P_b) = -1, so the pair (a, b)
+    # turns by just over π and h is a hull vertex, but the products
+    # -2p^2 + p and -2p^2 + p + 1 round to one float64, so o2 = 0.  Four
+    # points near P = (-1, 1) 2^44 lie across ab from h: their star edges
+    # cross ab, and every other pair turns by less than π.
+    p = 2**50
+    h = (2 * p - 2, 2 * p - 2)
+    rng = random.Random(7)
+    ws = [(h[0] - 2**44 - rng.randrange(2**42), h[1] + 2**44 + rng.randrange(2**42))
+          for _ in range(4)]
+    d = generators.geometric([h, (h[0] - p, h[1] + 1 - p), (h[0] + 2 * p + 1, h[1] + 2 * p - 1), *ws])
+    assert d._oracle.xs.dtype == np.float64
+    return d
+
+
+def fan_hub(d, walk):
+    """The hub h of a fan walk on points, by integers, or None.
+
+    walk is a vertex sequence, closed when its ends are equal.  A fan walk
+    is (h, L, h), (h, L) or (L, h), h its first label or, if it is open,
+    its last, with L's labels distinct and other than h, every consecutive
+    pair (x, y) of L turning one way, orientation(h, x, y) = s, and L a
+    cyclic shift of h's rotation among L read counterclockwise, s = 1, or
+    else clockwise, s = -1 (two labels are both, and take s = 1).  The
+    reference for `PointBack.walk_rows`.
+    """
+    walk = list(walk)
+    closed = walk[0] == walk[-1]
+    tries = [(walk[0], walk[1:-1] if closed else walk[1:])]
+    if not closed:
+        tries.append((walk[-1], walk[:-1]))
+    pts = d.points
+    for h, fan in tries:
+        turns = {orientation(pts[h], pts[x], pts[y]) for x, y in zip(fan, fan[1:])}
+        if h in fan or len(set(fan)) < len(fan) or len(turns) != 1 or 0 in turns:
+            continue
+        rot = list(d.rotation_among(h, set(fan)))
+        shifts = [rot[i:] + rot[:i] for i in range(len(rot))]
+        if turns == {1 if fan in shifts else -1 if fan[::-1] in shifts else 0}:
+            return h
+    return None
+
+
 def is_interior(d, v):
     """No angular gap around v reaches pi: v is not a hull vertex."""
     pts, order = d.points, d.rotation_of(v)

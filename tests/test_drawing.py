@@ -39,6 +39,7 @@ from conftest import (
     side_convex,
     star_g_rows,
     star_windows,
+    tied_long_turn_drawing,
 )
 
 seeds = st.integers(0, 400)
@@ -514,12 +515,14 @@ def test_star_kernel_settles_float_ties_exactly(block):
             assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
 
 
-def _long_turns(d, order, hub):
-    """Rows i of `order` whose pair turns about hub by more than π: cross(P_a, P_b) < 0, exactly."""
+def _long_turns(d, order, hub, turn=1):
+    """Rows i of `order` whose pair turns about hub by more than π, counterclockwise
+    (turn = 1) or clockwise (turn = -1): turn cross(P_a, P_b) < 0, exactly."""
     pts, k = d.points, len(order)
     hx, hy = pts[hub]
     p = [(pts[x][0] - hx, pts[x][1] - hy) for x in order]
-    return [i for i in range(k) if p[i][0] * p[(i + 1) % k][1] < p[i][1] * p[(i + 1) % k][0]]
+    return [i for i in range(k)
+            if turn * (p[i][0] * p[(i + 1) % k][1] - p[i][1] * p[(i + 1) % k][0]) < 0]
 
 
 def _star_blocks_against_cross_pairs(d, order, hub, block):
@@ -541,9 +544,10 @@ def _star_blocks_against_cross_pairs(d, order, hub, block):
        st.sampled_from([1, 7, 64, 4096]), st.randoms(use_true_random=False))
 def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, block, rng):
     # Cyclic shifts of a rotation, whole or restricted to a subset, at a
-    # random hub and at a hull hub (the smallest point): only a block
-    # holding the one pair that turns by more than π forms its G rows, and
-    # only that pair can hit.  Every block still equals cross_pairs.
+    # random hub and at a hull hub (the smallest point), and the same read
+    # clockwise: only a block holding the one pair that turns by more than
+    # π forms its G rows, and only that pair can hit.  Every block still
+    # equals cross_pairs.
     d = _star_pool(kind, n, seed)
     for hub in (rng.randint(1, n), min(range(1, n + 1), key=d.points.__getitem__)):
         keep = set(rng.sample(range(1, n + 1), rng.randint(3, n)))
@@ -552,30 +556,15 @@ def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, bl
             if k < 3:
                 continue
             s = rng.randrange(k)
-            order = rotation[s:] + rotation[:s]
-            long_ = _long_turns(d, order, hub)
-            assert len(long_) <= 1
-            hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
-            assert {i for i, _j in hit} <= set(long_)
-            dense = [range(i0, i1 + 1) for i0, i1 in groups if any(i0 <= i < i1 for i in long_)]
-            assert formed == set().union(*dense)
-
-
-def _tied_long_turn_drawing():
-    # Hub h = (2p - 2, 2p - 2), p = 2^50, and relative to it a = (-p, 1 - p)
-    # and b = (2p + 1, 2p - 1): cross(P_a, P_b) = -1, so the pair (a, b)
-    # turns by just over π and h is a hull vertex, but the products
-    # -2p^2 + p and -2p^2 + p + 1 round to one float64, so o2 = 0.  Four
-    # points near P = (-1, 1) 2^44 lie across ab from h: their star edges
-    # cross ab, and every other pair turns by less than π.
-    p = 2**50
-    h = (2 * p - 2, 2 * p - 2)
-    rng = random.Random(7)
-    ws = [(h[0] - 2**44 - rng.randrange(2**42), h[1] + 2**44 + rng.randrange(2**42))
-          for _ in range(4)]
-    d = generators.geometric([h, (h[0] - p, h[1] + 1 - p), (h[0] + 2 * p + 1, h[1] + 2 * p - 1), *ws])
-    assert d._oracle.xs.dtype == np.float64
-    return d
+            for order, turn in ((rotation[s:] + rotation[:s], 1),
+                                (rotation[s::-1] + rotation[:s:-1], -1)):
+                long_ = _long_turns(d, order, hub, turn)
+                assert len(long_) <= 1
+                hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+                assert {i for i, _j in hit} <= set(long_)
+                dense = [range(i0, i1 + 1) for i0, i1 in groups
+                         if any(i0 <= i < i1 for i in long_)]
+                assert formed == set().union(*dense)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
@@ -583,7 +572,7 @@ def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
     # The hub's rotation is angular, but its long turn has o2 = 0 in
     # float64: that row takes the G rows and _exact, and reports its four
     # hits; the short turns are settled.
-    d = _tied_long_turn_drawing()
+    d = tied_long_turn_drawing()
     hub, a, b = 1, 2, 3
     rotation = d.rotation_of(hub)
     i = rotation.index(a)

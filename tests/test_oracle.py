@@ -44,7 +44,9 @@ from convexham.oracle import (
 )
 from convexham.subdrawings import greedy_maximal_plane
 from conftest import (
+    fan_hub,
     first_crossing_reference,
+    is_interior,
     lex_rotations,
     offset_blocks,
     pair_oracle,
@@ -52,6 +54,7 @@ from conftest import (
     random_k4_drawing,
     row_groups,
     star_g_rows,
+    tied_long_turn_drawing,
 )
 
 
@@ -416,13 +419,15 @@ def test_plane_check_settles_shared_endpoints_in_numpy(scale, n, seed, rng):
     # the entries of a Hamiltonian cycle or path that share an endpoint
     # reach the kernel's fallback but never the scalar predicate, and the
     # answer is the scalar reference's.  A plane cycle asks every entry.
+    # A fan walk (`fan_hub`; at n = 4 a random path may be one) forms no
+    # row, so nothing reaches the fallback.
     pts = generators.random_geometric(n, seed).points
     d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
     assert (d._oracle.xs.dtype == object) == (scale > 1)
     order = rng.sample(range(1, n + 1), n)
     plane = hamiltonian_cycle(d).vertices
-    lists = [list(zip(order, order[1:] + order[:1])), list(zip(order, order[1:])),
-             list(zip(plane, plane[1:] + plane[:1]))]
+    walks = [[*order, order[0]], order, [*plane, plane[0]]]
+    lists = [list(zip(seq, seq[1:])) for seq in walks]
     wants = [first_crossing_reference(d, [canon_edge(*e) for e in edges],
                                       drawing.OFFSET_BLOCK_ENTRIES)[0] for edges in lists]
     assert wants[2] is None
@@ -436,10 +441,10 @@ def test_plane_check_settles_shared_endpoints_in_numpy(scale, n, seed, rng):
     exact = mock.patch.object(geometry.PointBack, "_exact", autospec=True,
                               side_effect=geometry.PointBack._exact)
     with mock.patch.object(geometry, "segments_cross", side_effect=predicate), exact as fallback:
-        for edges, want in zip(lists, wants):
+        for seq, edges, want in zip(walks, lists, wants):
             fallback.reset_mock()
             assert first_crossing(d, edges) == want
-            assert fallback.called
+            assert fallback.called == (fan_hub(d, seq) is None)
 
 
 def _walks(d, rng):
@@ -501,6 +506,130 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
     assert {(True, closed, odd) for closed in (True, False) for odd in (0, 1)} <= kinds
 
 
+def _fan_walk_check(d, seq, block):
+    """first_crossing of the walk through seq, OFFSET_BLOCK_ENTRIES = block, against the
+    scalar reference and its queries.  Returns whether the walk kernel formed windows."""
+    edges = list(zip(seq, seq[1:]))
+    want, asked = first_crossing_reference(d, [canon_edge(*e) for e in edges], block)
+    view, counter = instrumented(d)
+    spy = mock.patch.object(geometry, "_windows", side_effect=geometry._windows)
+    with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block), spy as windows:
+        assert first_crossing(view, edges) == want
+    assert counter.count == asked
+    return windows.called
+
+
+def _fan_walks(hub, order):
+    """(h, L, h), (h, L) and (L, h) for L = order, then for L = order reversed."""
+    return [walk for fan in (list(order), list(order)[::-1])
+            for walk in ([hub, *fan, hub], [hub, *fan], [*fan, hub])]
+
+
+def _scaled(n, seed, scale):
+    # random_geometric(n, seed), x 2^40 or x 2^60 (then shifted) on object mirrors.
+    pts = generators.random_geometric(n, seed).points[1:]
+    return generators.geometric([(x * scale + 1, y * scale - 3) for x, y in pts])
+
+
+@given(st.sampled_from([1, 2**40, 2**60]), st.integers(3, 30), st.integers(0, 300),
+       st.sampled_from([1, 5, 40, drawing.OFFSET_BLOCK_ENTRIES]),
+       st.randoms(use_true_random=False))
+def test_walk_kernel_settles_fan_walks(scale, n, seed, block, rng):
+    # Cyclic shifts of a hub's rotation, whole or among a subset, walked
+    # from the hub, to it or both, either way round, at a random hub and at
+    # a hull hub (the smallest point): the walk kernel forms no window
+    # exactly for the fan walks of `fan_hub`, and first_crossing answers the
+    # scalar reference with its queries.  Started after the one pair that
+    # turns by more than π, every walk is a fan; started elsewhere, that
+    # pair is a walk edge, and the closed walk takes the dense path.
+    d = _scaled(n, seed, scale)
+    pts = d.points
+    for hub in (rng.randint(1, n), min(range(1, n + 1), key=pts.__getitem__)):
+        keep = set(rng.sample(range(1, n + 1), rng.randint(3, n)))
+        for rotation in (d.rotation_of(hub), d.rotation_among(hub, keep)):
+            k = len(rotation)
+            if k < 2:
+                continue
+            long_ = [i for i in range(k) if geometry.orientation(
+                pts[hub], pts[rotation[i]], pts[rotation[(i + 1) % k]]) < 0]
+            assert len(long_) <= 1
+            for s in {rng.randrange(k), *((i + 1) % k for i in long_)}:
+                walks = _fan_walks(hub, rotation[s:] + rotation[:s])
+                dense = [_fan_walk_check(d, seq, block) for seq in walks]
+                assert dense == [fan_hub(d, seq) is None for seq in walks]
+                if k > 2 and long_:
+                    assert (not any(dense)) == (s == (long_[0] + 1) % k)
+                    assert dense[0] == dense[3] == (s != (long_[0] + 1) % k)
+                elif k > 2:
+                    assert not any(dense)
+
+
+@given(st.sampled_from([1, 2**40, 2**60]), st.integers(5, 30), st.integers(0, 300),
+       st.sampled_from([1, 40, drawing.OFFSET_BLOCK_ENTRIES]), st.randoms(use_true_random=False))
+def test_walk_kernel_settles_star_hc_cycles_and_fan_paths(scale, n, seed, block, rng):
+    # The star-hc cycle from its hub, and an s-t path to an interior t,
+    # which is t's fan path ending at t, each also read backwards: the walk
+    # kernel forms no window exactly for fan walks, and first_crossing
+    # answers the scalar reference.  The paths are fans, and so are the
+    # cycles at an interior hub.
+    d = _scaled(n, seed, scale)
+    hub = rng.randint(1, n)
+    cyc = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
+    walks = [[*cyc, hub], [hub, *cyc[:0:-1], hub]]
+    if is_interior(d, hub):
+        assert fan_hub(d, walks[0]) == fan_hub(d, walks[1]) == hub
+    interior = [v for v in range(1, n + 1) if is_interior(d, v)]
+    if interior:
+        t = rng.choice(interior)
+        path = list(st_hamiltonian_path(d, rng.choice([v for v in range(1, n + 1) if v != t]), t,
+                                        verify=False).vertices)
+        walks += [path, path[::-1]]
+        assert fan_hub(d, path) is not None and fan_hub(d, path[::-1]) is not None
+    for seq in walks:
+        assert _fan_walk_check(d, seq, block) == (fan_hub(d, seq) is None)
+
+
+def test_walk_kernel_finds_every_crossing_of_a_star_polygon():
+    # Five points around the hub 1 at (1, 2), listed as a pentagram, walked
+    # from the hub and back, or to it, or from it: every pair turns by less
+    # than π, but the order winds twice, so no walk is a fan.  Each forms
+    # its windows, and the kernel reports every hit of cross_pairs.
+    d = generators.geometric([(1, 2), (1000, 7), (313, 951), (-809, 590), (-806, -586),
+                              (305, -950)])
+    assert d.rotation_of(1) == (2, 3, 4, 5, 6)
+    counts = []
+    for seq in _fan_walks(1, (2, 4, 6, 3, 5)):
+        ends = np.array([canon_edge(*e) for e in zip(seq, seq[1:])], dtype=np.int64)
+        want = list(drawing.offset_hits(d._oracle.cross_pairs, ends))
+        spy = mock.patch.object(geometry, "_windows", side_effect=geometry._windows)
+        with spy as windows:
+            assert list(drawing.plane_hits(d, ends)) == want
+        assert windows.called and fan_hub(d, seq) is None
+        counts.append(len(want))
+    assert counts == [5, 4, 4, 5, 4, 4]
+
+
+@pytest.mark.parametrize("block", [1, 5, 40, drawing.OFFSET_BLOCK_ENTRIES])
+def test_walk_kernel_asks_a_long_turn_rounded_to_zero(block):
+    # Around hub 1 the pair (2, 3) turns by just over π, but its o2 rounds
+    # to 0 on float64 mirrors in [2^50, 2^52); every other pair turns by
+    # less than π.  Walks along the rotation started after 3 hold (2, 3)
+    # as an edge, so none is a fan: each forms its windows, and those
+    # whose star edge at the far end from (2, 3) crosses it are found.
+    d = tied_long_turn_drawing()
+    hub, rotation = 1, d.rotation_of(1)
+    i = rotation.index(2)
+    assert rotation[i + 1] == 3
+    xs, ys = d._oracle.xs, d._oracle.ys
+    px, py = xs[[2, 3]] - xs[hub], ys[[2, 3]] - ys[hub]
+    assert px[0] * py[1] - py[0] * px[1] == 0
+    walks = _fan_walks(hub, rotation[i + 2:] + rotation[:i + 2])
+    for seq in walks:
+        assert fan_hub(d, seq) is None and _fan_walk_check(d, seq, block)
+    crossed = [first_crossing(d, list(zip(seq, seq[1:]))) is not None for seq in walks]
+    assert crossed == [True, True, False, True, False, True]
+
+
 def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
     # A star, a subdrawing's sorted edges and an abstract drawing's cycle
     # ask cross_pairs; a cycle on points asks its walk blocks.
@@ -522,17 +651,32 @@ def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
                                   lambda: generators.two_page(8)])
 def test_first_crossing_rejects_labels_out_of_range(make):
+    # Given as a list, a tuple or an iterator (the s-t solver passes a zip).
     d = make()
     for edges in ([(0, 2), (1, 3)], [(-1, 2), (1, 3)], [(1, 9), (2, 3)],
                   [(1, 3), (2, 10**30)]):
-        with pytest.raises(VertexOutOfRange):
-            first_crossing(d, edges)
-        with pytest.raises(VertexOutOfRange):
-            is_plane(d, edges)
-    with pytest.raises(ValueError, match="degenerate edge"):
-        first_crossing(d, [(1, 3), (4, 4)])
+        for given in (list, tuple, iter):
+            with pytest.raises(VertexOutOfRange):
+                first_crossing(d, given(edges))
+            with pytest.raises(VertexOutOfRange):
+                is_plane(d, given(edges))
+        with pytest.raises(ValueError, match="degenerate edge"):
+            first_crossing(d, given([(1, 3), (4, 4)]))
     with pytest.raises(VertexOutOfRange):
         greedy_maximal_plane(d, seed=[(1, 9)])
+    assert first_crossing(d, iter([(1, 3), (2, 4)])) == first_crossing(d, [(1, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8)])
+def test_star_check_rejects_edge_labels_past_int64(make):
+    # A certificate built by hand whose edges disagree with its vertices:
+    # a label past int64 raises VertexOutOfRange, not OverflowError.
+    d = make()
+    edges = ((1, 2), (2, 3), (3, 10**30), (4, 5), (5, 6), (6, 7), (7, 8), (1, 8))
+    cert = Certificate("cycle", tuple(range(1, 9)), edges, {"star_avoiding": 1})
+    with pytest.raises(VertexOutOfRange, match="out of range 1..8"):
+        verify_certificate(d, cert)
 
 
 def _pinned_certificates():
@@ -708,6 +852,25 @@ def test_star_check_of_a_rotation_started_at_the_wrong_place(block):
             assert hit_row == (i - s) % k
             i0, i1 = next(g for g in row_groups(len(rows), n - 3, block) if g[0] <= hit_row < g[1])
             assert formed == set(range(i0, i1 + 1))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, drawing.ROW_BLOCK_ENTRIES])
+@pytest.mark.parametrize("scale", [1, 2**40])
+def test_star_check_of_a_clockwise_star_hc_cycle_forms_no_g_row(scale, block):
+    # The star-hc cycle read the other way round, (hub, *reversed path),
+    # is a fan whose pairs all turn clockwise: it verifies with the
+    # queries of the cycle as built, and neither check forms a G row.  At
+    # a hull hub too, whose long turn is then the order's wrap pair.
+    n = 60
+    d = _scaled(n, 1, scale)
+    for hub in (7, min(range(1, n + 1), key=d.points.__getitem__)):
+        built = star_avoiding_hamiltonian_cycle(d, hub, verify=False)
+        back = cycle_certificate((hub, *built.vertices[:0:-1]), built.claims)
+        for cert in (built, back):
+            with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
+                count, failed = _verify_count(d, cert)
+            assert failed == () and formed == set()
+            assert count == comb(n, 2) + (n - 2) * (n - 3)
 
 
 @pytest.mark.parametrize("kind", ["geometric", "two_page"])
