@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import sys
 import time
 
-from . import __version__, generators, io
-from .convexity import find_nonconvex_k5, find_nonconvex_triangle, require_convex
+from . import __version__, io
 from .drawing import instrumented
 from .errors import (
     CertificateError,
@@ -26,17 +26,19 @@ from .errors import (
     NoCoordinates,
     NotConvexEvidence,
 )
-from .hamiltonian import (
-    _two_edge_path,
-    empty_k_cycle,
-    hamiltonian_cycle,
-    path_containing_edge,
-    st_hamiltonian_path,
-    star_avoiding_hamiltonian_cycle,
-)
-from .oracle import verify_certificate
-from .render import render_svg
-from .subdrawings import extend_cycle, greedy_maximal_plane
+
+# The modules a command runs beyond those every command uses, imported
+# above; keyed by command, or by "find TASK" where a task needs more than
+# `find`'s own.  main loads them before it starts the clock of timing_ms.
+_RUNS = {
+    "gen": ("generators",),
+    "check-convex": ("convexity",),
+    "find": ("hamiltonian",),
+    "find max-plane": ("hamiltonian", "subdrawings"),
+    "max-plane": ("hamiltonian", "subdrawings"),
+    "verify": ("oracle",),
+    "render": ("render",),
+}
 
 
 class UsageError(Exception):
@@ -97,6 +99,8 @@ def _load_certificate(path):
 
 
 def cmd_gen(args, manifest):
+    from . import generators
+
     if args.kind == "convex-position":
         d = generators.convex_position(args.n)
     elif args.kind == "twisted":
@@ -113,6 +117,8 @@ def cmd_gen(args, manifest):
 
 
 def cmd_check_convex(args, manifest):
+    from .convexity import find_nonconvex_k5, find_nonconvex_triangle
+
     d = _load_drawing(args, manifest)
     method = args.method
     if method is None:
@@ -135,6 +141,16 @@ def cmd_check_convex(args, manifest):
 
 
 def cmd_find(args, manifest):
+    from .hamiltonian import (
+        _two_edge_path,
+        empty_k_cycle,
+        hamiltonian_cycle,
+        path_containing_edge,
+        st_hamiltonian_path,
+        star_avoiding_hamiltonian_cycle,
+    )
+    from .oracle import verify_certificate
+
     d = _load_drawing(args, manifest)
     verify = not args.no_verify
     task = args.task
@@ -177,6 +193,9 @@ def _require_two(edges):
 
 
 def _max_plane_sub(d, args):
+    from .hamiltonian import hamiltonian_cycle
+    from .subdrawings import extend_cycle, greedy_maximal_plane
+
     if getattr(args, "seed_cycle", False):
         return extend_cycle(d, hamiltonian_cycle(d, verify=False))
     return greedy_maximal_plane(d)
@@ -185,7 +204,10 @@ def _max_plane_sub(d, args):
 def cmd_max_plane(args, manifest):
     import random
 
+    from .convexity import require_convex
     from .drawing import all_edges
+    from .oracle import verify_certificate
+    from .subdrawings import greedy_maximal_plane
 
     d = _load_drawing(args, manifest)
     require_convex(d)
@@ -207,6 +229,8 @@ def cmd_max_plane(args, manifest):
 
 
 def cmd_verify(args, manifest):
+    from .oracle import verify_certificate
+
     d = _load_drawing(args, manifest)
     if args.certfile:
         cert = _load_certificate(args.certfile)
@@ -218,6 +242,8 @@ def cmd_verify(args, manifest):
 
 
 def cmd_render(args, manifest):
+    from .render import render_svg
+
     d = _load_drawing(args, manifest)
     highlight = _load_certificate(args.highlight) if args.highlight else None
     return render_svg(d, highlight=highlight)
@@ -312,6 +338,8 @@ def _versions():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for mod in _RUNS.get(f"{args.cmd} {getattr(args, 'task', '')}", _RUNS[args.cmd]):
+        importlib.import_module(f"{__package__}.{mod}")
     manifest = {
         "command": list(argv) if argv is not None else sys.argv[1:],
         "input_hash": None,

@@ -240,9 +240,11 @@ class PointBack:
     fl(fl(t1) - fl(t2)), so the argument above and the m rule hold
     unchanged on float64 and object mirrors alike: the walk rows answer
     each entry as `cross_pairs` does, though rounding may send other
-    entries to `_exact`.  A fan walk, (h, L), (h, L, h) or (L, h) with L
-    a fan about h (below), is plane: its rows are all misses, formed from
-    no window.  h is tried as the first label and an open walk's last.
+    entries to `_exact`.  A fan walk, (h, L) or (L, h), closed or not, with
+    L a fan about h (below), is plane: its rows are all misses, formed from
+    no window.  A closed walk drops its repeated last label, and then h is
+    tried as its first label and as its last: `hamiltonian_cycle` lists its
+    hub second to last.
 
     A fan about a hub h is a label list L = (x_1, ..., x_r) that `angular`
     finds to be a cyclic shift of `ccw_order(self, h, L)` with every
@@ -331,17 +333,17 @@ class PointBack:
         bool (k1 - k0, c) answer of `cross_pairs` to that function's offset
         rows k0..k1-1: row k pairs cycle edge i (walk edge s + i, s = 1 - m
         % 2, c = m - s) with cycle edge (i + k) mod c, row 0 edge 0 with
-        each cycle edge.  A fan walk's rows are all misses.  Otherwise the
-        coordinates are gathered once, and a block is computed from copied
-        windows of them; only the labels of the entries that reach
-        `_exact` are gathered.
+        each cycle edge.  A fan walk's rows are all misses: a closed walk
+        drops its repeated last label, and then its first label and its last
+        are tried as the hub.  Otherwise the coordinates are gathered once,
+        and a block is computed from copied windows of them; only the labels
+        of the entries that reach `_exact` are gathered.
         """
         m = len(walk) - 1
         s = 1 - m % 2
         c = m - s
-        closed = bool(walk[0] == walk[m])
-        if self._fan(walk[0], walk[1:m + 1 - closed]) or (
-                not closed and self._fan(walk[m], walk[:m])):
+        labels = walk[:m] if walk[0] == walk[m] else walk
+        if self._fan(labels[0], labels[1:]) or self._fan(labels[-1], labels[:-1]):
             return lambda k0, k1: np.zeros((k1 - k0, c), dtype=bool)
         last = (c - 1) // 2
         # Cycle edge i runs from S_i to E_i = S_{i+1}, but for an open walk

@@ -1,6 +1,8 @@
+import os
 import random
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout's sources."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def adjacent(e, f):
@@ -219,21 +228,19 @@ def tied_long_turn_drawing():
 def fan_hub(d, walk):
     """The hub h of a fan walk on points, by integers, or None.
 
-    walk is a vertex sequence, closed when its ends are equal.  A fan walk
-    is (h, L, h), (h, L) or (L, h), h its first label or, if it is open,
-    its last, with L's labels distinct and other than h, every consecutive
-    pair (x, y) of L turning one way, orientation(h, x, y) = s, and L a
-    cyclic shift of h's rotation among L read counterclockwise, s = 1, or
-    else clockwise, s = -1 (two labels are both, and take s = 1).  The
-    reference for `PointBack.walk_rows`.
+    walk is a vertex sequence, closed when its ends are equal, and a closed
+    walk drops its repeated last label.  A fan walk is then (h, L) or
+    (L, h), h its first label or its last, with L's labels distinct and
+    other than h, every consecutive pair (x, y) of L turning one way,
+    orientation(h, x, y) = s, and L a cyclic shift of h's rotation among L
+    read counterclockwise, s = 1, or else clockwise, s = -1 (two labels are
+    both, and take s = 1).  The reference for `PointBack.walk_rows`.
     """
     walk = list(walk)
-    closed = walk[0] == walk[-1]
-    tries = [(walk[0], walk[1:-1] if closed else walk[1:])]
-    if not closed:
-        tries.append((walk[-1], walk[:-1]))
+    if walk[0] == walk[-1]:
+        walk.pop()
     pts = d.points
-    for h, fan in tries:
+    for h, fan in ((walk[0], walk[1:]), (walk[-1], walk[:-1])):
         turns = {orientation(pts[h], pts[x], pts[y]) for x, y in zip(fan, fan[1:])}
         if h in fan or len(set(fan)) < len(fan) or len(turns) != 1 or 0 in turns:
             continue

@@ -26,6 +26,22 @@ def _target(mod, path):
     return getattr(owner, path)
 
 
+def test_package_names_follow_the_tracer_and_its_undo():
+    # The package looks each name up in its home module on every access and
+    # stores none, so it gives the wrapper while the tracer is installed and
+    # the original once it is undone.
+    import convexham
+    from convexham import oracle
+
+    orig = oracle.verify_certificate
+    undo = tracing.install(tracing.Tracer())
+    try:
+        assert convexham.verify_certificate is oracle.verify_certificate is not orig
+    finally:
+        tracing.uninstall(undo)
+    assert convexham.verify_certificate is oracle.verify_certificate is orig
+
+
 def test_tracer_targets_resolve_and_unwrap():
     originals = {name: _target(mod, path) for name, mod, path, *_r in tracing.TARGETS}
     undo = tracing.install(tracing.Tracer())

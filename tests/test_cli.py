@@ -1,15 +1,13 @@
 import json
-import os
 import random
 import subprocess
 import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 
-from conftest import permuted_fan
-from convexham import cli, convexity, generators, io
+from conftest import child_env, permuted_fan
+from convexham import convexity, generators, io
 from convexham.cli import main
 from convexham.drawing import instrumented
 from convexham.hamiltonian import _two_edge_path, geometric_path_with_two_edges
@@ -62,9 +60,7 @@ def test_pipeline_gen_find_verify(capsys, tmp_path):
 
 def test_module_entry_point_pipeline(tmp_path):
     # `python -m convexham` as three processes with files between them.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = child_env()
 
     def convexham(*argv):
         proc = subprocess.run([sys.executable, "-m", "convexham", *argv], env=env,
@@ -77,6 +73,45 @@ def test_module_entry_point_pipeline(tmp_path):
     cfile.write_text(convexham("find", "hc", "--in", str(dfile)))
     out = convexham("verify", "--in", str(dfile), "--cert", str(cfile))
     assert json.loads(out)["verified"] is True
+
+
+# `python -m convexham` with the convexham modules it loaded printed last on
+# stderr, after the manifest.
+_LIST_MODULES = """
+import json, runpy, sys
+sys.argv[0] = "convexham"
+try:
+    runpy.run_module("convexham", run_name="__main__")
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("convexham."))),
+          file=sys.stderr)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # The package loads no module on import, and cli only those every
+    # command uses; each command loads its own, before its clock starts.
+    env = child_env()
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *_, manifest, modules = proc.stderr.splitlines()
+        assert json.loads(manifest)["timing_ms"] >= 0
+        return proc.stdout, {m.removeprefix("convexham.") for m in json.loads(modules)}
+
+    dfile, cfile = tmp_path / "d.json", tmp_path / "c.json"
+    gen = {"cli", "drawing", "errors", "generators", "geometry", "io"}
+    verify = gen | {"certificates", "oracle"}
+    drawing, mods = loaded("gen", "random", "--n", "12", "--seed", "5")
+    assert mods == gen
+    dfile.write_text(drawing)
+    cert, mods = loaded("find", "hc", "--in", str(dfile))
+    assert mods == verify | {"starframe", "hamiltonian"}
+    cfile.write_text(cert)
+    out, mods = loaded("verify", "--in", str(dfile), "--cert", str(cfile))
+    assert mods == verify and json.loads(out)["verified"] is True
 
 
 def test_find_on_twisted_reports_evidence(capsys, tmp_path):
@@ -261,7 +296,6 @@ def test_max_plane_refuses_by_five_sets(capsys, tmp_path, monkeypatch):
         raise AssertionError("triangle method called")
 
     monkeypatch.setattr(convexity, "find_nonconvex_triangle", refuse)
-    monkeypatch.setattr(cli, "find_nonconvex_triangle", refuse)
     _, drawing, _ = run(capsys, "gen", "twisted", "--n", "40")
     dfile = tmp_path / "d.json"
     dfile.write_text(drawing)

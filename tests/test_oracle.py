@@ -541,7 +541,8 @@ def test_walk_kernel_settles_fan_walks(scale, n, seed, block, rng):
     # exactly for the fan walks of `fan_hub`, and first_crossing answers the
     # scalar reference with its queries.  Started after the one pair that
     # turns by more than π, every walk is a fan; started elsewhere, that
-    # pair is a walk edge, and the closed walk takes the dense path.
+    # pair is a walk edge, and the closed walk is no fan about the hub (it
+    # may still be one about the last label of L, the other hub tried).
     d = _scaled(n, seed, scale)
     pts = d.points
     for hub in (rng.randint(1, n), min(range(1, n + 1), key=pts.__getitem__)):
@@ -558,8 +559,9 @@ def test_walk_kernel_settles_fan_walks(scale, n, seed, block, rng):
                 dense = [_fan_walk_check(d, seq, block) for seq in walks]
                 assert dense == [fan_hub(d, seq) is None for seq in walks]
                 if k > 2 and long_:
-                    assert (not any(dense)) == (s == (long_[0] + 1) % k)
-                    assert dense[0] == dense[3] == (s != (long_[0] + 1) % k)
+                    after = s == (long_[0] + 1) % k
+                    assert not (after and any(dense))
+                    assert (fan_hub(d, walks[0]) == fan_hub(d, walks[3]) == hub) == after
                 elif k > 2:
                     assert not any(dense)
 
@@ -567,17 +569,23 @@ def test_walk_kernel_settles_fan_walks(scale, n, seed, block, rng):
 @given(st.sampled_from([1, 2**40, 2**60]), st.integers(5, 30), st.integers(0, 300),
        st.sampled_from([1, 40, drawing.OFFSET_BLOCK_ENTRIES]), st.randoms(use_true_random=False))
 def test_walk_kernel_settles_star_hc_cycles_and_fan_paths(scale, n, seed, block, rng):
-    # The star-hc cycle from its hub, and an s-t path to an interior t,
-    # which is t's fan path ending at t, each also read backwards: the walk
-    # kernel forms no window exactly for fan walks, and first_crossing
-    # answers the scalar reference.  The paths are fans, and so are the
-    # cycles at an interior hub.
+    # The star-hc cycle from its hub, `hamiltonian_cycle`'s cycle closed as
+    # its certificate lists it (hub n second to last), and an s-t path to an
+    # interior t, which is t's fan path ending at t, each also read
+    # backwards: the walk kernel forms no window exactly for fan walks, and
+    # first_crossing answers the scalar reference.  The paths are fans, and
+    # so are the cycles at an interior hub: hc's is the star-hc cycle at n,
+    # which at a hull n may hold n's long turn as an edge.
     d = _scaled(n, seed, scale)
     hub = rng.randint(1, n)
     cyc = star_avoiding_hamiltonian_cycle(d, hub, verify=False).vertices
-    walks = [[*cyc, hub], [hub, *cyc[:0:-1], hub]]
+    hc = hamiltonian_cycle(d, verify=False).vertices
+    walks = [[*cyc, hub], [hub, *cyc[:0:-1], hub], [*hc, hc[0]], [*hc[-2::-1], n, hc[-2]]]
     if is_interior(d, hub):
         assert fan_hub(d, walks[0]) == fan_hub(d, walks[1]) == hub
+    assert hc[-1] == n
+    if is_interior(d, n):
+        assert None not in (fan_hub(d, walks[2]), fan_hub(d, walks[3]))
     interior = [v for v in range(1, n + 1) if is_interior(d, v)]
     if interior:
         t = rng.choice(interior)
