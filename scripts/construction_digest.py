@@ -40,8 +40,9 @@ sums their queries per direction.
 
 The `calls` line counts the kernel calls of each task family, a
 `Drawing.cross_pairs` call or a `Drawing.cross_block` call being one
-each; the latter is a walk block of the plane check on points or a star
-block of the bad-edge scan or the star_avoiding check: the constructions
+each; the latter is a star block of the bad-edge scan or the
+star_avoiding check, or a block of a fan walk's plane check on points,
+settled as all misses: the constructions
 (star, cycle, st, edge, two, hull, probe), their verification (verify)
 and the plane and convexity runs.  It stays outside every digest, so a change that
 packs or unpacks rows into kernel calls shows there alone.

@@ -10,9 +10,9 @@ materialising the O(n^4) crossing set.
 
 A Drawing asks its oracle through the checked scalar `crosses(e, f)`, the
 row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
-operands may be, and `cross_block`, a block of a backing's walk kernel
-(the plane check of a walk on points) or star kernel (pairs consecutive
-in an order against a hub's star edges).  All count every query they
+operands may be, and `cross_block`, a block of a backing's star kernel
+(pairs consecutive in an order against a hub's star edges) or of a fan
+walk's plane check on points, all misses.  All count every query they
 pass on into the drawing's own QueryCounter; `instrumented(d)` returns a
 view of d with a fresh counter.  Kernel calls are few and large, since a
 call costs far more than an entry: `ask_rows` packs rows of one length
@@ -20,7 +20,8 @@ into calls of up to ROW_BLOCK_ENTRIES entries, and `star_hits` asks the
 star kernel's rows in the same blocks; the plane check's `offset_hits`
 asks the pairs of an edge list by cyclic offsets, each call one edge row
 against a block of up to OFFSET_BLOCK_ENTRIES entries, and `plane_hits`
-asks the same blocks of a path or cycle on points from the walk kernel.
+settles the same blocks of a fan walk on points and asks every other
+edge list's through `offset_hits` over `cross_pairs`.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -267,9 +268,10 @@ class Drawing:
     def cross_block(self, rows, i0, i1):
         """Rows i0..i1-1 of a backing's block function, one query per entry.
 
-        rows is `walk_rows(walk)`, whose rows are a walk's offset rows of
-        `offset_hits`, or `star_rows(order, hub)`, whose rows are pairs
-        consecutive in order against the hub's star edges.
+        rows is `star_rows(order, hub)`, whose rows are pairs consecutive in
+        order against the hub's star edges, or `walk_rows(walk)` of a fan
+        walk on points, whose rows are its offset rows of `offset_hits`,
+        all misses.
         """
         hits = rows(i0, i1)
         self.counter.count += hits.size
@@ -437,18 +439,18 @@ def _walk(ends):
 
 
 def plane_hits(d, ends):
-    """offset_hits(d.cross_pairs, ends), its blocks answered by `PointBack.walk_rows` on a walk.
+    """offset_hits(d.cross_pairs, ends), a fan walk's blocks settled by `PointBack.walk_rows`.
 
     A drawing with points whose edges form a path or a cycle in order
-    (`_walk`) asks each block through `d.cross_block`; any other edge list,
-    and every abstract drawing, asks `d.cross_pairs`.  Either way the same
-    blocks ask the same entries, count the same queries and give the same
-    hits.
+    (`_walk`) that is a fan walk asks each block, all misses, through
+    `d.cross_block`; any other edge list, and every abstract drawing, asks
+    `d.cross_pairs`.  Either way the same blocks ask the same entries,
+    count the same queries and give the same hits.
     """
     walk = _walk(ends) if d.points is not None and len(ends) > 1 else None
-    if walk is None:
+    rows = None if walk is None else d._oracle.walk_rows(walk)
+    if rows is None:
         return offset_hits(d.cross_pairs, ends)
-    rows = d._oracle.walk_rows(walk)
     return _offset_pairs(lambda k0, k1: d.cross_block(rows, k0, k1), len(ends))
 
 

@@ -225,27 +225,6 @@ class PointBack:
     the same statements are exact: m < 0 is the crossing predicate, and
     m == 0 comes only with a zero determinant, where segments never cross.
 
-    `walk_rows` answers the plane check's offset rows (`drawing.offset_hits`)
-    of a path or cycle listed in order.  Its edge i runs from S_i to E_i,
-    with e_i = E_i - S_i, and entry (i, j) takes o1 = cross(e_i, S_j - S_i),
-    o2 = cross(e_i, E_j - S_i), o3 = cross(S_j - S_i, e_j) and
-    o4 = cross(S_j - E_i, e_j): the sides of S_j and E_j of edge i's line,
-    and of S_i and E_i of edge j's, each pair with one sign convention, so
-    o1 o2 and o3 o4 are the products above.  Along a walk E_i = S_{i+1}, so
-    the row A_k[i] = cross(e_i, S_{i+k} - S_i) is o1 of offset k and o2 of
-    offset k - 1, and B_k[i] = cross(S_{i+k} - S_i, e_{i+k}) is o3 of
-    offset k at i and o4 of offset k + 1 at i - 1; the two entries per row
-    where an open walk breaks E_{c-1} = S_0 take their own determinant.
-    Each value is still one determinant of exact differences, computed as
-    fl(fl(t1) - fl(t2)), so the argument above and the m rule hold
-    unchanged on float64 and object mirrors alike: the walk rows answer
-    each entry as `cross_pairs` does, though rounding may send other
-    entries to `_exact`.  A fan walk, (h, L) or (L, h), closed or not, with
-    L a fan about h (below), is plane: its rows are all misses, formed from
-    no window.  A closed walk drops its repeated last label, and then h is
-    tried as its first label and as its last: `hamiltonian_cycle` lists its
-    hub second to last.
-
     A fan about a hub h is a label list L = (x_1, ..., x_r) that `angular`
     finds to be a cyclic shift of `ccw_order(self, h, L)` with every
     o2_i = cross(P_{x_i}, P_{x_{i+1}}) > 0, P_x = x - h an exact
@@ -257,7 +236,8 @@ class PointBack:
     ray, and two wedges meet only at h or along a shared ray; a segment
     meets its wedge's rays only at its endpoints, so the pair misses every
     star edge and every pair it shares no label with.  A float o2 != 0 has
-    the exact sign, so fans are found without any row.
+    the exact sign, so fans are found without any row.  A fan walk, (h, L)
+    or (L, h), closed or not, is thus plane (`walk_rows`).
 
     `star_rows` answers the rows of pairs {a, b} consecutive in an order
     against the star edges {w, h} of a hub h.  With P_x = x - h,
@@ -326,103 +306,22 @@ class PointBack:
         return res
 
     def walk_rows(self, walk):
-        """The offset rows of the plane check of the walk through the label array `walk`.
+        """The offset rows of the plane check of a fan walk through the label array `walk`, or None.
 
         Edge t is {walk[t], walk[t + 1]}, for t < m = len(walk) - 1: the m
-        edges of `drawing.offset_hits`, in order.  Returns rows(k0, k1), the
-        bool (k1 - k0, c) answer of `cross_pairs` to that function's offset
-        rows k0..k1-1: row k pairs cycle edge i (walk edge s + i, s = 1 - m
-        % 2, c = m - s) with cycle edge (i + k) mod c, row 0 edge 0 with
-        each cycle edge.  A fan walk's rows are all misses: a closed walk
-        drops its repeated last label, and then its first label and its last
-        are tried as the hub.  Otherwise the coordinates are gathered once,
-        and a block is computed from copied windows of them; only the labels
-        of the entries that reach `_exact` are gathered.
+        edges of `drawing.offset_hits`, in order.  A closed walk drops its
+        repeated last label, and then its first label and its last are
+        tried as the hub.  A fan walk is plane: returns rows(k0, k1), the
+        all-miss bool (k1 - k0, c) answer to that function's offset rows
+        k0..k1-1, c = m - 1 + m % 2, formed from no coordinate.  Any other
+        walk gives None; its plane check asks `cross_pairs`.
         """
         m = len(walk) - 1
-        s = 1 - m % 2
-        c = m - s
         labels = walk[:m] if walk[0] == walk[m] else walk
         if self._fan(labels[0], labels[1:]) or self._fan(labels[-1], labels[:-1]):
+            c = m - 1 + m % 2
             return lambda k0, k1: np.zeros((k1 - k0, c), dtype=bool)
-        last = (c - 1) // 2
-        # Cycle edge i runs from S_i to E_i = S_{i+1}, but for an open walk
-        # E_{c-1} != S_0.  Row δ of a window holds S_{i+δ}, E_{i+δ} or
-        # e_{i+δ} = E_{i+δ} - S_{i+δ} (or their labels), for i = 0..c.
-        ends = walk[s:-1], walk[s + 1:]
-        twice = np.concatenate([x for e in ends for x in (e, e, e[:1])]).reshape(2, -1)
-        xs, ys = self.xs[twice], self.ys[twice]
-        sx, sy = xs[0, :c], ys[0, :c]
-        ex, ey = xs[1] - xs[0], ys[1] - ys[0]
-        (wsx, wsy, wex, wey), (cw, dw) = (_windows(v, last + 2, c + 1)
-                                          for v in ((xs[0], ys[0], ex, ey), twice))
-        ex, ey = ex[:c], ey[:c]
-        fix = None
-        if walk[m] != walk[s] and last:
-            # With E_{c-1} != S_0, o2 of row k at i = c - 1 - k and o4 of
-            # row k at i = c - 1 (j = k - 1) would read S_0 for E_{c-1}.
-            # Both are fix[i] = cross(e_i, E_{c-1} - S_i) = cross(S_i -
-            # E_{c-1}, e_i).
-            fix = ex * (ys[1, c - 1] - sy)
-            fix -= ey * (xs[1, c - 1] - sx)
-
-        def offsets(k0, k1, out):
-            # max(o1 o2, o3 o4) of rows k0..k1-1, k0 >= 1, into out.  With
-            # D_δ[i] = S_{i+δ} - S_i, A_δ[i] = cross(e_i, D_δ[i]) is o1 of
-            # row δ and o2 of row δ - 1, and B_δ[i] = cross(D_δ[i], e_{i+δ})
-            # is o3 of row δ at i and o4 of row δ + 1 at i - 1.
-            r = k1 - k0
-            dx, dy = wsx[k0 - 1:k1 + 1].copy(), wsy[k0 - 1:k1 + 1].copy()
-            dx -= wsx[0]
-            dy -= wsy[0]
-            a = ex * dy[1:, :c]
-            a -= ey * dx[1:, :c]
-            b, fx = wey[k0 - 1:k1].copy(), wex[k0 - 1:k1].copy()
-            b *= dx[:-1]
-            fx *= dy[:-1]
-            b -= fx
-            p = a[:-1] * a[1:]
-            q = b[1:, :c] * b[:-1, 1:]
-            if fix is not None:
-                at = slice(c - 1 - k0, c - 1 - k0 + r * (c - 1), c - 1)
-                p.reshape(-1)[at] = a.reshape(-1)[at] * fix[c - 1 - k0:c - 1 - k1:-1]
-                q[:, c - 1] = b[1:, c - 1] * fix[k0 - 1:k1 - 1]
-            np.maximum(p, q, out=out)
-
-        def row0(out):
-            # Edge 0, from S = walk[0] to E = walk[1] = S_0, against every
-            # cycle edge: o1, o2 of S_i - S and E_i - S, o3 of S_i - S, o4
-            # of S_i - S_0.
-            x0, y0 = self.xs[walk[0]], self.ys[walk[0]]
-            e0x, e0y = sx[0] - x0, sy[0] - y0
-            ux, uy = sx - x0, sy - y0
-            vx, vy = xs[1, :c] - x0, ys[1, :c] - y0
-            o12 = e0x * uy - e0y * ux
-            o12 *= e0x * vy - e0y * vx
-            o3 = ux * ey - uy * ex
-            o3 *= (sx - sx[0]) * ey - (sy - sy[0]) * ex
-            np.maximum(o12, o3, out=out)
-
-        def rows(k0, k1):
-            cs, ds = cw[k0:k1, :c], dw[k0:k1, :c]
-            mx = np.empty((k1 - k0, c), sx.dtype)
-            if k0:
-                offsets(k0, k1, mx)
-            else:
-                row0(mx[0])
-                if k1 > 1:
-                    offsets(1, k1, mx[1:])
-                cs, ds = cs.copy(), ds.copy()
-                cs[0], ds[0] = walk[:2]
-            res = mx < 0
-            # Entries with mx == 0, among them every pair of neighbours, go
-            # to _exact, as in cross_pairs.
-            idx = (mx == 0).ravel().nonzero()[0]
-            if idx.size:
-                res.reshape(-1)[idx] = self._exact(*ends, cs, ds, idx, res.shape)
-            return res
-
-        return rows
+        return None
 
     def star_rows(self, order, hub):
         """The rows of pairs consecutive in `order` against the star edges of `hub`.

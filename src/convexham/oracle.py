@@ -6,13 +6,14 @@ construction modules so that certificate verification is independent of the
 code being verified.
 
 verify_certificate asks the drawing's rows (`cross_pairs`, or `cross_block` for
-a block of a backing's walk or star kernel) per claim:
+a block of a backing's star kernel or of a fan walk) per claim:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
   A fan walk on a point set (a hub, then an angular order about it, as
   the star-avoiding cycle and the s-t fan path are) is plane, and its
-  blocks are answered and counted without computing an entry.
+  blocks are answered and counted without computing an entry; every
+  other edge list asks them through `cross_pairs`.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.  When those
   edges form, in order, a path through every vertex but v, its rows are
@@ -29,8 +30,8 @@ a block of a backing's walk or star kernel) per claim:
 
 The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  Its offset rows go to the drawing as one edge row
-against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, or, for a
-cycle or path on a point set, as the same blocks of the walk kernel, and the
+against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, settled
+without an entry for a fan walk on a point set, and the
 star_avoiding and maximal_plane rows, all of one length, in the 2-D
 blocks of `drawing.ask_rows`, so entries and their order are as listed.
 A check stops after the block that decides it: a certificate that
@@ -73,11 +74,22 @@ def _require_small(n, cap):
 
 
 def _label_pairs(d, edges):
-    """The label pairs of the given edges as an (m, 2) int64 array; a label past int64 raises."""
+    """The label pairs of the given edges as an (m, 2) int64 array.
+
+    A label past int64 raises VertexOutOfRange.  A label count other than
+    twice the edge count raises ValueError naming an edge of other than two
+    labels: read as one flat list, (1, 5, 3), (2, 6, 4) would be the edges
+    {1, 5}, {3, 2} and {6, 4}.
+    """
+    edges = edges if isinstance(edges, (list, tuple)) else tuple(edges)
     try:
-        return np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
+        flat = np.fromiter(chain.from_iterable(edges), np.int64)
     except OverflowError:
         raise VertexOutOfRange(f"edge labels out of range 1..{d.n}") from None
+    if flat.size != 2 * len(edges):
+        bad = next(e for e in edges if len(e) != 2)
+        raise ValueError(f"edge {tuple(bad)} does not have two labels")
+    return flat.reshape(-1, 2)
 
 
 def _edge_array(d, edges):
@@ -97,9 +109,9 @@ def _edge_array(d, edges):
 def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
-    The pairs are asked by cyclic offsets (`drawing.plane_hits`: the walk
-    kernel when the drawing has points and the edges form a path or cycle
-    in order, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
+    The pairs are asked by cyclic offsets (`drawing.plane_hits`: settled
+    as all misses when the drawing has points and the edges form a fan
+    walk, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
     entries for m edges, and the first hit in that order is returned as
     (earlier edge, later edge) in the given order.  The check stops after
     the block holding that hit, so a crossing costs the entries up to the

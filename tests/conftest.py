@@ -234,7 +234,8 @@ def fan_hub(d, walk):
     other than h, every consecutive pair (x, y) of L turning one way,
     orientation(h, x, y) = s, and L a cyclic shift of h's rotation among L
     read counterclockwise, s = 1, or else clockwise, s = -1 (two labels are
-    both, and take s = 1).  The reference for `PointBack.walk_rows`.
+    both, and take s = 1).  The reference for which walks `PointBack.walk_rows`
+    settles; the plane check of every other walk asks `Drawing.cross_pairs`.
     """
     walk = list(walk)
     if walk[0] == walk[-1]:

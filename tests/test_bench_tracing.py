@@ -61,7 +61,8 @@ def _traced_runs():
 
     entries and scalar name the tracer's row entry count and its scalar
     query layer for the run's backing; sizes holds the entries of every
-    row kernel call, walk block and star block the backing answered.
+    row kernel call, settled fan walk block and star block the backing
+    answered.
     """
     from convexham import generators, geometry, instrumented, verify_certificate
     from convexham.certificates import cycle_certificate
@@ -110,8 +111,11 @@ def _traced_runs():
             return traced(self, a, b, cs, ds)
 
         def walk_spy(self, walk, walk_rows=geometry.PointBack.walk_rows, sizes=sizes):
-            # A walk's plane check asks its offset rows of c entries each.
+            # A fan walk's plane check settles its offset rows of c entries
+            # each; any other walk's asks them through cross_pairs (spy).
             rows, m = walk_rows(self, walk), len(walk) - 1
+            if rows is None:
+                return None
             c = m - 1 + m % 2
 
             def asked(k0, k1):
@@ -145,9 +149,9 @@ def test_traced_row_entries_equal_library_queries():
     # kernel call answers the broadcast size of its operands, a 1-D row as
     # in the triangle passes or a 2-D block of an (R, 1) pair column
     # against (R, L) operands as in the scans and the star check on an
-    # abstract drawing, a walk block of the plane check on points (the
-    # star-hc verification, the s-t root's fan path) its R offset rows of
-    # c entries, a star block on points (the scans, the star check) its R
+    # abstract drawing, a settled fan walk block of the plane check on
+    # points (the star-hc verification, the s-t root's fan path) its R
+    # offset rows of c entries, a star block on points (the scans, the star check) its R
     # rows of k - 2, and a scalar query is one call of the backing's
     # `cross`.  The next test holds the tracer's own entry count to the
     # library's.

@@ -47,6 +47,7 @@ from conftest import (
     fan_hub,
     first_crossing_reference,
     is_interior,
+    kernel_calls,
     lex_rotations,
     offset_blocks,
     pair_oracle,
@@ -396,20 +397,23 @@ def test_plane_check_asks_every_pair_once(m, block):
                                   lambda: generators.two_page(128, ((1, 4),))])
 def test_plane_check_within_one_block_is_one_call(make):
     # A 40-edge cycle (C(40, 2) = 780 entries) and a 127-edge path (8,001)
-    # fit one block, so each is one kernel call: a walk block on points, a
-    # row call on the abstract drawing.
+    # fit one block, so each is one kernel call: a settled block for a fan
+    # walk on points (`fan_hub`: `hamiltonian_cycle`'s path, not the cycle
+    # in label order), a row call otherwise and on the abstract drawing.
     d = make()
     cyc = hamiltonian_cycle(d).vertices
     rows, walks = (mock.patch.object(drawing.Drawing, name, autospec=True,
                                      side_effect=getattr(drawing.Drawing, name))
                    for name in ("cross_pairs", "cross_block"))
-    for edges in ([(v, v + 1) for v in range(1, 40)] + [(1, 40)],
-                  list(zip(cyc, cyc[1:]))):
+    for seq in ([*range(1, 41), 1], cyc):
+        edges = list(zip(seq, seq[1:]))
         assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
         with rows as row_calls, walks as walk_calls:
             first_crossing(d, edges)
         assert row_calls.call_count + walk_calls.call_count == 1
-        assert walk_calls.call_count == (d.points is not None)
+        fan = d.points is not None and fan_hub(d, seq) is not None
+        assert fan == (d.points is not None and seq is cyc)
+        assert walk_calls.call_count == fan
 
 
 @pytest.mark.parametrize("scale", [1, 2**40])
@@ -419,8 +423,8 @@ def test_plane_check_settles_shared_endpoints_in_numpy(scale, n, seed, rng):
     # the entries of a Hamiltonian cycle or path that share an endpoint
     # reach the kernel's fallback but never the scalar predicate, and the
     # answer is the scalar reference's.  A plane cycle asks every entry.
-    # A fan walk (`fan_hub`; at n = 4 a random path may be one) forms no
-    # row, so nothing reaches the fallback.
+    # A fan walk (`fan_hub`; at n = 4 a random path may be one) is settled
+    # with no row, so nothing reaches the fallback.
     pts = generators.random_geometric(n, seed).points
     d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
     assert (d._oracle.xs.dtype == object) == (scale > 1)
@@ -471,7 +475,9 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
     # On float64 mirrors and, x 2^40, on object mirrors: the hits of every
     # walk, in order, and the entries of each block equal offset_hits over
     # cross_pairs, and first_crossing answers the scalar reference with its
-    # queries, for open and closed walks of odd and even length.
+    # queries, for open and closed walks of odd and even length.  A fan
+    # walk's blocks are settled through cross_block, and every other edge
+    # list's are asked through Drawing.cross_pairs.
     pts = generators.random_geometric(n, seed).points
     d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
     kinds = set()
@@ -487,17 +493,24 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
             asked.append(d._oracle.cross_pairs(*args))
             return asked[-1]
 
-        def cross_block(self, rows, k0, k1, cross_block=Drawing.cross_block):
-            answered.append(cross_block(self, rows, k0, k1))
-            return answered[-1]
+        def answer(name):
+            entry = getattr(Drawing, name)
+
+            def call(self, *args):
+                answered.append((name, entry(self, *args)))
+                return answered[-1][1]
+
+            return mock.patch.object(Drawing, name, call)
 
         view, counter = instrumented(d)
         with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
             want = list(drawing.offset_hits(ask, ends))
-            with mock.patch.object(Drawing, "cross_block", cross_block):
+            with answer("cross_block"), answer("cross_pairs"):
                 assert list(drawing.plane_hits(view, ends)) == want
             # Each block answers the same entries alike, of the same shape.
-            assert [x.tolist() for x in answered] == [x.tolist() for x in asked if walk]
+            assert [x.tolist() for _name, x in answered] == [x.tolist() for x in asked]
+            fan = walk and fan_hub(d, seq) is not None
+            assert {name for name, _x in answered} <= {"cross_block" if fan else "cross_pairs"}
             assert counter.count == sum(x.size for x in asked)
             first, queries = first_crossing_reference(d, edges, block)
             view, counter = instrumented(d)
@@ -506,17 +519,21 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
     assert {(True, closed, odd) for closed in (True, False) for odd in (0, 1)} <= kinds
 
 
+def _rows_spy():
+    return mock.patch.object(Drawing, "cross_pairs", autospec=True, side_effect=Drawing.cross_pairs)
+
+
 def _fan_walk_check(d, seq, block):
     """first_crossing of the walk through seq, OFFSET_BLOCK_ENTRIES = block, against the
-    scalar reference and its queries.  Returns whether the walk kernel formed windows."""
+    scalar reference and its queries.  Returns whether the plane check asked
+    `Drawing.cross_pairs`, as a walk that is no fan does."""
     edges = list(zip(seq, seq[1:]))
     want, asked = first_crossing_reference(d, [canon_edge(*e) for e in edges], block)
     view, counter = instrumented(d)
-    spy = mock.patch.object(geometry, "_windows", side_effect=geometry._windows)
-    with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block), spy as windows:
+    with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block), _rows_spy() as rows:
         assert first_crossing(view, edges) == want
     assert counter.count == asked
-    return windows.called
+    return rows.called
 
 
 def _fan_walks(hub, order):
@@ -537,8 +554,8 @@ def _scaled(n, seed, scale):
 def test_walk_kernel_settles_fan_walks(scale, n, seed, block, rng):
     # Cyclic shifts of a hub's rotation, whole or among a subset, walked
     # from the hub, to it or both, either way round, at a random hub and at
-    # a hull hub (the smallest point): the walk kernel forms no window
-    # exactly for the fan walks of `fan_hub`, and first_crossing answers the
+    # a hull hub (the smallest point): the plane check asks no cross_pairs
+    # row exactly for the fan walks of `fan_hub`, and first_crossing answers the
     # scalar reference with its queries.  Started after the one pair that
     # turns by more than π, every walk is a fan; started elsewhere, that
     # pair is a walk edge, and the closed walk is no fan about the hub (it
@@ -572,8 +589,8 @@ def test_walk_kernel_settles_star_hc_cycles_and_fan_paths(scale, n, seed, block,
     # The star-hc cycle from its hub, `hamiltonian_cycle`'s cycle closed as
     # its certificate lists it (hub n second to last), and an s-t path to an
     # interior t, which is t's fan path ending at t, each also read
-    # backwards: the walk kernel forms no window exactly for fan walks, and
-    # first_crossing answers the scalar reference.  The paths are fans, and
+    # backwards: the plane check asks no cross_pairs row exactly for fan
+    # walks, and first_crossing answers the scalar reference.  The paths are fans, and
     # so are the cycles at an interior hub: hc's is the star-hc cycle at n,
     # which at a hull n may hold n's long turn as an edge.
     d = _scaled(n, seed, scale)
@@ -600,8 +617,8 @@ def test_walk_kernel_settles_star_hc_cycles_and_fan_paths(scale, n, seed, block,
 def test_walk_kernel_finds_every_crossing_of_a_star_polygon():
     # Five points around the hub 1 at (1, 2), listed as a pentagram, walked
     # from the hub and back, or to it, or from it: every pair turns by less
-    # than π, but the order winds twice, so no walk is a fan.  Each forms
-    # its windows, and the kernel reports every hit of cross_pairs.
+    # than π, but the order winds twice, so no walk is a fan.  Each asks
+    # Drawing.cross_pairs, and plane_hits reports every hit of its rows.
     d = generators.geometric([(1, 2), (1000, 7), (313, 951), (-809, 590), (-806, -586),
                               (305, -950)])
     assert d.rotation_of(1) == (2, 3, 4, 5, 6)
@@ -609,10 +626,9 @@ def test_walk_kernel_finds_every_crossing_of_a_star_polygon():
     for seq in _fan_walks(1, (2, 4, 6, 3, 5)):
         ends = np.array([canon_edge(*e) for e in zip(seq, seq[1:])], dtype=np.int64)
         want = list(drawing.offset_hits(d._oracle.cross_pairs, ends))
-        spy = mock.patch.object(geometry, "_windows", side_effect=geometry._windows)
-        with spy as windows:
+        with _rows_spy() as rows:
             assert list(drawing.plane_hits(d, ends)) == want
-        assert windows.called and fan_hub(d, seq) is None
+        assert rows.called and fan_hub(d, seq) is None
         counts.append(len(want))
     assert counts == [5, 4, 4, 5, 4, 4]
 
@@ -622,8 +638,8 @@ def test_walk_kernel_asks_a_long_turn_rounded_to_zero(block):
     # Around hub 1 the pair (2, 3) turns by just over π, but its o2 rounds
     # to 0 on float64 mirrors in [2^50, 2^52); every other pair turns by
     # less than π.  Walks along the rotation started after 3 hold (2, 3)
-    # as an edge, so none is a fan: each forms its windows, and those
-    # whose star edge at the far end from (2, 3) crosses it are found.
+    # as an edge, so none is a fan: each asks Drawing.cross_pairs, and
+    # those whose star edge at the far end from (2, 3) crosses it are found.
     d = tied_long_turn_drawing()
     hub, rotation = 1, d.rotation_of(1)
     i = rotation.index(2)
@@ -640,7 +656,8 @@ def test_walk_kernel_asks_a_long_turn_rounded_to_zero(block):
 
 def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
     # A star, a subdrawing's sorted edges and an abstract drawing's cycle
-    # ask cross_pairs; a cycle on points asks its walk blocks.
+    # ask cross_pairs without asking the walk kernel; a cycle on points
+    # asks it whether the cycle is a fan.
     geo, abstract = generators.random_geometric(12, 1), generators.two_page(12)
     star = [(1, v) for v in range(2, 13)]
     sub = sorted(greedy_maximal_plane(geo).edges)
@@ -673,6 +690,54 @@ def test_first_crossing_rejects_labels_out_of_range(make):
     with pytest.raises(VertexOutOfRange):
         greedy_maximal_plane(d, seed=[(1, 9)])
     assert first_crossing(d, iter([(1, 3), (2, 4)])) == first_crossing(d, [(1, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8)])
+def test_first_crossing_rejects_edges_of_other_than_two_labels(make):
+    # Read as one flat label list, (1, 5, 3), (2, 6, 4) would be the edges
+    # {1, 5}, {3, 2} and {6, 4}.  Each edge list whose label count is not
+    # twice its edge count, as a list, a tuple or an iterator, raises
+    # ValueError naming its first edge of other than two labels.
+    d = make()
+    for edges, bad in (([(1, 5, 3), (2, 6, 4)], r"\(1, 5, 3\)"),
+                       ([(1, 2, 3), (4, 5)], r"\(1, 2, 3\)"),
+                       ([(1, 3), (2,), (4, 5)], r"\(2,\)"), ([(1, 3), ()], r"\(\)")):
+        for given in (list, tuple, iter):
+            with pytest.raises(ValueError, match=f"edge {bad} does not have two labels"):
+                first_crossing(d, given(edges))
+            with pytest.raises(ValueError, match=f"edge {bad} does not have two labels"):
+                is_plane(d, given(edges))
+    assert first_crossing(d, zip((1, 2), (3, 4))) == first_crossing(d, [(1, 3), (2, 4)])
+
+
+@pytest.mark.parametrize("n, seed", [(5, 24), (5, 32), (6, 24)])
+def test_plane_check_of_a_hamiltonian_cycle_that_is_no_fan_asks_cross_pairs(n, seed):
+    # The cases of `fan_hub` over random_geometric(n, seed), n = 5..30,
+    # seed < 60, where hamiltonian_cycle's cycle is no fan: n is a hull
+    # vertex whose turn past π is a cycle edge.  The certificate verifies
+    # with its C(n, 2) queries, every one asked through Drawing.cross_pairs
+    # in offset_hits' blocks, and no block is settled.
+    d = generators.random_geometric(n, seed)
+    cert = hamiltonian_cycle(d, verify=False)
+    cyc = cert.vertices
+    assert fan_hub(d, [*cyc, cyc[0]]) is None and not is_interior(d, n)
+    ends = np.array([canon_edge(*e) for e in zip(cyc, cyc[1:] + cyc[:1])], dtype=np.int64)
+    asked = []
+
+    def ask(*args):
+        asked.append(args)
+        return d._oracle.cross_pairs(*args)
+
+    list(drawing.offset_hits(ask, ends))
+    view, counter = instrumented(d)
+    with kernel_calls() as calls:
+        assert verify_certificate(view, cert).oracle_verified
+    assert counter.count == comb(n, 2)
+    assert [name for name, _args, _hits in calls] == ["cross_pairs"] * len(asked)
+    for (_name, args, hits), want in zip(calls, asked):
+        assert not hits.any()
+        assert all(np.array_equal(x, y) for x, y in zip(args, want))
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
