@@ -4,8 +4,8 @@ A drawing of K_n is a rotation system plus a crossing oracle.  Convex
 drawings (every triangle has a convex side) admit plane Hamiltonian cycles,
 s-t paths, cycles avoiding a vertex's star, empty cycles of every length,
 and maximal-equals-maximum plane subdrawings; this package constructs all of
-these with certificates and re-checks them against an independent
-brute-force oracle.
+these with certificates and re-checks them with an independent certificate
+verifier.
 
 Importing the package loads none of its modules: each exported name loads
 its home module on first use (PEP 562), so a caller pays only for the
@@ -22,18 +22,16 @@ __version__ = "0.1.0"
 # Home module of each exported name.
 _EXPORTS = {
     "certificates": "Certificate",
-    "convexity": "K5Class classify_k5 find_nonconvex_k5 find_nonconvex_triangle "
-                 "is_convex_by_k5 is_convex_by_triangles",
+    "convexity": "K5Class classify_k5 find_nonconvex_k5 find_nonconvex_triangle",
     "drawing": "Drawing induced_subdrawing instrumented new_drawing relabel triangle_sides",
     "generators": "convex_position geometric random_geometric twisted two_page",
     "hamiltonian": "empty_k_cycle geometric_path_with_two_edges hamiltonian_cycle "
                    "path_containing_edge st_hamiltonian_path star_avoiding_hamiltonian_cycle",
     "io": "dumps_certificate dumps_drawing loads_certificate loads_drawing",
-    "oracle": "brute_hamiltonian count_empty_triangles cycle_sides exact_max_plane is_plane "
-              "verify_certificate",
+    "oracle": "cycle_sides is_plane verify_certificate",
     "render": "render_svg",
     "starframe": "StarFrame build_star_frame",
-    "subdrawings": "extend_cycle faces greedy_maximal_plane max_plane_size",
+    "subdrawings": "extend_cycle greedy_maximal_plane",
 }
 _HOME = {name: f"{__name__}.{mod}" for mod, names in _EXPORTS.items() for name in names.split()}
 

@@ -35,7 +35,7 @@ _RUNS = {
     "check-convex": ("convexity",),
     "find": ("hamiltonian",),
     "find max-plane": ("hamiltonian", "subdrawings"),
-    "max-plane": ("hamiltonian", "subdrawings"),
+    "max-plane": ("convexity", "hamiltonian", "subdrawings"),
     "verify": ("oracle",),
     "render": ("render",),
 }

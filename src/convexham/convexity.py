@@ -237,20 +237,6 @@ def _triangle_blocks(n):
         yield tris[i : i + size].astype(np.int64) + 1
 
 
-def is_convex_by_triangles(d):
-    """True iff every triangle has a convex side."""
-    return find_nonconvex_triangle(d) is None
-
-
-def is_convex_by_k5(d):
-    """True iff every induced 5-vertex subdrawing is point-realisable.
-
-    Agrees with is_convex_by_triangles on every simple drawing; for n < 5
-    there is nothing to check and every drawing is convex.
-    """
-    return find_nonconvex_k5(d) is None
-
-
 def find_nonconvex_k5(d):
     """First 5-subset (lex order) inducing a non-realisable pattern, or None.
 

@@ -194,7 +194,10 @@ class Drawing:
         """Counterclockwise cyclic order of the other vertices around v.
 
         Returned as a tuple starting at the smallest label (canonical form).
+        Raises VertexOutOfRange for v outside 1..n.
         """
+        if not 0 < v <= self.n:
+            raise VertexOutOfRange(f"vertex {v} out of range 1..{self.n}")
         if self._rot is not None:
             return self._rot[v]
         rot = self._rot_cache.get(v)
@@ -214,7 +217,10 @@ class Drawing:
         rotation_of(v) starts.  A point set sorts only the given labels
         around v, plus that start label, which is then dropped if it is not
         one of them.  Given every other vertex, it is rotation_of(v).
+        Raises VertexOutOfRange for v outside 1..n.
         """
+        if not 0 < v <= self.n:
+            raise VertexOutOfRange(f"vertex {v} out of range 1..{self.n}")
         if len(labels) - (v in labels) == self.n - 1:
             return self.rotation_of(v)
         if self._rot is not None:

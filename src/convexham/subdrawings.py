@@ -1,10 +1,9 @@
-"""Plane subdrawings: greedy maximal extension and face structure.
+"""Plane subdrawings: greedy maximal extension.
 
 A plane subdrawing is a set of pairwise non-crossing edges.  In convex
 drawings every maximal plane subdrawing is maximum with exactly the same
 size, so a single greedy pass from any seed in any order hits the optimum
-(the greedy takes the edges in all_edges order by default); max_plane_size
-leans on that and therefore refuses non-convex input.
+(the greedy takes the edges in all_edges order by default).
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import numpy as np
 
 from .certificates import subdrawing_certificate
 from .drawing import all_edges, ask_rows, canon_edge
-from .convexity import require_convex
-from .errors import EdgesCrossOrAdjacent, SeedNotPlane
+from .errors import SeedNotPlane
 from .oracle import first_crossing
 
 
@@ -104,71 +102,3 @@ def greedy_maximal_plane(d, seed=(), order=None):
 def extend_cycle(d, cycle_cert, order=None):
     """Extend a plane cycle certificate's edges to a maximal plane subdrawing."""
     return greedy_maximal_plane(d, seed=cycle_cert.edges, order=order)
-
-
-def max_plane_size(d, order=None):
-    """Size of every maximal plane subdrawing of a convex drawing.
-
-    One greedy run answers this only because maximal implies maximum on
-    convex input, so non-convex drawings are refused outright rather than
-    given an order-dependent number (see convexity.require_convex).
-    """
-    require_convex(d)
-    return len(greedy_maximal_plane(d, order=order))
-
-
-def faces(d, edges):
-    """Face boundary walks of a plane subdrawing, from the host rotations.
-
-    Walks turn consistently (next half-edge = predecessor of the arrival in
-    the rotation), so each face of the combinatorial embedding appears as
-    one closed walk.  The Euler relation V - E + W = 2*C_e + C_0 (C_e
-    components with edges, C_0 isolated vertices) is asserted as a sanity
-    check on the embedding.  Raises VertexOutOfRange for a label outside
-    1..n and EdgesCrossOrAdjacent naming the first pair of edges that cross.
-    """
-    edges = [canon_edge(*e) for e in edges]
-    hit = first_crossing(d, edges)
-    if hit is not None:
-        raise EdgesCrossOrAdjacent(f"edges {hit[0]} and {hit[1]} cross")
-    adj = {v: [] for v in range(1, d.n + 1)}
-    for u, v in set(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    pos = {}
-    for v in range(1, d.n + 1):
-        look = {w: i for i, w in enumerate(d.rotation_of(v))}
-        adj[v].sort(key=lambda w: look[w])
-        pos[v] = {w: i for i, w in enumerate(adj[v])}
-
-    walks = []
-    seen = set()
-    for u, v in edges:
-        for half in ((u, v), (v, u)):
-            if half in seen:
-                continue
-            walk = []
-            cur = half
-            while cur not in seen:
-                seen.add(cur)
-                a, b = cur
-                walk.append(a)
-                nxt = adj[b][(pos[b][a] - 1) % len(adj[b])]
-                cur = (b, nxt)
-            walks.append(tuple(walk))
-
-    parent = list(range(d.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in set(edges):
-        parent[find(u)] = find(v)
-    comps = {find(v) for v in range(1, d.n + 1)}
-    iso = sum(1 for v in range(1, d.n + 1) if not adj[v])
-    edged = len(comps) - iso
-    assert d.n - len(set(edges)) + len(walks) == 2 * edged + iso
-    return walks

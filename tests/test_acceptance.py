@@ -17,9 +17,10 @@ from math import comb, log2
 import pytest
 
 from conftest import adjacent, is_interior, polygon_partition, record_criterion
+from reference import brute_hamiltonian, count_empty_triangles, exact_max_plane
 
 from convexham import generators
-from convexham.convexity import find_nonconvex_k5, is_convex_by_k5, is_convex_by_triangles
+from convexham.convexity import find_nonconvex_k5, find_nonconvex_triangle
 from convexham.drawing import all_edges, canon_edge, instrumented
 from convexham.errors import NotConvexEvidence
 from convexham.hamiltonian import (
@@ -30,13 +31,7 @@ from convexham.hamiltonian import (
     st_hamiltonian_path,
     star_avoiding_hamiltonian_cycle,
 )
-from convexham.oracle import (
-    brute_hamiltonian,
-    count_empty_triangles,
-    cycle_sides,
-    exact_max_plane,
-    verify_certificate,
-)
+from convexham.oracle import cycle_sides, verify_certificate
 from convexham.starframe import build_star_frame
 from convexham.subdrawings import extend_cycle, greedy_maximal_plane
 
@@ -527,13 +522,15 @@ def test_c10_convexity_checks_agree(pool):
     instances = [d for d in pool if d.n <= 8]
     instances += [generators.two_page(n, outer) for n, outer in TWO_PAGE_CONVEX]
     disagreements = [
-        d.n for d in instances if is_convex_by_triangles(d) != is_convex_by_k5(d)
+        d.n
+        for d in instances
+        if (find_nonconvex_triangle(d) is None) != (find_nonconvex_k5(d) is None)
     ]
     twisted_accepted = [
         n
         for n in range(5, 9)
-        if is_convex_by_triangles(generators.twisted(n))
-        or is_convex_by_k5(generators.twisted(n))
+        if find_nonconvex_triangle(generators.twisted(n)) is None
+        or find_nonconvex_k5(generators.twisted(n)) is None
     ]
     ok = not disagreements and not twisted_accepted
     record_criterion(

@@ -22,8 +22,6 @@ from convexham.convexity import (
     classify_k5,
     find_nonconvex_k5,
     find_nonconvex_triangle,
-    is_convex_by_k5,
-    is_convex_by_triangles,
 )
 from convexham.drawing import (
     Drawing,
@@ -132,7 +130,7 @@ def test_classify_unrecognised_form():
     crossings = pair_oracle(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
     d = Drawing(5, crossings, rotations=[None, *_full_rot(5)])
     assert classify_k5(d) is K5Class.IV_OR_V
-    assert not is_convex_by_k5(d)
+    assert find_nonconvex_k5(d) is not None
 
 
 def test_classify_wrong_size():
@@ -143,22 +141,22 @@ def test_classify_wrong_size():
 @given(st.integers(5, 8), st.integers(0, 200))
 def test_triangle_and_k5_checks_agree_geometric(n, seed):
     d = generators.random_geometric(n, seed)
-    assert is_convex_by_triangles(d)
-    assert is_convex_by_k5(d)
+    assert find_nonconvex_triangle(d) is None
+    assert find_nonconvex_k5(d) is None
 
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_twisted_rejected_by_both(n):
     d = generators.twisted(n)
-    assert not is_convex_by_triangles(d)
-    assert not is_convex_by_k5(d)
+    assert find_nonconvex_triangle(d) is not None
+    assert find_nonconvex_k5(d) is not None
 
 
 def test_small_drawings_trivially_convex():
     # Below five vertices there is no 5-subset to check.
-    assert is_convex_by_k5(generators.random_geometric(4, 0))
-    assert is_convex_by_k5(generators.twisted(4))
-    assert is_convex_by_triangles(generators.convex_position(3))
+    assert find_nonconvex_k5(generators.random_geometric(4, 0)) is None
+    assert find_nonconvex_k5(generators.twisted(4)) is None
+    assert find_nonconvex_triangle(generators.convex_position(3)) is None
 
 
 def test_nonconvex_triangle_witness_is_real():
@@ -303,8 +301,8 @@ def test_k5_pass_refuses_past_its_scratch_bound():
 @pytest.mark.parametrize("n, step", [(16, 3), (24, 3), (24, 2)])
 def test_fans_convex_by_both_checks_at_scale(n, step):
     d = relabel(_fan(n, step), list(range(n, 0, -1)))
-    assert is_convex_by_k5(d)
-    assert is_convex_by_triangles(d)
+    assert find_nonconvex_k5(d) is None
+    assert find_nonconvex_triangle(d) is None
 
 
 def test_twisted_witness_at_scale():

@@ -635,6 +635,23 @@ def test_rotation_among_is_the_filtered_rotation(kind, n, seed, rng):
     assert fresh.rotation_among(v, labels) == tuple(x for x in d.rotation_of(v) if x in labels)
 
 
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8, ((1, 4),))])
+def test_rotations_reject_hubs_out_of_range(make):
+    # Hub 0 would read the unused origin slot, and -1 would read label 8's
+    # rotation; 9 is past the end.  Each raises, on stored and computed
+    # rotations alike.
+    d = make()
+    fresh = relabel(d, range(1, 9))  # no cached rotations
+    for hub in (0, -1, 9):
+        for e in (d, fresh):
+            with pytest.raises(VertexOutOfRange, match=f"vertex {hub} out of range 1..8"):
+                e.rotation_of(hub)
+            for labels in ({1, 2, 3}, set(range(1, 9))):
+                with pytest.raises(VertexOutOfRange, match=f"vertex {hub} out of range 1..8"):
+                    e.rotation_among(hub, labels)
+
+
 def _gather_2d(oracle, a, b, cs, ds):
     """The explicit oracle's row as a 2-D gather, the reference for its flat one."""
     return oracle._table[oracle._edge_id[a, b], oracle._edge_id[cs, ds]]

@@ -15,6 +15,7 @@ from conftest import (
     random_k4_drawing,
     row_groups,
 )
+from reference import brute_hamiltonian
 from test_starframe import _halfway_hit, _reference_frame
 from convexham import drawing, generators, hamiltonian, starframe
 from convexham.drawing import all_edges, canon_edge, instrumented
@@ -34,7 +35,7 @@ from convexham.hamiltonian import (
     st_hamiltonian_path,
     star_avoiding_hamiltonian_cycle,
 )
-from convexham.oracle import brute_hamiltonian, cycle_sides, is_plane, verify_certificate
+from convexham.oracle import cycle_sides, is_plane, verify_certificate
 from convexham.starframe import scan_bad_edges
 from convexham.subdrawings import greedy_maximal_plane
 

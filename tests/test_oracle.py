@@ -33,15 +33,7 @@ from convexham.hamiltonian import (
     st_hamiltonian_path,
     star_avoiding_hamiltonian_cycle,
 )
-from convexham.oracle import (
-    brute_hamiltonian,
-    count_empty_triangles,
-    cycle_sides,
-    exact_max_plane,
-    first_crossing,
-    is_plane,
-    verify_certificate,
-)
+from convexham.oracle import cycle_sides, first_crossing, is_plane, verify_certificate
 from convexham.subdrawings import greedy_maximal_plane
 from conftest import (
     fan_hub,
@@ -57,6 +49,7 @@ from conftest import (
     star_g_rows,
     tied_long_turn_drawing,
 )
+from reference import brute_hamiltonian, count_empty_triangles, exact_max_plane
 
 
 def _hull_edges(n):

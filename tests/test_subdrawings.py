@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from convexham import convexity, drawing, generators
+from convexham.convexity import require_convex
 from convexham.drawing import all_edges, canon_edge, instrumented, relabel
 from convexham.errors import (
     EdgesCrossOrAdjacent,
@@ -16,14 +17,9 @@ from convexham.errors import (
     VertexOutOfRange,
 )
 from convexham.hamiltonian import hamiltonian_cycle
-from convexham.oracle import exact_max_plane, first_crossing, verify_certificate
-from convexham.subdrawings import (
-    crossing_degree_order,
-    extend_cycle,
-    faces,
-    greedy_maximal_plane,
-    max_plane_size,
-)
+from convexham.oracle import first_crossing, verify_certificate
+from convexham.subdrawings import crossing_degree_order, extend_cycle, greedy_maximal_plane
+from reference import exact_max_plane, faces
 
 
 def _is_maximal_plane(d, edges):
@@ -177,27 +173,31 @@ def test_crossing_degree_order_matches_crossing_set(n, rng):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_convex_position_size(n):
-    assert max_plane_size(generators.convex_position(n)) == 2 * n - 3
+    d = generators.convex_position(n)
+    require_convex(d)
+    assert len(greedy_maximal_plane(d)) == 2 * n - 3
 
 
 @given(st.integers(4, 8), st.integers(0, 100))
 def test_size_matches_exhaustive(n, seed):
     d = generators.random_geometric(n, seed)
-    assert max_plane_size(d) == exact_max_plane(d)
+    require_convex(d)
+    assert len(greedy_maximal_plane(d)) == exact_max_plane(d)
 
 
 def test_size_is_order_invariant(conv8, rand9):
     for d in (conv8, rand9):
-        base = max_plane_size(d)
+        require_convex(d)
+        base = len(greedy_maximal_plane(d))
         edges = list(all_edges(d.n))
         for i in range(10):
             random.Random(i).shuffle(edges)
-            assert max_plane_size(d, order=edges) == base
+            assert len(greedy_maximal_plane(d, order=edges)) == base
 
 
 def test_refuses_nonconvex():
     with pytest.raises(NotConvex):
-        max_plane_size(generators.twisted(6))
+        require_convex(generators.twisted(6))
 
 
 def test_refusal_is_the_five_set_pass(monkeypatch):
@@ -208,24 +208,27 @@ def test_refusal_is_the_five_set_pass(monkeypatch):
 
     monkeypatch.setattr(convexity, "find_nonconvex_triangle", refuse)
     with pytest.raises(NotConvex, match=r"5-set \(1, 2, 3, 4, 5\) is of class V"):
-        max_plane_size(generators.twisted(40))
+        require_convex(generators.twisted(40))
 
 
 def test_refusal_stops_past_the_five_set_limit():
     with pytest.raises(TooLarge):
-        max_plane_size(generators.two_page(102))
+        require_convex(generators.two_page(102))
 
 
 def test_point_sets_skip_the_refusal():
     # Straight-line drawings are convex, so no 5-set pass (and no limit).
     n = 102
-    assert max_plane_size(generators.random_geometric(n, 0)) >= 2 * n - 3
+    d = generators.random_geometric(n, 0)
+    require_convex(d)
+    assert len(greedy_maximal_plane(d)) >= 2 * n - 3
 
 
 def test_two_page_instances_meet_lower_bound():
     for n, outer in ((6, ((1, 4),)), (8, ((1, 4), (4, 7), (7, 8)))):
         d = generators.two_page(n, outer)
-        assert max_plane_size(d) >= 2 * n - 3
+        require_convex(d)
+        assert len(greedy_maximal_plane(d)) >= 2 * n - 3
 
 
 def test_extend_cycle_contains_cycle(rand9):
@@ -233,7 +236,8 @@ def test_extend_cycle_contains_cycle(rand9):
     sub = extend_cycle(rand9, cert)
     assert set(cert.edges) <= sub.edges
     assert _is_maximal_plane(rand9, sub.edges)
-    assert len(sub) == max_plane_size(rand9)
+    require_convex(rand9)
+    assert len(sub) == len(greedy_maximal_plane(rand9))
 
 
 def test_subdrawing_certificate_verifies(rand8):
