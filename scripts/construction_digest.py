@@ -41,11 +41,12 @@ sums their queries per direction.
 The `calls` line counts the kernel calls of each task family, a
 `Drawing.cross_pairs` call or a `Drawing.cross_block` call being one
 each; the latter is a star block of the bad-edge scan or the
-star_avoiding check, or a block of a fan walk's plane check on points,
-settled as all misses: the constructions
-(star, cycle, st, edge, two, hull, probe), their verification (verify)
-and the plane and convexity runs.  It stays outside every digest, so a change that
-packs or unpacks rows into kernel calls shows there alone.
+star_avoiding check.  What the fan lemma settles on points, a star block
+of a fan's pairs or a fan walk's whole plane check, is counted as
+queries but is no call.  The families are the constructions (star,
+cycle, st, edge, two, hull, probe), their verification (verify) and the
+plane and convexity runs.  The line stays outside every digest, so a
+change that packs or unpacks rows into kernel calls shows there alone.
 
 The last line reruns the geometric pool and its verification on copies
 with every coordinate times 2^40, past 2^52, and prints `big same`, or

@@ -11,17 +11,18 @@ materialising the O(n^4) crossing set.
 A Drawing asks its oracle through the checked scalar `crosses(e, f)`, the
 row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
 operands may be, and `cross_block`, a block of a backing's star kernel
-(pairs consecutive in an order against a hub's star edges) or of a fan
-walk's plane check on points, all misses.  All count every query they
-pass on into the drawing's own QueryCounter; `instrumented(d)` returns a
-view of d with a fresh counter.  Kernel calls are few and large, since a
-call costs far more than an entry: `ask_rows` packs rows of one length
-into calls of up to ROW_BLOCK_ENTRIES entries, and `star_hits` asks the
-star kernel's rows in the same blocks; the plane check's `offset_hits`
-asks the pairs of an edge list by cyclic offsets, each call one edge row
-against a block of up to OFFSET_BLOCK_ENTRIES entries, and `plane_hits`
-settles the same blocks of a fan walk on points and asks every other
-edge list's through `offset_hits` over `cross_pairs`.
+(pairs consecutive in an order against a hub's star edges).  All count
+every query they pass on into the drawing's own QueryCounter;
+`instrumented(d)` returns a view of d with a fresh counter.  Kernel calls
+are few and large, since a call costs far more than an entry: `ask_rows`
+packs rows of one length into calls of up to ROW_BLOCK_ENTRIES entries,
+and `star_hits` asks the star kernel's rows in the same blocks; the plane
+check's `offset_hits` asks the pairs of an edge list by cyclic offsets,
+each call one edge row against a block of up to OFFSET_BLOCK_ENTRIES
+entries.  On points the fan lemma (`geometry.PointBack`) settles what it
+can with no call: `plane_hits` counts the whole plane check of a fan walk,
+and `star_hits` counts each star block of a fan's pairs.  These are the
+only two places that count entries no backing is asked.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -161,12 +162,14 @@ class ExplicitCrossings:
         return table.take(ids[a, b] * len(table) + ids[cs, ds])
 
     def star_rows(self, order, hub):
-        """`PointBack.star_rows` as `ask_rows`' `cross_pairs` gathers over the same windows."""
+        """`PointBack.star_rows` as `ask_rows`' `cross_pairs` gathers over the same
+        windows, with no block settled."""
         twice = geometry._star_labels(order, hub, len(self._rot) - 1)
         k = len(twice) // 2
         (others,) = geometry._windows((twice[2:],), k, k - 2)
-        return _row_asker(self.cross_pairs, twice[:k], twice[1:], k - 2,
+        rows = _row_asker(self.cross_pairs, twice[:k], twice[1:], k - 2,
                           lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
+        return rows, lambda bounds: [False] * len(bounds)
 
 
 class GeometricCrossings(geometry.PointBack):
@@ -217,10 +220,12 @@ class Drawing:
         rotation_of(v) starts.  A point set sorts only the given labels
         around v, plus that start label, which is then dropped if it is not
         one of them.  Given every other vertex, it is rotation_of(v).
-        Raises VertexOutOfRange for v outside 1..n.
+        Raises VertexOutOfRange for v or a label outside 1..n.
         """
-        if not 0 < v <= self.n:
-            raise VertexOutOfRange(f"vertex {v} out of range 1..{self.n}")
+        bad = [u for u in (v, min(labels, default=1), max(labels, default=1))
+               if not 0 < u <= self.n]
+        if bad:
+            raise VertexOutOfRange(f"vertex {bad[0]} out of range 1..{self.n}")
         if len(labels) - (v in labels) == self.n - 1:
             return self.rotation_of(v)
         if self._rot is not None:
@@ -274,10 +279,8 @@ class Drawing:
     def cross_block(self, rows, i0, i1):
         """Rows i0..i1-1 of a backing's block function, one query per entry.
 
-        rows is `star_rows(order, hub)`, whose rows are pairs consecutive in
-        order against the hub's star edges, or `walk_rows(walk)` of a fan
-        walk on points, whose rows are its offset rows of `offset_hits`,
-        all misses.
+        rows is the row function of `star_rows(order, hub)`, whose rows are
+        pairs consecutive in order against the hub's star edges.
         """
         hits = rows(i0, i1)
         self.counter.count += hits.size
@@ -317,10 +320,12 @@ def ask_rows(ask, a, b, length, operands):
     """Ask one row of `length` entries per pair {a[i], b[i]} (label arrays), in few kernel calls.
 
     operands(i0, i1) gives the (cs, ds) of rows i0..i1-1, grouped as
-    `_row_blocks` says.  Yields (i0, hits) per call, hits shaped
-    (R, length).
+    `_row_bounds` says.  Yields (i0, hits) per call, hits shaped
+    (R, length); a caller that stops early asks no later block.
     """
-    return _row_blocks(_row_asker(ask, a, b, length, operands), len(a), length)
+    block = _row_asker(ask, a, b, length, operands)
+    for i0, i1 in _row_bounds(len(a), length):
+        yield i0, block(i0, i1)
 
 
 def _row_asker(ask, a, b, length, operands):
@@ -341,22 +346,20 @@ def _row_asker(ask, a, b, length, operands):
     return block
 
 
-def _row_blocks(block, rows, length):
-    """(i0, block(i0, i1)) per kernel call over `rows` rows of `length` entries.
+def _row_bounds(rows, length):
+    """The rows (i0, i1) of each kernel call over `rows` rows of `length` entries.
 
     A call holds ROW_BLOCK_ENTRIES // length consecutive rows (a row of no
     entries counting as one), the last call fewer, or one row when that
     quotient is below three, since a block of two long rows built from
-    arrays is slower than two label rows.  The constant is read when the
-    first call is asked.  A caller that stops early asks no later block,
-    and the grouping never changes which entries are asked, or their
-    order.
+    arrays is slower than two label rows.  Its callers are generators, so
+    the constant is read when the first call is asked.  The grouping never
+    changes which entries are asked, or their order.
     """
     per = ROW_BLOCK_ENTRIES // max(length, 1)
     if per < 3:
         per = 1
-    for i0 in range(0, rows, per):
-        yield i0, block(i0, min(i0 + per, rows))
+    return [(i0, min(i0 + per, rows)) for i0 in range(0, rows, per)]
 
 
 def star_hits(d, order, hub, rows):
@@ -364,12 +367,26 @@ def star_hits(d, order, hub, rows):
 
     Row i asks the pair {order[i], order[i + 1]} against the star edges
     {w, hub} of the k - 2 labels after it in `order`, cyclically, k =
-    len(order) >= 3.  Rows are grouped as in `ask_rows`, and every block
-    is one `d.cross_block` call, hits shaped (R, k - 2).  The labels are
-    checked here, before any block is asked.
+    len(order) >= 3.  Rows are grouped as in `ask_rows`.  A block the
+    backing settles (the fan lemma, on points) is all misses: it is neither
+    asked nor yielded, and its R (k - 2) entries are counted in order,
+    before the next block asked or when the rows run out, so a caller that
+    stops early counts every entry up to the end of the block it stopped
+    at.  Every other block is one `d.cross_block` call, hits shaped
+    (R, k - 2).  The labels are checked before any block is asked.
     """
-    block = d._oracle.star_rows(order, hub)
-    return _row_blocks(lambda i0, i1: d.cross_block(block, i0, i1), rows, len(order) - 2)
+    k = len(order)
+    block, fans = d._oracle.star_rows(order, hub)
+    bounds = _row_bounds(rows, k - 2)
+    settled = 0  # entries of settled blocks not yet counted
+    for (i0, i1), fan in zip(bounds, fans(bounds)):
+        if fan:
+            settled += (i1 - i0) * (k - 2)
+            continue
+        d.counter.count += settled
+        settled = 0
+        yield i0, d.cross_block(block, i0, i1)
+    d.counter.count += settled
 
 
 def offset_hits(ask, ends):
@@ -398,24 +415,12 @@ def offset_hits(ask, ends):
     # windows at about twice the cost of a copy; row 0 becomes edge 0's.
     twice = np.concatenate((a, a, b, b))
     windows = geometry._windows((twice[:2 * c], twice[2 * c:]), last + 1, c)
-
-    def block(k0, k1):
-        cs, ds = (w[k0:k1].copy() for w in windows)
-        if k0 == 0:
-            cs[0], ds[0] = ends[0]
-        return ask(a, b, cs, ds)
-
-    yield from _offset_pairs(block, m)
-
-
-def _offset_pairs(block, m):
-    """offset_hits' index pairs, from block(k0, k1): the (k1 - k0, c) hits of rows k0..k1-1."""
-    s = 1 - m % 2
-    c = m - s
-    last = (c - 1) // 2
     per = max(1, OFFSET_BLOCK_ENTRIES // c)
     for k0 in range(1 - s, last + 1, per):
-        hits = block(k0, min(k0 + per, last + 1))
+        cs, ds = (w[k0:k0 + per].copy() for w in windows)
+        if k0 == 0:
+            cs[0], ds[0] = ends[0]
+        hits = ask(a, b, cs, ds)
         # A 2-D nonzero costs ~18 us on a (4, 1999) block; any() far less.
         if hits.any():
             k, i = np.nonzero(hits)
@@ -445,19 +450,18 @@ def _walk(ends):
 
 
 def plane_hits(d, ends):
-    """offset_hits(d.cross_pairs, ends), a fan walk's blocks settled by `PointBack.walk_rows`.
+    """offset_hits(d.cross_pairs, ends), unless the fan lemma settles it.
 
-    A drawing with points whose edges form a path or a cycle in order
-    (`_walk`) that is a fan walk asks each block, all misses, through
-    `d.cross_block`; any other edge list, and every abstract drawing, asks
-    `d.cross_pairs`.  Either way the same blocks ask the same entries,
-    count the same queries and give the same hits.
+    On a drawing with points whose m edges form a path or a cycle in order
+    (`_walk`) that is a fan walk (`PointBack.fan_walk`), the check is plane:
+    its C(m, 2) entries are counted, none is asked, and there is no hit.
+    Any other edge list, and every abstract drawing, asks `d.cross_pairs`.
     """
     walk = _walk(ends) if d.points is not None and len(ends) > 1 else None
-    rows = None if walk is None else d._oracle.walk_rows(walk)
-    if rows is None:
+    if walk is None or not d._oracle.fan_walk(walk):
         return offset_hits(d.cross_pairs, ends)
-    return _offset_pairs(lambda k0, k1: d.cross_block(rows, k0, k1), len(ends))
+    d.counter.count += len(ends) * (len(ends) - 1) // 2
+    return iter(())
 
 
 class Induced(NamedTuple):

@@ -17,7 +17,7 @@ _line_keys).
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 
 import numpy as np
 
@@ -225,19 +225,21 @@ class PointBack:
     the same statements are exact: m < 0 is the crossing predicate, and
     m == 0 comes only with a zero determinant, where segments never cross.
 
-    A fan about a hub h is a label list L = (x_1, ..., x_r) that `angular`
-    finds to be a cyclic shift of `ccw_order(self, h, L)` with every
-    o2_i = cross(P_{x_i}, P_{x_{i+1}}) > 0, P_x = x - h an exact
-    difference, or of the reversed sort with every o2_i < 0.  Each pair
-    x_i x_{i+1} then turns by under π, so it lies in the closed wedge from
+    The fan lemma.  Let L = (x_1, ..., x_r) be a cyclic shift of
+    `ccw_order(self, h, L)` about a hub h, or of the reversed sort, and
+    P_x = x - h an exact difference.  A pair x_i x_{i+1} with o2_i =
+    cross(P_{x_i}, P_{x_{i+1}}) of the order's sign (> 0 for the sort, < 0
+    reversed) turns by under π, so it lies in the closed wedge from
     P_{x_i} to P_{x_{i+1}}.  These wedges are gaps of one angular sort, so
     no label of L lies strictly inside one and their interiors are
     disjoint.  A star edge {w, h}, w in L, meets a wedge only along w's
     ray, and two wedges meet only at h or along a shared ray; a segment
     meets its wedge's rays only at its endpoints, so the pair misses every
     star edge and every pair it shares no label with.  A float o2 != 0 has
-    the exact sign, so fans are found without any row.  A fan walk, (h, L)
-    or (L, h), closed or not, is thus plane (`walk_rows`).
+    the exact sign, so `fan_blocks` applies the lemma without any row.  A
+    fan walk, (h, L) or (L, h), closed or not, with every o2_i of the
+    order's sign, is thus plane (`fan_walk`), and a block of the star rows
+    below whose o2 all have that sign is all misses.
 
     `star_rows` answers the rows of pairs {a, b} consecutive in an order
     against the star edges {w, h} of a hub h.  With P_x = x - h,
@@ -247,14 +249,12 @@ class PointBack:
     orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
     cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
     of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1.  A
-    block of rows whose o2 all have the sign `angular` gives the order is
-    a block of a fan's pairs, all misses, and costs no G row.  Any other
-    block (the pair of a hub on the hull that turns by more than π, an o2
-    rounded to 0, an order that is not angular) forms each G row once and
-    q = o3 o4 for every
-    entry; where q > 0, m = max(o1 o2, q) > 0 whatever o1 is, and only where
-    q <= 0 is o1 = cross(b - a, w - a) formed, and m with it.  Each value is
-    one determinant of exact differences (|P| <= 2^53), computed as
+    block the fan lemma does not settle (the pair of a hub on the hull
+    that turns by more than π, an o2 rounded to 0, an order that is not
+    angular) forms each G row once and q = o3 o4 for every entry; where
+    q > 0, m = max(o1 o2, q) > 0 whatever o1 is, and only where q <= 0 is
+    o1 = cross(b - a, w - a) formed, and m with it.  Each value is one
+    determinant of exact differences (|P| <= 2^53), computed as
     fl(fl(t1) - fl(t2)), so the argument and the m rule above hold
     unchanged, though rounding may send other entries to `_exact`.
     """
@@ -305,35 +305,28 @@ class PointBack:
             res.reshape(-1)[idx] = self._exact(a, b, cs, ds, idx, res.shape)
         return res
 
-    def walk_rows(self, walk):
-        """The offset rows of the plane check of a fan walk through the label array `walk`, or None.
+    def fan_walk(self, walk):
+        """Is the walk through the label array `walk` a fan walk, plane by the fan lemma?
 
-        Edge t is {walk[t], walk[t + 1]}, for t < m = len(walk) - 1: the m
-        edges of `drawing.offset_hits`, in order.  A closed walk drops its
-        repeated last label, and then its first label and its last are
-        tried as the hub.  A fan walk is plane: returns rows(k0, k1), the
-        all-miss bool (k1 - k0, c) answer to that function's offset rows
-        k0..k1-1, c = m - 1 + m % 2, formed from no coordinate.  Any other
-        walk gives None; its plane check asks `cross_pairs`.
+        A closed walk drops its repeated last label, and then its first
+        label and its last are tried as the hub.
         """
         m = len(walk) - 1
         labels = walk[:m] if walk[0] == walk[m] else walk
-        if self._fan(labels[0], labels[1:]) or self._fan(labels[-1], labels[:-1]):
-            c = m - 1 + m % 2
-            return lambda k0, k1: np.zeros((k1 - k0, c), dtype=bool)
-        return None
+        return any(next(self.fan_blocks(hub, fan, [(0, len(fan) - 1)]))
+                   for hub, fan in ((labels[0], labels[1:]), (labels[-1], labels[:-1])))
 
     def star_rows(self, order, hub):
         """The rows of pairs consecutive in `order` against the star edges of `hub`.
 
-        Returns rows(i0, i1), the bool (i1 - i0, k - 2) answer of
-        `cross_pairs(order[i], order[i + 1], order[i + 2:i + k], hub)`, the
-        window taken cyclically, for i = i0..i1-1, k = len(order) >= 3.
-        The labels are checked once (`_star_labels`).  A block whose rows'
-        o2 all have one sign is all misses if `angular` gives the order that
-        sign, which the first such block decides; another block's G
-        rows come from windows of differences gathered once, and o1 and the
-        labels are gathered only at the entries that o3 o4 leaves open.
+        Returns (rows, fans).  rows(i0, i1) is the bool (i1 - i0, k - 2)
+        answer of `cross_pairs(order[i], order[i + 1], order[i + 2:i + k],
+        hub)`, the window taken cyclically, for i = i0..i1-1, k =
+        len(order) >= 3: G rows from windows of differences gathered once,
+        and o1 and the labels gathered only at the entries that o3 o4
+        leaves open.  fans(bounds) is `fan_blocks` of the order, which says
+        which blocks of rows are all misses.  The labels are checked once
+        (`_star_labels`).
         """
         twice = _star_labels(order, hub, len(self.pts) - 1)
         k = len(twice) // 2
@@ -343,11 +336,6 @@ class PointBack:
         # Row i of a window holds the k - 1 differences P after order[i].
         gx, gy = _windows((px[1:], py[1:]), k + 1, k - 1)
         last = [None, None]  # the last G row computed, and its row index
-        # o2 of row i, G[i, 1], by the statements of orients.
-        o2 = px[:k] * py[1:k + 1]
-        o2 -= py[:k] * px[1:k + 1]
-        sign = ((o2 > 0).astype(np.int8) - (o2 < 0)).tolist()
-        turn = None  # self.angular(hub, order), sorted when first asked
 
         def orients(at, window):
             g = px[at] * gy[window]
@@ -355,31 +343,22 @@ class PointBack:
             return g
 
         def rows(i0, i1):
-            nonlocal turn
-            s = sign[i0]
-            if s and sign[i0:i1].count(s) == i1 - i0:
-                # Pairs of a fan miss every star edge.  The s-t solver's
-                # orders have their hub on their hull, and most of their
-                # blocks hold its long turn, so they seldom sort.
-                if turn is None:
-                    turn = self.angular(hub, twice[:k])
-                if turn == s:
-                    return np.zeros((i1 - i0, k - 2), dtype=bool)
             if i1 == i0 + 1:
                 # A scan at k > 1,367 asks one row per call: G row i0 is
                 # then the previous call's last.
                 top = last[0] if last[1] == i0 else orients(i0, i0)
                 bot = orients(i1, i1)
-                q = top[1:] * bot[:-1]
+                q, o2 = top[1:] * bot[:-1], top[:1]
             else:
                 g = orients((slice(i0, i1 + 1), None), slice(i0, i1 + 1))
-                q = (g[:-1, 1:] * g[1:, :-1]).ravel()
+                q, o2 = (g[:-1, 1:] * g[1:, :-1]).ravel(), g[:-1, 0]
                 bot = g[-1]
             last[:] = bot, i1
             res = np.zeros(q.size, dtype=bool)
             # q = o3 o4 > 0 makes m > 0 whatever o1 is: a miss.  Only the
             # other entries form o1, at row r = i - i0 and column j of the
-            # block: a = order[i], b = order[i + 1], w = order[i + j + 2].
+            # block: a = order[i], b = order[i + 1], w = order[i + j + 2];
+            # o2 of row i is G[i, 1].
             idx = (q <= 0).nonzero()[0]
             if idx.size:
                 r, j = np.divmod(idx, k - 2)
@@ -387,7 +366,7 @@ class PointBack:
                 w = i + j + 2
                 o1 = ex[i] * (ys[w] - ys[i])
                 o1 -= ey[i] * (xs[w] - xs[i])
-                o1 *= o2[i]
+                o1 *= o2[r]
                 m = np.maximum(o1, q[idx], out=o1)
                 res[idx] = m < 0
                 # Entries with m == 0 go to _exact, as in cross_pairs.
@@ -397,24 +376,32 @@ class PointBack:
                                                  m.shape)
             return res.reshape(i1 - i0, k - 2)
 
-        return rows
+        return rows, partial(self.fan_blocks, hub, twice[:k])
 
-    def angular(self, hub, labels):
-        """+1 if the label array is a cyclic shift of `ccw_order(self, hub, labels)`, -1 if
-        one of its reverse, else 0."""
-        ccw, got = ccw_order(self, hub, labels), labels.tolist()
-        i = got.index(ccw[0])
-        got = got[i:] + got[:i]
-        return 1 if got == ccw else -int(got[1:] == ccw[:0:-1])
+    def fan_blocks(self, hub, labels, bounds):
+        """Yields, per (i0, i1) of `bounds`, whether the fan lemma settles pairs i0..i1-1.
 
-    def _fan(self, hub, labels):
-        # Is the label array, read as a path, a fan about hub: every o2 of
-        # one sign, which `angular` gives too?
-        px, py = self.xs[labels] - self.xs[hub], self.ys[labels] - self.ys[hub]
+        Pair i is labels[i], labels[(i + 1) % len(labels)], for the label
+        array `labels` about `hub`.  A block is settled when its o2 all have
+        one sign s and the labels are a cyclic shift of their angular sort,
+        s = 1, or of its reverse, s = -1.  The labels are sorted only when a
+        block's o2 first agree, so a caller that stops early may sort none.
+        """
+        ring = np.append(labels, labels[0])
+        px, py = self.xs[ring] - self.xs[hub], self.ys[ring] - self.ys[hub]
         o2 = px[:-1] * py[1:]
         o2 -= py[:-1] * px[1:]
-        turn = 1 if (o2 > 0).all() else -1 if (o2 < 0).all() else 0
-        return turn != 0 and self.angular(hub, labels) == turn
+        sign = ((o2 > 0).astype(np.int8) - (o2 < 0)).tolist()
+        turn = None  # +1 for the sort, -1 for its reverse, else 0
+        for i0, i1 in bounds:
+            s = sign[i0]
+            agree = s != 0 and sign[i0:i1].count(s) == i1 - i0
+            if agree and turn is None:
+                ccw, got = ccw_order(self, hub, labels), labels.tolist()
+                i = got.index(ccw[0])
+                got = got[i:] + got[:i]
+                turn = 1 if got == ccw else -int(got[1:] == ccw[:0:-1])
+            yield agree and s == turn
 
     def _exact(self, a, b, cs, ds, idx, shape):
         # Verdicts of the entries at flat positions idx of the operands

@@ -6,19 +6,21 @@ modules so that certificate verification is independent of the code being
 verified.
 
 verify_certificate asks the drawing's rows (`cross_pairs`, or `cross_block` for
-a block of a backing's star kernel or of a fan walk) per claim:
+a block of a backing's star kernel) per claim.  On a point set, what the
+fan lemma (`geometry.PointBack`) settles is counted and never asked:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
   A fan walk on a point set (a hub, then an angular order about it, as
   the star-avoiding cycle and the s-t fan path are) is plane, and its
-  blocks are answered and counted without computing an entry; every
-  other edge list asks them through `cross_pairs`.
+  entries are counted with no call; every other edge list asks them
+  through `cross_pairs`.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.  When those
   edges form, in order, a path through every vertex but v, its rows are
-  the star kernel's (`drawing.star_hits`), each row's w in path order;
-  any other edge list asks them through `cross_pairs`, w ascending.
+  the star kernel's (`drawing.star_hits`), each row's w in path order,
+  and on points a block of a fan's pairs is counted with no call; any
+  other edge list asks them through `cross_pairs`, w ascending.
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, failing at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
@@ -30,12 +32,11 @@ a block of a backing's star kernel or of a fan walk) per claim:
 
 The plane check of one edge sequence runs once per call, however many of
 these claims ask it.  Its offset rows go to the drawing as one edge row
-against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, settled
-without an entry for a fan walk on a point set, and the
+against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, and the
 star_avoiding and maximal_plane rows, all of one length, in the 2-D
 blocks of `drawing.ask_rows`, so entries and their order are as listed.
 A check stops after the block that decides it: a certificate that
-verifies asks exactly the entries above, and a failing one asks every
+verifies counts exactly the entries above, and a failing one counts every
 entry up to the end of the block holding the first crossing (plane,
 star_avoiding) or the first row without one (maximal_plane).
 """
@@ -103,9 +104,9 @@ def _edge_array(d, edges):
 def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
-    The pairs are asked by cyclic offsets (`drawing.plane_hits`: settled
-    as all misses when the drawing has points and the edges form a fan
-    walk, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
+    The pairs are asked by cyclic offsets (`drawing.plane_hits`: counted
+    and settled as misses when the drawing has points and the edges form
+    a fan walk, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
     entries for m edges, and the first hit in that order is returned as
     (earlier edge, later edge) in the given order.  The check stops after
     the block holding that hit, so a crossing costs the entries up to the

@@ -120,7 +120,7 @@ def kernel_calls():
     """Record the counted kernel calls: (name, args, answer) per call, in order.
 
     Both counted entries are spied, `Drawing.cross_pairs` (args a, b, cs,
-    ds) and `Drawing.cross_block` (args rows, i0, i1), a walk or star block.
+    ds) and `Drawing.cross_block` (args rows, i0, i1), a star block.
     """
     calls = []
 
@@ -225,17 +225,28 @@ def tied_long_turn_drawing():
     return d
 
 
+def angular_turn(d, hub, labels):
+    """1 if the labels, distinct and other than hub, are a cyclic shift of hub's
+    rotation among them, read counterclockwise, -1 if clockwise, else 0 (two
+    labels are both, and take 1)."""
+    labels = list(labels)
+    if hub in labels or len(set(labels)) < len(labels):
+        return 0
+    rot = list(d.rotation_among(hub, set(labels)))
+    shifts = [rot[i:] + rot[:i] for i in range(len(rot))]
+    return 1 if labels in shifts else -1 if labels[::-1] in shifts else 0
+
+
 def fan_hub(d, walk):
     """The hub h of a fan walk on points, by integers, or None.
 
     walk is a vertex sequence, closed when its ends are equal, and a closed
     walk drops its repeated last label.  A fan walk is then (h, L) or
-    (L, h), h its first label or its last, with L's labels distinct and
-    other than h, every consecutive pair (x, y) of L turning one way,
-    orientation(h, x, y) = s, and L a cyclic shift of h's rotation among L
-    read counterclockwise, s = 1, or else clockwise, s = -1 (two labels are
-    both, and take s = 1).  The reference for which walks `PointBack.walk_rows`
-    settles; the plane check of every other walk asks `Drawing.cross_pairs`.
+    (L, h), h its first label or its last, with every consecutive pair
+    (x, y) of L turning one way, orientation(h, x, y) = s, and
+    angular_turn(d, h, L) = s.  The reference for which walks
+    `PointBack.fan_walk` settles; the plane check of every other walk asks
+    `Drawing.cross_pairs`.
     """
     walk = list(walk)
     if walk[0] == walk[-1]:
@@ -243,13 +254,27 @@ def fan_hub(d, walk):
     pts = d.points
     for h, fan in ((walk[0], walk[1:]), (walk[-1], walk[:-1])):
         turns = {orientation(pts[h], pts[x], pts[y]) for x, y in zip(fan, fan[1:])}
-        if h in fan or len(set(fan)) < len(fan) or len(turns) != 1 or 0 in turns:
-            continue
-        rot = list(d.rotation_among(h, set(fan)))
-        shifts = [rot[i:] + rot[:i] for i in range(len(rot))]
-        if turns == {1 if fan in shifts else -1 if fan[::-1] in shifts else 0}:
+        s = angular_turn(d, h, fan)
+        if s and turns == {s}:
             return h
     return None
+
+
+def settled_groups(d, order, hub, groups):
+    """The groups (i0, i1) of star rows of `order` that the fan lemma settles, by integers.
+
+    On points, a group is settled when every pair i0..i1-1, (order[i],
+    order[i + 1]) cyclically, turns about hub by orientation s, and
+    angular_turn(d, hub, order) = s.  An abstract drawing settles none.
+    The reference for which blocks `drawing.star_hits` counts without
+    asking them.
+    """
+    if d.points is None:
+        return []
+    pts, k = d.points, len(order)
+    s = angular_turn(d, hub, order)
+    turns = [orientation(pts[hub], pts[order[i]], pts[order[(i + 1) % k]]) for i in range(k)]
+    return [(i0, i1) for i0, i1 in groups if s and set(turns[i0:i1]) == {s}]
 
 
 def is_interior(d, v):

@@ -110,31 +110,32 @@ def _traced_runs():
             sizes.append(np.broadcast(a, b, cs, ds).size)
             return traced(self, a, b, cs, ds)
 
-        def walk_spy(self, walk, walk_rows=geometry.PointBack.walk_rows, sizes=sizes):
-            # A fan walk's plane check settles its offset rows of c entries
-            # each; any other walk's asks them through cross_pairs (spy).
-            rows, m = walk_rows(self, walk), len(walk) - 1
-            if rows is None:
-                return None
-            c = m - 1 + m % 2
-
-            def asked(k0, k1):
-                sizes.append((k1 - k0) * c)
-                return rows(k0, k1)
-
-            return asked
+        def walk_spy(self, walk, fan_walk=geometry.PointBack.fan_walk, sizes=sizes):
+            # A fan walk's plane check counts its C(m, 2) entries with no
+            # call; any other walk's asks them through cross_pairs (spy).
+            fan, m = fan_walk(self, walk), len(walk) - 1
+            if fan:
+                sizes.append(m * (m - 1) // 2)
+            return fan
 
         def star_spy(self, order, hub, star_rows=geometry.PointBack.star_rows, sizes=sizes):
-            # A star block of rows i0..i1-1 asks R (k - 2) entries.
-            rows, k = star_rows(self, order, hub), len(order)
+            # A star block of rows i0..i1-1 holds R (k - 2) entries, asked
+            # or settled.
+            (rows, fans), k = star_rows(self, order, hub), len(order)
 
             def asked(i0, i1):
                 sizes.append((i1 - i0) * (k - 2))
                 return rows(i0, i1)
 
-            return asked
+            def settled(bounds):
+                for (i0, i1), fan in zip(bounds, fans(bounds)):
+                    if fan:
+                        sizes.append((i1 - i0) * (k - 2))
+                    yield fan
 
-        walks = mock.patch.object(geometry.PointBack, "walk_rows", walk_spy)
+            return asked, settled
+
+        walks = mock.patch.object(geometry.PointBack, "fan_walk", walk_spy)
         stars = mock.patch.object(geometry.PointBack, "star_rows", star_spy)
         try:
             with mock.patch.object(backing, "cross_pairs", spy), walks, stars:
@@ -149,11 +150,11 @@ def test_traced_row_entries_equal_library_queries():
     # kernel call answers the broadcast size of its operands, a 1-D row as
     # in the triangle passes or a 2-D block of an (R, 1) pair column
     # against (R, L) operands as in the scans and the star check on an
-    # abstract drawing, a settled fan walk block of the plane check on
-    # points (the star-hc verification, the s-t root's fan path) its R
-    # offset rows of c entries, a star block on points (the scans, the star check) its R
-    # rows of k - 2, and a scalar query is one call of the backing's
-    # `cross`.  The next test holds the tracer's own entry count to the
+    # abstract drawing, a star block on points (the scans, the star check)
+    # its R rows of k - 2, asked or settled by the fan lemma, a fan walk's
+    # plane check on points (the star-hc verification, the s-t root's fan
+    # path) its C(m, 2) settled entries, and a scalar query is one call of
+    # the backing's `cross`.  The next test holds the tracer's own entry count to the
     # library's.
     for tracer, entries, scalar, counter, sizes in _traced_runs():
         assert tracer.counts[entries] > 0

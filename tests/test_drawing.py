@@ -36,6 +36,7 @@ from conftest import (
     pair_oracle,
     random_k4_drawing,
     row_groups,
+    settled_groups,
     side_convex,
     star_g_rows,
     star_windows,
@@ -399,21 +400,33 @@ def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
 
 
 def test_row_block_call_shapes():
-    # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one call,
-    # a star block of all k rows: the answer of a (k, 1) pair column
-    # against (k, k - 2) operands.  A split is one call of a (3, 1) column
+    # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one star
+    # block of all k rows, counted as k (k - 2) queries: no call when the
+    # fan lemma settles it (`settled_groups`), else one, the answer of a
+    # (k, 1) pair column against (k, k - 2) operands.  Prefixes of a
+    # rotation and shuffled orders.  A split is one call of a (3, 1) column
     # whatever the block size, also when its rows are longer than a third
     # of a block.
     d = generators.random_geometric(66, 1)
+    rng = random.Random(66)
+    asked = 0
     for k in (3, 40, 65):
-        order = d.rotation_of(66)[:k]
-        with kernel_calls() as calls:
-            list(starframe.scan_bad_edges(d, order, 66))
-        ((name, (_rows, i0, i1), hits),) = calls
-        a, b, cs = star_windows(order, i0, i1)
-        assert (name, i0, i1) == ("cross_block", 0, k)
-        assert (a.shape, b.shape, cs.shape, hits.shape) == ((k, 1), (k, 1), (k, k - 2), (k, k - 2))
-        assert np.array_equal(hits, d._oracle.cross_pairs(a, b, cs, 66))
+        prefix = d.rotation_of(66)[:k]
+        for order in (prefix, tuple(rng.sample(prefix, k))):
+            view, counter = instrumented(d)
+            with kernel_calls() as calls:
+                list(starframe.scan_bad_edges(view, order, 66))
+            assert counter.count == k * (k - 2)
+            want = [] if settled_groups(d, order, 66, [(0, k)]) else [(0, k)]
+            assert [(i0, i1) for _name, (_rows, i0, i1), _hits in calls] == want
+            for name, (_rows, i0, i1), hits in calls:
+                a, b, cs = star_windows(order, i0, i1)
+                assert name == "cross_block"
+                assert (a.shape, b.shape, cs.shape, hits.shape) == (
+                    (k, 1), (k, 1), (k, k - 2), (k, k - 2))
+                assert np.array_equal(hits, d._oracle.cross_pairs(a, b, cs, 66))
+            asked += len(calls)
+    assert asked >= 3
     for block in (drawing.ROW_BLOCK_ENTRIES, 12):
         patched, spy = _spied_calls(block)
         with patched, spy as calls:
@@ -441,10 +454,13 @@ def _star_pool(kind, n, seed):
 def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
     # On whole rotations and on rotations restricted to a subset, as the s-t
     # solver asks them, and on shuffled orders: star_hits groups rows as
-    # ask_rows does, and every block equals cross_pairs over the same
-    # window, array for array; so do the blocks of one star_rows asked last
-    # to first.  An angular order leaves about k of the k(k - 2) entries to
-    # the point kernel's o1, a shuffled one about half of them.
+    # ask_rows does, asks every group but those the fan lemma settles
+    # (`settled_groups`), all misses, and counts them all; every block asked
+    # equals cross_pairs over the same window, array for array, and so does
+    # every block of one star_rows' row function asked last to first, the
+    # settled ones too.  An order whose blocks are asked leaves about k of
+    # their entries to the point kernel's o1 if angular, a shuffled one
+    # about half of them.
     d = _star_pool(kind, n, seed)
     hub = rng.randint(1, n)
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
@@ -459,14 +475,20 @@ def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
         with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
             got = list(drawing.star_hits(view, order, hub, k))
         groups = row_groups(k, k - 2, block)
-        assert [(i0, i0 + len(hits)) for i0, hits in got] == groups
+        settled = settled_groups(d, order, hub, groups)
+        assert [(i0, i0 + len(hits)) for i0, hits in got] == [g for g in groups
+                                                              if g not in settled]
         assert counter.count == k * (k - 2)
-        rows = d._oracle.star_rows(order, hub)
+        rows, fans = d._oracle.star_rows(order, hub)
+        assert [g for g, fan in zip(groups, fans(groups)) if fan] == settled
         backwards = [rows(i0, i1) for i0, i1 in reversed(groups)][::-1]
-        for (i0, i1), (_i0, hits), again in zip(groups, got, backwards):
+        answers = dict(got)
+        for (i0, i1), again in zip(groups, backwards):
             want = d._oracle.cross_pairs(*star_windows(order, i0, i1), hub)
             assert want.shape == (i1 - i0, k - 2)
-            for x in (hits, again):
+            # A settled group, asked by no call, holds no hit.
+            assert i0 in answers or not want.any()
+            for x in (answers.get(i0, want), again):
                 assert x.dtype == bool and x.shape == want.shape
                 assert np.array_equal(x, want)
 
@@ -526,18 +548,26 @@ def _long_turns(d, order, hub, turn=1):
 
 
 def _star_blocks_against_cross_pairs(d, order, hub, block):
-    """Ask star_hits with ROW_BLOCK_ENTRIES = block, check every block against
-    cross_pairs, and return (hit entries (row, column), G rows formed, blocks)."""
+    """Ask star_hits with ROW_BLOCK_ENTRIES = block, check that it asks every group
+    but those `settled_groups` names, which hold no hit, that it counts them
+    all, and that every block asked equals cross_pairs.  Returns (hit
+    entries (row, column), G rows formed, groups asked)."""
     k = len(order)
+    view, counter = instrumented(d)
     with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
-        got = list(drawing.star_hits(d, order, hub, k))
+        got = list(drawing.star_hits(view, order, hub, k))
     groups = row_groups(k, k - 2, block)
-    assert [(i0, i0 + len(hits)) for i0, hits in got] == groups
+    settled = settled_groups(d, order, hub, groups)
+    asked = [g for g in groups if g not in settled]
+    assert [(i0, i0 + len(hits)) for i0, hits in got] == asked
+    assert counter.count == k * (k - 2)
     hit = set()
-    for (i0, i1), (_i0, hits) in zip(groups, got):
+    for (i0, i1), (_i0, hits) in zip(asked, got):
         assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
         hit.update((i0 + int(r), int(j)) for r, j in zip(*hits.nonzero()))
-    return hit, formed, groups
+    for i0, i1 in settled:
+        assert not d._oracle.cross_pairs(*star_windows(order, i0, i1), hub).any()
+    return hit, formed, asked
 
 
 @given(st.sampled_from(["geometric", "x2^40", "x2^60"]), st.integers(4, 40), st.integers(0, 300),
@@ -545,9 +575,11 @@ def _star_blocks_against_cross_pairs(d, order, hub, block):
 def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, block, rng):
     # Cyclic shifts of a rotation, whole or restricted to a subset, at a
     # random hub and at a hull hub (the smallest point), and the same read
-    # clockwise: only a block holding the one pair that turns by more than
-    # π forms its G rows, and only that pair can hit.  Every block still
-    # equals cross_pairs.
+    # clockwise: only the block holding the one pair that turns by more
+    # than π is asked and forms its G rows, and only that pair can hit.
+    # The same rotation shuffled asks the blocks `settled_groups` leaves,
+    # and forms the G rows of those alone.  Every block asked still equals
+    # cross_pairs.
     d = _star_pool(kind, n, seed)
     for hub in (rng.randint(1, n), min(range(1, n + 1), key=d.points.__getitem__)):
         keep = set(rng.sample(range(1, n + 1), rng.randint(3, n)))
@@ -560,11 +592,14 @@ def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, bl
                                 (rotation[s::-1] + rotation[:s:-1], -1)):
                 long_ = _long_turns(d, order, hub, turn)
                 assert len(long_) <= 1
-                hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+                hit, formed, asked = _star_blocks_against_cross_pairs(d, order, hub, block)
                 assert {i for i, _j in hit} <= set(long_)
-                dense = [range(i0, i1 + 1) for i0, i1 in groups
-                         if any(i0 <= i < i1 for i in long_)]
-                assert formed == set().union(*dense)
+                assert asked == [(i0, i1) for i0, i1 in row_groups(k, k - 2, block)
+                                 if any(i0 <= i < i1 for i in long_)]
+                assert formed == set().union(*(range(i0, i1 + 1) for i0, i1 in asked))
+            shuffled = tuple(rng.sample(rotation, k))
+            _hit, formed, asked = _star_blocks_against_cross_pairs(d, shuffled, hub, block)
+            assert formed == set().union(*(range(i0, i1 + 1) for i0, i1 in asked))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
@@ -585,11 +620,12 @@ def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
     for s in range(len(rotation)):
         order = rotation[s:] + rotation[:s]
         row = (i - s) % len(order)
-        hit, formed, groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+        hit, formed, asked = _star_blocks_against_cross_pairs(d, order, hub, block)
         assert hit == {(row, j) for j in range(4)}
-        dense = next((i0, i1) for i0, i1 in groups if i0 <= row < i1)
-        assert formed == set(range(dense[0], dense[1] + 1))
-        rows = d._oracle.star_rows(order, hub)
+        dense = next((i0, i1) for i0, i1 in row_groups(len(order), len(order) - 2, block)
+                     if i0 <= row < i1)
+        assert asked == [dense] and formed == set(range(dense[0], dense[1] + 1))
+        rows, _fans = d._oracle.star_rows(order, hub)
         with spy as calls:
             assert rows(row, row + 1).sum() == 4
         assert calls.call_count == 1 and calls.call_args.args[5].size == 4
@@ -605,7 +641,7 @@ def test_star_kernel_asks_every_row_of_a_star_polygon(block):
                               (305, -950)])
     hub, order = 1, (2, 4, 6, 3, 5)
     assert _long_turns(d, order, hub) == [] and d.rotation_of(hub) == (2, 3, 4, 5, 6)
-    hit, formed, _groups = _star_blocks_against_cross_pairs(d, order, hub, block)
+    hit, formed, _asked = _star_blocks_against_cross_pairs(d, order, hub, block)
     assert {i for i, _j in hit} == set(range(5)) and len(hit) == 5 and formed == set(range(6))
 
 
@@ -651,6 +687,24 @@ def test_rotations_reject_hubs_out_of_range(make):
                 with pytest.raises(VertexOutOfRange, match=f"vertex {hub} out of range 1..8"):
                     e.rotation_among(hub, labels)
 
+
+
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8, ((1, 4),))])
+def test_rotation_among_rejects_labels_out_of_range(make):
+    # Among points, label -1 would be sorted as vertex 8, 0 as the unused
+    # origin slot, and 9 raised IndexError; the stored rotations dropped
+    # all three, and seven labels but the hub read as every other vertex.
+    # Each raises VertexOutOfRange naming it, on stored and computed
+    # rotations alike, given as a list or a set.
+    d = make()
+    fresh = relabel(d, range(1, 9))  # no cached rotations
+    for bad in (-1, 0, 9):
+        for e in (d, fresh):
+            for labels in ([2, bad, 3], {2, bad, 3}, [bad, 3, 4, 5, 6, 7, 8]):
+                with pytest.raises(VertexOutOfRange, match=f"vertex {bad} out of range 1..8"):
+                    e.rotation_among(1, labels)
+    assert d.rotation_among(1, []) == ()
 
 def _gather_2d(oracle, a, b, cs, ds):
     """The explicit oracle's row as a 2-D gather, the reference for its flat one."""

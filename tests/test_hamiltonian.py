@@ -12,6 +12,7 @@ from conftest import (
     construction_pool,
     first_crossing_reference,
     is_interior,
+    kernel_calls,
     random_k4_drawing,
     row_groups,
 )
@@ -36,7 +37,8 @@ from convexham.hamiltonian import (
     star_avoiding_hamiltonian_cycle,
 )
 from convexham.oracle import cycle_sides, is_plane, verify_certificate
-from convexham.starframe import scan_bad_edges
+from convexham.geometry import orientation
+from convexham.starframe import scan_bad_edges, witness_row
 from convexham.subdrawings import greedy_maximal_plane
 
 MULTI_BAD = [
@@ -730,3 +732,66 @@ def test_constructions_repeat_on_coordinates_past_2_52(n, seed):
             runs.append((build(view), counter.count))
         assert runs[0] == runs[1]
 
+
+
+@pytest.fixture(scope="module")
+def geo2000():
+    return generators.random_geometric(2000, 1)
+
+
+def _long_turn_rows(d, order, hub):
+    """Rows i of `order` whose pair turns about hub by more than π, by integers."""
+    pts, k = d.points, len(order)
+    return [i for i in range(k) if orientation(pts[hub], pts[order[i]], pts[order[(i + 1) % k]]) < 0]
+
+
+def test_fan_lemma_settles_star_hc_at_scale(geo2000):
+    # On random_geometric(2000, 1), star-hc builds with the scan's k (k - 2)
+    # = 3,992,003 queries, k = n - 1, and verifies with C(n, 2) + (n - 2)
+    # (n - 3) = 5,989,006.  At an interior hub the fan lemma settles every
+    # block, so neither asks a kernel call.  At a hull hub (the smallest
+    # point) the one call is the scan's cross_block row holding the hub's
+    # long turn, its bad pair; the certificate leaves that pair out.
+    d = geo2000
+    n = d.n
+    interior = next(v for v in range(1, n + 1) if is_interior(d, v))
+    hull = min(range(1, n + 1), key=d.points.__getitem__)
+    for hub in (interior, hull):
+        view, counter = instrumented(d)
+        with kernel_calls() as calls:
+            cert = star_avoiding_hamiltonian_cycle(view, hub, verify=False)
+            built = counter.count
+            assert verify_certificate(view, cert).oracle_verified
+        assert (built, counter.count - built) == (3_992_003, 5_989_006)
+        long_ = _long_turn_rows(d, d.rotation_of(hub), hub)
+        assert len(long_) == (hub == hull)
+        assert [(name, i0, i1) for name, (_rows, i0, i1), _hits in calls] == [
+            ("cross_block", i, i + 1) for i in long_]
+
+
+def test_scan_that_stops_past_settled_blocks_counts_them_at_scale(geo2000):
+    # At the hull hub, its rotation and its rotation among 300 labels,
+    # shifted so that the long turn is row j = k // 2: `next` of the scan
+    # yields j and its witnesses after one call, the block holding j, and
+    # counts every entry through the end of that block (conftest.row_groups,
+    # one row per block for the whole rotation, 13 among 300 labels), the
+    # settled blocks before it included.
+    d = geo2000
+    n = d.n
+    hub = min(range(1, n + 1), key=d.points.__getitem__)
+    among = d.rotation_among(hub, random.Random(2000).sample(range(1, n + 1), 300))
+    for rotation in (d.rotation_of(hub), among):
+        k = len(rotation)
+        (i,) = _long_turn_rows(d, rotation, hub)
+        j = k // 2
+        s = (i - j) % k
+        order = rotation[s:] + rotation[:s]
+        block = next(g for g in row_groups(k, k - 2, drawing.ROW_BLOCK_ENTRIES) if g[0] <= j < g[1])
+        view, counter = instrumented(d)
+        with kernel_calls() as calls:
+            got = next(scan_bad_edges(view, order, hub))
+        assert got == (j, witness_row(d, order, hub, j))
+        assert counter.count == block[1] * (k - 2)
+        assert [(name, i0, i1) for name, (_rows, i0, i1), _hits in calls] == [
+            ("cross_block", *block)]
+        assert block[0] > 0 and (block[1] - block[0] == 1) == (k == n - 1)

@@ -390,23 +390,25 @@ def test_plane_check_asks_every_pair_once(m, block):
                                   lambda: generators.two_page(128, ((1, 4),))])
 def test_plane_check_within_one_block_is_one_call(make):
     # A 40-edge cycle (C(40, 2) = 780 entries) and a 127-edge path (8,001)
-    # fit one block, so each is one kernel call: a settled block for a fan
-    # walk on points (`fan_hub`: `hamiltonian_cycle`'s path, not the cycle
-    # in label order), a row call otherwise and on the abstract drawing.
+    # fit one block, so each is one row call, on the abstract drawing too,
+    # unless it is a fan walk on points (`fan_hub`: `hamiltonian_cycle`'s
+    # path, not the cycle in label order), which asks no call.  Each counts
+    # its C(m, 2) queries.
     d = make()
     cyc = hamiltonian_cycle(d).vertices
-    rows, walks = (mock.patch.object(drawing.Drawing, name, autospec=True,
-                                     side_effect=getattr(drawing.Drawing, name))
-                   for name in ("cross_pairs", "cross_block"))
+    rows, blocks = (mock.patch.object(drawing.Drawing, name, autospec=True,
+                                      side_effect=getattr(drawing.Drawing, name))
+                    for name in ("cross_pairs", "cross_block"))
     for seq in ([*range(1, 41), 1], cyc):
         edges = list(zip(seq, seq[1:]))
         assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
-        with rows as row_calls, walks as walk_calls:
-            first_crossing(d, edges)
-        assert row_calls.call_count + walk_calls.call_count == 1
+        view, counter = instrumented(d)
+        with rows as row_calls, blocks as block_calls:
+            first_crossing(view, edges)
+        assert counter.count == comb(len(edges), 2)
         fan = d.points is not None and fan_hub(d, seq) is not None
         assert fan == (d.points is not None and seq is cyc)
-        assert walk_calls.call_count == fan
+        assert (row_calls.call_count, block_calls.call_count) == (1 - fan, 0)
 
 
 @pytest.mark.parametrize("scale", [1, 2**40])
@@ -466,11 +468,11 @@ def _walks(d, rng):
        st.randoms(use_true_random=False))
 def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
     # On float64 mirrors and, x 2^40, on object mirrors: the hits of every
-    # walk, in order, and the entries of each block equal offset_hits over
-    # cross_pairs, and first_crossing answers the scalar reference with its
-    # queries, for open and closed walks of odd and even length.  A fan
-    # walk's blocks are settled through cross_block, and every other edge
-    # list's are asked through Drawing.cross_pairs.
+    # walk, in order, equal offset_hits over cross_pairs, and first_crossing
+    # answers the scalar reference with its queries, for open and closed
+    # walks of odd and even length.  A fan walk asks no call, counts every
+    # entry and has no hit; every other edge list asks each block of
+    # offset_hits through Drawing.cross_pairs, with the same entries.
     pts = generators.random_geometric(n, seed).points
     d = generators.geometric([(x * scale, y * scale) for x, y in pts[1:]])
     kinds = set()
@@ -500,10 +502,12 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
             want = list(drawing.offset_hits(ask, ends))
             with answer("cross_block"), answer("cross_pairs"):
                 assert list(drawing.plane_hits(view, ends)) == want
-            # Each block answers the same entries alike, of the same shape.
-            assert [x.tolist() for _name, x in answered] == [x.tolist() for x in asked]
+            # Each block asked answers the same entries alike, of the same shape.
             fan = walk and fan_hub(d, seq) is not None
-            assert {name for name, _x in answered} <= {"cross_block" if fan else "cross_pairs"}
+            assert not (fan and want)
+            blocks = [] if fan else [x.tolist() for x in asked]
+            assert [x.tolist() for _name, x in answered] == blocks
+            assert {name for name, _x in answered} <= {"cross_pairs"}
             assert counter.count == sum(x.size for x in asked)
             first, queries = first_crossing_reference(d, edges, block)
             view, counter = instrumented(d)
@@ -649,15 +653,15 @@ def test_walk_kernel_asks_a_long_turn_rounded_to_zero(block):
 
 def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
     # A star, a subdrawing's sorted edges and an abstract drawing's cycle
-    # ask cross_pairs without asking the walk kernel; a cycle on points
+    # ask cross_pairs without asking the fan walk test; a cycle on points
     # asks it whether the cycle is a fan.
     geo, abstract = generators.random_geometric(12, 1), generators.two_page(12)
     star = [(1, v) for v in range(2, 13)]
     sub = sorted(greedy_maximal_plane(geo).edges)
     cyc = hamiltonian_cycle(abstract).vertices
     ring = list(zip(cyc, cyc[1:] + cyc[:1]))
-    spy = mock.patch.object(geometry.PointBack, "walk_rows", autospec=True,
-                            side_effect=geometry.PointBack.walk_rows)
+    spy = mock.patch.object(geometry.PointBack, "fan_walk", autospec=True,
+                            side_effect=geometry.PointBack.fan_walk)
     with spy as walks:
         for d, edges in ((geo, star), (geo, sub), (abstract, ring)):
             first_crossing(d, edges)

@@ -1,4 +1,5 @@
 import bisect
+import random
 from dataclasses import fields
 from unittest import mock
 
@@ -12,7 +13,14 @@ from convexham.drawing import canon_edge, instrumented
 from convexham.errors import NotConvexEvidence, TooFewVertices
 from convexham.starframe import build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
-from conftest import construction_pool, is_interior, kernel_calls, row_groups, star_windows
+from conftest import (
+    construction_pool,
+    is_interior,
+    kernel_calls,
+    row_groups,
+    settled_groups,
+    star_windows,
+)
 
 # Convex two-page drawings whose frames have several bad edges; the plain
 # geometric generators never produce m >= 2 (a straight-line star leaves at
@@ -249,16 +257,18 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 
 
 def _blocked_scan(d, order, hub, block):
-    """_scanned with ROW_BLOCK_ENTRIES = block; the scan asks k * (k - 2) queries.
+    """_scanned with ROW_BLOCK_ENTRIES = block; the scan counts k * (k - 2) queries.
 
     Its kernel calls, `Drawing.cross_pairs` and `Drawing.cross_block`
-    counted together, follow conftest.row_groups over k rows of k - 2
-    entries: each is one star block of rows i0..i1-1, whose (R, k - 2)
+    counted together, are the groups of conftest.row_groups over k rows of
+    k - 2 entries but those the fan lemma settles (`settled_groups`), which
+    hold no hit: each is one star block of rows i0..i1-1, whose (R, k - 2)
     answer is that of `cross_pairs` of the pairs' (R, 1) columns against
-    their windows, and whose R (k - 2) entries sum to the scan's queries.
-    On an abstract drawing the block is one gather of the crossing table:
-    a one-row block passes its pair as labels and its window as a 1-D row,
-    a longer one an (R, 1) pair column and its windows as (R, k - 2).
+    their windows.  The entries of the blocks asked and of the settled ones
+    sum to the scan's queries.  On an abstract drawing, which settles
+    nothing, the block is one gather of the crossing table: a one-row
+    block passes its pair as labels and its window as a 1-D row, a longer
+    one an (R, 1) pair column and its windows as (R, k - 2).
     """
     view, counter = instrumented(d)
     k = len(order)
@@ -268,9 +278,14 @@ def _blocked_scan(d, order, hub, block):
             gather as gathers:
         scanned = _scanned(view, order, hub)
         groups = row_groups(k, k - 2, block) if k >= 3 else []
+    settled = settled_groups(d, order, hub, groups)
+    groups = [g for g in groups if g not in settled]
     assert counter.count == k * (k - 2)
     assert len(calls) == len(groups)
-    assert sum(hits.size for _name, _args, hits in calls) == counter.count
+    assert sum(hits.size for _name, _args, hits in calls) + sum(
+        (i1 - i0) * (k - 2) for i0, i1 in settled) == counter.count
+    for i0, i1 in settled:
+        assert not d._oracle.cross_pairs(*star_windows(order, i0, i1), hub).any()
     if d.points is None:
         assert gathers.call_count == len(groups)
     for g, ((i0, i1), (name, (_rows, c0, c1), hits)) in enumerate(zip(groups, calls)):
@@ -296,22 +311,29 @@ def _blocked_scan(d, order, hub, block):
 def test_blocked_scan_matches_scalars(block):
     # Blocks of one row, of a few rows with a partial last block, and of
     # whole small scans, on multi-bad two-page drawings and on coordinates
-    # beyond 2^52, where the row kernel runs on integer mirrors.
+    # beyond 2^52, where the row kernel runs on integer mirrors: rotations,
+    # whose short turns the fan lemma settles on points, and the same
+    # rotations shuffled.
     big = [(x * 2**60 + 1, y * 2**60 - 3) for x, y in generators.random_geometric(9, 4).points[1:]]
     drawings = [generators.two_page(n, outer) for n, outer in MULTI_BAD]
+    rng = random.Random(block)
     for d in drawings + [generators.geometric(big)]:
         for hub in range(1, d.n + 1):
-            order = d.rotation_of(hub)
-            assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
+            rotation = d.rotation_of(hub)
+            for order in (rotation, tuple(rng.sample(rotation, len(rotation)))):
+                assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
 
 
 @given(st.integers(4, 12), st.integers(0, 200), st.randoms(), st.sampled_from([1, 7, 64]))
 def test_blocked_scan_on_subsets(n, seed, rng, block):
+    # Rotations restricted to a subset, as the s-t solver scans them, and
+    # the same shuffled.
     d = generators.random_geometric(n, seed)
     hub = rng.randint(1, n)
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
-    order = tuple(x for x in d.rotation_of(hub) if x in keep)
-    assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
+    among = tuple(x for x in d.rotation_of(hub) if x in keep)
+    for order in (among, tuple(rng.sample(among, len(among)))):
+        assert _blocked_scan(d, order, hub, block) == _bad_by_scalars(d, order, hub)
 
 
 def _halfway_hit(d, order, hub):
