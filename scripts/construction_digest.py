@@ -38,12 +38,11 @@ spans several row blocks, so it sees where a scan stops.  These runs stay
 out of every other digest; the line also digests their vertices alone and
 sums their queries per direction.
 
-The `calls` line counts the kernel calls of each task family, a
-`Drawing.cross_pairs` call or a `Drawing.cross_block` call being one
-each; the latter is a star block of the bad-edge scan or the
-star_avoiding check.  What the fan lemma settles on points, a star block
-of a fan's pairs or a fan walk's whole plane check, is counted as
-queries but is no call.  The families are the constructions (star,
+The `calls` line counts the kernel calls of each task family, each
+`Drawing.cross_pairs` call being one; a star block of the bad-edge scan
+or the star_avoiding check is one such call.  What the fan lemma settles
+on points, a star block of a fan's pairs or a fan walk's whole plane
+check, is counted as queries but is no call.  The families are the constructions (star,
 cycle, st, edge, two, hull, probe), their verification (verify) and the
 plane and convexity runs.  The line stays outside every digest, so a
 change that packs or unpacks rows into kernel calls shows there alone.
@@ -110,7 +109,8 @@ def _counted(ask):
     return counted
 
 
-# A tree given by --src may predate the block entry, or name it cross_walk.
+# A tree given by --src may be older and ask star blocks through
+# cross_block, or plane checks through cross_walk: each counts as one call.
 for _name in ("cross_pairs", "cross_block", "cross_walk"):
     if _name in vars(Drawing):
         setattr(Drawing, _name, _counted(vars(Drawing)[_name]))

@@ -8,21 +8,21 @@ a dense table when first asked (n <= 181), and a lazy geometric predicate
 over integer coordinates that answers each query in O(1) without ever
 materialising the O(n^4) crossing set.
 
-A Drawing asks its oracle through the checked scalar `crosses(e, f)`, the
-row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
-operands may be, and `cross_block`, a block of a backing's star kernel
-(pairs consecutive in an order against a hub's star edges).  All count
-every query they pass on into the drawing's own QueryCounter;
-`instrumented(d)` returns a view of d with a fresh counter.  Kernel calls
-are few and large, since a call costs far more than an entry: `ask_rows`
-packs rows of one length into calls of up to ROW_BLOCK_ENTRIES entries,
-and `star_hits` asks the star kernel's rows in the same blocks; the plane
-check's `offset_hits` asks the pairs of an edge list by cyclic offsets,
-each call one edge row against a block of up to OFFSET_BLOCK_ENTRIES
-entries.  On points the fan lemma (`geometry.PointBack`) settles what it
-can with no call: `plane_hits` counts the whole plane check of a fan walk,
-and `star_hits` counts each star block of a fan's pairs.  These are the
-only two places that count entries no backing is asked.
+A Drawing asks its oracle through the checked scalar `crosses(e, f)` and
+the row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
+operands may be.  Both count every query they pass on into the drawing's
+own QueryCounter; `instrumented(d)` returns a view of d with a fresh
+counter.  Kernel calls are few and large, since a call costs far more
+than an entry: `ask_rows` packs rows of one length into calls of up to
+ROW_BLOCK_ENTRIES entries, and `star_hits` asks star rows (pairs
+consecutive in an order against a hub's star edges) in the same blocks;
+the plane check's `offset_hits` asks the pairs of an edge list by cyclic
+offsets, each call one edge row against a block of up to
+OFFSET_BLOCK_ENTRIES entries.  On points the fan lemma
+(`geometry.PointBack`) settles what it can with no call: `plane_hits`
+counts the whole plane check of a fan walk, and `star_hits` counts each
+star block of a fan's pairs.  These are the only two places that count
+entries no backing is asked.
 
 Drawings are value objects: after construction only their query counter
 changes.
@@ -161,16 +161,6 @@ class ExplicitCrossings:
         ids, table = self._edge_id, self._table
         return table.take(ids[a, b] * len(table) + ids[cs, ds])
 
-    def star_rows(self, order, hub):
-        """`PointBack.star_rows` as `ask_rows`' `cross_pairs` gathers over the same
-        windows, with no block settled."""
-        twice = geometry._star_labels(order, hub, len(self._rot) - 1)
-        k = len(twice) // 2
-        (others,) = geometry._windows((twice[2:],), k, k - 2)
-        rows = _row_asker(self.cross_pairs, twice[:k], twice[1:], k - 2,
-                          lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
-        return rows, lambda bounds: [False] * len(bounds)
-
 
 class GeometricCrossings(geometry.PointBack):
     """Crossing oracle over integer points: exact scalar predicate, PointBack rows."""
@@ -276,16 +266,6 @@ class Drawing:
         self.counter.count += hits.size
         return hits
 
-    def cross_block(self, rows, i0, i1):
-        """Rows i0..i1-1 of a backing's block function, one query per entry.
-
-        rows is the row function of `star_rows(order, hub)`, whose rows are
-        pairs consecutive in order against the hub's star edges.
-        """
-        hits = rows(i0, i1)
-        self.counter.count += hits.size
-        return hits
-
     def crossing_set(self):
         """Materialise all crossing pairs, uncounted.  Quadratic in the edge count; small n only."""
         edges = all_edges(self.n)
@@ -363,29 +343,37 @@ def _row_bounds(rows, length):
 
 
 def star_hits(d, order, hub, rows):
-    """(i0, hits) per call of rows 0..rows-1 of the backing's `star_rows(order, hub)`.
+    """(i0, hits) per call of the star rows 0..rows-1 of `order` about `hub`.
 
     Row i asks the pair {order[i], order[i + 1]} against the star edges
     {w, hub} of the k - 2 labels after it in `order`, cyclically, k =
-    len(order) >= 3.  Rows are grouped as in `ask_rows`.  A block the
-    backing settles (the fan lemma, on points) is all misses: it is neither
-    asked nor yielded, and its R (k - 2) entries are counted in order,
-    before the next block asked or when the rows run out, so a caller that
-    stops early counts every entry up to the end of the block it stopped
-    at.  Every other block is one `d.cross_block` call, hits shaped
-    (R, k - 2).  The labels are checked before any block is asked.
+    len(order) >= 3.  Rows are grouped as in `ask_rows`, each block one
+    `d.cross_pairs` call over windows of the doubled labels, hits shaped
+    (R, k - 2).  On points a block the fan lemma settles
+    (`PointBack.fan_blocks`) is all misses: it is neither asked nor
+    yielded, and its R (k - 2) entries are counted in order, before the
+    next block asked or when the rows run out, so a caller that stops
+    early counts every entry up to the end of the block it stopped at.
+    The labels are checked before any block is asked.
     """
-    k = len(order)
-    block, fans = d._oracle.star_rows(order, hub)
+    twice = geometry._star_labels(order, hub, d.n)
+    k = len(twice) // 2
+    (others,) = geometry._windows((twice[2:],), k, k - 2)
+    block = _row_asker(d.cross_pairs, twice[:k], twice[1:], k - 2,
+                       lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
     bounds = _row_bounds(rows, k - 2)
+    if d.points is None:
+        fans = [False] * len(bounds)
+    else:
+        fans = d._oracle.fan_blocks(hub, twice[:k], bounds)
     settled = 0  # entries of settled blocks not yet counted
-    for (i0, i1), fan in zip(bounds, fans(bounds)):
+    for (i0, i1), fan in zip(bounds, fans):
         if fan:
             settled += (i1 - i0) * (k - 2)
             continue
         d.counter.count += settled
         settled = 0
-        yield i0, d.cross_block(block, i0, i1)
+        yield i0, block(i0, i1)
     d.counter.count += settled
 
 

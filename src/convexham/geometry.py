@@ -1,8 +1,9 @@
 """Exact geometric predicates on integer points.
 
 All decisions reduce to signs of integer determinants, computed with
-Python's arbitrary-precision integers.  The row kernel (PointBack) evaluates
-the same determinants with numpy from exact coordinate differences, on
+Python's arbitrary-precision integers.  The one row kernel,
+`PointBack.cross_pairs`, which star blocks ask too, evaluates the same
+determinants with numpy from exact coordinate differences, on
 float64 mirrors of the coordinates up to 2^52, where monotone rounding
 leaves a nonzero float determinant with the exact sign, and on mirrors of
 the Python ints past it, where every sign is exact.  Only entries whose
@@ -17,7 +18,7 @@ _line_keys).
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -238,25 +239,8 @@ class PointBack:
     star edge and every pair it shares no label with.  A float o2 != 0 has
     the exact sign, so `fan_blocks` applies the lemma without any row.  A
     fan walk, (h, L) or (L, h), closed or not, with every o2_i of the
-    order's sign, is thus plane (`fan_walk`), and a block of the star rows
-    below whose o2 all have that sign is all misses.
-
-    `star_rows` answers the rows of pairs {a, b} consecutive in an order
-    against the star edges {w, h} of a hub h.  With P_x = x - h,
-    orient(x, y, h) = cross(y - x, h - x) = cross(P_y - P_x, -P_x) =
-    cross(P_x, P_y) as integers, and orient is invariant under cyclic
-    shifts, so o2 = orient(a, b, h) = cross(P_a, P_b), o3 =
-    orient(w, h, a) = cross(P_a, P_w) and o4 = orient(w, h, b) =
-    cross(P_b, P_w).  G[i, δ] = cross(P_order[i], P_order[i+δ]) is thus o2
-    of row i at δ = 1, o3 of row i at δ >= 2, and o4 of row i - 1.  A
-    block the fan lemma does not settle (the pair of a hub on the hull
-    that turns by more than π, an o2 rounded to 0, an order that is not
-    angular) forms each G row once and q = o3 o4 for every entry; where
-    q > 0, m = max(o1 o2, q) > 0 whatever o1 is, and only where q <= 0 is
-    o1 = cross(b - a, w - a) formed, and m with it.  Each value is one
-    determinant of exact differences (|P| <= 2^53), computed as
-    fl(fl(t1) - fl(t2)), so the argument and the m rule above hold
-    unchanged, though rounding may send other entries to `_exact`.
+    order's sign, is thus plane (`fan_walk`), and a block of star rows
+    (`drawing.star_hits`) whose o2 all have that sign is all misses.
     """
 
     def __init__(self, pts):
@@ -315,68 +299,6 @@ class PointBack:
         labels = walk[:m] if walk[0] == walk[m] else walk
         return any(next(self.fan_blocks(hub, fan, [(0, len(fan) - 1)]))
                    for hub, fan in ((labels[0], labels[1:]), (labels[-1], labels[:-1])))
-
-    def star_rows(self, order, hub):
-        """The rows of pairs consecutive in `order` against the star edges of `hub`.
-
-        Returns (rows, fans).  rows(i0, i1) is the bool (i1 - i0, k - 2)
-        answer of `cross_pairs(order[i], order[i + 1], order[i + 2:i + k],
-        hub)`, the window taken cyclically, for i = i0..i1-1, k =
-        len(order) >= 3: G rows from windows of differences gathered once,
-        and o1 and the labels gathered only at the entries that o3 o4
-        leaves open.  fans(bounds) is `fan_blocks` of the order, which says
-        which blocks of rows are all misses.  The labels are checked once
-        (`_star_labels`).
-        """
-        twice = _star_labels(order, hub, len(self.pts) - 1)
-        k = len(twice) // 2
-        xs, ys = self.xs[twice], self.ys[twice]
-        px, py = xs - self.xs[hub], ys - self.ys[hub]
-        ex, ey = xs[1:] - xs[:-1], ys[1:] - ys[:-1]  # b - a of row i
-        # Row i of a window holds the k - 1 differences P after order[i].
-        gx, gy = _windows((px[1:], py[1:]), k + 1, k - 1)
-        last = [None, None]  # the last G row computed, and its row index
-
-        def orients(at, window):
-            g = px[at] * gy[window]
-            g -= py[at] * gx[window]
-            return g
-
-        def rows(i0, i1):
-            if i1 == i0 + 1:
-                # A scan at k > 1,367 asks one row per call: G row i0 is
-                # then the previous call's last.
-                top = last[0] if last[1] == i0 else orients(i0, i0)
-                bot = orients(i1, i1)
-                q, o2 = top[1:] * bot[:-1], top[:1]
-            else:
-                g = orients((slice(i0, i1 + 1), None), slice(i0, i1 + 1))
-                q, o2 = (g[:-1, 1:] * g[1:, :-1]).ravel(), g[:-1, 0]
-                bot = g[-1]
-            last[:] = bot, i1
-            res = np.zeros(q.size, dtype=bool)
-            # q = o3 o4 > 0 makes m > 0 whatever o1 is: a miss.  Only the
-            # other entries form o1, at row r = i - i0 and column j of the
-            # block: a = order[i], b = order[i + 1], w = order[i + j + 2];
-            # o2 of row i is G[i, 1].
-            idx = (q <= 0).nonzero()[0]
-            if idx.size:
-                r, j = np.divmod(idx, k - 2)
-                i = r + i0
-                w = i + j + 2
-                o1 = ex[i] * (ys[w] - ys[i])
-                o1 -= ey[i] * (xs[w] - xs[i])
-                o1 *= o2[r]
-                m = np.maximum(o1, q[idx], out=o1)
-                res[idx] = m < 0
-                # Entries with m == 0 go to _exact, as in cross_pairs.
-                zero = (m == 0).nonzero()[0]
-                if zero.size:
-                    res[idx[zero]] = self._exact(twice[i], twice[i + 1], twice[w], hub, zero,
-                                                 m.shape)
-            return res.reshape(i1 - i0, k - 2)
-
-        return rows, partial(self.fan_blocks, hub, twice[:k])
 
     def fan_blocks(self, hub, labels, bounds):
         """Yields, per (i0, i1) of `bounds`, whether the fan lemma settles pairs i0..i1-1.

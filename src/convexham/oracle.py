@@ -5,9 +5,9 @@ oracle alone.  This module must stay free of imports from the construction
 modules so that certificate verification is independent of the code being
 verified.
 
-verify_certificate asks the drawing's rows (`cross_pairs`, or `cross_block` for
-a block of a backing's star kernel) per claim.  On a point set, what the
-fan lemma (`geometry.PointBack`) settles is counted and never asked:
+verify_certificate asks the drawing's rows (`cross_pairs`) per claim.  On
+a point set, what the fan lemma (`geometry.PointBack`) settles is counted
+and never asked:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
@@ -18,9 +18,9 @@ fan lemma (`geometry.PointBack`) settles is counted and never asked:
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.  When those
   edges form, in order, a path through every vertex but v, its rows are
-  the star kernel's (`drawing.star_hits`), each row's w in path order,
-  and on points a block of a fan's pairs is counted with no call; any
-  other edge list asks them through `cross_pairs`, w ascending.
+  the star rows of the path (`drawing.star_hits`), each row's w in path
+  order, and on points a block of a fan's pairs is counted with no call;
+  any other edge list asks its rows with w ascending.
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, failing at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
@@ -71,19 +71,18 @@ from .errors import (
 def _label_pairs(d, edges):
     """The label pairs of the given edges as an (m, 2) int64 array.
 
-    A label past int64 raises VertexOutOfRange.  A label count other than
-    twice the edge count raises ValueError naming an edge of other than two
-    labels: read as one flat list, (1, 5, 3), (2, 6, 4) would be the edges
-    {1, 5}, {3, 2} and {6, 4}.
+    A label past int64 raises VertexOutOfRange.  An edge of other than two
+    labels raises ValueError naming it: read as one flat list, (1, 5, 3,
+    2), (6,), (4,) would be the edges {1, 5}, {3, 2} and {6, 4}.
     """
     edges = edges if isinstance(edges, (list, tuple)) else tuple(edges)
+    if not set(map(len, edges)) <= {2}:
+        bad = next(e for e in edges if len(e) != 2)
+        raise ValueError(f"edge {tuple(bad)} does not have two labels")
     try:
         flat = np.fromiter(chain.from_iterable(edges), np.int64)
     except OverflowError:
         raise VertexOutOfRange(f"edge labels out of range 1..{d.n}") from None
-    if flat.size != 2 * len(edges):
-        bad = next(e for e in edges if len(e) != 2)
-        raise ValueError(f"edge {tuple(bad)} does not have two labels")
     return flat.reshape(-1, 2)
 
 
@@ -177,8 +176,8 @@ def _check_star_avoiding(d, cert, v_star):
     rows = [e for e in cert.edges if v_star not in e]
     ends = _label_pairs(d, rows)
     # Edges that form, in order, a path through every vertex but v_star are
-    # the star kernel's rows 0..n-3 of that path; the kernel's windows then
-    # hold every other vertex once, in path order.
+    # the star rows 0..n-3 of that path; their windows then hold every
+    # other vertex once, in path order.
     walk = _walk(ends) if len(rows) > 1 else None
     if walk is not None and np.array_equal(np.sort(walk), every):
         blocks = star_hits(d, walk, v_star, len(rows))

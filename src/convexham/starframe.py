@@ -67,11 +67,10 @@ def scan_bad_edges(d, order, hub):
     when it crosses {w, hub}.  Row i asks the pair against the other k - 2
     vertices of `order`, cyclically after the pair, so a full scan costs
     k * (k - 2) queries, asked through `drawing.star_hits` in the blocks of
-    `drawing.ask_rows`: on points from the star kernel, which computes each
-    orientation about the hub once for neighbouring pairs, on abstract
-    drawings as gathers from the crossing table.  Yields (i, witnesses) in
-    scan order, witnesses as a frozenset of positions in `order`; a caller
-    that stops early asks no block past the one holding its last bad pair.
+    `drawing.ask_rows`, each block one `cross_pairs` call unless the fan
+    lemma settles it on points.  Yields (i, witnesses) in scan order,
+    witnesses as a frozenset of positions in `order`; a caller that stops
+    early asks no block past the one holding its last bad pair.
     """
     k = len(order)
     if k < 3:

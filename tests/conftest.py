@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from convexham import generators, geometry
-from convexham.drawing import Drawing, ExplicitCrossings, canon_edge, relabel
+from convexham import generators
+from convexham.drawing import Drawing, ExplicitCrossings, canon_edge, instrumented, relabel
 from convexham.errors import NoCoordinates
 from convexham.geometry import orientation
 
@@ -117,24 +117,16 @@ def row_groups(rows, length, block):
 
 @contextmanager
 def kernel_calls():
-    """Record the counted kernel calls: (name, args, answer) per call, in order.
-
-    Both counted entries are spied, `Drawing.cross_pairs` (args a, b, cs,
-    ds) and `Drawing.cross_block` (args rows, i0, i1), a star block.
-    """
+    """Record the counted kernel calls, `Drawing.cross_pairs` (args a, b, cs, ds):
+    (name, args, answer) per call, in order."""
     calls = []
+    entry = Drawing.cross_pairs
 
-    def spied(name):
-        entry = getattr(Drawing, name)
+    def call(self, *args):
+        calls.append(("cross_pairs", args, entry(self, *args)))
+        return calls[-1][2]
 
-        def call(self, *args):
-            calls.append((name, args, entry(self, *args)))
-            return calls[-1][2]
-
-        return call
-
-    with mock.patch.object(Drawing, "cross_pairs", spied("cross_pairs")), \
-            mock.patch.object(Drawing, "cross_block", spied("cross_block")):
+    with mock.patch.object(Drawing, "cross_pairs", call):
         yield calls
 
 
@@ -148,27 +140,38 @@ def star_windows(order, i0, i1):
     return (np.array(x, dtype=np.int64).reshape(i1 - i0, -1) for x in (us, vs, windows))
 
 
-@contextmanager
-def star_g_rows():
-    """Collect, in the yielded set, the G rows that point star kernels form.
+def star_reference(d, order, hub, i0, i1):
+    """Rows i0..i1-1 of the star rows of `order` about `hub` by scalar queries:
+    `Drawing.crosses` of each pair against the star edges of its window."""
+    us, vs, windows = star_windows(order, i0, i1)
+    view, _counter = instrumented(d)
+    return np.array([[view.crosses((u, v), (w, hub)) for w in row]
+                     for (u,), (v,), row in zip(us.tolist(), vs.tolist(), windows.tolist())],
+                    dtype=bool).reshape(i1 - i0, len(order) - 2)
 
-    `PointBack.star_rows` forms G row i, cross(P_order[i], P_order[i+δ]),
-    from row i of its two coordinate windows; this patches
-    `geometry._windows` so that every read of such a window adds its rows
-    to the yielded set.  A block settled without G reads none.  Only for
-    point sets: the abstract backing reads its label windows the same way.
+
+def star_blocks(calls, order, hub):
+    """The rows (i0, i1) of each star block of `order` about `hub` among the
+    `kernel_calls` record, in order; every other call is skipped.
+
+    A star block is the call whose last operand is the label hub and whose
+    others are star_windows(order, i0, i1), the pair as labels and the
+    window as a 1-D row for one row; this is asserted for each.
     """
-    read = set()
-
-    class Reads(np.ndarray):
-        def __getitem__(self, key):
-            read.update(range(key.start, key.stop) if isinstance(key, slice) else (key,))
-            return np.asarray(super().__getitem__(key))
-
-    make = geometry._windows
-    with mock.patch.object(geometry, "_windows",
-                           lambda *args: [w.view(Reads) for w in make(*args)]):
-        yield read
+    blocks = []
+    for _name, (a, b, cs, ds), _hits in calls:
+        if np.ndim(ds) or ds != hub:
+            continue
+        a = np.asarray(a)
+        i0 = list(order).index(a.flat[0])
+        i1 = i0 + a.size
+        want = list(star_windows(order, i0, i1))
+        if i1 == i0 + 1:
+            want = [want[0][0, 0], want[1][0, 0], want[2][0]]
+        assert all(np.shape(x) == np.shape(w) and np.array_equal(x, w)
+                   for x, w in zip((a, b, cs), want))
+        blocks.append((i0, i1))
+    return blocks
 
 
 def offset_blocks(m, block):

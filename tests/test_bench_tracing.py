@@ -61,8 +61,8 @@ def _traced_runs():
 
     entries and scalar name the tracer's row entry count and its scalar
     query layer for the run's backing; sizes holds the entries of every
-    row kernel call, settled fan walk block and star block the backing
-    answered.
+    row kernel call the backing answered, and of every fan walk and star
+    block the fan lemma settled.
     """
     from convexham import generators, geometry, instrumented, verify_certificate
     from convexham.certificates import cycle_certificate
@@ -110,33 +110,29 @@ def _traced_runs():
             sizes.append(np.broadcast(a, b, cs, ds).size)
             return traced(self, a, b, cs, ds)
 
-        def walk_spy(self, walk, fan_walk=geometry.PointBack.fan_walk, sizes=sizes):
+        def walk_spy(self, walk, fan_walk=geometry.PointBack.fan_walk,
+                     fan_blocks=geometry.PointBack.fan_blocks, sizes=sizes):
             # A fan walk's plane check counts its C(m, 2) entries with no
             # call; any other walk's asks them through cross_pairs (spy).
-            fan, m = fan_walk(self, walk), len(walk) - 1
+            # Its fan_blocks answer settles no star block.
+            with mock.patch.object(geometry.PointBack, "fan_blocks", fan_blocks):
+                fan, m = fan_walk(self, walk), len(walk) - 1
             if fan:
                 sizes.append(m * (m - 1) // 2)
             return fan
 
-        def star_spy(self, order, hub, star_rows=geometry.PointBack.star_rows, sizes=sizes):
-            # A star block of rows i0..i1-1 holds R (k - 2) entries, asked
-            # or settled.
-            (rows, fans), k = star_rows(self, order, hub), len(order)
-
-            def asked(i0, i1):
-                sizes.append((i1 - i0) * (k - 2))
-                return rows(i0, i1)
-
-            def settled(bounds):
-                for (i0, i1), fan in zip(bounds, fans(bounds)):
-                    if fan:
-                        sizes.append((i1 - i0) * (k - 2))
-                    yield fan
-
-            return asked, settled
+        def fan_spy(self, hub, labels, bounds, fan_blocks=geometry.PointBack.fan_blocks,
+                    sizes=sizes):
+            # A star block of rows i0..i1-1 the fan lemma settles holds
+            # R (k - 2) entries; the others are asked through cross_pairs (spy).
+            k = len(labels)
+            for (i0, i1), fan in zip(bounds, fan_blocks(self, hub, labels, bounds)):
+                if fan:
+                    sizes.append((i1 - i0) * (k - 2))
+                yield fan
 
         walks = mock.patch.object(geometry.PointBack, "fan_walk", walk_spy)
-        stars = mock.patch.object(geometry.PointBack, "star_rows", star_spy)
+        stars = mock.patch.object(geometry.PointBack, "fan_blocks", fan_spy)
         try:
             with mock.patch.object(backing, "cross_pairs", spy), walks, stars:
                 run(view)
@@ -146,15 +142,14 @@ def _traced_runs():
 
 
 def test_traced_row_entries_equal_library_queries():
-    # Every query the library counts passes through a backing call: a row
-    # kernel call answers the broadcast size of its operands, a 1-D row as
-    # in the triangle passes or a 2-D block of an (R, 1) pair column
-    # against (R, L) operands as in the scans and the star check on an
-    # abstract drawing, a star block on points (the scans, the star check)
-    # its R rows of k - 2, asked or settled by the fan lemma, a fan walk's
-    # plane check on points (the star-hc verification, the s-t root's fan
-    # path) its C(m, 2) settled entries, and a scalar query is one call of
-    # the backing's `cross`.  The next test holds the tracer's own entry count to the
+    # Every query the library counts passes through a backing call or a
+    # settled answer of the fan lemma: a row kernel call answers the
+    # broadcast size of its operands, a 1-D row as in the triangle passes or
+    # a 2-D block of an (R, 1) pair column against (R, L) operands as in the
+    # scans and the star check, a star block the fan lemma settles on points
+    # its R rows of k - 2, a fan walk's plane check on points (the star-hc
+    # verification, the s-t root's fan path) its C(m, 2) entries, and a
+    # scalar query is one call of the backing's `cross`.  The next test holds the tracer's own entry count to the
     # library's.
     for tracer, entries, scalar, counter, sizes in _traced_runs():
         assert tracer.counts[entries] > 0

@@ -38,7 +38,8 @@ from conftest import (
     row_groups,
     settled_groups,
     side_convex,
-    star_g_rows,
+    star_blocks,
+    star_reference,
     star_windows,
     tied_long_turn_drawing,
 )
@@ -402,8 +403,9 @@ def _spied_calls(block=drawing.ROW_BLOCK_ENTRIES):
 def test_row_block_call_shapes():
     # A scan of k <= 65 vertices, k (k - 2) <= 4,096 entries, is one star
     # block of all k rows, counted as k (k - 2) queries: no call when the
-    # fan lemma settles it (`settled_groups`), else one, the answer of a
-    # (k, 1) pair column against (k, k - 2) operands.  Prefixes of a
+    # fan lemma settles it (`settled_groups`), else one `cross_pairs` call
+    # of a (k, 1) pair column against (k, k - 2) windows, whose answer is
+    # that of the scalar queries.  Prefixes of a
     # rotation and shuffled orders.  A split is one call of a (3, 1) column
     # whatever the block size, also when its rows are longer than a third
     # of a block.
@@ -418,13 +420,11 @@ def test_row_block_call_shapes():
                 list(starframe.scan_bad_edges(view, order, 66))
             assert counter.count == k * (k - 2)
             want = [] if settled_groups(d, order, 66, [(0, k)]) else [(0, k)]
-            assert [(i0, i1) for _name, (_rows, i0, i1), _hits in calls] == want
-            for name, (_rows, i0, i1), hits in calls:
-                a, b, cs = star_windows(order, i0, i1)
-                assert name == "cross_block"
+            assert star_blocks(calls, order, 66) == want and len(calls) == len(want)
+            for _name, (a, b, cs, _hub), hits in calls:
                 assert (a.shape, b.shape, cs.shape, hits.shape) == (
                     (k, 1), (k, 1), (k, k - 2), (k, k - 2))
-                assert np.array_equal(hits, d._oracle.cross_pairs(a, b, cs, 66))
+                assert np.array_equal(hits, star_reference(d, order, 66, 0, k))
             asked += len(calls)
     assert asked >= 3
     for block in (drawing.ROW_BLOCK_ENTRIES, 12):
@@ -448,19 +448,42 @@ def _star_pool(kind, n, seed):
     return d
 
 
+def _star_blocks_against_scalars(d, order, hub, block):
+    """Ask star_hits with ROW_BLOCK_ENTRIES = block, check that it asks every group
+    but those `settled_groups` names, which hold no hit, each as one
+    `cross_pairs` call over its windows, that it counts them all, and that
+    every block asked equals the scalar queries.  Returns (hit entries
+    (row, column), groups asked)."""
+    k = len(order)
+    view, counter = instrumented(d)
+    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), kernel_calls() as calls:
+        got = list(drawing.star_hits(view, order, hub, k))
+    groups = row_groups(k, k - 2, block)
+    settled = settled_groups(d, order, hub, groups)
+    asked = [g for g in groups if g not in settled]
+    assert [(i0, i0 + len(hits)) for i0, hits in got] == asked
+    assert star_blocks(calls, order, hub) == asked and len(calls) == len(asked)
+    assert counter.count == k * (k - 2)
+    hit = set()
+    for (i0, i1), (_i0, hits) in zip(asked, got):
+        assert hits.dtype == bool
+        assert np.array_equal(hits, star_reference(d, order, hub, i0, i1))
+        hit.update((i0 + int(r), int(j)) for r, j in zip(*hits.nonzero()))
+    for i0, i1 in settled:
+        assert not star_reference(d, order, hub, i0, i1).any()
+    return hit, asked
+
+
 @given(st.sampled_from(["geometric", "x2^40", "x2^60", "fan", "two-page", "twisted"]),
        st.integers(4, 14), st.integers(0, 300), st.sampled_from([1, 7, 64, 4096]),
        st.randoms(use_true_random=False))
-def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
+def test_star_blocks_match_scalar_queries(kind, n, seed, block, rng):
     # On whole rotations and on rotations restricted to a subset, as the s-t
-    # solver asks them, and on shuffled orders: star_hits groups rows as
-    # ask_rows does, asks every group but those the fan lemma settles
-    # (`settled_groups`), all misses, and counts them all; every block asked
-    # equals cross_pairs over the same window, array for array, and so does
-    # every block of one star_rows' row function asked last to first, the
-    # settled ones too.  An order whose blocks are asked leaves about k of
-    # their entries to the point kernel's o1 if angular, a shuffled one
-    # about half of them.
+    # solver asks them, and on shuffled orders, of points as given, past
+    # 2^52 and of abstract drawings: star_hits groups rows as ask_rows does,
+    # asks every group the fan lemma leaves as one cross_pairs call over its
+    # windows and counts them all, and its blocks equal the scalar queries
+    # (`_star_blocks_against_scalars`).
     d = _star_pool(kind, n, seed)
     hub = rng.randint(1, n)
     keep = set(rng.sample(range(1, n + 1), rng.randint(3, n))) | {hub}
@@ -468,36 +491,15 @@ def test_star_kernel_matches_cross_pairs(kind, n, seed, block, rng):
     rng.shuffle(shuffled)
     for order in (d.rotation_of(hub), tuple(x for x in d.rotation_of(hub) if x in keep),
                   shuffled):
-        k = len(order)
-        if k < 3:
-            continue
-        view, counter = instrumented(d)
-        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block):
-            got = list(drawing.star_hits(view, order, hub, k))
-        groups = row_groups(k, k - 2, block)
-        settled = settled_groups(d, order, hub, groups)
-        assert [(i0, i0 + len(hits)) for i0, hits in got] == [g for g in groups
-                                                              if g not in settled]
-        assert counter.count == k * (k - 2)
-        rows, fans = d._oracle.star_rows(order, hub)
-        assert [g for g, fan in zip(groups, fans(groups)) if fan] == settled
-        backwards = [rows(i0, i1) for i0, i1 in reversed(groups)][::-1]
-        answers = dict(got)
-        for (i0, i1), again in zip(groups, backwards):
-            want = d._oracle.cross_pairs(*star_windows(order, i0, i1), hub)
-            assert want.shape == (i1 - i0, k - 2)
-            # A settled group, asked by no call, holds no hit.
-            assert i0 in answers or not want.any()
-            for x in (answers.get(i0, want), again):
-                assert x.dtype == bool and x.shape == want.shape
-                assert np.array_equal(x, want)
+        if len(order) >= 3:
+            _star_blocks_against_scalars(d, order, hub, block)
 
 
 def _float_tie_drawing():
     # Hub h = (2^50, 2^50) and, relative to it, a = (P, Q) and w = (2P + 1,
-    # 2Q + 1) with P = 2^50, Q = P - 1: cross(a - h, w - h) = P - Q = 1, but
-    # its products 2^101 - 2^50 and 2^101 - 2^50 - 1 round to one float64,
-    # so the star kernel's o3 of a against the star edge {w, h} is 0.  b
+    # 2Q + 1) with P = 2^50, Q = P - 1: cross(w - a, h - a) = P - Q = 1, but
+    # cross_pairs forms it from the products P^2 - 1 and P^2, which round
+    # to one float64, so its o3 of a against the star edge {w, h} is 0.  b
     # lies across the line hw from a, so ab crosses the star edge: a
     # crossing with q = o3 o4 = 0, settled only by _exact.  Then four
     # points of [2^50, 2^52) in general position.
@@ -513,8 +515,9 @@ def _float_tie_drawing():
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
 def test_star_kernel_settles_float_ties_exactly(block):
     # Near-collinear float64 mirrors: a candidate entry with m == 0 reaches
-    # _exact from star_rows and gets the scalar verdict, and every block
-    # still equals cross_pairs.  The tie sits at rows 0 and 3 of the orders.
+    # _exact from a star block's cross_pairs call and gets the scalar
+    # verdict, and every block equals the scalar queries.  The tie sits at
+    # rows 0 and 3 of the orders.
     d = _float_tie_drawing()
     pts, hub = d.points, 1
     exact = geometry.PointBack._exact
@@ -534,7 +537,7 @@ def test_star_kernel_settles_float_ties_exactly(block):
                 asked.append((entry, crossed))
         assert ((2, 4, 3, 1), True) in asked
         for (i0, i1), (_i0, hits) in zip(row_groups(k, k - 2, block), got):
-            assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
+            assert np.array_equal(hits, star_reference(d, order, hub, i0, i1))
 
 
 def _long_turns(d, order, hub, turn=1):
@@ -547,39 +550,16 @@ def _long_turns(d, order, hub, turn=1):
             if turn * (p[i][0] * p[(i + 1) % k][1] - p[i][1] * p[(i + 1) % k][0]) < 0]
 
 
-def _star_blocks_against_cross_pairs(d, order, hub, block):
-    """Ask star_hits with ROW_BLOCK_ENTRIES = block, check that it asks every group
-    but those `settled_groups` names, which hold no hit, that it counts them
-    all, and that every block asked equals cross_pairs.  Returns (hit
-    entries (row, column), G rows formed, groups asked)."""
-    k = len(order)
-    view, counter = instrumented(d)
-    with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
-        got = list(drawing.star_hits(view, order, hub, k))
-    groups = row_groups(k, k - 2, block)
-    settled = settled_groups(d, order, hub, groups)
-    asked = [g for g in groups if g not in settled]
-    assert [(i0, i0 + len(hits)) for i0, hits in got] == asked
-    assert counter.count == k * (k - 2)
-    hit = set()
-    for (i0, i1), (_i0, hits) in zip(asked, got):
-        assert np.array_equal(hits, d._oracle.cross_pairs(*star_windows(order, i0, i1), hub))
-        hit.update((i0 + int(r), int(j)) for r, j in zip(*hits.nonzero()))
-    for i0, i1 in settled:
-        assert not d._oracle.cross_pairs(*star_windows(order, i0, i1), hub).any()
-    return hit, formed, asked
-
-
 @given(st.sampled_from(["geometric", "x2^40", "x2^60"]), st.integers(4, 40), st.integers(0, 300),
        st.sampled_from([1, 7, 64, 4096]), st.randoms(use_true_random=False))
 def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, block, rng):
     # Cyclic shifts of a rotation, whole or restricted to a subset, at a
     # random hub and at a hull hub (the smallest point), and the same read
     # clockwise: only the block holding the one pair that turns by more
-    # than π is asked and forms its G rows, and only that pair can hit.
-    # The same rotation shuffled asks the blocks `settled_groups` leaves,
-    # and forms the G rows of those alone.  Every block asked still equals
-    # cross_pairs.
+    # than π is asked, as one cross_pairs call, and only that pair can
+    # hit.  The same rotation shuffled asks the blocks `settled_groups`
+    # leaves, and those alone.  Every block asked equals the scalar
+    # queries.
     d = _star_pool(kind, n, seed)
     for hub in (rng.randint(1, n), min(range(1, n + 1), key=d.points.__getitem__)):
         keep = set(rng.sample(range(1, n + 1), rng.randint(3, n)))
@@ -592,21 +572,18 @@ def test_star_kernel_settles_the_short_turns_of_angular_orders(kind, n, seed, bl
                                 (rotation[s::-1] + rotation[:s:-1], -1)):
                 long_ = _long_turns(d, order, hub, turn)
                 assert len(long_) <= 1
-                hit, formed, asked = _star_blocks_against_cross_pairs(d, order, hub, block)
+                hit, asked = _star_blocks_against_scalars(d, order, hub, block)
                 assert {i for i, _j in hit} <= set(long_)
                 assert asked == [(i0, i1) for i0, i1 in row_groups(k, k - 2, block)
                                  if any(i0 <= i < i1 for i in long_)]
-                assert formed == set().union(*(range(i0, i1 + 1) for i0, i1 in asked))
-            shuffled = tuple(rng.sample(rotation, k))
-            _hit, formed, asked = _star_blocks_against_cross_pairs(d, shuffled, hub, block)
-            assert formed == set().union(*(range(i0, i1 + 1) for i0, i1 in asked))
+            _star_blocks_against_scalars(d, tuple(rng.sample(rotation, k)), hub, block)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
 def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
     # The hub's rotation is angular, but its long turn has o2 = 0 in
-    # float64: that row takes the G rows and _exact, and reports its four
-    # hits; the short turns are settled.
+    # float64: the block holding that row is asked, the row's four hits
+    # come from _exact, and the short turns are settled.
     d = tied_long_turn_drawing()
     hub, a, b = 1, 2, 3
     rotation = d.rotation_of(hub)
@@ -620,14 +597,13 @@ def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
     for s in range(len(rotation)):
         order = rotation[s:] + rotation[:s]
         row = (i - s) % len(order)
-        hit, formed, asked = _star_blocks_against_cross_pairs(d, order, hub, block)
+        hit, asked = _star_blocks_against_scalars(d, order, hub, block)
         assert hit == {(row, j) for j in range(4)}
         dense = next((i0, i1) for i0, i1 in row_groups(len(order), len(order) - 2, block)
                      if i0 <= row < i1)
-        assert asked == [dense] and formed == set(range(dense[0], dense[1] + 1))
-        rows, _fans = d._oracle.star_rows(order, hub)
+        assert asked == [dense]
         with spy as calls:
-            assert rows(row, row + 1).sum() == 4
+            assert d.cross_pairs(*star_windows(order, row, row + 1), hub).sum() == 4
         assert calls.call_count == 1 and calls.call_args.args[5].size == 4
 
 
@@ -635,27 +611,28 @@ def test_star_kernel_asks_a_long_turn_rounded_to_zero(block):
 def test_star_kernel_asks_every_row_of_a_star_polygon(block):
     # Five points around a central hub, listed as a pentagram: each pair
     # turns by 144°, so every o2 > 0, but the order winds twice and is not
-    # a rotation.  Every block forms its G rows, and each row's pair crosses
-    # the star edge of the point its wedge holds: five hits.
+    # a rotation.  Every block is asked, and each row's pair crosses the
+    # star edge of the point its wedge holds: five hits.
     d = generators.geometric([(1, 2), (1000, 7), (313, 951), (-809, 590), (-806, -586),
                               (305, -950)])
     hub, order = 1, (2, 4, 6, 3, 5)
     assert _long_turns(d, order, hub) == [] and d.rotation_of(hub) == (2, 3, 4, 5, 6)
-    hit, formed, _asked = _star_blocks_against_cross_pairs(d, order, hub, block)
-    assert {i for i, _j in hit} == set(range(5)) and len(hit) == 5 and formed == set(range(6))
+    hit, asked = _star_blocks_against_scalars(d, order, hub, block)
+    assert {i for i, _j in hit} == set(range(5)) and len(hit) == 5
+    assert asked == row_groups(5, 3, block)
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
                                   lambda: generators.two_page(8, ((1, 4),))])
 def test_star_kernel_rejects_labels_out_of_range(make):
-    # Labels are checked once, when the block function is made: a negative
-    # one raises instead of reading vertex 8, and no query is counted.
+    # Labels are checked once, before any block is asked: a negative one
+    # raises instead of reading vertex 8, and no query is counted.
     d = make()
     for order, hub in (([-1, 2, 3, 4], 8), ([1, 0, 3], 8), ([1, 2, 9], 8), ([1, 2, 3], -1),
                        ([1, 2, 3], 0), ([1, 2, 3], 9)):
-        with pytest.raises(VertexOutOfRange, match="out of range 1..8"):
-            d._oracle.star_rows(order, hub)
         view, counter = instrumented(d)
+        with pytest.raises(VertexOutOfRange, match="out of range 1..8"):
+            next(drawing.star_hits(view, order, hub, len(order)))
         with pytest.raises(VertexOutOfRange):
             list(starframe.scan_bad_edges(view, order, hub))
         assert counter.count == 0

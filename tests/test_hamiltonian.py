@@ -15,6 +15,7 @@ from conftest import (
     kernel_calls,
     random_k4_drawing,
     row_groups,
+    star_blocks,
 )
 from reference import brute_hamiltonian
 from test_starframe import _halfway_hit, _reference_frame
@@ -750,8 +751,9 @@ def test_fan_lemma_settles_star_hc_at_scale(geo2000):
     # = 3,992,003 queries, k = n - 1, and verifies with C(n, 2) + (n - 2)
     # (n - 3) = 5,989,006.  At an interior hub the fan lemma settles every
     # block, so neither asks a kernel call.  At a hull hub (the smallest
-    # point) the one call is the scan's cross_block row holding the hub's
-    # long turn, its bad pair; the certificate leaves that pair out.
+    # point) the one call is the scan's star block of the row holding the
+    # hub's long turn, its bad pair, asked through cross_pairs; the
+    # certificate leaves that pair out.
     d = geo2000
     n = d.n
     interior = next(v for v in range(1, n + 1) if is_interior(d, v))
@@ -763,10 +765,11 @@ def test_fan_lemma_settles_star_hc_at_scale(geo2000):
             built = counter.count
             assert verify_certificate(view, cert).oracle_verified
         assert (built, counter.count - built) == (3_992_003, 5_989_006)
-        long_ = _long_turn_rows(d, d.rotation_of(hub), hub)
+        order = d.rotation_of(hub)
+        long_ = _long_turn_rows(d, order, hub)
         assert len(long_) == (hub == hull)
-        assert [(name, i0, i1) for name, (_rows, i0, i1), _hits in calls] == [
-            ("cross_block", i, i + 1) for i in long_]
+        assert star_blocks(calls, order, hub) == [(i, i + 1) for i in long_]
+        assert len(calls) == len(long_)
 
 
 def test_scan_that_stops_past_settled_blocks_counts_them_at_scale(geo2000):
@@ -792,6 +795,5 @@ def test_scan_that_stops_past_settled_blocks_counts_them_at_scale(geo2000):
             got = next(scan_bad_edges(view, order, hub))
         assert got == (j, witness_row(d, order, hub, j))
         assert counter.count == block[1] * (k - 2)
-        assert [(name, i0, i1) for name, (_rows, i0, i1), _hits in calls] == [
-            ("cross_block", *block)]
+        assert star_blocks(calls, order, hub) == [block] and len(calls) == 1
         assert block[0] > 0 and (block[1] - block[0] == 1) == (k == n - 1)

@@ -46,7 +46,7 @@ from conftest import (
     polygon_partition,
     random_k4_drawing,
     row_groups,
-    star_g_rows,
+    star_blocks,
     tied_long_turn_drawing,
 )
 from reference import brute_hamiltonian, count_empty_triangles, exact_max_plane
@@ -396,19 +396,18 @@ def test_plane_check_within_one_block_is_one_call(make):
     # its C(m, 2) queries.
     d = make()
     cyc = hamiltonian_cycle(d).vertices
-    rows, blocks = (mock.patch.object(drawing.Drawing, name, autospec=True,
-                                      side_effect=getattr(drawing.Drawing, name))
-                    for name in ("cross_pairs", "cross_block"))
+    rows = mock.patch.object(drawing.Drawing, "cross_pairs", autospec=True,
+                             side_effect=drawing.Drawing.cross_pairs)
     for seq in ([*range(1, 41), 1], cyc):
         edges = list(zip(seq, seq[1:]))
         assert comb(len(edges), 2) <= drawing.OFFSET_BLOCK_ENTRIES
         view, counter = instrumented(d)
-        with rows as row_calls, blocks as block_calls:
+        with rows as row_calls:
             first_crossing(view, edges)
         assert counter.count == comb(len(edges), 2)
         fan = d.points is not None and fan_hub(d, seq) is not None
         assert fan == (d.points is not None and seq is cyc)
-        assert (row_calls.call_count, block_calls.call_count) == (1 - fan, 0)
+        assert row_calls.call_count == 1 - fan
 
 
 @pytest.mark.parametrize("scale", [1, 2**40])
@@ -482,32 +481,22 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
         ends = np.array(edges, dtype=np.int64)
         walk = drawing._walk(ends) is not None
         kinds.add((walk, closed, len(edges) % 2))
-        asked, answered = [], []
+        asked = []
 
         def ask(*args):
             asked.append(d._oracle.cross_pairs(*args))
             return asked[-1]
 
-        def answer(name):
-            entry = getattr(Drawing, name)
-
-            def call(self, *args):
-                answered.append((name, entry(self, *args)))
-                return answered[-1][1]
-
-            return mock.patch.object(Drawing, name, call)
-
         view, counter = instrumented(d)
         with mock.patch.object(drawing, "OFFSET_BLOCK_ENTRIES", block):
             want = list(drawing.offset_hits(ask, ends))
-            with answer("cross_block"), answer("cross_pairs"):
+            with kernel_calls() as answered:
                 assert list(drawing.plane_hits(view, ends)) == want
             # Each block asked answers the same entries alike, of the same shape.
             fan = walk and fan_hub(d, seq) is not None
             assert not (fan and want)
             blocks = [] if fan else [x.tolist() for x in asked]
-            assert [x.tolist() for _name, x in answered] == blocks
-            assert {name for name, _x in answered} <= {"cross_pairs"}
+            assert [x.tolist() for _name, _args, x in answered] == blocks
             assert counter.count == sum(x.size for x in asked)
             first, queries = first_crossing_reference(d, edges, block)
             view, counter = instrumented(d)
@@ -708,6 +697,28 @@ def test_first_crossing_rejects_edges_of_other_than_two_labels(make):
     assert first_crossing(d, zip((1, 2), (3, 4))) == first_crossing(d, [(1, 3), (2, 4)])
 
 
+@pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
+                                  lambda: generators.two_page(8)])
+def test_first_crossing_rejects_label_counts_that_cancel(make):
+    # Edges of four, one and one labels hold twice as many labels as edges:
+    # read as one flat list, (1, 5, 3, 2), (6,), (4,) would be the edges
+    # {1, 5}, {3, 2} and {6, 4}, which cross on both drawings.  Each edge
+    # is checked, so the first of other than two labels is named, and no
+    # query is counted.
+    d = make()
+    assert first_crossing(d, [(1, 5), (3, 2), (6, 4)]) is not None
+    for edges, bad in (([(1, 5, 3, 2), (6,), (4,)], r"\(1, 5, 3, 2\)"),
+                       ([(1, 5), (3,), (2, 6, 4)], r"\(3,\)"),
+                       ([(), (1, 5, 3, 2), (6, 4)], r"\(\)")):
+        for given in (list, tuple, iter):
+            view, counter = instrumented(d)
+            with pytest.raises(ValueError, match=f"edge {bad} does not have two labels"):
+                first_crossing(view, given(edges))
+            with pytest.raises(ValueError, match=f"edge {bad} does not have two labels"):
+                is_plane(view, given(edges))
+            assert counter.count == 0
+
+
 @pytest.mark.parametrize("n, seed", [(5, 24), (5, 32), (6, 24)])
 def test_plane_check_of_a_hamiltonian_cycle_that_is_no_fan_asks_cross_pairs(n, seed):
     # The cases of `fan_hub` over random_geometric(n, seed), n = 5..30,
@@ -897,10 +908,10 @@ def test_star_check_on_a_spanning_path_takes_the_star_kernel(kind, block):
 def test_star_check_of_a_rotation_started_at_the_wrong_place(block):
     # Around a hull hub every pair of its rotation turns by less than π
     # but one, (a, b).  The cycle through the hub and its rotation started
-    # at b is star-avoiding, and the star kernel forms no G row for it.
+    # at b is star-avoiding, and its star check asks no star block.
     # Started anywhere else, the path holds the pair (a, b), which crosses
     # a star edge: the claim fails, with the queries of the scalar
-    # reference, and only the block holding (a, b) forms G rows.
+    # reference, and the only star block asked is the one holding (a, b).
     n = 14
     d = _row_drawing("geometric", n, 1)
     pts = d.points
@@ -909,19 +920,20 @@ def test_star_check_of_a_rotation_started_at_the_wrong_place(block):
     (i,) = [i for i in range(k)
             if geometry.orientation(pts[hub], pts[rotation[i]], pts[rotation[(i + 1) % k]]) < 0]
     for s in range(k):
-        cert = cycle_certificate((hub, *rotation[s:], *rotation[:s]), {"star_avoiding": hub})
+        order = (*rotation[s:], *rotation[:s])
+        cert = cycle_certificate((hub, *order), {"star_avoiding": hub})
         hit_row, rows = _star_reference(d, cert, hub)
         assert (hit_row is None) == (s == (i + 1) % k)
-        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
+        with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), kernel_calls() as calls:
             count, failed = _verify_count(d, cert)
         assert failed == (() if hit_row is None else ("star_avoiding",))
         assert count == _asked(len(rows), n - 3, hit_row, block)
         if hit_row is None:
-            assert formed == set()
+            assert star_blocks(calls, order, hub) == []
         else:
             assert hit_row == (i - s) % k
-            i0, i1 = next(g for g in row_groups(len(rows), n - 3, block) if g[0] <= hit_row < g[1])
-            assert formed == set(range(i0, i1 + 1))
+            group = next(g for g in row_groups(len(rows), n - 3, block) if g[0] <= hit_row < g[1])
+            assert star_blocks(calls, order, hub) == [group]
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, drawing.ROW_BLOCK_ENTRIES])
@@ -929,17 +941,17 @@ def test_star_check_of_a_rotation_started_at_the_wrong_place(block):
 def test_star_check_of_a_clockwise_star_hc_cycle_forms_no_g_row(scale, block):
     # The star-hc cycle read the other way round, (hub, *reversed path),
     # is a fan whose pairs all turn clockwise: it verifies with the
-    # queries of the cycle as built, and neither check forms a G row.  At
-    # a hull hub too, whose long turn is then the order's wrap pair.
+    # queries of the cycle as built, and neither check asks a kernel call.
+    # At a hull hub too, whose long turn is then the order's wrap pair.
     n = 60
     d = _scaled(n, 1, scale)
     for hub in (7, min(range(1, n + 1), key=d.points.__getitem__)):
         built = star_avoiding_hamiltonian_cycle(d, hub, verify=False)
         back = cycle_certificate((hub, *built.vertices[:0:-1]), built.claims)
         for cert in (built, back):
-            with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), star_g_rows() as formed:
+            with mock.patch.object(drawing, "ROW_BLOCK_ENTRIES", block), kernel_calls() as calls:
                 count, failed = _verify_count(d, cert)
-            assert failed == () and formed == set()
+            assert failed == () and calls == []
             assert count == comb(n, 2) + (n - 2) * (n - 3)
 
 

@@ -68,6 +68,16 @@ def test_removed_names_are_gone(name, home):
     assert not hasattr(importlib.import_module(f"convexham.{home}"), name)
 
 
+@pytest.mark.parametrize("home, owner, name", [("geometry", "PointBack", "star_rows"),
+                                               ("drawing", "ExplicitCrossings", "star_rows"),
+                                               ("drawing", "GeometricCrossings", "star_rows"),
+                                               ("drawing", "Drawing", "cross_block")])
+def test_removed_star_kernel_methods_are_gone(home, owner, name):
+    # Star blocks are `Drawing.cross_pairs` calls on both backings
+    # (`drawing.star_hits`); no backing keeps a kernel of its own for them.
+    assert not hasattr(getattr(importlib.import_module(f"convexham.{home}"), owner), name)
+
+
 def _references(tree):
     """Names that code in tree refers to: Name ids, Attribute attrs and imported names."""
     for node in ast.walk(tree):

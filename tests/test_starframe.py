@@ -19,7 +19,8 @@ from conftest import (
     kernel_calls,
     row_groups,
     settled_groups,
-    star_windows,
+    star_blocks,
+    star_reference,
 )
 
 # Convex two-page drawings whose frames have several bad edges; the plain
@@ -259,16 +260,14 @@ def test_scan_bad_edges_on_subsets(n, seed, rng):
 def _blocked_scan(d, order, hub, block):
     """_scanned with ROW_BLOCK_ENTRIES = block; the scan counts k * (k - 2) queries.
 
-    Its kernel calls, `Drawing.cross_pairs` and `Drawing.cross_block`
-    counted together, are the groups of conftest.row_groups over k rows of
+    Its kernel calls are the groups of conftest.row_groups over k rows of
     k - 2 entries but those the fan lemma settles (`settled_groups`), which
-    hold no hit: each is one star block of rows i0..i1-1, whose (R, k - 2)
-    answer is that of `cross_pairs` of the pairs' (R, 1) columns against
-    their windows.  The entries of the blocks asked and of the settled ones
-    sum to the scan's queries.  On an abstract drawing, which settles
-    nothing, the block is one gather of the crossing table: a one-row
-    block passes its pair as labels and its window as a 1-D row, a longer
-    one an (R, 1) pair column and its windows as (R, k - 2).
+    hold no scalar hit.  Each is one `Drawing.cross_pairs` call of a star
+    block of rows i0..i1-1, and one call of the backing's: a one-row block
+    passes its pair as labels and its window as a 1-D row, a longer one an
+    (R, 1) pair column and its windows as (R, k - 2) (`star_blocks`).  Its
+    answer is that of the scalar queries.  The entries of the blocks asked
+    and of the settled ones sum to the scan's queries.
     """
     view, counter = instrumented(d)
     k = len(order)
@@ -281,29 +280,15 @@ def _blocked_scan(d, order, hub, block):
     settled = settled_groups(d, order, hub, groups)
     groups = [g for g in groups if g not in settled]
     assert counter.count == k * (k - 2)
-    assert len(calls) == len(groups)
+    assert star_blocks(calls, order, hub) == groups
+    assert len(calls) == gathers.call_count == len(groups)
     assert sum(hits.size for _name, _args, hits in calls) + sum(
         (i1 - i0) * (k - 2) for i0, i1 in settled) == counter.count
     for i0, i1 in settled:
-        assert not d._oracle.cross_pairs(*star_windows(order, i0, i1), hub).any()
-    if d.points is None:
-        assert gathers.call_count == len(groups)
-    for g, ((i0, i1), (name, (_rows, c0, c1), hits)) in enumerate(zip(groups, calls)):
-        assert (name, c0, c1) == ("cross_block", i0, i1)
-        us, vs, windows = star_windows(order, i0, i1)
-        assert hits.shape == windows.shape == (i1 - i0, k - 2)
-        assert np.array_equal(hits, d._oracle.cross_pairs(us, vs, windows, hub))
-        if d.points is not None:
-            continue
-        _oracle, a, b, cs, _hub = gathers.call_args_list[g].args
-        if i1 == i0 + 1:
-            assert cs.tolist() == windows[0].tolist()
-            assert np.ndim(a) == np.ndim(b) == 0
-            assert (a, b) == (us[0, 0], vs[0, 0])
-        else:
-            assert cs.tolist() == windows.tolist()
-            assert np.array_equal(a, us)
-            assert np.array_equal(b, vs)
+        assert not star_reference(d, order, hub, i0, i1).any()
+    for (i0, i1), (_name, _args, hits) in zip(groups, calls):
+        assert hits.shape == ((k - 2,) if i1 == i0 + 1 else (i1 - i0, k - 2))
+        assert np.array_equal(hits.reshape(i1 - i0, k - 2), star_reference(d, order, hub, i0, i1))
     return scanned
 
 
