@@ -1,32 +1,30 @@
 """Core model: simple drawings of complete graphs given combinatorially.
 
-A drawing of K_n is stored as one rotation per vertex (the cyclic,
-counterclockwise order of the other n-1 vertices around it) plus a crossing
-oracle answering whether two independent edges cross.  Two oracle backings
-exist: the crossings an abstract drawing's rotations fix, read off once into
-a dense table when first asked (n <= 181), and a lazy geometric predicate
-over integer coordinates that answers each query in O(1) without ever
-materialising the O(n^4) crossing set.
+A Drawing of K_n holds n, a QueryCounter and a backing.  Vertices are
+labelled 1..n and edges are unordered pairs (u, v) with u < v.  Every
+backing answers one surface, and nothing above it asks what kind it is:
 
-A Drawing asks its oracle through the checked scalar `crosses(e, f)` and
-the row `cross_pairs(a, b, cs, ds)`, whose docstring states what a row's
-operands may be.  Both count every query they pass on into the drawing's
-own QueryCounter; `instrumented(d)` returns a view of d with a fresh
-counter.  Kernel calls are few and large, since a call costs far more
-than an entry: `ask_rows` packs rows of one length into calls of up to
-ROW_BLOCK_ENTRIES entries, and `star_hits` asks star rows (pairs
-consecutive in an order against a hub's star edges) in the same blocks;
-the plane check's `offset_hits` asks the pairs of an edge list by cyclic
-offsets, each call one edge row against a block of up to
-OFFSET_BLOCK_ENTRIES entries.  On points the fan lemma
-(`geometry.PointBack`) settles what it can with no call: `plane_hits`
-counts the whole plane check of a fan walk, and `star_hits` counts each
-star block of a fan's pairs.  These are the only two places that count
-entries no backing is asked.
+- `cross(a, b, c, d)` and `cross_pairs(a, b, cs, ds)`: do independent
+  edges cross, one pair or a row (operands as `Drawing.cross_pairs`);
+- `rotation_of(v)`, the counterclockwise order of the others around v
+  from the smallest, and `rotation_among(v, labels)`, it filtered;
+- `fan_blocks(hub, labels, bounds)` and `fan_walk(ends)`: which star
+  blocks, and whether an edge list, the fan lemma settles as misses.
 
-Drawings are value objects: after construction only their query counter
-changes.
-Vertices are labelled 1..n and edges are unordered pairs (u, v) with u < v.
+`ExplicitCrossings` stores an abstract drawing's rotations and reads the
+crossings they fix into a dense table when first asked (n <= 181); with no
+angles, its fan methods settle nothing.  `GeometricCrossings` holds integer
+points: O(1) exact queries, each hub's rotation sorted once, and the fan
+lemma (`geometry.PointBack`).  A Drawing checks labels in `crosses` and
+its rotations, and counts every query it passes on; `instrumented(d)` is a
+view with a fresh counter.  Calls are few and large, since a call costs
+far more than an entry: `ask_rows` packs rows of one length into calls of
+up to ROW_BLOCK_ENTRIES entries, `star_hits` asks star rows (pairs
+consecutive in an order against a hub's star edges) in the same blocks,
+and the plane check's `offset_hits` asks an edge list's pairs by cyclic
+offsets in blocks of up to OFFSET_BLOCK_ENTRIES.  `star_hits` and
+`plane_hits` are the only places that count entries no backing is asked:
+those the fan methods settle.  After construction only the counter changes.
 """
 
 from __future__ import annotations
@@ -151,6 +149,18 @@ class ExplicitCrossings:
     def cross(self, a, b, c, d):
         return bool(self._table[self._edge_id[a, b], self._edge_id[c, d]])
 
+    def rotation_of(self, v):
+        return self._rot[v]
+
+    def rotation_among(self, v, labels):
+        return tuple(x for x in self._rot[v] if x in labels)
+
+    def fan_blocks(self, hub, labels, bounds):
+        return [False] * len(bounds)  # no angles: the fan lemma settles nothing
+
+    def fan_walk(self, ends):
+        return False
+
     def cross_pairs(self, a, b, cs, ds):
         # The crossing table is read with one `take` on its flat index,
         # about half the cost per entry of 2-D fancy indexing; the index
@@ -175,59 +185,31 @@ class Drawing:
 
     __slots__ = ("n", "points", "counter", "_oracle", "_rot", "_rot_cache")
 
-    def __init__(self, n, oracle, rotations=None, points=None):
+    def __init__(self, n, oracle, points=None):
         self.n = n
         self._oracle = oracle
         self.points = points
         self.counter = QueryCounter()
-        self._rot = rotations  # 0-dummy list of canonical tuples, or None
-        self._rot_cache = {}
+        # Read-only views of the backing's rotations for perfbench/tracing.py, until item 3a step 2.
+        self._rot = getattr(oracle, "_rot", None)
+        self._rot_cache = getattr(oracle, "_rot_cache", {})
 
     def rotation_of(self, v):
-        """Counterclockwise cyclic order of the other vertices around v.
+        """The other vertices counterclockwise around v, from the smallest (canonical form).
 
-        Returned as a tuple starting at the smallest label (canonical form).
         Raises VertexOutOfRange for v outside 1..n.
         """
         if not 0 < v <= self.n:
             raise VertexOutOfRange(f"vertex {v} out of range 1..{self.n}")
-        if self._rot is not None:
-            return self._rot[v]
-        rot = self._rot_cache.get(v)
-        if rot is None:
-            others = np.arange(1, self.n)
-            others[v - 1:] += 1
-            order = geometry.ccw_order(self._oracle, v, others)
-            rot = _canon_cycle(tuple(order))
-            self._rot_cache[v] = rot
-        return rot
+        return self._oracle.rotation_of(v)
 
     def rotation_among(self, v, labels):
-        """v's rotation restricted to the set `labels` (v itself is ignored).
-
-        The same tuple as filtering rotation_of(v): it starts at the first
-        label met going round from the smallest other vertex, where
-        rotation_of(v) starts.  A point set sorts only the given labels
-        around v, plus that start label, which is then dropped if it is not
-        one of them.  Given every other vertex, it is rotation_of(v).
-        Raises VertexOutOfRange for v or a label outside 1..n.
-        """
+        """rotation_of(v) filtered to the set `labels`; VertexOutOfRange for any label off 1..n."""
         bad = [u for u in (v, min(labels, default=1), max(labels, default=1))
                if not 0 < u <= self.n]
         if bad:
             raise VertexOutOfRange(f"vertex {bad[0]} out of range 1..{self.n}")
-        if len(labels) - (v in labels) == self.n - 1:
-            return self.rotation_of(v)
-        if self._rot is not None:
-            return tuple(x for x in self._rot[v] if x in labels)
-        start = 1 if v != 1 else 2
-        cand = [x for x in labels if x != v]
-        extra = start not in labels
-        if extra:
-            cand.append(start)
-        order = geometry.ccw_order(self._oracle, v, cand)
-        i = order.index(start)
-        return (*order[i + extra:], *order[:i])
+        return self._oracle.rotation_among(v, labels)
 
     @property
     def rotations(self):
@@ -349,12 +331,11 @@ def star_hits(d, order, hub, rows):
     {w, hub} of the k - 2 labels after it in `order`, cyclically, k =
     len(order) >= 3.  Rows are grouped as in `ask_rows`, each block one
     `d.cross_pairs` call over windows of the doubled labels, hits shaped
-    (R, k - 2).  On points a block the fan lemma settles
-    (`PointBack.fan_blocks`) is all misses: it is neither asked nor
-    yielded, and its R (k - 2) entries are counted in order, before the
-    next block asked or when the rows run out, so a caller that stops
-    early counts every entry up to the end of the block it stopped at.
-    The labels are checked before any block is asked.
+    (R, k - 2).  A block the backing's `fan_blocks` settles is all misses:
+    it is neither asked nor yielded, and its R (k - 2) entries are counted
+    in order, before the next block asked or when the rows run out, so a
+    caller that stops early counts every entry up to the end of the block
+    it stopped at.  The labels are checked before any block is asked.
     """
     twice = geometry._star_labels(order, hub, d.n)
     k = len(twice) // 2
@@ -362,10 +343,7 @@ def star_hits(d, order, hub, rows):
     block = _row_asker(d.cross_pairs, twice[:k], twice[1:], k - 2,
                        lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
     bounds = _row_bounds(rows, k - 2)
-    if d.points is None:
-        fans = [False] * len(bounds)
-    else:
-        fans = d._oracle.fan_blocks(hub, twice[:k], bounds)
+    fans = d._oracle.fan_blocks(hub, twice[:k], bounds)
     settled = 0  # entries of settled blocks not yet counted
     for (i0, i1), fan in zip(bounds, fans):
         if fan:
@@ -418,35 +396,14 @@ def offset_hits(ask, ends):
             yield from zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
 
 
-def _walk(ends):
-    """The labels v_0..v_m of a walk whose edge t is ends[t] = {v_t, v_{t+1}}, or None.
-
-    ends is an (m, 2) label array, m >= 2.  It is a walk when each edge
-    shares exactly one endpoint with the next, and each edge between two
-    others meets them at its two ends (a star is no walk).
-    """
-    (a, b), (c, d) = ends[:-1].T, ends[1:].T
-    in_a, in_b = (a == c) | (a == d), (b == c) | (b == d)
-    joints = np.where(in_a, a, b)  # v_1..v_{m-1}
-    if (in_a == in_b).any() or (joints[1:] == joints[:-1]).any():
-        return None
-    walk = np.empty(len(ends) + 1, dtype=ends.dtype)
-    walk[1:-1] = joints
-    walk[0] = ends[0, 0] + ends[0, 1] - joints[0]
-    walk[-1] = ends[-1, 0] + ends[-1, 1] - joints[-1]
-    return walk
-
-
 def plane_hits(d, ends):
     """offset_hits(d.cross_pairs, ends), unless the fan lemma settles it.
 
-    On a drawing with points whose m edges form a path or a cycle in order
-    (`_walk`) that is a fan walk (`PointBack.fan_walk`), the check is plane:
+    When the backing's `fan_walk` accepts the m edges, the check is plane:
     its C(m, 2) entries are counted, none is asked, and there is no hit.
-    Any other edge list, and every abstract drawing, asks `d.cross_pairs`.
+    Any other edge list asks `d.cross_pairs`.
     """
-    walk = _walk(ends) if d.points is not None and len(ends) > 1 else None
-    if walk is None or not d._oracle.fan_walk(walk):
+    if not d._oracle.fan_walk(ends):
         return offset_hits(d.cross_pairs, ends)
     d.counter.count += len(ends) * (len(ends) - 1) // 2
     return iter(())
@@ -512,7 +469,7 @@ def rotation_drawing(rotations):
     Nothing is checked, and the crossing table is built on its first read.
     """
     rot = [None, *(_canon_cycle(tuple(r)) for r in rotations)]
-    return Drawing(len(rotations), ExplicitCrossings(rot), rotations=rot)
+    return Drawing(len(rotations), ExplicitCrossings(rot))
 
 
 def geometric_drawing(pts):
@@ -692,12 +649,8 @@ def triangle_sides(d, a, b, c):
 
 
 def instrumented(d):
-    """A view of `d` with a fresh query counter.  Returns (drawing, counter).
-
-    The view shares d's oracle and rotations, including the lazy rotation cache.
-    """
-    view = Drawing(d.n, d._oracle, rotations=d._rot, points=d.points)
-    view._rot_cache = d._rot_cache
+    """(view, counter): d with a fresh query counter, sharing d's backing and its rotations."""
+    view = Drawing(d.n, d._oracle, points=d.points)
     return view, view.counter
 
 

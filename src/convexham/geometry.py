@@ -200,8 +200,27 @@ def _star_labels(order, hub, n):
     return np.concatenate((labels, labels))
 
 
+def _walk(ends):
+    """The labels v_0..v_m of a walk whose edge t is ends[t] = {v_t, v_{t+1}}, or None.
+
+    ends is an (m, 2) label array, m >= 2.  It is a walk when each edge
+    shares exactly one endpoint with the next, and each edge between two
+    others meets them at its two ends (a star is no walk).
+    """
+    (a, b), (c, d) = ends[:-1].T, ends[1:].T
+    in_a, in_b = (a == c) | (a == d), (b == c) | (b == d)
+    joints = np.where(in_a, a, b)  # v_1..v_{m-1}
+    if (in_a == in_b).any() or (joints[1:] == joints[:-1]).any():
+        return None
+    walk = np.empty(len(ends) + 1, dtype=ends.dtype)
+    walk[1:-1] = joints
+    walk[0] = ends[0, 0] + ends[0, 1] - joints[0]
+    walk[-1] = ends[-1, 0] + ends[-1, 1] - joints[-1]
+    return walk
+
+
 class PointBack:
-    """Numpy mirrors of a 1-indexed integer point table, for exact rows.
+    """Numpy mirrors of a 1-indexed integer point table: exact rows, rotations, the fan lemma.
 
     `cross_pairs` evaluates the four orientation determinants of each entry
     from shared differences.  With u = c - a and w = d - a they
@@ -226,11 +245,11 @@ class PointBack:
     the same statements are exact: m < 0 is the crossing predicate, and
     m == 0 comes only with a zero determinant, where segments never cross.
 
-    The fan lemma.  Let L = (x_1, ..., x_r) be a cyclic shift of
-    `ccw_order(self, h, L)` about a hub h, or of the reversed sort, and
-    P_x = x - h an exact difference.  A pair x_i x_{i+1} with o2_i =
-    cross(P_{x_i}, P_{x_{i+1}}) of the order's sign (> 0 for the sort, < 0
-    reversed) turns by under π, so it lies in the closed wedge from
+    The fan lemma.  Let L = (x_1, ..., x_r) be a cyclic shift of the
+    rotation of a hub h among L, or of its reverse, and P_x = x - h an
+    exact difference.  A pair x_i x_{i+1} with o2_i =
+    cross(P_{x_i}, P_{x_{i+1}}) of the order's sign (> 0 for the rotation,
+    < 0 reversed) turns by under π, so it lies in the closed wedge from
     P_{x_i} to P_{x_{i+1}}.  These wedges are gaps of one angular sort, so
     no label of L lies strictly inside one and their interiors are
     disjoint.  A star edge {w, h}, w in L, meets a wedge only along w's
@@ -250,6 +269,7 @@ class PointBack:
         dtype = object if big else np.float64
         self.xs = np.array([0] + [p[0] for p in pts[1:]], dtype=dtype)
         self.ys = np.array([0] + [p[1] for p in pts[1:]], dtype=dtype)
+        self._rot_cache = {}  # hub -> rotation_of(hub)
 
     def cross_pairs(self, a, b, cs, ds):
         """Bool array: does segment (a, b) properly cross (c, d), entry by entry?
@@ -289,12 +309,35 @@ class PointBack:
             res.reshape(-1)[idx] = self._exact(a, b, cs, ds, idx, res.shape)
         return res
 
-    def fan_walk(self, walk):
-        """Is the walk through the label array `walk` a fan walk, plane by the fan lemma?
+    def rotation_of(self, v):
+        """The labels but v, counterclockwise around v from the smallest, sorted once per v."""
+        return self.rotation_among(v, range(1, len(self.pts)))
 
-        A closed walk drops its repeated last label, and then its first
-        label and its last are tried as the hub.
+    def rotation_among(self, v, labels):
+        """rotation_of(v) filtered to `labels`, sorting only them and its start label."""
+        full = len(labels) - (v in labels) == len(self.pts) - 2
+        if full and v in self._rot_cache:
+            return self._rot_cache[v]
+        start = 1 if v != 1 else 2
+        cand = [x for x in labels if x != v]
+        extra = start not in labels
+        if extra:
+            cand.append(start)
+        order = ccw_order(self, v, cand)
+        i = order.index(start)
+        rot = (*order[i + extra:], *order[:i])
+        if full:
+            self._rot_cache[v] = rot
+        return rot
+
+    def fan_walk(self, ends):
+        """Do the (m, 2) label array's edges form a fan walk (`_walk`), plane by the fan lemma?
+
+        A closed walk drops its repeated last label; its first and its last are tried as hub.
         """
+        walk = _walk(ends) if len(ends) > 1 else None
+        if walk is None:
+            return False
         m = len(walk) - 1
         labels = walk[:m] if walk[0] == walk[m] else walk
         return any(next(self.fan_blocks(hub, fan, [(0, len(fan) - 1)]))
@@ -305,24 +348,28 @@ class PointBack:
 
         Pair i is labels[i], labels[(i + 1) % len(labels)], for the label
         array `labels` about `hub`.  A block is settled when its o2 all have
-        one sign s and the labels are a cyclic shift of their angular sort,
-        s = 1, or of its reverse, s = -1.  The labels are sorted only when a
-        block's o2 first agree, so a caller that stops early may sort none.
+        one sign s and the labels are a cyclic shift of hub's rotation among
+        them (`rotation_among`), s = 1, or of its reverse, s = -1.  That
+        rotation is read only when a block's o2 first agree, so a caller
+        that stops early may sort none.
         """
         ring = np.append(labels, labels[0])
         px, py = self.xs[ring] - self.xs[hub], self.ys[ring] - self.ys[hub]
         o2 = px[:-1] * py[1:]
         o2 -= py[:-1] * px[1:]
         sign = ((o2 > 0).astype(np.int8) - (o2 < 0)).tolist()
-        turn = None  # +1 for the sort, -1 for its reverse, else 0
+        turn = None  # +1 for the rotation, -1 for its reverse, else 0
         for i0, i1 in bounds:
             s = sign[i0]
             agree = s != 0 and sign[i0:i1].count(s) == i1 - i0
             if agree and turn is None:
-                ccw, got = ccw_order(self, hub, labels), labels.tolist()
-                i = got.index(ccw[0])
-                got = got[i:] + got[:i]
-                turn = 1 if got == ccw else -int(got[1:] == ccw[:0:-1])
+                got = labels.tolist()
+                rot = self.rotation_among(hub, set(got))
+                turn = 0
+                if len(rot) == len(got):  # distinct labels, hub not among them
+                    i = got.index(rot[0])
+                    got = (*got[i:], *got[:i])
+                    turn = 1 if got == rot else -int(got[1:] == rot[:0:-1])
             yield agree and s == turn
 
     def _exact(self, a, b, cs, ds, idx, shape):

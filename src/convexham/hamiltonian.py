@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry
 from .certificates import cycle_certificate, path_certificate
-from .drawing import canon_edge, split_by_triangle
+from .drawing import canon_edge, plane_hits, split_by_triangle
 from .errors import (
     CertificateError,
     EdgesCrossOrAdjacent,
@@ -29,7 +29,7 @@ from .errors import (
     SameVertex,
     VertexOutOfRange,
 )
-from .oracle import first_crossing, verify_certificate
+from .oracle import verify_certificate
 from .starframe import _evidence, build_star_frame, probe_bad_edge, scan_bad_edges, witness_row
 
 
@@ -82,6 +82,13 @@ def _fan_path(order, s, hub):
     return [*order[i:], *order[:i], hub]
 
 
+def _fan_crossing(d, fan):
+    """`oracle.first_crossing` of the path `fan`'s edges, whose labels a rotation checked."""
+    ends = np.array([fan[:-1], fan[1:]], dtype=np.int64).T
+    hit = next(plane_hits(d, ends), None)
+    return None if hit is None else tuple(canon_edge(*fan[i:i + 2]) for i in hit)
+
+
 def _refute_star_edge(d, piece, tri):
     """One row: the star edge {v, t0} closing a case-1 split's piece (tri = (u, v,
     t0)) against every edge of the piece but its last, which ends at v."""
@@ -116,7 +123,7 @@ def _solve_path(d, subset, s, t):
     k - 2).
 
     The root is the whole answer, so it settles a fan path by asking its
-    k edges against each other (`first_crossing`, C(k, 2) queries), which
+    k edges against each other (`_fan_crossing`, C(k, 2) queries), which
     proves it plane on any drawing, instead of scanning for bad pairs
     (k(k - 2)).  When t's probe misses, t's fan path is asked first and, if
     plane, returned; if it crosses and t's scan finds no bad pair, the
@@ -149,7 +156,7 @@ def _solve_path(d, subset, s, t):
         i, wpos = probe_bad_edge(d, order, t0), None
         if i is None:
             fan = _fan_path(order, s0, t0)
-            hit = first_crossing(d, zip(fan, fan[1:])) if item is root else None
+            hit = _fan_crossing(d, fan) if item is root else None
             if item is root and hit is None:
                 path += fan[1:]
                 continue
@@ -169,7 +176,7 @@ def _solve_path(d, subset, s, t):
             back = d.rotation_among(s0, sub)
             if probe_bad_edge(d, back, s0) is None:
                 fan = _fan_path(back, t0, s0)[::-1]
-                if first_crossing(d, zip(fan, fan[1:])) is None:
+                if _fan_crossing(d, fan) is None:
                     path += fan[1:]
                     continue
         if wpos is None:

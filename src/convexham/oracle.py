@@ -5,22 +5,17 @@ oracle alone.  This module must stay free of imports from the construction
 modules so that certificate verification is independent of the code being
 verified.
 
-verify_certificate asks the drawing's rows (`cross_pairs`) per claim.  On
-a point set, what the fan lemma (`geometry.PointBack`) settles is counted
-and never asked:
+verify_certificate asks the drawing's rows (`cross_pairs`) per claim.  What
+the backing's fan methods settle (on points, fan walks and star blocks of a
+fan's pairs) is counted and never asked:
 
 - plane: `first_crossing` over the certificate's edges, every pair once
   by cyclic offsets (`drawing.plane_hits`), C(|E|,2) entries on plane input.
-  A fan walk on a point set (a hub, then an angular order about it, as
-  the star-avoiding cycle and the s-t fan path are) is plane, and its
-  entries are counted with no call; every other edge list asks them
-  through `cross_pairs`.
 - star_avoiding (hub v): one row per edge {a, b} not at v, over the
   star edges {w, v} for w in 1..n other than a, b and v.  When those
   edges form, in order, a path through every vertex but v, its rows are
   the star rows of the path (`drawing.star_hits`), each row's w in path
-  order, and on points a block of a fan's pairs is counted with no call;
-  any other edge list asks its rows with w ascending.
+  order; any other edge list asks its rows with w ascending.
 - maximal_plane: the plane check, then one row per non-edge against all of
   E, failing at the first row without a hit.  A maximal certificate costs
   C(|E|,2) + (C(n,2) - |E|) * |E| entries, claiming plane as well or not.
@@ -30,15 +25,13 @@ and never asked:
   claim.
 - hamiltonian, contains, endpoints: no queries.
 
-The plane check of one edge sequence runs once per call, however many of
-these claims ask it.  Its offset rows go to the drawing as one edge row
-against blocks of up to `drawing.OFFSET_BLOCK_ENTRIES` entries, and the
-star_avoiding and maximal_plane rows, all of one length, in the 2-D
-blocks of `drawing.ask_rows`, so entries and their order are as listed.
-A check stops after the block that decides it: a certificate that
-verifies counts exactly the entries above, and a failing one counts every
-entry up to the end of the block holding the first crossing (plane,
-star_avoiding) or the first row without one (maximal_plane).
+The plane check of one edge sequence runs once per call, however many
+claims ask it.  Rows go in the blocks of `drawing.offset_hits` and
+`drawing.ask_rows`, so entries and their order are as listed.  A check
+stops after the block that decides it: a certificate that verifies counts
+exactly the entries above, and a failing one every entry up to the end of
+the block holding the first crossing (plane, star_avoiding) or the first
+row without one (maximal_plane).
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from .drawing import (
     _off_vertices,
     _parity_sides,
     _side_inconsistency,
-    _walk,
     all_edges,
     ask_rows,
     canon_edge,
@@ -66,6 +58,7 @@ from .errors import (
     SideInconsistency,
     VertexOutOfRange,
 )
+from .geometry import _walk
 
 
 def _label_pairs(d, edges):
@@ -104,12 +97,11 @@ def first_crossing(d, edges):
     """First pair of the given edges that cross, or None.
 
     The pairs are asked by cyclic offsets (`drawing.plane_hits`: counted
-    and settled as misses when the drawing has points and the edges form
-    a fan walk, else `drawing.offset_hits` over `cross_pairs`), C(m, 2)
-    entries for m edges, and the first hit in that order is returned as
-    (earlier edge, later edge) in the given order.  The check stops after
-    the block holding that hit, so a crossing costs the entries up to the
-    end of its block.
+    and settled as misses when the backing's `fan_walk` accepts them),
+    C(m, 2) entries for m edges, and the first hit in that order is
+    returned as (earlier edge, later edge) in the given order.  The check
+    stops after the block holding that hit, so a crossing costs the
+    entries up to the end of its block.
     """
     arr = _edge_array(d, edges)
     hit = next(plane_hits(d, arr), None)

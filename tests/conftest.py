@@ -357,6 +357,46 @@ def pair_oracle(n, pairs):
     return oracle
 
 
+class SetBacking:
+    """A test-only backing: d's crossing_set() and rotations, asked entry by entry.
+
+    It answers the backing surface that `convexham.drawing`'s module
+    docstring states, with no table, no points and no fan lemma, so a
+    Drawing over it shows what the rest of the package needs of a backing.
+    """
+
+    def __init__(self, d):
+        self._pairs = d.crossing_set()
+        self._rot = [None, *d.rotations]
+
+    def cross(self, a, b, c, d):
+        if len({a, b, c, d}) < 4:
+            return False
+        return canon_pair((a, b), (c, d)) in self._pairs
+
+    def cross_pairs(self, a, b, cs, ds):
+        ops = np.broadcast_arrays(a, b, cs, ds)
+        entries = zip(*(x.ravel().tolist() for x in ops))
+        return np.array([self.cross(*e) for e in entries], dtype=bool).reshape(ops[0].shape)
+
+    def rotation_of(self, v):
+        return self._rot[v]
+
+    def rotation_among(self, v, labels):
+        return tuple(x for x in self._rot[v] if x in labels)
+
+    def fan_blocks(self, hub, labels, bounds):
+        return [False] * len(bounds)
+
+    def fan_walk(self, ends):
+        return False
+
+
+def set_backed(d):
+    """d answered by a SetBacking."""
+    return Drawing(d.n, SetBacking(d))
+
+
 def random_k4_drawing(n, rng):
     """Drawing with an arbitrary crossing set obeying the K4 axiom.
 
@@ -370,7 +410,7 @@ def random_k4_drawing(n, rng):
             a, b, c, x = quad
             crossings.append(rng.choice((((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c)))))
     # Built directly: rotations fix a realisable crossing set, this one is free.
-    return Drawing(n, pair_oracle(n, crossings), rotations=lex_rotations(n))
+    return Drawing(n, pair_oracle(n, crossings))
 
 
 def permuted_fan(n, step, rng):

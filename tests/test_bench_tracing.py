@@ -64,7 +64,7 @@ def _traced_runs():
     row kernel call the backing answered, and of every fan walk and star
     block the fan lemma settled.
     """
-    from convexham import generators, geometry, instrumented, verify_certificate
+    from convexham import generators, instrumented, verify_certificate
     from convexham.certificates import cycle_certificate
     from convexham.convexity import find_nonconvex_triangle
     from convexham.hamiltonian import (
@@ -110,19 +110,18 @@ def _traced_runs():
             sizes.append(np.broadcast(a, b, cs, ds).size)
             return traced(self, a, b, cs, ds)
 
-        def walk_spy(self, walk, fan_walk=geometry.PointBack.fan_walk,
-                     fan_blocks=geometry.PointBack.fan_blocks, sizes=sizes):
+        def walk_spy(self, ends, fan_walk=backing.fan_walk, fan_blocks=backing.fan_blocks,
+                     sizes=sizes):
             # A fan walk's plane check counts its C(m, 2) entries with no
-            # call; any other walk's asks them through cross_pairs (spy).
+            # call; any other edge list's asks them through cross_pairs (spy).
             # Its fan_blocks answer settles no star block.
-            with mock.patch.object(geometry.PointBack, "fan_blocks", fan_blocks):
-                fan, m = fan_walk(self, walk), len(walk) - 1
+            with mock.patch.object(backing, "fan_blocks", fan_blocks):
+                fan, m = fan_walk(self, ends), len(ends)
             if fan:
                 sizes.append(m * (m - 1) // 2)
             return fan
 
-        def fan_spy(self, hub, labels, bounds, fan_blocks=geometry.PointBack.fan_blocks,
-                    sizes=sizes):
+        def fan_spy(self, hub, labels, bounds, fan_blocks=backing.fan_blocks, sizes=sizes):
             # A star block of rows i0..i1-1 the fan lemma settles holds
             # R (k - 2) entries; the others are asked through cross_pairs (spy).
             k = len(labels)
@@ -131,8 +130,8 @@ def _traced_runs():
                     sizes.append((i1 - i0) * (k - 2))
                 yield fan
 
-        walks = mock.patch.object(geometry.PointBack, "fan_walk", walk_spy)
-        stars = mock.patch.object(geometry.PointBack, "fan_blocks", fan_spy)
+        walks = mock.patch.object(backing, "fan_walk", walk_spy)
+        stars = mock.patch.object(backing, "fan_blocks", fan_spy)
         try:
             with mock.patch.object(backing, "cross_pairs", spy), walks, stars:
                 run(view)

@@ -32,10 +32,6 @@ from convexham.drawing import (
 from convexham.errors import NotK5, SideInconsistency, TooLarge
 
 
-def _full_rot(n):
-    return [tuple(u for u in range(1, n + 1) if u != v) for v in range(1, n + 1)]
-
-
 def canonical_k5_form(crossing_pairs):
     """Relabel-invariant fingerprint of a 5-vertex crossing set, the reference classifier.
 
@@ -128,7 +124,7 @@ def test_classify_unrecognised_form():
     # Three crossings, all on edge {1,2}: passes the per-K4 validation but
     # matches no seed's form, so it lands in the non-realisable bucket.
     crossings = pair_oracle(5, [((1, 2), (3, 4)), ((1, 2), (3, 5)), ((1, 2), (4, 5))])
-    d = Drawing(5, crossings, rotations=[None, *_full_rot(5)])
+    d = Drawing(5, crossings)
     assert classify_k5(d) is K5Class.IV_OR_V
     assert find_nonconvex_k5(d) is not None
 

@@ -85,16 +85,6 @@ def test_crosses_range_check(conv6):
         conv6.crosses((1, 7), (2, 3))
 
 
-@given(st.integers(4, 9), seeds)
-def test_crossing_symmetry_and_adjacency(n, seed):
-    d = generators.random_geometric(n, seed)
-    edges = all_edges(n)
-    for e, f in zip(edges, edges[1:]):
-        assert d.crosses(e, f) == d.crosses(f, e)
-        if adjacent(e, f):
-            assert not d.crosses(e, f)
-
-
 @given(st.integers(4, 8), seeds)
 def test_k4_axiom_geometric(n, seed):
     # Any four points span at most one crossing among their three pairings.
@@ -636,16 +626,6 @@ def test_star_kernel_rejects_labels_out_of_range(make):
         with pytest.raises(VertexOutOfRange):
             list(starframe.scan_bad_edges(view, order, hub))
         assert counter.count == 0
-
-
-@given(st.sampled_from(["fan", "two-page", "geometric", "twisted"]), st.integers(5, 14),
-       st.integers(0, 50), st.randoms(use_true_random=False))
-def test_rotation_among_is_the_filtered_rotation(kind, n, seed, rng):
-    d = construction_pool(kind, n, seed)
-    v = rng.randint(1, n)
-    labels = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
-    fresh = relabel(d, range(1, n + 1))  # no cached rotations
-    assert fresh.rotation_among(v, labels) == tuple(x for x in d.rotation_of(v) if x in labels)
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),

@@ -40,7 +40,6 @@ from conftest import (
     first_crossing_reference,
     is_interior,
     kernel_calls,
-    lex_rotations,
     offset_blocks,
     pair_oracle,
     polygon_partition,
@@ -303,7 +302,7 @@ def _package_imports(name):
 
 def test_verifier_is_independent_of_the_constructions():
     # The oracle re-checks certificates on the crossing oracle alone.
-    assert _package_imports("oracle") == {"certificates", "drawing", "errors"}
+    assert _package_imports("oracle") == {"certificates", "drawing", "errors", "geometry"}
     assert _package_imports("drawing") == {"geometry", "errors"}
 
 
@@ -351,7 +350,7 @@ def test_first_crossing_matches_scalar_reference(kind, n, seed, block, data):
 
 
 class _PlaneSpy:
-    """An oracle that answers False and keeps the operands of every row call."""
+    """A backing that answers False, settles no fan and keeps the operands of every row call."""
 
     def __init__(self):
         self.calls = []
@@ -359,6 +358,12 @@ class _PlaneSpy:
     def cross_pairs(self, a, b, cs, ds):
         self.calls.append((a, b, cs, ds))
         return np.zeros(np.broadcast_shapes(*map(np.shape, (a, b, cs, ds))), dtype=bool)
+
+    def fan_blocks(self, hub, labels, bounds):
+        return [False] * len(bounds)
+
+    def fan_walk(self, ends):
+        return False
 
 
 @given(st.integers(0, 40), st.sampled_from([1, 5, 19, 20, 39, 64, 300,
@@ -479,7 +484,7 @@ def test_walk_kernel_matches_the_offset_rows(scale, n, seed, block, rng):
         seq = [*seq, seq[0]] if closed else seq
         edges = [canon_edge(*e) for e in zip(seq, seq[1:])]
         ends = np.array(edges, dtype=np.int64)
-        walk = drawing._walk(ends) is not None
+        walk = geometry._walk(ends) is not None
         kinds.add((walk, closed, len(edges) % 2))
         asked = []
 
@@ -641,22 +646,22 @@ def test_walk_kernel_asks_a_long_turn_rounded_to_zero(block):
 
 
 def test_plane_check_takes_the_walk_kernel_only_for_walks_on_points():
-    # A star, a subdrawing's sorted edges and an abstract drawing's cycle
-    # ask cross_pairs without asking the fan walk test; a cycle on points
-    # asks it whether the cycle is a fan.
+    # An abstract drawing's cycle asks cross_pairs without running the walk
+    # test (`_walk`): its backing's fan_walk is False.  On points the fan
+    # walk test runs it once per plane check, and only a cycle is a walk;
+    # a star and a subdrawing's sorted edges are not.
     geo, abstract = generators.random_geometric(12, 1), generators.two_page(12)
     star = [(1, v) for v in range(2, 13)]
     sub = sorted(greedy_maximal_plane(geo).edges)
     cyc = hamiltonian_cycle(abstract).vertices
     ring = list(zip(cyc, cyc[1:] + cyc[:1]))
-    spy = mock.patch.object(geometry.PointBack, "fan_walk", autospec=True,
-                            side_effect=geometry.PointBack.fan_walk)
-    with spy as walks:
-        for d, edges in ((geo, star), (geo, sub), (abstract, ring)):
-            first_crossing(d, edges)
-        assert not walks.called
-        first_crossing(geo, ring)
-        assert walks.call_count == 1
+    walk, walks = geometry._walk, []
+    with mock.patch.object(geometry, "_walk", lambda ends: walks.append(walk(ends)) or walks[-1]):
+        first_crossing(abstract, ring)
+        assert walks == []
+        for edges in (star, sub, ring):
+            first_crossing(geo, edges)
+        assert [w is not None for w in walks] == [False, False, True]
 
 
 @pytest.mark.parametrize("make", [lambda: generators.random_geometric(8, 1),
@@ -813,7 +818,7 @@ def test_broken_cycles_fail_the_empty_side_claim():
     # all fails empty_side as a claim; nothing else is raised.
     crossed = cycle_certificate((1, 3, 2, 4, 5, 6), {"plane": True, "empty_side": True})
     assert _verify_count(generators.convex_position(6), crossed)[1] == ("empty_side", "plane")
-    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]), rotations=lex_rotations(6))
+    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]))
     inconsistent = cycle_certificate((1, 2, 3), {"empty_side": True})
     assert _verify_count(d, inconsistent)[1] == ("empty_side",)
     edge = path_certificate((1, 2), {"empty_side": True})
@@ -973,7 +978,7 @@ def test_star_check_off_a_spanning_path_asks_rows(kind):
         cycle_certificate(built[:-1], claims),
         Certificate("cycle", built, tuple(canon_edge(*e) for e in walk_edges), claims),
     ]
-    assert drawing._walk(np.array(walk_edges[1:-1])).tolist() == list(revisit)
+    assert geometry._walk(np.array(walk_edges[1:-1])).tolist() == list(revisit)
     for cert in certs:
         hit_row, rows = _star_reference(d, cert, hub)
         star, rows_path = _star_kernel_spies()
@@ -1057,6 +1062,6 @@ def test_cycle_sides_matches_reference_on_abstract_crossings(n, rng):
 
 
 def test_cycle_sides_inconsistency_message():
-    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]), rotations=lex_rotations(6))
+    d = Drawing(6, pair_oracle(6, [((1, 2), (4, 5))]))
     with pytest.raises(SideInconsistency, match=r"vertices 5,6 disagree with sides of cycle \(1, 2, 3\)"):
         cycle_sides(d, (1, 2, 3))

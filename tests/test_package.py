@@ -101,3 +101,31 @@ def test_every_private_helper_is_used_in_src():
     dead = [h.name for h in helpers
             if used[h.name] == sum(name == h.name for name in _references(h))]
     assert dead == []
+
+
+def test_no_row_function_of_drawing_branches_on_the_backing():
+    # drawing.py asks every backing through one surface: a function that
+    # asks rows or the fan lemma (names cross_pairs, fan_blocks or
+    # fan_walk) neither reads `.points` nor calls isinstance on a backing
+    # class, any class of drawing or geometry that answers fan_walk.
+    from convexham import drawing, geometry
+
+    backings = {c.__name__ for mod in (drawing, geometry) for c in vars(mod).values()
+                if isinstance(c, type) and hasattr(c, "fan_walk")}
+    assert backings == {"ExplicitCrossings", "GeometricCrossings", "PointBack"}
+    tree = ast.parse(Path(drawing.__file__).read_text())
+    asking, branching = [], []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        attrs = {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+        if not attrs & {"cross_pairs", "fan_blocks", "fan_walk"}:
+            continue
+        asking.append(func.name)
+        tests = [n for n in ast.walk(func) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == "isinstance"]
+        kinds = set(_references(ast.Module([ast.Expr(c) for c in tests], [])))
+        if "points" in attrs or kinds & backings:
+            branching.append(func.name)
+    assert {"star_hits", "plane_hits", "cross_pairs", "crossing_set"} <= set(asking)
+    assert branching == []
