@@ -53,11 +53,13 @@ def run_once(tree, workload, seed, seconds):
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     speed = next(line for line in lines if line.startswith("machine speed:"))
-    scaled = {name: m["value"] for name, m in result["metrics"].items()}
-    raw = {}
+    scaled, raw = {}, {}
     for line in lines:
-        if (m := _SERIES.match(line)) and m[3] is not None:
-            raw[m[1] + ".p50"] = float(m[3])
+        if m := _SERIES.match(line):
+            scaled[m[1] + ".p50"] = float(m[2])
+            if m[3] is not None:
+                raw[m[1] + ".p50"] = float(m[3])
+    scaled.update((name, m["value"]) for name, m in result["metrics"].items())
     return {"result": result, "machine_speed": speed, "scaled_medians": scaled,
             "raw_medians": raw}
 
@@ -99,14 +101,16 @@ def compare(base_runs, head_runs):
 
 
 def table(workload, rows, pairs):
-    lines = [f"{workload} ({pairs} pairs): metric | base median [q1, q3] | head median [q1, q3] "
-             "| change | head wins"]
+    """A Markdown table of compare()'s rows for one workload."""
+    lines = [f"{workload}, {pairs} pairs:", "",
+             "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins |",
+             "| --- | --- | --- | --- | --- |"]
     for name, r in rows.items():
         b, h = r["base"], r["head"]
         change = "n/a" if r["change"] is None else f"{r['change']:+.1%}"
-        lines.append(f"  {name} | {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] | "
+        lines.append(f"| {name} | {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] | "
                      f"{h['median']:.4g} [{h['q1']:.4g}, {h['q3']:.4g}] | {change} | "
-                     f"{r['head_wins']}/{pairs}")
+                     f"{r['head_wins']}/{pairs} |")
     return lines
 
 

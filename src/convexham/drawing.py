@@ -195,10 +195,7 @@ class Drawing:
         self._rot_cache = getattr(oracle, "_rot_cache", {})
 
     def rotation_of(self, v):
-        """The other vertices counterclockwise around v, from the smallest (canonical form).
-
-        Raises VertexOutOfRange for v outside 1..n.
-        """
+        """The others counterclockwise around v, from the smallest; VertexOutOfRange off 1..n."""
         if not 0 < v <= self.n:
             raise VertexOutOfRange(f"vertex {v} out of range 1..{self.n}")
         return self._oracle.rotation_of(v)

@@ -311,13 +311,19 @@ class PointBack:
 
     def rotation_of(self, v):
         """The labels but v, counterclockwise around v from the smallest, sorted once per v."""
-        return self.rotation_among(v, range(1, len(self.pts)))
+        rot = self._rot_cache.get(v)
+        if rot is None:
+            others = np.arange(1, len(self.pts) - 1)
+            others[v - 1:] += 1
+            order = ccw_order(self, v, others)
+            i = order.index(1 if v != 1 else 2)
+            rot = self._rot_cache[v] = (*order[i:], *order[:i])
+        return rot
 
     def rotation_among(self, v, labels):
         """rotation_of(v) filtered to `labels`, sorting only them and its start label."""
-        full = len(labels) - (v in labels) == len(self.pts) - 2
-        if full and v in self._rot_cache:
-            return self._rot_cache[v]
+        if len(labels) - (v in labels) == len(self.pts) - 2:
+            return self.rotation_of(v)
         start = 1 if v != 1 else 2
         cand = [x for x in labels if x != v]
         extra = start not in labels
@@ -325,10 +331,7 @@ class PointBack:
             cand.append(start)
         order = ccw_order(self, v, cand)
         i = order.index(start)
-        rot = (*order[i + extra:], *order[:i])
-        if full:
-            self._rot_cache[v] = rot
-        return rot
+        return (*order[i + extra:], *order[:i])
 
     def fan_walk(self, ends):
         """Do the (m, 2) label array's edges form a fan walk (`_walk`), plane by the fan lemma?
@@ -349,9 +352,8 @@ class PointBack:
         Pair i is labels[i], labels[(i + 1) % len(labels)], for the label
         array `labels` about `hub`.  A block is settled when its o2 all have
         one sign s and the labels are a cyclic shift of hub's rotation among
-        them (`rotation_among`), s = 1, or of its reverse, s = -1.  That
-        rotation is read only when a block's o2 first agree, so a caller
-        that stops early may sort none.
+        them (`rotation_among`), s = 1, or of its reverse, s = -1, read once
+        a block's o2 first agree: a caller that stops early may sort none.
         """
         ring = np.append(labels, labels[0])
         px, py = self.xs[ring] - self.xs[hub], self.ys[ring] - self.ys[hub]
@@ -364,9 +366,9 @@ class PointBack:
             agree = s != 0 and sign[i0:i1].count(s) == i1 - i0
             if agree and turn is None:
                 got = labels.tolist()
-                rot = self.rotation_among(hub, set(got))
+                rot = self.rotation_among(int(hub), got)
                 turn = 0
-                if len(rot) == len(got):  # distinct labels, hub not among them
+                if len(rot) == len(got) and rot[0] in got:  # else labels repeat or hold hub
                     i = got.index(rot[0])
                     got = (*got[i:], *got[:i])
                     turn = 1 if got == rot else -int(got[1:] == rot[:0:-1])
