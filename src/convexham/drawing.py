@@ -336,11 +336,12 @@ def star_hits(d, order, hub, rows):
     """
     twice = geometry._star_labels(order, hub, d.n)
     k = len(twice) // 2
+    labels = twice[:k]
     (others,) = geometry._windows((twice[2:],), k, k - 2)
-    block = _row_asker(d.cross_pairs, twice[:k], twice[1:], k - 2,
+    block = _row_asker(d.cross_pairs, labels, twice[1:], k - 2,
                        lambda i0, i1: (others[i0] if i1 == i0 + 1 else others[i0:i1], hub))
     bounds = _row_bounds(rows, k - 2)
-    fans = d._oracle.fan_blocks(hub, twice[:k], bounds)
+    fans = d._oracle.fan_blocks(hub, labels, bounds)
     settled = 0  # entries of settled blocks not yet counted
     for (i0, i1), fan in zip(bounds, fans):
         if fan:
