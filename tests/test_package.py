@@ -122,9 +122,9 @@ def test_no_row_function_of_drawing_branches_on_the_backing():
         if not attrs & {"cross_pairs", "fan_blocks", "fan_walk"}:
             continue
         asking.append(func.name)
-        tests = [n for n in ast.walk(func) if isinstance(n, ast.Call)
-                 and isinstance(n.func, ast.Name) and n.func.id == "isinstance"]
-        kinds = set(_references(ast.Module([ast.Expr(c) for c in tests], [])))
+        kinds = {name for call in ast.walk(func) if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                 for arg in call.args[1:] for name in _references(arg)}
         if "points" in attrs or kinds & backings:
             branching.append(func.name)
     assert {"star_hits", "plane_hits", "cross_pairs", "crossing_set"} <= set(asking)
