@@ -2,26 +2,26 @@
 """Run perfbench workloads and write BENCH_<workload>.json, or A/B two revisions.
 
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds T`,
-unchanged, in the root of a source tree.  Its last stdout line is the JSON
+unchanged, in the root of a source tree, with T the run_seconds of
+BENCHMARK.json.  Its last stdout line is the JSON
 result (correct, attempted, failed, metrics); the line before the metrics
 that starts with "machine speed:" says how fast the machine ran; the
 report lines give each series' median scaled to the reference speed and,
 for times, the raw median beside it.
 
-Without --ab, one run per workload in this checkout, written to
+Without --ab, one run of every workload in this checkout, written to
 BENCH_<workload>.json in --out: the result line, the git rev (with
 "-dirty" when the tree has uncommitted changes), the seed and seconds, the
 machine-speed line, and the scaled and raw medians.
 
 With --ab REV, REV is unpacked by `git archive` into a fresh directory and
-each workload runs --pairs pairs of (REV, this checkout), alternating which
+every workload runs PAIRS pairs of (REV, this checkout), alternating which
 side runs first.  For every end-to-end metric of BENCHMARK.json it writes
 BENCH_ab_<workload>.json in --out: each side's runs, median and quartiles,
 and how many pairs each side won by the metric's `better` direction (ties
 count for neither); it prints the same as a Markdown table.
 
-    python3 scripts/bench.py [--workload W ...] [--seed S] [--seconds T]
-                             [--ab REV] [--pairs N] [--out DIR]
+    python3 scripts/bench.py [--seed S] [--ab REV] [--out DIR]
 """
 
 from __future__ import annotations
@@ -39,16 +39,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+SECONDS = SPEC["run_seconds"]
+PAIRS = 10  # run pairs per workload with --ab
 
 # A report line of one series: name.p50, scaled median, unit, sample count,
 # then for times the raw median.
 _SERIES = re.compile(r"^\s+(\S+)\.p50\s+(\S+)\s+\S+\s+n=\d+(?:\s+raw p50=(\S+))?")
 
 
-def run_once(tree, workload, seed, seconds):
+def run_once(tree, workload, seed):
     """One perfbench run in `tree`: its parsed result with the report's medians."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}"]
+           "--seconds", f"{SECONDS:g}"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -100,9 +102,9 @@ def compare(base_runs, head_runs):
     return out
 
 
-def table(workload, rows, pairs):
+def table(workload, rows):
     """A Markdown table of compare()'s rows for one workload."""
-    lines = [f"{workload}, {pairs} pairs:", "",
+    lines = [f"{workload}, {PAIRS} pairs:", "",
              "| metric | base median [q1, q3] | head median [q1, q3] | change | head wins |",
              "| --- | --- | --- | --- | --- |"]
     for name, r in rows.items():
@@ -110,31 +112,26 @@ def table(workload, rows, pairs):
         change = "n/a" if r["change"] is None else f"{r['change']:+.1%}"
         lines.append(f"| {name} | {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] | "
                      f"{h['median']:.4g} [{h['q1']:.4g}, {h['q3']:.4g}] | {change} | "
-                     f"{r['head_wins']}/{pairs} |")
+                     f"{r['head_wins']}/{PAIRS} |")
     return lines
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="a workload to run (repeatable; default: every workload)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     ap.add_argument("--ab", metavar="REV", help="compare this checkout against revision REV")
-    ap.add_argument("--pairs", type=int, default=10, help="run pairs per workload with --ab")
     ap.add_argument("--out", default=str(ROOT), help="directory for the JSON files")
     args = ap.parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workloads = args.workload or WORKLOADS
 
     if args.ab is None:
         rev = git_rev(ROOT)
-        for w in workloads:
-            run = run_once(ROOT, w, args.seed, args.seconds)
-            record = {"workload": w, "rev": rev, "seed": args.seed, "seconds": args.seconds,
+        for w in WORKLOADS:
+            run = run_once(ROOT, w, args.seed)
+            record = {"workload": w, "rev": rev, "seed": args.seed, "seconds": SECONDS,
                       "command": f"python3 perfbench/run.py --workload {w} --seed {args.seed} "
-                                 f"--seconds {args.seconds:g}", **run}
+                                 f"--seconds {SECONDS:g}", **run}
             (out / f"BENCH_{w}.json").write_text(json.dumps(record, indent=1) + "\n")
             print(f"{w}: {json.dumps(run['scaled_medians'])}")
         return 0
@@ -147,20 +144,20 @@ def main(argv=None):
         base_rev = subprocess.run(["git", "rev-parse", args.ab], cwd=ROOT, capture_output=True,
                                   text=True, check=True).stdout.strip()
         head_rev = git_rev(ROOT)
-        for w in workloads:
+        for w in WORKLOADS:
             runs = {"base": [], "head": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 sides = [("base", base_tree), ("head", ROOT)]
                 for side, tree in sides if i % 2 == 0 else sides[::-1]:
-                    runs[side].append(run_once(tree, w, args.seed, args.seconds))
+                    runs[side].append(run_once(tree, w, args.seed))
             rows = compare(runs["base"], runs["head"])
-            record = {"workload": w, "seed": args.seed, "seconds": args.seconds,
-                      "pairs": args.pairs, "base_rev": base_rev, "head_rev": head_rev,
+            record = {"workload": w, "seed": args.seed, "seconds": SECONDS,
+                      "pairs": PAIRS, "base_rev": base_rev, "head_rev": head_rev,
                       "failed": {side: [r["result"]["failed"] for r in rs]
                                  for side, rs in runs.items()},
                       "metrics": rows}
             (out / f"BENCH_ab_{w}.json").write_text(json.dumps(record, indent=1) + "\n")
-            print("\n".join(table(w, rows, args.pairs)), flush=True)
+            print("\n".join(table(w, rows)), flush=True)
     finally:
         shutil.rmtree(base_tree)
     return 0

@@ -206,6 +206,8 @@ class Drawing:
                if not 0 < u <= self.n]
         if bad:
             raise VertexOutOfRange(f"vertex {bad[0]} out of range 1..{self.n}")
+        if len(labels) - (v in labels) == self.n - 1:
+            return self.rotation_of(v)
         return self._oracle.rotation_among(v, labels)
 
     @property

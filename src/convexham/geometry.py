@@ -338,8 +338,7 @@ class PointBack:
 
         A closed walk drops its repeated last label; its first and its last are tried as hub.
         """
-        walk = _walk(ends) if len(ends) > 1 else None
-        if walk is None:
+        if len(ends) < 2 or (walk := _walk(ends)) is None:
             return False
         m = len(walk) - 1
         labels = walk[:m] if walk[0] == walk[m] else walk

@@ -166,3 +166,27 @@ def test_traced_row_entries_count_every_entry_of_a_block():
     for tracer, entries, scalar, counter, _sizes in _traced_runs():
         assert tracer.counts[entries] > 0
         assert tracer.counts[entries] + tracer.stats[scalar][tracing.CALLS] == counter.count
+
+
+def test_traced_rotation_reads_see_whole_rotations():
+    # The s-t solver reads the whole rotations of its two ends through
+    # Drawing.rotation_among.  A whole label set goes through
+    # Drawing.rotation_of, where the tracer counts rotation reads and their
+    # cache hits from the backing's rotation cache.
+    from convexham import generators, instrumented
+    from convexham.hamiltonian import st_hamiltonian_path
+
+    geo = generators.random_geometric(60, 3)
+    hull = min(range(1, 61), key=lambda v: geo.points[v])  # smallest x
+    for _round in range(2):
+        view, _counter = instrumented(geo)
+        tracer = tracing.Tracer()
+        undo = tracing.install(tracer)
+        try:
+            st_hamiltonian_path(view, 1 if hull != 1 else 2, hull, verify=False)
+        finally:
+            tracing.uninstall(undo)
+        calls = tracer.stats["drawing.rotation_of"][tracing.CALLS]
+        assert calls >= 2
+        assert tracer.counts["rotation_lookups"] == calls
+    assert tracer.counts["rotation_hits"] == calls  # the second round reads the cache
