@@ -176,12 +176,15 @@ def _orders(d, hub, rng):
 def test_settled_star_blocks_have_no_scalar_hit(make):
     # A block of star rows that fan_blocks settles holds no hit by scalar
     # queries, for blocks of one row, of a few and of all.  On points the
-    # short turns of an angular order are settled.
+    # short turns of an angular order are settled.  Orders as long as a whole
+    # rotation that lack its first label, and repeat another or hold the hub,
+    # are asked too, with the hub's rotation already read.
     d = make()
     n, rng = d.n, random.Random(d.n + 2)
     settled = 0
     for hub in range(1, n + 1):
-        for order in _orders(d, hub, rng):
+        rot = d.rotation_of(hub)
+        for order in (*_orders(d, hub, rng), rot[1:] + rot[1:2], rot[1:] + (hub,)):
             k = len(order)
             rows = _star_rows(d, hub, order)
             for step in (1, 2, k):
